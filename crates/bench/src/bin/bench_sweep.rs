@@ -18,14 +18,12 @@
 //! 5. **Dispatch-mode price tags**: one contention month through
 //!    post-hoc, planned and coordinated dispatch.
 //! 6. **Fleet scaling curve**: the coordinated month at 8–100 ring
-//!    sites in three configurations — dense simplex + serial stepping,
-//!    network simplex + serial, network simplex + threaded — the
-//!    sites-vs-wall-clock evidence behind the fleet-scale work. The
-//!    large-fleet axis (256 and 512 ring sites) runs on the factorized
-//!    network kernel only — the dense baseline is exactly what those
-//!    sizes retire — and the kernel's telemetry (pivots, eta lengths,
-//!    refactorizations, scratch peaks, ns/solve) is emitted per point
-//!    as the `solver_stats.json` artifact next to `--out`.
+//!    sites with serial and with threaded stepping — the
+//!    sites-vs-wall-clock evidence behind the fleet-scale work — plus
+//!    the large-fleet axis (256 and 512 ring sites). The network
+//!    kernel's telemetry (pivots, eta lengths, refactorizations,
+//!    scratch peaks, ns/solve) is emitted per point as the
+//!    `solver_stats.json` artifact next to `--out`.
 //! 7. **Sweep cache**: a cold pass over a scratch `SweepCache` vs the
 //!    warm rerun; the binary exits nonzero unless warm is ≥5× faster
 //!    with byte-identical results.
@@ -113,17 +111,12 @@ struct BenchSweepReport {
     /// binary exits nonzero if this ever goes negative.
     routing_coopt_saving: f64,
     /// Site counts of the fleet-scaling curve: one coordinated
-    /// price-spike/stressed month on the lossy ring per count, in three
-    /// configurations (the three `fleet_scaling_*_ms` series below).
+    /// price-spike/stressed month on the lossy ring per count, in two
+    /// configurations (the two `fleet_scaling_*_ms` series below).
     fleet_scaling_sites: Vec<usize>,
-    /// Dense simplex settlement + serial site stepping — the pre-scaling
-    /// baseline.
-    fleet_scaling_serial_ms: Vec<f64>,
-    /// Sparse network simplex settlement, still serial stepping — the
-    /// solver win alone.
+    /// Serial site stepping.
     fleet_scaling_network_lp_ms: Vec<f64>,
-    /// Network simplex + `--threads N` within-frame stepping — the full
-    /// fleet-scale path.
+    /// `--threads N` within-frame stepping — the full fleet-scale path.
     fleet_scaling_parallel_ms: Vec<f64>,
     /// One coordinated 256-site ring month on the factorized network
     /// kernel, serial stepping.
@@ -439,15 +432,11 @@ fn main() -> ExitCode {
 
     // ---- 6. Fleet scaling: sites vs wall-clock. -------------------------
     // The same contention month as §5, scaled along the site axis on the
-    // lossy ring: dense simplex + serial stepping (the pre-scaling
-    // baseline), sparse network simplex + serial stepping (the solver
-    // win alone), and network simplex + threaded stepping (the full
-    // path). One timed run per point — the curve's shape is the
-    // artifact, not its microsecond precision.
-    use dpss_core::SolverPath;
+    // lossy ring: serial stepping and threaded stepping. One timed run
+    // per point — the curve's shape is the artifact, not its
+    // microsecond precision.
     use dpss_lp::SolverStats;
     let fleet_scaling_sites: Vec<usize> = vec![8, 16, 32, 64, 100];
-    let mut fleet_scaling_serial_ms = Vec::new();
     let mut fleet_scaling_network_lp_ms = Vec::new();
     let mut fleet_scaling_parallel_ms = Vec::new();
     // Per-point kernel telemetry, keyed `ring<N>_<config>`, written out
@@ -493,10 +482,8 @@ fn main() -> ExitCode {
             })
             .collect()
     };
-    let timed_month = |fleet: &MultiSiteEngine, n: usize, path: SolverPath| -> (f64, SolverStats) {
-        let mut planner = FleetPlanner::for_engine(fleet)
-            .with_coordination(true)
-            .with_solver_path(path);
+    let timed_month = |fleet: &MultiSiteEngine, n: usize| -> (f64, SolverStats) {
+        let mut planner = FleetPlanner::for_engine(fleet).with_coordination(true);
         let start = Instant::now();
         let _ = fleet
             .run_with(&mut smart_fleet(n), &mut planner)
@@ -505,9 +492,7 @@ fn main() -> ExitCode {
     };
     for &n in &fleet_scaling_sites {
         let fleet_n = ring_month(n);
-        let (dense_s, _) = timed_month(&fleet_n, n, SolverPath::Dense);
-        fleet_scaling_serial_ms.push(dense_s * 1e3);
-        let (net_s, net_stats) = timed_month(&fleet_n, n, SolverPath::Network);
+        let (net_s, net_stats) = timed_month(&fleet_n, n);
         fleet_scaling_network_lp_ms.push(net_s * 1e3);
         solver_stats_points.push(SolverStatsPoint {
             point: format!("ring{n}_network"),
@@ -519,7 +504,7 @@ fn main() -> ExitCode {
             solver_refactor_rate = net_stats.refactor_rate();
         }
         let parallel_fleet = fleet_n.with_threads(threads);
-        let (par_s, par_stats) = timed_month(&parallel_fleet, n, SolverPath::Network);
+        let (par_s, par_stats) = timed_month(&parallel_fleet, n);
         fleet_scaling_parallel_ms.push(par_s * 1e3);
         solver_stats_points.push(SolverStatsPoint {
             point: format!("ring{n}_parallel"),
@@ -531,7 +516,7 @@ fn main() -> ExitCode {
     // The large-fleet axis: factorized network kernel only.
     let mut large_ms = |n: usize| -> (f64, f64) {
         let fleet_n = ring_month(n);
-        let (net_s, net_stats) = timed_month(&fleet_n, n, SolverPath::Network);
+        let (net_s, net_stats) = timed_month(&fleet_n, n);
         solver_stats_points.push(SolverStatsPoint {
             point: format!("ring{n}_network"),
             sites: n,
@@ -539,7 +524,7 @@ fn main() -> ExitCode {
             refactor_rate: net_stats.refactor_rate(),
         });
         let parallel_fleet = fleet_n.with_threads(threads);
-        let (par_s, par_stats) = timed_month(&parallel_fleet, n, SolverPath::Network);
+        let (par_s, par_stats) = timed_month(&parallel_fleet, n);
         solver_stats_points.push(SolverStatsPoint {
             point: format!("ring{n}_parallel"),
             sites: n,
@@ -725,7 +710,6 @@ fn main() -> ExitCode {
         routing_coopt_ms: routing_coopt_s * 1e3,
         routing_coopt_saving: routing_saving,
         fleet_scaling_sites,
-        fleet_scaling_serial_ms,
         fleet_scaling_network_lp_ms,
         fleet_scaling_parallel_ms,
         fleet_scaling_256_network_ms,

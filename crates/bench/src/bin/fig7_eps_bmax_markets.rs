@@ -20,7 +20,7 @@ fn main() {
 
     println!(
         "expected shape: cost rises with ε (delay falls); TM beats RTM; \
-         larger batteries reduce curtailment (cost effect is small here — \
-         see EXPERIMENTS.md on the backlog-as-storage substitution)."
+         larger batteries reduce curtailment (cost effect is small here: \
+         the delay-tolerant backlog already stores energy the battery would)."
     );
 }

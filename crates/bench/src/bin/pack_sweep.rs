@@ -9,9 +9,6 @@
 //! pack_sweep [--pack NAME] [--sites N] [--threads N]
 //!            [--dispatch post-hoc|planned|coordinated|all]
 //! ```
-//!
-//! (`--interconnect` is accepted as the legacy spelling of
-//! `--dispatch`.)
 
 use std::process::ExitCode;
 
@@ -39,7 +36,7 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--dispatch" | "--interconnect" => {
+            "--dispatch" => {
                 let v = args.next().unwrap_or_default();
                 if v == "all" || v == "both" {
                     // The full roster, same as the default.

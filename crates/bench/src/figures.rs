@@ -1,5 +1,4 @@
-//! One computation function per paper figure (see `DESIGN.md` §5 for the
-//! experiment index and EXPERIMENTS.md for paper-vs-measured notes).
+//! One computation function per paper figure.
 //!
 //! Every figure is expressed as a [`SweepSpec`] — a named roster of cells
 //! (grid points, baselines, ablation variants) — executed by an

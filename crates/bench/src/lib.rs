@@ -28,8 +28,7 @@ mod table;
 pub use cache::{SweepCache, CACHE_SCHEMA_VERSION};
 pub use packs::{
     lp_counts_row, pack_overview_with, pack_sweep, pack_sweep_with, pack_sweep_with_counts,
-    topology_roster, topology_sweep_with, DispatchMode, FleetLpCounts, InterconnectMode,
-    LP_COUNTS_COLUMNS,
+    topology_roster, topology_sweep_with, DispatchMode, FleetLpCounts, LP_COUNTS_COLUMNS,
 };
 pub use routing::{routing_interconnect, routing_outcomes, routing_sweep_with, RoutingOutcome};
 pub use runner::ExperimentRunner;

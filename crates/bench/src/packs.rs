@@ -45,10 +45,6 @@ pub enum DispatchMode {
     Coordinated,
 }
 
-/// The pre-PR-5 name of [`DispatchMode`], kept for downstream callers of
-/// the `--interconnect` era.
-pub type InterconnectMode = DispatchMode;
-
 impl DispatchMode {
     /// The CLI spellings, in display order.
     pub const NAMES: [&'static str; 3] = ["post-hoc", "planned", "coordinated"];

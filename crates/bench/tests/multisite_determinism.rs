@@ -10,12 +10,12 @@
 //!   [`FleetPlanner::couple`]) still produce the identical aggregate;
 //! * one fleet row of the canonical `seasonal-calendar --sites 3` sweep
 //!   is pinned byte-for-byte, and one variant of
-//!   `price-spike --sites 3 --interconnect planned` next to it, so both
+//!   `price-spike --sites 3 --dispatch planned` next to it, so both
 //!   settlement modes have goldens of their own next to the Fig. 6 one
 //!   (CI uploads the corresponding `pack_sweep{,_planned}.json`
 //!   artifacts).
 
-use dpss_bench::{packs, DispatchMode, ExperimentRunner, InterconnectMode, PAPER_SEED};
+use dpss_bench::{packs, DispatchMode, ExperimentRunner, PAPER_SEED};
 use dpss_core::{FleetPlanner, SmartDpss, SmartDpssConfig};
 use dpss_sim::{
     Controller, Engine, FleetDispatcher, FrameSettlement, Interconnect, MultiSiteEngine, RunReport,
@@ -34,7 +34,7 @@ fn pack_sweep_threads_1_and_8_are_identical() {
         &pack,
         3,
         &ic,
-        InterconnectMode::PostHoc,
+        DispatchMode::PostHoc,
     );
     let threaded = packs::pack_sweep_with(
         &ExperimentRunner::new(8),
@@ -42,7 +42,7 @@ fn pack_sweep_threads_1_and_8_are_identical() {
         &pack,
         3,
         &ic,
-        InterconnectMode::PostHoc,
+        DispatchMode::PostHoc,
     );
     assert_eq!(serial, threaded);
 }
@@ -57,7 +57,7 @@ fn planned_pack_sweep_threads_1_and_8_are_identical() {
         &pack,
         3,
         &ic,
-        InterconnectMode::Planned,
+        DispatchMode::Planned,
     );
     let threaded = packs::pack_sweep_with(
         &ExperimentRunner::new(8),
@@ -65,7 +65,7 @@ fn planned_pack_sweep_threads_1_and_8_are_identical() {
         &pack,
         3,
         &ic,
-        InterconnectMode::Planned,
+        DispatchMode::Planned,
     );
     assert_eq!(serial, threaded);
 }
@@ -120,7 +120,7 @@ fn drought_fleet() -> (MultiSiteEngine, impl Fn(usize) -> RunReport) {
         .collect();
     let multi = MultiSiteEngine::new(engines)
         .unwrap()
-        .with_transfer_cap(Energy::from_mwh(2.0))
+        .with_interconnect(Interconnect::pooled(sites, Energy::from_mwh(2.0)).unwrap())
         .unwrap();
     let run_site = move |multi: &MultiSiteEngine, s: usize| -> RunReport {
         let engine = &multi.sites()[s];
@@ -193,7 +193,7 @@ fn seasonal_calendar_fleet_rows_match_golden_bytes() {
         &pack,
         3,
         &packs::default_interconnect(3),
-        InterconnectMode::PostHoc,
+        DispatchMode::PostHoc,
     );
     // 4 variants × (3 sites + 1 fleet row).
     assert_eq!(table.rows.len(), 16);
@@ -302,8 +302,8 @@ fn coordinated_run_is_invariant_to_within_frame_site_order() {
 ///   `run_with` exactly — the PR-5 order-immateriality proof, now at the
 ///   scale the parallel fan-out actually targets.
 ///
-/// At 100 sites the planner's `Auto` solver path resolves to the sparse
-/// network simplex, so this also pins the network path end to end.
+/// Every fleet LP solves on the sparse network simplex, so this also
+/// pins that path end to end at the scale it was built for.
 #[test]
 fn fleet_scale_100_site_ring_is_deterministic_across_threads_and_order() {
     let clock = SlotClock::icdcs13_month();
@@ -419,7 +419,7 @@ fn price_spike_coordinated_fleet_rows_match_golden_bytes() {
         "calm coordinated golden bytes drifted (should equal the planned golden: inert directives)"
     );
     let stressed_fleet: [&str; 8] = [
-        "stressed", "fleet", "100.971", "20.65", "484.9", "114.6", "31.96", "1748.91",
+        "stressed", "fleet", "101.011", "20.57", "486.0", "114.5", "31.96", "1751.08",
     ];
     assert_eq!(
         table.rows[15], stressed_fleet,
@@ -428,7 +428,7 @@ fn price_spike_coordinated_fleet_rows_match_golden_bytes() {
 }
 
 /// The planned-mode golden next to the post-hoc one: the first variant of
-/// `dpss sweep --pack price-spike --sites 3 --interconnect planned` at
+/// `dpss sweep --pack price-spike --sites 3 --dispatch planned` at
 /// seed 42. Pins the planner's flow LP end to end (site seeds → SmartDPSS
 /// → frame exchanges → warm-started settlement).
 #[test]
@@ -440,7 +440,7 @@ fn price_spike_planned_fleet_rows_match_golden_bytes() {
         &pack,
         3,
         &packs::default_interconnect(3),
-        InterconnectMode::Planned,
+        DispatchMode::Planned,
     );
     assert_eq!(table.rows.len(), 16);
     let golden: [[&str; 8]; 4] = [

@@ -31,30 +31,21 @@
 //! acceptance property `interconnect_physics.rs` pins across every
 //! built-in scenario pack.
 //!
-//! # Solver paths
+//! # Solver path
 //!
 //! Both planner LPs are *packing form* (every row `≤` with non-negative
-//! rhs, every variable in `[0, u]`), so they are eligible for `dpss-lp`'s
-//! sparse revised-simplex network path. The planner picks per
-//! [`SolverPath`]:
-//!
-//! * **`Dense`** — the historical dense-tableau route. Small fleets stay
-//!   here under `Auto` so published tables keep their exact bytes (warm
-//!   and cold dense solves can land on different optimal *vertices* of a
-//!   degenerate frame, and the network path has the same license — the
-//!   objective is pinned to 1e-9, the split of a tie is not).
-//! * **`Network`** — [`Problem::solve_network_with`] for the settlement
-//!   LP, plus an **aggregated** prospective template: the per-link
-//!   `f_free`/`f_buy` split is immaterial given each donor's totals
-//!   (the buy penalty depends only on the donor), so the network form
-//!   carries one total-flow variable per link and one bought-energy
-//!   variable per donor — `O(sites)` rows instead of `O(links)`, which
-//!   on an `n`-site mesh is the difference between a `3n+1`-row and an
-//!   `n² + 3n`-row system. Objective-equivalent to the split form by
-//!   construction (`tests/network_equivalence.rs` pins both shapes
-//!   against dense simplex).
-//! * **`Auto`** (default) — `Dense` up to
-//!   [`NETWORK_AUTO_SITE_THRESHOLD`] sites, `Network` above.
+//! rhs, every variable in `[0, u]`), so every fleet LP — settlement,
+//! prospective and the routing planner's migration LP — solves on
+//! `dpss-lp`'s sparse revised-simplex network path
+//! ([`Problem::solve_network_with`]). The prospective template is
+//! **aggregated**: the buy penalty depends only on the donor, so instead
+//! of splitting every link into free and bought flow it carries one
+//! total-flow variable per link and one bought-energy variable per donor
+//! — `O(sites)` rows instead of `O(links)`, which on an `n`-site mesh is
+//! the difference between a `3n+1`-row and an `n² + 3n`-row system, with
+//! the same optimum as the split form (`dpss-lp`'s
+//! `tests/network_equivalence.rs` pins both shapes against the dense
+//! tableau).
 
 // The fleet planner mints every LP variable/constraint id it later edits
 // or reads, in the same template build pass; site/pair vectors are sized
@@ -84,75 +75,9 @@ use serde::{Deserialize, Serialize};
 pub struct FleetPlannerState {
     /// Settlement-LP workspace basis.
     pub settlement: BasisSnapshot,
-    /// Dense-path prospective workspace basis (present iff the template
-    /// had been built).
-    pub prospective: Option<BasisSnapshot>,
-    /// Network-path prospective workspace basis (present iff the
-    /// template had been built).
+    /// Prospective workspace basis (present iff the template had been
+    /// built).
     pub prospective_net: Option<BasisSnapshot>,
-}
-
-/// Fleet size above which [`SolverPath::Auto`] switches the planner from
-/// the dense tableau to the sparse network path. Small fleets keep the
-/// dense route so published golden tables stay byte-identical; beyond
-/// this the dense prospective tableau grows as `O(links²)` memory and
-/// the network path wins outright.
-pub const NETWORK_AUTO_SITE_THRESHOLD: usize = 8;
-
-/// Which simplex route a [`FleetPlanner`] solves its frame LPs on (see
-/// the module docs for the trade-offs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverPath {
-    /// Dense up to [`NETWORK_AUTO_SITE_THRESHOLD`] sites, network above.
-    #[default]
-    Auto,
-    /// Always the dense two-phase tableau (the historical route).
-    Dense,
-    /// Always the sparse revised-simplex network path with the
-    /// aggregated prospective template.
-    Network,
-}
-
-impl SolverPath {
-    /// The CLI spellings, in display order.
-    pub const NAMES: [&'static str; 3] = ["auto", "dense", "network"];
-
-    /// Parses a CLI spelling, with the canonical error message.
-    ///
-    /// # Errors
-    ///
-    /// `unknown solver path: <name> (expected auto|dense|network)`.
-    pub fn parse(name: &str) -> Result<Self, String> {
-        match name {
-            "auto" => Ok(SolverPath::Auto),
-            "dense" => Ok(SolverPath::Dense),
-            "network" => Ok(SolverPath::Network),
-            other => Err(format!(
-                "unknown solver path: {other} (expected {})",
-                Self::NAMES.join("|")
-            )),
-        }
-    }
-
-    /// Resolves `Auto` against a fleet size.
-    #[must_use]
-    fn resolve(self, sites: usize) -> SolverPath {
-        match self {
-            SolverPath::Auto if sites > NETWORK_AUTO_SITE_THRESHOLD => SolverPath::Network,
-            SolverPath::Auto => SolverPath::Dense,
-            other => other,
-        }
-    }
-}
-
-impl std::fmt::Display for SolverPath {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SolverPath::Auto => "auto",
-            SolverPath::Dense => "dense",
-            SolverPath::Network => "network",
-        })
-    }
 }
 
 /// Plans each coarse frame's inter-site export flows as an LP over an
@@ -200,43 +125,17 @@ pub struct FleetPlanner {
     /// flow must clear `procure_cost × (1 + margin)`, so forecast error
     /// has to be this large before a directed purchase can lose money.
     procure_margin: f64,
-    /// The prospective dispatch LP, built on first use (coordinated
-    /// runs only, dense path).
-    prospective: Option<ProspectiveLp>,
     /// The aggregated prospective LP, built on first use (coordinated
-    /// runs only, network path).
+    /// runs only).
     prospective_net: Option<ProspectiveNetLp>,
-    /// Which simplex route the frame LPs solve on.
-    path: SolverPath,
 }
 
-/// The buy-aware prospective flow LP of coordinated dispatch: two
-/// variables per open link — `f_free` (export of forecast curtailment,
-/// costless) and `f_buy` (deliberately procured export energy, costed at
-/// the donor's long-term price plus waste penalty) — sharing the link
-/// cap. Same template/edit/re-solve shape as the settlement LP, with its
-/// own warm-started workspace.
-#[derive(Debug, Clone)]
-struct ProspectiveLp {
-    problem: Problem,
-    /// `(from, to, f_free, f_buy)` per open link, donor-major.
-    flows: Vec<(usize, usize, Variable, Variable)>,
-    /// Shared pair-cap row per open link (`f_free + f_buy ≤ cap_at`).
-    link_rows: Vec<ConstraintId>,
-    /// Donor surplus budget row per site.
-    free_rows: Vec<Option<ConstraintId>>,
-    /// Donor procurable budget row per site.
-    buy_rows: Vec<Option<ConstraintId>>,
-    /// Recipient forecast-need row per site.
-    need_rows: Vec<Option<ConstraintId>>,
-    workspace: LpWorkspace,
-}
-
-/// The network-path prospective template: the buy penalty depends only
+/// The prospective template of coordinated dispatch: the buy penalty depends only
 /// on the *donor*, so the per-link free/buy split is immaterial given
 /// each donor's totals. One total-flow variable per open link plus one
-/// bought-energy variable per donor reproduce the split form's optimum
-/// exactly, with `O(sites)` rows instead of `O(links)`:
+/// bought-energy variable per donor reproduce the optimum of the form
+/// with free and bought flow per link exactly, with `O(sites)` rows
+/// instead of `O(links)`:
 ///
 /// * free-budget rows `Σ_l t_l − z_s ≤ surplus_s` (whatever exceeds the
 ///   forecast surplus must be procured);
@@ -322,31 +221,8 @@ impl FleetPlanner {
             workspace: LpWorkspace::new(),
             coordinate: false,
             procure_margin: 0.6,
-            prospective: None,
             prospective_net: None,
-            path: SolverPath::Auto,
         }
-    }
-
-    /// Selects the simplex route the frame LPs solve on (default
-    /// [`SolverPath::Auto`]: dense for small fleets, network above
-    /// [`NETWORK_AUTO_SITE_THRESHOLD`] sites).
-    #[must_use]
-    pub fn with_solver_path(mut self, path: SolverPath) -> Self {
-        self.path = path;
-        self
-    }
-
-    /// The configured (unresolved) solver path.
-    #[must_use]
-    pub fn solver_path(&self) -> SolverPath {
-        self.path
-    }
-
-    /// The path [`SolverPath::Auto`] resolves to for this topology.
-    #[must_use]
-    pub fn resolved_solver_path(&self) -> SolverPath {
-        self.path.resolve(self.ic.sites())
     }
 
     /// Drops every workspace's saved basis so the next solves start
@@ -357,9 +233,6 @@ impl FleetPlanner {
     /// sweep).
     pub fn clear_basis(&mut self) {
         self.workspace.clear_basis();
-        if let Some(lp) = &mut self.prospective {
-            lp.workspace.clear_basis();
-        }
         if let Some(lp) = &mut self.prospective_net {
             lp.workspace.clear_basis();
         }
@@ -370,10 +243,6 @@ impl FleetPlanner {
     pub fn export_state(&self) -> FleetPlannerState {
         FleetPlannerState {
             settlement: self.workspace.export_basis(),
-            prospective: self
-                .prospective
-                .as_ref()
-                .map(|lp| lp.workspace.export_basis()),
             prospective_net: self
                 .prospective_net
                 .as_ref()
@@ -398,13 +267,6 @@ impl FleetPlanner {
         self.workspace
             .import_basis(&state.settlement)
             .map_err(invalid)?;
-        if let Some(basis) = &state.prospective {
-            self.prospective
-                .get_or_insert_with(|| ProspectiveLp::for_topology(&self.ic))
-                .workspace
-                .import_basis(basis)
-                .map_err(invalid)?;
-        }
         if let Some(basis) = &state.prospective_net {
             self.prospective_net
                 .get_or_insert_with(|| ProspectiveNetLp::for_topology(&self.ic))
@@ -529,16 +391,10 @@ impl FleetPlanner {
                     .expect("template rows stay valid");
             }
         }
-        let sol = match self.resolved_solver_path() {
-            SolverPath::Network => self
-                .problem
-                .solve_network_with(&mut self.workspace)
-                .expect("the flow LP is feasible (zero flow) and box-bounded"),
-            _ => self
-                .problem
-                .solve_with(&mut self.workspace)
-                .expect("the flow LP is feasible (zero flow) and box-bounded"),
-        };
+        let sol = self
+            .problem
+            .solve_network_with(&mut self.workspace)
+            .expect("the flow LP is feasible (zero flow) and box-bounded");
         for &(i, j, var) in &self.flows {
             let sent = sol.value(var).max(0.0);
             if sent <= 0.0 {
@@ -563,16 +419,20 @@ impl FleetPlanner {
     /// site — the coordinated-dispatch step that runs *before* the sites
     /// commit their long-term purchases.
     ///
-    /// The LP routes two kinds of export per open link: the donor's
-    /// forecast curtailment (free — it would be wasted anyway) and
-    /// *procured* energy (buy-to-export: costed at the donor's observed
-    /// long-term price plus waste penalty, padded by the safety margin,
-    /// and bounded by the donor's remaining grid budget after the
-    /// battery top-off). Flows are bounded by the per-frame link cap
-    /// (schedules bind), the recipient's forecast real-time need and the
-    /// pool cap. Like the settlement LP, the template is built once and
-    /// re-solved through one warm-started workspace via
-    /// `set_objective`/`set_bounds`/`set_rhs` edits.
+    /// The LP routes two kinds of export: the donor's forecast
+    /// curtailment (free — it would be wasted anyway) and *procured*
+    /// energy (buy-to-export: costed at the donor's observed long-term
+    /// price plus waste penalty, padded by the safety margin, and bounded
+    /// by the donor's remaining grid budget after the battery top-off).
+    /// Flows are bounded by the per-frame link cap (schedules bind), the
+    /// recipient's forecast real-time need and the pool cap. Like the
+    /// settlement LP, the template is built once and re-solved through
+    /// one warm-started workspace via `set_objective`/`set_bounds`/
+    /// `set_rhs` edits. Directives fold from the link totals and the
+    /// minimal procurement consistent with them (`(T_s − surplus_s)₊` —
+    /// the free-budget row guarantees the bought variable covers it, and
+    /// extracting the minimum keeps directives independent of how a
+    /// degenerate optimum splits its tie).
     ///
     /// Frame 0 (no history) and silent topologies yield inert
     /// directives.
@@ -591,104 +451,6 @@ impl FleetPlanner {
         if self.flows.is_empty() || self.ic.is_silent() {
             return directives;
         }
-        if self.resolved_solver_path() == SolverPath::Network {
-            self.plan_prospective_network(outlook, &mut directives);
-            return directives;
-        }
-        let margin = 1.0 + self.procure_margin;
-        let lp = self
-            .prospective
-            .get_or_insert_with(|| ProspectiveLp::for_topology(&self.ic));
-        for (k, &(i, j, free, buy)) in lp.flows.iter().enumerate() {
-            let loss = self.ic.loss(i, j);
-            let wheel = self.ic.wheeling(i, j).dollars_per_mwh();
-            let value = outlook.sites[j].expected_price * (1.0 - loss) - wheel;
-            let cap = self.ic.cap_at(i, j, outlook.frame).mwh();
-            lp.problem
-                .set_objective(free, -value)
-                .expect("template variables stay valid");
-            lp.problem
-                .set_objective(buy, -(value - outlook.sites[i].procure_cost * margin))
-                .expect("template variables stay valid");
-            let surplus = outlook.sites[i].expected_surplus.mwh().max(0.0);
-            let procurable = (outlook.sites[i].export_headroom - outlook.sites[i].battery_headroom)
-                .positive_part()
-                .mwh();
-            lp.problem
-                .set_bounds(free, 0.0, cap.min(surplus))
-                .expect("caps and budgets are non-negative");
-            lp.problem
-                .set_bounds(buy, 0.0, cap.min(procurable))
-                .expect("caps and budgets are non-negative");
-            lp.problem
-                .set_rhs(lp.link_rows[k], cap)
-                .expect("template rows stay valid");
-        }
-        for (s, site) in outlook.sites.iter().enumerate() {
-            if let Some(row) = lp.free_rows[s] {
-                lp.problem
-                    .set_rhs(row, site.expected_surplus.mwh().max(0.0))
-                    .expect("template rows stay valid");
-            }
-            if let Some(row) = lp.buy_rows[s] {
-                let procurable = (site.export_headroom - site.battery_headroom)
-                    .positive_part()
-                    .mwh();
-                lp.problem
-                    .set_rhs(row, procurable)
-                    .expect("template rows stay valid");
-            }
-            if let Some(row) = lp.need_rows[s] {
-                lp.problem
-                    .set_rhs(row, site.expected_need.mwh().max(0.0))
-                    .expect("template rows stay valid");
-            }
-        }
-        let sol = lp
-            .problem
-            .solve_with(&mut lp.workspace)
-            .expect("the prospective flow LP is feasible (zero flow) and box-bounded");
-        const TOL: f64 = 1e-9;
-        for &(i, j, free, buy) in &lp.flows {
-            let f_free = sol.value(free).max(0.0);
-            let f_buy = sol.value(buy).max(0.0);
-            let sent = f_free + f_buy;
-            if sent <= TOL {
-                continue;
-            }
-            let loss = self.ic.loss(i, j);
-            let value = outlook.sites[j].expected_price * (1.0 - loss)
-                - self.ic.wheeling(i, j).dollars_per_mwh();
-            directives[i].export_quota += Energy::from_mwh(sent);
-            directives[i].export_value = directives[i].export_value.max(value);
-            directives[j].import_expectation += Energy::from_mwh(sent * (1.0 - loss));
-            if f_buy > TOL {
-                directives[i].procure_for_export += Energy::from_mwh(f_buy);
-            }
-        }
-        // The plant charges surplus before curtailing it, so a site that
-        // was directed to buy must also top its battery off or the
-        // planned waste (and hence the export) never materializes.
-        for (s, d) in directives.iter_mut().enumerate() {
-            if d.procure_for_export > Energy::ZERO {
-                d.procure_for_export += outlook.sites[s].battery_headroom;
-            }
-        }
-        directives
-    }
-
-    /// The network-path body of [`plan_prospective`](Self::plan_prospective):
-    /// edits the aggregated template to the frame's caps and budgets,
-    /// solves on the sparse path, and folds per-donor directives from
-    /// link totals and the minimal procurement consistent with them
-    /// (`(T_s − surplus_s)₊` — row 1 guarantees the bought variable
-    /// covers it, and extracting the minimum keeps directives
-    /// independent of how a degenerate optimum splits its tie).
-    fn plan_prospective_network(
-        &mut self,
-        outlook: &FrameOutlook,
-        directives: &mut [FrameDirective],
-    ) {
         let margin = 1.0 + self.procure_margin;
         let lp = self
             .prospective_net
@@ -754,9 +516,9 @@ impl FleetPlanner {
             sent_totals[i] += sent;
         }
         lp.workspace.recycle(sol);
-        // Same top-off rule as the dense path: a donor directed to buy
-        // must also fill its battery or the planned curtailment (and
-        // hence the export) never materializes.
+        // The plant charges surplus before curtailing it, so a donor
+        // directed to buy must also fill its battery or the planned
+        // curtailment (and hence the export) never materializes.
         for (s, d) in directives.iter_mut().enumerate() {
             let bought = sent_totals[s] - outlook.sites[s].expected_surplus.mwh().max(0.0);
             if bought > TOL {
@@ -764,6 +526,7 @@ impl FleetPlanner {
                     Energy::from_mwh(bought) + outlook.sites[s].battery_headroom;
             }
         }
+        directives
     }
 
     /// Settles already-computed per-site reports through the planner:
@@ -799,29 +562,20 @@ impl FleetPlanner {
 
     /// Warm-start diagnostics of the prospective-dispatch workspace:
     /// `(warm, cold)` solve counts so far (zeros until the first
-    /// coordinated frame is planned), summed over whichever solver
-    /// paths have been exercised.
+    /// coordinated frame is planned).
     #[must_use]
     pub fn prospective_solve_counts(&self) -> (u64, u64) {
-        let dense = self.prospective.as_ref().map_or((0, 0), |lp| {
+        self.prospective_net.as_ref().map_or((0, 0), |lp| {
             (lp.workspace.warm_solves(), lp.workspace.cold_solves())
-        });
-        let net = self.prospective_net.as_ref().map_or((0, 0), |lp| {
-            (lp.workspace.warm_solves(), lp.workspace.cold_solves())
-        });
-        (dense.0 + net.0, dense.1 + net.1)
+        })
     }
 
     /// Cumulative solver telemetry across every workspace the planner
-    /// owns — settlement plus whichever prospective templates have been
-    /// built. Counter fields sum; peak fields take the maximum over the
+    /// owns — settlement plus the prospective template once built. Counter fields sum; peak fields take the maximum over the
     /// workspaces. See [`SolverStats`].
     #[must_use]
     pub fn solver_stats(&self) -> SolverStats {
         let mut stats = self.workspace.stats();
-        if let Some(lp) = &self.prospective {
-            stats.merge(&lp.workspace.stats());
-        }
         if let Some(lp) = &self.prospective_net {
             stats.merge(&lp.workspace.stats());
         }
@@ -829,106 +583,10 @@ impl FleetPlanner {
     }
 }
 
-impl ProspectiveLp {
-    /// Builds the buy-aware template for a topology. Bounds and
-    /// right-hand sides are placeholders (the cap ceiling); every
-    /// [`FleetPlanner::plan_prospective`] call edits them to the frame's
-    /// caps and budgets before re-solving.
-    fn for_topology(ic: &Interconnect) -> Self {
-        let n = ic.sites();
-        let mut problem = Problem::new(Sense::Minimize);
-        let flows: Vec<(usize, usize, Variable, Variable)> = ic
-            .open_links()
-            .map(|(i, j)| {
-                let ceiling = ic.cap_ceiling(i, j).mwh();
-                let free = problem
-                    .add_var(format!("x{i}_{j}"), 0.0, ceiling, 0.0)
-                    .expect("caps are validated finite");
-                let buy = problem
-                    .add_var(format!("y{i}_{j}"), 0.0, ceiling, 0.0)
-                    .expect("caps are validated finite");
-                (i, j, free, buy)
-            })
-            .collect();
-        let link_rows: Vec<ConstraintId> = flows
-            .iter()
-            .map(|&(i, j, free, buy)| {
-                problem
-                    .add_constraint(
-                        &[(free, 1.0), (buy, 1.0)],
-                        Relation::Le,
-                        ic.cap_ceiling(i, j).mwh(),
-                    )
-                    .expect("template rows are well-formed")
-            })
-            .collect();
-        let mut free_rows = vec![None; n];
-        let mut buy_rows = vec![None; n];
-        let mut need_rows = vec![None; n];
-        for s in 0..n {
-            let outgoing_free: Vec<(Variable, f64)> = flows
-                .iter()
-                .filter(|&&(i, _, _, _)| i == s)
-                .map(|&(_, _, free, _)| (free, 1.0))
-                .collect();
-            if !outgoing_free.is_empty() {
-                free_rows[s] = Some(
-                    problem
-                        .add_constraint(&outgoing_free, Relation::Le, 0.0)
-                        .expect("template rows are well-formed"),
-                );
-                let outgoing_buy: Vec<(Variable, f64)> = flows
-                    .iter()
-                    .filter(|&&(i, _, _, _)| i == s)
-                    .map(|&(_, _, _, buy)| (buy, 1.0))
-                    .collect();
-                buy_rows[s] = Some(
-                    problem
-                        .add_constraint(&outgoing_buy, Relation::Le, 0.0)
-                        .expect("template rows are well-formed"),
-                );
-            }
-            let incoming: Vec<(Variable, f64)> = flows
-                .iter()
-                .filter(|&&(_, j, _, _)| j == s)
-                .flat_map(|&(i, _, free, buy)| {
-                    let carry = 1.0 - ic.loss(i, s);
-                    [(free, carry), (buy, carry)]
-                })
-                .collect();
-            if !incoming.is_empty() {
-                need_rows[s] = Some(
-                    problem
-                        .add_constraint(&incoming, Relation::Le, 0.0)
-                        .expect("template rows are well-formed"),
-                );
-            }
-        }
-        if let Some(pool) = ic.pool_cap() {
-            let all: Vec<(Variable, f64)> = flows
-                .iter()
-                .flat_map(|&(_, _, free, buy)| [(free, 1.0), (buy, 1.0)])
-                .collect();
-            problem
-                .add_constraint(&all, Relation::Le, pool.mwh())
-                .expect("template rows are well-formed");
-        }
-        ProspectiveLp {
-            problem,
-            flows,
-            link_rows,
-            free_rows,
-            buy_rows,
-            need_rows,
-            workspace: LpWorkspace::new(),
-        }
-    }
-}
-
 impl ProspectiveNetLp {
     /// Builds the aggregated template for a topology. Bounds and
     /// right-hand sides are placeholders; every
-    /// [`FleetPlanner::plan_prospective`] call on the network path edits
+    /// [`FleetPlanner::plan_prospective`] call edits
     /// them to the frame's caps and budgets before re-solving.
     fn for_topology(ic: &Interconnect) -> Self {
         let n = ic.sites();
@@ -1212,66 +870,40 @@ mod tests {
     }
 
     #[test]
-    fn solver_path_parses_and_resolves() {
-        assert_eq!(SolverPath::parse("auto").unwrap(), SolverPath::Auto);
-        assert_eq!(SolverPath::parse("dense").unwrap(), SolverPath::Dense);
-        assert_eq!(SolverPath::parse("network").unwrap(), SolverPath::Network);
-        let err = SolverPath::parse("bogus").unwrap_err();
-        assert!(err.contains("unknown solver path: bogus"), "{err}");
-        assert!(err.contains("auto|dense|network"), "{err}");
-        assert_eq!(SolverPath::Network.to_string(), "network");
-        // Auto resolves by fleet size; explicit paths are sticky.
-        assert_eq!(SolverPath::Auto.resolve(3), SolverPath::Dense);
-        assert_eq!(
-            SolverPath::Auto.resolve(NETWORK_AUTO_SITE_THRESHOLD),
-            SolverPath::Dense
-        );
-        assert_eq!(
-            SolverPath::Auto.resolve(NETWORK_AUTO_SITE_THRESHOLD + 1),
-            SolverPath::Network
-        );
-        assert_eq!(SolverPath::Dense.resolve(100), SolverPath::Dense);
-        assert_eq!(SolverPath::Network.resolve(2), SolverPath::Network);
-        let p = FleetPlanner::new(Interconnect::decoupled(2).unwrap());
-        assert_eq!(p.solver_path(), SolverPath::Auto);
-        assert_eq!(p.resolved_solver_path(), SolverPath::Dense);
-        let p = p.with_solver_path(SolverPath::Network);
-        assert_eq!(p.resolved_solver_path(), SolverPath::Network);
-    }
-
-    #[test]
     fn network_settlement_matches_dense_net_value() {
-        // A lossy, wheeled 4-site mesh: both paths must settle every
-        // frame to the same net value (savings − wheeling is the LP
-        // objective; the sent/savings split of a degenerate tie may
-        // differ by vertex, the optimum may not).
+        // A lossy, wheeled 4-site mesh: every frame must settle to the
+        // net value (savings − wheeling, the LP objective) the dense
+        // tableau reached on the same frames. The sent/savings split of
+        // a degenerate tie may differ by vertex; the optimum may not.
+        const DENSE_NET: [f64; 6] = [
+            159.375,
+            179.20499999999996,
+            199.02599999999998,
+            218.83799999999997,
+            236.77799999999996,
+            240.3236842105263,
+        ];
         let ic = Interconnect::mesh(4, Energy::from_mwh(2.0))
             .unwrap()
             .with_uniform_loss(0.05)
             .unwrap()
             .with_uniform_wheeling(Price::from_dollars_per_mwh(2.0))
             .unwrap();
-        let mut dense = FleetPlanner::new(ic.clone()).with_solver_path(SolverPath::Dense);
-        let mut net = FleetPlanner::new(ic).with_solver_path(SolverPath::Network);
-        for k in 0..6 {
+        let mut net = FleetPlanner::new(ic);
+        for (k, dense) in (0..6).zip(DENSE_NET) {
             let bump = 0.3 * f64::from(k);
             let ex = exchange(
                 &[2.0 + bump, 0.3, 0.0, 0.4],
                 &[0.0, 1.0, 1.5 + bump, 0.2],
                 &[0.0, 55.0 + bump, 70.0, 61.0],
             );
-            let d = dense.plan(&ex);
             let n = net.plan(&ex);
-            let d_net = d.savings - d.wheeling;
-            let n_net = n.savings - n.wheeling;
+            let n_net = (n.savings - n.wheeling).dollars();
             assert!(
-                (d_net.dollars() - n_net.dollars()).abs() < 1e-9,
-                "frame {k}: dense {} vs network {}",
-                d_net.dollars(),
-                n_net.dollars()
+                (dense - n_net).abs() < 1e-9,
+                "frame {k}: dense {dense} vs network {n_net}"
             );
         }
-        // Both paths share the warm-start counters of one workspace.
         let (warm, cold) = net.solve_counts();
         assert_eq!(warm + cold, 6);
         assert!(warm >= 2, "{warm} warm / {cold} cold");
@@ -1279,41 +911,64 @@ mod tests {
 
     #[test]
     fn network_prospective_matches_dense_directives() {
-        // Non-degenerate buy-to-export case: the aggregated template
-        // must reproduce the split form's directives exactly.
+        // Non-degenerate buy-to-export case: the aggregated template must
+        // reproduce, exactly, the directives the per-link free/bought
+        // split form reached on the dense tableau.
         let ic = Interconnect::decoupled(2)
             .unwrap()
             .with_link(0, 1, Energy::from_mwh(5.0))
             .unwrap();
-        let mut dense = FleetPlanner::new(ic.clone()).with_solver_path(SolverPath::Dense);
-        let mut net = FleetPlanner::new(ic).with_solver_path(SolverPath::Network);
-        let looks = [
-            outlook(
-                3,
-                &[
-                    (1.0, 0.0, 0.0, 3.0, 0.5, 31.0),
-                    (0.0, 2.0, 80.0, 0.0, 0.0, 31.0),
+        let mut net = FleetPlanner::new(ic);
+        let directive = |frame, procure: f64, quota: f64, import: f64, value| FrameDirective {
+            frame,
+            procure_for_export: Energy::from_mwh(procure),
+            export_quota: Energy::from_mwh(quota),
+            import_expectation: Energy::from_mwh(import),
+            export_value: value,
+        };
+        let cases = [
+            (
+                outlook(
+                    3,
+                    &[
+                        (1.0, 0.0, 0.0, 3.0, 0.5, 31.0),
+                        (0.0, 2.0, 80.0, 0.0, 0.0, 31.0),
+                    ],
+                ),
+                [
+                    directive(3, 1.5, 2.0, 0.0, 80.0),
+                    directive(3, 0.0, 0.0, 2.0, 0.0),
                 ],
             ),
-            outlook(
-                4,
-                &[
-                    (1.0, 0.0, 0.0, 3.0, 0.5, 31.0),
-                    (0.0, 2.0, 40.0, 0.0, 0.0, 31.0),
+            (
+                outlook(
+                    4,
+                    &[
+                        (1.0, 0.0, 0.0, 3.0, 0.5, 31.0),
+                        (0.0, 2.0, 40.0, 0.0, 0.0, 31.0),
+                    ],
+                ),
+                [
+                    directive(4, 0.0, 1.0, 0.0, 40.0),
+                    directive(4, 0.0, 0.0, 1.0, 0.0),
                 ],
             ),
-            outlook(
-                5,
-                &[
-                    (0.0, 0.0, 0.0, 4.0, 0.25, 30.0),
-                    (0.0, 3.0, 90.0, 0.0, 0.0, 31.0),
+            (
+                outlook(
+                    5,
+                    &[
+                        (0.0, 0.0, 0.0, 4.0, 0.25, 30.0),
+                        (0.0, 3.0, 90.0, 0.0, 0.0, 31.0),
+                    ],
+                ),
+                [
+                    directive(5, 3.25, 3.0, 0.0, 90.0),
+                    directive(5, 0.0, 0.0, 3.0, 0.0),
                 ],
             ),
         ];
-        for look in &looks {
-            let d = dense.plan_prospective(look);
-            let n = net.plan_prospective(look);
-            assert_eq!(d, n, "frame {}", look.frame);
+        for (look, dense) in &cases {
+            assert_eq!(net.plan_prospective(look), dense, "frame {}", look.frame);
         }
         let (warm, cold) = net.prospective_solve_counts();
         assert_eq!(warm + cold, 3);
@@ -1361,9 +1016,12 @@ mod tests {
 
         // A corrupted basis is rejected with a typed error.
         let mut bad = state;
-        if let Some(d) = bad.settlement.dense.as_mut() {
-            d.basis.push(0);
-        }
+        bad.settlement
+            .network
+            .as_mut()
+            .expect("the settlement solves on the network path")
+            .basis
+            .push(0);
         assert!(matches!(
             FleetPlanner::new(Interconnect::uniform(3, Energy::from_mwh(2.0)).unwrap())
                 .import_state(&bad),
@@ -1397,7 +1055,7 @@ mod tests {
             .collect();
         let multi = MultiSiteEngine::new(engines)
             .unwrap()
-            .with_transfer_cap(Energy::from_mwh(1.0))
+            .with_interconnect(Interconnect::pooled(2, Energy::from_mwh(1.0)).unwrap())
             .unwrap();
         let mut planner =
             FleetPlanner::new(Interconnect::pooled(2, Energy::from_mwh(9.0)).unwrap());

@@ -86,7 +86,7 @@ mod smart_dpss;
 pub use bounds::TheoremBounds;
 pub use config::{MarketMode, P4Variant, P5Objective, SmartDpssConfig};
 pub use error::CoreError;
-pub use fleet::{FleetPlanner, FleetPlannerState, SolverPath, NETWORK_AUTO_SITE_THRESHOLD};
+pub use fleet::{FleetPlanner, FleetPlannerState};
 pub use greedy::GreedyBattery;
 pub use impatient::Impatient;
 pub use lower_bound::cheapest_window_bound;

@@ -357,6 +357,7 @@ mod tests {
         // vertex. Byte-identical resume therefore proves the basis
         // snapshot round-trips faithfully.
         let (engine, params) = world(42);
+        let engine = std::sync::Arc::new(engine);
         let fresh = || RecedingHorizon::new(params).unwrap().with_warm_start(true);
         let full = engine.run(&mut fresh()).unwrap();
 

@@ -30,8 +30,8 @@
 //!
 //! Like the fleet planner, the migration LP is a template (built once
 //! per topology) re-solved through one warm-started [`LpWorkspace`] with
-//! per-frame objective/bound/rhs edits, on the same solver path the
-//! wrapped planner resolved to.
+//! per-frame objective/bound/rhs edits, on the sparse network path every
+//! fleet LP solves on.
 
 // The routing planner mints every LP variable/row it later edits in its
 // own template build pass, and all per-site vectors are sized from the
@@ -46,7 +46,7 @@ use dpss_sim::{
 };
 use dpss_units::Energy;
 
-use crate::{FleetPlanner, SolverPath};
+use crate::FleetPlanner;
 
 /// Cross-site flows are worth this much less than local absorption per
 /// MWh, purely as a tie-break: when a donor's work is equally valuable
@@ -209,16 +209,10 @@ impl RoutingPlanner {
                 .set_rhs(host, res.mwh().max(0.0))
                 .expect("template rows stay valid");
         }
-        let sol = match self.inner.resolved_solver_path() {
-            SolverPath::Network => self
-                .problem
-                .solve_network_with(&mut self.workspace)
-                .expect("the migration LP is feasible (zero flow) and box-bounded"),
-            _ => self
-                .problem
-                .solve_with(&mut self.workspace)
-                .expect("the migration LP is feasible (zero flow) and box-bounded"),
-        };
+        let sol = self
+            .problem
+            .solve_network_with(&mut self.workspace)
+            .expect("the migration LP is feasible (zero flow) and box-bounded");
         let absorb: Vec<LoadFlow> = self
             .vars
             .iter()

@@ -557,7 +557,7 @@ mod tests {
         let clock = SlotClock::new(6, 24, 1.0).unwrap();
         let traces = Scenario::icdcs13().generate(&clock, 42).unwrap();
         let params = SimParams::icdcs13();
-        let engine = Engine::new(params, traces).unwrap();
+        let engine = std::sync::Arc::new(Engine::new(params, traces).unwrap());
         let mut full_ctl = SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).unwrap();
         let full = engine.run(&mut full_ctl).unwrap();
 

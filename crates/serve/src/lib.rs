@@ -54,6 +54,10 @@ pub mod snapshot;
 
 pub use error::ServeError;
 pub use protocol::{Fault, RawRequest, Response, SCHEMA_VERSION};
-pub use server::{replay_file, serve, ServeOptions, ServeOutcome, SessionServer};
-pub use session::{FleetSession, Session, SessionConfig, SessionSnapshot, SingleSession, TickData};
+pub use server::{
+    replay_file, serve, ServeOptions, ServeOutcome, SessionServer, MAX_REQUEST_BYTES,
+};
+pub use session::{
+    tick_frame, FleetSession, Session, SessionConfig, SessionSnapshot, SingleSession,
+};
 pub use snapshot::{snapshot_salt, LoadedSnapshot, SnapshotFile, SnapshotStore, SNAPSHOT_MAGIC};

@@ -6,15 +6,21 @@
 //! log, which is what makes every session reproducible: replaying the
 //! log deterministically re-derives every response, byte for byte.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::path::{Path, PathBuf};
 
 use dpss_sim::RunReport;
 
 use crate::error::ServeError;
 use crate::protocol::{Fault, RawRequest, Response};
-use crate::session::{Session, SessionConfig, SessionSnapshot, TickData};
+use crate::session::{tick_frame, Session, SessionConfig, SessionSnapshot};
 use crate::snapshot::SnapshotStore;
+
+/// Longest request line the loop reads, newline excluded. A legitimate
+/// request is far smaller (a tick carries four series of one frame's
+/// slots); anything longer is answered with a `parse` error and skipped
+/// without ever being buffered whole.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// How a serve loop should run.
 #[derive(Debug, Clone, Default)]
@@ -162,7 +168,7 @@ impl SessionServer {
                 let Some(frame) = raw.frame else {
                     return Err(Fault::new("protocol", "tick is missing its frame number"));
                 };
-                let data = TickData::from_request(&raw, single.config.slots_per_frame)?;
+                let data = tick_frame(&raw, single.config.clock()?)?;
                 let step = single.tick(frame, &data)?;
                 Ok((
                     Response::Ticked {
@@ -179,12 +185,6 @@ impl SessionServer {
             }
             "step" => match self.session_mut()? {
                 Session::Single(single) => {
-                    if single.config.mode == "stream" {
-                        return Err(Fault::new(
-                            "protocol",
-                            "stream sessions advance via tick, not step",
-                        ));
-                    }
                     let step = single.step()?;
                     Ok((
                         Response::Stepped {
@@ -321,7 +321,10 @@ fn emit(output: &mut dyn Write, response: &Response) -> Result<(), ServeError> {
 /// `options.resume` the second is the `Resumed` acknowledgment. Blank
 /// input lines are skipped. Every non-blank request line is appended to
 /// `options.log` (when set) *before* it is handled, so the log replays
-/// the session even if handling crashes the process.
+/// the session even if handling crashes the process. A line longer than
+/// [`MAX_REQUEST_BYTES`] or not valid UTF-8 is answered with a `parse`
+/// error and not logged: it never reaches the session, so replay does
+/// not need it.
 ///
 /// # Errors
 ///
@@ -355,17 +358,38 @@ pub fn serve(
         let response = server.resume_latest()?;
         emit(output, &response)?;
     }
-    let mut line = String::new();
+    let read_error = |e: std::io::Error| ServeError::Io {
+        context: "reading a request".to_owned(),
+        message: e.to_string(),
+    };
+    let mut line = Vec::new();
     loop {
         line.clear();
-        let n = input.read_line(&mut line).map_err(|e| ServeError::Io {
-            context: "reading a request".to_owned(),
-            message: e.to_string(),
-        })?;
+        let n = Read::take(&mut *input, MAX_REQUEST_BYTES as u64 + 1)
+            .read_until(b'\n', &mut line)
+            .map_err(read_error)?;
         if n == 0 {
             break;
         }
-        let trimmed = line.trim();
+        let text = if line.len() > MAX_REQUEST_BYTES && line.last() != Some(&b'\n') {
+            input.skip_until(b'\n').map_err(read_error)?;
+            Err(Fault::new(
+                "parse",
+                format!("request line exceeds {MAX_REQUEST_BYTES} bytes"),
+            ))
+        } else {
+            std::str::from_utf8(&line)
+                .map_err(|_| Fault::new("parse", "request line is not valid UTF-8"))
+        };
+        let trimmed = match text {
+            Ok(text) => text.trim(),
+            Err(fault) => {
+                outcome.requests += 1;
+                outcome.errors += 1;
+                emit(output, &fault.into_response())?;
+                continue;
+            }
+        };
         if trimmed.is_empty() {
             continue;
         }

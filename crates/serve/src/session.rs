@@ -1,29 +1,33 @@
 //! Resumable control sessions.
 //!
-//! A session wraps the batch engines in a *transient-resume* loop: the
-//! durable state is a plain-data [`EngineRunState`] (plus controller and
-//! dispatcher state), and every step rehydrates an
-//! [`EngineRun`] from it, advances one coarse frame,
-//! and stores the state back. Because `Engine::resume` reconstructs the
-//! exact mid-month state, a session that is snapshotted, killed and
-//! resumed finishes with a report byte-identical to an uninterrupted
+//! A session holds the same stepping object the batch run uses — an
+//! [`EngineRun`] for one datacenter, a [`FleetRun`] for a fleet — and
+//! advances it one coarse frame per request, so a session's frames are
+//! the batch run's frames by construction. A stream tick writes its
+//! frame's traces into the run's engine in place just before stepping it.
+//! The plain-data [`EngineRunState`] is captured only when a snapshot is
+//! taken; `Engine::resume` reconstructs the exact mid-month state from
+//! it, so a session that is snapshotted, killed and resumed finishes with
+//! a report byte-identical to an uninterrupted
 //! [`Engine::run`](dpss_sim::Engine::run) — the property the
 //! `resume_equivalence` suite pins for every built-in pack variant.
 //!
 //! Two shapes exist: [`SingleSession`] (one datacenter; `scenario`,
 //! `pack` or tick-driven `stream` traces) and [`FleetSession`] (several
-//! sites stepped in lockstep over an interconnect, replicating
-//! [`dpss_sim::MultiSiteEngine::run_with`] frame by frame with the dispatcher in
-//! the loop).
+//! sites stepped in lockstep over an interconnect by the frame body of
+//! [`dpss_sim::MultiSiteEngine::run_with`], with the dispatcher in the
+//! loop).
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use dpss_core::{FleetPlanner, FleetPlannerState, RecedingHorizon, SmartDpss, SmartDpssConfig};
 use dpss_sim::{
-    Controller, ControllerState, Engine, EngineRun, EngineRunState, FleetDispatcher,
-    FrameDirective, FrameSettlement, Interconnect, MultiSiteReport, RunReport, SimParams,
+    Controller, ControllerState, Engine, EngineRun, EngineRunState, FleetDispatcher, FleetRun,
+    FrameDirective, FrameExchange, FrameOutlook, FrameSettlement, Interconnect, MultiSiteEngine,
+    MultiSiteReport, RunReport, SimParams, UnroutedDispatcher,
 };
 use dpss_traces::{Scenario, ScenarioPack, TraceSet};
 use dpss_units::{Energy, Money, Price, SlotClock};
@@ -217,66 +221,38 @@ fn build_controller(
     }
 }
 
-/// One frame's worth of tick data in a stream session.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TickData {
-    /// Long-term market price for the frame, $/MWh.
-    pub price_lt: f64,
-    /// Per-slot real-time prices, $/MWh.
-    pub price_rt: Vec<f64>,
-    /// Per-slot delay-sensitive demand, MWh.
-    pub demand_ds: Vec<f64>,
-    /// Per-slot delay-tolerant demand, MWh.
-    pub demand_dt: Vec<f64>,
-    /// Per-slot renewable generation, MWh.
-    pub renewable: Vec<f64>,
-}
-
-impl TickData {
-    /// Extracts and validates tick data from a `tick` request.
-    ///
-    /// # Errors
-    ///
-    /// Returns a `protocol` [`Fault`] for missing fields, wrong series
-    /// lengths, or non-finite / negative values.
-    pub fn from_request(req: &RawRequest, slots_per_frame: usize) -> Result<Self, Fault> {
-        fn series(field: &str, values: &Option<Vec<f64>>, want: usize) -> Result<Vec<f64>, Fault> {
-            let Some(values) = values else {
-                return Err(Fault::new("protocol", format!("tick is missing {field}")));
-            };
-            if values.len() != want {
-                return Err(Fault::new(
-                    "protocol",
-                    format!("{field} has {} slots, expected {want}", values.len()),
-                ));
-            }
-            for v in values {
-                if !v.is_finite() || *v < 0.0 {
-                    return Err(Fault::new(
-                        "protocol",
-                        format!("{field} contains a non-finite or negative value"),
-                    ));
-                }
-            }
-            Ok(values.clone())
-        }
-        let Some(price_lt) = req.price_lt else {
-            return Err(Fault::new("protocol", "tick is missing price_lt"));
-        };
-        if !price_lt.is_finite() || price_lt < 0.0 {
-            return Err(Fault::new(
-                "protocol",
-                "price_lt must be finite and non-negative",
-            ));
-        }
-        Ok(TickData {
-            price_lt,
-            price_rt: series("price_rt", &req.price_rt, slots_per_frame)?,
-            demand_ds: series("demand_ds", &req.demand_ds, slots_per_frame)?,
-            demand_dt: series("demand_dt", &req.demand_dt, slots_per_frame)?,
-            renewable: series("renewable", &req.renewable, slots_per_frame)?,
-        })
+/// Extracts one stream frame from a `tick` request as a one-frame trace
+/// set on `clock`'s slot grid (the trace set validates every value).
+///
+/// # Errors
+///
+/// Returns a `protocol` [`Fault`] for missing fields, wrong series
+/// lengths, or non-finite / negative values.
+pub fn tick_frame(req: &RawRequest, clock: SlotClock) -> Result<TraceSet, Fault> {
+    fn series<T>(
+        name: &str,
+        values: &Option<Vec<f64>>,
+        unit: fn(f64) -> T,
+    ) -> Result<Vec<T>, Fault> {
+        let values = values
+            .as_deref()
+            .ok_or_else(|| Fault::new("protocol", format!("tick is missing {name}")))?;
+        Ok(values.iter().copied().map(unit).collect())
     }
+    let Some(price_lt) = req.price_lt else {
+        return Err(Fault::new("protocol", "tick is missing price_lt"));
+    };
+    let rejected =
+        |e: &dyn fmt::Display| Fault::new("protocol", format!("tick data rejected: {e}"));
+    TraceSet::new(
+        SlotClock::new(1, clock.slots_per_frame(), clock.slot_hours()).map_err(|e| rejected(&e))?,
+        series("demand_ds", &req.demand_ds, Energy::from_mwh)?,
+        series("demand_dt", &req.demand_dt, Energy::from_mwh)?,
+        series("renewable", &req.renewable, Energy::from_mwh)?,
+        vec![Price::from_dollars_per_mwh(price_lt)],
+        series("price_rt", &req.price_rt, Price::from_dollars_per_mwh)?,
+    )
+    .map_err(|e| rejected(&e))
 }
 
 /// What one stepped frame looked like, for the wire.
@@ -322,8 +298,6 @@ pub struct SingleSnapshot {
     pub run_state: EngineRunState,
     /// The controller's internal state.
     pub controller: ControllerState,
-    /// Frames whose trace data has been supplied (stream mode).
-    pub filled: usize,
     /// The accumulated truth traces — present iff the session streams.
     pub truth: Option<TraceSet>,
 }
@@ -337,8 +311,6 @@ pub struct FleetSnapshot {
     pub controllers: Vec<ControllerState>,
     /// The fleet planner's state (planned/coordinated dispatch only).
     pub planner: Option<FleetPlannerState>,
-    /// Next coarse frame to step.
-    pub next_frame: usize,
     /// Cumulative energy sent by donors, MWh.
     pub sent_mwh: f64,
     /// Cumulative energy delivered after losses, MWh.
@@ -437,8 +409,8 @@ impl Session {
     #[must_use]
     pub fn next_frame(&self) -> usize {
         match self {
-            Session::Single(s) => s.run_state.next_frame,
-            Session::Fleet(s) => s.next_frame,
+            Session::Single(s) => s.run.frames_completed(),
+            Session::Fleet(s) => s.run.frames_completed(),
         }
     }
 
@@ -463,21 +435,17 @@ pub struct SingleSession {
     /// The rebuild recipe.
     pub config: SessionConfig,
     clock: SlotClock,
-    truth: TraceSet,
-    engine: Engine,
     controller: Box<dyn Controller>,
-    run_state: EngineRunState,
-    /// Frames whose trace data has been supplied. Stream sessions grow
-    /// this one tick at a time; scenario/pack sessions start full.
-    filled: usize,
+    /// The run; in stream mode it holds the only handle on its engine, so
+    /// each tick writes its frame into it in place and steps it at once.
+    run: EngineRun,
 }
 
 impl fmt::Debug for SingleSession {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SingleSession")
             .field("config", &self.config)
-            .field("next_frame", &self.run_state.next_frame)
-            .field("filled", &self.filled)
+            .field("next_frame", &self.run.frames_completed())
             .finish_non_exhaustive()
     }
 }
@@ -521,76 +489,61 @@ impl SingleSession {
     pub fn new(config: SessionConfig) -> Result<Self, Fault> {
         let clock = config.clock()?;
         let params = config.params();
-        let truth = source_traces(&config, clock)?;
-        let engine = Engine::new(params, truth.clone())
+        let engine = Engine::new(params, source_traces(&config, clock)?)
             .map_err(|e| Fault::new("protocol", format!("engine rejected traces: {e}")))?;
         let controller = build_controller(&config.controller, params, clock)?;
-        let run_state = engine
+        let run = Arc::new(engine)
             .begin()
-            .map_err(|e| Fault::new("protocol", format!("engine could not start: {e}")))?
-            .state();
-        let filled = if config.mode == "stream" {
-            0
-        } else {
-            clock.frames()
-        };
+            .map_err(|e| Fault::new("protocol", format!("engine could not start: {e}")))?;
         Ok(SingleSession {
             config,
             clock,
-            truth,
-            engine,
             controller,
-            run_state,
-            filled,
+            run,
         })
     }
 
     /// Reconstructs a single-site session from its snapshot image.
     fn restore(config: SessionConfig, image: SingleSnapshot) -> Result<Self, Fault> {
-        let mut session = SingleSession::new(config)?;
-        if session.config.mode == "stream" {
-            let Some(truth) = image.truth else {
-                return Err(Fault::new(
-                    "snapshot",
-                    "stream snapshot is missing its trace state",
-                ));
-            };
-            truth
-                .validate()
-                .map_err(|e| Fault::new("snapshot", format!("snapshot traces invalid: {e}")))?;
-            if truth.clock != session.clock {
+        let clock = config.clock()?;
+        let params = config.params();
+        let truth = match (config.mode == "stream", image.truth) {
+            (true, Some(truth)) if truth.clock == clock => truth,
+            (true, Some(_)) => {
                 return Err(Fault::new(
                     "snapshot",
                     "snapshot traces disagree with the session calendar",
-                ));
+                ))
             }
-            session.engine = Engine::new(session.config.params(), truth.clone())
-                .map_err(|e| Fault::new("snapshot", format!("snapshot traces invalid: {e}")))?;
-            session.truth = truth;
-            if image.filled != image.run_state.next_frame {
+            (true, None) => {
                 return Err(Fault::new(
                     "snapshot",
-                    "stream snapshot filled/next_frame mismatch",
-                ));
+                    "stream snapshot is missing its trace state",
+                ))
             }
-        } else if image.truth.is_some() {
-            return Err(Fault::new(
-                "snapshot",
-                "non-stream snapshot unexpectedly carries trace state",
-            ));
-        }
-        // Let the engine vet the run state before adopting it.
-        session
-            .engine
-            .resume(image.run_state.clone())
+            (false, Some(_)) => {
+                return Err(Fault::new(
+                    "snapshot",
+                    "non-stream snapshot unexpectedly carries trace state",
+                ))
+            }
+            (false, None) => source_traces(&config, clock)?,
+        };
+        let engine = Engine::new(params, truth)
+            .map_err(|e| Fault::new("snapshot", format!("snapshot traces invalid: {e}")))?;
+        let run = Arc::new(engine)
+            .resume(image.run_state)
             .map_err(|e| Fault::new("snapshot", format!("run state rejected: {e}")))?;
-        session.run_state = image.run_state;
-        session
-            .controller
+        let mut controller = build_controller(&config.controller, params, clock)?;
+        controller
             .load_state(&image.controller)
             .map_err(|e| Fault::new("snapshot", format!("controller state rejected: {e}")))?;
-        session.filled = image.filled.min(session.clock.frames());
-        Ok(session)
+        Ok(SingleSession {
+            config,
+            clock,
+            controller,
+            run,
+        })
     }
 
     /// Captures the session as a snapshot image.
@@ -599,40 +552,34 @@ impl SingleSession {
         SessionSnapshot {
             config: self.config.clone(),
             single: Some(SingleSnapshot {
-                run_state: self.run_state.clone(),
+                run_state: self.run.state(),
                 controller: self.controller.save_state(),
-                filled: self.filled,
-                truth: if self.config.mode == "stream" {
-                    Some(self.truth.clone())
-                } else {
-                    None
-                },
+                truth: (self.config.mode == "stream").then(|| self.run.engine().truth().clone()),
             }),
             fleet: None,
         }
     }
 
-    /// Absorbs one stream tick: records frame `frame`'s trace data and
+    /// Absorbs one stream tick: writes frame `frame`'s trace data (a
+    /// one-frame trace set, see [`tick_frame`]) into the run's engine and
     /// steps that frame.
     ///
     /// # Errors
     ///
     /// `protocol` faults for non-stream sessions and malformed data;
     /// `order` faults for out-of-order frames.
-    pub fn tick(&mut self, frame: usize, data: &TickData) -> Result<FrameStep, Fault> {
+    pub fn tick(&mut self, frame: usize, data: &TraceSet) -> Result<FrameStep, Fault> {
         if self.config.mode != "stream" {
             return Err(Fault::new(
                 "protocol",
                 "tick is only valid in stream sessions; use step",
             ));
         }
-        if frame != self.filled {
+        let next = self.run.frames_completed();
+        if frame != next {
             return Err(Fault::new(
                 "order",
-                format!(
-                    "out-of-order tick: expected frame {}, got {frame}",
-                    self.filled
-                ),
+                format!("out-of-order tick: expected frame {next}, got {frame}"),
             ));
         }
         if frame >= self.clock.frames() {
@@ -641,76 +588,51 @@ impl SingleSession {
                 format!("tick past the horizon ({} frames)", self.clock.frames()),
             ));
         }
-        let t = self.clock.slots_per_frame();
-        let start = frame * t;
-        let set = |dst: &mut Vec<Energy>, src: &[f64]| {
-            for (slot, v) in dst.iter_mut().skip(start).take(t).zip(src) {
-                *slot = Energy::from_mwh(*v);
-            }
-        };
-        set(&mut self.truth.demand_ds, &data.demand_ds);
-        set(&mut self.truth.demand_dt, &data.demand_dt);
-        set(&mut self.truth.renewable, &data.renewable);
-        for (slot, v) in self
-            .truth
-            .price_rt
-            .iter_mut()
-            .skip(start)
-            .take(t)
-            .zip(&data.price_rt)
-        {
-            *slot = Price::from_dollars_per_mwh(*v);
-        }
-        if let Some(slot) = self.truth.price_lt.get_mut(frame) {
-            *slot = Price::from_dollars_per_mwh(data.price_lt);
-        }
-        self.engine = Engine::new(self.config.params(), self.truth.clone())
+        self.run
+            .write_frame(frame, data)
             .map_err(|e| Fault::new("protocol", format!("tick data rejected: {e}")))?;
-        self.filled += 1;
-        self.step()
+        self.advance()
     }
 
-    /// Advances one coarse frame.
+    /// Advances one coarse frame of a scenario or pack session.
     ///
     /// # Errors
     ///
-    /// `order` faults when the horizon is complete or (stream mode) the
-    /// frame's data has not been supplied; `state` faults when the
-    /// engine rejects the stored state.
+    /// `protocol` faults for stream sessions (they advance by tick);
+    /// `order` faults when the horizon is complete; `state` faults when
+    /// the frame step fails.
     pub fn step(&mut self) -> Result<FrameStep, Fault> {
-        if self.run_state.next_frame >= self.clock.frames() {
+        if self.config.mode == "stream" {
+            return Err(Fault::new(
+                "protocol",
+                "stream sessions advance via tick, not step",
+            ));
+        }
+        self.advance()
+    }
+
+    fn advance(&mut self) -> Result<FrameStep, Fault> {
+        if self.run.is_done() {
             return Err(Fault::new(
                 "order",
                 "all frames already stepped; send finish",
             ));
         }
-        if self.config.mode == "stream" && self.filled <= self.run_state.next_frame {
-            return Err(Fault::new(
-                "order",
-                format!(
-                    "frame {} has no data yet; send its tick first",
-                    self.run_state.next_frame
-                ),
-            ));
-        }
-        let before_lt = self.run_state.report.energy_lt;
-        let before_rt = self.run_state.report.energy_rt;
-        let mut run = self
-            .engine
-            .resume(self.run_state.clone())
-            .map_err(|e| Fault::new("state", format!("run state rejected: {e}")))?;
-        let frame = run.frames_completed();
-        run.step_frame(self.controller.as_mut())
+        let frame = self.run.frames_completed();
+        let before_lt = self.run.report().energy_lt;
+        let before_rt = self.run.report().energy_rt;
+        self.run
+            .step_frame(self.controller.as_mut())
             .map_err(|e| Fault::new("state", format!("frame step failed: {e}")))?;
-        self.run_state = run.state();
+        let report = self.run.report();
         Ok(FrameStep {
             frame,
-            purchased_lt_mwh: (self.run_state.report.energy_lt - before_lt).mwh(),
-            purchased_rt_mwh: (self.run_state.report.energy_rt - before_rt).mwh(),
-            cost_dollars: self.run_state.report.total_cost().dollars(),
-            battery_mwh: self.run_state.battery.level.mwh(),
-            backlog_mwh: self.run_state.queue.backlog.mwh(),
-            done: self.run_state.next_frame >= self.clock.frames(),
+            purchased_lt_mwh: (report.energy_lt - before_lt).mwh(),
+            purchased_rt_mwh: (report.energy_rt - before_rt).mwh(),
+            cost_dollars: report.total_cost().dollars(),
+            battery_mwh: self.run.battery().level().mwh(),
+            backlog_mwh: self.run.queue().backlog().mwh(),
+            done: self.run.is_done(),
         })
     }
 
@@ -718,22 +640,21 @@ impl SingleSession {
     ///
     /// # Errors
     ///
-    /// `order` faults when frames remain; `state` faults when the
-    /// engine rejects the stored state.
+    /// `order` faults when frames remain; `state` faults when the run
+    /// cannot be sealed.
     pub fn finish(&self) -> Result<RunReport, Fault> {
-        if self.run_state.next_frame < self.clock.frames() {
+        if !self.run.is_done() {
             return Err(Fault::new(
                 "order",
                 format!(
                     "cannot finish: {} of {} frames stepped",
-                    self.run_state.next_frame,
+                    self.run.frames_completed(),
                     self.clock.frames()
                 ),
             ));
         }
-        self.engine
-            .resume(self.run_state.clone())
-            .map_err(|e| Fault::new("state", format!("run state rejected: {e}")))?
+        self.run
+            .clone()
             .finish()
             .map_err(|e| Fault::new("state", format!("finish failed: {e}")))
     }
@@ -748,44 +669,41 @@ enum FleetDispatch {
     Planner(Box<FleetPlanner>),
 }
 
-impl FleetDispatch {
-    fn direct(&mut self, outlook: &dpss_sim::FrameOutlook) -> Vec<FrameDirective> {
+impl FleetDispatcher for FleetDispatch {
+    fn direct(&mut self, outlook: &FrameOutlook) -> Vec<FrameDirective> {
         match self {
-            FleetDispatch::Greedy(ic) => FleetDispatcher::direct(ic, outlook),
-            FleetDispatch::Planner(p) => FleetDispatcher::direct(p.as_mut(), outlook),
+            FleetDispatch::Greedy(ic) => ic.direct(outlook),
+            FleetDispatch::Planner(p) => p.direct(outlook),
         }
     }
 
-    fn settle(&mut self, exchange: &dpss_sim::FrameExchange) -> FrameSettlement {
+    fn settle(&mut self, exchange: &FrameExchange) -> FrameSettlement {
         match self {
-            FleetDispatch::Greedy(ic) => FleetDispatcher::settle(ic, exchange),
-            FleetDispatch::Planner(p) => FleetDispatcher::settle(p.as_mut(), exchange),
+            FleetDispatch::Greedy(ic) => ic.settle(exchange),
+            FleetDispatch::Planner(p) => p.settle(exchange),
         }
     }
 }
 
-/// A multi-site session stepping every site in lockstep, with the
+/// A multi-site session stepping every site in lockstep through the
+/// fleet's one frame body ([`FleetRun::step_frame`]), with the
 /// dispatcher in the loop exactly as [`MultiSiteEngine::run_with`]
 /// places it.
-///
-/// [`MultiSiteEngine::run_with`]: dpss_sim::MultiSiteEngine::run_with
 pub struct FleetSession {
     /// The rebuild recipe.
     pub config: SessionConfig,
     clock: SlotClock,
-    fleet: dpss_sim::MultiSiteEngine,
+    fleet: MultiSiteEngine,
     controllers: Vec<Box<dyn Controller>>,
     dispatcher: FleetDispatch,
-    run_states: Vec<EngineRunState>,
-    totals: FrameSettlement,
-    next_frame: usize,
+    run: FleetRun,
 }
 
 impl fmt::Debug for FleetSession {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FleetSession")
             .field("config", &self.config)
-            .field("next_frame", &self.next_frame)
+            .field("next_frame", &self.run.frames_completed())
             .finish_non_exhaustive()
     }
 }
@@ -814,7 +732,7 @@ impl FleetSession {
         }
         let ic = Interconnect::pooled(config.sites, Energy::from_mwh(DEFAULT_LINK_CAP_MWH))
             .map_err(|e| Fault::new("protocol", format!("interconnect rejected: {e}")))?;
-        let fleet = dpss_sim::MultiSiteEngine::new(engines)
+        let fleet = MultiSiteEngine::new(engines)
             .map_err(|e| Fault::new("protocol", format!("fleet rejected sites: {e}")))?
             .with_interconnect(ic)
             .map_err(|e| Fault::new("protocol", format!("interconnect rejected: {e}")))?;
@@ -829,23 +747,16 @@ impl FleetSession {
         for _ in 0..config.sites {
             controllers.push(build_controller(&config.controller, params, clock)?);
         }
-        let mut run_states = Vec::with_capacity(config.sites);
-        for engine in fleet.sites() {
-            let state = engine
-                .begin()
-                .map_err(|e| Fault::new("protocol", format!("engine could not start: {e}")))?
-                .state();
-            run_states.push(state);
-        }
+        let run = fleet
+            .begin()
+            .map_err(|e| Fault::new("protocol", format!("engine could not start: {e}")))?;
         Ok(FleetSession {
             config,
             clock,
             fleet,
             controllers,
             dispatcher,
-            run_states,
-            totals: FrameSettlement::default(),
-            next_frame: 0,
+            run,
         })
     }
 
@@ -859,17 +770,6 @@ impl FleetSession {
                 "snapshot",
                 "snapshot site roster differs from the session config",
             ));
-        }
-        for (engine, state) in session.fleet.sites().iter().zip(&image.run_states) {
-            engine
-                .resume(state.clone())
-                .map_err(|e| Fault::new("snapshot", format!("run state rejected: {e}")))?;
-            if state.next_frame != image.next_frame {
-                return Err(Fault::new(
-                    "snapshot",
-                    "snapshot sites disagree on the next frame",
-                ));
-            }
         }
         for (ctl, state) in session.controllers.iter_mut().zip(&image.controllers) {
             ctl.load_state(state)
@@ -907,105 +807,78 @@ impl FleetSession {
                 ));
             }
         }
-        session.run_states = image.run_states;
-        session.totals = FrameSettlement {
+        let settled = FrameSettlement {
             sent: Energy::from_mwh(image.sent_mwh),
             delivered: Energy::from_mwh(image.delivered_mwh),
             savings: Money::from_dollars(image.savings_dollars),
             wheeling: Money::from_dollars(image.wheeling_dollars),
         };
-        session.next_frame = image.next_frame;
+        session.run = session
+            .fleet
+            .resume(image.run_states, settled)
+            .map_err(|e| Fault::new("snapshot", format!("run state rejected: {e}")))?;
         Ok(session)
     }
 
     /// Captures the session as a snapshot image.
     #[must_use]
     pub fn snapshot(&self) -> SessionSnapshot {
+        let settled = self.run.settled();
         SessionSnapshot {
             config: self.config.clone(),
             single: None,
             fleet: Some(FleetSnapshot {
-                run_states: self.run_states.clone(),
+                run_states: self.run.runs().iter().map(EngineRun::state).collect(),
                 controllers: self.controllers.iter().map(|c| c.save_state()).collect(),
                 planner: match &self.dispatcher {
                     FleetDispatch::Planner(p) => Some(p.export_state()),
                     FleetDispatch::Greedy(_) => None,
                 },
-                next_frame: self.next_frame,
-                sent_mwh: self.totals.sent.mwh(),
-                delivered_mwh: self.totals.delivered.mwh(),
-                savings_dollars: self.totals.savings.dollars(),
-                wheeling_dollars: self.totals.wheeling.dollars(),
+                sent_mwh: settled.sent.mwh(),
+                delivered_mwh: settled.delivered.mwh(),
+                savings_dollars: settled.savings.dollars(),
+                wheeling_dollars: settled.wheeling.dollars(),
             }),
         }
     }
 
     /// Advances every site one coarse frame in lockstep, with the
-    /// dispatcher directing before and settling after, exactly as the
-    /// batch fleet loop does.
+    /// dispatcher directing before and settling after, through the batch
+    /// fleet loop's own frame body.
     ///
     /// # Errors
     ///
     /// `order` faults when the horizon is complete; `state` faults when
-    /// an engine rejects its stored state or a step fails.
+    /// the frame step fails.
     pub fn step(&mut self) -> Result<FleetStep, Fault> {
-        if self.next_frame >= self.clock.frames() {
+        if self.run.is_done() {
             return Err(Fault::new(
                 "order",
                 "all frames already stepped; send finish",
             ));
         }
-        let mut runs: Vec<EngineRun<'_>> = Vec::with_capacity(self.run_states.len());
-        for (engine, state) in self.fleet.sites().iter().zip(&self.run_states) {
-            let run = engine
-                .resume(state.clone())
-                .map_err(|e| Fault::new("state", format!("run state rejected: {e}")))?;
-            runs.push(run);
-        }
-        let silent = self.fleet.interconnect().is_silent();
-        let mut applied = Vec::new();
-        if !silent {
-            let outlook = self.fleet.outlook_at(self.next_frame, &runs);
-            let directives = self.dispatcher.direct(&outlook);
-            if !directives.is_empty() {
-                if directives.len() != self.run_states.len() {
-                    return Err(Fault::new(
-                        "state",
-                        "directive roster length differs from site roster",
-                    ));
-                }
-                for (ctl, directive) in self.controllers.iter_mut().zip(&directives) {
-                    ctl.receive_directive(directive);
-                }
-                applied = directives;
-            }
-        }
-        for (run, ctl) in runs.iter_mut().zip(self.controllers.iter_mut()) {
-            run.step_frame(ctl.as_mut())
-                .map_err(|e| Fault::new("state", format!("frame step failed: {e}")))?;
-        }
-        if !silent {
-            let ex = self
-                .fleet
-                .exchange_at(self.next_frame, &runs)
-                .map_err(|e| Fault::new("state", format!("exchange failed: {e}")))?;
-            let s = self.dispatcher.settle(&ex);
-            self.totals.sent += s.sent;
-            self.totals.delivered += s.delivered;
-            self.totals.savings += s.savings;
-            self.totals.wheeling += s.wheeling;
-        }
-        self.run_states = runs.iter().map(EngineRun::state).collect();
-        let frame = self.next_frame;
-        self.next_frame += 1;
-        let cost: Money = self.run_states.iter().map(|s| s.report.total_cost()).sum();
+        let frame = self.run.frames_completed();
+        let directives = self
+            .run
+            .step_frame(
+                &mut self.controllers,
+                &mut UnroutedDispatcher(&mut self.dispatcher),
+            )
+            .map_err(|e| Fault::new("state", format!("frame step failed: {e}")))?;
+        let cost: Money = self
+            .run
+            .runs()
+            .iter()
+            .map(|r| r.report().total_cost())
+            .sum();
+        let settled = self.run.settled();
         Ok(FleetStep {
             frame,
             cost_dollars: cost.dollars(),
-            transferred_mwh: self.totals.sent.mwh(),
-            savings_dollars: self.totals.savings.dollars(),
-            directives: applied,
-            done: self.next_frame >= self.clock.frames(),
+            transferred_mwh: settled.sent.mwh(),
+            savings_dollars: settled.savings.dollars(),
+            directives,
+            done: self.run.is_done(),
         })
     }
 
@@ -1014,38 +887,22 @@ impl FleetSession {
     ///
     /// # Errors
     ///
-    /// `order` faults when frames remain; `state` faults when an engine
-    /// rejects its stored state.
+    /// `order` faults when frames remain; `state` faults when the run
+    /// cannot be sealed.
     pub fn finish(&self) -> Result<MultiSiteReport, Fault> {
-        if self.next_frame < self.clock.frames() {
+        if !self.run.is_done() {
             return Err(Fault::new(
                 "order",
                 format!(
                     "cannot finish: {} of {} frames stepped",
-                    self.next_frame,
+                    self.run.frames_completed(),
                     self.clock.frames()
                 ),
             ));
         }
-        let mut reports = Vec::with_capacity(self.run_states.len());
-        for (engine, state) in self.fleet.sites().iter().zip(&self.run_states) {
-            let report = engine
-                .resume(state.clone())
-                .map_err(|e| Fault::new("state", format!("run state rejected: {e}")))?
-                .finish()
-                .map_err(|e| Fault::new("state", format!("finish failed: {e}")))?;
-            reports.push(report);
-        }
-        Ok(MultiSiteReport {
-            sites: reports,
-            frames: self.clock.frames(),
-            slots: self.clock.total_slots(),
-            interconnect: self.fleet.interconnect().clone(),
-            energy_transferred: self.totals.sent,
-            energy_delivered: self.totals.delivered,
-            transfer_savings: self.totals.savings,
-            wheeling_cost: self.totals.wheeling,
-            load: dpss_sim::LoadTotals::default(),
-        })
+        self.run
+            .clone()
+            .finish()
+            .map_err(|e| Fault::new("state", format!("finish failed: {e}")))
     }
 }

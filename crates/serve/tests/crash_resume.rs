@@ -156,7 +156,7 @@ fn pinned_stale_snapshots_are_rejected_not_reinterpreted() {
         } => {
             assert_eq!(found_schema, 1);
             assert_eq!(found_salt, "deadbeefdeadbeef");
-            assert_eq!(expected_schema, 1);
+            assert_eq!(expected_schema, dpss_serve::SCHEMA_VERSION);
         }
         other => panic!("expected StaleSnapshot, got {other:?}"),
     }
@@ -171,6 +171,58 @@ fn pinned_stale_snapshots_are_rejected_not_reinterpreted() {
         ServeError::StaleSnapshot { found_schema, .. } => assert_eq!(found_schema, 0),
         other => panic!("expected StaleSnapshot, got {other:?}"),
     }
+}
+
+/// Schema 2 dropped the dense prospective basis from the fleet planner
+/// state. The payload decoder ignores unknown fields, so a schema-1
+/// coordinated fleet snapshot would otherwise load silently and resume
+/// on a different LP route; the envelope's schema check must refuse it.
+#[test]
+fn schema_1_fleet_snapshots_are_refused_as_stale() {
+    use dpss_serve::snapshot::{hex64, payload_checksum};
+    use dpss_traces::seed::{fnv1a, splitmix64};
+
+    let dir = scratch("crash-schema-1-fleet");
+    let mut server = SessionServer::new(Some(&dir)).expect("state dir opens");
+    expect_ok(
+        &mut server,
+        "{\"cmd\":\"init\",\"mode\":\"pack\",\"pack\":\"price-spike\",\"variant\":3,\
+         \"sites\":3,\"days\":4,\"dispatch\":\"coordinated\"}",
+    );
+    expect_ok(&mut server, "{\"cmd\":\"step\"}");
+    expect_ok(&mut server, "{\"cmd\":\"step\"}");
+    let Response::Snapshotted { path, .. } = expect_ok(&mut server, "{\"cmd\":\"snapshot\"}")
+    else {
+        panic!("expected Snapshotted");
+    };
+    let mut file: dpss_serve::SnapshotFile =
+        serde_json::from_str(&fs::read_to_string(&path).expect("snapshot reads")).unwrap();
+    // What the schema-1 writer produced: the dense prospective basis next
+    // to the network one, under the schema-1 salt.
+    assert!(file.payload.contains("\"prospective_net\":"));
+    file.payload = file.payload.replace(
+        "\"prospective_net\":",
+        "\"prospective\":null,\"prospective_net\":",
+    );
+    let salt = splitmix64(1 ^ fnv1a(env!("CARGO_PKG_VERSION")));
+    (file.schema, file.salt) = (1, hex64(salt));
+    file.checksum = hex64(payload_checksum(&file.payload, salt));
+    fs::write(&path, serde_json::to_string(&file).unwrap()).expect("snapshot rewrites");
+    let err = SessionServer::new(Some(&dir))
+        .expect("state dir opens")
+        .resume_latest()
+        .expect_err("a schema-1 snapshot must not resume");
+    assert!(
+        matches!(
+            err,
+            ServeError::StaleSnapshot {
+                found_schema: 1,
+                expected_schema: 2,
+                ..
+            }
+        ),
+        "got {err:?}"
+    );
 }
 
 #[test]

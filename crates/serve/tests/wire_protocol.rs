@@ -13,8 +13,8 @@ use dpss_serve::{serve, Response, ServeOptions, SessionServer};
 
 /// Runs a request log through an in-memory serve loop and returns the
 /// transcript lines plus the outcome.
-fn run_log(log: &str) -> (Vec<String>, dpss_serve::ServeOutcome) {
-    let mut input = BufReader::new(log.as_bytes());
+fn run_log(log: impl AsRef<[u8]>) -> (Vec<String>, dpss_serve::ServeOutcome) {
+    let mut input = BufReader::new(log.as_ref());
     let mut output = Vec::new();
     let outcome = serve(&mut input, &mut output, &ServeOptions::default())
         .expect("in-memory serve loop succeeds");
@@ -39,7 +39,7 @@ fn hello_and_started_lines_are_golden_bytes() {
     assert_eq!(
         lines[0],
         format!(
-            "{{\"Hello\":{{\"service\":\"dpss-serve\",\"version\":\"{}\",\"schema\":1}}}}",
+            "{{\"Hello\":{{\"service\":\"dpss-serve\",\"version\":\"{}\",\"schema\":2}}}}",
             env!("CARGO_PKG_VERSION")
         )
     );
@@ -243,6 +243,43 @@ fn error_count_is_reported_in_the_outcome() {
             other => panic!("expected Error, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn hostile_lines_earn_parse_errors_and_the_session_survives() {
+    // 200,000 nested `[` used to overflow the parser's stack and abort
+    // the daemon, and an over-long line was buffered whole.
+    let huge = format!(
+        "{{\"pad\":\"{}\"}}",
+        "x".repeat(dpss_serve::MAX_REQUEST_BYTES)
+    );
+    let log = [
+        b"{\"cmd\":\"init\",\"mode\":\"scenario\",\"days\":2}".to_vec(),
+        b"[".repeat(200_000),
+        huge.into_bytes(),
+        b"{\"cmd\":\"status\",\"pad\":\"\xff\"}".to_vec(),
+        b"{\"cmd\":\"step\"}".to_vec(),
+    ]
+    .join(&b'\n');
+    let (lines, outcome) = run_log(&log);
+    assert_eq!((outcome.requests, outcome.errors), (5, 3));
+    for (line, needle) in [
+        (&lines[2], "nesting deeper than"),
+        (&lines[3], "exceeds"),
+        (&lines[4], "not valid UTF-8"),
+    ] {
+        match parse(line) {
+            Response::Error { kind, message } => {
+                assert_eq!(kind, "parse");
+                assert!(message.contains(needle), "{message}");
+            }
+            other => panic!("expected Error, got {other:?}"),
+        }
+    }
+    assert!(matches!(
+        parse(&lines[5]),
+        Response::Stepped { frame: 0, .. }
+    ));
 }
 
 // ---- Spawned binary: the 0/1/2 exit contract ----------------------------

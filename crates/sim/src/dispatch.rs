@@ -178,6 +178,23 @@ pub trait FleetDispatcher {
     fn settle(&mut self, ex: &FrameExchange) -> FrameSettlement;
 }
 
+/// A borrowed dispatcher dispatches like the dispatcher itself, so a
+/// `&mut dyn FleetDispatcher` fits the
+/// [`UnroutedDispatcher`](crate::UnroutedDispatcher) adapter.
+impl<D: FleetDispatcher + ?Sized> FleetDispatcher for &mut D {
+    fn topology(&self) -> Option<&Interconnect> {
+        (**self).topology()
+    }
+
+    fn direct(&mut self, outlook: &FrameOutlook) -> Vec<FrameDirective> {
+        (**self).direct(outlook)
+    }
+
+    fn settle(&mut self, ex: &FrameExchange) -> FrameSettlement {
+        (**self).settle(ex)
+    }
+}
+
 /// The greedy post-hoc fold as a dispatcher: no directives, settle with
 /// [`Interconnect::settle_greedy`]. This is what
 /// [`MultiSiteEngine::run`](crate::MultiSiteEngine::run) dispatches

@@ -3,6 +3,8 @@
 // for the outcome vectors sized from the same clock.
 // audit:allow-file(slice-index): slot/frame indices come from the validated clock that sized every buffer in the run
 
+use std::sync::Arc;
+
 use dpss_traces::TraceSet;
 use dpss_units::Energy;
 
@@ -121,19 +123,18 @@ impl Engine {
         &self.truth
     }
 
-    /// Runs one controller over the whole horizon and aggregates a report.
-    ///
-    /// Implemented on top of the resumable stepping API — exactly
-    /// [`begin`](Self::begin), [`EngineRun::step_frame`] for every coarse
-    /// frame, then [`EngineRun::finish`] — and bit-identical to stepping
-    /// by hand (`tests/stepping_equivalence.rs` pins the report JSON).
+    /// Runs one controller over the whole horizon and aggregates a report:
+    /// exactly [`begin`](Self::begin), [`EngineRun::step_frame`] for every
+    /// coarse frame, then [`EngineRun::finish`], on a copy of this engine
+    /// the run owns (`tests/stepping_equivalence.rs` pins the report JSON
+    /// against stepping by hand).
     ///
     /// # Errors
     ///
     /// [`SimError::InvalidDecision`] if the controller emits NaN/negative
     /// decisions; battery errors cannot escape the plant's clamping.
     pub fn run(&self, controller: &mut dyn Controller) -> Result<RunReport, SimError> {
-        let mut run = self.begin()?;
+        let mut run = Arc::new(self.clone()).begin()?;
         while !run.is_done() {
             run.step_frame(controller)?;
         }
@@ -141,21 +142,21 @@ impl Engine {
     }
 
     /// Starts a resumable run: the returned [`EngineRun`] owns the plant
-    /// state (battery, queue, partial report) and advances one coarse
-    /// frame at a time through [`EngineRun::step_frame`]. This is the
-    /// frame-synchronous entry point
-    /// [`MultiSiteEngine`](crate::MultiSiteEngine) uses to run a fleet in
-    /// lockstep, delivering a `FrameDirective` to each site's controller
-    /// between frames.
+    /// state (battery, queue, partial report) and a shared handle on this
+    /// engine, and advances one coarse frame at a time through
+    /// [`EngineRun::step_frame`]. This is the frame-synchronous entry
+    /// point [`MultiSiteEngine`](crate::MultiSiteEngine) uses to run a
+    /// fleet in lockstep, delivering a `FrameDirective` to each site's
+    /// controller between frames.
     ///
     /// # Errors
     ///
     /// Propagates battery-construction failures (invalid parameters are
     /// normally caught at [`Engine::new`]).
-    pub fn begin(&self) -> Result<EngineRun<'_>, SimError> {
+    pub fn begin(self: &Arc<Self>) -> Result<EngineRun, SimError> {
         let clock = self.truth.clock;
         Ok(EngineRun {
-            engine: self,
+            engine: Arc::clone(self),
             battery: Battery::new(self.params.battery)?,
             queue: DemandQueue::new(),
             lt_alloc: Energy::ZERO,
@@ -166,6 +167,7 @@ impl Engine {
                 None
             },
             next_frame: 0,
+            failed: false,
         })
     }
 
@@ -187,7 +189,7 @@ impl Engine {
     /// outcomes disagree with this engine's calendar and recording
     /// configuration; plus the per-component validation of
     /// [`Battery::from_state`] and [`DemandQueue::from_state`].
-    pub fn resume(&self, state: crate::EngineRunState) -> Result<EngineRun<'_>, SimError> {
+    pub fn resume(self: &Arc<Self>, state: crate::EngineRunState) -> Result<EngineRun, SimError> {
         let clock = self.truth.clock;
         if state.next_frame > clock.frames() {
             return Err(SimError::InvalidState {
@@ -217,13 +219,14 @@ impl Engine {
             });
         }
         Ok(EngineRun {
-            engine: self,
+            engine: Arc::clone(self),
             battery: Battery::from_state(self.params.battery, &state.battery)?,
             queue: DemandQueue::from_state(&state.queue)?,
             lt_alloc: state.lt_alloc,
             report: state.report,
             recorded: state.recorded,
             next_frame: state.next_frame,
+            failed: false,
         })
     }
 }
@@ -231,27 +234,30 @@ impl Engine {
 /// An in-flight [`Engine`] run: plant state plus the partially aggregated
 /// report, advanced one coarse frame at a time.
 ///
-/// Produced by [`Engine::begin`]; [`Engine::run`] is exactly
-/// `begin` + [`step_frame`](EngineRun::step_frame) × `frames` +
-/// [`finish`](EngineRun::finish). Within a frame nothing is externally
-/// observable; between frames the accessors expose what a fleet
-/// dispatcher needs (recorded outcomes so far, battery headroom).
+/// Produced by [`Engine::begin`] or [`Engine::resume`]; [`Engine::run`]
+/// is exactly `begin` + [`step_frame`](EngineRun::step_frame) ×
+/// `frames` + [`finish`](EngineRun::finish). Within a frame nothing is
+/// externally observable; between frames the accessors expose what a
+/// fleet dispatcher needs (recorded outcomes so far, battery headroom).
 #[derive(Debug, Clone)]
-pub struct EngineRun<'a> {
-    engine: &'a Engine,
+pub struct EngineRun {
+    engine: Arc<Engine>,
     battery: Battery,
     queue: DemandQueue,
     lt_alloc: Energy,
     report: RunReport,
     recorded: Option<Vec<SlotOutcome>>,
     next_frame: usize,
+    /// Set when a frame step failed part-way: the plant is mid-frame and
+    /// must not be stepped again.
+    failed: bool,
 }
 
-impl EngineRun<'_> {
+impl EngineRun {
     /// The engine this run steps.
     #[must_use]
     pub fn engine(&self) -> &Engine {
-        self.engine
+        &self.engine
     }
 
     /// Coarse frames completed so far (also the index of the next frame
@@ -272,6 +278,25 @@ impl EngineRun<'_> {
     #[must_use]
     pub fn outcomes(&self) -> &[SlotOutcome] {
         self.recorded.as_deref().unwrap_or(&[])
+    }
+
+    /// The report aggregated over the frames stepped so far (horizon
+    /// statistics are only filled in by [`finish`](Self::finish)).
+    #[must_use]
+    pub fn report(&self) -> &RunReport {
+        &self.report
+    }
+
+    /// The battery as of the last completed frame.
+    #[must_use]
+    pub fn battery(&self) -> &Battery {
+        &self.battery
+    }
+
+    /// The delay-tolerant demand queue as of the last completed frame.
+    #[must_use]
+    pub fn queue(&self) -> &DemandQueue {
+        &self.queue
     }
 
     /// Grid-side charge the battery currently accepts in one slot — the
@@ -297,6 +322,36 @@ impl EngineRun<'_> {
         }
     }
 
+    /// Writes coarse frame `frame`'s true traces in place from a one-frame
+    /// trace set — the streaming path, where each frame's data arrives
+    /// just before the frame is stepped. The write needs the run's handle
+    /// to be the engine's only one: a shared engine is refused, never
+    /// copied.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidState`] if the run already stepped `frame`,
+    /// another handle shares the engine, or the engine shows controllers
+    /// an observed trace set the write would leave stale; the
+    /// [`TraceSet::write_frame`] rejections otherwise.
+    pub fn write_frame(&mut self, frame: usize, data: &TraceSet) -> Result<(), SimError> {
+        if frame < self.next_frame {
+            return Err(SimError::InvalidState {
+                what: "cannot rewrite a frame the run has already stepped",
+            });
+        }
+        let engine = Arc::get_mut(&mut self.engine).ok_or(SimError::InvalidState {
+            what: "traces can only be written through the engine's sole handle",
+        })?;
+        if engine.observed.is_some() {
+            return Err(SimError::InvalidState {
+                what: "cannot write truth traces under an observed trace set",
+            });
+        }
+        engine.truth.write_frame(frame, data)?;
+        Ok(())
+    }
+
     /// Advances the run by one coarse frame: one `plan_frame` decision,
     /// then `plan_slot` / plant step / `end_slot` for each of the frame's
     /// fine slots. No-op when the run [`is_done`](Self::is_done).
@@ -308,12 +363,26 @@ impl EngineRun<'_> {
     /// # Errors
     ///
     /// [`SimError::InvalidDecision`] if the controller emits NaN/negative
-    /// decisions.
+    /// decisions. A failed step leaves the plant mid-frame, so every
+    /// later step returns [`SimError::InvalidState`].
     pub fn step_frame(&mut self, controller: &mut dyn Controller) -> Result<(), SimError> {
+        if self.failed {
+            return Err(SimError::InvalidState {
+                what: "an earlier frame step failed part-way through the frame",
+            });
+        }
         if self.is_done() {
             return Ok(());
         }
-        let engine = self.engine;
+        self.failed = true;
+        self.step_slots(controller)?;
+        self.failed = false;
+        self.next_frame += 1;
+        Ok(())
+    }
+
+    fn step_slots(&mut self, controller: &mut dyn Controller) -> Result<(), SimError> {
+        let engine = &*self.engine;
         let clock = engine.truth.clock;
         let obs_traces = engine.observed_traces();
         let slot_hours = clock.slot_hours();
@@ -440,7 +509,6 @@ impl EngineRun<'_> {
                 rec.push(outcome);
             }
         }
-        self.next_frame = frame + 1;
         Ok(())
     }
 
@@ -799,9 +867,11 @@ mod tests {
     #[test]
     fn state_resume_matches_uninterrupted_run() {
         let traces = paper_month_traces(42).unwrap();
-        let engine = Engine::new(SimParams::icdcs13(), traces)
-            .unwrap()
-            .with_slot_recording(true);
+        let engine = Arc::new(
+            Engine::new(SimParams::icdcs13(), traces)
+                .unwrap()
+                .with_slot_recording(true),
+        );
         let full = engine.run(&mut Eager).unwrap();
         let frames = engine.truth().clock.frames();
         for cut in [1usize, frames / 2, frames - 1] {
@@ -830,7 +900,7 @@ mod tests {
     #[test]
     fn resume_rejects_inconsistent_state() {
         let traces = paper_month_traces(42).unwrap();
-        let engine = Engine::new(SimParams::icdcs13(), traces).unwrap();
+        let engine = Arc::new(Engine::new(SimParams::icdcs13(), traces).unwrap());
         let mut run = engine.begin().unwrap();
         run.step_frame(&mut Eager).unwrap();
         let good = run.state();
@@ -843,7 +913,7 @@ mod tests {
         ));
 
         // Recording flag mismatch: state has no outcomes, engine wants them.
-        let recording = engine.clone().with_slot_recording(true);
+        let recording = Arc::new((*engine).clone().with_slot_recording(true));
         assert!(matches!(
             recording.resume(good.clone()),
             Err(SimError::InvalidState { .. })
@@ -864,6 +934,49 @@ mod tests {
         let mut bad = good;
         bad.report.slots = 3;
         assert!(engine.resume(bad).is_err());
+    }
+
+    #[test]
+    fn writes_and_steps_are_guarded() {
+        // Writes need the sole handle, an unstepped frame and one frame
+        // of the calendar's slots; a failed step poisons the run.
+        struct NanLt;
+        impl Controller for NanLt {
+            fn name(&self) -> &str {
+                "nan"
+            }
+            fn plan_frame(&mut self, _: &FrameObservation, _: &SystemView) -> FrameDecision {
+                FrameDecision {
+                    purchase_lt: Energy::from_mwh(f64::NAN),
+                }
+            }
+            fn plan_slot(&mut self, _: &SlotObservation, _: &SystemView) -> SlotDecision {
+                SlotDecision::default()
+            }
+        }
+        let traces = paper_month_traces(3).unwrap();
+        let frame = Scenario::icdcs13()
+            .generate(&SlotClock::new(1, 24, 1.0).unwrap(), 3)
+            .unwrap();
+        let engine = Arc::new(Engine::new(SimParams::icdcs13(), traces.clone()).unwrap());
+        let mut run = engine.begin().unwrap();
+        let shared = run.write_frame(1, &frame);
+        assert!(matches!(shared, Err(SimError::InvalidState { .. })));
+        drop(engine);
+        assert!(
+            run.write_frame(1, &traces).is_err(),
+            "a month is not a frame"
+        );
+        run.write_frame(1, &frame).unwrap();
+        assert_eq!(run.engine().truth().demand_ds[24..48], frame.demand_ds[..]);
+        run.step_frame(&mut Eager).unwrap();
+        assert!(
+            run.write_frame(0, &frame).is_err(),
+            "stepped frames are final"
+        );
+        assert!(run.step_frame(&mut NanLt).is_err());
+        let poisoned = run.step_frame(&mut Eager);
+        assert!(matches!(poisoned, Err(SimError::InvalidState { .. })));
     }
 
     #[test]

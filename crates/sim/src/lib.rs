@@ -109,7 +109,7 @@ pub use error::SimError;
 pub use forecast::ForecastPolicy;
 pub use interconnect::{FrameExchange, FrameSettlement, Interconnect, DESCRIBE_LINK_LIMIT};
 pub use metrics::{RunReport, SlotCost, SlotOutcome};
-pub use multisite::{MultiSiteEngine, MultiSiteReport};
+pub use multisite::{FleetRun, MultiSiteEngine, MultiSiteReport};
 pub use params::SimParams;
 pub use queue::DemandQueue;
 pub use state::{BatteryState, ControllerState, EngineRunState, LedgerState, QueueState};

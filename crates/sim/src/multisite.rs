@@ -26,14 +26,15 @@
 // audit:allow-file(slice-index): roster is non-empty and calendars match by construction; slot ranges derive from the shared validated clock
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use dpss_units::{Energy, Money};
 
 use crate::{
-    Controller, Engine, EngineRun, FleetDispatcher, FleetWorkload, FrameExchange, FrameOutlook,
-    FrameSettlement, Interconnect, LoadTotals, RoutedDispatcher, RoutingConfig, RunReport,
-    SimError, SiteOutlook, SlotOutcome,
+    Controller, Engine, EngineRun, EngineRunState, FleetDispatcher, FleetWorkload, FrameDirective,
+    FrameExchange, FrameOutlook, FrameSettlement, Interconnect, LoadFrame, LoadTotals,
+    RoutedDispatcher, RoutingConfig, RunReport, SimError, SiteOutlook, SlotOutcome,
+    UnroutedDispatcher,
 };
 
 /// N per-site [`Engine`]s plus the interconnect topology they settle over.
@@ -79,8 +80,8 @@ use crate::{
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultiSiteEngine {
-    sites: Vec<Engine>,
-    interconnect: Interconnect,
+    sites: Vec<Arc<Engine>>,
+    interconnect: Arc<Interconnect>,
     threads: usize,
 }
 
@@ -108,11 +109,11 @@ impl MultiSiteEngine {
                 });
             }
         }
-        let interconnect = Interconnect::decoupled(sites.len())?;
+        let interconnect = Arc::new(Interconnect::decoupled(sites.len())?);
         Ok(MultiSiteEngine {
             sites: sites
                 .into_iter()
-                .map(|s| s.with_slot_recording(true))
+                .map(|s| Arc::new(s.with_slot_recording(true)))
                 .collect(),
             interconnect,
             threads: 1,
@@ -157,25 +158,14 @@ impl MultiSiteEngine {
                 what: "interconnect spans a different number of sites than the fleet",
             });
         }
-        self.interconnect = interconnect;
+        self.interconnect = Arc::new(interconnect);
         Ok(self)
     }
 
-    /// The legacy coupling knob: the total inter-site energy transfer
-    /// allowed per coarse frame, as a lossless, free, fleet-pooled
-    /// topology ([`Interconnect::pooled`]). `0` decouples the sites.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidParameter`] for non-finite or negative caps.
-    pub fn with_transfer_cap(self, cap: Energy) -> Result<Self, SimError> {
-        let n = self.sites.len();
-        self.with_interconnect(Interconnect::pooled(n, cap)?)
-    }
-
-    /// The per-site engines, in site-index order.
+    /// The per-site engines, in site-index order. Fleet runs share them
+    /// ([`begin`](Self::begin) copies no traces).
     #[must_use]
-    pub fn sites(&self) -> &[Engine] {
+    pub fn sites(&self) -> &[Arc<Engine>] {
         &self.sites
     }
 
@@ -209,35 +199,20 @@ impl MultiSiteEngine {
         &self,
         controllers: &mut [Box<dyn Controller>],
     ) -> Result<MultiSiteReport, SimError> {
-        let mut greedy = self.interconnect.clone();
+        let mut greedy = (*self.interconnect).clone();
         self.run_with(controllers, &mut greedy)
     }
 
-    /// The frame-synchronous dispatch loop: steps every site through one
-    /// coarse frame at a time, letting `dispatcher` direct the sites
-    /// between frames and settle each frame's realized exchange.
-    ///
-    /// Per coarse frame `k`:
-    ///
-    /// 1. the dispatcher sees the fleet's [`FrameOutlook`] (causal:
-    ///    frame `k − 1`'s realization plus current battery state) and
-    ///    returns directives — one per site, or none at all;
-    /// 2. each site's controller receives its directive
-    ///    ([`Controller::receive_directive`]), then every site steps the
-    ///    frame ([`EngineRun::step_frame`]) — inline in site-index order
-    ///    by default, or fanned out over the
-    ///    [`with_threads`](Self::with_threads) worker budget (the order
-    ///    is immaterial: sites do not interact within a frame, so the
-    ///    aggregates are byte-identical at any thread count);
-    /// 3. the realized [`FrameExchange`] is extracted and settled
-    ///    ([`FleetDispatcher::settle`]).
+    /// The frame-synchronous dispatch loop: [`begin`](Self::begin), then
+    /// [`FleetRun::step_frame`] for every coarse frame — `dispatcher`
+    /// directs the sites between frames and settles each frame's
+    /// realized exchange — then [`FleetRun::finish`].
     ///
     /// With a dispatcher that never directs (e.g. the topology itself,
     /// or a plain planner) this is exactly the post-hoc/planned
     /// settlement of a conventional run; with a coordinating dispatcher
     /// the directives feed the flow plan back into the sites' physical
-    /// dispatch. On a silent topology steps 1 and 3 are skipped
-    /// entirely.
+    /// dispatch.
     ///
     /// # Errors
     ///
@@ -251,88 +226,22 @@ impl MultiSiteEngine {
         controllers: &mut [Box<dyn Controller>],
         dispatcher: &mut dyn FleetDispatcher,
     ) -> Result<MultiSiteReport, SimError> {
-        if controllers.len() != self.sites.len() {
-            return Err(SimError::SiteMismatch {
-                site: controllers.len(),
-                what: "controller roster length differs from site roster",
-            });
+        self.check_topology(dispatcher.topology())?;
+        let mut run = self.begin()?;
+        let mut dispatcher = UnroutedDispatcher(dispatcher);
+        while !run.is_done() {
+            run.step_frame(controllers, &mut dispatcher)?;
         }
-        if let Some(topology) = dispatcher.topology() {
-            if topology != &self.interconnect {
-                return Err(SimError::SiteMismatch {
-                    site: topology.sites(),
-                    what: "dispatcher topology differs from the fleet's interconnect",
-                });
-            }
-        }
-        let clock = self.sites[0].truth().clock;
-        let silent = self.interconnect.is_silent();
-        let mut runs = self
-            .sites
-            .iter()
-            .map(Engine::begin)
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut total = FrameSettlement::default();
-        for frame in 0..clock.frames() {
-            if !silent {
-                let outlook = self.outlook_at(frame, &runs);
-                let directives = dispatcher.direct(&outlook);
-                if !directives.is_empty() {
-                    if directives.len() != self.sites.len() {
-                        return Err(SimError::SiteMismatch {
-                            site: directives.len(),
-                            what: "directive roster length differs from site roster",
-                        });
-                    }
-                    for (ctl, directive) in controllers.iter_mut().zip(&directives) {
-                        ctl.receive_directive(directive);
-                    }
-                }
-            }
-            step_sites(&mut runs, controllers, self.threads)?;
-            if !silent {
-                let ex = self.exchange_at(frame, &runs)?;
-                let s = dispatcher.settle(&ex);
-                total.sent += s.sent;
-                total.delivered += s.delivered;
-                total.savings += s.savings;
-                total.wheeling += s.wheeling;
-            }
-        }
-        let reports = runs
-            .into_iter()
-            .map(EngineRun::finish)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(self.assemble(reports, total))
+        run.finish()
     }
 
-    /// The co-optimized dispatch loop: [`run_with`](Self::run_with) plus
-    /// the request layer. A [`FleetWorkload`] ledger (built from each
-    /// site's truth arrival stream — zeros for sites without one — and
-    /// frame-mean real-time prices) steps in lockstep with the energy
-    /// loop; per coarse frame `k`:
-    ///
-    /// 1. the ledger admits frame `k`'s arrivals
-    ///    ([`FleetWorkload::frame_load`]) and its per-site availability
-    ///    and due totals are annotated onto the [`FrameOutlook`]
-    ///    ([`SiteOutlook::load_backlog`]/[`SiteOutlook::load_due`])
-    ///    before the dispatcher directs — energy-only dispatchers ignore
-    ///    the annotation, so the energy half of the run is byte-identical
-    ///    to [`run_with`](Self::run_with) with the same inner dispatcher;
-    /// 2. sites step the frame exactly as in `run_with`;
-    /// 3. the dispatcher settles the realized exchange *and* plans
-    ///    workload flows ([`RoutedDispatcher::settle_routed`]); the
-    ///    ledger applies the (clamped) plan, force-serves due work and
-    ///    runs the deferral rule ([`FleetWorkload::settle`]).
-    ///
-    /// On a silent topology the directive and energy-settlement steps
-    /// are skipped exactly as in `run_with` (no transfers exist), but
-    /// the workload ledger still steps every frame: local absorption of
-    /// a site's own curtailment needs no interconnect.
-    ///
-    /// The returned report carries the workload totals in
-    /// [`MultiSiteReport::load`]; every other field is produced by the
-    /// same code paths as `run_with`.
+    /// The co-optimized dispatch loop: [`run_with`](Self::run_with) with
+    /// the fleet's workload ledger ([`workload_ledger`](Self::workload_ledger))
+    /// stepping in lockstep inside [`FleetRun::step_frame`]. Energy-only
+    /// dispatchers ignore the ledger's outlook annotation, so the energy
+    /// half of the run is byte-identical to `run_with` with the same
+    /// inner dispatcher; the report carries the workload totals in
+    /// [`MultiSiteReport::load`].
     ///
     /// # Errors
     ///
@@ -344,72 +253,86 @@ impl MultiSiteEngine {
         dispatcher: &mut dyn RoutedDispatcher,
         config: RoutingConfig,
     ) -> Result<MultiSiteReport, SimError> {
-        if controllers.len() != self.sites.len() {
-            return Err(SimError::SiteMismatch {
-                site: controllers.len(),
-                what: "controller roster length differs from site roster",
-            });
+        self.check_topology(dispatcher.topology())?;
+        let workload = self.workload_ledger(config)?;
+        let mut run = self.begin()?;
+        run.workload = Some(workload);
+        while !run.is_done() {
+            run.step_frame(controllers, dispatcher)?;
         }
-        if let Some(topology) = dispatcher.topology() {
-            if topology != &self.interconnect {
+        run.finish()
+    }
+
+    fn check_topology(&self, topology: Option<&Interconnect>) -> Result<(), SimError> {
+        if let Some(topology) = topology {
+            if topology != &*self.interconnect {
                 return Err(SimError::SiteMismatch {
                     site: topology.sites(),
                     what: "dispatcher topology differs from the fleet's interconnect",
                 });
             }
         }
-        let clock = self.sites[0].truth().clock;
-        let silent = self.interconnect.is_silent();
-        let mut workload = self.workload_ledger(config)?;
-        let mut runs = self
+        Ok(())
+    }
+
+    /// Starts a frame-synchronous fleet run without a workload ledger:
+    /// one [`EngineRun`] per site, sharing the fleet's engines and
+    /// topology (no traces are copied).
+    ///
+    /// # Errors
+    ///
+    /// Propagates per-site [`Engine::begin`] failures.
+    pub fn begin(&self) -> Result<FleetRun, SimError> {
+        let runs = self
             .sites
             .iter()
             .map(Engine::begin)
             .collect::<Result<Vec<_>, _>>()?;
-        let mut total = FrameSettlement::default();
-        for frame in 0..clock.frames() {
-            let load = workload.frame_load(frame);
-            if !silent {
-                let mut outlook = self.outlook_at(frame, &runs);
-                for (site, (avail, due)) in outlook
-                    .sites
-                    .iter_mut()
-                    .zip(load.available.iter().zip(&load.due))
-                {
-                    site.load_backlog = *avail;
-                    site.load_due = *due;
-                }
-                let directives = dispatcher.direct(&outlook);
-                if !directives.is_empty() {
-                    if directives.len() != self.sites.len() {
-                        return Err(SimError::SiteMismatch {
-                            site: directives.len(),
-                            what: "directive roster length differs from site roster",
-                        });
-                    }
-                    for (ctl, directive) in controllers.iter_mut().zip(&directives) {
-                        ctl.receive_directive(directive);
-                    }
-                }
-            }
-            step_sites(&mut runs, controllers, self.threads)?;
-            let ex = self.exchange_at(frame, &runs)?;
-            let (s, plan) = dispatcher.settle_routed(&ex, &load);
-            if !silent {
-                total.sent += s.sent;
-                total.delivered += s.delivered;
-                total.savings += s.savings;
-                total.wheeling += s.wheeling;
-            }
-            workload.settle(frame, &ex, &plan, &self.interconnect);
+        Ok(self.fleet_run(runs, FrameSettlement::default()))
+    }
+
+    /// Reinstates a checkpointed ledger-free fleet run: one
+    /// [`EngineRunState`] per site plus the settlement totals so far.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::SiteMismatch`] if the state roster differs from the
+    /// site roster; [`SimError::InvalidState`] if the sites disagree on
+    /// the next frame, plus every per-site [`Engine::resume`] rejection.
+    pub fn resume(
+        &self,
+        states: Vec<EngineRunState>,
+        settled: FrameSettlement,
+    ) -> Result<FleetRun, SimError> {
+        if states.len() != self.sites.len() {
+            return Err(SimError::SiteMismatch {
+                site: states.len(),
+                what: "run-state roster length differs from site roster",
+            });
         }
-        let reports = runs
-            .into_iter()
-            .map(EngineRun::finish)
+        if states.iter().any(|s| s.next_frame != states[0].next_frame) {
+            return Err(SimError::InvalidState {
+                what: "fleet sites disagree on the next frame",
+            });
+        }
+        let runs = self
+            .sites
+            .iter()
+            .zip(states)
+            .map(|(site, state)| site.resume(state))
             .collect::<Result<Vec<_>, _>>()?;
-        let mut report = self.assemble(reports, total);
-        report.load = workload.finish();
-        Ok(report)
+        Ok(self.fleet_run(runs, settled))
+    }
+
+    fn fleet_run(&self, runs: Vec<EngineRun>, settled: FrameSettlement) -> FleetRun {
+        FleetRun {
+            fleet: self.clone(),
+            next_frame: runs[0].frames_completed(),
+            runs,
+            settled,
+            workload: None,
+            failed: false,
+        }
     }
 
     /// The fleet's workload ledger, built from each site's truth traces:
@@ -461,17 +384,17 @@ impl MultiSiteEngine {
     /// the sites' in-flight runs: frame `frame − 1`'s realization
     /// (curtailment, real-time need and average price, grid draw) plus
     /// each site's current battery headroom and the coming frame's
-    /// *observed* long-term price. Frame 0 forecasts zeros. Public so
-    /// custom harnesses can drive the lockstep loop by hand — the
-    /// determinism suite does, to prove within-frame site order is
-    /// immaterial.
+    /// *observed* long-term price. Frame 0 forecasts zeros. This is what
+    /// [`FleetRun::step_frame`] directs from; public so custom harnesses
+    /// can drive the lockstep loop by hand — the determinism suite does,
+    /// to prove within-frame site order is immaterial.
     ///
     /// # Panics
     ///
     /// Panics if `runs` does not cover the site roster or has not
     /// completed exactly the frames before `frame`.
     #[must_use]
-    pub fn outlook_at(&self, frame: usize, runs: &[EngineRun<'_>]) -> FrameOutlook {
+    pub fn outlook_at(&self, frame: usize, runs: &[EngineRun]) -> FrameOutlook {
         assert_eq!(runs.len(), self.sites.len(), "run roster mismatch");
         let clock = self.sites[0].truth().clock;
         let t = clock.slots_per_frame();
@@ -534,11 +457,7 @@ impl MultiSiteEngine {
     ///
     /// [`SimError::SiteMismatch`] if a run has not completed `frame` yet
     /// (or is not recording slot outcomes).
-    pub fn exchange_at(
-        &self,
-        frame: usize,
-        runs: &[EngineRun<'_>],
-    ) -> Result<FrameExchange, SimError> {
+    pub fn exchange_at(&self, frame: usize, runs: &[EngineRun]) -> Result<FrameExchange, SimError> {
         let t = self.sites[0].truth().clock.slots_per_frame();
         let mut ex = empty_exchange(frame, runs.len());
         for (i, run) in runs.iter().enumerate() {
@@ -559,7 +478,7 @@ impl MultiSiteEngine {
         MultiSiteReport {
             frames: clock.frames(),
             slots: clock.total_slots(),
-            interconnect: self.interconnect.clone(),
+            interconnect: (*self.interconnect).clone(),
             energy_transferred: total.sent,
             energy_delivered: total.delivered,
             transfer_savings: total.savings,
@@ -657,6 +576,185 @@ impl MultiSiteEngine {
     }
 }
 
+/// An in-flight fleet run: one [`EngineRun`] per site, the settlement
+/// totals so far, the workload ledger (routed runs only) and the frame
+/// counter. Produced by [`MultiSiteEngine::begin`] or
+/// [`resume`](MultiSiteEngine::resume); it owns everything it steps, so a
+/// long-lived caller (the serve daemon) can hold one across requests.
+#[derive(Debug, Clone)]
+pub struct FleetRun {
+    fleet: MultiSiteEngine,
+    runs: Vec<EngineRun>,
+    settled: FrameSettlement,
+    workload: Option<FleetWorkload>,
+    next_frame: usize,
+    /// Set when a frame step failed part-way: some sites (or the ledger)
+    /// are mid-frame, so the run must not be stepped again.
+    failed: bool,
+}
+
+impl FleetRun {
+    /// Coarse frames completed so far (also the next frame to step).
+    #[must_use]
+    pub fn frames_completed(&self) -> usize {
+        self.next_frame
+    }
+
+    /// Whether every coarse frame of the calendar has been stepped.
+    #[must_use]
+    pub fn is_done(&self) -> bool {
+        self.next_frame >= self.fleet.sites[0].truth().clock.frames()
+    }
+
+    /// The per-site runs, in site-index order.
+    #[must_use]
+    pub fn runs(&self) -> &[EngineRun] {
+        &self.runs
+    }
+
+    /// The settlement accumulated over the frames stepped so far.
+    #[must_use]
+    pub fn settled(&self) -> FrameSettlement {
+        self.settled
+    }
+
+    /// Steps every site through the next coarse frame — the fleet's one
+    /// frame body. Per coarse frame `k`:
+    ///
+    /// 1. a routed run's ledger admits frame `k`'s arrivals
+    ///    ([`FleetWorkload::frame_load`]);
+    /// 2. the dispatcher sees the fleet's [`FrameOutlook`]
+    ///    ([`MultiSiteEngine::outlook_at`], annotated with each site's
+    ///    workload availability and due total on routed runs) and returns
+    ///    directives — one per site, or none at all — which each site's
+    ///    controller receives ([`Controller::receive_directive`]);
+    /// 3. every site steps the frame ([`EngineRun::step_frame`]) — inline
+    ///    in site-index order, or over the fleet's
+    ///    [`with_threads`](MultiSiteEngine::with_threads) budget (sites do
+    ///    not interact within a frame, so the aggregates are
+    ///    byte-identical at any thread count);
+    /// 4. the realized [`FrameExchange`] is settled
+    ///    ([`RoutedDispatcher::settle_routed`]) and a routed run's ledger
+    ///    applies the workload plan ([`FleetWorkload::settle`]).
+    ///
+    /// A silent topology skips step 2 and the energy settlement, but a
+    /// routed run's ledger still steps every frame (local absorption
+    /// needs no interconnect). A run without a ledger offers the
+    /// dispatcher an empty [`LoadFrame`]: energy-only dispatchers step
+    /// through [`UnroutedDispatcher`], which ignores it.
+    ///
+    /// Returns the directives delivered before the frame (empty when none
+    /// were issued); a no-op once the run [`is_done`](Self::is_done).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::SiteMismatch`] if the controller or directive roster
+    /// length differs from the site roster; propagates per-site step
+    /// failures, after which the run refuses further steps with
+    /// [`SimError::InvalidState`].
+    pub fn step_frame(
+        &mut self,
+        controllers: &mut [Box<dyn Controller>],
+        dispatcher: &mut dyn RoutedDispatcher,
+    ) -> Result<Vec<FrameDirective>, SimError> {
+        if controllers.len() != self.runs.len() {
+            return Err(SimError::SiteMismatch {
+                site: controllers.len(),
+                what: "controller roster length differs from site roster",
+            });
+        }
+        if self.failed {
+            return Err(SimError::InvalidState {
+                what: "an earlier fleet frame step failed part-way through the frame",
+            });
+        }
+        if self.is_done() {
+            return Ok(Vec::new());
+        }
+        self.failed = true;
+        let directives = self.step_sites_and_settle(controllers, dispatcher)?;
+        self.failed = false;
+        self.next_frame += 1;
+        Ok(directives)
+    }
+
+    fn step_sites_and_settle(
+        &mut self,
+        controllers: &mut [Box<dyn Controller>],
+        dispatcher: &mut dyn RoutedDispatcher,
+    ) -> Result<Vec<FrameDirective>, SimError> {
+        let frame = self.next_frame;
+        let silent = self.fleet.interconnect.is_silent();
+        let load = match &mut self.workload {
+            Some(workload) => workload.frame_load(frame),
+            None => LoadFrame {
+                frame,
+                available: Vec::new(),
+                due: Vec::new(),
+                spot: Vec::new(),
+            },
+        };
+        let mut directives = Vec::new();
+        if !silent {
+            let mut outlook = self.fleet.outlook_at(frame, &self.runs);
+            for (site, (avail, due)) in outlook
+                .sites
+                .iter_mut()
+                .zip(load.available.iter().zip(&load.due))
+            {
+                site.load_backlog = *avail;
+                site.load_due = *due;
+            }
+            directives = dispatcher.direct(&outlook);
+            if !directives.is_empty() {
+                if directives.len() != self.runs.len() {
+                    return Err(SimError::SiteMismatch {
+                        site: directives.len(),
+                        what: "directive roster length differs from site roster",
+                    });
+                }
+                for (ctl, directive) in controllers.iter_mut().zip(&directives) {
+                    ctl.receive_directive(directive);
+                }
+            }
+        }
+        step_sites(&mut self.runs, controllers, self.fleet.threads)?;
+        if silent && self.workload.is_none() {
+            return Ok(directives);
+        }
+        let ex = self.fleet.exchange_at(frame, &self.runs)?;
+        let (s, plan) = dispatcher.settle_routed(&ex, &load);
+        if !silent {
+            self.settled.sent += s.sent;
+            self.settled.delivered += s.delivered;
+            self.settled.savings += s.savings;
+            self.settled.wheeling += s.wheeling;
+        }
+        if let Some(workload) = &mut self.workload {
+            workload.settle(frame, &ex, &plan, &self.fleet.interconnect);
+        }
+        Ok(directives)
+    }
+
+    /// Seals every site's run and aggregates the fleet report (with the
+    /// workload totals on routed runs).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::RunIncomplete`] unless every coarse frame has been
+    /// stepped.
+    pub fn finish(self) -> Result<MultiSiteReport, SimError> {
+        let reports = self
+            .runs
+            .into_iter()
+            .map(EngineRun::finish)
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut report = self.fleet.assemble(reports, self.settled);
+        report.load = self.workload.map(FleetWorkload::finish).unwrap_or_default();
+        Ok(report)
+    }
+}
+
 /// Steps every site through one coarse frame, fanning the sites out over
 /// `threads` scoped workers claiming site indices from a shared atomic
 /// counter (the `ExperimentRunner` pattern). Each `(run, controller)`
@@ -665,7 +763,7 @@ impl MultiSiteEngine {
 /// order — so the outcome (including which error surfaces) is
 /// byte-identical to the inline serial loop at any thread count.
 fn step_sites(
-    runs: &mut [EngineRun<'_>],
+    runs: &mut [EngineRun],
     controllers: &mut [Box<dyn Controller>],
     threads: usize,
 ) -> Result<(), SimError> {
@@ -678,7 +776,7 @@ fn step_sites(
         return Ok(());
     }
     let next = AtomicUsize::new(0);
-    let cells: Vec<Mutex<(&mut EngineRun<'_>, &mut Box<dyn Controller>)>> = runs
+    let cells: Vec<Mutex<(&mut EngineRun, &mut Box<dyn Controller>)>> = runs
         .iter_mut()
         .zip(controllers.iter_mut())
         .map(Mutex::new)
@@ -887,7 +985,7 @@ mod tests {
             .collect();
         MultiSiteEngine::new(engines)
             .unwrap()
-            .with_transfer_cap(Energy::from_mwh(cap))
+            .with_interconnect(Interconnect::pooled(sites, Energy::from_mwh(cap)).unwrap())
             .unwrap()
     }
 
@@ -921,9 +1019,7 @@ mod tests {
             MultiSiteEngine::new(vec![a, b]),
             Err(SimError::SiteMismatch { site: 1, .. })
         ));
-        assert!(fleet(1, 0.0)
-            .with_transfer_cap(Energy::from_mwh(-1.0))
-            .is_err());
+        assert!(Interconnect::pooled(1, Energy::from_mwh(-1.0)).is_err());
         // A topology for the wrong roster size is rejected.
         assert!(matches!(
             fleet(2, 0.0).with_interconnect(Interconnect::decoupled(3).unwrap()),
@@ -977,7 +1073,7 @@ mod tests {
             .collect();
         MultiSiteEngine::new(engines)
             .unwrap()
-            .with_transfer_cap(Energy::from_mwh(cap))
+            .with_interconnect(Interconnect::pooled(sites, Energy::from_mwh(cap)).unwrap())
             .unwrap()
     }
 
@@ -1033,6 +1129,31 @@ mod tests {
             multi.run_routed(&mut eager_boxes(2), &mut wrong, RoutingConfig::icdcs13()),
             Err(SimError::SiteMismatch { site: 3, .. })
         ));
+    }
+
+    #[test]
+    fn fleet_run_resumes_mid_horizon_byte_identically() {
+        let multi = fleet(3, 1.5);
+        let full = multi.run(&mut eager_boxes(3)).unwrap();
+        let mut greedy = crate::UnroutedDispatcher(multi.interconnect().clone());
+        let mut ctls = eager_boxes(3);
+        let mut run = multi.begin().unwrap();
+        run.step_frame(&mut ctls, &mut greedy).unwrap();
+        assert!(matches!(
+            run.clone().finish(),
+            Err(SimError::RunIncomplete { frames_done: 1, .. })
+        ));
+        let states: Vec<EngineRunState> = run.runs().iter().map(EngineRun::state).collect();
+        assert!(matches!(
+            multi.resume(states[1..].to_vec(), run.settled()),
+            Err(SimError::SiteMismatch { site: 2, .. })
+        ));
+        let mut resumed = multi.resume(states, run.settled()).unwrap();
+        assert_eq!(resumed.frames_completed(), 1);
+        while !resumed.is_done() {
+            resumed.step_frame(&mut ctls, &mut greedy).unwrap();
+        }
+        assert_eq!(resumed.finish().unwrap(), full);
     }
 
     #[test]

@@ -303,7 +303,7 @@ fn planned_mode_never_costs_more_than_post_hoc_on_builtin_packs() {
                 .collect();
             let multi = MultiSiteEngine::new(engines)
                 .unwrap()
-                .with_transfer_cap(Energy::from_mwh(2.0))
+                .with_interconnect(Interconnect::pooled(sites, Energy::from_mwh(2.0)).unwrap())
                 .unwrap();
             let reports: Vec<RunReport> = multi
                 .sites()
@@ -371,7 +371,7 @@ fn sampled_fleets_actually_exchange_energy() {
 /// planned post-hoc settlement *measurably* on the stressed variant
 /// (persistent real-time elevation, where the causal price forecast is
 /// reliable): **at least $500 of fleet cost over the month** (measured
-/// ≈ $1236, ~1.7% of fleet cost, at the 0.6 default procure margin).
+/// ≈ $1219, ~1.6% of fleet cost, at the 0.6 default procure margin).
 /// On the calmer variants the running-average forecast never clears the
 /// margin, the directives stay inert, and coordinated must not lose to
 /// planned anywhere. Planned ≤ post-hoc stays a theorem throughout.

@@ -21,8 +21,7 @@
 //!   workload bill), because deferral only ever moves work to a
 //!   strictly cheaper frame and absorption/migration are free;
 //! * **fleet scale** — conservation and thread-determinism hold on a
-//!   100-site lossy ring (where the planner's Auto solver path resolves
-//!   to the network simplex).
+//!   100-site lossy ring.
 
 use dpss_core::{FleetPlanner, RoutingPlanner, SmartDpss, SmartDpssConfig};
 use dpss_sim::{
@@ -233,9 +232,8 @@ fn co_optimized_total_never_exceeds_routing_off_on_any_variant() {
 #[test]
 fn conservation_scales_to_a_hundred_site_ring() {
     // Short calendar, full fleet: 100 sites on the lossy ring with the
-    // flash-crowd arrival stream. At this scale the wrapped planner's
-    // Auto path resolves to the network simplex, so the routed loop is
-    // pinned on the solver configuration the fleet axis actually uses.
+    // flash-crowd arrival stream: the routed loop pinned at the scale
+    // the fleet axis actually targets.
     let clock = SlotClock::new(3, 12, 1.0).unwrap();
     let config = RoutingConfig::icdcs13();
     let pack = ScenarioPack::builtin("traffic-wave").unwrap();

@@ -100,6 +100,43 @@ impl TraceSet {
         Ok(self)
     }
 
+    /// Overwrites coarse frame `frame` in place with `data`, a one-frame
+    /// trace set on this calendar's slot grid. Nothing is written unless
+    /// `data` passes [`validate`](Self::validate), so every invariant
+    /// keeps holding.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::InvalidParameter`] if `frame` lies outside the
+    /// calendar, or `data` is not one frame of this calendar's slots with
+    /// an arrival stream iff this set has one; `data`'s own validation
+    /// errors.
+    pub fn write_frame(&mut self, frame: usize, data: &TraceSet) -> Result<(), TraceError> {
+        data.validate()?;
+        let t = self.clock.slots_per_frame();
+        if frame >= self.clock.frames()
+            || data.clock.frames() != 1
+            || data.clock.slots_per_frame() != t
+            || data.clock.slot_hours() != self.clock.slot_hours()
+            || data.arrivals.is_some() != self.arrivals.is_some()
+        {
+            return Err(TraceError::InvalidParameter {
+                what: "frame data",
+                requirement: "must be one frame of the calendar's slot grid",
+            });
+        }
+        let slots = frame * t..(frame + 1) * t;
+        self.demand_ds[slots.clone()].copy_from_slice(&data.demand_ds);
+        self.demand_dt[slots.clone()].copy_from_slice(&data.demand_dt);
+        self.renewable[slots.clone()].copy_from_slice(&data.renewable);
+        self.price_rt[slots.clone()].copy_from_slice(&data.price_rt);
+        self.price_lt[frame] = data.price_lt[0];
+        if let (Some(dst), Some(src)) = (&mut self.arrivals, &data.arrivals) {
+            dst[slots].copy_from_slice(src);
+        }
+        Ok(())
+    }
+
     /// Re-checks all invariants (used by transforms in [`crate::scaling`]).
     pub fn validate(&self) -> Result<(), TraceError> {
         let slots = self.clock.total_slots();

@@ -177,10 +177,9 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
                     .map_err(|e| format!("--sites: {e}"))?;
             }
             // The mode roster is closed, so a typo is a usage error
-            // (exit 2) just like an unknown pack name. `--interconnect`
-            // is the legacy spelling of `--dispatch`.
-            "--dispatch" | "--interconnect" => {
-                cli.dispatch = packs::DispatchMode::parse(&value(&flag)?)?;
+            // (exit 2) just like an unknown pack name.
+            "--dispatch" => {
+                cli.dispatch = packs::DispatchMode::parse(&value("--dispatch")?)?;
             }
             // Same closed-roster contract as --dispatch: a typo exits 2.
             "--routing" => {
@@ -899,9 +898,8 @@ mod tests {
         assert_eq!(cli.dispatch, packs::DispatchMode::Planned);
         let cli = parse_args(args("sweep --pack price-spike --dispatch coordinated")).unwrap();
         assert_eq!(cli.dispatch, packs::DispatchMode::Coordinated);
-        // The legacy spelling keeps working.
-        let cli = parse_args(args("sweep --pack price-spike --interconnect post-hoc")).unwrap();
-        assert_eq!(cli.dispatch, packs::DispatchMode::PostHoc);
+        // The retired `--interconnect` spelling is an unknown flag now.
+        assert!(parse_args(args("sweep --pack price-spike --interconnect post-hoc")).is_err());
     }
 
     #[test]
@@ -915,12 +913,6 @@ mod tests {
             "{shown}"
         );
         assert!(shown.contains("post-hoc|planned|coordinated"), "{shown}");
-        // The legacy flag routes through the same parser and formatter.
-        let err = run_cli(args("sweep --pack price-spike --interconnect bogus")).unwrap_err();
-        assert!(err.usage_error);
-        assert!(err
-            .render()
-            .starts_with("dpss: error: unknown dispatch mode: bogus"));
     }
 
     #[test]

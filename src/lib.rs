@@ -63,16 +63,16 @@ pub use dpss_units as units;
 pub use dpss_bench::{Axis, ExperimentRunner, FigureTable, SweepCache, SweepSpec};
 pub use dpss_lp::LpWorkspace;
 
-pub use dpss_bench::{DispatchMode, InterconnectMode};
+pub use dpss_bench::DispatchMode;
 pub use dpss_core::{
     cheapest_window_bound, FleetPlanner, GreedyBattery, Impatient, MarketMode, OfflineConfig,
     OfflineOptimal, P4Variant, P5Objective, RecedingHorizon, RoutingPlanner, SmartDpss,
-    SmartDpssConfig, SolverPath, TheoremBounds,
+    SmartDpssConfig, TheoremBounds,
 };
 pub use dpss_serve::{ServeError, ServeOptions, ServeOutcome, SessionConfig, SessionServer};
 pub use dpss_sim::{
     Battery, BatteryParams, Controller, DelayLedger, DemandQueue, Engine, EngineRun,
-    FleetDispatcher, FleetWorkload, ForecastPolicy, FrameDecision, FrameDirective,
+    FleetDispatcher, FleetRun, FleetWorkload, ForecastPolicy, FrameDecision, FrameDirective,
     FrameObservation, FrameOutlook, Interconnect, LoadTotals, MultiSiteEngine, MultiSiteReport,
     RoutedDispatcher, RoutingConfig, RoutingMode, RunReport, SimParams, SiteOutlook, SlotDecision,
     SlotObservation, SystemView, UnroutedDispatcher,

@@ -84,7 +84,7 @@ fn expansion_grows_cost_sublinearly() {
     assert!(costs[1] > costs[0] && costs[2] > costs[1] && costs[3] > costs[2]);
     // "Almost linearly" (paper Fig. 10): per-unit operating cost stays in
     // a narrow band around the base system. (With the UPS fixed, a few
-    // percent of super-linearity is physical — EXPERIMENTS.md, Fig. 10.)
+    // percent of super-linearity is physical.)
     let per_unit = costs[3] / 10.0 / costs[0];
     assert!(
         (0.85..=1.15).contains(&per_unit),

@@ -4,11 +4,13 @@
 //! scenario-pack variant, the paper's base scenario, and every built-in
 //! controller family, at seed 42.
 //!
-//! `Engine::run` is itself implemented on top of the stepping API, so
-//! this pins two things at once: that the refactor kept the legacy
-//! entry point intact, and that external frame-by-frame drivers (the
-//! frame-synchronous fleet loop, custom harnesses) see exactly the
-//! physics a plain run sees.
+//! `Engine::run` steps the same frame body as the stepping API, so this
+//! pins two things at once: that the legacy entry point stays intact,
+//! and that external frame-by-frame drivers (the frame-synchronous fleet
+//! loop, the serve daemon, custom harnesses) see exactly the physics a
+//! plain run sees.
+
+use std::sync::Arc;
 
 use smartdpss::core::RecedingHorizon;
 use smartdpss::{
@@ -41,7 +43,7 @@ fn controller_roster(
     ]
 }
 
-fn assert_stepping_matches_run(engine: &Engine, params: SimParams, what: &str) {
+fn assert_stepping_matches_run(engine: &Arc<Engine>, params: SimParams, what: &str) {
     let frames = engine.truth().clock.frames();
     // Two fresh controller rosters: one per execution path, so neither
     // sees the other's internal state.
@@ -74,7 +76,7 @@ fn stepping_reproduces_run_on_every_builtin_pack_variant() {
         let pack = ScenarioPack::builtin(pack_name).unwrap();
         for v in 0..pack.len() {
             let traces = pack.generate(&clock, 42, v).unwrap();
-            let engine = Engine::new(params, traces).unwrap();
+            let engine = Arc::new(Engine::new(params, traces).unwrap());
             let what = format!("{pack_name}/{}", pack.variant(v).unwrap().0);
             assert_stepping_matches_run(&engine, params, &what);
         }
@@ -89,9 +91,11 @@ fn stepping_reproduces_run_on_the_paper_scenario_with_recording() {
     let clock = SlotClock::new(4, 24, 1.0).unwrap();
     let params = SimParams::icdcs13();
     let traces = Scenario::icdcs13().generate(&clock, 42).unwrap();
-    let engine = Engine::new(params, traces)
-        .unwrap()
-        .with_slot_recording(true);
+    let engine = Arc::new(
+        Engine::new(params, traces)
+            .unwrap()
+            .with_slot_recording(true),
+    );
     assert_stepping_matches_run(&engine, params, "icdcs13/recorded");
 }
 
@@ -100,7 +104,7 @@ fn finish_requires_every_frame_and_stepping_past_the_end_is_inert() {
     let clock = SlotClock::new(3, 8, 1.0).unwrap();
     let params = SimParams::icdcs13();
     let traces = Scenario::icdcs13().generate(&clock, 42).unwrap();
-    let engine = Engine::new(params, traces).unwrap();
+    let engine = Arc::new(Engine::new(params, traces).unwrap());
     let mut ctl = Impatient::two_markets();
 
     // Finishing early is an error that names the progress made.

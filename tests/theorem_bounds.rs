@@ -9,7 +9,7 @@
 //! assume the printed price-free service rule; a price-respecting service
 //! rule (either P5 objective against a real market) tracks prices instead,
 //! so we assert the bounds up to a documented constant multiple and the
-//! exact scaling direction (see EXPERIMENTS.md, "Theorem 2").
+//! exact scaling direction.
 
 use smartdpss::{
     BatteryParams, Engine, P5Objective, SimParams, SlotClock, SmartDpss, SmartDpssConfig,
