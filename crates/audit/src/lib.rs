@@ -55,7 +55,7 @@ use lints::RawFinding;
 use std::path::{Path, PathBuf};
 
 /// Crates whose sources feed published results: the determinism lints
-/// apply to them, bins included (perf bins pragma their timer reads).
+/// apply to them, bins included.
 const DETERMINISM_CRATES: &[&str] = &["lp", "traces", "sim", "core", "serve", "bench", "audit"];
 
 /// Classifies a workspace-relative, `/`-separated path, or `None` when
@@ -344,14 +344,14 @@ mod tests {
         assert!(!units.determinism && units.panic_safety);
         let root = classify("crates/sim/src/lib.rs").unwrap();
         assert!(root.crate_root);
-        let bin = classify("crates/bench/src/bin/bench_sweep.rs").unwrap();
+        let bin = classify("crates/bench/src/bin/pack_sweep.rs").unwrap();
         assert!(bin.determinism && !bin.panic_safety);
         let facade = classify("src/lib.rs").unwrap();
         assert!(!facade.determinism && facade.panic_safety && facade.crate_root);
         let cli = classify("src/bin/dpss.rs").unwrap();
         assert!(!cli.panic_safety);
         assert!(classify("crates/lp/tests/simplex_properties.rs").is_none());
-        assert!(classify("crates/bench/benches/lp_solver.rs").is_none());
+        assert!(classify("perfbench/src/main.rs").is_none());
         assert!(classify("examples/quickstart.rs").is_none());
         assert!(classify("crates/lp/src/notes.md").is_none());
     }

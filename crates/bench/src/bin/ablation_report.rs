@@ -1,4 +1,4 @@
-//! Regenerates the DESIGN.md §3 ablations: printed-P5 vs derived-P5
+//! Regenerates the controller ablations: printed-P5 vs derived-P5
 //! objective, and paper-literal vs waste-aware P4 purchasing.
 
 use dpss_bench::{figures, persist, PAPER_SEED};

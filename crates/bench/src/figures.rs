@@ -202,8 +202,7 @@ pub fn fig6_t_with(
 /// cells. This is how the `T = 144` column gets populated at all:
 /// `warm_start: true` lets frames 2…K reuse the previous optimal basis of
 /// the ~1k-row frame LP, and a revised `frame_pivot_budget` bounds the
-/// worst case (`bench_sweep` measures and records the wall time in
-/// `BENCH_sweep.json`).
+/// worst case (the `sweep_determinism` suite pins the resulting cost).
 #[must_use]
 pub fn fig6_t_offline_with(
     runner: &ExperimentRunner,
@@ -517,8 +516,9 @@ pub fn fig10_with(runner: &ExperimentRunner, seed: u64, betas: &[f64]) -> Figure
 }
 
 /// Ablation: the printed P5 objective vs the drift-plus-penalty
-/// derivation, and the paper-literal P4 vs the waste-aware cap
-/// (`DESIGN.md` §3).
+/// derivation, and the paper-literal P4 vs the waste-aware cap (the
+/// `dpss_core::P5Objective` and `dpss_core::P4Variant` docs say why
+/// each variant exists).
 #[must_use]
 pub fn ablations(seed: u64) -> FigureTable {
     ablations_with(&ExperimentRunner::default(), seed)

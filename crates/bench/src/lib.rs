@@ -1,7 +1,7 @@
 //! Experiment harness for the SmartDPSS evaluation (§VI): one computation
 //! function per paper figure, shared by the `fig*` regenerator binaries,
-//! the Criterion benches and the harness self-tests — plus the
-//! [`packs`] module's scenario-pack and multi-datacenter sweeps.
+//! the `dpss sweep` CLI and the harness self-tests — plus the [`packs`]
+//! module's scenario-pack and multi-datacenter sweeps.
 //!
 //! Every function takes a seed (all built-in artifacts use seed 42) and
 //! returns a [`FigureTable`] whose rows mirror the series the paper plots.
@@ -137,79 +137,6 @@ pub fn run_impatient(engine: &Engine) -> RunReport {
     engine
         .run(&mut Impatient::two_markets())
         .expect("run succeeds")
-}
-
-/// Builds a frame-shaped LP — `t` slots × 7 variables with balance,
-/// battery and queue recursions, the structure the offline benchmark
-/// solves each coarse frame — with demands and real-time prices scaled
-/// by `scale`. Shared by the `lp_solver` criterion bench and the
-/// `bench_sweep` perf-artifact binary so cold-vs-warm numbers come from
-/// the same instance family.
-///
-/// # Panics
-///
-/// Panics only on internal model-construction bugs.
-#[must_use]
-pub fn frame_shaped_lp(t: usize, scale: f64) -> dpss_lp::Problem {
-    use dpss_lp::{Problem, Relation, Sense};
-    let mut p = Problem::new(Sense::Minimize);
-    let g = p.add_var("g", 0.0, 2.0, 35.0 * t as f64).unwrap();
-    let mut prev_b = None;
-    let mut prev_q = None;
-    for i in 0..t {
-        let grt = p
-            .add_var(format!("grt{i}"), 0.0, 2.0, 45.0 * scale)
-            .unwrap();
-        let sdt = p
-            .add_var(format!("sdt{i}"), 0.0, f64::INFINITY, 0.0)
-            .unwrap();
-        let brc = p.add_var(format!("brc{i}"), 0.0, 0.5, 0.2).unwrap();
-        let bdc = p.add_var(format!("bdc{i}"), 0.0, 0.5, 0.2).unwrap();
-        let w = p.add_var(format!("w{i}"), 0.0, f64::INFINITY, 1.0).unwrap();
-        let b = p.add_var(format!("b{i}"), 0.03, 0.5, 0.0).unwrap();
-        let q = p.add_var(format!("q{i}"), 0.0, f64::INFINITY, 0.0).unwrap();
-        let demand = (0.8 + 0.3 * (i as f64 * 0.7).sin()) * scale;
-        p.add_constraint(
-            &[
-                (g, 1.0),
-                (grt, 1.0),
-                (bdc, 1.0),
-                (brc, -1.0),
-                (sdt, -1.0),
-                (w, -1.0),
-            ],
-            Relation::Eq,
-            demand,
-        )
-        .unwrap();
-        match prev_b {
-            None => p
-                .add_constraint(&[(b, 1.0), (brc, -0.8), (bdc, 1.25)], Relation::Eq, 0.25)
-                .unwrap(),
-            Some(pb) => p
-                .add_constraint(
-                    &[(b, 1.0), (pb, -1.0), (brc, -0.8), (bdc, 1.25)],
-                    Relation::Eq,
-                    0.0,
-                )
-                .unwrap(),
-        };
-        match prev_q {
-            None => p
-                .add_constraint(&[(q, 1.0), (sdt, 1.0)], Relation::Eq, 0.4)
-                .unwrap(),
-            Some(pq) => p
-                .add_constraint(&[(q, 1.0), (pq, -1.0), (sdt, 1.0)], Relation::Eq, 0.4)
-                .unwrap(),
-        };
-        prev_b = Some(b);
-        prev_q = Some(q);
-    }
-    // Serve everything by the frame end.
-    if let Some(q) = prev_q {
-        p.add_constraint(&[(q, 1.0)], Relation::Le, 0.4).unwrap();
-    }
-    p
 }
 
 /// Builds an [`ExperimentRunner`] from a report binary's command line:

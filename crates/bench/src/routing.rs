@@ -30,9 +30,9 @@ use crate::packs::default_transfer_cap;
 use crate::{Axis, ExperimentRunner, FigureTable, SweepSpec};
 
 /// One variant's off vs co-optimized outcome, with the workload ledger
-/// behind the co-optimized column — the numeric form the `bench_sweep`
-/// perf rows and the acceptance tests consume (the [`routing_sweep_with`]
-/// table is a rendering of this).
+/// behind the co-optimized column — the numeric form the acceptance
+/// tests consume (the [`routing_sweep_with`] table is a rendering of
+/// this).
 #[derive(Debug, Clone)]
 pub struct RoutingOutcome {
     /// The pack variant's label.

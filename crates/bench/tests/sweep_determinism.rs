@@ -7,8 +7,11 @@
 //! * The runner port must not shift any figure's seed stream: the Fig. 6
 //!   V-sweep rows are pinned byte-for-byte to the values the
 //!   pre-runner (hand-rolled loop) code produced at the canonical seed.
+//! * The Fig. 6(c,d) `T = 144` offline column populates under warm starts
+//!   and a revised pivot budget, at a pinned cost.
 
 use dpss_bench::{figures, ExperimentRunner, PAPER_SEED};
+use dpss_core::OfflineConfig;
 
 #[test]
 fn fig6_v_threads_1_and_8_are_identical() {
@@ -97,4 +100,32 @@ fn fig6_v_rows_match_pre_runner_golden_bytes() {
     for (row, want) in table.rows.iter().zip(&golden) {
         assert_eq!(row, want, "fig6_v row drifted from the golden bytes");
     }
+}
+
+/// The `T = 144` offline cell (frame LPs of ~1k rows) is the column the
+/// default Fig. 6(c,d) table skips. With frame-to-frame warm starts and
+/// a 40k pivot budget per frame it must populate, at the cost the
+/// configuration has always produced at the canonical seed.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "a ~1k-row frame LP per day is a release-mode workload"
+)]
+fn fig6_t144_offline_column_populates_at_the_pinned_cost() {
+    let table = figures::fig6_t_offline_with(
+        &ExperimentRunner::serial(),
+        PAPER_SEED,
+        &[144],
+        144,
+        OfflineConfig {
+            warm_start: true,
+            frame_pivot_budget: Some(40_000),
+            ..OfflineConfig::default()
+        },
+    );
+    let cell = &table.rows[0][4];
+    let cost: f64 = cell
+        .parse()
+        .unwrap_or_else(|_| panic!("T=144 offline column not populated: {cell:?}"));
+    assert_eq!(cost, 27.384, "T=144 offline $/slot drifted");
 }

@@ -14,9 +14,10 @@ pub enum MarketMode {
 
 /// Which per-slot objective the real-time balancing step **P5** minimizes.
 ///
-/// The conference text's printed P3/P5 coefficients contain sign typos (see
-/// `DESIGN.md` §3); both interpretations are implemented so the difference
-/// can be measured (the `ablations` bench).
+/// The conference text's printed P3/P5 coefficients contain sign typos:
+/// they do not match the drift-plus-penalty bound of Eqs. (2)(12)(15).
+/// Both interpretations are implemented so the difference can be measured
+/// (`dpss-bench`'s `ablation_report`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum P5Objective {
     /// The drift-plus-penalty bound derived from Eqs. (2)(12)(15):
@@ -34,9 +35,10 @@ pub enum P5Objective {
 /// The default is [`P4Variant::WasteAware`]: the printed P4 buys the full
 /// interconnect (`T·Pgrid`) whenever the weight `V·p_lt − Q − Y` turns
 /// negative, which on realistic traces over-buys far beyond what the
-/// frame can absorb and burns the surplus as waste (the `ablations` bench
-/// quantifies this). The waste-aware cap keeps the trigger semantics but
-/// never buys more than the frame's projected absorption.
+/// frame can absorb and burns the surplus as waste (`dpss-bench`'s
+/// `ablation_report` quantifies this). The waste-aware cap keeps the
+/// trigger semantics but never buys more than the frame's projected
+/// absorption.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum P4Variant {
     /// Exactly the paper's P4: when the weight `V·p_lt − Q − Y` is
@@ -44,7 +46,7 @@ pub enum P4Variant {
     PaperLiteral,
     /// Caps the buy at the frame's projected absorption (expected net
     /// demand + backlog + battery headroom), avoiding deliberate waste
-    /// when queues are long (default; see `DESIGN.md` §3).
+    /// when queues are long (default).
     #[default]
     WasteAware,
 }

@@ -14,9 +14,10 @@
 //! * [`SmartDpssConfig`] — the tunables `V` (cost–delay knob), `ε`
 //!   (delay-control parameter), market structure ([`MarketMode`], for the
 //!   Fig. 7 two-markets vs real-time-only comparison) and two ablation
-//!   switches documented in `DESIGN.md` §3: [`P5Objective`] (the printed
-//!   P5 coefficients vs the drift-plus-penalty derivation) and
-//!   [`P4Variant`] (paper-literal vs waste-aware long-term purchasing).
+//!   switches, measured by `dpss-bench`'s `ablation_report`:
+//!   [`P5Objective`] (the printed P5 coefficients vs the drift-plus-penalty
+//!   derivation) and [`P4Variant`] (paper-literal vs waste-aware long-term
+//!   purchasing).
 //! * [`OfflineOptimal`] — the §II-D benchmark: per-coarse-frame linear
 //!   programs with full knowledge of that frame's demand, renewables and
 //!   prices, solved with the `dpss-lp` simplex.

@@ -27,8 +27,8 @@ pub struct OfflineConfig {
     /// on preserves feasibility under tight interconnects.
     pub allow_real_time: bool,
     /// Whether consecutive frame LPs may warm-start from the previous
-    /// frame's optimal basis (≈2× faster frame planning; see the
-    /// `controller_step` bench and `BENCH_sweep.json`).
+    /// frame's optimal basis (faster frame planning: frames 2…K resume
+    /// from a basis instead of running phase 1 from scratch).
     ///
     /// **Off by default**: a warm solve reaches a vertex of the *same
     /// optimal objective*, but on degenerate frame LPs (service timing
@@ -42,8 +42,8 @@ pub struct OfflineConfig {
     /// solver default. The `T = 144` offline benchmark (frame LPs of
     /// ~1k rows) pairs this with `warm_start` so a pathological frame
     /// fails fast into the controller's fallback instead of burning the
-    /// full default budget (`bench_sweep` records the measured pivots
-    /// and wall time).
+    /// full default budget (`dpss-bench`'s `sweep_determinism` suite pins
+    /// the cost this configuration produces).
     pub frame_pivot_budget: Option<usize>,
 }
 
@@ -63,7 +63,7 @@ impl Default for OfflineConfig {
 /// *full knowledge* of demand, renewables and prices, carrying battery and
 /// queue state across frames.
 ///
-/// Deviations from the idealized P2, both documented in `DESIGN.md` §3:
+/// Deviations from the idealized P2, both forced by the LP form:
 /// the battery wear term `n(τ)·Cb` is linearized in the LP objective (an
 /// LP cannot price an indicator; the *realized* report still pays the true
 /// per-operation cost), and frame-coupled battery strategy beyond one

@@ -216,7 +216,8 @@ pub(crate) fn solve_lp(inp: &P5Inputs) -> Result<P5Solution, CoreError> {
 
     // The plant *always* charges surplus up to headroom before wasting, so
     // the LP modes must pin the battery flows the same way the closed form
-    // does (DESIGN.md §3), not let them float.
+    // does, not let them float: a floating flow would score a decision the
+    // plant never executes.
     //
     // Mode: idle (no battery op). Only reachable with net = 0 when the
     // battery has headroom; with zero headroom all surplus becomes waste.

@@ -49,8 +49,8 @@ use crate::solution::Solution;
 /// `refactorizations`, eta length, scratch bytes, nanoseconds) cover the
 /// factorized network kernel only — `kernel_solves` says how many solves
 /// they aggregate over. Obtained from [`LpWorkspace::stats`], merged
-/// across a fleet's workspaces by the planner layers, and serialized
-/// into the `solver_stats.json` bench artifact.
+/// across a fleet's workspaces by the planner layers, and rendered by
+/// `dpss sweep --solver-stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct SolverStats {
     /// Total solves through the workspace (warm + cold).
@@ -92,7 +92,7 @@ impl SolverStats {
     }
 
     /// Refactorizations per kernel solve — the headline drift-control
-    /// telemetry (`solver_refactor_rate` in `BENCH_sweep.json`).
+    /// telemetry (the `refactor rate` row of `dpss sweep --solver-stats`).
     #[must_use]
     pub fn refactor_rate(&self) -> f64 {
         if self.kernel_solves == 0 {

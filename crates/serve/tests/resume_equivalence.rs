@@ -6,15 +6,17 @@
 //! (after JSON serialization) to an uninterrupted batch run over the
 //! same inputs. Every built-in scenario-pack variant is exercised with
 //! both controller kinds at the paper seed, with snapshots taken at the
-//! first frame, mid-month, and the penultimate frame.
+//! first frame, mid-month, and the penultimate frame. A `stream` session
+//! fed the paper month one `tick` per frame must finish byte-identical to
+//! the batch run too: its ticks write each frame into the run in place.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use dpss_core::{FleetPlanner, RecedingHorizon, SmartDpss, SmartDpssConfig};
-use dpss_serve::{Response, SessionServer};
+use dpss_serve::{RawRequest, Response, SessionServer};
 use dpss_sim::{Controller, Engine, Interconnect, MultiSiteEngine, SimParams};
-use dpss_traces::ScenarioPack;
+use dpss_traces::{Scenario, ScenarioPack};
 use dpss_units::{Energy, SlotClock};
 
 /// Master seed shared by every run in the suite (the paper's seed).
@@ -155,6 +157,59 @@ fn check_pack(pack: &str, controller: &str) {
     for variant in 0..variants {
         check_variant(pack, variant, controller);
     }
+}
+
+/// One `tick` per frame of the paper scenario month, stepped in place
+/// by a `stream` session, against the batch SmartDPSS run on the same
+/// traces.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "stream-vs-batch month equivalence is a release-mode contract"
+)]
+fn stream_ticks_match_the_batch_month() {
+    let clock = SlotClock::icdcs13_month();
+    let truth = Scenario::icdcs13()
+        .generate(&clock, SEED)
+        .expect("paper scenario generates");
+    let params = SimParams::icdcs13();
+    let golden = {
+        let engine = Engine::new(params, truth.clone()).expect("valid engine");
+        let mut ctl =
+            SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).expect("valid configuration");
+        let report = engine.run(&mut ctl).expect("batch month succeeds");
+        serde_json::to_string(&report).expect("report serializes")
+    };
+
+    let mut server = SessionServer::new(None).expect("server without a state dir");
+    expect_ok(&mut server, "{\"cmd\":\"init\",\"mode\":\"stream\"}");
+    let t = clock.slots_per_frame();
+    for frame in 0..clock.frames() {
+        let slots = frame * t..(frame + 1) * t;
+        let mwh = |series: &[Energy]| Some(series[slots.clone()].iter().map(|e| e.mwh()).collect());
+        let tick = RawRequest {
+            cmd: Some("tick".to_owned()),
+            frame: Some(frame),
+            price_lt: Some(truth.price_lt[frame].dollars_per_mwh()),
+            price_rt: Some(
+                truth.price_rt[slots.clone()]
+                    .iter()
+                    .map(|p| p.dollars_per_mwh())
+                    .collect(),
+            ),
+            demand_ds: mwh(&truth.demand_ds),
+            demand_dt: mwh(&truth.demand_dt),
+            renewable: mwh(&truth.renewable),
+            ..RawRequest::default()
+        };
+        let line = serde_json::to_string(&tick).expect("tick serializes");
+        expect_ok(&mut server, &line);
+    }
+    assert_eq!(
+        finish_report(&mut server),
+        golden,
+        "stream session diverged from the batch month"
+    );
 }
 
 #[test]

@@ -1,12 +1,11 @@
 //! Single-slot physics: applies a controller's decisions to the plant under
 //! the paper's balance equation (Eq. (4)) with a feasibility guard.
 //!
-//! Guard policy (documented in `DESIGN.md` §3): when a decision would
-//! require more discharge than the battery can deliver, the plant first
-//! buys emergency real-time energy up to the interconnect limit, then
-//! reduces delay-tolerant service, and only then — if delay-sensitive
-//! demand still cannot be met — records an availability violation. Nothing
-//! is ever silently dropped.
+//! Guard policy: when a decision would require more discharge than the
+//! battery can deliver, the plant first buys emergency real-time energy up
+//! to the interconnect limit, then reduces delay-tolerant service, and only
+//! then — if delay-sensitive demand still cannot be met — records an
+//! availability violation. Nothing is ever silently dropped.
 
 use dpss_units::{Energy, Price, SlotId};
 

@@ -4,8 +4,7 @@
 //! traces: MIDC solar meteorological data, NYISO electricity prices and a
 //! Google cluster workload. None of those exact datasets can ship with this
 //! repository, so this crate builds the *closest synthetic equivalents* that
-//! exercise the same code paths (see `DESIGN.md` §4 for the substitution
-//! rationale):
+//! exercise the same code paths, seeded so every run is reproducible:
 //!
 //! * [`SolarModel`] — diurnal irradiance bell × AR(1) cloud attenuation ×
 //!   day-to-day variability (January daylight hours by default);

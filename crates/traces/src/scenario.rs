@@ -7,8 +7,9 @@ use crate::{DemandModel, PriceModel, SolarModel, TraceError, TraceSet, WindModel
 /// the two market price series.
 ///
 /// The default [`Scenario::icdcs13`] mirrors the paper's evaluation inputs
-/// (one month of solar, NYISO-like prices, Google-cluster-like demand; see
-/// `DESIGN.md` §4). Wind is available as an extension and is disabled by
+/// (one month of solar, NYISO-like prices, Google-cluster-like demand:
+/// synthetic stand-ins, since the paper's datasets cannot ship with the
+/// repository). Wind is available as an extension and is disabled by
 /// default to match the paper.
 ///
 /// # Examples

@@ -350,11 +350,22 @@ impl TraceSet {
                     reason: format!("bad {what}: {e}"),
                 })
             };
-            let slot = parse(slot_s, "slot")? as usize;
-            if slot >= slots {
+            let slot = slot_s
+                .trim()
+                .parse::<usize>()
+                .map_err(|e| TraceError::Parse {
+                    line: lineno + 1,
+                    reason: format!("bad slot: {e}"),
+                })?;
+            if seen.get(slot) != Some(&false) {
+                let why = if slot >= slots {
+                    "out of range for calendar"
+                } else {
+                    "appears twice"
+                };
                 return Err(TraceError::Parse {
                     line: lineno + 1,
-                    reason: format!("slot {slot} out of range for calendar"),
+                    reason: format!("slot {slot} {why}"),
                 });
             }
             demand_ds[slot] = Energy::from_mwh(parse(ds_s, "demand_ds")?);
@@ -498,6 +509,24 @@ mod tests {
         assert!(matches!(
             TraceSet::from_csv(t.clock, out_of_range),
             Err(TraceError::Parse { .. })
+        ));
+        // A slot index is an exact non-negative integer: `-1` and `NaN`
+        // must not saturate onto slot 0, nor `1.5` truncate onto slot 1.
+        for slot in ["-1", "1.5", "NaN"] {
+            let csv = format!("h\n0,0,0,1,1,1,1,1\n{slot},0,0,1,1,1,1,1\n");
+            assert!(
+                matches!(
+                    TraceSet::from_csv(t.clock, &csv),
+                    Err(TraceError::Parse { line: 3, .. })
+                ),
+                "slot {slot} was accepted"
+            );
+        }
+        // A repeated slot must not silently overwrite the earlier row.
+        let duplicate = "h\n0,0,0,1,1,1,1,1\n1,0,1,1,1,1,1,1\n1,0,1,2,2,2,2,2\n";
+        assert!(matches!(
+            TraceSet::from_csv(t.clock, duplicate),
+            Err(TraceError::Parse { line: 4, .. })
         ));
     }
 
