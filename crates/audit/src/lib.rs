@@ -344,7 +344,7 @@ mod tests {
         assert!(!units.determinism && units.panic_safety);
         let root = classify("crates/sim/src/lib.rs").unwrap();
         assert!(root.crate_root);
-        let bin = classify("crates/bench/src/bin/pack_sweep.rs").unwrap();
+        let bin = classify("crates/serve/src/bin/dpss-serve.rs").unwrap();
         assert!(bin.determinism && !bin.panic_safety);
         let facade = classify("src/lib.rs").unwrap();
         assert!(!facade.determinism && facade.panic_safety && facade.crate_root);

@@ -2,10 +2,12 @@
 //!
 //! Every figure is expressed as a [`SweepSpec`] — a named roster of cells
 //! (grid points, baselines, ablation variants) — executed by an
-//! [`ExperimentRunner`]. Each `figN` entry point has a `figN_with`
-//! sibling taking an explicit runner; the short form uses the default
-//! runner (all available cores). Results are assembled in cell order, so
-//! the tables are byte-identical for every thread count.
+//! [`ExperimentRunner`]; callers pass the runner (`dpss sweep` builds one
+//! from `--threads`, tests pass `ExperimentRunner::default()`). Results
+//! are assembled in cell order, so the tables are byte-identical for
+//! every thread count. [`NAMES`] lists the figures `dpss sweep --figure`
+//! renders and [`tables`] builds one by name. Each function's doc states
+//! the shape the paper leads one to expect.
 
 // Bench policy: built-in scenarios, engines and LPs are valid by
 // construction, so generator/solver failure here is a programming error,
@@ -19,9 +21,10 @@ use dpss_sim::{Engine, SimParams};
 use dpss_traces::{scaling, UniformError};
 use dpss_units::SlotClock;
 
+use crate::packs::{pack_overview_with, topology_sweep_with};
 use crate::{
     paper_traces, run_impatient, run_offline, run_smart, setup, traces_on, Axis, ExperimentRunner,
-    FigureTable, SweepSpec, PAPER_SEED,
+    FigureTable, SweepSpec,
 };
 
 /// The `V` grid of Fig. 6(a,b).
@@ -38,22 +41,75 @@ pub const FIG8_PENETRATION_GRID: [f64; 6] = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
 pub const FIG8_VARIATION_GRID: [f64; 5] = [0.0, 0.5, 1.0, 1.5, 2.0];
 /// The expansion grid of Fig. 10.
 pub const FIG10_BETA_GRID: [f64; 4] = [1.0, 2.0, 5.0, 10.0];
+/// Builds one registered figure's tables on a runner for a seed.
+type Builder = fn(&ExperimentRunner, u64) -> Vec<FigureTable>;
 
-/// Fig. 5: the one-month input traces, summarized per day (the paper plots
-/// the raw series; the regenerator binary also exports the full CSV).
+/// The figure registry, in display order: each name with the tables it
+/// builds at the published grids.
+const REGISTRY: [(&str, Builder); 12] = [
+    ("fig5", |r, seed| vec![fig5_with(r, seed)]),
+    ("fig6v", |r, seed| {
+        vec![fig6_v_with(r, seed, &FIG6_V_GRID, true)]
+    }),
+    ("fig6t", |r, seed| {
+        vec![fig6_t_with(r, seed, &FIG6_T_GRID, 48)]
+    }),
+    ("fig7", |r, seed| {
+        vec![
+            fig7_epsilon_with(r, seed, &FIG7_EPS_GRID),
+            fig7_markets_with(r, seed),
+            fig7_battery_with(r, seed, &FIG7_BMAX_GRID),
+        ]
+    }),
+    ("fig8", |r, seed| {
+        let (pen, var) = fig8_with(r, seed, &FIG8_PENETRATION_GRID, &FIG8_VARIATION_GRID);
+        vec![pen, var]
+    }),
+    ("fig9", |r, seed| {
+        vec![fig9_with(r, seed, 0.5, &FIG6_V_GRID)]
+    }),
+    ("fig10", |r, seed| {
+        vec![fig10_with(r, seed, &FIG10_BETA_GRID)]
+    }),
+    ("ablations", |r, seed| vec![ablations_with(r, seed)]),
+    ("forecast", |r, seed| vec![forecast_ablation_with(r, seed)]),
+    ("baselines", |r, seed| vec![baselines_with(r, seed)]),
+    ("pack-overview", |r, seed| vec![pack_overview_with(r, seed)]),
+    // Four sites, so the ring is not the mesh.
+    ("topology", |r, seed| vec![topology_sweep_with(r, seed, 4)]),
+];
+
+/// The names `dpss sweep --figure` accepts, in display order.
+pub const NAMES: [&str; REGISTRY.len()] = {
+    let mut names = [""; REGISTRY.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = REGISTRY[i].0;
+        i += 1;
+    }
+    names
+};
+
+/// Builds the tables of the figure registered as `name` (one of
+/// [`NAMES`]), or `None` for an unknown name.
 #[must_use]
-pub fn fig5(seed: u64) -> (FigureTable, String) {
-    fig5_with(&ExperimentRunner::default(), seed)
+pub fn tables(name: &str, runner: &ExperimentRunner, seed: u64) -> Option<Vec<FigureTable>> {
+    REGISTRY
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, build)| build(runner, seed))
 }
 
-/// [`fig5`] on an explicit runner (one cell per day).
+/// Fig. 5: the one-month input traces, summarized per day, one cell per
+/// day. The paper plots the raw series; `dpss traces` exports them as the
+/// full per-slot CSV.
 #[must_use]
-pub fn fig5_with(runner: &ExperimentRunner, seed: u64) -> (FigureTable, String) {
+pub fn fig5_with(runner: &ExperimentRunner, seed: u64) -> FigureTable {
     let traces = paper_traces(seed);
     let t = traces.clock.slots_per_frame();
     let days: Vec<String> = (0..traces.clock.frames()).map(|d| d.to_string()).collect();
     let spec = SweepSpec::new("fig5-traces", seed).with_axis(Axis::new("day", days));
-    let table = runner.run_table(
+    runner.run_table(
         &spec,
         "Fig. 5: one-month traces (per-day summary)",
         &[
@@ -98,20 +154,17 @@ pub fn fig5_with(runner: &ExperimentRunner, seed: u64) -> (FigureTable, String) 
                 format!("{rt_max:.2}"),
             ]]
         },
-    );
-    (table, traces.to_csv())
+    )
 }
 
 /// Fig. 6(a,b): time-average cost and average delay vs `V`, SmartDPSS vs
 /// the offline benchmark vs Impatient (`T = 24`, `ε = 0.5`, 15-min UPS).
-#[must_use]
-pub fn fig6_v(seed: u64, vs: &[f64], include_offline: bool) -> FigureTable {
-    fig6_v_with(&ExperimentRunner::default(), seed, vs, include_offline)
-}
-
-/// [`fig6_v`] on an explicit runner. The baselines (offline, Impatient)
-/// are cells of the same sweep as the `V` grid, so they run concurrently
-/// with the SmartDPSS cells instead of serializing in front of them.
+/// The baselines (offline, Impatient) are cells of the same sweep as the
+/// `V` grid, so they run concurrently with the SmartDPSS cells instead of
+/// serializing in front of them.
+///
+/// Expected shape: smart cost falls toward offline as `O(1/V)`; smart
+/// delay grows as `O(V)`; Impatient is the delay floor and cost ceiling.
 #[must_use]
 pub fn fig6_v_with(
     runner: &ExperimentRunner,
@@ -177,17 +230,16 @@ pub fn fig6_v_with(
 }
 
 /// Fig. 6(c,d): cost and delay vs the coarse-frame length `T` (`V = 1`,
-/// `ε = 0.5`). The horizon is held at ~744 hourly slots; frames are
-/// re-chunked and traces regenerated per calendar. The offline benchmark
-/// is included up to `offline_max_t` (its frame LP grows with `T²`).
-#[must_use]
-pub fn fig6_t(seed: u64, ts: &[usize], offline_max_t: usize) -> FigureTable {
-    fig6_t_with(&ExperimentRunner::default(), seed, ts, offline_max_t)
-}
-
-/// [`fig6_t`] on an explicit runner (one cell per `T`; each cell builds
-/// its own calendar, trace set and engine). Offline cells solve cold for
-/// bit-reproducibility of the published table.
+/// `ε = 0.5`), one cell per `T`. The horizon is held at ~744 hourly
+/// slots; each cell re-chunks the frames and regenerates the traces for
+/// its own calendar. The offline benchmark is included up to
+/// `offline_max_t` (its frame LP grows with `T²`; the published table
+/// stops at `T = 48`, and the paper's trend statements concern
+/// SmartDPSS). Offline cells solve cold for bit-reproducibility of the
+/// published table.
+///
+/// Expected shape: cost roughly flat in `T` (paper band −3.65%..+6.23%);
+/// delay decreases as `T` grows.
 #[must_use]
 pub fn fig6_t_with(
     runner: &ExperimentRunner,
@@ -253,12 +305,8 @@ pub fn fig6_t_offline_with(
 }
 
 /// Fig. 7, part 1: time-average cost vs the delay-control parameter `ε`.
-#[must_use]
-pub fn fig7_epsilon(seed: u64, eps: &[f64]) -> FigureTable {
-    fig7_epsilon_with(&ExperimentRunner::default(), seed, eps)
-}
-
-/// [`fig7_epsilon`] on an explicit runner.
+///
+/// Expected shape: cost rises with `ε` while delay falls.
 #[must_use]
 pub fn fig7_epsilon_with(runner: &ExperimentRunner, seed: u64, eps: &[f64]) -> FigureTable {
     let (engine, params) = setup(seed);
@@ -280,12 +328,8 @@ pub fn fig7_epsilon_with(runner: &ExperimentRunner, seed: u64, eps: &[f64]) -> F
 }
 
 /// Fig. 7, part 2: two-timescale markets vs real-time-only.
-#[must_use]
-pub fn fig7_markets(seed: u64) -> FigureTable {
-    fig7_markets_with(&ExperimentRunner::default(), seed)
-}
-
-/// [`fig7_markets`] on an explicit runner.
+///
+/// Expected shape: two markets (TM) beat real-time only (RTM).
 #[must_use]
 pub fn fig7_markets_with(runner: &ExperimentRunner, seed: u64) -> FigureTable {
     const CASES: [(&str, MarketMode); 2] = [
@@ -317,15 +361,13 @@ pub fn fig7_markets_with(runner: &ExperimentRunner, seed: u64) -> FigureTable {
 }
 
 /// Fig. 7, part 3: cost vs UPS size (`Bmax` in minutes of peak demand;
-/// `0` is the paper's "no battery" case).
-#[must_use]
-pub fn fig7_battery(seed: u64, minutes: &[f64]) -> FigureTable {
-    fig7_battery_with(&ExperimentRunner::default(), seed, minutes)
-}
-
-/// [`fig7_battery`] on an explicit runner. Each cell derives its engine
+/// `0` is the paper's "no battery" case). Each cell derives its engine
 /// from one shared trace set via [`Engine::with_params`] instead of
 /// regenerating the month per battery size.
+///
+/// Expected shape: larger batteries reduce curtailment; the cost effect
+/// is small here, because the delay-tolerant backlog already stores the
+/// energy the battery would.
 #[must_use]
 pub fn fig7_battery_with(runner: &ExperimentRunner, seed: u64, minutes: &[f64]) -> FigureTable {
     let (base, _) = setup(seed);
@@ -349,14 +391,12 @@ pub fn fig7_battery_with(runner: &ExperimentRunner, seed: u64, minutes: &[f64]) 
     )
 }
 
-/// Fig. 8: cost vs renewable penetration and vs demand variation.
-#[must_use]
-pub fn fig8(seed: u64, penetrations: &[f64], variations: &[f64]) -> (FigureTable, FigureTable) {
-    fig8_with(&ExperimentRunner::default(), seed, penetrations, variations)
-}
-
-/// [`fig8`] on an explicit runner (one sweep per sub-figure; cells apply
-/// the scaling transform to one shared truth set).
+/// Fig. 8: cost vs renewable penetration and vs demand variation (one
+/// sweep per sub-figure; cells apply the scaling transform to one shared
+/// truth set).
+///
+/// Expected shape: cost falls steeply with penetration (renewables are
+/// free at the margin); cost rises mildly with demand variation.
 #[must_use]
 pub fn fig8_with(
     runner: &ExperimentRunner,
@@ -409,14 +449,12 @@ pub fn fig8_with(
 }
 
 /// Fig. 9: change in cost *reduction* (vs Impatient) when the controller
-/// observes uniformly perturbed inputs, across `V`.
-#[must_use]
-pub fn fig9(seed: u64, error_fraction: f64, vs: &[f64]) -> FigureTable {
-    fig9_with(&ExperimentRunner::default(), seed, error_fraction, vs)
-}
-
-/// [`fig9`] on an explicit runner. The Impatient baseline is cell 0 of
-/// the same sweep; each `V` cell runs the clean and the noisy world.
+/// observes uniformly perturbed inputs, across `V`. The Impatient
+/// baseline is cell 0 of the same sweep; each `V` cell runs the clean and
+/// the noisy world.
+///
+/// Expected shape: the delta column stays within a few percentage points
+/// for every `V` (the paper reports [−1.6%, +2.1%]).
 #[must_use]
 pub fn fig9_with(
     runner: &ExperimentRunner,
@@ -474,15 +512,12 @@ pub fn fig9_with(
 }
 
 /// Fig. 10: total cost under system expansion `β` (demand and renewables
-/// scaled, UPS fixed, interconnect scaled with the build-out).
-#[must_use]
-pub fn fig10(seed: u64, betas: &[f64]) -> FigureTable {
-    fig10_with(&ExperimentRunner::default(), seed, betas)
-}
-
-/// [`fig10`] on an explicit runner. The per-unit column normalizes
-/// against the first `β`, so cells return raw costs and the table is
-/// assembled sequentially afterwards.
+/// scaled, UPS fixed, interconnect scaled with the build-out). The
+/// per-unit column normalizes against the first `β`, so cells return raw
+/// costs and the table is assembled sequentially afterwards.
+///
+/// Expected shape: total cost grows almost linearly in `β`; the per-unit
+/// column stays near 1.0x.
 #[must_use]
 pub fn fig10_with(runner: &ExperimentRunner, seed: u64, betas: &[f64]) -> FigureTable {
     let truth = paper_traces(seed);
@@ -516,15 +551,13 @@ pub fn fig10_with(runner: &ExperimentRunner, seed: u64, betas: &[f64]) -> Figure
 }
 
 /// Ablation: the printed P5 objective vs the drift-plus-penalty
-/// derivation, and the paper-literal P4 vs the waste-aware cap (the
-/// `dpss_core::P5Objective` and `dpss_core::P4Variant` docs say why
-/// each variant exists).
-#[must_use]
-pub fn ablations(seed: u64) -> FigureTable {
-    ablations_with(&ExperimentRunner::default(), seed)
-}
-
-/// [`ablations`] on an explicit runner (one cell per variant).
+/// derivation, and the paper-literal P4 vs the waste-aware cap, one cell
+/// per variant (the `dpss_core::P5Objective` and `dpss_core::P4Variant`
+/// docs say why each variant exists).
+///
+/// Expected shape: the paper-literal P4 over-buys whenever the queue
+/// weight exceeds `V·p_lt` and burns the surplus as waste; the P5
+/// objective variants land close to each other.
 #[must_use]
 pub fn ablations_with(runner: &ExperimentRunner, seed: u64) -> FigureTable {
     use dpss_core::{P4Variant, P5Objective};
@@ -571,13 +604,9 @@ pub fn ablations_with(runner: &ExperimentRunner, seed: u64) -> FigureTable {
 /// Extension ablation: how much is better frame-ahead information worth?
 /// Runs SmartDPSS under the causal previous-frame observation, a perfect
 /// coming-frame oracle, and a noisy oracle at the paper's cited 22.2%
-/// renewable forecast error.
-#[must_use]
-pub fn forecast_ablation(seed: u64) -> FigureTable {
-    forecast_ablation_with(&ExperimentRunner::default(), seed)
-}
-
-/// [`forecast_ablation`] on an explicit runner (one cell per policy).
+/// renewable forecast error, one cell per policy.
+///
+/// Expected shape: oracle frame forecasts shave a few percent.
 #[must_use]
 pub fn forecast_ablation_with(runner: &ExperimentRunner, seed: u64) -> FigureTable {
     use dpss_sim::ForecastPolicy;
@@ -622,13 +651,11 @@ pub fn forecast_ablation_with(runner: &ExperimentRunner, seed: u64) -> FigureTab
 
 /// Extension: the full baseline roster on one trace — SmartDPSS, the
 /// offline benchmark, the receding-horizon MPC (causal and oracle
-/// forecasts), Impatient, and the greedy battery-arbitrage rule.
-#[must_use]
-pub fn baselines(seed: u64) -> FigureTable {
-    baselines_with(&ExperimentRunner::default(), seed)
-}
-
-/// [`baselines`] on an explicit runner (one cell per policy).
+/// forecasts), Impatient, and the greedy battery-arbitrage rule — one
+/// cell per policy.
+///
+/// Expected shape: SmartDPSS beats both myopic baselines (Impatient and
+/// greedy).
 #[must_use]
 pub fn baselines_with(runner: &ExperimentRunner, seed: u64) -> FigureTable {
     use dpss_core::{GreedyBattery, RecedingHorizon};
@@ -687,27 +714,29 @@ pub fn baselines_with(runner: &ExperimentRunner, seed: u64) -> FigureTable {
     )
 }
 
-/// Default-everything convenience used by tests: computes the Fig. 6(a)
-/// table with the canonical seed and grid.
-#[must_use]
-pub fn fig6_v_default() -> FigureTable {
-    fig6_v(PAPER_SEED, &FIG6_V_GRID, true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PAPER_SEED;
 
     #[test]
     fn fig5_covers_every_day() {
-        let (table, csv) = fig5(7);
+        let table = fig5_with(&ExperimentRunner::default(), 7);
         assert_eq!(table.rows.len(), 31);
-        assert_eq!(csv.lines().count(), 745); // header + 744 slots
+    }
+
+    #[test]
+    fn registry_names_are_unique_and_unknown_names_build_nothing() {
+        for (i, name) in NAMES.iter().enumerate() {
+            assert!(!NAMES[..i].contains(name), "{name} registered twice");
+        }
+        assert!(NAMES.contains(&"pack-overview") && NAMES.contains(&"topology"));
+        assert!(tables("fig99", &ExperimentRunner::serial(), PAPER_SEED).is_none());
     }
 
     #[test]
     fn fig6_v_small_grid_is_monotone_in_cost() {
-        let t = fig6_v(PAPER_SEED, &[0.1, 5.0], false);
+        let t = fig6_v_with(&ExperimentRunner::default(), PAPER_SEED, &[0.1, 5.0], false);
         assert_eq!(t.rows.len(), 2);
         let cost_low: f64 = t.rows[0][1].parse().unwrap();
         let cost_high: f64 = t.rows[1][1].parse().unwrap();
@@ -719,11 +748,12 @@ mod tests {
 
     #[test]
     fn fig7_tables_have_expected_shapes() {
-        let eps = fig7_epsilon(PAPER_SEED, &[0.25, 2.0]);
+        let runner = ExperimentRunner::default();
+        let eps = fig7_epsilon_with(&runner, PAPER_SEED, &[0.25, 2.0]);
         let d0: f64 = eps.rows[0][2].parse().unwrap();
         let d1: f64 = eps.rows[1][2].parse().unwrap();
         assert!(d1 < d0, "larger ε serves sooner");
-        let markets = fig7_markets(PAPER_SEED);
+        let markets = fig7_markets_with(&runner, PAPER_SEED);
         let tm: f64 = markets.rows[0][1].parse().unwrap();
         let rtm: f64 = markets.rows[1][1].parse().unwrap();
         assert!(tm < rtm, "two markets cheaper");
@@ -731,7 +761,12 @@ mod tests {
 
     #[test]
     fn fig8_penetration_reduces_cost() {
-        let (pen, _) = fig8(PAPER_SEED, &[0.0, 1.0], &[1.0]);
+        let (pen, _) = fig8_with(
+            &ExperimentRunner::default(),
+            PAPER_SEED,
+            &[0.0, 1.0],
+            &[1.0],
+        );
         let none: f64 = pen.rows[0][1].parse().unwrap();
         let full: f64 = pen.rows[1][1].parse().unwrap();
         assert!(full < none);
@@ -739,7 +774,7 @@ mod tests {
 
     #[test]
     fn fig10_grows_with_beta() {
-        let t = fig10(PAPER_SEED, &[1.0, 2.0]);
+        let t = fig10_with(&ExperimentRunner::default(), PAPER_SEED, &[1.0, 2.0]);
         let c1: f64 = t.rows[0][1].parse().unwrap();
         let c2: f64 = t.rows[1][1].parse().unwrap();
         assert!(c2 > c1);

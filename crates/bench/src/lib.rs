@@ -1,12 +1,14 @@
 //! Experiment harness for the SmartDPSS evaluation (§VI): one computation
-//! function per paper figure, shared by the `fig*` regenerator binaries,
-//! the `dpss sweep` CLI and the harness self-tests — plus the [`packs`]
-//! module's scenario-pack and multi-datacenter sweeps.
+//! function per paper figure, shared by the `dpss sweep` CLI and the
+//! harness self-tests — plus the [`packs`] module's scenario-pack and
+//! multi-datacenter sweeps and the [`routing`] module's workload-routing
+//! comparison.
 //!
-//! Every function takes a seed (all built-in artifacts use seed 42) and
-//! returns a [`FigureTable`] whose rows mirror the series the paper plots.
-//! Binaries print the table and also persist it as JSON under
-//! `target/figures/` so downstream tooling can diff runs.
+//! Every function takes a runner and a seed (all built-in artifacts use
+//! seed 42) and returns a [`FigureTable`] whose rows mirror the series the
+//! paper plots. `dpss sweep --figure NAME` renders any of them
+//! ([`figures::NAMES`]); `--json` prints the tables for downstream
+//! tooling to diff.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -17,7 +19,6 @@
 // expects assert construction invariants and say which one.
 // audit:allow-file(panic-unwrap): bench treats misconfiguration of built-in worlds as a programming error; every expect states its invariant
 
-mod cache;
 pub mod figures;
 pub mod packs;
 pub mod routing;
@@ -25,10 +26,8 @@ mod runner;
 mod spec;
 mod table;
 
-pub use cache::{SweepCache, CACHE_SCHEMA_VERSION};
 pub use packs::{
-    lp_counts_row, pack_overview_with, pack_sweep, pack_sweep_with, pack_sweep_with_counts,
-    topology_roster, topology_sweep_with, DispatchMode, FleetLpCounts, LP_COUNTS_COLUMNS,
+    pack_overview_with, pack_sweep_with, topology_roster, topology_sweep_with, DispatchMode,
 };
 pub use routing::{routing_interconnect, routing_outcomes, routing_sweep_with, RoutingOutcome};
 pub use runner::ExperimentRunner;
@@ -137,45 +136,6 @@ pub fn run_impatient(engine: &Engine) -> RunReport {
     engine
         .run(&mut Impatient::two_markets())
         .expect("run succeeds")
-}
-
-/// Builds an [`ExperimentRunner`] from a report binary's command line:
-/// `--threads N` selects the worker budget (`0` or absent = all cores).
-/// Unknown flags are ignored so binaries can layer their own.
-#[must_use]
-pub fn runner_from_env_args() -> ExperimentRunner {
-    let mut threads = 0usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            if let Some(v) = args.next() {
-                threads = v.parse().unwrap_or(0);
-            }
-        }
-    }
-    ExperimentRunner::new(threads)
-}
-
-/// Writes a figure table as JSON under `target/figures/<name>.json`
-/// (best-effort: failures to create the directory are reported, not fatal,
-/// so the binaries still print their tables on read-only filesystems).
-pub fn persist(table: &FigureTable, name: &str) {
-    let dir = std::path::Path::new("target/figures");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("note: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(table) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("note: cannot write {}: {e}", path.display());
-            } else {
-                eprintln!("wrote {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("note: cannot serialize {name}: {e}"),
-    }
 }
 
 #[cfg(test)]

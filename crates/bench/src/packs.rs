@@ -16,14 +16,14 @@
 use std::fmt;
 
 use dpss_sim::{
-    Controller, Engine, Interconnect, MultiSiteEngine, MultiSiteReport, RoutingConfig, RunReport,
-    SimParams,
+    Controller, Engine, Interconnect, MultiSiteEngine, MultiSiteReport, RunReport, SimParams,
 };
 use dpss_traces::ScenarioPack;
 use dpss_units::{Energy, Price, SlotClock};
 
 use crate::{run_smart, Axis, ExperimentRunner, FigureTable, SweepSpec};
-use dpss_core::{FleetPlanner, RoutingPlanner, SmartDpss, SmartDpssConfig};
+use dpss_core::{FleetPlanner, SmartDpss, SmartDpssConfig};
+use dpss_lp::SolverStats;
 
 /// How a pack sweep dispatches and settles inter-site transfers over
 /// its [`Interconnect`].
@@ -80,47 +80,6 @@ impl fmt::Display for DispatchMode {
     }
 }
 
-/// Warm/cold LP solve counts accumulated by a sweep's fleet planners,
-/// for the `pack_sweep_lp_counts` JSON artifact: settlement counts come
-/// from [`FleetPlanner::solve_counts`], prospective counts from
-/// [`FleetPlanner::prospective_solve_counts`] (zeros outside coordinated
-/// mode). Deterministic — the solve sequence is a pure function of the
-/// sweep inputs — so the artifact is byte-stable like every table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FleetLpCounts {
-    /// Warm-started settlement LP solves.
-    pub settlement_warm: u64,
-    /// Cold (from-scratch) settlement LP solves.
-    pub settlement_cold: u64,
-    /// Warm-started prospective-dispatch LP solves.
-    pub prospective_warm: u64,
-    /// Cold prospective-dispatch LP solves.
-    pub prospective_cold: u64,
-}
-
-impl FleetLpCounts {
-    /// Warm fraction of all settlement solves (0 when none ran).
-    #[must_use]
-    pub fn settlement_warm_ratio(&self) -> f64 {
-        ratio(self.settlement_warm, self.settlement_cold)
-    }
-
-    /// Warm fraction of all prospective solves (0 when none ran).
-    #[must_use]
-    pub fn prospective_warm_ratio(&self) -> f64 {
-        ratio(self.prospective_warm, self.prospective_cold)
-    }
-}
-
-fn ratio(warm: u64, cold: u64) -> f64 {
-    let total = warm + cold;
-    if total == 0 {
-        0.0
-    } else {
-        warm as f64 / total as f64
-    }
-}
-
 /// Default interconnect-coupling knob for pack sweeps: a modest 2 MWh of
 /// inter-site transfer per coarse frame (the paper's site peaks at
 /// 2 MW × 24 h = 48 MWh per frame, so this is ~4% of interconnect scale).
@@ -142,9 +101,8 @@ pub fn default_interconnect(sites: usize) -> Interconnect {
 }
 
 /// Looks `name` up in the built-in pack registry, with the canonical
-/// error message. The single source of that wording: the CLI parser, the
-/// sweep entry points and the artifact binary all route through here
-/// (CI greps the exact prefix).
+/// error message. The single source of that wording: the CLI routes
+/// every `--pack` through here (CI greps the exact prefix).
 ///
 /// # Errors
 ///
@@ -156,25 +114,6 @@ pub fn lookup_builtin(name: &str) -> Result<ScenarioPack, String> {
             ScenarioPack::builtin_names().join("|")
         )
     })
-}
-
-/// [`pack_sweep_with`] on the default runner, topology and (post-hoc)
-/// settlement mode, looking the pack up in the built-in registry.
-///
-/// # Errors
-///
-/// Returns a message naming the known packs if `pack_name` is not a
-/// built-in.
-pub fn pack_sweep(seed: u64, pack_name: &str, sites: usize) -> Result<FigureTable, String> {
-    let pack = lookup_builtin(pack_name)?;
-    Ok(pack_sweep_with(
-        &ExperimentRunner::default(),
-        seed,
-        &pack,
-        sites,
-        &default_interconnect(sites),
-        DispatchMode::PostHoc,
-    ))
 }
 
 /// The cross-site aggregation table for one scenario pack, in the chosen
@@ -197,6 +136,14 @@ pub fn pack_sweep(seed: u64, pack_name: &str, sites: usize) -> Result<FigureTabl
 /// Rows: one per site, then one `fleet` aggregate row per variant carrying
 /// the transfer settlement (sent MWh, displaced $, wheeling $).
 ///
+/// Also returns the [`SolverStats`] of the planners that produced the
+/// table: zeros post-hoc (no LP runs); in planned mode the one planner
+/// (and LP template) reused across all variants, with
+/// [`FleetPlanner::clear_basis`] between them, which every golden suite
+/// pins against the fresh-per-variant result; in coordinated mode the
+/// per-variant planners, merged in variant order so the stats are the
+/// same for any `--threads`.
+///
 /// # Panics
 ///
 /// Panics if `sites == 0`, the pack is empty, the topology spans a
@@ -210,28 +157,7 @@ pub fn pack_sweep_with(
     sites: usize,
     interconnect: &Interconnect,
     mode: DispatchMode,
-) -> FigureTable {
-    pack_sweep_with_counts(runner, seed, pack, sites, interconnect, mode).0
-}
-
-/// [`pack_sweep_with`] plus the fleet planners' warm/cold LP solve
-/// counts. The table bytes are identical to [`pack_sweep_with`]'s — in
-/// planned mode one planner (and its LP template) is reused across all
-/// variants with [`FleetPlanner::clear_basis`] between them, which every
-/// golden suite pins against the fresh-per-variant result.
-///
-/// # Panics
-///
-/// Same contract as [`pack_sweep_with`].
-#[must_use]
-pub fn pack_sweep_with_counts(
-    runner: &ExperimentRunner,
-    seed: u64,
-    pack: &ScenarioPack,
-    sites: usize,
-    interconnect: &Interconnect,
-    mode: DispatchMode,
-) -> (FigureTable, FleetLpCounts) {
+) -> (FigureTable, SolverStats) {
     assert!(sites >= 1, "a pack sweep needs at least one site");
     assert!(!pack.is_empty(), "a pack sweep needs at least one variant");
     assert_eq!(
@@ -262,7 +188,7 @@ pub fn pack_sweep_with_counts(
         })
         .collect();
 
-    let mut counts = FleetLpCounts::default();
+    let mut stats = SolverStats::default();
     let variant_fleets: Vec<MultiSiteReport> = match mode {
         DispatchMode::PostHoc | DispatchMode::Planned => {
             let spec = SweepSpec::new(&format!("pack-{}", pack.name()), seed)
@@ -279,7 +205,7 @@ pub fn pack_sweep_with_counts(
             // mode reuses one planner (one LP template, one workspace)
             // for the whole sweep; `clear_basis` between variants keeps
             // each variant byte-identical to a fresh planner while the
-            // workspace counters accumulate the sweep's warm/cold story.
+            // workspace counters accumulate the whole sweep's telemetry.
             let mut planner =
                 (mode == DispatchMode::Planned).then(|| FleetPlanner::for_engine(&fleets[0]));
             let mut it = results.into_iter();
@@ -300,8 +226,7 @@ pub fn pack_sweep_with_counts(
                 })
                 .collect();
             if let Some(pl) = &planner {
-                (counts.settlement_warm, counts.settlement_cold) = pl.solve_counts();
-                (counts.prospective_warm, counts.prospective_cold) = pl.prospective_solve_counts();
+                stats = pl.solver_stats();
             }
             settled
         }
@@ -322,19 +247,12 @@ pub fn pack_sweep_with_counts(
                 let report = fleet_engine
                     .run_with(&mut controllers, &mut dispatcher)
                     .expect("fleet run succeeds");
-                (
-                    report,
-                    dispatcher.solve_counts(),
-                    dispatcher.prospective_solve_counts(),
-                )
+                (report, dispatcher.solver_stats())
             });
             cells
                 .into_iter()
-                .map(|(report, settle, prospective)| {
-                    counts.settlement_warm += settle.0;
-                    counts.settlement_cold += settle.1;
-                    counts.prospective_warm += prospective.0;
-                    counts.prospective_cold += prospective.1;
+                .map(|(report, cell_stats)| {
+                    stats.merge(&cell_stats);
                     report
                 })
                 .collect()
@@ -343,8 +261,7 @@ pub fn pack_sweep_with_counts(
 
     let mode_tag = match mode {
         DispatchMode::PostHoc => String::new(),
-        DispatchMode::Planned => ", planned".to_owned(),
-        DispatchMode::Coordinated => ", coordinated".to_owned(),
+        DispatchMode::Planned | DispatchMode::Coordinated => format!(", {mode}"),
     };
     let mut table = FigureTable::new(
         &format!(
@@ -394,35 +311,8 @@ pub fn pack_sweep_with_counts(
             format!("{:.2}", fleet.transfer_savings.dollars()),
         ]);
     }
-    (table, counts)
+    (table, stats)
 }
-
-/// Renders a mode's [`FleetLpCounts`] as one row of the
-/// `pack_sweep_lp_counts` artifact table (built by the `pack_sweep`
-/// binary; tested here so the row shape stays stable).
-#[must_use]
-pub fn lp_counts_row(mode: DispatchMode, counts: &FleetLpCounts) -> Vec<String> {
-    vec![
-        mode.to_string(),
-        counts.settlement_warm.to_string(),
-        counts.settlement_cold.to_string(),
-        format!("{:.3}", counts.settlement_warm_ratio()),
-        counts.prospective_warm.to_string(),
-        counts.prospective_cold.to_string(),
-        format!("{:.3}", counts.prospective_warm_ratio()),
-    ]
-}
-
-/// Column headers matching [`lp_counts_row`].
-pub const LP_COUNTS_COLUMNS: [&str; 7] = [
-    "mode",
-    "settle warm",
-    "settle cold",
-    "settle warm ratio",
-    "prospective warm",
-    "prospective cold",
-    "prospective warm ratio",
-];
 
 /// The named transmission-structure roster the topology sweep crosses
 /// with the scenario packs: `pooled` is the legacy frictionless knob
@@ -465,8 +355,8 @@ pub fn topology_roster(sites: usize) -> Vec<(&'static str, Interconnect)> {
 /// [`FleetPlanner`] (planned mode — routing is what distinguishes the
 /// structures). Site runs are topology-independent, so each
 /// `(pack, variant, site)` cell runs once and settles under all four
-/// topologies in the fold. Persisted by the `pack_sweep` binary as
-/// `target/figures/topology_sweep.json`.
+/// topologies in the fold. Registered as `dpss sweep --figure topology`
+/// at 4 sites.
 ///
 /// # Panics
 ///
@@ -576,7 +466,8 @@ pub fn topology_sweep_with(runner: &ExperimentRunner, seed: u64, sites: usize) -
 
 /// Overview sweep across *all* built-in packs: a `pack × variant` cell
 /// grid, one single-site SmartDPSS month per cell. The quick regime
-/// comparison the README's pack catalogue quotes.
+/// comparison the README's pack catalogue quotes; registered as
+/// `dpss sweep --figure pack-overview`.
 #[must_use]
 pub fn pack_overview_with(runner: &ExperimentRunner, seed: u64) -> FigureTable {
     let packs: Vec<ScenarioPack> = ScenarioPack::builtin_names()
@@ -625,84 +516,15 @@ pub fn pack_overview_with(runner: &ExperimentRunner, seed: u64) -> FigureTable {
     )
 }
 
-/// A serial LP-kernel telemetry probe behind `dpss sweep --solver-stats`:
-/// runs the pack's *first* variant through one coordinated fleet month —
-/// wrapped by the workload router when `routed` is set — and renders the
-/// planner's [`SolverStats`](dpss_lp::SolverStats) counters as a
-/// metric/value table. Deliberately single-threaded and single-variant so
-/// the counters describe one reproducible month rather than a
-/// thread-dependent interleaving of planners.
-///
-/// # Panics
-///
-/// Same harness contract as [`pack_sweep_with`], plus a validated
-/// `routed` config when one is supplied.
+/// Renders the [`SolverStats`] a sweep returned as the metric/value table
+/// behind `dpss sweep --solver-stats`, titled after the sweep's own table
+/// so the two always describe the same run. Deterministic counters only:
+/// the wall-clock `solve_ns` is never rendered, so the table is identical
+/// at any `--threads`.
 #[must_use]
-pub fn solver_stats_table(
-    seed: u64,
-    pack: &ScenarioPack,
-    sites: usize,
-    interconnect: &Interconnect,
-    routed: Option<RoutingConfig>,
-) -> FigureTable {
-    assert!(sites >= 1, "a stats probe needs at least one site");
-    assert!(!pack.is_empty(), "a stats probe needs at least one variant");
-    assert_eq!(
-        interconnect.sites(),
-        sites,
-        "the interconnect must span the probe's site roster"
-    );
-    let clock = SlotClock::icdcs13_month();
-    let params = SimParams::icdcs13();
-    let label = pack.variant(0).expect("non-empty pack").0.to_owned();
-    let engines: Vec<Engine> = (0..sites)
-        .map(|s| {
-            let traces = pack
-                .generate_site(&clock, seed, 0, s)
-                .expect("built-in pack generates valid traces");
-            Engine::new(params, traces).expect("valid engine")
-        })
-        .collect();
-    let fleet = MultiSiteEngine::new(engines)
-        .expect("sites share the calendar")
-        .with_interconnect(interconnect.clone())
-        .expect("topology spans the roster");
-    let mut controllers: Vec<Box<dyn Controller>> = (0..sites)
-        .map(|_| {
-            Box::new(
-                SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock)
-                    .expect("valid configuration"),
-            ) as Box<dyn Controller>
-        })
-        .collect();
-
-    let stats = match routed {
-        Some(config) => {
-            let mut planner = RoutingPlanner::new(
-                FleetPlanner::for_engine(&fleet).with_coordination(true),
-                config,
-            )
-            .expect("validated routing config");
-            fleet
-                .run_routed(&mut controllers, &mut planner, config)
-                .expect("routed fleet run succeeds");
-            planner.solver_stats()
-        }
-        None => {
-            let mut planner = FleetPlanner::for_engine(&fleet).with_coordination(true);
-            fleet
-                .run_with(&mut controllers, &mut planner)
-                .expect("fleet run succeeds");
-            planner.solver_stats()
-        }
-    };
-
+pub fn solver_stats_table(sweep: &FigureTable, stats: &SolverStats) -> FigureTable {
     let mut table = FigureTable::new(
-        &format!(
-            "LP kernel stats: pack {} variant {label}, one coordinated month ({sites} site{})",
-            pack.name(),
-            if sites == 1 { "" } else { "s" },
-        ),
+        &format!("LP kernel stats: {}", sweep.title),
         &["metric", "value"],
     );
     let rows: [(&str, String); 10] = [
@@ -726,13 +548,6 @@ pub fn solver_stats_table(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pack_sweep_rejects_unknown_names() {
-        let err = pack_sweep(42, "nonexistent", 1).unwrap_err();
-        assert!(err.contains("unknown scenario pack"), "{err}");
-        assert!(err.contains("seasonal-calendar"), "{err}");
-    }
 
     #[test]
     fn dispatch_mode_parses_the_closed_roster() {
@@ -759,7 +574,7 @@ mod tests {
     fn pack_sweep_table_shape() {
         // Two sites over the 4-variant price-spike pack: 4 × (2 + fleet).
         let pack = ScenarioPack::builtin("price-spike").unwrap();
-        let t = pack_sweep_with(
+        let (t, _) = pack_sweep_with(
             &ExperimentRunner::serial(),
             7,
             &pack,
@@ -774,7 +589,7 @@ mod tests {
         assert_eq!(t.rows[0][6], "-");
         assert_ne!(t.rows[2][6], "-");
         // The coordinated table has the same shape and titles its mode.
-        let c = pack_sweep_with(
+        let (c, _) = pack_sweep_with(
             &ExperimentRunner::serial(),
             7,
             &pack,
@@ -788,37 +603,32 @@ mod tests {
     }
 
     #[test]
-    fn planned_sweep_reuses_one_planner_and_reports_counts() {
+    fn planned_sweep_reuses_one_planner_and_reports_its_stats() {
         let pack = ScenarioPack::builtin("price-spike").unwrap();
-        let (t, counts) = pack_sweep_with_counts(
-            &ExperimentRunner::serial(),
-            7,
-            &pack,
-            2,
-            &default_interconnect(2),
-            DispatchMode::Planned,
-        );
+        let sweep = |mode| {
+            pack_sweep_with(
+                &ExperimentRunner::serial(),
+                7,
+                &pack,
+                2,
+                &default_interconnect(2),
+                mode,
+            )
+        };
+        let (t, stats) = sweep(DispatchMode::Planned);
         assert_eq!(t.rows.len(), 4 * 3);
         // One planner serves all four variants: warm chains within each
         // variant's frames, and clear_basis forces at least one cold
         // start per variant (so variants stay order-independent).
-        assert!(counts.settlement_warm > 0, "{counts:?}");
-        assert!(counts.settlement_cold >= 4, "{counts:?}");
-        assert!(counts.settlement_warm_ratio() > 0.0);
-        assert_eq!(counts.prospective_warm + counts.prospective_cold, 0);
-        let row = lp_counts_row(DispatchMode::Planned, &counts);
-        assert_eq!(row.len(), LP_COUNTS_COLUMNS.len());
-        assert_eq!(row[0], "planned");
+        assert!(stats.warm_solves > 0, "{stats:?}");
+        assert!(stats.cold_solves >= 4, "{stats:?}");
+        assert_eq!(stats.solves, stats.warm_solves + stats.cold_solves);
+        let shown = solver_stats_table(&t, &stats);
+        assert!(shown.title.ends_with(&t.title), "{}", shown.title);
+        assert_eq!(shown.rows[0], ["lp solves", &stats.solves.to_string()]);
         // Post-hoc settles greedily: no LP ever runs.
-        let (_, none) = pack_sweep_with_counts(
-            &ExperimentRunner::serial(),
-            7,
-            &pack,
-            2,
-            &default_interconnect(2),
-            DispatchMode::PostHoc,
-        );
-        assert_eq!(none, FleetLpCounts::default());
+        let (_, none) = sweep(DispatchMode::PostHoc);
+        assert_eq!(none, SolverStats::default());
     }
 
     #[test]

@@ -12,7 +12,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::cache::SweepCache;
 use crate::spec::{Cell, SweepSpec};
 use crate::FigureTable;
 
@@ -108,78 +107,6 @@ impl ExperimentRunner {
                     // audit:allow(panic-explicit): the claim loop covers 0..n, so an empty slot is a scheduler bug
                     .unwrap_or_else(|| panic!("cell {i} produced no result"))
             })
-            .collect()
-    }
-
-    /// [`run_cells`](Self::run_cells) through a [`SweepCache`]: cells
-    /// whose content key already has a stored result are served from
-    /// disk, only the misses are computed (fanned out over the worker
-    /// budget exactly like an uncached run), and every fresh result is
-    /// stored for the next run. Output is in cell order and — because a
-    /// hit is the JSON round-trip of what `f` returned when the file was
-    /// written — equal to the uncached run for any hit/miss split.
-    ///
-    /// # Panics
-    ///
-    /// Propagates panics from `f`.
-    pub fn run_cells_cached<R, F>(&self, spec: &SweepSpec, cache: &SweepCache, f: F) -> Vec<R>
-    where
-        R: serde::Serialize + serde::Deserialize + Send,
-        F: Fn(&Cell) -> R + Sync,
-    {
-        let n = spec.cells();
-        let mut out: Vec<Option<R>> = (0..n).map(|i| cache.load(spec, i)).collect();
-        let missing: Vec<usize> = out
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.is_none().then_some(i))
-            .collect();
-        let workers = self.threads.min(missing.len()).max(1);
-        if workers == 1 {
-            for &i in &missing {
-                let v = f(&spec.cell(i));
-                cache.store(spec, i, &v);
-                // audit:allow(slice-index): miss indices come from enumerating `out`
-                out[i] = Some(v);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<R>>> =
-                (0..missing.len()).map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= missing.len() {
-                            break;
-                        }
-                        // audit:allow(slice-index): k < missing.len() guards the claim and slots matches it
-                        let i = missing[k];
-                        let v = f(&spec.cell(i));
-                        cache.store(spec, i, &v);
-                        // audit:allow(slice-index): k < missing.len() guards the claim and slots matches it
-                        // audit:allow(panic-unwrap): a poisoned slot means a sibling worker already panicked
-                        *slots[k].lock().expect("result slot poisoned") = Some(v);
-                    });
-                }
-            });
-            for (k, slot) in slots.into_iter().enumerate() {
-                // audit:allow(slice-index): slots and missing have equal length
-                let i = missing[k];
-                let v = slot
-                    .into_inner()
-                    // audit:allow(panic-unwrap): a poisoned slot means a worker already panicked
-                    .expect("result slot poisoned")
-                    // audit:allow(panic-explicit): the claim loop covers every miss, so an empty slot is a scheduler bug
-                    .unwrap_or_else(|| panic!("cell {i} produced no result"));
-                // audit:allow(slice-index): miss indices come from enumerating `out`
-                out[i] = Some(v);
-            }
-        }
-        out.into_iter()
-            .enumerate()
-            // audit:allow(panic-explicit): every index was either a hit or computed above
-            .map(|(i, r)| r.unwrap_or_else(|| panic!("cell {i} produced no result")))
             .collect()
     }
 

@@ -82,11 +82,6 @@ impl FigureTable {
         }
         out
     }
-
-    /// Prints the rendered table to stdout.
-    pub fn print(&self) {
-        println!("{}", self.render());
-    }
 }
 
 #[cfg(test)]

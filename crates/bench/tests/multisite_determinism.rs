@@ -1,9 +1,9 @@
 //! Multi-site determinism contracts, run in release mode by CI next to
 //! the sweep-determinism job:
 //!
-//! * pack sweeps (the `dpss sweep --pack` tables) are byte-identical for
-//!   `--threads 1` vs `8` — in both settlement modes (post-hoc and
-//!   planned);
+//! * pack sweeps (the `dpss sweep --pack` tables and their LP
+//!   telemetry) are byte-identical for `--threads 1` vs `8` — in every
+//!   dispatch mode (post-hoc, planned and coordinated);
 //! * the fleet settlement is independent of site-execution order — the
 //!   per-site runs can be computed in any order (or on any thread) and
 //!   [`MultiSiteEngine::couple`] (and the planner's
@@ -13,10 +13,11 @@
 //!   `price-spike --sites 3 --dispatch planned` next to it, so both
 //!   settlement modes have goldens of their own next to the Fig. 6 one
 //!   (CI uploads the corresponding `pack_sweep{,_planned}.json`
-//!   artifacts).
+//!   artifacts, written by `dpss sweep --pack … --json`).
 
-use dpss_bench::{packs, DispatchMode, ExperimentRunner, PAPER_SEED};
+use dpss_bench::{packs, DispatchMode, ExperimentRunner, FigureTable, PAPER_SEED};
 use dpss_core::{FleetPlanner, SmartDpss, SmartDpssConfig};
+use dpss_lp::SolverStats;
 use dpss_sim::{
     Controller, Engine, FleetDispatcher, FrameSettlement, Interconnect, MultiSiteEngine, RunReport,
     SimParams,
@@ -24,26 +25,38 @@ use dpss_sim::{
 use dpss_traces::ScenarioPack;
 use dpss_units::{Energy, Price, SlotClock};
 
+/// A sweep's table and LP telemetry with the one wall-clock field zeroed:
+/// everything else must be identical at any thread count.
+fn without_wall_clock((table, stats): (FigureTable, SolverStats)) -> (FigureTable, SolverStats) {
+    (
+        table,
+        SolverStats {
+            solve_ns: 0,
+            ..stats
+        },
+    )
+}
+
 #[test]
 fn pack_sweep_threads_1_and_8_are_identical() {
     let pack = ScenarioPack::builtin("seasonal-calendar").unwrap();
     let ic = packs::default_interconnect(3);
-    let serial = packs::pack_sweep_with(
+    let serial = without_wall_clock(packs::pack_sweep_with(
         &ExperimentRunner::serial(),
         PAPER_SEED,
         &pack,
         3,
         &ic,
         DispatchMode::PostHoc,
-    );
-    let threaded = packs::pack_sweep_with(
+    ));
+    let threaded = without_wall_clock(packs::pack_sweep_with(
         &ExperimentRunner::new(8),
         PAPER_SEED,
         &pack,
         3,
         &ic,
         DispatchMode::PostHoc,
-    );
+    ));
     assert_eq!(serial, threaded);
 }
 
@@ -51,22 +64,22 @@ fn pack_sweep_threads_1_and_8_are_identical() {
 fn planned_pack_sweep_threads_1_and_8_are_identical() {
     let pack = ScenarioPack::builtin("seasonal-calendar").unwrap();
     let ic = packs::default_interconnect(3);
-    let serial = packs::pack_sweep_with(
+    let serial = without_wall_clock(packs::pack_sweep_with(
         &ExperimentRunner::serial(),
         PAPER_SEED,
         &pack,
         3,
         &ic,
         DispatchMode::Planned,
-    );
-    let threaded = packs::pack_sweep_with(
+    ));
+    let threaded = without_wall_clock(packs::pack_sweep_with(
         &ExperimentRunner::new(8),
         PAPER_SEED,
         &pack,
         3,
         &ic,
         DispatchMode::Planned,
-    );
+    ));
     assert_eq!(serial, threaded);
 }
 
@@ -76,22 +89,22 @@ fn coordinated_pack_sweep_threads_1_and_8_are_identical() {
     // so worker scheduling must not move a byte of the table.
     let pack = ScenarioPack::builtin("price-spike").unwrap();
     let ic = packs::default_interconnect(3);
-    let serial = packs::pack_sweep_with(
+    let serial = without_wall_clock(packs::pack_sweep_with(
         &ExperimentRunner::serial(),
         PAPER_SEED,
         &pack,
         3,
         &ic,
         DispatchMode::Coordinated,
-    );
-    let threaded = packs::pack_sweep_with(
+    ));
+    let threaded = without_wall_clock(packs::pack_sweep_with(
         &ExperimentRunner::new(8),
         PAPER_SEED,
         &pack,
         3,
         &ic,
         DispatchMode::Coordinated,
-    );
+    ));
     assert_eq!(serial, threaded);
 }
 
@@ -194,7 +207,8 @@ fn seasonal_calendar_fleet_rows_match_golden_bytes() {
         3,
         &packs::default_interconnect(3),
         DispatchMode::PostHoc,
-    );
+    )
+    .0;
     // 4 variants × (3 sites + 1 fleet row).
     assert_eq!(table.rows.len(), 16);
     let golden: [[&str; 8]; 4] = [
@@ -409,7 +423,8 @@ fn price_spike_coordinated_fleet_rows_match_golden_bytes() {
         3,
         &packs::default_interconnect(3),
         DispatchMode::Coordinated,
-    );
+    )
+    .0;
     assert_eq!(table.rows.len(), 16);
     let calm_fleet: [&str; 8] = [
         "calm", "fleet", "100.217", "22.06", "430.4", "70.9", "25.95", "1266.45",
@@ -441,7 +456,8 @@ fn price_spike_planned_fleet_rows_match_golden_bytes() {
         3,
         &packs::default_interconnect(3),
         DispatchMode::Planned,
-    );
+    )
+    .0;
     assert_eq!(table.rows.len(), 16);
     let golden: [[&str; 8]; 4] = [
         ["calm", "0", "32.843", "23.07", "146.1", "10.5", "-", "-"],

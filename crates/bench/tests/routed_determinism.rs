@@ -12,6 +12,7 @@
 
 use dpss_bench::{routing, ExperimentRunner, PAPER_SEED};
 use dpss_core::{FleetPlanner, RoutingPlanner, SmartDpss, SmartDpssConfig};
+use dpss_lp::SolverStats;
 use dpss_sim::{
     Controller, Engine, FrameSettlement, MultiSiteEngine, RoutedDispatcher, RoutingConfig,
     RunReport, SimParams,
@@ -24,7 +25,7 @@ fn routed_sweep_threads_1_and_8_are_identical() {
     let pack = ScenarioPack::builtin("traffic-wave").unwrap();
     let ic = routing::routing_interconnect(3);
     let config = RoutingConfig::icdcs13();
-    let serial = routing::routing_sweep_with(
+    let (serial, serial_stats) = routing::routing_sweep_with(
         &ExperimentRunner::serial(),
         PAPER_SEED,
         &pack,
@@ -32,9 +33,21 @@ fn routed_sweep_threads_1_and_8_are_identical() {
         &ic,
         config,
     );
-    let threaded =
+    let (threaded, threaded_stats) =
         routing::routing_sweep_with(&ExperimentRunner::new(8), PAPER_SEED, &pack, 3, &ic, config);
     assert_eq!(serial, threaded);
+    // The LP telemetry is merged in variant order: only the wall clock
+    // may differ between thread counts.
+    assert_eq!(
+        SolverStats {
+            solve_ns: 0,
+            ..serial_stats
+        },
+        SolverStats {
+            solve_ns: 0,
+            ..threaded_stats
+        }
+    );
 }
 
 /// The acceptance fleet: 3 sites on the flash-crowd variant of the

@@ -121,10 +121,6 @@ pub struct FleetPlanner {
     /// Whether [`FleetDispatcher::direct`] plans prospective directives
     /// (coordinated mode) or stays silent (planned mode).
     coordinate: bool,
-    /// Safety margin on the buy-to-export economics: a prospective buy
-    /// flow must clear `procure_cost × (1 + margin)`, so forecast error
-    /// has to be this large before a directed purchase can lose money.
-    procure_margin: f64,
     /// The aggregated prospective LP, built on first use (coordinated
     /// runs only).
     prospective_net: Option<ProspectiveNetLp>,
@@ -160,6 +156,13 @@ struct ProspectiveNetLp {
     need_rows: Vec<Option<ConstraintId>>,
     workspace: LpWorkspace,
 }
+
+/// Safety margin on the buy-to-export economics, measured as the robust
+/// point on the built-in packs: a prospective procured flow must clear
+/// `procure_cost × (1 + margin)` in forecast delivered value before the
+/// planner directs it, so the one-frame-back forecast has to be off by
+/// more than the margin before a directed purchase can lose money.
+const PROCURE_MARGIN: f64 = 0.6;
 
 impl FleetPlanner {
     /// Builds the planner (and its LP template) for a topology.
@@ -220,7 +223,6 @@ impl FleetPlanner {
             need_rows,
             workspace: LpWorkspace::new(),
             coordinate: false,
-            procure_margin: 0.6,
             prospective_net: None,
         }
     }
@@ -286,28 +288,6 @@ impl FleetPlanner {
     pub fn with_coordination(mut self, coordinate: bool) -> Self {
         self.coordinate = coordinate;
         self
-    }
-
-    /// Sets the buy-to-export safety margin (default `0.6`, measured as the robust point on the built-in packs): a
-    /// prospective procured flow must clear
-    /// `procure_cost × (1 + margin)` in forecast delivered value before
-    /// the planner directs it, so the one-frame-back forecast has to be
-    /// off by more than the margin before a directed purchase can lose
-    /// money.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidParameter`] for a non-finite or negative
-    /// margin.
-    pub fn with_procure_margin(mut self, margin: f64) -> Result<Self, SimError> {
-        if !(margin.is_finite() && margin >= 0.0) {
-            return Err(SimError::InvalidParameter {
-                what: "procure_margin",
-                requirement: "must be finite and non-negative",
-            });
-        }
-        self.procure_margin = margin;
-        Ok(self)
     }
 
     /// The planner built for a fleet's configured topology.
@@ -451,7 +431,7 @@ impl FleetPlanner {
         if self.flows.is_empty() || self.ic.is_silent() {
             return directives;
         }
-        let margin = 1.0 + self.procure_margin;
+        let margin = 1.0 + PROCURE_MARGIN;
         let lp = self
             .prospective_net
             .get_or_insert_with(|| ProspectiveNetLp::for_topology(&self.ic));
@@ -553,25 +533,9 @@ impl FleetPlanner {
         engine.couple_with(reports, |ex| self.plan(ex))
     }
 
-    /// Warm-start diagnostics of the underlying workspace: `(warm, cold)`
-    /// solve counts so far.
-    #[must_use]
-    pub fn solve_counts(&self) -> (u64, u64) {
-        (self.workspace.warm_solves(), self.workspace.cold_solves())
-    }
-
-    /// Warm-start diagnostics of the prospective-dispatch workspace:
-    /// `(warm, cold)` solve counts so far (zeros until the first
-    /// coordinated frame is planned).
-    #[must_use]
-    pub fn prospective_solve_counts(&self) -> (u64, u64) {
-        self.prospective_net.as_ref().map_or((0, 0), |lp| {
-            (lp.workspace.warm_solves(), lp.workspace.cold_solves())
-        })
-    }
-
     /// Cumulative solver telemetry across every workspace the planner
-    /// owns — settlement plus the prospective template once built. Counter fields sum; peak fields take the maximum over the
+    /// owns — settlement plus the prospective template once built.
+    /// Counter fields sum; peak fields take the maximum over the
     /// workspaces. See [`SolverStats`].
     #[must_use]
     pub fn solver_stats(&self) -> SolverStats {
@@ -780,7 +744,8 @@ mod tests {
             let s = p.plan(&ex);
             assert!(s.savings.dollars() > 0.0);
         }
-        let (warm, cold) = p.solve_counts();
+        let stats = p.solver_stats();
+        let (warm, cold) = (stats.warm_solves, stats.cold_solves);
         assert_eq!(warm + cold, 6);
         assert!(
             warm >= 3,
@@ -850,8 +815,8 @@ mod tests {
         assert!((ds[0].export_value - 80.0).abs() < 1e-9);
         assert!((ds[1].import_expectation.mwh() - 2.0).abs() < 1e-9);
         assert_eq!(ds[1].export_quota, Energy::ZERO);
-        let (warm, cold) = p.prospective_solve_counts();
-        assert_eq!(warm + cold, 1);
+        // Only the prospective template has solved so far.
+        assert_eq!(p.solver_stats().solves, 1);
 
         // Below the margin ($40 < $31 × 1.6) only the free surplus moves:
         // nothing is procured.
@@ -865,8 +830,8 @@ mod tests {
         assert!((ds[0].export_quota.mwh() - 1.0).abs() < 1e-9, "{ds:?}");
         assert_eq!(ds[0].procure_for_export, Energy::ZERO);
         // Frame-to-frame re-solves stay on the warm path.
-        let (warm, cold) = p.prospective_solve_counts();
-        assert_eq!((warm + cold, cold), (2, 1));
+        let stats = p.solver_stats();
+        assert_eq!((stats.solves, stats.cold_solves), (2, 1));
     }
 
     #[test]
@@ -904,7 +869,8 @@ mod tests {
                 "frame {k}: dense {dense} vs network {n_net}"
             );
         }
-        let (warm, cold) = net.solve_counts();
+        let stats = net.solver_stats();
+        let (warm, cold) = (stats.warm_solves, stats.cold_solves);
         assert_eq!(warm + cold, 6);
         assert!(warm >= 2, "{warm} warm / {cold} cold");
     }
@@ -970,7 +936,8 @@ mod tests {
         for (look, dense) in &cases {
             assert_eq!(net.plan_prospective(look), dense, "frame {}", look.frame);
         }
-        let (warm, cold) = net.prospective_solve_counts();
+        let stats = net.solver_stats();
+        let (warm, cold) = (stats.warm_solves, stats.cold_solves);
         assert_eq!(warm + cold, 3);
         assert!(warm >= 1, "{warm} warm / {cold} cold");
     }
@@ -982,12 +949,16 @@ mod tests {
         let ex = exchange(&[2.0, 0.3, 0.0], &[0.0, 1.0, 1.5], &[0.0, 55.0, 70.0]);
         let _ = p.plan(&ex);
         let _ = p.plan(&ex);
-        let (w1, c1) = p.solve_counts();
-        assert_eq!((w1, c1), (1, 1));
+        let stats = p.solver_stats();
+        assert_eq!((stats.warm_solves, stats.cold_solves), (1, 1));
         p.clear_basis();
         let _ = p.plan(&ex);
-        let (w2, c2) = p.solve_counts();
-        assert_eq!((w2, c2), (1, 2), "cleared basis must force a cold solve");
+        let stats = p.solver_stats();
+        assert_eq!(
+            (stats.warm_solves, stats.cold_solves),
+            (1, 2),
+            "cleared basis must force a cold solve"
+        );
     }
 
     #[test]
@@ -1006,8 +977,12 @@ mod tests {
         let a = donor.plan(&ex2);
         let b = restored.plan(&ex2);
         assert_eq!(a, b);
-        let (warm, cold) = restored.solve_counts();
-        assert_eq!((warm, cold), (1, 0), "restored planner must solve warm");
+        let stats = restored.solver_stats();
+        assert_eq!(
+            (stats.warm_solves, stats.cold_solves),
+            (1, 0),
+            "restored planner must solve warm"
+        );
 
         // Roundtrip through JSON (what a snapshot file carries).
         let json = serde_json::to_string(&state).unwrap();
@@ -1027,14 +1002,6 @@ mod tests {
                 .import_state(&bad),
             Err(SimError::InvalidState { .. })
         ));
-    }
-
-    #[test]
-    fn prospective_margin_validates() {
-        let p = FleetPlanner::new(Interconnect::decoupled(2).unwrap());
-        assert!(p.clone().with_procure_margin(f64::NAN).is_err());
-        assert!(p.clone().with_procure_margin(-0.1).is_err());
-        assert!(p.with_procure_margin(0.0).is_ok());
     }
 
     #[test]

@@ -47,10 +47,6 @@ use crate::CoreError;
 #[derive(Debug, Clone)]
 pub struct RecedingHorizon {
     params: SimParams,
-    /// Real-time price proxy as a multiple of the observed `p_lt`.
-    rt_markup: f64,
-    /// Service deadline passed to the frame LP (`None` → frame length).
-    deadline_slots: Option<usize>,
     plan_grt: Vec<f64>,
     plan_sdt: Vec<f64>,
     /// Workspace shared by the per-frame LPs (see
@@ -64,45 +60,22 @@ pub struct RecedingHorizon {
     directive: Option<FrameDirective>,
 }
 
+/// Real-time price proxy as a multiple of the observed `p_lt`: the trace
+/// model's mean markup.
+const RT_MARKUP: f64 = 1.35;
+
 impl RecedingHorizon {
-    /// Creates the controller with the default real-time price proxy
-    /// (1.35× the long-term price, the trace model's mean markup).
+    /// Creates the controller. It prices real-time energy at 1.35× the
+    /// observed long-term price (the trace model's mean markup) and asks
+    /// the frame LP to serve delay-tolerant demand within the frame.
     ///
     /// # Errors
     ///
     /// Propagates parameter validation.
     pub fn new(params: SimParams) -> Result<Self, CoreError> {
-        Self::with_options(params, 1.35, None)
-    }
-
-    /// Creates the controller with an explicit price proxy and deadline.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidConfig`] for a non-finite/sub-1 markup or a
-    /// zero deadline; propagates parameter validation.
-    pub fn with_options(
-        params: SimParams,
-        rt_markup: f64,
-        deadline_slots: Option<usize>,
-    ) -> Result<Self, CoreError> {
         params.validate()?;
-        if !(rt_markup.is_finite() && rt_markup >= 1.0) {
-            return Err(CoreError::InvalidConfig {
-                what: "rt_markup",
-                requirement: "must be finite and at least 1",
-            });
-        }
-        if deadline_slots == Some(0) {
-            return Err(CoreError::InvalidConfig {
-                what: "deadline_slots",
-                requirement: "must be at least 1 when set",
-            });
-        }
         Ok(RecedingHorizon {
             params,
-            rt_markup,
-            deadline_slots,
             plan_grt: Vec::new(),
             plan_sdt: Vec::new(),
             workspace: dpss_lp::LpWorkspace::new(),
@@ -200,8 +173,7 @@ impl Controller for RecedingHorizon {
         let d_dt = vec![obs.demand_dt.mwh().max(0.0); t];
         let renewable = vec![obs.renewable.mwh().max(0.0); t];
         let p_lt = obs.price_lt.dollars_per_mwh();
-        let p_rt = vec![p_lt * self.rt_markup; t];
-        let deadline = Some(self.deadline_slots.unwrap_or(t));
+        let p_rt = vec![p_lt * RT_MARKUP; t];
         if !self.warm_start {
             self.workspace.clear_basis();
         }
@@ -216,7 +188,7 @@ impl Controller for RecedingHorizon {
             renewable: &renewable,
             b0: view.battery_level.mwh(),
             q0: view.queue_backlog.mwh(),
-            deadline,
+            deadline: Some(t),
             allow_rt: true,
             max_pivots: None,
         };
@@ -288,15 +260,6 @@ mod tests {
         let truth = Scenario::icdcs13().generate(&clock, seed).unwrap();
         let params = SimParams::icdcs13();
         (Engine::new(params, truth).unwrap(), params)
-    }
-
-    #[test]
-    fn validation() {
-        let params = SimParams::icdcs13();
-        assert!(RecedingHorizon::with_options(params, 0.5, None).is_err());
-        assert!(RecedingHorizon::with_options(params, f64::NAN, None).is_err());
-        assert!(RecedingHorizon::with_options(params, 1.2, Some(0)).is_err());
-        assert!(RecedingHorizon::new(params).is_ok());
     }
 
     #[test]

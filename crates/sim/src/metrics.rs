@@ -181,7 +181,7 @@ impl RunReport {
         }
     }
 
-    /// One-line human-readable summary (used by the figure regenerators).
+    /// One-line human-readable summary (printed by `dpss run`).
     #[must_use]
     pub fn summary(&self) -> String {
         format!(

@@ -235,16 +235,27 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
             }
             _ => {}
         }
-        // Pack names are a closed registry, so a typo is a usage error
-        // (exit 2), unlike runtime failures inside a sweep (exit 1).
+        // Pack and figure names are closed registries, so a typo is a
+        // usage error (exit 2), unlike runtime failures inside a sweep
+        // (exit 1).
         if !cli.pack.is_empty() {
             packs::lookup_builtin(&cli.pack)?;
         }
+        if !cli.figure.is_empty() && !figures::NAMES.contains(&cli.figure.as_str()) {
+            return Err(unknown_figure(&cli.figure));
+        }
     }
-    // The routing knobs configure the workload router, which only runs
-    // under --routing co-optimized; a silent no-op would misreport what
-    // the table measured, so a stray knob is a usage error.
-    if cli.routing != RoutingMode::CoOptimized {
+    // The router settles over a ring, which needs two sites. The routing
+    // knobs configure the router, which only runs under --routing
+    // co-optimized; a silent no-op would misreport what the table
+    // measured, so a stray knob is a usage error.
+    if cli.routing == RoutingMode::CoOptimized {
+        if cli.sites < 2 {
+            return Err(
+                "--routing co-optimized needs --sites 2 or more (it routes over a ring)".into(),
+            );
+        }
+    } else {
         if cli.interactive_fraction.is_some() {
             return Err("--interactive-fraction requires --routing co-optimized".into());
         }
@@ -258,6 +269,13 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
     Ok(cli)
 }
 
+fn unknown_figure(name: &str) -> String {
+    format!(
+        "unknown figure: {name} (expected {})",
+        figures::NAMES.join("|")
+    )
+}
+
 fn parse_f64(s: &str, name: &str) -> Result<f64, String> {
     let x: f64 = s.trim().parse().map_err(|e| format!("{name}: {e}"))?;
     if x.is_finite() {
@@ -267,8 +285,14 @@ fn parse_f64(s: &str, name: &str) -> Result<f64, String> {
     }
 }
 
-fn usage() -> &'static str {
-    "dpss — SmartDPSS (ICDCS 2013) reproduction CLI
+fn usage() -> String {
+    let figure_names = figures::NAMES
+        .chunks(6)
+        .map(|names| names.join("|"))
+        .collect::<Vec<_>>()
+        .join("|\n                     ");
+    format!(
+        "dpss — SmartDPSS (ICDCS 2013) reproduction CLI
 
 USAGE:
   dpss run     [--controller smart|offline|impatient|greedy] [--v F]
@@ -277,8 +301,7 @@ USAGE:
   dpss traces  [--seed N] [--days N] [--out FILE]   export the input CSV
   dpss sweep-v [--grid F,F,...] [--seed N] [--days N] [--threads N] [--json]
   dpss sweep   --figure NAME [--seed N] [--threads N] [--json]
-               NAME: fig5|fig6v|fig6t|fig7|fig8|fig9|fig10|
-                     ablations|forecast|baselines
+               NAME: {figure_names}
   dpss sweep   --pack NAME [--sites N]
                [--dispatch post-hoc|planned|coordinated]
                [--routing off|co-optimized]
@@ -290,14 +313,14 @@ USAGE:
                      per-frame flow LPs, coordinated mode feeds the plan
                      back into the sites' dispatch as buy-to-export
                      directives; --routing co-optimized implies
-                     coordinated dispatch and adds the workload router:
+                     coordinated dispatch over a lossy wheeled ring of
+                     --sites N >= 2 and adds the workload router:
                      deferrable requests absorb residual curtailment,
                      migrate toward it, or wait for cheaper frames.
                      --interactive-fraction F in [0,1] and
                      --max-queue-age N tune the router's admission
                      split and queue-age bound; --solver-stats appends
-                     the LP kernel's telemetry for one coordinated
-                     month of the pack's first variant)
+                     the LP telemetry of the planners behind the table)
   dpss bounds  [--v F] [--epsilon F] [--battery-min F] [--t N]
   dpss audit   [--json]   run the workspace source lints (determinism,
                panic-safety, hygiene); --json also writes target/audit.json.
@@ -314,6 +337,7 @@ USAGE:
 Sweeps fan their cells out over --threads workers (0 = all cores) and
 are deterministic: any thread count produces identical tables.
 All defaults reproduce the paper's one-month setup (seed 42)."
+    )
 }
 
 fn serve_options(cli: &Cli) -> smartdpss::ServeOptions {
@@ -377,7 +401,7 @@ fn run_controller(cli: &Cli) -> Result<RunReport, String> {
 
 fn execute(cli: &Cli) -> Result<String, String> {
     match cli.command {
-        Command::Help => Ok(usage().to_owned()),
+        Command::Help => Ok(usage()),
         Command::Run => {
             let report = run_controller(cli)?;
             if cli.json {
@@ -445,118 +469,22 @@ fn execute(cli: &Cli) -> Result<String, String> {
         }
         Command::Sweep => {
             let runner = ExperimentRunner::new(cli.threads);
-            let seed = cli.seed;
-            if !cli.pack.is_empty() {
-                // Validated at parse time; unknown packs never get here.
-                let pack = packs::lookup_builtin(&cli.pack)?;
-                let interconnect = packs::default_interconnect(cli.sites);
-                // Co-optimized routing wraps the coordinated fleet
-                // dispatch; off leaves the pack sweep bit-for-bit as if
-                // the flag never existed. The CLI knobs override the
-                // paper defaults only when spelled out.
-                let mut routing_config = RoutingConfig::icdcs13();
-                if let Some(f) = cli.interactive_fraction {
-                    routing_config = routing_config.with_interactive_fraction(f);
-                }
-                if let Some(a) = cli.max_queue_age {
-                    routing_config = routing_config.with_max_queue_age(a);
-                }
-                let routed = cli.routing == RoutingMode::CoOptimized;
-                let mut tables = vec![if routed {
-                    routing::routing_sweep_with(
-                        &runner,
-                        seed,
-                        &pack,
-                        cli.sites,
-                        &interconnect,
-                        routing_config,
-                    )
-                } else {
-                    packs::pack_sweep_with(
-                        &runner,
-                        seed,
-                        &pack,
-                        cli.sites,
-                        &interconnect,
-                        cli.dispatch,
-                    )
-                }];
-                if cli.solver_stats {
-                    tables.push(packs::solver_stats_table(
-                        seed,
-                        &pack,
-                        cli.sites,
-                        &interconnect,
-                        routed.then_some(routing_config),
-                    ));
-                }
-                return if cli.json {
-                    // One bare table keeps the pre---solver-stats JSON
-                    // shape; the stats probe appends a second document.
-                    if let [table] = tables.as_slice() {
-                        serde_json::to_string_pretty(table).map_err(|e| e.to_string())
-                    } else {
-                        serde_json::to_string_pretty(&tables).map_err(|e| e.to_string())
-                    }
-                } else {
-                    Ok(tables
-                        .iter()
-                        .map(FigureTable::render)
-                        .collect::<Vec<_>>()
-                        .join("\n"))
-                };
-            }
-            let tables: Vec<FigureTable> = match cli.figure.as_str() {
-                "fig5" => vec![figures::fig5_with(&runner, seed).0],
-                "fig6v" => vec![figures::fig6_v_with(
-                    &runner,
-                    seed,
-                    &figures::FIG6_V_GRID,
-                    true,
-                )],
-                "fig6t" => vec![figures::fig6_t_with(
-                    &runner,
-                    seed,
-                    &figures::FIG6_T_GRID,
-                    48,
-                )],
-                "fig7" => vec![
-                    figures::fig7_epsilon_with(&runner, seed, &figures::FIG7_EPS_GRID),
-                    figures::fig7_markets_with(&runner, seed),
-                    figures::fig7_battery_with(&runner, seed, &figures::FIG7_BMAX_GRID),
-                ],
-                "fig8" => {
-                    let (pen, var) = figures::fig8_with(
-                        &runner,
-                        seed,
-                        &figures::FIG8_PENETRATION_GRID,
-                        &figures::FIG8_VARIATION_GRID,
-                    );
-                    vec![pen, var]
-                }
-                "fig9" => vec![figures::fig9_with(
-                    &runner,
-                    seed,
-                    0.5,
-                    &figures::FIG6_V_GRID,
-                )],
-                "fig10" => vec![figures::fig10_with(
-                    &runner,
-                    seed,
-                    &figures::FIG10_BETA_GRID,
-                )],
-                "ablations" => vec![figures::ablations_with(&runner, seed)],
-                "forecast" => vec![figures::forecast_ablation_with(&runner, seed)],
-                "baselines" => vec![figures::baselines_with(&runner, seed)],
-                other => {
-                    return Err(format!(
-                        "unknown figure: {other} (expected fig5|fig6v|fig6t|fig7|fig8|\
-                         fig9|fig10|ablations|forecast|baselines)"
-                    ))
-                }
+            let tables = if cli.pack.is_empty() {
+                // Validated at parse time; unknown figures never get here.
+                figures::tables(&cli.figure, &runner, cli.seed)
+                    .ok_or_else(|| unknown_figure(&cli.figure))?
+            } else {
+                pack_sweep_tables(cli, &runner)?
             };
             if cli.json {
-                serde_json::to_string_pretty(&tables).map_err(|e| e.to_string())
+                match tables.as_slice() {
+                    // A pack sweep without --solver-stats prints one bare
+                    // table: the shape of the CI artifacts it writes.
+                    [table] if !cli.pack.is_empty() => {
+                        serde_json::to_string_pretty(table).map_err(|e| e.to_string())
+                    }
+                    _ => serde_json::to_string_pretty(&tables).map_err(|e| e.to_string()),
+                }
             } else {
                 Ok(tables
                     .iter()
@@ -650,6 +578,46 @@ fn execute(cli: &Cli) -> Result<String, String> {
             ))
         }
     }
+}
+
+/// The tables of `sweep --pack`: the pack sweep itself and, under
+/// `--solver-stats`, the LP telemetry of the planners that produced it.
+fn pack_sweep_tables(cli: &Cli, runner: &ExperimentRunner) -> Result<Vec<FigureTable>, String> {
+    // Validated at parse time; unknown packs never get here.
+    let pack = packs::lookup_builtin(&cli.pack)?;
+    let (table, stats) = if cli.routing == RoutingMode::CoOptimized {
+        // The router wraps the coordinated fleet dispatch over the lossy
+        // wheeled ring. The CLI knobs override the paper defaults only
+        // when spelled out.
+        let mut config = RoutingConfig::icdcs13();
+        if let Some(f) = cli.interactive_fraction {
+            config = config.with_interactive_fraction(f);
+        }
+        if let Some(a) = cli.max_queue_age {
+            config = config.with_max_queue_age(a);
+        }
+        routing::routing_sweep_with(
+            runner,
+            cli.seed,
+            &pack,
+            cli.sites,
+            &routing::routing_interconnect(cli.sites),
+            config,
+        )
+    } else {
+        packs::pack_sweep_with(
+            runner,
+            cli.seed,
+            &pack,
+            cli.sites,
+            &packs::default_interconnect(cli.sites),
+            cli.dispatch,
+        )
+    };
+    let stats_table = cli
+        .solver_stats
+        .then(|| packs::solver_stats_table(&table, &stats));
+    Ok(std::iter::once(table).chain(stats_table).collect())
 }
 
 /// A CLI failure: the message plus whether it was a usage error (bad
@@ -1001,10 +969,104 @@ mod tests {
     }
 
     #[test]
-    fn sweep_unknown_figure_is_an_execution_error() {
+    fn unknown_figure_is_a_usage_error_with_the_known_names() {
         let err = run_cli(args("sweep --figure fig99")).unwrap_err();
-        assert!(!err.usage_error);
-        assert!(err.render().contains("unknown figure"));
+        assert!(err.usage_error, "closed registry → usage error, exit 2");
+        assert_eq!(err.exit_code(), ExitCode::from(2));
+        let shown = err.render();
+        assert!(
+            shown.starts_with(&format!(
+                "dpss: error: unknown figure: fig99 (expected {})",
+                figures::NAMES.join("|")
+            )),
+            "{shown}"
+        );
+        // The usage text lists every registered figure.
+        for name in figures::NAMES {
+            assert!(usage().contains(name), "usage misses {name}");
+        }
+    }
+
+    #[test]
+    fn routed_sweep_settles_over_the_routing_ring() {
+        let json = run_cli(args(
+            "sweep --pack traffic-wave --sites 3 --routing co-optimized --json",
+        ))
+        .unwrap();
+        let pack = packs::lookup_builtin("traffic-wave").unwrap();
+        let (table, _) = routing::routing_sweep_with(
+            &ExperimentRunner::default(),
+            42,
+            &pack,
+            3,
+            &routing::routing_interconnect(3),
+            RoutingConfig::icdcs13(),
+        );
+        assert_eq!(json, serde_json::to_string_pretty(&table).unwrap());
+        // A ring needs two sites: fewer is a usage error, not a panic.
+        let err = run_cli(args("sweep --pack traffic-wave --routing co-optimized")).unwrap_err();
+        assert!(err.usage_error);
+        assert!(
+            err.render().contains("--sites 2 or more"),
+            "{}",
+            err.render()
+        );
+    }
+
+    #[test]
+    fn solver_stats_describe_the_printed_sweep() {
+        // (dispatch, lp solves, warm starts, cold starts) of the planners
+        // behind seasonal-calendar on 3 sites.
+        let pinned = [
+            ("planned", 124, 50, 74),
+            ("coordinated", 248, 92, 156),
+            ("post-hoc", 0, 0, 0),
+        ];
+        for (dispatch, solves, warm, cold) in pinned {
+            let command = format!(
+                "sweep --pack seasonal-calendar --sites 3 --dispatch {dispatch} --solver-stats"
+            );
+            let shown = run_cli(args(&format!("{command} --threads 1"))).unwrap();
+            let threaded = run_cli(args(&format!("{command} --threads 4"))).unwrap();
+            assert_eq!(shown, threaded, "{dispatch}: thread count moved the stats");
+            let json = run_cli(args(&format!("{command} --json"))).unwrap();
+            let tables: Vec<FigureTable> = serde_json::from_str(&json).unwrap();
+            let [sweep, stats] = tables.as_slice() else {
+                panic!("{dispatch}: expected the sweep and its stats");
+            };
+            assert_eq!(stats.title, format!("LP kernel stats: {}", sweep.title));
+            let value = |metric: &str| -> u64 {
+                let row = stats.rows.iter().find(|r| r[0] == metric).unwrap();
+                row[1].parse().unwrap()
+            };
+            assert_eq!(
+                (
+                    value("lp solves"),
+                    value("warm starts"),
+                    value("cold starts")
+                ),
+                (solves, warm, cold),
+                "{dispatch}"
+            );
+            // Deterministic counters only: the wall-clock solve time
+            // never reaches the table.
+            let metrics: Vec<&str> = stats.rows.iter().map(|r| r[0].as_str()).collect();
+            assert_eq!(
+                metrics,
+                [
+                    "lp solves",
+                    "warm starts",
+                    "cold starts",
+                    "warm rejects",
+                    "kernel solves",
+                    "simplex pivots",
+                    "refactorizations",
+                    "refactor rate",
+                    "eta entries peak",
+                    "peak scratch bytes",
+                ]
+            );
+        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use dpss_sim as sim;
 pub use dpss_traces as traces;
 pub use dpss_units as units;
 
-pub use dpss_bench::{Axis, ExperimentRunner, FigureTable, SweepCache, SweepSpec};
+pub use dpss_bench::{Axis, ExperimentRunner, FigureTable, SweepSpec};
 pub use dpss_lp::LpWorkspace;
 
 pub use dpss_bench::DispatchMode;
