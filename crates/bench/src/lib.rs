@@ -26,16 +26,14 @@ mod runner;
 mod spec;
 mod table;
 
-pub use packs::{
-    pack_overview_with, pack_sweep_with, topology_roster, topology_sweep_with, DispatchMode,
-};
+pub use packs::{pack_overview_with, pack_sweep_with, topology_roster, topology_sweep_with};
 pub use routing::{routing_interconnect, routing_outcomes, routing_sweep_with, RoutingOutcome};
 pub use runner::ExperimentRunner;
 pub use spec::{Axis, Cell, SweepSpec};
 pub use table::FigureTable;
 
 use dpss_core::{Impatient, OfflineConfig, OfflineOptimal, SmartDpss, SmartDpssConfig};
-use dpss_sim::{Engine, RunReport, SimParams};
+use dpss_sim::{Controller, Engine, RunReport, SimParams};
 use dpss_traces::{Scenario, TraceSet};
 use dpss_units::SlotClock;
 
@@ -99,6 +97,28 @@ pub fn run_smart(engine: &Engine, params: SimParams, config: SmartDpssConfig) ->
     let mut ctl =
         SmartDpss::new(config, params, engine.truth().clock).expect("valid configuration");
     engine.run(&mut ctl).expect("run succeeds")
+}
+
+/// One SmartDPSS controller (paper configuration) per site of an
+/// `n`-site fleet on `clock` — the roster every fleet sweep runs.
+///
+/// # Panics
+///
+/// Panics if the paper configuration rejects `params` or `clock`.
+#[must_use]
+pub fn smart_controllers(
+    n: usize,
+    params: SimParams,
+    clock: SlotClock,
+) -> Vec<Box<dyn Controller>> {
+    (0..n)
+        .map(|_| {
+            Box::new(
+                SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock)
+                    .expect("valid configuration"),
+            ) as Box<dyn Controller>
+        })
+        .collect()
 }
 
 /// Runs the offline benchmark on `engine`.

@@ -13,92 +13,13 @@
 // audit:allow-file(panic-unwrap): bench treats misconfiguration of built-in packs as a programming error; every expect states its invariant
 // audit:allow-file(slice-index): variant/site indices are bounded by the pack roster and fleet shape they iterate
 
-use std::fmt;
-
-use dpss_sim::{
-    Controller, Engine, Interconnect, MultiSiteEngine, MultiSiteReport, RunReport, SimParams,
-};
-use dpss_traces::ScenarioPack;
-use dpss_units::{Energy, Price, SlotClock};
-
-use crate::{run_smart, Axis, ExperimentRunner, FigureTable, SweepSpec};
-use dpss_core::{FleetPlanner, SmartDpss, SmartDpssConfig};
+use dpss_core::{DispatchMode, SmartDpssConfig};
 use dpss_lp::SolverStats;
+use dpss_sim::{Engine, Interconnect, MultiSiteEngine, SimParams};
+use dpss_traces::ScenarioPack;
+use dpss_units::{Price, SlotClock};
 
-/// How a pack sweep dispatches and settles inter-site transfers over
-/// its [`Interconnect`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// Settle realized curtailment after the fact with the greedy
-    /// per-frame fold ([`Interconnect::settle_greedy`]).
-    #[default]
-    PostHoc,
-    /// Plan each frame's export flows as a linear program
-    /// ([`FleetPlanner`]), warm-started frame to frame. Settlement only:
-    /// the plan never feeds back into what the sites do.
-    Planned,
-    /// Frame-synchronous fleet dispatch: sites run in lockstep over
-    /// coarse frames; between frames the planner forecasts the fleet's
-    /// exchange and hands every site a `FrameDirective` (buy-to-export
-    /// when a neighbour's delivered price beats the local long-term
-    /// cost), then settles each realized frame with the flow LP.
-    Coordinated,
-}
-
-impl DispatchMode {
-    /// The CLI spellings, in display order.
-    pub const NAMES: [&'static str; 3] = ["post-hoc", "planned", "coordinated"];
-
-    /// Parses a CLI spelling, with the canonical error message (the
-    /// mode roster is closed, so a typo is a *usage* error — the CLI
-    /// exits 2 through `CliFailure`).
-    ///
-    /// # Errors
-    ///
-    /// `unknown dispatch mode: <name> (expected
-    /// post-hoc|planned|coordinated)`.
-    pub fn parse(name: &str) -> Result<Self, String> {
-        match name {
-            "post-hoc" => Ok(DispatchMode::PostHoc),
-            "planned" => Ok(DispatchMode::Planned),
-            "coordinated" => Ok(DispatchMode::Coordinated),
-            other => Err(format!(
-                "unknown dispatch mode: {other} (expected {})",
-                Self::NAMES.join("|")
-            )),
-        }
-    }
-}
-
-impl fmt::Display for DispatchMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            DispatchMode::PostHoc => "post-hoc",
-            DispatchMode::Planned => "planned",
-            DispatchMode::Coordinated => "coordinated",
-        })
-    }
-}
-
-/// Default interconnect-coupling knob for pack sweeps: a modest 2 MWh of
-/// inter-site transfer per coarse frame (the paper's site peaks at
-/// 2 MW × 24 h = 48 MWh per frame, so this is ~4% of interconnect scale).
-#[must_use]
-pub fn default_transfer_cap() -> Energy {
-    Energy::from_mwh(2.0)
-}
-
-/// The default topology for an `n`-site pack sweep: the
-/// [`default_transfer_cap`] as a lossless, free, fleet-pooled
-/// [`Interconnect`] — exactly the legacy knob.
-///
-/// # Panics
-///
-/// Panics if `sites == 0` (the sweep entry points assert this first).
-#[must_use]
-pub fn default_interconnect(sites: usize) -> Interconnect {
-    Interconnect::pooled(sites, default_transfer_cap()).expect("default cap is valid")
-}
+use crate::{run_smart, smart_controllers, Axis, ExperimentRunner, FigureTable, SweepSpec};
 
 /// Looks `name` up in the built-in pack registry, with the canonical
 /// error message. The single source of that wording: the CLI routes
@@ -117,32 +38,23 @@ pub fn lookup_builtin(name: &str) -> Result<ScenarioPack, String> {
 }
 
 /// The cross-site aggregation table for one scenario pack, in the chosen
-/// [`DispatchMode`]:
-///
-/// * **post-hoc / planned** — SmartDPSS runs every `(variant, site)`
-///   cell of the sweep grid on the paper's one-month calendar (per-site
-///   seeds and shared markets from the pack's schedule), then each
-///   variant's sites are settled into a fleet row over the interconnect
-///   topology — greedily, or through a fresh per-variant
-///   [`FleetPlanner`] (so warm starts chain across a variant's frames
-///   but variants stay independent of sweep order);
-/// * **coordinated** — sites are coupled through directives, so a
-///   *variant* is the smallest independent cell: each cell runs its
-///   whole fleet frame-synchronously (serially, in site order) with a
-///   coordinating planner, and variants fan out across workers. Tables
-///   stay byte-identical at any `--threads` because every cell is
-///   deterministic in isolation.
+/// [`DispatchMode`]. Each cell is one variant: its whole fleet (per-site
+/// seeds and shared markets from the pack's schedule, SmartDPSS at every
+/// site, the paper's one-month calendar) runs frame-synchronously over
+/// the interconnect with a fresh [`DispatchMode::dispatcher`] — the
+/// greedy fold (post-hoc), a flow-LP planner (planned) or a coordinating
+/// one (coordinated). Variants fan out across the runner's workers; a
+/// worker budget larger than the variant count steps each fleet's sites
+/// on the spare workers. Every cell is deterministic in isolation and
+/// at any inner thread count, so the table is byte-identical at any
+/// `--threads`.
 ///
 /// Rows: one per site, then one `fleet` aggregate row per variant carrying
 /// the transfer settlement (sent MWh, displaced $, wheeling $).
 ///
-/// Also returns the [`SolverStats`] of the planners that produced the
-/// table: zeros post-hoc (no LP runs); in planned mode the one planner
-/// (and LP template) reused across all variants, with
-/// [`FleetPlanner::clear_basis`] between them, which every golden suite
-/// pins against the fresh-per-variant result; in coordinated mode the
-/// per-variant planners, merged in variant order so the stats are the
-/// same for any `--threads`.
+/// Also returns the [`SolverStats`] of the per-variant dispatchers,
+/// merged in variant order so the stats are the same for any
+/// `--threads` (zeros post-hoc: no LP runs).
 ///
 /// # Panics
 ///
@@ -167,97 +79,28 @@ pub fn pack_sweep_with(
     );
     let clock = SlotClock::icdcs13_month();
     let params = SimParams::icdcs13();
-
-    // Engines are built up front (cheap next to the runs) so the sweep
-    // cells — the expensive part — can fan out across workers while the
-    // settlement stays a deterministic per-variant fold.
-    let fleets: Vec<MultiSiteEngine> = (0..pack.len())
-        .map(|v| {
-            let engines: Vec<Engine> = (0..sites)
-                .map(|s| {
-                    let traces = pack
-                        .generate_site(&clock, seed, v, s)
-                        .expect("built-in pack generates valid traces");
-                    Engine::new(params, traces).expect("valid engine")
-                })
-                .collect();
-            MultiSiteEngine::new(engines)
-                .expect("sites share the calendar")
-                .with_interconnect(interconnect.clone())
-                .expect("topology spans the roster")
-        })
-        .collect();
-
+    let spec = SweepSpec::new(&format!("pack-{}-{mode}", pack.name()), seed)
+        .with_axis(Axis::new("variant", pack.labels()));
+    let fleet_threads = runner.threads_per_cell(&spec);
+    let cells = runner.run_cells(&spec, |cell| {
+        let fleet = MultiSiteEngine::from_pack(params, pack, clock, seed, cell.coords[0], sites)
+            .and_then(|f| f.with_interconnect(interconnect.clone()))
+            .expect("built-in pack builds a fleet over the sweep's topology")
+            .with_threads(fleet_threads);
+        let mut dispatcher = mode.dispatcher(interconnect);
+        let report = fleet
+            .run_with(
+                &mut smart_controllers(sites, params, clock),
+                &mut dispatcher,
+            )
+            .expect("fleet run succeeds");
+        (report, dispatcher.solver_stats())
+    });
     let mut stats = SolverStats::default();
-    let variant_fleets: Vec<MultiSiteReport> = match mode {
-        DispatchMode::PostHoc | DispatchMode::Planned => {
-            let spec = SweepSpec::new(&format!("pack-{}", pack.name()), seed)
-                .with_axis(Axis::new("variant", pack.labels()))
-                .with_axis(Axis::new(
-                    "site",
-                    (0..sites).map(|s| s.to_string()).collect::<Vec<_>>(),
-                ));
-            let results = runner.run_cells(&spec, |cell| {
-                let (v, s) = (cell.coords[0], cell.coords[1]);
-                run_smart(&fleets[v].sites()[s], params, SmartDpssConfig::icdcs13())
-            });
-            // Every variant settles over the same topology, so planned
-            // mode reuses one planner (one LP template, one workspace)
-            // for the whole sweep; `clear_basis` between variants keeps
-            // each variant byte-identical to a fresh planner while the
-            // workspace counters accumulate the whole sweep's telemetry.
-            let mut planner =
-                (mode == DispatchMode::Planned).then(|| FleetPlanner::for_engine(&fleets[0]));
-            let mut it = results.into_iter();
-            let settled: Vec<MultiSiteReport> = fleets
-                .iter()
-                .map(|fleet_engine| {
-                    let reports: Vec<RunReport> = it.by_ref().take(sites).collect();
-                    match planner.as_mut() {
-                        None => fleet_engine
-                            .couple(reports)
-                            .expect("reports match the fleet roster"),
-                        Some(pl) => {
-                            pl.clear_basis();
-                            pl.couple(fleet_engine, reports)
-                                .expect("reports match the fleet roster")
-                        }
-                    }
-                })
-                .collect();
-            if let Some(pl) = &planner {
-                stats = pl.solver_stats();
-            }
-            settled
-        }
-        DispatchMode::Coordinated => {
-            let spec = SweepSpec::new(&format!("pack-{}-coordinated", pack.name()), seed)
-                .with_axis(Axis::new("variant", pack.labels()));
-            let cells = runner.run_cells(&spec, |cell| {
-                let fleet_engine = &fleets[cell.coords[0]];
-                let mut controllers: Vec<Box<dyn Controller>> = (0..sites)
-                    .map(|_| {
-                        Box::new(
-                            SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock)
-                                .expect("valid configuration"),
-                        ) as Box<dyn Controller>
-                    })
-                    .collect();
-                let mut dispatcher = FleetPlanner::for_engine(fleet_engine).with_coordination(true);
-                let report = fleet_engine
-                    .run_with(&mut controllers, &mut dispatcher)
-                    .expect("fleet run succeeds");
-                (report, dispatcher.solver_stats())
-            });
-            cells
-                .into_iter()
-                .map(|(report, cell_stats)| {
-                    stats.merge(&cell_stats);
-                    report
-                })
-                .collect()
-        }
-    };
+    for (_, cell_stats) in &cells {
+        stats.merge(cell_stats);
+    }
+    let variant_fleets = cells.into_iter().map(|(report, _)| report);
 
     let mode_tag = match mode {
         DispatchMode::PostHoc => String::new(),
@@ -283,7 +126,7 @@ pub fn pack_sweep_with(
             "saved $",
         ],
     );
-    for (v, fleet) in variant_fleets.iter().enumerate() {
+    for (v, fleet) in variant_fleets.enumerate() {
         let label = pack.variant(v).expect("fleet per variant").0.to_owned();
         for (s, r) in fleet.sites.iter().enumerate() {
             table.push_owned(vec![
@@ -316,7 +159,7 @@ pub fn pack_sweep_with(
 
 /// The named transmission-structure roster the topology sweep crosses
 /// with the scenario packs: `pooled` is the legacy frictionless knob
-/// ([`default_interconnect`]); `mesh` and `ring` are *physical*
+/// ([`dpss_core::default_interconnect`]); `mesh` and `ring` are *physical*
 /// structures at the same per-pair scale with 5% line loss and $2/MWh
 /// wheeling; `severed` cuts every line. On a 3-site fleet the ring is
 /// the mesh (every pair is adjacent); from 4 sites up they separate.
@@ -326,7 +169,7 @@ pub fn pack_sweep_with(
 /// Panics if `sites == 0`.
 #[must_use]
 pub fn topology_roster(sites: usize) -> Vec<(&'static str, Interconnect)> {
-    let cap = default_transfer_cap();
+    let cap = dpss_core::default_transfer_cap();
     let physical = |ic: Interconnect| {
         ic.with_uniform_loss(0.05)
             .expect("valid loss")
@@ -334,10 +177,13 @@ pub fn topology_roster(sites: usize) -> Vec<(&'static str, Interconnect)> {
             .expect("valid wheeling")
     };
     vec![
-        ("pooled", default_interconnect(sites)),
+        (
+            "pooled",
+            dpss_core::default_interconnect(sites).expect("valid roster"),
+        ),
         (
             "mesh",
-            physical(Interconnect::mesh(sites, cap).expect("valid roster")),
+            physical(Interconnect::uniform(sites, cap).expect("valid roster")),
         ),
         (
             "ring",
@@ -345,18 +191,17 @@ pub fn topology_roster(sites: usize) -> Vec<(&'static str, Interconnect)> {
         ),
         (
             "severed",
-            Interconnect::severed(sites).expect("valid roster"),
+            Interconnect::decoupled(sites).expect("valid roster"),
         ),
     ]
 }
 
 /// Topology as a sweep axis: every built-in pack variant crossed with
-/// the [`topology_roster`], settled through a fresh per-cell
-/// [`FleetPlanner`] (planned mode — routing is what distinguishes the
-/// structures). Site runs are topology-independent, so each
-/// `(pack, variant, site)` cell runs once and settles under all four
-/// topologies in the fold. Registered as `dpss sweep --figure topology`
-/// at 4 sites.
+/// the [`topology_roster`], in planned mode (routing is what
+/// distinguishes the structures). Each cell is one `(pack, variant)`
+/// fleet, run once per topology with a fresh planner (stepping its
+/// sites on any workers the cell fan-out leaves idle). Registered as
+/// `dpss sweep --figure topology` at 4 sites.
 ///
 /// # Panics
 ///
@@ -371,24 +216,7 @@ pub fn topology_sweep_with(runner: &ExperimentRunner, seed: u64, sites: usize) -
         .map(|n| ScenarioPack::builtin(n).expect("registry is consistent"))
         .collect();
     let widest = packs.iter().map(ScenarioPack::len).max().unwrap_or(0);
-    let fleets: Vec<Vec<MultiSiteEngine>> = packs
-        .iter()
-        .map(|pack| {
-            (0..pack.len())
-                .map(|v| {
-                    let engines: Vec<Engine> = (0..sites)
-                        .map(|s| {
-                            let traces = pack
-                                .generate_site(&clock, seed, v, s)
-                                .expect("built-in pack generates valid traces");
-                            Engine::new(params, traces).expect("valid engine")
-                        })
-                        .collect();
-                    MultiSiteEngine::new(engines).expect("sites share the calendar")
-                })
-                .collect()
-        })
-        .collect();
+    let roster = topology_roster(sites);
 
     let spec = SweepSpec::new("topology-sweep", seed)
         .with_axis(Axis::new(
@@ -401,25 +229,10 @@ pub fn topology_sweep_with(runner: &ExperimentRunner, seed: u64, sites: usize) -
         .with_axis(Axis::new(
             "variant",
             (0..widest).map(|v| v.to_string()).collect::<Vec<_>>(),
-        ))
-        .with_axis(Axis::new(
-            "site",
-            (0..sites).map(|s| s.to_string()).collect::<Vec<_>>(),
         ));
-    let results: Vec<Option<RunReport>> = runner.run_cells(&spec, |cell| {
-        let (p, v, s) = (cell.coords[0], cell.coords[1], cell.coords[2]);
-        if v >= packs[p].len() {
-            return None; // ragged grid: this pack is narrower
-        }
-        Some(run_smart(
-            &fleets[p][v].sites()[s],
-            params,
-            SmartDpssConfig::icdcs13(),
-        ))
-    });
-
-    let roster = topology_roster(sites);
-    let mut table = FigureTable::new(
+    let fleet_threads = runner.threads_per_cell(&spec);
+    runner.run_table(
+        &spec,
         &format!(
             "Topology sweep: packs x {{pooled, mesh, ring, severed}} \
              ({sites} sites, planned settlement)"
@@ -427,41 +240,40 @@ pub fn topology_sweep_with(runner: &ExperimentRunner, seed: u64, sites: usize) -
         &[
             "pack", "variant", "topology", "$/slot", "xfer MWh", "saved $", "wheel $",
         ],
-    );
-    let mut it = results.into_iter();
-    for (p, pack) in packs.iter().enumerate() {
-        for v in 0..widest {
-            // Ragged grid: drain this variant's cells even when the pack
-            // is narrower than the widest one.
-            let cell_reports: Vec<Option<RunReport>> = it.by_ref().take(sites).collect();
-            let Some(base_fleet) = fleets[p].get(v) else {
-                continue;
-            };
-            let reports: Vec<RunReport> = cell_reports
-                .into_iter()
-                .map(|r| r.expect("real variants produce reports"))
-                .collect();
-            for (name, topology) in &roster {
-                let fleet_engine = base_fleet
-                    .clone()
-                    .with_interconnect(topology.clone())
-                    .expect("roster spans the sweep's sites");
-                let settled = FleetPlanner::for_engine(&fleet_engine)
-                    .couple(&fleet_engine, reports.clone())
-                    .expect("reports match the fleet roster");
-                table.push_owned(vec![
-                    pack.name().to_owned(),
-                    pack.variant(v).expect("v < pack.len()").0.to_owned(),
-                    (*name).to_owned(),
-                    format!("{:.3}", settled.time_average_cost().dollars()),
-                    format!("{:.2}", settled.energy_transferred.mwh()),
-                    format!("{:.2}", settled.transfer_savings.dollars()),
-                    format!("{:.2}", settled.wheeling_cost.dollars()),
-                ]);
+        |cell| {
+            let (p, v) = (cell.coords[0], cell.coords[1]);
+            let pack = &packs[p];
+            if v >= pack.len() {
+                return Vec::new(); // ragged grid: this pack is narrower
             }
-        }
-    }
-    table
+            let fleet = MultiSiteEngine::from_pack(params, pack, clock, seed, v, sites)
+                .expect("built-in pack builds a fleet")
+                .with_threads(fleet_threads);
+            roster
+                .iter()
+                .map(|(name, topology)| {
+                    let settled = fleet
+                        .clone()
+                        .with_interconnect(topology.clone())
+                        .expect("roster spans the sweep's sites")
+                        .run_with(
+                            &mut smart_controllers(sites, params, clock),
+                            &mut DispatchMode::Planned.dispatcher(topology),
+                        )
+                        .expect("fleet run succeeds");
+                    vec![
+                        pack.name().to_owned(),
+                        pack.variant(v).expect("v < pack.len()").0.to_owned(),
+                        (*name).to_owned(),
+                        format!("{:.3}", settled.time_average_cost().dollars()),
+                        format!("{:.2}", settled.energy_transferred.mwh()),
+                        format!("{:.2}", settled.transfer_savings.dollars()),
+                        format!("{:.2}", settled.wheeling_cost.dollars()),
+                    ]
+                })
+                .collect()
+        },
+    )
 }
 
 /// Overview sweep across *all* built-in packs: a `pack × variant` cell
@@ -550,27 +362,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dispatch_mode_parses_the_closed_roster() {
-        assert_eq!(
-            DispatchMode::parse("post-hoc").unwrap(),
-            DispatchMode::PostHoc
-        );
-        assert_eq!(
-            DispatchMode::parse("planned").unwrap(),
-            DispatchMode::Planned
-        );
-        assert_eq!(
-            DispatchMode::parse("coordinated").unwrap(),
-            DispatchMode::Coordinated
-        );
-        let err = DispatchMode::parse("bogus").unwrap_err();
-        assert!(err.contains("unknown dispatch mode: bogus"), "{err}");
-        assert!(err.contains("post-hoc|planned|coordinated"), "{err}");
-        assert_eq!(DispatchMode::Planned.to_string(), "planned");
-        assert_eq!(DispatchMode::Coordinated.to_string(), "coordinated");
-    }
-
-    #[test]
     fn pack_sweep_table_shape() {
         // Two sites over the 4-variant price-spike pack: 4 × (2 + fleet).
         let pack = ScenarioPack::builtin("price-spike").unwrap();
@@ -579,7 +370,7 @@ mod tests {
             7,
             &pack,
             2,
-            &default_interconnect(2),
+            &dpss_core::default_interconnect(2).unwrap(),
             DispatchMode::PostHoc,
         );
         assert_eq!(t.rows.len(), 4 * 3);
@@ -594,7 +385,7 @@ mod tests {
             7,
             &pack,
             2,
-            &default_interconnect(2),
+            &dpss_core::default_interconnect(2).unwrap(),
             DispatchMode::Coordinated,
         );
         assert_eq!(c.rows.len(), 4 * 3);
@@ -603,7 +394,7 @@ mod tests {
     }
 
     #[test]
-    fn planned_sweep_reuses_one_planner_and_reports_its_stats() {
+    fn planned_sweep_reports_its_planners_stats() {
         let pack = ScenarioPack::builtin("price-spike").unwrap();
         let sweep = |mode| {
             pack_sweep_with(
@@ -611,15 +402,14 @@ mod tests {
                 7,
                 &pack,
                 2,
-                &default_interconnect(2),
+                &dpss_core::default_interconnect(2).unwrap(),
                 mode,
             )
         };
         let (t, stats) = sweep(DispatchMode::Planned);
         assert_eq!(t.rows.len(), 4 * 3);
-        // One planner serves all four variants: warm chains within each
-        // variant's frames, and clear_basis forces at least one cold
-        // start per variant (so variants stay order-independent).
+        // A fresh planner per variant: warm chains within each
+        // variant's frames, and each variant starts cold at least once.
         assert!(stats.warm_solves > 0, "{stats:?}");
         assert!(stats.cold_solves >= 4, "{stats:?}");
         assert_eq!(stats.solves, stats.warm_solves + stats.cold_solves);

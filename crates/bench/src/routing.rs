@@ -19,16 +19,13 @@
 // audit:allow-file(panic-unwrap): bench treats misconfiguration of built-in packs as a programming error; every expect states its invariant
 // audit:allow-file(slice-index): variant indices are bounded by the pack roster they iterate
 
-use dpss_core::{FleetPlanner, RoutingPlanner, SmartDpss, SmartDpssConfig};
+use dpss_core::{default_transfer_cap, FleetPlanner, RoutingPlanner};
 use dpss_lp::SolverStats;
-use dpss_sim::{
-    Controller, Engine, Interconnect, LoadTotals, MultiSiteEngine, RoutingConfig, SimParams,
-};
+use dpss_sim::{Interconnect, LoadTotals, MultiSiteEngine, RoutingConfig, SimParams};
 use dpss_traces::ScenarioPack;
 use dpss_units::{Money, Price, SlotClock};
 
-use crate::packs::default_transfer_cap;
-use crate::{Axis, ExperimentRunner, FigureTable, SweepSpec};
+use crate::{smart_controllers, Axis, ExperimentRunner, FigureTable, SweepSpec};
 
 /// One variant's off vs co-optimized outcome, with the workload ledger
 /// behind the co-optimized column — the numeric form the acceptance
@@ -115,46 +112,23 @@ pub fn routing_outcomes(
     let clock = SlotClock::icdcs13_month();
     let params = SimParams::icdcs13();
 
-    let fleets: Vec<MultiSiteEngine> = (0..pack.len())
-        .map(|v| {
-            let engines: Vec<Engine> = (0..sites)
-                .map(|s| {
-                    let traces = pack
-                        .generate_site(&clock, seed, v, s)
-                        .expect("built-in pack generates valid traces");
-                    Engine::new(params, traces).expect("valid engine")
-                })
-                .collect();
-            MultiSiteEngine::new(engines)
-                .expect("sites share the calendar")
-                .with_interconnect(interconnect.clone())
-                .expect("topology spans the roster")
-        })
-        .collect();
-
-    let boxes = |n: usize| -> Vec<Box<dyn Controller>> {
-        (0..n)
-            .map(|_| {
-                Box::new(
-                    SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock)
-                        .expect("valid configuration"),
-                ) as Box<dyn Controller>
-            })
-            .collect()
-    };
-
     let spec = SweepSpec::new(&format!("routing-{}", pack.name()), seed)
         .with_axis(Axis::new("variant", pack.labels()));
     runner.run_cells(&spec, |cell| {
         let v = cell.coords[0];
-        let fleet = &fleets[v];
-        let label = pack.variant(v).expect("fleet per variant").0.to_owned();
+        let fleet = MultiSiteEngine::from_pack(params, pack, clock, seed, v, sites)
+            .and_then(|f| f.with_interconnect(interconnect.clone()))
+            .expect("built-in pack builds a fleet over the sweep's topology");
+        let label = pack.variant(v).expect("cell per variant").0.to_owned();
 
         // Off: coordinated energy dispatch, every request billed at its
         // arrival frame's mean spot.
-        let mut off_dispatcher = FleetPlanner::for_engine(fleet).with_coordination(true);
+        let mut off_dispatcher = FleetPlanner::for_engine(&fleet).with_coordination(true);
         let off_report = fleet
-            .run_with(&mut boxes(sites), &mut off_dispatcher)
+            .run_with(
+                &mut smart_controllers(sites, params, clock),
+                &mut off_dispatcher,
+            )
             .expect("fleet run succeeds");
         let off_workload = fleet
             .workload_ledger(config)
@@ -165,12 +139,16 @@ pub fn routing_outcomes(
         // Co-optimized: the same coordinated planner wrapped by the
         // routing layer; the energy settlement is byte-identical.
         let mut routed = RoutingPlanner::new(
-            FleetPlanner::for_engine(fleet).with_coordination(true),
+            FleetPlanner::for_engine(&fleet).with_coordination(true),
             config,
         )
         .expect("validated routing config");
         let coopt_report = fleet
-            .run_routed(&mut boxes(sites), &mut routed, config)
+            .run_routed(
+                &mut smart_controllers(sites, params, clock),
+                &mut routed,
+                config,
+            )
             .expect("routed fleet run succeeds");
 
         let mut solver_stats = off_dispatcher.solver_stats();

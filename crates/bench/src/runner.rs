@@ -65,6 +65,14 @@ impl ExperimentRunner {
         self.threads
     }
 
+    /// The share of the worker budget each cell of `spec` may use for
+    /// its own inner parallelism (at least 1): the workers the cell
+    /// fan-out leaves idle when the sweep has fewer cells than workers.
+    #[must_use]
+    pub fn threads_per_cell(&self, spec: &SweepSpec) -> usize {
+        (self.threads / spec.cells().max(1)).max(1)
+    }
+
     /// Runs `f` once per cell and returns the results in cell order,
     /// regardless of which worker computed what when.
     ///

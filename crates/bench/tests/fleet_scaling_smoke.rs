@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use dpss_bench::PAPER_SEED;
 use dpss_core::{FleetPlanner, SmartDpss, SmartDpssConfig};
-use dpss_sim::{Controller, Engine, Interconnect, MultiSiteEngine, SimParams};
+use dpss_sim::{Controller, Interconnect, MultiSiteEngine, SimParams};
 use dpss_traces::ScenarioPack;
 use dpss_units::{Energy, Price, SlotClock};
 
@@ -31,16 +31,7 @@ fn assert_month_fits(sites: usize, topology: Interconnect, budget_secs: f64, lab
     let params = SimParams::icdcs13();
     let pack = ScenarioPack::builtin("price-spike").unwrap();
     let stressed = 3usize;
-    let engines: Vec<Engine> = (0..sites)
-        .map(|s| {
-            Engine::new(
-                params,
-                pack.generate_site(&clock, PAPER_SEED, stressed, s).unwrap(),
-            )
-            .unwrap()
-        })
-        .collect();
-    let multi = MultiSiteEngine::new(engines)
+    let multi = MultiSiteEngine::from_pack(params, &pack, clock, PAPER_SEED, stressed, sites)
         .unwrap()
         .with_interconnect(topology)
         .unwrap()
@@ -76,7 +67,7 @@ fn lossy_wheeled(base: Interconnect) -> Interconnect {
     ignore = "wall-clock smoke gate is a release-mode contract"
 )]
 fn mesh_64_coordinated_month_fits_the_wall_clock_budget() {
-    let mesh = lossy_wheeled(Interconnect::mesh(64, Energy::from_mwh(2.0)).unwrap());
+    let mesh = lossy_wheeled(Interconnect::uniform(64, Energy::from_mwh(2.0)).unwrap());
     assert_month_fits(64, mesh, 120.0, "64-site mesh");
 }
 
@@ -88,7 +79,7 @@ fn mesh_64_coordinated_month_fits_the_wall_clock_budget() {
 fn mesh_256_coordinated_month_fits_the_wall_clock_budget() {
     // 256 × 255 = 65 280 directed links per settlement LP: the link-count
     // stress axis the factorized basis was built for.
-    let mesh = lossy_wheeled(Interconnect::mesh(256, Energy::from_mwh(2.0)).unwrap());
+    let mesh = lossy_wheeled(Interconnect::uniform(256, Energy::from_mwh(2.0)).unwrap());
     assert_month_fits(256, mesh, 300.0, "256-site mesh");
 }
 

@@ -4,10 +4,11 @@
 //! * pack sweeps (the `dpss sweep --pack` tables and their LP
 //!   telemetry) are byte-identical for `--threads 1` vs `8` — in every
 //!   dispatch mode (post-hoc, planned and coordinated);
-//! * the fleet settlement is independent of site-execution order — the
-//!   per-site runs can be computed in any order (or on any thread) and
-//!   [`MultiSiteEngine::couple`] (and the planner's
-//!   [`FleetPlanner::couple`]) still produce the identical aggregate;
+//! * the fleet settlement is independent of site-execution order — a
+//!   hand-driven lockstep loop stepping the sites in a scrambled order
+//!   within every frame reproduces `MultiSiteEngine::run_with` exactly,
+//!   with the greedy `Interconnect`, a planning and a coordinating
+//!   `FleetPlanner` as dispatchers;
 //! * one fleet row of the canonical `seasonal-calendar --sites 3` sweep
 //!   is pinned byte-for-byte, and one variant of
 //!   `price-spike --sites 3 --dispatch planned` next to it, so both
@@ -15,12 +16,12 @@
 //!   (CI uploads the corresponding `pack_sweep{,_planned}.json`
 //!   artifacts, written by `dpss sweep --pack … --json`).
 
-use dpss_bench::{packs, DispatchMode, ExperimentRunner, FigureTable, PAPER_SEED};
-use dpss_core::{FleetPlanner, SmartDpss, SmartDpssConfig};
+use dpss_bench::{packs, smart_controllers, ExperimentRunner, FigureTable, PAPER_SEED};
+use dpss_core::{default_interconnect, DispatchMode, FleetPlanner, SmartDpss, SmartDpssConfig};
 use dpss_lp::SolverStats;
 use dpss_sim::{
-    Controller, Engine, FleetDispatcher, FrameSettlement, Interconnect, MultiSiteEngine, RunReport,
-    SimParams,
+    Controller, Engine, FleetDispatcher, FrameSettlement, Interconnect, MultiSiteEngine,
+    MultiSiteReport, RunReport, SimParams,
 };
 use dpss_traces::ScenarioPack;
 use dpss_units::{Energy, Price, SlotClock};
@@ -40,7 +41,7 @@ fn without_wall_clock((table, stats): (FigureTable, SolverStats)) -> (FigureTabl
 #[test]
 fn pack_sweep_threads_1_and_8_are_identical() {
     let pack = ScenarioPack::builtin("seasonal-calendar").unwrap();
-    let ic = packs::default_interconnect(3);
+    let ic = default_interconnect(3).unwrap();
     let serial = without_wall_clock(packs::pack_sweep_with(
         &ExperimentRunner::serial(),
         PAPER_SEED,
@@ -63,7 +64,7 @@ fn pack_sweep_threads_1_and_8_are_identical() {
 #[test]
 fn planned_pack_sweep_threads_1_and_8_are_identical() {
     let pack = ScenarioPack::builtin("seasonal-calendar").unwrap();
-    let ic = packs::default_interconnect(3);
+    let ic = default_interconnect(3).unwrap();
     let serial = without_wall_clock(packs::pack_sweep_with(
         &ExperimentRunner::serial(),
         PAPER_SEED,
@@ -88,7 +89,7 @@ fn coordinated_pack_sweep_threads_1_and_8_are_identical() {
     // Coordinated cells are whole-fleet lockstep runs (one per variant),
     // so worker scheduling must not move a byte of the table.
     let pack = ScenarioPack::builtin("price-spike").unwrap();
-    let ic = packs::default_interconnect(3);
+    let ic = default_interconnect(3).unwrap();
     let serial = without_wall_clock(packs::pack_sweep_with(
         &ExperimentRunner::serial(),
         PAPER_SEED,
@@ -115,84 +116,6 @@ fn pack_overview_threads_1_and_8_are_identical() {
     assert_eq!(serial, threaded);
 }
 
-/// Builds the 3-site renewable-drought fleet and a closure that runs one
-/// site — the harness both settlement-order tests share.
-fn drought_fleet() -> (MultiSiteEngine, impl Fn(usize) -> RunReport) {
-    let clock = SlotClock::icdcs13_month();
-    let params = SimParams::icdcs13();
-    let pack = ScenarioPack::builtin("renewable-drought").unwrap();
-    let sites = 3usize;
-    let engines: Vec<Engine> = (0..sites)
-        .map(|s| {
-            Engine::new(
-                params,
-                pack.generate_site(&clock, PAPER_SEED, 1, s).unwrap(),
-            )
-            .unwrap()
-        })
-        .collect();
-    let multi = MultiSiteEngine::new(engines)
-        .unwrap()
-        .with_interconnect(Interconnect::pooled(sites, Energy::from_mwh(2.0)).unwrap())
-        .unwrap();
-    let run_site = move |multi: &MultiSiteEngine, s: usize| -> RunReport {
-        let engine = &multi.sites()[s];
-        let mut ctl =
-            dpss_core::SmartDpss::new(SmartDpssConfig::icdcs13(), params, engine.truth().clock)
-                .unwrap();
-        engine.run(&mut ctl).unwrap()
-    };
-    let multi_for_closure = multi.clone();
-    (multi, move |s| run_site(&multi_for_closure, s))
-}
-
-#[test]
-fn fleet_settlement_is_independent_of_site_execution_order() {
-    let (multi, run_site) = drought_fleet();
-    // Three execution orders, one settlement each: all must agree.
-    let orders: [[usize; 3]; 3] = [[0, 1, 2], [2, 1, 0], [1, 2, 0]];
-    let mut fleets = Vec::new();
-    for order in orders {
-        let mut reports: Vec<Option<RunReport>> = vec![None, None, None];
-        for s in order {
-            reports[s] = Some(run_site(s));
-        }
-        let reports: Vec<RunReport> = reports.into_iter().map(Option::unwrap).collect();
-        fleets.push(multi.couple(reports).unwrap());
-    }
-    assert_eq!(fleets[0], fleets[1]);
-    assert_eq!(fleets[0], fleets[2]);
-}
-
-#[test]
-fn planned_settlement_is_independent_of_site_execution_order() {
-    let (multi, run_site) = drought_fleet();
-    let orders: [[usize; 3]; 3] = [[0, 1, 2], [2, 1, 0], [1, 2, 0]];
-    let mut fleets = Vec::new();
-    for order in orders {
-        let mut reports: Vec<Option<RunReport>> = vec![None, None, None];
-        for s in order {
-            reports[s] = Some(run_site(s));
-        }
-        let reports: Vec<RunReport> = reports.into_iter().map(Option::unwrap).collect();
-        // A fresh planner per settlement: the warm-start chain must not
-        // leak state across orders either.
-        fleets.push(
-            FleetPlanner::for_engine(&multi)
-                .couple(&multi, reports)
-                .unwrap(),
-        );
-    }
-    assert_eq!(fleets[0], fleets[1]);
-    assert_eq!(fleets[0], fleets[2]);
-    // And the planned fleet is never worse than the greedy one.
-    let posthoc = {
-        let reports: Vec<RunReport> = (0..3).map(run_site).collect();
-        multi.couple(reports).unwrap()
-    };
-    assert!(fleets[0].total_cost() <= posthoc.total_cost() + dpss_units::Money::from_dollars(1e-9));
-}
-
 /// The golden bytes of the canonical multi-site artifact: the first
 /// variant's site and fleet rows of `dpss sweep --pack seasonal-calendar
 /// --sites 3` at seed 42. Any drift in the pack seed schedule, the shared
@@ -205,7 +128,7 @@ fn seasonal_calendar_fleet_rows_match_golden_bytes() {
         PAPER_SEED,
         &pack,
         3,
-        &packs::default_interconnect(3),
+        &default_interconnect(3).unwrap(),
         DispatchMode::PostHoc,
     )
     .0;
@@ -224,85 +147,118 @@ fn seasonal_calendar_fleet_rows_match_golden_bytes() {
     }
 }
 
-/// Coordinated dispatch couples the sites through directives, but only
-/// *between* frames: within a frame the sites are independent, so the
-/// order in which they step through a frame is immaterial. This test
-/// drives the lockstep loop by hand through the public stepping API
-/// (`Engine::begin` / `outlook_at` / `step_frame` / `exchange_at`) with
-/// a scrambled within-frame site order and must reproduce
-/// `MultiSiteEngine::run_with` exactly — reports, settlement totals and
-/// all. Runs on the acceptance scenario (stressed price-spike over the
-/// lossy ring), where directives demonstrably fire.
-#[test]
-fn coordinated_run_is_invariant_to_within_frame_site_order() {
-    let clock = SlotClock::icdcs13_month();
-    let params = SimParams::icdcs13();
-    let pack = ScenarioPack::builtin("price-spike").unwrap();
-    let stressed = 3usize;
-    let engines: Vec<Engine> = (0..3)
-        .map(|s| {
-            Engine::new(
-                params,
-                pack.generate_site(&clock, PAPER_SEED, stressed, s).unwrap(),
-            )
-            .unwrap()
-        })
-        .collect();
-    let ring = Interconnect::ring(3, Energy::from_mwh(2.0))
+/// The stressed price-spike fleet over a lossy wheeled ring — the
+/// acceptance scenario, where directives demonstrably fire. Every site
+/// records its slot outcomes, so comparing two reports compares every
+/// slot, not just the totals.
+fn stressed_ring_fleet(sites: usize) -> MultiSiteEngine {
+    let ring = Interconnect::ring(sites, Energy::from_mwh(2.0))
         .unwrap()
         .with_uniform_loss(0.05)
         .unwrap()
         .with_uniform_wheeling(Price::from_dollars_per_mwh(2.0))
         .unwrap();
-    let multi = MultiSiteEngine::new(engines)
-        .unwrap()
-        .with_interconnect(ring)
-        .unwrap();
-
-    // Canonical: the engine's own lockstep loop (site order 0, 1, 2).
-    let mut canonical_ctls: Vec<Box<dyn Controller>> = (0..3)
-        .map(|_| {
-            Box::new(SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).unwrap())
-                as Box<dyn Controller>
+    let pack = ScenarioPack::builtin("price-spike").unwrap();
+    let stressed = 3;
+    let clock = SlotClock::icdcs13_month();
+    let engines = (0..sites)
+        .map(|s| {
+            let traces = pack.generate_site(&clock, PAPER_SEED, stressed, s).unwrap();
+            Engine::new(SimParams::icdcs13(), traces)
+                .unwrap()
+                .with_slot_recording(true)
         })
         .collect();
-    let mut canonical_dispatcher = FleetPlanner::for_engine(&multi).with_coordination(true);
-    let canonical = multi
-        .run_with(&mut canonical_ctls, &mut canonical_dispatcher)
-        .unwrap();
-    assert!(
-        canonical.energy_transferred > Energy::ZERO,
-        "test premise: the acceptance scenario settles energy"
-    );
+    MultiSiteEngine::new(engines)
+        .unwrap()
+        .with_interconnect(ring)
+        .unwrap()
+}
 
-    // Manual: same loop, sites stepped 2, 0, 1 within every frame.
-    let mut ctls: Vec<SmartDpss> = (0..3)
+/// Asserts every site report of `report` carries its slot outcomes —
+/// the premise of the slot-by-slot comparisons below.
+fn assert_recorded(report: &MultiSiteReport) {
+    assert!(
+        report.sites.iter().all(|r| r.slot_outcomes.is_some()),
+        "test premise: every site records its slot outcomes"
+    );
+}
+
+/// Drives the lockstep loop by hand through the public stepping API
+/// (`Engine::begin` / `outlook_at` / `step_frame` / `exchange_at`),
+/// stepping the sites in `order` within every frame, and checks the
+/// result against `canonical` — reports, settlement totals and all.
+fn assert_scrambled_order_matches(
+    multi: &MultiSiteEngine,
+    order: &[usize],
+    dispatcher: &mut dyn FleetDispatcher,
+    canonical: &MultiSiteReport,
+) {
+    let clock = SlotClock::icdcs13_month();
+    let params = SimParams::icdcs13();
+    let mut ctls: Vec<SmartDpss> = order
+        .iter()
         .map(|_| SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).unwrap())
         .collect();
-    let mut planner = FleetPlanner::for_engine(&multi).with_coordination(true);
     let mut runs: Vec<_> = multi.sites().iter().map(|s| s.begin().unwrap()).collect();
     let mut total = FrameSettlement::default();
     for frame in 0..clock.frames() {
         let outlook = multi.outlook_at(frame, &runs);
-        let directives = planner.direct(&outlook);
-        assert_eq!(directives.len(), 3);
-        for &s in &[2usize, 0, 1] {
-            ctls[s].receive_directive(&directives[s]);
+        let directives = dispatcher.direct(&outlook);
+        for &s in order {
+            if !directives.is_empty() {
+                ctls[s].receive_directive(&directives[s]);
+            }
             runs[s].step_frame(&mut ctls[s]).unwrap();
         }
         let ex = multi.exchange_at(frame, &runs).unwrap();
-        let settled = planner.settle(&ex);
+        let settled = dispatcher.settle(&ex);
         total.sent += settled.sent;
         total.delivered += settled.delivered;
         total.savings += settled.savings;
         total.wheeling += settled.wheeling;
     }
     let manual: Vec<RunReport> = runs.into_iter().map(|r| r.finish().unwrap()).collect();
+    assert_recorded(canonical);
     assert_eq!(manual, canonical.sites);
     assert_eq!(total.sent, canonical.energy_transferred);
     assert_eq!(total.delivered, canonical.energy_delivered);
     assert_eq!(total.savings, canonical.transfer_savings);
     assert_eq!(total.wheeling, canonical.wheeling_cost);
+}
+
+/// Coordinated dispatch couples the sites through directives, but only
+/// *between* frames: within a frame the sites are independent, so the
+/// order in which they step through a frame is immaterial — for every
+/// dispatcher. Sites stepped 2, 0, 1 within every frame must reproduce
+/// `MultiSiteEngine::run_with` exactly with the greedy `Interconnect`
+/// (post-hoc), a fresh `FleetPlanner` (planned) and a coordinating one.
+#[test]
+fn coordinated_run_is_invariant_to_within_frame_site_order() {
+    let multi = stressed_ring_fleet(3);
+    let (params, clock) = (SimParams::icdcs13(), SlotClock::icdcs13_month());
+    for mode in [
+        DispatchMode::PostHoc,
+        DispatchMode::Planned,
+        DispatchMode::Coordinated,
+    ] {
+        let canonical = multi
+            .run_with(
+                &mut smart_controllers(3, params, clock),
+                &mut mode.dispatcher(multi.interconnect()),
+            )
+            .unwrap();
+        assert!(
+            canonical.energy_transferred > Energy::ZERO,
+            "test premise: the acceptance scenario settles energy ({mode})"
+        );
+        assert_scrambled_order_matches(
+            &multi,
+            &[2, 0, 1],
+            &mut mode.dispatcher(multi.interconnect()),
+            &canonical,
+        );
+    }
 }
 
 /// The fleet-scale determinism contract of the parallel stepping path:
@@ -313,50 +269,23 @@ fn coordinated_run_is_invariant_to_within_frame_site_order() {
 ///   or settlement aggregate;
 /// * a hand-driven lockstep loop stepping the sites in a scrambled
 ///   within-frame order (a fixed 37-stride permutation) must reproduce
-///   `run_with` exactly — the PR-5 order-immateriality proof, now at the
-///   scale the parallel fan-out actually targets.
+///   `run_with` exactly — the order-immateriality proof at the scale the
+///   parallel fan-out actually targets.
 ///
 /// Every fleet LP solves on the sparse network simplex, so this also
 /// pins that path end to end at the scale it was built for.
 #[test]
 fn fleet_scale_100_site_ring_is_deterministic_across_threads_and_order() {
-    let clock = SlotClock::icdcs13_month();
-    let params = SimParams::icdcs13();
-    let pack = ScenarioPack::builtin("price-spike").unwrap();
-    let stressed = 3usize;
+    let (params, clock) = (SimParams::icdcs13(), SlotClock::icdcs13_month());
     let sites = 100usize;
-    let engines: Vec<Engine> = (0..sites)
-        .map(|s| {
-            Engine::new(
-                params,
-                pack.generate_site(&clock, PAPER_SEED, stressed, s).unwrap(),
-            )
-            .unwrap()
-        })
-        .collect();
-    let ring = Interconnect::ring(sites, Energy::from_mwh(2.0))
-        .unwrap()
-        .with_uniform_loss(0.05)
-        .unwrap()
-        .with_uniform_wheeling(Price::from_dollars_per_mwh(2.0))
-        .unwrap();
-    let multi = MultiSiteEngine::new(engines)
-        .unwrap()
-        .with_interconnect(ring)
-        .unwrap();
-    let fresh_ctls = || -> Vec<Box<dyn Controller>> {
-        (0..sites)
-            .map(|_| {
-                Box::new(SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).unwrap())
-                    as Box<dyn Controller>
-            })
-            .collect()
-    };
-
-    let mut serial_ctls = fresh_ctls();
-    let mut serial_dispatcher = FleetPlanner::for_engine(&multi).with_coordination(true);
+    let multi = stressed_ring_fleet(sites);
+    let coordinated =
+        |multi: &MultiSiteEngine| FleetPlanner::for_engine(multi).with_coordination(true);
     let serial = multi
-        .run_with(&mut serial_ctls, &mut serial_dispatcher)
+        .run_with(
+            &mut smart_controllers(sites, params, clock),
+            &mut coordinated(&multi),
+        )
         .unwrap();
     assert!(
         serial.energy_transferred > Energy::ZERO,
@@ -364,45 +293,19 @@ fn fleet_scale_100_site_ring_is_deterministic_across_threads_and_order() {
     );
 
     let threaded_engine = multi.clone().with_threads(8);
-    let mut threaded_ctls = fresh_ctls();
-    let mut threaded_dispatcher =
-        FleetPlanner::for_engine(&threaded_engine).with_coordination(true);
     let threaded = threaded_engine
-        .run_with(&mut threaded_ctls, &mut threaded_dispatcher)
+        .run_with(
+            &mut smart_controllers(sites, params, clock),
+            &mut coordinated(&threaded_engine),
+        )
         .unwrap();
+    assert_recorded(&serial);
     assert_eq!(serial, threaded, "threads = 8 must not move a byte");
 
     // Scrambled within-frame order: site k steps in position (k·37 + 11)
     // mod 100 (37 is coprime with 100, so this is a permutation).
     let order: Vec<usize> = (0..sites).map(|k| (k * 37 + 11) % sites).collect();
-    let mut ctls: Vec<SmartDpss> = (0..sites)
-        .map(|_| SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).unwrap())
-        .collect();
-    let mut planner = FleetPlanner::for_engine(&multi).with_coordination(true);
-    let mut runs: Vec<_> = multi.sites().iter().map(|s| s.begin().unwrap()).collect();
-    let mut total = FrameSettlement::default();
-    for frame in 0..clock.frames() {
-        let outlook = multi.outlook_at(frame, &runs);
-        let directives = planner.direct(&outlook);
-        for &s in &order {
-            if !directives.is_empty() {
-                ctls[s].receive_directive(&directives[s]);
-            }
-            runs[s].step_frame(&mut ctls[s]).unwrap();
-        }
-        let ex = multi.exchange_at(frame, &runs).unwrap();
-        let settled = planner.settle(&ex);
-        total.sent += settled.sent;
-        total.delivered += settled.delivered;
-        total.savings += settled.savings;
-        total.wheeling += settled.wheeling;
-    }
-    let manual: Vec<RunReport> = runs.into_iter().map(|r| r.finish().unwrap()).collect();
-    assert_eq!(manual, serial.sites);
-    assert_eq!(total.sent, serial.energy_transferred);
-    assert_eq!(total.delivered, serial.energy_delivered);
-    assert_eq!(total.savings, serial.transfer_savings);
-    assert_eq!(total.wheeling, serial.wheeling_cost);
+    assert_scrambled_order_matches(&multi, &order, &mut coordinated(&multi), &serial);
 }
 
 /// The coordinated-mode goldens next to the planned one: the `calm` and
@@ -421,7 +324,7 @@ fn price_spike_coordinated_fleet_rows_match_golden_bytes() {
         PAPER_SEED,
         &pack,
         3,
-        &packs::default_interconnect(3),
+        &default_interconnect(3).unwrap(),
         DispatchMode::Coordinated,
     )
     .0;
@@ -454,7 +357,7 @@ fn price_spike_planned_fleet_rows_match_golden_bytes() {
         PAPER_SEED,
         &pack,
         3,
-        &packs::default_interconnect(3),
+        &default_interconnect(3).unwrap(),
         DispatchMode::Planned,
     )
     .0;

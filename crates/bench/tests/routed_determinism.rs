@@ -52,17 +52,18 @@ fn routed_sweep_threads_1_and_8_are_identical() {
 
 /// The acceptance fleet: 3 sites on the flash-crowd variant of the
 /// traffic-wave pack over the lossy wheeled ring, full paper month.
+/// Every site records its slot outcomes, so comparing two reports
+/// compares every slot, not just the totals.
 fn flash_crowd_fleet(clock: &SlotClock) -> MultiSiteEngine {
     let params = SimParams::icdcs13();
     let pack = ScenarioPack::builtin("traffic-wave").unwrap();
     let flash = 2usize;
-    let engines: Vec<Engine> = (0..3)
+    let engines = (0..3)
         .map(|s| {
-            Engine::new(
-                params,
-                pack.generate_site(clock, PAPER_SEED, flash, s).unwrap(),
-            )
-            .unwrap()
+            let traces = pack.generate_site(clock, PAPER_SEED, flash, s).unwrap();
+            Engine::new(params, traces)
+                .unwrap()
+                .with_slot_recording(true)
         })
         .collect();
     MultiSiteEngine::new(engines)
@@ -143,6 +144,10 @@ fn routed_run_is_invariant_to_within_frame_site_order() {
     }
     let manual: Vec<RunReport> = runs.into_iter().map(|r| r.finish().unwrap()).collect();
     let manual_load = workload.finish();
+    assert!(
+        canonical.sites.iter().all(|r| r.slot_outcomes.is_some()),
+        "test premise: every site records its slot outcomes"
+    );
     assert_eq!(manual, canonical.sites);
     assert_eq!(manual_load, canonical.load);
     assert_eq!(total.sent, canonical.energy_transferred);

@@ -31,6 +31,13 @@
 //! acceptance property `interconnect_physics.rs` pins across every
 //! built-in scenario pack.
 //!
+//! [`DispatchMode`] is the roster of the three ways a fleet dispatches:
+//! the greedy fold after each frame (post-hoc), this planner settling
+//! (planned), and this planner also directing the sites between frames
+//! (coordinated). [`DispatchMode::dispatcher`] builds each mode's
+//! [`ModeDispatcher`] over a topology — by default
+//! [`default_interconnect`].
+//!
 //! # Solver path
 //!
 //! Both planner LPs are *packing form* (every row `≤` with non-negative
@@ -55,12 +62,14 @@
 // audit:allow-file(panic-unwrap): expects assert invariants of the LP template this module itself builds; solver errors propagate as CoreError
 // audit:allow-file(slice-index): variable/constraint ids are minted by the same template build pass; rosters are sized from the engine fleet
 
+use std::fmt;
+
 use dpss_lp::{
     BasisSnapshot, ConstraintId, LpWorkspace, Problem, Relation, Sense, SolverStats, Variable,
 };
 use dpss_sim::{
     FleetDispatcher, FrameDirective, FrameExchange, FrameOutlook, FrameSettlement, Interconnect,
-    MultiSiteEngine, MultiSiteReport, RunReport, SimError,
+    MultiSiteEngine, SimError,
 };
 use dpss_units::{Energy, Money};
 use serde::{Deserialize, Serialize};
@@ -227,19 +236,6 @@ impl FleetPlanner {
         }
     }
 
-    /// Drops every workspace's saved basis so the next solves start
-    /// cold, exactly as a freshly built planner would — the reuse hook
-    /// for sweeps that settle many independent variants over one
-    /// topology without letting warm-start history leak between them.
-    /// Warm/cold counters are preserved (they accumulate across the
-    /// sweep).
-    pub fn clear_basis(&mut self) {
-        self.workspace.clear_basis();
-        if let Some(lp) = &mut self.prospective_net {
-            lp.workspace.clear_basis();
-        }
-    }
-
     /// Captures the planner's warm-start bases for checkpointing.
     #[must_use]
     pub fn export_state(&self) -> FleetPlannerState {
@@ -316,7 +312,7 @@ impl FleetPlanner {
     /// # Panics
     ///
     /// Panics if the exchange's site rosters do not match the topology
-    /// (a programming error — `couple` validates rosters up front).
+    /// (a programming error — a fleet run builds one entry per site).
     #[must_use]
     pub fn plan(&mut self, ex: &FrameExchange) -> FrameSettlement {
         self.plan_with_exports(ex).0
@@ -509,30 +505,6 @@ impl FleetPlanner {
         directives
     }
 
-    /// Settles already-computed per-site reports through the planner:
-    /// [`MultiSiteEngine::couple_with`] with [`plan`](Self::plan) as the
-    /// per-frame settlement. The planner's topology must equal the
-    /// fleet's.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::SiteMismatch`] if the planner and fleet topologies
-    /// differ, the report roster is misshapen, or a report lacks slot
-    /// outcomes.
-    pub fn couple(
-        &mut self,
-        engine: &MultiSiteEngine,
-        reports: Vec<RunReport>,
-    ) -> Result<MultiSiteReport, SimError> {
-        if engine.interconnect() != &self.ic {
-            return Err(SimError::SiteMismatch {
-                site: self.ic.sites(),
-                what: "planner topology differs from the fleet's interconnect",
-            });
-        }
-        engine.couple_with(reports, |ex| self.plan(ex))
-    }
-
     /// Cumulative solver telemetry across every workspace the planner
     /// owns — settlement plus the prospective template once built.
     /// Counter fields sum; peak fields take the maximum over the
@@ -644,6 +616,142 @@ impl FleetDispatcher for FleetPlanner {
 
     fn settle(&mut self, ex: &FrameExchange) -> FrameSettlement {
         self.plan(ex)
+    }
+}
+
+/// How a fleet dispatches and settles inter-site transfers — the closed
+/// roster `dpss sweep --dispatch` and the serve protocol's `dispatch`
+/// field share. [`dispatcher`](Self::dispatcher) turns a mode into the
+/// [`FleetDispatcher`] a fleet run steps with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum DispatchMode {
+    /// Settle realized curtailment after each frame with the greedy fold
+    /// ([`Interconnect::settle_greedy`]).
+    #[default]
+    PostHoc,
+    /// Plan each frame's export flows as a linear program
+    /// ([`FleetPlanner`]), warm-started frame to frame. Settlement only:
+    /// the plan never feeds back into what the sites do.
+    Planned,
+    /// The planner with coordination: between frames it forecasts the
+    /// fleet's exchange and hands every site a [`FrameDirective`]
+    /// (buy-to-export when a neighbour's delivered price beats the local
+    /// long-term cost), then settles each realized frame with the flow
+    /// LP.
+    Coordinated,
+}
+
+impl DispatchMode {
+    /// The spellings, in display order.
+    pub const NAMES: [&'static str; 3] = ["post-hoc", "planned", "coordinated"];
+
+    /// Parses a spelling, with the canonical error message (the roster
+    /// is closed, so a typo is a usage error).
+    ///
+    /// # Errors
+    ///
+    /// `unknown dispatch mode: <name> (expected
+    /// post-hoc|planned|coordinated)`.
+    pub fn parse(name: &str) -> Result<Self, String> {
+        match name {
+            "post-hoc" => Ok(DispatchMode::PostHoc),
+            "planned" => Ok(DispatchMode::Planned),
+            "coordinated" => Ok(DispatchMode::Coordinated),
+            other => Err(format!(
+                "unknown dispatch mode: {other} (expected {})",
+                Self::NAMES.join("|")
+            )),
+        }
+    }
+
+    /// A fresh dispatcher for this mode over `ic`: the topology itself
+    /// (post-hoc), a new [`FleetPlanner`] (planned), or a new
+    /// coordinating one (coordinated).
+    #[must_use]
+    pub fn dispatcher(self, ic: &Interconnect) -> ModeDispatcher {
+        match self {
+            DispatchMode::PostHoc => ModeDispatcher::Greedy(ic.clone()),
+            DispatchMode::Planned => {
+                ModeDispatcher::Planner(Box::new(FleetPlanner::new(ic.clone())))
+            }
+            DispatchMode::Coordinated => ModeDispatcher::Planner(Box::new(
+                FleetPlanner::new(ic.clone()).with_coordination(true),
+            )),
+        }
+    }
+}
+
+impl fmt::Display for DispatchMode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            DispatchMode::PostHoc => "post-hoc",
+            DispatchMode::Planned => "planned",
+            DispatchMode::Coordinated => "coordinated",
+        })
+    }
+}
+
+/// Per-frame transfer capacity of the default fleet topology: 2 MWh (a
+/// paper site peaks at 2 MW × 24 h = 48 MWh per frame, so about 4% of
+/// its interconnect scale).
+#[must_use]
+pub fn default_transfer_cap() -> Energy {
+    Energy::from_mwh(2.0)
+}
+
+/// The default topology of an `n`-site fleet — pack sweeps and serve
+/// fleet sessions alike: the [`default_transfer_cap`] as a lossless,
+/// free, fleet-pooled [`Interconnect`].
+///
+/// # Errors
+///
+/// [`SimError::SiteMismatch`] if `sites == 0`.
+pub fn default_interconnect(sites: usize) -> Result<Interconnect, SimError> {
+    Interconnect::pooled(sites, default_transfer_cap())
+}
+
+/// The dispatcher a [`DispatchMode`] runs a fleet with
+/// ([`DispatchMode::dispatcher`]).
+#[derive(Debug, Clone)]
+pub enum ModeDispatcher {
+    /// Post-hoc: the topology's greedy settlement.
+    Greedy(Interconnect),
+    /// Planned or coordinated: the flow-LP planner.
+    Planner(Box<FleetPlanner>),
+}
+
+impl ModeDispatcher {
+    /// The planner's solver telemetry; zeros for the greedy settlement,
+    /// which solves no LP.
+    #[must_use]
+    pub fn solver_stats(&self) -> SolverStats {
+        match self {
+            ModeDispatcher::Greedy(_) => SolverStats::default(),
+            ModeDispatcher::Planner(p) => p.solver_stats(),
+        }
+    }
+}
+
+impl FleetDispatcher for ModeDispatcher {
+    fn topology(&self) -> Option<&Interconnect> {
+        match self {
+            ModeDispatcher::Greedy(ic) => ic.topology(),
+            ModeDispatcher::Planner(p) => p.topology(),
+        }
+    }
+
+    fn direct(&mut self, outlook: &FrameOutlook) -> Vec<FrameDirective> {
+        match self {
+            ModeDispatcher::Greedy(ic) => ic.direct(outlook),
+            ModeDispatcher::Planner(p) => p.direct(outlook),
+        }
+    }
+
+    fn settle(&mut self, ex: &FrameExchange) -> FrameSettlement {
+        match self {
+            ModeDispatcher::Greedy(ic) => ic.settle(ex),
+            ModeDispatcher::Planner(p) => p.settle(ex),
+        }
     }
 }
 
@@ -848,7 +956,7 @@ mod tests {
             236.77799999999996,
             240.3236842105263,
         ];
-        let ic = Interconnect::mesh(4, Energy::from_mwh(2.0))
+        let ic = Interconnect::uniform(4, Energy::from_mwh(2.0))
             .unwrap()
             .with_uniform_loss(0.05)
             .unwrap()
@@ -943,25 +1051,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_basis_forces_cold_but_keeps_counters() {
-        let ic = Interconnect::uniform(3, Energy::from_mwh(2.0)).unwrap();
-        let mut p = FleetPlanner::new(ic);
-        let ex = exchange(&[2.0, 0.3, 0.0], &[0.0, 1.0, 1.5], &[0.0, 55.0, 70.0]);
-        let _ = p.plan(&ex);
-        let _ = p.plan(&ex);
-        let stats = p.solver_stats();
-        assert_eq!((stats.warm_solves, stats.cold_solves), (1, 1));
-        p.clear_basis();
-        let _ = p.plan(&ex);
-        let stats = p.solver_stats();
-        assert_eq!(
-            (stats.warm_solves, stats.cold_solves),
-            (1, 2),
-            "cleared basis must force a cold solve"
-        );
-    }
-
-    #[test]
     fn export_import_state_carries_the_warm_path_across_planners() {
         let ic = Interconnect::uniform(3, Energy::from_mwh(2.0)).unwrap();
         let mut donor = FleetPlanner::new(ic.clone());
@@ -1005,40 +1094,41 @@ mod tests {
     }
 
     #[test]
-    fn couple_rejects_mismatched_topologies() {
-        use dpss_sim::{Engine, SimParams};
-        use dpss_units::SlotClock;
-        let clock = SlotClock::new(2, 24, 1.0).unwrap();
-        let engines: Vec<Engine> = (0..2)
-            .map(|s| {
-                Engine::new(
-                    SimParams::icdcs13(),
-                    dpss_traces::Scenario::icdcs13()
-                        .generate(&clock, 10 + s)
-                        .unwrap(),
-                )
-                .unwrap()
-            })
-            .collect();
-        let multi = MultiSiteEngine::new(engines)
-            .unwrap()
-            .with_interconnect(Interconnect::pooled(2, Energy::from_mwh(1.0)).unwrap())
-            .unwrap();
-        let mut planner =
-            FleetPlanner::new(Interconnect::pooled(2, Energy::from_mwh(9.0)).unwrap());
-        let reports: Vec<RunReport> = multi
-            .sites()
-            .iter()
-            .map(|s| s.run(&mut crate::Impatient::two_markets()).unwrap())
-            .collect();
+    fn dispatch_mode_parses_the_closed_roster_into_its_dispatcher() {
+        for (name, mode) in DispatchMode::NAMES.into_iter().zip([
+            DispatchMode::PostHoc,
+            DispatchMode::Planned,
+            DispatchMode::Coordinated,
+        ]) {
+            assert_eq!(DispatchMode::parse(name), Ok(mode));
+            assert_eq!(mode.to_string(), name);
+        }
+        let err = DispatchMode::parse("bogus").unwrap_err();
+        assert_eq!(
+            err,
+            "unknown dispatch mode: bogus (expected post-hoc|planned|coordinated)"
+        );
+        let ic = default_interconnect(2).unwrap();
+        assert_eq!(ic.pool_cap(), Some(default_transfer_cap()));
         assert!(matches!(
-            planner.couple(&multi, reports.clone()),
-            Err(SimError::SiteMismatch { .. })
+            DispatchMode::PostHoc.dispatcher(&ic),
+            ModeDispatcher::Greedy(_)
         ));
-        // The matching planner settles at least as well as the greedy fold.
-        let mut matching = FleetPlanner::for_engine(&multi);
-        let planned = matching.couple(&multi, reports.clone()).unwrap();
-        let posthoc = multi.couple(reports).unwrap();
-        assert!(planned.total_cost() <= posthoc.total_cost() + Money::from_dollars(1e-9));
+        let look = outlook(
+            3,
+            &[
+                (1.0, 0.0, 0.0, 3.0, 0.5, 31.0),
+                (0.0, 2.0, 80.0, 0.0, 0.0, 31.0),
+            ],
+        );
+        // Only the coordinated planner directs.
+        assert!(DispatchMode::Planned
+            .dispatcher(&ic)
+            .direct(&look)
+            .is_empty());
+        let mut coordinated = DispatchMode::Coordinated.dispatcher(&ic);
+        assert_eq!(coordinated.direct(&look).len(), 2);
+        assert_eq!(coordinated.solver_stats().solves, 1);
+        assert_eq!(coordinated.topology(), Some(&ic));
     }
 }

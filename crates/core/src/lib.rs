@@ -87,7 +87,10 @@ mod smart_dpss;
 pub use bounds::TheoremBounds;
 pub use config::{MarketMode, P4Variant, P5Objective, SmartDpssConfig};
 pub use error::CoreError;
-pub use fleet::{FleetPlanner, FleetPlannerState};
+pub use fleet::{
+    default_interconnect, default_transfer_cap, DispatchMode, FleetPlanner, FleetPlannerState,
+    ModeDispatcher,
+};
 pub use greedy::GreedyBattery;
 pub use impatient::Impatient;
 pub use lower_bound::cheapest_window_bound;

@@ -23,20 +23,24 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use dpss_core::{FleetPlanner, FleetPlannerState, RecedingHorizon, SmartDpss, SmartDpssConfig};
+use dpss_core::{
+    default_interconnect, DispatchMode, FleetPlannerState, ModeDispatcher, RecedingHorizon,
+    SmartDpss, SmartDpssConfig,
+};
 use dpss_sim::{
-    Controller, ControllerState, Engine, EngineRun, EngineRunState, FleetDispatcher, FleetRun,
-    FrameDirective, FrameExchange, FrameOutlook, FrameSettlement, Interconnect, MultiSiteEngine,
-    MultiSiteReport, RunReport, SimParams, UnroutedDispatcher,
+    Controller, ControllerState, Engine, EngineRun, EngineRunState, FleetRun, FrameDirective,
+    FrameSettlement, MultiSiteEngine, MultiSiteReport, RunReport, SimParams, UnroutedDispatcher,
 };
 use dpss_traces::{Scenario, ScenarioPack, TraceSet};
 use dpss_units::{Energy, Money, Price, SlotClock};
 
 use crate::protocol::{Fault, RawRequest};
 
-/// Interconnect capacity per pooled link in the default fleet topology,
-/// MWh per frame (mirrors the bench sweep's default).
-const DEFAULT_LINK_CAP_MWH: f64 = 2.0;
+/// Largest calendar a session may ask for, in site-slots (`sites × days
+/// × slots_per_frame`): 2²², ten times a 512-site month. Every trace a
+/// session holds is sized from its calendar, so `init` refuses anything
+/// larger before allocating.
+const MAX_SITE_SLOTS: usize = 1 << 22;
 
 /// Everything needed to rebuild a session's engines from scratch:
 /// the deterministic trace recipe, the plant, and the control roster.
@@ -126,17 +130,7 @@ impl SessionConfig {
                 ))
             }
         }
-        match self.dispatch.as_str() {
-            "post-hoc" | "planned" | "coordinated" => {}
-            other => {
-                return Err(Fault::new(
-                    "protocol",
-                    format!(
-                        "unknown dispatch mode: {other} (expected post-hoc|planned|coordinated)"
-                    ),
-                ))
-            }
-        }
+        DispatchMode::parse(&self.dispatch).map_err(|e| Fault::new("protocol", e))?;
         if self.mode == "pack" {
             let Some(name) = &self.pack else {
                 return Err(Fault::new("protocol", "pack mode requires a pack name"));
@@ -174,6 +168,20 @@ impl SessionConfig {
             return Err(Fault::new(
                 "protocol",
                 format!("sites {} exceeds the protocol cap of 512", self.sites),
+            ));
+        }
+        let site_slots = self
+            .sites
+            .checked_mul(self.days)
+            .and_then(|n| n.checked_mul(self.slots_per_frame));
+        if site_slots.is_none_or(|n| n > MAX_SITE_SLOTS) {
+            return Err(Fault::new(
+                "protocol",
+                format!(
+                    "calendar of {} sites x {} days x {} slots exceeds the protocol cap of \
+                     {MAX_SITE_SLOTS} site-slots",
+                    self.sites, self.days, self.slots_per_frame
+                ),
             ));
         }
         self.clock().map(|_| ())
@@ -660,31 +668,6 @@ impl SingleSession {
     }
 }
 
-/// The fleet dispatcher roster: the post-hoc greedy settlement or the
-/// LP-backed planner (optionally coordinating).
-enum FleetDispatch {
-    /// Greedy per-frame settlement over the raw topology.
-    Greedy(Interconnect),
-    /// The warm-started flow-LP planner.
-    Planner(Box<FleetPlanner>),
-}
-
-impl FleetDispatcher for FleetDispatch {
-    fn direct(&mut self, outlook: &FrameOutlook) -> Vec<FrameDirective> {
-        match self {
-            FleetDispatch::Greedy(ic) => ic.direct(outlook),
-            FleetDispatch::Planner(p) => p.direct(outlook),
-        }
-    }
-
-    fn settle(&mut self, exchange: &FrameExchange) -> FrameSettlement {
-        match self {
-            FleetDispatch::Greedy(ic) => ic.settle(exchange),
-            FleetDispatch::Planner(p) => p.settle(exchange),
-        }
-    }
-}
-
 /// A multi-site session stepping every site in lockstep through the
 /// fleet's one frame body ([`FleetRun::step_frame`]), with the
 /// dispatcher in the loop exactly as [`MultiSiteEngine::run_with`]
@@ -695,7 +678,7 @@ pub struct FleetSession {
     clock: SlotClock,
     fleet: MultiSiteEngine,
     controllers: Vec<Box<dyn Controller>>,
-    dispatcher: FleetDispatch,
+    dispatcher: ModeDispatcher,
     run: FleetRun,
 }
 
@@ -721,28 +704,19 @@ impl FleetSession {
         let name = config.pack.as_deref().unwrap_or_default();
         let pack = ScenarioPack::builtin(name)
             .ok_or_else(|| Fault::new("protocol", format!("unknown scenario pack: {name}")))?;
-        let mut engines = Vec::with_capacity(config.sites);
-        for site in 0..config.sites {
-            let traces = pack
-                .generate_site(&clock, config.seed, config.variant, site)
-                .map_err(|e| Fault::new("protocol", format!("trace generation failed: {e}")))?;
-            let engine = Engine::new(params, traces)
-                .map_err(|e| Fault::new("protocol", format!("engine rejected traces: {e}")))?;
-            engines.push(engine);
-        }
-        let ic = Interconnect::pooled(config.sites, Energy::from_mwh(DEFAULT_LINK_CAP_MWH))
-            .map_err(|e| Fault::new("protocol", format!("interconnect rejected: {e}")))?;
-        let fleet = MultiSiteEngine::new(engines)
-            .map_err(|e| Fault::new("protocol", format!("fleet rejected sites: {e}")))?
-            .with_interconnect(ic)
-            .map_err(|e| Fault::new("protocol", format!("interconnect rejected: {e}")))?;
-        let dispatcher = match config.dispatch.as_str() {
-            "post-hoc" => FleetDispatch::Greedy(fleet.interconnect().clone()),
-            "coordinated" => FleetDispatch::Planner(Box::new(
-                FleetPlanner::for_engine(&fleet).with_coordination(true),
-            )),
-            _ => FleetDispatch::Planner(Box::new(FleetPlanner::for_engine(&fleet))),
-        };
+        let fleet = MultiSiteEngine::from_pack(
+            params,
+            &pack,
+            clock,
+            config.seed,
+            config.variant,
+            config.sites,
+        )
+        .and_then(|f| f.with_interconnect(default_interconnect(config.sites)?))
+        .map_err(|e| Fault::new("protocol", format!("fleet rejected: {e}")))?;
+        let dispatcher = DispatchMode::parse(&config.dispatch)
+            .map_err(|e| Fault::new("protocol", e))?
+            .dispatcher(fleet.interconnect());
         let mut controllers = Vec::with_capacity(config.sites);
         for _ in 0..config.sites {
             controllers.push(build_controller(&config.controller, params, clock)?);
@@ -776,23 +750,23 @@ impl FleetSession {
                 .map_err(|e| Fault::new("snapshot", format!("controller state rejected: {e}")))?;
         }
         match (&mut session.dispatcher, &image.planner) {
-            (FleetDispatch::Planner(p), Some(state)) => {
+            (ModeDispatcher::Planner(p), Some(state)) => {
                 p.import_state(state)
                     .map_err(|e| Fault::new("snapshot", format!("planner state rejected: {e}")))?;
             }
-            (FleetDispatch::Planner(_), None) => {
+            (ModeDispatcher::Planner(_), None) => {
                 return Err(Fault::new(
                     "snapshot",
                     "snapshot is missing the planner state its dispatch mode requires",
                 ));
             }
-            (FleetDispatch::Greedy(_), Some(_)) => {
+            (ModeDispatcher::Greedy(_), Some(_)) => {
                 return Err(Fault::new(
                     "snapshot",
                     "snapshot carries planner state but the dispatch mode is post-hoc",
                 ));
             }
-            (FleetDispatch::Greedy(_), None) => {}
+            (ModeDispatcher::Greedy(_), None) => {}
         }
         for v in [
             image.sent_mwh,
@@ -831,8 +805,8 @@ impl FleetSession {
                 run_states: self.run.runs().iter().map(EngineRun::state).collect(),
                 controllers: self.controllers.iter().map(|c| c.save_state()).collect(),
                 planner: match &self.dispatcher {
-                    FleetDispatch::Planner(p) => Some(p.export_state()),
-                    FleetDispatch::Greedy(_) => None,
+                    ModeDispatcher::Planner(p) => Some(p.export_state()),
+                    ModeDispatcher::Greedy(_) => None,
                 },
                 sent_mwh: settled.sent.mwh(),
                 delivered_mwh: settled.delivered.mwh(),

@@ -173,10 +173,13 @@ fn pinned_stale_snapshots_are_rejected_not_reinterpreted() {
     }
 }
 
-/// Schema 2 dropped the dense prospective basis from the fleet planner
-/// state. The payload decoder ignores unknown fields, so a schema-1
-/// coordinated fleet snapshot would otherwise load silently and resume
-/// on a different LP route; the envelope's schema check must refuse it.
+/// Every older fleet snapshot shape must be refused, not reinterpreted:
+/// schema 2 dropped the dense prospective basis from the fleet planner
+/// state, and schema 3 replaced each site's slot history with its
+/// last-frame totals. The payload decoder ignores unknown fields, so an
+/// older coordinated fleet snapshot could otherwise load silently and
+/// resume on a different state; the envelope's schema check must refuse
+/// both.
 #[test]
 fn schema_1_fleet_snapshots_are_refused_as_stale() {
     use dpss_serve::snapshot::{hex64, payload_checksum};
@@ -195,33 +198,69 @@ fn schema_1_fleet_snapshots_are_refused_as_stale() {
     else {
         panic!("expected Snapshotted");
     };
-    let mut file: dpss_serve::SnapshotFile =
+    let current: dpss_serve::SnapshotFile =
         serde_json::from_str(&fs::read_to_string(&path).expect("snapshot reads")).unwrap();
-    // What the schema-1 writer produced: the dense prospective basis next
-    // to the network one, under the schema-1 salt.
-    assert!(file.payload.contains("\"prospective_net\":"));
-    file.payload = file.payload.replace(
-        "\"prospective_net\":",
-        "\"prospective\":null,\"prospective_net\":",
-    );
-    let salt = splitmix64(1 ^ fnv1a(env!("CARGO_PKG_VERSION")));
-    (file.schema, file.salt) = (1, hex64(salt));
-    file.checksum = hex64(payload_checksum(&file.payload, salt));
-    fs::write(&path, serde_json::to_string(&file).unwrap()).expect("snapshot rewrites");
-    let err = SessionServer::new(Some(&dir))
-        .expect("state dir opens")
-        .resume_latest()
-        .expect_err("a schema-1 snapshot must not resume");
-    assert!(
-        matches!(
-            err,
+    assert!(current.payload.contains("\"prospective_net\":"));
+    for schema in [1, 2] {
+        let mut file = current.clone();
+        if schema == 1 {
+            // What the schema-1 writer produced: the dense prospective
+            // basis next to the network one.
+            file.payload = file.payload.replace(
+                "\"prospective_net\":",
+                "\"prospective\":null,\"prospective_net\":",
+            );
+        }
+        let salt = splitmix64(u64::from(schema) ^ fnv1a(env!("CARGO_PKG_VERSION")));
+        (file.schema, file.salt) = (schema, hex64(salt));
+        file.checksum = hex64(payload_checksum(&file.payload, salt));
+        fs::write(&path, serde_json::to_string(&file).unwrap()).expect("snapshot rewrites");
+        let err = SessionServer::new(Some(&dir))
+            .expect("state dir opens")
+            .resume_latest()
+            .expect_err("an older-schema snapshot must not resume");
+        match err {
             ServeError::StaleSnapshot {
-                found_schema: 1,
-                expected_schema: 2,
+                found_schema,
+                expected_schema,
                 ..
-            }
-        ),
-        "got {err:?}"
+            } => assert_eq!(
+                (found_schema, expected_schema),
+                (schema, dpss_serve::SCHEMA_VERSION)
+            ),
+            other => panic!("schema {schema}: expected StaleSnapshot, got {other:?}"),
+        }
+    }
+}
+
+/// Fleet snapshots carry each site's last-frame totals, not its slot
+/// history, so a fleet session's snapshot does not grow as the month
+/// advances.
+#[test]
+fn fleet_snapshots_do_not_grow_with_the_frames_stepped() {
+    let dir = scratch("crash-fleet-snapshot-size");
+    let mut server = SessionServer::new(Some(&dir)).expect("state dir opens");
+    expect_ok(
+        &mut server,
+        "{\"cmd\":\"init\",\"mode\":\"pack\",\"pack\":\"price-spike\",\
+         \"sites\":8,\"dispatch\":\"coordinated\"}",
+    );
+    let mut bytes = Vec::new();
+    for frame in 1..=30 {
+        expect_ok(&mut server, "{\"cmd\":\"step\"}");
+        if frame == 5 || frame == 30 {
+            let Response::Snapshotted { path, .. } =
+                expect_ok(&mut server, "{\"cmd\":\"snapshot\"}")
+            else {
+                panic!("expected Snapshotted");
+            };
+            bytes.push(fs::metadata(&path).expect("snapshot exists").len());
+        }
+    }
+    let (at_5, at_30) = (bytes[0], bytes[1]);
+    assert!(
+        at_30 * 5 <= at_5 * 6,
+        "snapshot grew from {at_5} B at frame 5 to {at_30} B at frame 30"
     );
 }
 

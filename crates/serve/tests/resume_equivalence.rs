@@ -259,15 +259,8 @@ fn flat_baseline_receding_resumes_are_byte_identical() {
 /// fleet dispatcher.
 fn fleet_golden(pack_name: &str, variant: usize, sites: usize) -> (Vec<String>, String) {
     let pack = ScenarioPack::builtin(pack_name).expect("builtin pack");
-    let mut engines = Vec::with_capacity(sites);
-    for site in 0..sites {
-        let traces = pack
-            .generate_site(&clock(), SEED, variant, site)
-            .expect("traces generate");
-        engines.push(Engine::new(params(), traces).expect("valid engine"));
-    }
     let ic = Interconnect::pooled(sites, Energy::from_mwh(2.0)).expect("valid interconnect");
-    let fleet = MultiSiteEngine::new(engines)
+    let fleet = MultiSiteEngine::from_pack(params(), &pack, clock(), SEED, variant, sites)
         .expect("valid roster")
         .with_interconnect(ic)
         .expect("compatible interconnect");

@@ -39,7 +39,7 @@ fn hello_and_started_lines_are_golden_bytes() {
     assert_eq!(
         lines[0],
         format!(
-            "{{\"Hello\":{{\"service\":\"dpss-serve\",\"version\":\"{}\",\"schema\":2}}}}",
+            "{{\"Hello\":{{\"service\":\"dpss-serve\",\"version\":\"{}\",\"schema\":3}}}}",
             env!("CARGO_PKG_VERSION")
         )
     );
@@ -254,6 +254,10 @@ fn hostile_lines_earn_parse_errors_and_the_session_survives() {
         "x".repeat(dpss_serve::MAX_REQUEST_BYTES)
     );
     let log = [
+        // Calendars past the site-slot cap used to abort the daemon on
+        // allocation failure or capacity overflow.
+        b"{\"cmd\":\"init\",\"mode\":\"stream\",\"days\":100000000000}".to_vec(),
+        b"{\"cmd\":\"init\",\"mode\":\"stream\",\"slots_per_frame\":4611686018427387904}".to_vec(),
         b"{\"cmd\":\"init\",\"mode\":\"scenario\",\"days\":2}".to_vec(),
         b"[".repeat(200_000),
         huge.into_bytes(),
@@ -262,22 +266,25 @@ fn hostile_lines_earn_parse_errors_and_the_session_survives() {
     ]
     .join(&b'\n');
     let (lines, outcome) = run_log(&log);
-    assert_eq!((outcome.requests, outcome.errors), (5, 3));
-    for (line, needle) in [
-        (&lines[2], "nesting deeper than"),
-        (&lines[3], "exceeds"),
-        (&lines[4], "not valid UTF-8"),
+    assert_eq!((outcome.requests, outcome.errors), (7, 5));
+    for (line, want_kind, needle) in [
+        (&lines[1], "protocol", "site-slots"),
+        (&lines[2], "protocol", "site-slots"),
+        (&lines[4], "parse", "nesting deeper than"),
+        (&lines[5], "parse", "exceeds"),
+        (&lines[6], "parse", "not valid UTF-8"),
     ] {
         match parse(line) {
             Response::Error { kind, message } => {
-                assert_eq!(kind, "parse");
+                assert_eq!(kind, want_kind);
                 assert!(message.contains(needle), "{message}");
             }
             other => panic!("expected Error, got {other:?}"),
         }
     }
+    assert!(matches!(parse(&lines[3]), Response::Started { .. }));
     assert!(matches!(
-        parse(&lines[5]),
+        parse(&lines[7]),
         Response::Stepped { frame: 0, .. }
     ));
 }

@@ -158,9 +158,8 @@ pub trait FleetDispatcher {
     /// The topology this dispatcher plans and settles over, when it has
     /// one (the default `None` opts out of validation).
     /// [`MultiSiteEngine::run_with`](crate::MultiSiteEngine::run_with)
-    /// rejects a dispatcher whose topology differs from the fleet's —
-    /// the same guard `FleetPlanner::couple` applies — instead of
-    /// silently settling every frame under the wrong lines.
+    /// rejects a dispatcher whose topology differs from the fleet's
+    /// instead of silently settling every frame under the wrong lines.
     fn topology(&self) -> Option<&Interconnect> {
         None
     }

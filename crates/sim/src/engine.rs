@@ -10,8 +10,8 @@ use dpss_units::Energy;
 
 use crate::plant::{self, SlotInputs};
 use crate::{
-    Battery, Controller, DemandQueue, FrameObservation, RunReport, SimError, SimParams,
-    SlotObservation, SlotOutcome, SystemView,
+    Battery, Controller, DemandQueue, FrameObservation, FrameTotals, RunReport, SimError,
+    SimParams, SlotObservation, SlotOutcome, SystemView,
 };
 
 /// The two-timescale simulation driver.
@@ -161,6 +161,7 @@ impl Engine {
             queue: DemandQueue::new(),
             lt_alloc: Energy::ZERO,
             report: empty_report("", clock.total_slots()),
+            last_frame: FrameTotals::EMPTY,
             recorded: if self.record_slots {
                 Some(Vec::with_capacity(clock.total_slots()))
             } else {
@@ -218,12 +219,23 @@ impl Engine {
                 what: "long-term allocation must be finite and non-negative",
             });
         }
+        let last = &state.last_frame;
+        if !(last.waste.is_finite()
+            && last.energy_rt.is_finite()
+            && last.cost_rt.is_finite()
+            && last.grid_draw.is_finite())
+        {
+            return Err(SimError::InvalidState {
+                what: "last-frame totals must be finite",
+            });
+        }
         Ok(EngineRun {
             engine: Arc::clone(self),
             battery: Battery::from_state(self.params.battery, &state.battery)?,
             queue: DemandQueue::from_state(&state.queue)?,
             lt_alloc: state.lt_alloc,
             report: state.report,
+            last_frame: state.last_frame,
             recorded: state.recorded,
             next_frame: state.next_frame,
             failed: false,
@@ -238,7 +250,8 @@ impl Engine {
 /// is exactly `begin` + [`step_frame`](EngineRun::step_frame) ×
 /// `frames` + [`finish`](EngineRun::finish). Within a frame nothing is
 /// externally observable; between frames the accessors expose what a
-/// fleet dispatcher needs (recorded outcomes so far, battery headroom).
+/// fleet dispatcher needs (the partial report, the last frame's totals,
+/// battery headroom).
 #[derive(Debug, Clone)]
 pub struct EngineRun {
     engine: Arc<Engine>,
@@ -246,6 +259,7 @@ pub struct EngineRun {
     queue: DemandQueue,
     lt_alloc: Energy,
     report: RunReport,
+    last_frame: FrameTotals,
     recorded: Option<Vec<SlotOutcome>>,
     next_frame: usize,
     /// Set when a frame step failed part-way: the plant is mid-frame and
@@ -273,11 +287,11 @@ impl EngineRun {
         self.next_frame >= self.engine.truth.clock.frames()
     }
 
-    /// Per-slot outcomes recorded so far (empty unless the engine has
-    /// slot recording enabled).
+    /// The realized totals of the most recently completed frame
+    /// ([`FrameTotals::EMPTY`] before the first).
     #[must_use]
-    pub fn outcomes(&self) -> &[SlotOutcome] {
-        self.recorded.as_deref().unwrap_or(&[])
+    pub fn last_frame(&self) -> &FrameTotals {
+        &self.last_frame
     }
 
     /// The report aggregated over the frames stepped so far (horizon
@@ -318,6 +332,7 @@ impl EngineRun {
             battery: self.battery.state(),
             queue: self.queue.state(),
             report: self.report.clone(),
+            last_frame: self.last_frame,
             recorded: self.recorded.clone(),
         }
     }
@@ -393,6 +408,7 @@ impl EngineRun {
         }
 
         let frame = self.next_frame;
+        self.last_frame = FrameTotals::EMPTY;
         let view = |battery: &Battery, queue: &DemandQueue, lt_alloc: Energy| SystemView {
             battery_level: battery.level(),
             battery_headroom: battery.headroom(),
@@ -502,6 +518,7 @@ impl EngineRun {
                 report.availability_violations += 1;
             }
             report.peak_grid_draw = report.peak_grid_draw.max(outcome.grid_draw());
+            self.last_frame.add(&outcome);
 
             let v_after = view(&self.battery, &self.queue, self.lt_alloc);
             controller.end_slot(&outcome, &v_after);
@@ -921,6 +938,10 @@ mod tests {
 
         let mut bad = good.clone();
         bad.lt_alloc = Energy::from_mwh(f64::NAN);
+        assert!(engine.resume(bad).is_err());
+
+        let mut bad = good.clone();
+        bad.last_frame.cost_rt = dpss_units::Money::from_dollars(f64::INFINITY);
         assert!(engine.resume(bad).is_err());
 
         let mut bad = good.clone();

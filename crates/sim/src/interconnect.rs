@@ -144,18 +144,6 @@ impl Interconnect {
         Interconnect::filled(sites, pair_cap, None)
     }
 
-    /// The full-mesh roster name for [`Interconnect::uniform`]: every
-    /// ordered pair gets its own directed line with `pair_cap` per frame.
-    /// (`mesh` is the spelling the topology sweep axis uses.)
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::SiteMismatch`] if `sites == 0`;
-    /// [`SimError::InvalidParameter`] for a non-finite or negative cap.
-    pub fn mesh(sites: usize, pair_cap: Energy) -> Result<Self, SimError> {
-        Interconnect::uniform(sites, pair_cap)
-    }
-
     /// A bidirectional ring: site `i` is linked to its calendar
     /// neighbours `(i + 1) mod n` and `(i − 1) mod n` only, each directed
     /// line capped at `pair_cap` per frame. With fewer than three sites
@@ -176,17 +164,6 @@ impl Interconnect {
             }
         }
         Ok(ic)
-    }
-
-    /// The topology-roster name for [`Interconnect::decoupled`]: every
-    /// line severed, so the fleet settles nothing and behaves exactly
-    /// like independent sites.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::SiteMismatch`] if `sites == 0`.
-    pub fn severed(sites: usize) -> Result<Self, SimError> {
-        Interconnect::decoupled(sites)
     }
 
     /// Sets the directed cap of the `from → to` line.
@@ -791,7 +768,7 @@ mod tests {
             "links 0->1 cap 0.5 MWh/frame loss 0.05; 2->0 cap 1.5 MWh/frame wheel $2/MWh"
         );
         assert_eq!(
-            Interconnect::severed(4).unwrap().describe(),
+            Interconnect::decoupled(4).unwrap().describe(),
             "severed (no open links)"
         );
         let sched = Interconnect::decoupled(2)
@@ -807,7 +784,7 @@ mod tests {
             "links 0->1 cap 0..3 MWh/frame (3-frame sched)"
         );
         // The uniform compact form still names the mesh in one line.
-        let mesh = Interconnect::mesh(3, Energy::from_mwh(1.0))
+        let mesh = Interconnect::uniform(3, Energy::from_mwh(1.0))
             .unwrap()
             .with_uniform_wheeling(Price::from_dollars_per_mwh(2.0))
             .unwrap();

@@ -108,7 +108,7 @@ pub use engine::{Engine, EngineRun};
 pub use error::SimError;
 pub use forecast::ForecastPolicy;
 pub use interconnect::{FrameExchange, FrameSettlement, Interconnect, DESCRIBE_LINK_LIMIT};
-pub use metrics::{RunReport, SlotCost, SlotOutcome};
+pub use metrics::{FrameTotals, RunReport, SlotCost, SlotOutcome};
 pub use multisite::{FleetRun, MultiSiteEngine, MultiSiteReport};
 pub use params::SimParams;
 pub use queue::DemandQueue;

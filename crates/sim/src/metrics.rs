@@ -68,6 +68,57 @@ impl SlotOutcome {
     }
 }
 
+/// One coarse frame's realized totals: everything a fleet reads from a
+/// site between frames (its outlook and its exchange), so a fleet run
+/// needs no slot history.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct FrameTotals {
+    /// Curtailed energy `Σ W(τ)`.
+    pub waste: Energy,
+    /// Real-time energy purchased (incl. emergency).
+    pub energy_rt: Energy,
+    /// Real-time purchase cost.
+    pub cost_rt: Money,
+    /// Grid draw `Σ (g_bef/T + g_rt)`.
+    pub grid_draw: Energy,
+}
+
+impl FrameTotals {
+    /// Totals before the frame's first slot. Each field starts at `-0.0`,
+    /// the value `Iterator::sum` folds from, so adding the slots in order
+    /// reproduces a sum over the frame's outcomes bit for bit.
+    pub const EMPTY: FrameTotals = FrameTotals {
+        waste: Energy::from_mwh(-0.0),
+        energy_rt: Energy::from_mwh(-0.0),
+        cost_rt: Money::from_dollars(-0.0),
+        grid_draw: Energy::from_mwh(-0.0),
+    };
+
+    /// Adds one slot's outcome.
+    pub fn add(&mut self, outcome: &SlotOutcome) {
+        self.waste += outcome.waste;
+        self.energy_rt += outcome.purchase_rt;
+        self.cost_rt += outcome.cost.real_time;
+        self.grid_draw += outcome.grid_draw();
+    }
+
+    /// The frame-average realized real-time price, $/MWh (zero when
+    /// nothing was bought).
+    #[must_use]
+    pub fn rt_price(&self) -> f64 {
+        average_price(self.energy_rt, self.cost_rt)
+    }
+}
+
+/// `cost / energy` in $/MWh, or zero when no energy was bought.
+pub(crate) fn average_price(energy: Energy, cost: Money) -> f64 {
+    if energy > Energy::ZERO {
+        cost.dollars() / energy.mwh()
+    } else {
+        0.0
+    }
+}
+
 /// Aggregated result of one simulation run.
 ///
 /// # Examples

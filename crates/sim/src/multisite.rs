@@ -7,33 +7,35 @@
 //! one site curtailed (`W(τ)`) may displace real-time purchases at
 //! another site, bounded by directed per-pair caps (plus an optional
 //! fleet-pooled cap), shrunk by line losses and billed per MWh sent at
-//! the line's wheeling price. The settlement is a deterministic fold over
-//! the per-site reports in site-index order, so aggregate results are
-//! byte-identical no matter how (or on how many threads) the site runs
-//! were executed.
+//! the line's wheeling price.
 //!
-//! Two settlement modes share the extraction and aggregation here:
-//! [`MultiSiteEngine::couple`] settles post-hoc with the greedy fold
-//! ([`Interconnect::settle_greedy`]); [`MultiSiteEngine::couple_with`]
-//! lets a caller substitute a planner — `dpss-core`'s `FleetPlanner`
-//! solves each frame's export flows as a linear program over the same
-//! [`FrameExchange`]s.
+//! Every fleet settles in one place: the lockstep frame body
+//! [`FleetRun::step_frame`]. After each coarse frame it reads every
+//! site's [`FrameTotals`](crate::FrameTotals) into a [`FrameExchange`],
+//! in site-index order, and hands it to a [`FleetDispatcher`]: the
+//! topology itself settles greedily ([`Interconnect::settle_greedy`]),
+//! `dpss-core`'s `FleetPlanner` solves the frame's export flows as a
+//! linear program and, coordinating, also directs the sites between
+//! frames. The fleet needs only each site's last-frame totals and
+//! running report, never its slot history, and its aggregates are
+//! byte-identical no matter on how many threads the sites step.
 
 // `MultiSiteEngine::new` rejects empty rosters and mismatched calendars,
 // so `sites[0]` exists and every site shares one validated clock; frame
-// slot ranges derive from that clock and the per-site outcome vectors it
-// sized.
+// slot ranges derive from that clock.
 // audit:allow-file(slice-index): roster is non-empty and calendars match by construction; slot ranges derive from the shared validated clock
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use dpss_units::{Energy, Money};
+use dpss_traces::ScenarioPack;
+use dpss_units::{Energy, Money, SlotClock};
 
+use crate::metrics::average_price;
 use crate::{
     Controller, Engine, EngineRun, EngineRunState, FleetDispatcher, FleetWorkload, FrameDirective,
     FrameExchange, FrameOutlook, FrameSettlement, Interconnect, LoadFrame, LoadTotals,
-    RoutedDispatcher, RoutingConfig, RunReport, SimError, SiteOutlook, SlotOutcome,
+    RoutedDispatcher, RoutingConfig, RunReport, SimError, SimParams, SiteOutlook,
     UnroutedDispatcher,
 };
 
@@ -42,7 +44,7 @@ use crate::{
 /// # Examples
 ///
 /// ```
-/// use dpss_sim::{Controller, Engine, Interconnect, MultiSiteEngine, SimParams};
+/// use dpss_sim::{Controller, Interconnect, MultiSiteEngine, SimParams};
 /// use dpss_traces::ScenarioPack;
 /// use dpss_units::{Energy, SlotClock};
 /// # use dpss_sim::{FrameDecision, FrameObservation, SlotDecision, SlotObservation, SystemView};
@@ -64,11 +66,7 @@ use crate::{
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let clock = SlotClock::new(2, 24, 1.0).unwrap();
 /// let pack = ScenarioPack::builtin("seasonal-calendar").unwrap();
-/// let params = SimParams::icdcs13();
-/// let sites: Result<Vec<Engine>, _> = (0..3)
-///     .map(|s| Engine::new(params, pack.generate_site(&clock, 42, 0, s)?))
-///     .collect();
-/// let multi = MultiSiteEngine::new(sites?)?
+/// let multi = MultiSiteEngine::from_pack(SimParams::icdcs13(), &pack, clock, 42, 0, 3)?
 ///     .with_interconnect(Interconnect::uniform(3, Energy::from_mwh(1.0))?)?;
 /// let mut ctls: Vec<Box<dyn Controller>> =
 ///     (0..3).map(|_| Box::new(Eager) as Box<dyn Controller>).collect();
@@ -87,9 +85,7 @@ pub struct MultiSiteEngine {
 
 impl MultiSiteEngine {
     /// Composes per-site engines into a fleet. All sites must share one
-    /// calendar. Slot recording is enabled on every site (the coupling
-    /// settlement needs per-frame outcome breakdowns). The fleet starts
-    /// decoupled ([`Interconnect::decoupled`]).
+    /// calendar. The fleet starts decoupled ([`Interconnect::decoupled`]).
     ///
     /// # Errors
     ///
@@ -111,13 +107,32 @@ impl MultiSiteEngine {
         }
         let interconnect = Arc::new(Interconnect::decoupled(sites.len())?);
         Ok(MultiSiteEngine {
-            sites: sites
-                .into_iter()
-                .map(|s| Arc::new(s.with_slot_recording(true)))
-                .collect(),
+            sites: sites.into_iter().map(Arc::new).collect(),
             interconnect,
             threads: 1,
         })
+    }
+
+    /// The fleet of one scenario-pack variant: site `s` runs the traces
+    /// [`ScenarioPack::generate_site`] draws for it on `clock`, under
+    /// `params`. The fleet starts decoupled, like [`new`](Self::new).
+    ///
+    /// # Errors
+    ///
+    /// Propagates trace-generation and engine validation failures;
+    /// [`SimError::SiteMismatch`] if `sites == 0`.
+    pub fn from_pack(
+        params: SimParams,
+        pack: &ScenarioPack,
+        clock: SlotClock,
+        seed: u64,
+        variant: usize,
+        sites: usize,
+    ) -> Result<Self, SimError> {
+        let engines = (0..sites)
+            .map(|s| Engine::new(params, pack.generate_site(&clock, seed, variant, s)?))
+            .collect::<Result<Vec<_>, _>>()?;
+        MultiSiteEngine::new(engines)
     }
 
     /// Sets the worker-thread budget for stepping sites within a coarse
@@ -181,15 +196,9 @@ impl MultiSiteEngine {
         &self.interconnect
     }
 
-    /// Runs one controller per site and settles the interconnect
-    /// coupling — the fleet runs *frame-synchronously*: every site steps
-    /// coarse frame `k` (in site order) before any site starts frame
-    /// `k + 1`, and each frame's exchange is settled greedily as soon as
-    /// it completes. Sites never interact within a frame, so this is
-    /// bit-identical to running every site to completion and settling
-    /// post-hoc with [`couple`](Self::couple) — which is still what
-    /// parallel harnesses do: run `self.sites()[i]` on worker threads and
-    /// hand the collected reports (in site order) to `couple`.
+    /// Runs one controller per site and settles every frame greedily
+    /// ([`Interconnect::settle_greedy`]): [`run_with`](Self::run_with)
+    /// with the fleet's own topology as the dispatcher.
     ///
     /// # Errors
     ///
@@ -208,11 +217,11 @@ impl MultiSiteEngine {
     /// directs the sites between frames and settles each frame's
     /// realized exchange — then [`FleetRun::finish`].
     ///
-    /// With a dispatcher that never directs (e.g. the topology itself,
-    /// or a plain planner) this is exactly the post-hoc/planned
-    /// settlement of a conventional run; with a coordinating dispatcher
-    /// the directives feed the flow plan back into the sites' physical
-    /// dispatch.
+    /// With a dispatcher that never directs (the topology itself, or a
+    /// planner without coordination) every site runs exactly as it would
+    /// alone and only the settlement differs — the post-hoc and planned
+    /// modes; with a coordinating dispatcher the directives feed the flow
+    /// plan back into the sites' physical dispatch.
     ///
     /// # Errors
     ///
@@ -382,9 +391,10 @@ impl MultiSiteEngine {
 
     /// The fleet's causal outlook for coarse frame `frame`, built from
     /// the sites' in-flight runs: frame `frame − 1`'s realization
-    /// (curtailment, real-time need and average price, grid draw) plus
-    /// each site's current battery headroom and the coming frame's
-    /// *observed* long-term price. Frame 0 forecasts zeros. This is what
+    /// ([`EngineRun::last_frame`]: curtailment, real-time need, grid
+    /// draw), the running real-time price from each site's report, its
+    /// current battery headroom and the coming frame's *observed*
+    /// long-term price. Frame 0 forecasts zeros. This is what
     /// [`FleetRun::step_frame`] directs from; public so custom harnesses
     /// can drive the lockstep loop by hand — the determinism suite does,
     /// to prove within-frame site order is immaterial.
@@ -403,9 +413,10 @@ impl MultiSiteEngine {
             .iter()
             .zip(runs)
             .map(|(site, run)| {
-                assert!(
-                    run.frames_completed() >= frame,
-                    "outlook for frame {frame} needs the previous frames stepped"
+                assert_eq!(
+                    run.frames_completed(),
+                    frame,
+                    "outlook for frame {frame} needs exactly the previous frames stepped"
                 );
                 let params = site.params();
                 let frame_budget = params.grid_slot_cap(clock.slot_hours()) * t as f64;
@@ -423,21 +434,19 @@ impl MultiSiteEngine {
                         load_due: Energy::ZERO,
                     };
                 }
-                let prev = &run.outcomes()[(frame - 1) * t..frame * t];
-                let (rt, _) = realized_rt(prev);
-                // Price forecast: the realized average over *all* past
-                // frames, not just the last one — real-time spikes are
-                // short and mean-reverting, so chasing the previous
-                // frame's price buys high after every spike, while the
-                // running average prices the regime the settlement will
-                // actually book savings at.
-                let (_, avg_price) = realized_rt(&run.outcomes()[..frame * t]);
-                let draw: Energy = prev.iter().map(SlotOutcome::grid_draw).sum();
+                let prev = run.last_frame();
+                let report = run.report();
                 SiteOutlook {
-                    expected_surplus: prev.iter().map(|o| o.waste).sum(),
-                    expected_need: rt,
-                    expected_price: avg_price,
-                    export_headroom: (frame_budget - draw).positive_part(),
+                    expected_surplus: prev.waste,
+                    expected_need: prev.energy_rt,
+                    // Price forecast: the realized average over *all* past
+                    // frames, not just the last one — real-time spikes are
+                    // short and mean-reverting, so chasing the previous
+                    // frame's price buys high after every spike, while the
+                    // running average prices the regime the settlement will
+                    // actually book savings at.
+                    expected_price: average_price(report.energy_rt, report.cost_rt),
+                    export_headroom: (frame_budget - prev.grid_draw).positive_part(),
                     battery_headroom: run.battery_headroom(),
                     procure_cost,
                     load_backlog: Energy::ZERO,
@@ -448,131 +457,34 @@ impl MultiSiteEngine {
         FrameOutlook { frame, sites }
     }
 
-    /// The realized [`FrameExchange`] of coarse frame `frame`, extracted
-    /// from the sites' in-flight runs — the same extraction
-    /// [`couple_with`](Self::couple_with) applies to finished reports,
-    /// available mid-run for frame-synchronous settlement.
+    /// The realized [`FrameExchange`] of coarse frame `frame`, read from
+    /// the sites' in-flight runs ([`EngineRun::last_frame`]) in site-index
+    /// order — what [`FleetRun::step_frame`] settles.
     ///
     /// # Errors
     ///
-    /// [`SimError::SiteMismatch`] if a run has not completed `frame` yet
-    /// (or is not recording slot outcomes).
+    /// [`SimError::SiteMismatch`] if a run's last completed frame is not
+    /// `frame`.
     pub fn exchange_at(&self, frame: usize, runs: &[EngineRun]) -> Result<FrameExchange, SimError> {
-        let t = self.sites[0].truth().clock.slots_per_frame();
-        let mut ex = empty_exchange(frame, runs.len());
+        let mut ex = FrameExchange {
+            frame,
+            curtailed: Vec::with_capacity(runs.len()),
+            rt_energy: Vec::with_capacity(runs.len()),
+            rt_price: Vec::with_capacity(runs.len()),
+        };
         for (i, run) in runs.iter().enumerate() {
-            let outcomes = run.outcomes();
-            if outcomes.len() < (frame + 1) * t {
+            if run.frames_completed() != frame + 1 {
                 return Err(SimError::SiteMismatch {
                     site: i,
-                    what: "run has not recorded the requested frame yet",
+                    what: "run's last completed frame is not the requested one",
                 });
             }
-            push_site_exchange(&mut ex, &outcomes[frame * t..(frame + 1) * t]);
+            let totals = run.last_frame();
+            ex.curtailed.push(totals.waste);
+            ex.rt_energy.push(totals.energy_rt);
+            ex.rt_price.push(totals.rt_price());
         }
         Ok(ex)
-    }
-
-    fn assemble(&self, reports: Vec<RunReport>, total: FrameSettlement) -> MultiSiteReport {
-        let clock = self.sites[0].truth().clock;
-        MultiSiteReport {
-            frames: clock.frames(),
-            slots: clock.total_slots(),
-            interconnect: (*self.interconnect).clone(),
-            energy_transferred: total.sent,
-            energy_delivered: total.delivered,
-            transfer_savings: total.savings,
-            wheeling_cost: total.wheeling,
-            load: LoadTotals::default(),
-            sites: reports,
-        }
-    }
-
-    /// Settles the interconnect coupling post-hoc over already-computed
-    /// per-site reports (in site-index order) and aggregates the fleet
-    /// report, using the greedy per-frame fold
-    /// ([`Interconnect::settle_greedy`]): most expensive recipients
-    /// first, donors in site order, per-link caps/losses/wheeling
-    /// respected. Pure arithmetic over the reports — no RNG, no
-    /// scheduling dependence.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::SiteMismatch`] if the report roster length differs from
-    /// the site roster or a report lacks slot outcomes.
-    pub fn couple(&self, reports: Vec<RunReport>) -> Result<MultiSiteReport, SimError> {
-        self.couple_with(reports, |ex| self.interconnect.settle_greedy(ex))
-    }
-
-    /// [`couple`](Self::couple) with a caller-supplied settlement: `settle`
-    /// receives each coarse frame's [`FrameExchange`] in frame order and
-    /// returns what moved. This is the planner hook — `dpss-core`'s
-    /// `FleetPlanner` solves each frame's export flows as an LP over the
-    /// same topology instead of folding greedily.
-    ///
-    /// Determinism contract: the exchanges depend only on the reports (in
-    /// site order), so any deterministic `settle` yields fleet aggregates
-    /// independent of site-execution order and thread count.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::SiteMismatch`] if the report roster length differs from
-    /// the site roster or a report lacks slot outcomes.
-    pub fn couple_with<F>(
-        &self,
-        reports: Vec<RunReport>,
-        mut settle: F,
-    ) -> Result<MultiSiteReport, SimError>
-    where
-        F: FnMut(&FrameExchange) -> FrameSettlement,
-    {
-        if reports.len() != self.sites.len() {
-            return Err(SimError::SiteMismatch {
-                site: reports.len(),
-                what: "report roster length differs from site roster",
-            });
-        }
-        let clock = self.sites[0].truth().clock;
-        for (i, r) in reports.iter().enumerate() {
-            let Some(outcomes) = r.slot_outcomes.as_ref() else {
-                return Err(SimError::SiteMismatch {
-                    site: i,
-                    what: "report lacks slot outcomes (enable slot recording)",
-                });
-            };
-            if outcomes.len() != clock.total_slots() {
-                return Err(SimError::SiteMismatch {
-                    site: i,
-                    what: "report covers a different calendar than the fleet",
-                });
-            }
-        }
-
-        let t = clock.slots_per_frame();
-        let mut total = FrameSettlement::default();
-        // A transfer is *inter*-site: a site's own curtailment can never
-        // displace its own purchases (that would grant free intra-frame
-        // storage), so single-site and silent fleets settle nothing.
-        if !self.interconnect.is_silent() {
-            for frame in 0..clock.frames() {
-                let range = frame * t..(frame + 1) * t;
-                let mut ex = empty_exchange(frame, reports.len());
-                for r in &reports {
-                    push_site_exchange(
-                        &mut ex,
-                        // audit:allow(panic-unwrap): couple() validated every report has recorded outcomes
-                        &r.slot_outcomes.as_ref().expect("validated above")[range.clone()],
-                    );
-                }
-                let s = settle(&ex);
-                total.sent += s.sent;
-                total.delivered += s.delivered;
-                total.savings += s.savings;
-                total.wheeling += s.wheeling;
-            }
-        }
-
-        Ok(self.assemble(reports, total))
     }
 }
 
@@ -749,9 +661,18 @@ impl FleetRun {
             .into_iter()
             .map(EngineRun::finish)
             .collect::<Result<Vec<_>, _>>()?;
-        let mut report = self.fleet.assemble(reports, self.settled);
-        report.load = self.workload.map(FleetWorkload::finish).unwrap_or_default();
-        Ok(report)
+        let clock = self.fleet.sites[0].truth().clock;
+        Ok(MultiSiteReport {
+            frames: clock.frames(),
+            slots: clock.total_slots(),
+            interconnect: (*self.fleet.interconnect).clone(),
+            energy_transferred: self.settled.sent,
+            energy_delivered: self.settled.delivered,
+            transfer_savings: self.settled.savings,
+            wheeling_cost: self.settled.wheeling,
+            load: self.workload.map(FleetWorkload::finish).unwrap_or_default(),
+            sites: reports,
+        })
     }
 }
 
@@ -807,43 +728,6 @@ fn step_sites(
             .unwrap_or_else(|| panic!("site {i} was not stepped"))?;
     }
     Ok(())
-}
-
-/// Realized real-time totals of one frame's outcomes: energy purchased
-/// and the frame-average realized price (zero when nothing was bought).
-fn realized_rt(outcomes: &[SlotOutcome]) -> (Energy, f64) {
-    let rt: Energy = outcomes.iter().map(|o| o.purchase_rt).sum();
-    let rt_cost: Money = outcomes.iter().map(|o| o.cost.real_time).sum();
-    let price = if rt > Energy::ZERO {
-        rt_cost.dollars() / rt.mwh()
-    } else {
-        0.0
-    };
-    (rt, price)
-}
-
-fn empty_exchange(frame: usize, sites: usize) -> FrameExchange {
-    FrameExchange {
-        frame,
-        curtailed: Vec::with_capacity(sites),
-        rt_energy: Vec::with_capacity(sites),
-        rt_price: Vec::with_capacity(sites),
-    }
-}
-
-/// Appends one site's frame realization to an exchange — the single
-/// extraction both settlement paths (post-hoc [`couple_with`] over
-/// finished reports, frame-synchronous [`exchange_at`] mid-run) share,
-/// so the two are arithmetically identical by construction.
-///
-/// [`couple_with`]: MultiSiteEngine::couple_with
-/// [`exchange_at`]: MultiSiteEngine::exchange_at
-fn push_site_exchange(ex: &mut FrameExchange, outcomes: &[SlotOutcome]) {
-    let waste: Energy = outcomes.iter().map(|o| o.waste).sum();
-    let (rt, price) = realized_rt(outcomes);
-    ex.curtailed.push(waste);
-    ex.rt_energy.push(rt);
-    ex.rt_price.push(price);
 }
 
 /// Aggregated result of one fleet run: per-site [`RunReport`]s plus the
@@ -947,11 +831,8 @@ impl MultiSiteReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        FrameDecision, FrameObservation, SimParams, SlotDecision, SlotObservation, SystemView,
-    };
-    use dpss_traces::ScenarioPack;
-    use dpss_units::{Price, SlotClock};
+    use crate::{FrameDecision, FrameObservation, SlotDecision, SlotObservation, SystemView};
+    use dpss_units::Price;
 
     /// Serves everything eagerly from the real-time market.
     struct Eager;
@@ -974,16 +855,7 @@ mod tests {
     fn fleet(sites: usize, cap: f64) -> MultiSiteEngine {
         let clock = SlotClock::new(3, 24, 1.0).unwrap();
         let pack = ScenarioPack::builtin("seasonal-calendar").unwrap();
-        let engines: Vec<Engine> = (0..sites)
-            .map(|s| {
-                Engine::new(
-                    SimParams::icdcs13(),
-                    pack.generate_site(&clock, 42, 0, s).unwrap(),
-                )
-                .unwrap()
-            })
-            .collect();
-        MultiSiteEngine::new(engines)
+        MultiSiteEngine::from_pack(SimParams::icdcs13(), &pack, clock, 42, 0, sites)
             .unwrap()
             .with_interconnect(Interconnect::pooled(sites, Energy::from_mwh(cap)).unwrap())
             .unwrap()
@@ -999,6 +871,12 @@ mod tests {
     fn rejects_empty_and_mismatched_fleets() {
         assert!(matches!(
             MultiSiteEngine::new(Vec::new()),
+            Err(SimError::SiteMismatch { site: 0, .. })
+        ));
+        let pack = ScenarioPack::builtin("seasonal-calendar").unwrap();
+        let clock = SlotClock::new(2, 24, 1.0).unwrap();
+        assert!(matches!(
+            MultiSiteEngine::from_pack(SimParams::icdcs13(), &pack, clock, 42, 0, 0),
             Err(SimError::SiteMismatch { site: 0, .. })
         ));
         let a = Engine::new(
@@ -1062,16 +940,7 @@ mod tests {
     fn routed_fleet(sites: usize, cap: f64) -> MultiSiteEngine {
         let clock = SlotClock::new(3, 24, 1.0).unwrap();
         let pack = ScenarioPack::builtin("traffic-wave").unwrap();
-        let engines: Vec<Engine> = (0..sites)
-            .map(|s| {
-                Engine::new(
-                    SimParams::icdcs13(),
-                    pack.generate_site(&clock, 42, 2, s).unwrap(),
-                )
-                .unwrap()
-            })
-            .collect();
-        MultiSiteEngine::new(engines)
+        MultiSiteEngine::from_pack(SimParams::icdcs13(), &pack, clock, 42, 2, sites)
             .unwrap()
             .with_interconnect(Interconnect::pooled(sites, Energy::from_mwh(cap)).unwrap())
             .unwrap()
@@ -1132,46 +1001,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_run_resumes_mid_horizon_byte_identically() {
-        let multi = fleet(3, 1.5);
-        let full = multi.run(&mut eager_boxes(3)).unwrap();
-        let mut greedy = crate::UnroutedDispatcher(multi.interconnect().clone());
-        let mut ctls = eager_boxes(3);
-        let mut run = multi.begin().unwrap();
-        run.step_frame(&mut ctls, &mut greedy).unwrap();
-        assert!(matches!(
-            run.clone().finish(),
-            Err(SimError::RunIncomplete { frames_done: 1, .. })
-        ));
-        let states: Vec<EngineRunState> = run.runs().iter().map(EngineRun::state).collect();
-        assert!(matches!(
-            multi.resume(states[1..].to_vec(), run.settled()),
-            Err(SimError::SiteMismatch { site: 2, .. })
-        ));
-        let mut resumed = multi.resume(states, run.settled()).unwrap();
-        assert_eq!(resumed.frames_completed(), 1);
-        while !resumed.is_done() {
-            resumed.step_frame(&mut ctls, &mut greedy).unwrap();
-        }
-        assert_eq!(resumed.finish().unwrap(), full);
-    }
-
-    #[test]
-    fn couple_requires_slot_outcomes_in_reports() {
-        let multi = fleet(2, 1.0);
-        let mut reports: Vec<RunReport> = multi
-            .sites()
-            .iter()
-            .map(|s| s.run(&mut Eager).unwrap())
-            .collect();
-        reports[1].slot_outcomes = None;
-        assert!(matches!(
-            multi.couple(reports),
-            Err(SimError::SiteMismatch { site: 1, .. })
-        ));
-    }
-
-    #[test]
     fn zero_cap_decouples_and_positive_cap_only_saves() {
         let multi = fleet(3, 0.0);
         let decoupled = multi.run(&mut eager_boxes(3)).unwrap();
@@ -1189,37 +1018,6 @@ mod tests {
         assert!(coupled.total_cost() <= decoupled.total_cost());
         // Per-frame cap bounds the total transfer.
         assert!(coupled.energy_transferred.mwh() <= 2.0 * coupled.frames as f64 + 1e-9);
-    }
-
-    #[test]
-    fn couple_is_independent_of_site_execution_order() {
-        let multi = fleet(3, 1.5);
-        // Compute the per-site reports back to front, then settle in site
-        // order: must equal the serial in-order run exactly.
-        let mut reversed: Vec<RunReport> = multi
-            .sites()
-            .iter()
-            .rev()
-            .map(|s| s.run(&mut Eager).unwrap())
-            .collect();
-        reversed.reverse();
-        let via_couple = multi.couple(reversed).unwrap();
-        let serial = multi.run(&mut eager_boxes(3)).unwrap();
-        assert_eq!(via_couple, serial);
-    }
-
-    #[test]
-    fn threaded_stepping_is_byte_identical_to_serial() {
-        let serial = fleet(3, 1.5).run(&mut eager_boxes(3)).unwrap();
-        // 2 < sites, 4 > sites, 0 = available parallelism: every budget
-        // must reproduce the serial run exactly (PartialEq covers every
-        // slot outcome via the recorded reports).
-        for threads in [2, 4, 0] {
-            let multi = fleet(3, 1.5).with_threads(threads);
-            assert!(multi.threads() >= 1);
-            let threaded = multi.run(&mut eager_boxes(3)).unwrap();
-            assert_eq!(threaded, serial, "threads = {threads}");
-        }
     }
 
     #[test]
@@ -1281,24 +1079,23 @@ mod tests {
     }
 
     #[test]
-    fn couple_with_substitutes_the_settlement() {
-        let multi = fleet(2, 1.0);
-        let reports: Vec<RunReport> = multi
-            .sites()
-            .iter()
-            .map(|s| s.run(&mut Eager).unwrap())
-            .collect();
-        let mut frames_seen = Vec::new();
-        let report = multi
-            .couple_with(reports, |ex| {
-                frames_seen.push(ex.frame);
+    fn run_with_settles_every_frame_through_the_dispatcher() {
+        /// Records the frames it settles and moves nothing.
+        struct Silent(Vec<usize>);
+        impl FleetDispatcher for Silent {
+            fn settle(&mut self, ex: &FrameExchange) -> FrameSettlement {
                 assert_eq!(ex.curtailed.len(), 2);
+                self.0.push(ex.frame);
                 FrameSettlement::default()
-            })
-            .unwrap();
-        assert_eq!(frames_seen, vec![0, 1, 2]);
+            }
+        }
+        let multi = fleet(2, 1.0);
+        let mut silent = Silent(Vec::new());
+        let report = multi.run_with(&mut eager_boxes(2), &mut silent).unwrap();
+        assert_eq!(silent.0, vec![0, 1, 2]);
         assert_eq!(report.energy_transferred, Energy::ZERO);
         assert_eq!(report.total_cost(), report.cost_before_transfers());
+        assert!(report.sites.iter().all(|r| r.slot_outcomes.is_none()));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use dpss_units::Energy;
 use serde::{Deserialize, Serialize};
 
-use crate::{RunReport, SlotOutcome};
+use crate::{FrameTotals, RunReport, SlotOutcome};
 
 /// A [`Battery`](crate::Battery)'s full mutable state (level plus the
 /// wear/audit counters the final report needs).
@@ -83,6 +83,9 @@ pub struct EngineRunState {
     pub queue: QueueState,
     /// Partially aggregated report.
     pub report: RunReport,
+    /// Realized totals of the most recently completed frame (what a
+    /// fleet's next outlook reads).
+    pub last_frame: FrameTotals,
     /// Per-slot outcomes recorded so far; present iff the engine has slot
     /// recording enabled.
     pub recorded: Option<Vec<SlotOutcome>>,

@@ -19,12 +19,16 @@
 //!   `≤ +1e-9`);
 //! * **cap-schedule identity** — an all-equal per-frame cap schedule
 //!   settles bit-identically to the equivalent static cap, in both
-//!   settlement modes.
+//!   settlement modes;
+//! * **lockstep identity** — threaded stepping and a mid-horizon resume
+//!   reproduce the serial run, compared slot by slot on recording
+//!   engines.
 
 use dpss_core::{FleetPlanner, SmartDpss, SmartDpssConfig};
 use dpss_sim::{
-    Controller, Engine, FrameDecision, FrameObservation, Interconnect, MultiSiteEngine,
-    MultiSiteReport, RunReport, SimParams, SlotDecision, SlotObservation, SystemView,
+    Controller, Engine, EngineRun, EngineRunState, FrameDecision, FrameObservation, Interconnect,
+    MultiSiteEngine, MultiSiteReport, SimError, SimParams, SlotDecision, SlotObservation,
+    SystemView, UnroutedDispatcher,
 };
 use dpss_traces::{Scenario, ScenarioPack};
 use dpss_units::{Energy, Money, Price, SlotClock};
@@ -50,10 +54,10 @@ impl Controller for Eager {
     }
 }
 
-/// A small fleet (2 frames × 12 slots) with per-site seeds, plus its
-/// per-site reports. The reports depend only on the sites, never on the
-/// topology, so one run settles under many interconnects.
-fn fleet_reports(sites: usize, seed: u64) -> (MultiSiteEngine, Vec<RunReport>) {
+/// A small fleet (2 frames × 12 slots) with per-site seeds. Eager sites
+/// dispatch the same way under every topology, so one fleet settles the
+/// same site runs under many interconnects.
+fn small_fleet(sites: usize, seed: u64) -> MultiSiteEngine {
     let clock = SlotClock::new(2, 12, 1.0).unwrap();
     let engines: Vec<Engine> = (0..sites)
         .map(|s| {
@@ -63,32 +67,40 @@ fn fleet_reports(sites: usize, seed: u64) -> (MultiSiteEngine, Vec<RunReport>) {
             Engine::new(SimParams::icdcs13(), traces).unwrap()
         })
         .collect();
-    let multi = MultiSiteEngine::new(engines).unwrap();
-    let reports: Vec<RunReport> = multi
-        .sites()
-        .iter()
-        .map(|s| s.run(&mut Eager).unwrap())
-        .collect();
-    (multi, reports)
+    MultiSiteEngine::new(engines).unwrap()
 }
 
-fn settle(multi: &MultiSiteEngine, reports: &[RunReport], ic: Interconnect) -> MultiSiteReport {
+fn eager_boxes(n: usize) -> Vec<Box<dyn Controller>> {
+    (0..n)
+        .map(|_| Box::new(Eager) as Box<dyn Controller>)
+        .collect()
+}
+
+fn smart_boxes(n: usize, params: SimParams, clock: SlotClock) -> Vec<Box<dyn Controller>> {
+    (0..n)
+        .map(|_| {
+            Box::new(SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).unwrap())
+                as Box<dyn Controller>
+        })
+        .collect()
+}
+
+/// Runs the eager fleet over `ic`, settling greedily.
+fn settle(multi: &MultiSiteEngine, ic: Interconnect) -> MultiSiteReport {
     multi
         .clone()
         .with_interconnect(ic)
         .unwrap()
-        .couple(reports.to_vec())
+        .run(&mut eager_boxes(multi.site_count()))
         .unwrap()
 }
 
-fn settle_planned(
-    multi: &MultiSiteEngine,
-    reports: &[RunReport],
-    ic: Interconnect,
-) -> MultiSiteReport {
+/// Runs the eager fleet over `ic`, settling through a fresh planner.
+fn settle_planned(multi: &MultiSiteEngine, ic: Interconnect) -> MultiSiteReport {
     let coupled = multi.clone().with_interconnect(ic).unwrap();
-    FleetPlanner::for_engine(&coupled)
-        .couple(&coupled, reports.to_vec())
+    let mut planner = FleetPlanner::for_engine(&coupled);
+    coupled
+        .run_with(&mut eager_boxes(multi.site_count()), &mut planner)
         .unwrap()
 }
 
@@ -143,12 +155,12 @@ proptest! {
         cap in 0.0..3.0f64,
         loss in 0.0..0.9f64,
     ) {
-        let (multi, reports) = fleet_reports(sites, seed);
+        let multi = small_fleet(sites, seed);
         let ic = Interconnect::uniform(sites, Energy::from_mwh(cap))
             .unwrap()
             .with_uniform_loss(loss)
             .unwrap();
-        let r = settle(&multi, &reports, ic);
+        let r = settle(&multi, ic);
         prop_assert!(r.energy_delivered <= r.energy_transferred + Energy::from_mwh(1e-12));
         // Uniform loss ⇒ the sent/delivered gap is the loss *exactly*.
         prop_assert!(
@@ -177,10 +189,10 @@ proptest! {
         delta in 0.0..0.5f64,
     ) {
         let loss_hi = (loss_lo + delta).min(0.999_999);
-        let (multi, reports) = fleet_reports(sites, seed);
+        let multi = small_fleet(sites, seed);
         let base = Interconnect::uniform(sites, Energy::from_mwh(cap)).unwrap();
-        let lo = settle(&multi, &reports, base.clone().with_uniform_loss(loss_lo).unwrap());
-        let hi = settle(&multi, &reports, base.with_uniform_loss(loss_hi).unwrap());
+        let lo = settle(&multi, base.clone().with_uniform_loss(loss_lo).unwrap());
+        let hi = settle(&multi, base.with_uniform_loss(loss_hi).unwrap());
         prop_assert!(
             hi.transfer_savings <= lo.transfer_savings + Money::from_dollars(1e-9),
             "loss {loss_lo} saves ${}, loss {loss_hi} saves ${}",
@@ -196,8 +208,12 @@ proptest! {
         sites in 1usize..4,
         seed in 0u64..1_000,
     ) {
-        let (multi, reports) = fleet_reports(sites, seed);
-        let per_site_sum: Money = reports.iter().map(RunReport::total_cost).sum();
+        let multi = small_fleet(sites, seed);
+        let per_site_sum: Money = multi
+            .sites()
+            .iter()
+            .map(|site| site.run(&mut Eager).unwrap().total_cost())
+            .sum();
         for ic in [
             Interconnect::decoupled(sites).unwrap(),
             Interconnect::pooled(sites, Energy::ZERO).unwrap(),
@@ -206,7 +222,7 @@ proptest! {
                 .with_pool_cap(Some(Energy::ZERO))
                 .unwrap(),
         ] {
-            let r = settle(&multi, &reports, ic);
+            let r = settle(&multi, ic);
             prop_assert_eq!(r.energy_transferred, Energy::ZERO);
             prop_assert_eq!(r.transfer_savings, Money::ZERO);
             prop_assert_eq!(r.wheeling_cost, Money::ZERO);
@@ -225,7 +241,7 @@ proptest! {
         loss in 0.0..0.5f64,
         schedule_len in 1usize..5,
     ) {
-        let (multi, reports) = fleet_reports(sites, seed);
+        let multi = small_fleet(sites, seed);
         let static_ic = Interconnect::uniform(sites, Energy::from_mwh(cap))
             .unwrap()
             .with_uniform_loss(loss)
@@ -240,15 +256,15 @@ proptest! {
                 }
             }
         }
-        let a = settle(&multi, &reports, static_ic.clone());
-        let b = settle(&multi, &reports, scheduled_ic.clone());
+        let a = settle(&multi, static_ic.clone());
+        let b = settle(&multi, scheduled_ic.clone());
         prop_assert_eq!(a.energy_transferred, b.energy_transferred);
         prop_assert_eq!(a.energy_delivered, b.energy_delivered);
         prop_assert_eq!(a.transfer_savings, b.transfer_savings);
         prop_assert_eq!(a.wheeling_cost, b.wheeling_cost);
         prop_assert_eq!(a.total_cost(), b.total_cost());
-        let pa = settle_planned(&multi, &reports, static_ic);
-        let pb = settle_planned(&multi, &reports, scheduled_ic);
+        let pa = settle_planned(&multi, static_ic);
+        let pb = settle_planned(&multi, scheduled_ic);
         prop_assert_eq!(pa.energy_transferred, pb.energy_transferred);
         prop_assert_eq!(pa.transfer_savings, pb.transfer_savings);
         prop_assert_eq!(pa.total_cost(), pb.total_cost());
@@ -263,10 +279,10 @@ proptest! {
         topo in random_topology(3),
     ) {
         let (caps, loss, wheel, pool) = topo;
-        let (multi, reports) = fleet_reports(sites, seed);
+        let multi = small_fleet(sites, seed);
         let ic = build_topology(sites, &caps, loss, wheel, pool);
-        let posthoc = settle(&multi, &reports, ic.clone());
-        let planned = settle_planned(&multi, &reports, ic);
+        let posthoc = settle(&multi, ic.clone());
+        let planned = settle_planned(&multi, ic);
         // Identical per-site physics; only the settlement differs.
         prop_assert_eq!(planned.cost_before_transfers(), posthoc.cost_before_transfers());
         prop_assert!(
@@ -296,31 +312,14 @@ fn planned_mode_never_costs_more_than_post_hoc_on_builtin_packs() {
     for name in ScenarioPack::builtin_names() {
         let pack = ScenarioPack::builtin(name).unwrap();
         for v in 0..pack.len() {
-            let engines: Vec<Engine> = (0..sites)
-                .map(|s| {
-                    Engine::new(params, pack.generate_site(&clock, 42, v, s).unwrap()).unwrap()
-                })
-                .collect();
-            let multi = MultiSiteEngine::new(engines)
+            let multi = MultiSiteEngine::from_pack(params, &pack, clock, 42, v, sites)
                 .unwrap()
                 .with_interconnect(Interconnect::pooled(sites, Energy::from_mwh(2.0)).unwrap())
                 .unwrap();
-            let reports: Vec<RunReport> = multi
-                .sites()
-                .iter()
-                .map(|site| {
-                    let mut ctl = dpss_core::SmartDpss::new(
-                        dpss_core::SmartDpssConfig::icdcs13(),
-                        params,
-                        site.truth().clock,
-                    )
-                    .unwrap();
-                    site.run(&mut ctl).unwrap()
-                })
-                .collect();
-            let posthoc = multi.couple(reports.clone()).unwrap();
-            let planned = FleetPlanner::for_engine(&multi)
-                .couple(&multi, reports)
+            let posthoc = multi.run(&mut smart_boxes(sites, params, clock)).unwrap();
+            let mut planner = FleetPlanner::for_engine(&multi);
+            let planned = multi
+                .run_with(&mut smart_boxes(sites, params, clock), &mut planner)
                 .unwrap();
             assert!(
                 planned.total_cost() <= posthoc.total_cost() + Money::from_dollars(1e-9),
@@ -345,10 +344,9 @@ fn planned_mode_never_costs_more_than_post_hoc_on_builtin_packs() {
 fn sampled_fleets_actually_exchange_energy() {
     let mut settled = 0usize;
     for seed in 0..24u64 {
-        let (multi, reports) = fleet_reports(3, seed);
+        let multi = small_fleet(3, seed);
         let r = settle(
             &multi,
-            &reports,
             Interconnect::uniform(3, Energy::from_mwh(2.0)).unwrap(),
         );
         assert!(r.total_energy_wasted() >= Energy::ZERO);
@@ -391,34 +389,26 @@ fn coordinated_dispatch_measurably_beats_planned_on_the_contention_pack() {
         .unwrap()
         .with_uniform_wheeling(Price::from_dollars_per_mwh(2.0))
         .unwrap();
-    let smart_boxes = || -> Vec<Box<dyn Controller>> {
-        (0..sites)
-            .map(|_| {
-                Box::new(SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).unwrap())
-                    as Box<dyn Controller>
-            })
-            .collect()
-    };
-
     let mut stressed_gap = None;
     for v in 0..pack.len() {
-        let engines: Vec<Engine> = (0..sites)
-            .map(|s| Engine::new(params, pack.generate_site(&clock, 42, v, s).unwrap()).unwrap())
-            .collect();
-        let multi = MultiSiteEngine::new(engines)
+        let multi = MultiSiteEngine::from_pack(params, &pack, clock, 42, v, sites)
             .unwrap()
             .with_interconnect(ring.clone())
             .unwrap();
 
         // Post-hoc and planned share the sites' physics; only the
         // settlement differs.
-        let posthoc = multi.run(&mut smart_boxes()).unwrap();
-        let planned = FleetPlanner::for_engine(&multi)
-            .couple(&multi, posthoc.sites.clone())
+        let posthoc = multi.run(&mut smart_boxes(sites, params, clock)).unwrap();
+        let mut planner = FleetPlanner::for_engine(&multi);
+        let planned = multi
+            .run_with(&mut smart_boxes(sites, params, clock), &mut planner)
             .unwrap();
+        assert_eq!(planned.sites, posthoc.sites);
         // Coordinated re-dispatches the sites frame-synchronously.
         let mut dispatcher = FleetPlanner::for_engine(&multi).with_coordination(true);
-        let coordinated = multi.run_with(&mut smart_boxes(), &mut dispatcher).unwrap();
+        let coordinated = multi
+            .run_with(&mut smart_boxes(sites, params, clock), &mut dispatcher)
+            .unwrap();
 
         let name = pack.variant(v).unwrap().0;
         // Theorem: the greedy settlement is a feasible LP point.
@@ -455,14 +445,74 @@ fn coordinated_dispatch_measurably_beats_planned_on_the_contention_pack() {
 /// post-hoc configuration.
 #[test]
 fn planner_matches_greedy_value_on_pooled_lossless_fleets() {
-    let (multi, reports) = fleet_reports(3, 7);
+    let multi = small_fleet(3, 7);
     let ic = Interconnect::pooled(3, Energy::from_mwh(1.5)).unwrap();
-    let posthoc = settle(&multi, &reports, ic.clone());
-    let planned = settle_planned(&multi, &reports, ic);
+    let posthoc = settle(&multi, ic.clone());
+    let planned = settle_planned(&multi, ic);
     assert!(
         (planned.transfer_savings.dollars() - posthoc.transfer_savings.dollars()).abs() < 1e-9,
         "planned ${} vs greedy ${}",
         planned.transfer_savings.dollars(),
         posthoc.transfer_savings.dollars()
     );
+}
+
+/// A 3-site, 3-day pooled fleet whose engines record every slot, so
+/// report equality compares each slot outcome, not just the totals.
+fn recorded_fleet() -> MultiSiteEngine {
+    let clock = SlotClock::new(3, 24, 1.0).unwrap();
+    let pack = ScenarioPack::builtin("seasonal-calendar").unwrap();
+    let engines: Vec<Engine> = (0..3)
+        .map(|s| {
+            Engine::new(
+                SimParams::icdcs13(),
+                pack.generate_site(&clock, 42, 0, s).unwrap(),
+            )
+            .unwrap()
+            .with_slot_recording(true)
+        })
+        .collect();
+    MultiSiteEngine::new(engines)
+        .unwrap()
+        .with_interconnect(Interconnect::pooled(3, Energy::from_mwh(1.5)).unwrap())
+        .unwrap()
+}
+
+#[test]
+fn threaded_stepping_is_byte_identical_to_serial() {
+    let serial = recorded_fleet().run(&mut eager_boxes(3)).unwrap();
+    assert!(serial.sites.iter().all(|r| r.slot_outcomes.is_some()));
+    // 2 < sites, 4 > sites, 0 = available parallelism: every budget
+    // must reproduce the serial run exactly.
+    for threads in [2, 4, 0] {
+        let multi = recorded_fleet().with_threads(threads);
+        assert!(multi.threads() >= 1);
+        let threaded = multi.run(&mut eager_boxes(3)).unwrap();
+        assert_eq!(threaded, serial, "threads = {threads}");
+    }
+}
+
+#[test]
+fn fleet_run_resumes_mid_horizon_byte_identically() {
+    let multi = recorded_fleet();
+    let full = multi.run(&mut eager_boxes(3)).unwrap();
+    let mut greedy = UnroutedDispatcher(multi.interconnect().clone());
+    let mut ctls = eager_boxes(3);
+    let mut run = multi.begin().unwrap();
+    run.step_frame(&mut ctls, &mut greedy).unwrap();
+    assert!(matches!(
+        run.clone().finish(),
+        Err(SimError::RunIncomplete { frames_done: 1, .. })
+    ));
+    let states: Vec<EngineRunState> = run.runs().iter().map(EngineRun::state).collect();
+    assert!(matches!(
+        multi.resume(states[1..].to_vec(), run.settled()),
+        Err(SimError::SiteMismatch { site: 2, .. })
+    ));
+    let mut resumed = multi.resume(states, run.settled()).unwrap();
+    assert_eq!(resumed.frames_completed(), 1);
+    while !resumed.is_done() {
+        resumed.step_frame(&mut ctls, &mut greedy).unwrap();
+    }
+    assert_eq!(resumed.finish().unwrap(), full);
 }

@@ -44,10 +44,18 @@ fn lossy_ring(sites: usize) -> Interconnect {
         .unwrap()
 }
 
+/// The variant's fleet over the lossy ring. Every site records its slot
+/// outcomes, so comparing two reports compares every slot, not just the
+/// totals.
 fn fleet(pack: &ScenarioPack, variant: usize, sites: usize, clock: &SlotClock) -> MultiSiteEngine {
     let params = SimParams::icdcs13();
-    let engines: Vec<Engine> = (0..sites)
-        .map(|s| Engine::new(params, pack.generate_site(clock, SEED, variant, s).unwrap()).unwrap())
+    let engines = (0..sites)
+        .map(|s| {
+            let traces = pack.generate_site(clock, SEED, variant, s).unwrap();
+            Engine::new(params, traces)
+                .unwrap()
+                .with_slot_recording(true)
+        })
         .collect();
     MultiSiteEngine::new(engines)
         .unwrap()
@@ -245,5 +253,9 @@ fn conservation_scales_to_a_hundred_site_ring() {
     // Thread scheduling must not move a byte — ledger included.
     let threaded_engine = multi.clone().with_threads(8);
     let threaded = run_coopt(&threaded_engine, clock, config);
+    assert!(
+        serial.sites.iter().all(|r| r.slot_outcomes.is_some()),
+        "test premise: every site records its slot outcomes"
+    );
     assert_eq!(serial, threaded, "threads = 8 must not move a byte");
 }

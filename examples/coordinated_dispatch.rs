@@ -17,20 +17,10 @@
 //! cargo run --release --example coordinated_dispatch
 //! ```
 
-use smartdpss::bench::PAPER_SEED;
+use smartdpss::bench::{smart_controllers, PAPER_SEED};
 use smartdpss::{
-    Controller, Energy, Engine, FleetPlanner, Interconnect, MultiSiteEngine, Price, RunReport,
-    ScenarioPack, SimParams, SlotClock, SmartDpss, SmartDpssConfig,
+    DispatchMode, Energy, Interconnect, MultiSiteEngine, Price, ScenarioPack, SimParams, SlotClock,
 };
-
-fn smart_boxes(params: SimParams, clock: SlotClock, n: usize) -> Vec<Box<dyn Controller>> {
-    (0..n)
-        .map(|_| {
-            Box::new(SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).unwrap())
-                as Box<dyn Controller>
-        })
-        .collect()
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let clock = SlotClock::icdcs13_month();
@@ -47,28 +37,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for v in 0..pack.len() {
-        let engines: Vec<Engine> = (0..sites)
-            .map(|s| {
-                Engine::new(
-                    params,
-                    pack.generate_site(&clock, PAPER_SEED, v, s).unwrap(),
-                )
-                .unwrap()
-            })
-            .collect();
-        let multi = MultiSiteEngine::new(engines)?.with_interconnect(ring.clone())?;
-
-        // Post-hoc: run to completion, settle greedily after the fact.
-        let posthoc = multi.run(&mut smart_boxes(params, clock, sites))?;
-
-        // Planned: identical site runs, settled by the flow LP.
-        let reports: Vec<RunReport> = posthoc.sites.clone();
-        let planned = FleetPlanner::for_engine(&multi).couple(&multi, reports)?;
-
-        // Coordinated: the planner directs the sites between frames.
-        let mut dispatcher = FleetPlanner::for_engine(&multi).with_coordination(true);
-        let coordinated =
-            multi.run_with(&mut smart_boxes(params, clock, sites), &mut dispatcher)?;
+        let multi = MultiSiteEngine::from_pack(params, &pack, clock, PAPER_SEED, v, sites)?
+            .with_interconnect(ring.clone())?;
+        // Each mode runs the fleet in lockstep with its own dispatcher:
+        // post-hoc settles greedily, planned by the flow LP, and
+        // coordinated also directs the sites between frames.
+        let run = |mode: DispatchMode| {
+            multi.run_with(
+                &mut smart_controllers(sites, params, clock),
+                &mut mode.dispatcher(&ring),
+            )
+        };
+        let posthoc = run(DispatchMode::PostHoc)?;
+        let planned = run(DispatchMode::Planned)?;
+        let coordinated = run(DispatchMode::Coordinated)?;
 
         println!(
             "{:<10} {:>12.2} {:>12.2} {:>12.2} {:>14.2} {:>12.2}",

@@ -9,9 +9,11 @@
 //! cargo run --release --example lossy_interconnect
 //! ```
 
+use smartdpss::bench::smart_controllers;
+use smartdpss::sim::SimError;
 use smartdpss::{
-    Energy, Engine, FleetPlanner, Interconnect, MultiSiteEngine, MultiSiteReport, Price, RunReport,
-    ScenarioPack, SimParams, SlotClock, SmartDpss, SmartDpssConfig,
+    DispatchMode, Energy, Interconnect, MultiSiteEngine, MultiSiteReport, Price, ScenarioPack,
+    SimParams, SlotClock,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -21,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A one-directional ring 0 → 1 → 2 → 0: per-pair caps (no pool),
     // realistic losses, and a wheeling charge per MWh sent.
-    let ring = |n: usize| -> Result<Interconnect, smartdpss::sim::SimError> {
+    let ring = |n: usize| -> Result<Interconnect, SimError> {
         let mut ic = Interconnect::decoupled(n)?;
         for s in 0..n {
             ic = ic
@@ -39,39 +41,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{:-<64}", "");
     for name in ScenarioPack::builtin_names() {
         let pack = ScenarioPack::builtin(name).expect("registry is consistent");
-        let engines: Vec<Engine> = (0..sites)
-            .map(|s| Engine::new(params, pack.generate_site(&clock, 42, 0, s).unwrap()).unwrap())
-            .collect();
-        let multi = MultiSiteEngine::new(engines)?;
-        let reports: Vec<RunReport> = multi
-            .sites()
-            .iter()
-            .map(|site| {
-                let mut ctl =
-                    SmartDpss::new(SmartDpssConfig::icdcs13(), params, site.truth().clock).unwrap();
-                site.run(&mut ctl).unwrap()
-            })
-            .collect();
-
-        let settle = |ic: Interconnect, planned: bool| -> MultiSiteReport {
-            let coupled = multi.clone().with_interconnect(ic).unwrap();
-            if planned {
-                FleetPlanner::for_engine(&coupled)
-                    .couple(&coupled, reports.clone())
-                    .unwrap()
-            } else {
-                coupled.couple(reports.clone()).unwrap()
-            }
+        let multi = MultiSiteEngine::from_pack(params, &pack, clock, 42, 0, sites)?;
+        // Both modes run the same sites; only the settlement differs.
+        let settle = |ic: Interconnect, mode: DispatchMode| -> Result<MultiSiteReport, SimError> {
+            let coupled = multi.clone().with_interconnect(ic)?;
+            coupled.run_with(
+                &mut smart_controllers(sites, params, clock),
+                &mut mode.dispatcher(coupled.interconnect()),
+            )
         };
         let pooled = Interconnect::pooled(sites, Energy::from_mwh(2.0))?;
         let per_slot = |r: &MultiSiteReport| r.time_average_cost().dollars();
         println!(
             "{:<18} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
             name,
-            per_slot(&settle(pooled.clone(), false)),
-            per_slot(&settle(pooled, true)),
-            per_slot(&settle(ring(sites)?, false)),
-            per_slot(&settle(ring(sites)?, true)),
+            per_slot(&settle(pooled.clone(), DispatchMode::PostHoc)?),
+            per_slot(&settle(pooled, DispatchMode::Planned)?),
+            per_slot(&settle(ring(sites)?, DispatchMode::PostHoc)?),
+            per_slot(&settle(ring(sites)?, DispatchMode::Planned)?),
         );
     }
     println!(

@@ -27,9 +27,9 @@ use std::process::ExitCode;
 
 use smartdpss::bench::{figures, packs, routing};
 use smartdpss::{
-    Engine, ExperimentRunner, FigureTable, GreedyBattery, Impatient, MarketMode, OfflineOptimal,
-    Price, RoutingConfig, RoutingMode, RunReport, Scenario, SimParams, SlotClock, SmartDpss,
-    SmartDpssConfig, TheoremBounds, UniformError,
+    DispatchMode, Engine, ExperimentRunner, FigureTable, GreedyBattery, Impatient, MarketMode,
+    OfflineOptimal, Price, RoutingConfig, RoutingMode, RunReport, Scenario, SimParams, SlotClock,
+    SmartDpss, SmartDpssConfig, TheoremBounds, UniformError,
 };
 
 /// Parsed command line.
@@ -52,7 +52,7 @@ struct Cli {
     figure: String,
     pack: String,
     sites: usize,
-    dispatch: packs::DispatchMode,
+    dispatch: DispatchMode,
     routing: RoutingMode,
     interactive_fraction: Option<f64>,
     max_queue_age: Option<usize>,
@@ -96,7 +96,7 @@ impl Default for Cli {
             figure: String::new(),
             pack: String::new(),
             sites: 1,
-            dispatch: packs::DispatchMode::PostHoc,
+            dispatch: DispatchMode::PostHoc,
             routing: RoutingMode::Off,
             interactive_fraction: None,
             max_queue_age: None,
@@ -179,7 +179,7 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
             // The mode roster is closed, so a typo is a usage error
             // (exit 2) just like an unknown pack name.
             "--dispatch" => {
-                cli.dispatch = packs::DispatchMode::parse(&value("--dispatch")?)?;
+                cli.dispatch = DispatchMode::parse(&value("--dispatch")?)?;
             }
             // Same closed-roster contract as --dispatch: a typo exits 2.
             "--routing" => {
@@ -610,7 +610,7 @@ fn pack_sweep_tables(cli: &Cli, runner: &ExperimentRunner) -> Result<Vec<FigureT
             cli.seed,
             &pack,
             cli.sites,
-            &packs::default_interconnect(cli.sites),
+            &smartdpss::core::default_interconnect(cli.sites).map_err(|e| e.to_string())?,
             cli.dispatch,
         )
     };
@@ -863,9 +863,9 @@ mod tests {
             "sweep --pack price-spike --sites 2 --dispatch planned",
         ))
         .unwrap();
-        assert_eq!(cli.dispatch, packs::DispatchMode::Planned);
+        assert_eq!(cli.dispatch, DispatchMode::Planned);
         let cli = parse_args(args("sweep --pack price-spike --dispatch coordinated")).unwrap();
-        assert_eq!(cli.dispatch, packs::DispatchMode::Coordinated);
+        assert_eq!(cli.dispatch, DispatchMode::Coordinated);
         // The retired `--interconnect` spelling is an unknown flag now.
         assert!(parse_args(args("sweep --pack price-spike --interconnect post-hoc")).is_err());
     }

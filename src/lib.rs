@@ -63,11 +63,10 @@ pub use dpss_units as units;
 pub use dpss_bench::{Axis, ExperimentRunner, FigureTable, SweepSpec};
 pub use dpss_lp::LpWorkspace;
 
-pub use dpss_bench::DispatchMode;
 pub use dpss_core::{
-    cheapest_window_bound, FleetPlanner, GreedyBattery, Impatient, MarketMode, OfflineConfig,
-    OfflineOptimal, P4Variant, P5Objective, RecedingHorizon, RoutingPlanner, SmartDpss,
-    SmartDpssConfig, TheoremBounds,
+    cheapest_window_bound, DispatchMode, FleetPlanner, GreedyBattery, Impatient, MarketMode,
+    OfflineConfig, OfflineOptimal, P4Variant, P5Objective, RecedingHorizon, RoutingPlanner,
+    SmartDpss, SmartDpssConfig, TheoremBounds,
 };
 pub use dpss_serve::{ServeError, ServeOptions, ServeOutcome, SessionConfig, SessionServer};
 pub use dpss_sim::{
