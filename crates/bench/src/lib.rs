@@ -94,8 +94,7 @@ pub fn setup_with_params(seed: u64, params: SimParams) -> Engine {
 /// treats those as programming errors, not experiment outcomes).
 #[must_use]
 pub fn run_smart(engine: &Engine, params: SimParams, config: SmartDpssConfig) -> RunReport {
-    let mut ctl =
-        SmartDpss::new(config, params, engine.truth().clock).expect("valid configuration");
+    let mut ctl = SmartDpss::new(config, params, engine.clock()).expect("valid configuration");
     engine.run(&mut ctl).expect("run succeeds")
 }
 

@@ -53,7 +53,7 @@
 //! let engine = Engine::new(params, traces)?;
 //!
 //! let mut smart = SmartDpss::new(SmartDpssConfig::icdcs13(), params,
-//!                                engine.truth().clock)?;
+//!                                engine.clock())?;
 //! let mut impatient = Impatient::two_markets();
 //!
 //! let r_smart = engine.run(&mut smart)?;

@@ -40,7 +40,7 @@ use serde::{Deserialize, Serialize};
 use dpss_sim::{FrameDirective, RunReport};
 
 /// Snapshot/wire schema revision; bumped on any incompatible change.
-pub const SCHEMA_VERSION: u32 = 3;
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// A request line, decoded as a flat bag of optional fields.
 ///

@@ -3,14 +3,18 @@
 //! A session holds the same stepping object the batch run uses — an
 //! [`EngineRun`] for one datacenter, a [`FleetRun`] for a fleet — and
 //! advances it one coarse frame per request, so a session's frames are
-//! the batch run's frames by construction. A stream tick writes its
-//! frame's traces into the run's engine in place just before stepping it.
-//! The plain-data [`EngineRunState`] is captured only when a snapshot is
-//! taken; `Engine::resume` reconstructs the exact mid-month state from
-//! it, so a session that is snapshotted, killed and resumed finishes with
-//! a report byte-identical to an uninterrupted
-//! [`Engine::run`](dpss_sim::Engine::run) — the property the
-//! `resume_equivalence` suite pins for every built-in pack variant.
+//! the batch run's frames by construction. A stream session runs a
+//! [stream engine](Engine::stream), which holds only the frame being
+//! stepped and the one before it: a tick writes its frame's traces into
+//! that window in place just before stepping it. The plain-data
+//! [`EngineRunState`] is captured only when a snapshot is taken — for a
+//! stream session it carries the one previous frame the next step reads,
+//! so a snapshot does not grow with the calendar. `Engine::resume`
+//! reconstructs the exact mid-month state from it, so a session that is
+//! snapshotted, killed and resumed finishes with a report byte-identical
+//! to an uninterrupted [`Engine::run`](dpss_sim::Engine::run) — the
+//! property the `resume_equivalence` suite pins for every built-in pack
+//! variant and for a stream month.
 //!
 //! Two shapes exist: [`SingleSession`] (one datacenter; `scenario`,
 //! `pack` or tick-driven `stream` traces) and [`FleetSession`] (several
@@ -37,9 +41,11 @@ use dpss_units::{Energy, Money, Price, SlotClock};
 use crate::protocol::{Fault, RawRequest};
 
 /// Largest calendar a session may ask for, in site-slots (`sites × days
-/// × slots_per_frame`): 2²², ten times a 512-site month. Every trace a
-/// session holds is sized from its calendar, so `init` refuses anything
-/// larger before allocating.
+/// × slots_per_frame`): 2²², ten times a 512-site month. Scenario and
+/// pack sessions generate their whole calendar's traces up front, so the
+/// cap bounds what their `init` allocates. A stream session holds two
+/// frames whatever its calendar; for it the cap stays a protocol limit,
+/// so every mode accepts the same calendars.
 const MAX_SITE_SLOTS: usize = 1 << 22;
 
 /// Everything needed to rebuild a session's engines from scratch:
@@ -300,14 +306,14 @@ pub struct FleetStep {
 }
 
 /// Durable image of a single-site session (the snapshot payload body).
+/// A stream session's previous frame rides in
+/// [`EngineRunState::prev_traces`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SingleSnapshot {
     /// The engine-side mid-month state.
     pub run_state: EngineRunState,
     /// The controller's internal state.
     pub controller: ControllerState,
-    /// The accumulated truth traces — present iff the session streams.
-    pub truth: Option<TraceSet>,
 }
 
 /// Durable image of a fleet session (the snapshot payload body).
@@ -444,8 +450,9 @@ pub struct SingleSession {
     pub config: SessionConfig,
     clock: SlotClock,
     controller: Box<dyn Controller>,
-    /// The run; in stream mode it holds the only handle on its engine, so
-    /// each tick writes its frame into it in place and steps it at once.
+    /// The run; in stream mode it holds the only handle on its stream
+    /// engine, so each tick writes its frame into the engine's window in
+    /// place and steps it at once.
     run: EngineRun,
 }
 
@@ -458,23 +465,21 @@ impl fmt::Debug for SingleSession {
     }
 }
 
-/// Builds the zero-filled trace shell a stream session grows into.
-fn empty_traces(clock: SlotClock) -> Result<TraceSet, Fault> {
-    TraceSet::new(
-        clock,
-        vec![Energy::ZERO; clock.total_slots()],
-        vec![Energy::ZERO; clock.total_slots()],
-        vec![Energy::ZERO; clock.total_slots()],
-        vec![Price::ZERO; clock.frames()],
-        vec![Price::ZERO; clock.total_slots()],
-    )
-    .map_err(|e| Fault::new("protocol", format!("invalid calendar: {e}")))
+/// Builds the session's engine: a stream engine for stream sessions,
+/// otherwise a batch engine over the traces the config's mode generates.
+fn session_engine(config: &SessionConfig, clock: SlotClock) -> Result<Engine, Fault> {
+    let params = config.params();
+    let engine = if config.mode == "stream" {
+        Engine::stream(params, clock)
+    } else {
+        Engine::new(params, source_traces(config, clock)?)
+    };
+    engine.map_err(|e| Fault::new("protocol", format!("engine rejected traces: {e}")))
 }
 
-/// Generates the session's truth traces per the config's mode.
+/// Generates the traces of a scenario or pack session.
 fn source_traces(config: &SessionConfig, clock: SlotClock) -> Result<TraceSet, Fault> {
     match config.mode.as_str() {
-        "stream" => empty_traces(clock),
         "scenario" => Scenario::icdcs13()
             .generate(&clock, config.seed)
             .map_err(|e| Fault::new("protocol", format!("trace generation failed: {e}"))),
@@ -496,10 +501,8 @@ impl SingleSession {
     /// Propagates configuration faults from the engine and controller.
     pub fn new(config: SessionConfig) -> Result<Self, Fault> {
         let clock = config.clock()?;
-        let params = config.params();
-        let engine = Engine::new(params, source_traces(&config, clock)?)
-            .map_err(|e| Fault::new("protocol", format!("engine rejected traces: {e}")))?;
-        let controller = build_controller(&config.controller, params, clock)?;
+        let engine = session_engine(&config, clock)?;
+        let controller = build_controller(&config.controller, config.params(), clock)?;
         let run = Arc::new(engine)
             .begin()
             .map_err(|e| Fault::new("protocol", format!("engine could not start: {e}")))?;
@@ -514,35 +517,10 @@ impl SingleSession {
     /// Reconstructs a single-site session from its snapshot image.
     fn restore(config: SessionConfig, image: SingleSnapshot) -> Result<Self, Fault> {
         let clock = config.clock()?;
-        let params = config.params();
-        let truth = match (config.mode == "stream", image.truth) {
-            (true, Some(truth)) if truth.clock == clock => truth,
-            (true, Some(_)) => {
-                return Err(Fault::new(
-                    "snapshot",
-                    "snapshot traces disagree with the session calendar",
-                ))
-            }
-            (true, None) => {
-                return Err(Fault::new(
-                    "snapshot",
-                    "stream snapshot is missing its trace state",
-                ))
-            }
-            (false, Some(_)) => {
-                return Err(Fault::new(
-                    "snapshot",
-                    "non-stream snapshot unexpectedly carries trace state",
-                ))
-            }
-            (false, None) => source_traces(&config, clock)?,
-        };
-        let engine = Engine::new(params, truth)
-            .map_err(|e| Fault::new("snapshot", format!("snapshot traces invalid: {e}")))?;
-        let run = Arc::new(engine)
+        let run = Arc::new(session_engine(&config, clock)?)
             .resume(image.run_state)
             .map_err(|e| Fault::new("snapshot", format!("run state rejected: {e}")))?;
-        let mut controller = build_controller(&config.controller, params, clock)?;
+        let mut controller = build_controller(&config.controller, config.params(), clock)?;
         controller
             .load_state(&image.controller)
             .map_err(|e| Fault::new("snapshot", format!("controller state rejected: {e}")))?;
@@ -562,7 +540,6 @@ impl SingleSession {
             single: Some(SingleSnapshot {
                 run_state: self.run.state(),
                 controller: self.controller.save_state(),
-                truth: (self.config.mode == "stream").then(|| self.run.engine().truth().clone()),
             }),
             fleet: None,
         }

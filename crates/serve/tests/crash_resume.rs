@@ -4,8 +4,10 @@
 //! dies mid-month, possibly mid-write. This suite pins what `--resume`
 //! does with every kind of wreckage — a truncated newest snapshot falls
 //! back to the last complete checksummed one, total corruption and
-//! version skew are *typed* hard errors, and a genuinely killed process
-//! picks the month back up byte-identically.
+//! version skew are *typed* hard errors, an intact snapshot with a
+//! hostile stream frame is a typed `snapshot` fault, and a genuinely
+//! killed process picks the month back up byte-identically. Snapshots
+//! are O(state): neither a fleet's nor a stream's grows with the month.
 //!
 //! The damaged envelopes under `tests/fixtures/` are committed verbatim
 //! so the classification of each wreck is pinned against drift: their
@@ -13,12 +15,17 @@
 //! under their own declared version forever and stale under every real
 //! binary version.
 
+mod common;
+
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
-use dpss_serve::{Response, ServeError, SessionServer};
+use common::tick_line;
+use dpss_serve::{Response, ServeError, Session, SessionServer, SessionSnapshot, SnapshotStore};
+use dpss_traces::{Scenario, TraceSet};
+use dpss_units::SlotClock;
 
 /// A fresh scratch directory under the cargo-managed test tmpdir.
 fn scratch(tag: &str) -> PathBuf {
@@ -173,13 +180,14 @@ fn pinned_stale_snapshots_are_rejected_not_reinterpreted() {
     }
 }
 
-/// Every older fleet snapshot shape must be refused, not reinterpreted:
+/// Every older snapshot shape must be refused, not reinterpreted:
 /// schema 2 dropped the dense prospective basis from the fleet planner
-/// state, and schema 3 replaced each site's slot history with its
-/// last-frame totals. The payload decoder ignores unknown fields, so an
-/// older coordinated fleet snapshot could otherwise load silently and
-/// resume on a different state; the envelope's schema check must refuse
-/// both.
+/// state, schema 3 replaced each site's slot history with its
+/// last-frame totals, and schema 4 replaced a stream session's
+/// whole-horizon traces with its previous frame. The payload decoder
+/// ignores unknown fields, so an older coordinated fleet snapshot could
+/// otherwise load silently and resume on a different state; the
+/// envelope's schema check must refuse all three.
 #[test]
 fn schema_1_fleet_snapshots_are_refused_as_stale() {
     use dpss_serve::snapshot::{hex64, payload_checksum};
@@ -201,7 +209,7 @@ fn schema_1_fleet_snapshots_are_refused_as_stale() {
     let current: dpss_serve::SnapshotFile =
         serde_json::from_str(&fs::read_to_string(&path).expect("snapshot reads")).unwrap();
     assert!(current.payload.contains("\"prospective_net\":"));
-    for schema in [1, 2] {
+    for schema in [1, 2, 3] {
         let mut file = current.clone();
         if schema == 1 {
             // What the schema-1 writer produced: the dense prospective
@@ -261,6 +269,188 @@ fn fleet_snapshots_do_not_grow_with_the_frames_stepped() {
     assert!(
         at_30 * 5 <= at_5 * 6,
         "snapshot grew from {at_5} B at frame 5 to {at_30} B at frame 30"
+    );
+}
+
+/// The paper scenario's first `frames` frames (seed 42), fed as ticks.
+fn stream_traces(frames: usize) -> TraceSet {
+    let clock = SlotClock::new(frames, 24, 1.0).expect("valid calendar");
+    Scenario::icdcs13()
+        .generate(&clock, 42)
+        .expect("scenario generates")
+}
+
+/// A stream session of `days` in `dir`, ticked through `traces` and
+/// snapshotted once `snapshot_at` frames are done; returns each
+/// snapshot's size in bytes.
+fn stream_snapshot_bytes(
+    dir: &Path,
+    days: usize,
+    traces: &TraceSet,
+    snapshot_at: &[usize],
+) -> Vec<u64> {
+    let mut server = SessionServer::new(Some(dir)).expect("state dir opens");
+    expect_ok(
+        &mut server,
+        &format!("{{\"cmd\":\"init\",\"mode\":\"stream\",\"days\":{days}}}"),
+    );
+    let mut bytes = Vec::new();
+    for frame in 0..traces.clock.frames() {
+        if snapshot_at.contains(&frame) {
+            let Response::Snapshotted { path, .. } =
+                expect_ok(&mut server, "{\"cmd\":\"snapshot\"}")
+            else {
+                panic!("expected Snapshotted");
+            };
+            bytes.push(fs::metadata(&path).expect("snapshot exists").len());
+        }
+        expect_ok(&mut server, &tick_line(traces, frame));
+    }
+    bytes
+}
+
+/// Stream snapshots carry the one previous frame the next step reads,
+/// not the calendar: they grow neither with the frames stepped nor with
+/// the session's horizon.
+#[test]
+fn stream_snapshots_do_not_grow_with_the_frames_or_the_horizon() {
+    let traces = stream_traces(31);
+    let month = stream_snapshot_bytes(&scratch("crash-stream-size-31"), 31, &traces, &[5, 30]);
+    let year = stream_snapshot_bytes(&scratch("crash-stream-size-372"), 372, &traces, &[5]);
+    let (at_5, at_30, year_at_5) = (month[0], month[1], year[0]);
+    assert!(
+        at_30 * 5 <= at_5 * 6,
+        "snapshot grew from {at_5} B at frame 5 to {at_30} B at frame 30"
+    );
+    assert!(
+        year_at_5 * 5 <= at_5 * 6,
+        "a 372-day session's frame-5 snapshot is {year_at_5} B against {at_5} B for 31 days"
+    );
+    for bytes in [at_5, at_30, year_at_5] {
+        assert!(
+            bytes <= 8 * 1024,
+            "a {bytes} B stream snapshot exceeds 8 KB"
+        );
+    }
+}
+
+/// A decoded snapshot of a `mode` session (`stream` ticks the paper
+/// scenario, `scenario` steps) taken once `frames` frames are done.
+fn snapshot_after(mode: &str, frames: usize) -> SessionSnapshot {
+    let dir = scratch(&format!("crash-hostile-{mode}-{frames}"));
+    let mut server = SessionServer::new(Some(&dir)).expect("state dir opens");
+    expect_ok(
+        &mut server,
+        &format!("{{\"cmd\":\"init\",\"mode\":\"{mode}\",\"days\":8}}"),
+    );
+    let traces = stream_traces(frames.max(1));
+    for frame in 0..frames {
+        if mode == "stream" {
+            expect_ok(&mut server, &tick_line(&traces, frame));
+        } else {
+            expect_ok(&mut server, "{\"cmd\":\"step\"}");
+        }
+    }
+    let Response::Snapshotted { path, .. } = expect_ok(&mut server, "{\"cmd\":\"snapshot\"}")
+    else {
+        panic!("expected Snapshotted");
+    };
+    let file: dpss_serve::SnapshotFile =
+        serde_json::from_str(&fs::read_to_string(&path).expect("snapshot reads")).unwrap();
+    serde_json::from_str(&file.payload).expect("payload decodes")
+}
+
+/// One frame of the paper scenario on an arbitrary slot grid.
+fn saved_frame(slots_per_frame: usize, slot_hours: f64) -> TraceSet {
+    let clock = SlotClock::new(1, slots_per_frame, slot_hours).expect("valid calendar");
+    Scenario::icdcs13()
+        .generate(&clock, 42)
+        .expect("scenario generates")
+}
+
+/// A value no honest snapshot holds, swapped for an infinity on disk
+/// (JSON has no spelling for a non-finite number; `1e999` overflows to
+/// one when parsed).
+const SENTINEL: f64 = 12345.678;
+
+/// `tampered` must decode, then be refused with a `snapshot` fault by
+/// the session layer and as an invalid snapshot by `--resume`, and the
+/// daemon must then take a fresh `init`.
+fn assert_refused(what: &str, tampered: SessionSnapshot) {
+    let payload = serde_json::to_string(&tampered)
+        .expect("snapshot serializes")
+        .replace(&SENTINEL.to_string(), "1e999");
+    let decoded: SessionSnapshot = serde_json::from_str(&payload).expect("payload decodes");
+    match Session::restore(decoded) {
+        Err(fault) => assert_eq!(fault.kind, "snapshot", "{what}: {}", fault.message),
+        Ok(_) => panic!("{what}: the session layer accepted it"),
+    }
+    let dir = scratch(&format!("crash-hostile-resume-{}", what.replace(' ', "-")));
+    SnapshotStore::open(&dir)
+        .expect("state dir opens")
+        .write(3, &payload)
+        .expect("snapshot writes");
+    let mut server = SessionServer::new(Some(&dir)).expect("state dir opens");
+    let err = server
+        .resume_latest()
+        .expect_err("hostile snapshot resumed");
+    assert!(
+        matches!(err, ServeError::InvalidSnapshot { .. }),
+        "{what}: got {err:?}"
+    );
+    match expect_ok(&mut server, "{\"cmd\":\"init\",\"mode\":\"stream\"}") {
+        Response::Started { .. } => {}
+        other => panic!("{what}: expected Started, got {other:?}"),
+    }
+}
+
+/// Edits the saved frame of a decoded single-site snapshot.
+fn with_saved_frame(
+    mut snapshot: SessionSnapshot,
+    edit: impl FnOnce(&mut Option<TraceSet>),
+) -> SessionSnapshot {
+    let single = snapshot.single.as_mut().expect("a single-site snapshot");
+    edit(&mut single.run_state.prev_traces);
+    snapshot
+}
+
+#[test]
+fn hostile_stream_snapshots_are_typed_faults() {
+    let at_3 = snapshot_after("stream", 3);
+    assert!(
+        Session::restore(at_3.clone()).is_ok(),
+        "the honest snapshot resumes"
+    );
+    assert_refused(
+        "saved frame missing past frame 0",
+        with_saved_frame(at_3.clone(), |prev| *prev = None),
+    );
+    assert_refused(
+        "saved frame present at frame 0",
+        with_saved_frame(snapshot_after("stream", 0), |prev| {
+            *prev = Some(saved_frame(24, 1.0))
+        }),
+    );
+    assert_refused(
+        "saved frame with the wrong slot count",
+        with_saved_frame(at_3.clone(), |prev| *prev = Some(saved_frame(12, 1.0))),
+    );
+    assert_refused(
+        "saved frame with the wrong slot length",
+        with_saved_frame(at_3.clone(), |prev| *prev = Some(saved_frame(24, 0.5))),
+    );
+    assert_refused(
+        "saved frame holding an infinity",
+        with_saved_frame(at_3, |prev| {
+            let frame = prev.as_mut().expect("a saved frame past frame 0");
+            frame.demand_ds[7] = dpss_units::Energy::from_mwh(SENTINEL);
+        }),
+    );
+    assert_refused(
+        "scenario snapshot carrying a saved frame",
+        with_saved_frame(snapshot_after("scenario", 3), |prev| {
+            *prev = Some(saved_frame(24, 1.0))
+        }),
     );
 }
 

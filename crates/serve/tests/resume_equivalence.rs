@@ -8,15 +8,20 @@
 //! both controller kinds at the paper seed, with snapshots taken at the
 //! first frame, mid-month, and the penultimate frame. A `stream` session
 //! fed the paper month one `tick` per frame must finish byte-identical to
-//! the batch run too: its ticks write each frame into the run in place.
+//! the batch run too, uninterrupted and resumed from a snapshot at frames
+//! 0, 1, 15 and 30.
+
+mod common;
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use common::tick_line;
+
 use dpss_core::{FleetPlanner, RecedingHorizon, SmartDpss, SmartDpssConfig};
-use dpss_serve::{RawRequest, Response, SessionServer};
+use dpss_serve::{Response, SessionServer};
 use dpss_sim::{Controller, Engine, Interconnect, MultiSiteEngine, SimParams};
-use dpss_traces::{Scenario, ScenarioPack};
+use dpss_traces::{Scenario, ScenarioPack, TraceSet};
 use dpss_units::{Energy, SlotClock};
 
 /// Master seed shared by every run in the suite (the paper's seed).
@@ -159,6 +164,22 @@ fn check_pack(pack: &str, controller: &str) {
     }
 }
 
+/// The paper scenario month and its uninterrupted batch SmartDPSS
+/// report — what every stream session below must reproduce.
+fn paper_month_golden() -> (TraceSet, String) {
+    let clock = SlotClock::icdcs13_month();
+    let truth = Scenario::icdcs13()
+        .generate(&clock, SEED)
+        .expect("paper scenario generates");
+    let params = SimParams::icdcs13();
+    let engine = Engine::new(params, truth.clone()).expect("valid engine");
+    let mut ctl =
+        SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).expect("valid configuration");
+    let report = engine.run(&mut ctl).expect("batch month succeeds");
+    let golden = serde_json::to_string(&report).expect("report serializes");
+    (truth, golden)
+}
+
 /// One `tick` per frame of the paper scenario month, stepped in place
 /// by a `stream` session, against the batch SmartDPSS run on the same
 /// traces.
@@ -168,47 +189,109 @@ fn check_pack(pack: &str, controller: &str) {
     ignore = "stream-vs-batch month equivalence is a release-mode contract"
 )]
 fn stream_ticks_match_the_batch_month() {
-    let clock = SlotClock::icdcs13_month();
-    let truth = Scenario::icdcs13()
-        .generate(&clock, SEED)
-        .expect("paper scenario generates");
-    let params = SimParams::icdcs13();
-    let golden = {
-        let engine = Engine::new(params, truth.clone()).expect("valid engine");
-        let mut ctl =
-            SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).expect("valid configuration");
-        let report = engine.run(&mut ctl).expect("batch month succeeds");
-        serde_json::to_string(&report).expect("report serializes")
-    };
-
+    let (truth, golden) = paper_month_golden();
     let mut server = SessionServer::new(None).expect("server without a state dir");
     expect_ok(&mut server, "{\"cmd\":\"init\",\"mode\":\"stream\"}");
-    let t = clock.slots_per_frame();
-    for frame in 0..clock.frames() {
-        let slots = frame * t..(frame + 1) * t;
-        let mwh = |series: &[Energy]| Some(series[slots.clone()].iter().map(|e| e.mwh()).collect());
-        let tick = RawRequest {
-            cmd: Some("tick".to_owned()),
-            frame: Some(frame),
-            price_lt: Some(truth.price_lt[frame].dollars_per_mwh()),
-            price_rt: Some(
-                truth.price_rt[slots.clone()]
-                    .iter()
-                    .map(|p| p.dollars_per_mwh())
-                    .collect(),
-            ),
-            demand_ds: mwh(&truth.demand_ds),
-            demand_dt: mwh(&truth.demand_dt),
-            renewable: mwh(&truth.renewable),
-            ..RawRequest::default()
-        };
-        let line = serde_json::to_string(&tick).expect("tick serializes");
-        expect_ok(&mut server, &line);
+    for frame in 0..truth.clock.frames() {
+        expect_ok(&mut server, &tick_line(&truth, frame));
     }
     assert_eq!(
         finish_report(&mut server),
         golden,
         "stream session diverged from the batch month"
+    );
+}
+
+/// A stream session snapshotted at frames 0, 1, 15 and 30 of the paper
+/// month, dropped, and resumed cold from each snapshot on disk, finishes
+/// byte-identical to the batch month: the snapshot carries everything
+/// the remaining ticks read.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "stream resume equivalence is a release-mode contract"
+)]
+fn stream_snapshots_resume_byte_identically() {
+    const STREAM_CUTS: [usize; 4] = [0, 1, 15, 30];
+    let (truth, golden) = paper_month_golden();
+    let frames = truth.clock.frames();
+    let dir = scratch("resume-stream");
+    let mut server = SessionServer::new(Some(&dir)).expect("state dir opens");
+    expect_ok(&mut server, "{\"cmd\":\"init\",\"mode\":\"stream\"}");
+    for frame in 0..frames {
+        if STREAM_CUTS.contains(&frame) {
+            match expect_ok(&mut server, "{\"cmd\":\"snapshot\"}") {
+                Response::Snapshotted { frame: at, .. } => {
+                    assert_eq!(at, frame, "snapshot taken at the wrong frame")
+                }
+                other => panic!("expected Snapshotted, got {other:?}"),
+            }
+        }
+        expect_ok(&mut server, &tick_line(&truth, frame));
+    }
+    assert_eq!(
+        finish_report(&mut server),
+        golden,
+        "uninterrupted stream session diverged from the batch month"
+    );
+    drop(server);
+
+    for cut in STREAM_CUTS {
+        let resume_dir = scratch(&format!("resume-stream-cut{cut}"));
+        let snap = format!("snap-{cut:06}.json");
+        fs::copy(dir.join(&snap), resume_dir.join(&snap)).expect("snapshot copies");
+        let mut resumed = SessionServer::new(Some(&resume_dir)).expect("state dir opens");
+        match resumed.resume_latest().expect("resume succeeds") {
+            Response::Resumed { frame, .. } => assert_eq!(frame, cut, "resumed at the wrong frame"),
+            other => panic!("expected Resumed, got {other:?}"),
+        }
+        for frame in cut..frames {
+            expect_ok(&mut resumed, &tick_line(&truth, frame));
+        }
+        assert_eq!(
+            finish_report(&mut resumed),
+            golden,
+            "stream resume at frame {cut} diverged from the batch month"
+        );
+    }
+}
+
+/// The committed 8-tick stream fixture the CI smoke gate kills and
+/// resumes a daemon on: one `init`, then the paper scenario's first 8
+/// frames at the paper seed as `tick` lines. Pinned here against drift
+/// in the scenario generator, and replayed against the batch run.
+#[test]
+fn stream_fixture_is_the_seeded_paper_scenario() {
+    const DAYS: usize = 8;
+    let clock = SlotClock::new(DAYS, 24, 1.0).expect("valid calendar");
+    let truth = Scenario::icdcs13()
+        .generate(&clock, SEED)
+        .expect("paper scenario generates");
+    let mut expected = format!("{{\"cmd\":\"init\",\"mode\":\"stream\",\"days\":{DAYS}}}\n");
+    for frame in 0..DAYS {
+        expected.push_str(&tick_line(&truth, frame));
+        expected.push('\n');
+    }
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/stream-8-days.ndjson");
+    let committed = fs::read_to_string(&path).expect("fixture reads");
+    assert!(
+        committed == expected,
+        "the stream fixture drifted from the seeded scenario"
+    );
+
+    // Replayed uninterrupted, it is the batch run over the same frames.
+    let params = SimParams::icdcs13();
+    let engine = Engine::new(params, truth).expect("valid engine");
+    let mut ctl =
+        SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).expect("valid configuration");
+    let golden = engine.run(&mut ctl).expect("batch run succeeds");
+    let mut server = SessionServer::new(None).expect("server without a state dir");
+    for line in committed.lines() {
+        expect_ok(&mut server, line);
+    }
+    assert_eq!(
+        finish_report(&mut server),
+        serde_json::to_string(&golden).expect("report serializes")
     );
 }
 

@@ -1,17 +1,22 @@
 //! The per-request allocation gate: a session's step must cost the same
 //! heap traffic whatever the horizon. A stream tick writes one frame into
-//! the run's traces in place and steps it; a fleet step steps the runs
-//! the session holds. Neither may copy or rebuild anything the size of
-//! the whole horizon, so the bytes a request allocates at frame 20 must
-//! be identical for a 31-day and a 372-day session.
+//! the run's two-frame window in place and steps it; a fleet step steps
+//! the runs the session holds. Neither may copy or rebuild anything the
+//! size of the whole horizon, so the bytes a request allocates at frame
+//! 20 must be identical for a 31-day and a 372-day session. A stream
+//! `init` allocates that window, never the calendar, so it too must cost
+//! the same bytes for both horizons.
 //!
 //! A counting `#[global_allocator]` tallies the bytes requested while
 //! armed. The file holds exactly one `#[test]` so no sibling test thread
 //! can allocate inside the armed window.
 
+mod common;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use common::tick_line;
 use dpss_serve::{Response, SessionServer};
 use dpss_traces::Scenario;
 use dpss_units::SlotClock;
@@ -86,25 +91,17 @@ fn stream_tick_bytes(days: usize) -> u64 {
     let traces = Scenario::icdcs13()
         .generate(&clock, 42)
         .expect("scenario generates");
-    let csv = |k: usize, f: &dyn Fn(usize) -> f64| -> String {
-        let slots = (k * 24..(k + 1) * 24).map(|i| f(i).to_string());
-        slots.collect::<Vec<_>>().join(",")
-    };
     let mut lines = vec![format!(
         "{{\"cmd\":\"init\",\"mode\":\"stream\",\"days\":{days}}}"
     )];
-    lines.extend((0..=FRAME).map(|k| {
-        format!(
-            "{{\"cmd\":\"tick\",\"frame\":{k},\"price_lt\":{},\"price_rt\":[{}],\
-             \"demand_ds\":[{}],\"demand_dt\":[{}],\"renewable\":[{}]}}",
-            traces.price_lt[k].dollars_per_mwh(),
-            csv(k, &|i| traces.price_rt[i].dollars_per_mwh()),
-            csv(k, &|i| traces.demand_ds[i].mwh()),
-            csv(k, &|i| traces.demand_dt[i].mwh()),
-            csv(k, &|i| traces.renewable[i].mwh()),
-        )
-    }));
+    lines.extend((0..=FRAME).map(|k| tick_line(&traces, k)));
     last_request_bytes(&mut SessionServer::new(None).expect("server"), &lines)
+}
+
+/// A fresh stream session's `init` for a `days` calendar.
+fn stream_init_bytes(days: usize) -> u64 {
+    let init = format!("{{\"cmd\":\"init\",\"mode\":\"stream\",\"days\":{days}}}");
+    last_request_bytes(&mut SessionServer::new(None).expect("server"), &[init])
 }
 
 /// A pack-mode fleet session of `days` stepped through frame [`FRAME`].
@@ -125,15 +122,16 @@ fn fleet_step_bytes(days: usize) -> u64 {
 #[test]
 fn request_allocations_do_not_grow_with_the_horizon() {
     for (what, bytes) in [
-        ("stream tick", stream_tick_bytes as fn(usize) -> u64),
+        ("stream init", stream_init_bytes as fn(usize) -> u64),
+        ("stream tick", stream_tick_bytes),
         ("fleet step", fleet_step_bytes),
     ] {
         let (month, year) = (bytes(31), bytes(372));
         assert!(month > 0, "the armed window measured the {what}");
         assert_eq!(
             month, year,
-            "a {what} at frame {FRAME} allocated {month} bytes in a 31-day \
-             session but {year} bytes in a 372-day one"
+            "a {what} allocated {month} bytes in a 31-day session but {year} \
+             bytes in a 372-day one"
         );
     }
 }

@@ -39,7 +39,7 @@ fn hello_and_started_lines_are_golden_bytes() {
     assert_eq!(
         lines[0],
         format!(
-            "{{\"Hello\":{{\"service\":\"dpss-serve\",\"version\":\"{}\",\"schema\":3}}}}",
+            "{{\"Hello\":{{\"service\":\"dpss-serve\",\"version\":\"{}\",\"schema\":4}}}}",
             env!("CARGO_PKG_VERSION")
         )
     );

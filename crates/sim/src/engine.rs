@@ -1,12 +1,28 @@
-// The run loop iterates the validated clock of the TraceSet it owns, so
-// every slot/frame index it hands out is in bounds for every series and
-// for the outcome vectors sized from the same clock.
+// The run loop iterates the validated calendar and reads the traces it
+// owns through `Engine::storage_frame`, which maps every calendar frame
+// onto a frame of the validated trace set (the identity for a batch
+// engine, `k % 2` for a stream engine's two-frame window), so every index
+// it hands out is in bounds for every series.
 // audit:allow-file(slice-index): slot/frame indices come from the validated clock that sized every buffer in the run
+
+//! The run loop: [`Engine`] (configuration plus true traces) and
+//! [`EngineRun`] (one in-flight run, stepped a coarse frame at a time).
+//!
+//! A *batch* engine ([`Engine::new`]) holds the whole calendar's traces
+//! up front. A *stream* engine ([`Engine::stream`]) holds only a
+//! two-frame window: calendar frame `k` lives in window frame `k % 2`,
+//! written by [`EngineRun::write_frame`] just before `k` is stepped. No
+//! step reads further back than the previous frame — the causal
+//! [`PrevFrameAverage`](crate::ForecastPolicy::PrevFrameAverage)
+//! forecast reads `k − 1`, the oracle forecasts and the slot loop read
+//! `k` — so a stream engine's memory, and its checkpoint
+//! ([`EngineRunState::prev_traces`](crate::EngineRunState::prev_traces)),
+//! do not grow with the calendar.
 
 use std::sync::Arc;
 
 use dpss_traces::TraceSet;
-use dpss_units::Energy;
+use dpss_units::{Energy, Price, SlotClock};
 
 use crate::plant::{self, SlotInputs};
 use crate::{
@@ -14,11 +30,17 @@ use crate::{
     SimParams, SlotObservation, SlotOutcome, SystemView,
 };
 
+/// Coarse frames a stream engine's trace window holds: the frame being
+/// stepped and the one before it, which the causal forecast reads.
+const STREAM_WINDOW: usize = 2;
+
 /// The two-timescale simulation driver.
 ///
-/// An engine owns the physical parameters and the *true* traces; optionally
-/// it also carries an *observed* trace set (same calendar) that is shown to
-/// the controller instead of the truth — this is how the Fig. 9 robustness
+/// An engine owns the physical parameters, the calendar and the *true*
+/// traces — the whole calendar's for a batch engine, a two-frame window
+/// for a stream engine (see the module docs); optionally it also carries
+/// an *observed* trace set (same shape as the truth) that is shown to the
+/// controller instead of the truth — this is how the Fig. 9 robustness
 /// experiment injects estimation errors without corrupting the physics.
 ///
 /// `run` borrows the engine immutably, so one engine can evaluate many
@@ -31,6 +53,10 @@ use crate::{
 #[derive(Debug, Clone)]
 pub struct Engine {
     params: SimParams,
+    /// The run's calendar; the truth's own clock for a batch engine.
+    clock: SlotClock,
+    /// Whether `truth` is a two-frame stream window.
+    stream: bool,
     truth: TraceSet,
     observed: Option<TraceSet>,
     record_slots: bool,
@@ -48,10 +74,43 @@ impl Engine {
         truth.validate()?;
         Ok(Engine {
             params,
+            clock: truth.clock,
+            stream: false,
             truth,
             observed: None,
             record_slots: false,
             forecast: crate::ForecastPolicy::default(),
+        })
+    }
+
+    /// Creates a stream engine for `calendar`: its truth is a zero-filled
+    /// two-frame window, and each calendar frame's traces are written with
+    /// [`EngineRun::write_frame`] just before the frame is stepped. Runs
+    /// report over the whole calendar exactly as a batch engine holding
+    /// the same traces would.
+    ///
+    /// # Errors
+    ///
+    /// Propagates parameter validation failures.
+    pub fn stream(params: SimParams, calendar: SlotClock) -> Result<Self, SimError> {
+        let window = SlotClock::new(
+            STREAM_WINDOW,
+            calendar.slots_per_frame(),
+            calendar.slot_hours(),
+        )?;
+        let slots = window.total_slots();
+        let truth = TraceSet::new(
+            window,
+            vec![Energy::ZERO; slots],
+            vec![Energy::ZERO; slots],
+            vec![Energy::ZERO; slots],
+            vec![Price::ZERO; STREAM_WINDOW],
+            vec![Price::ZERO; slots],
+        )?;
+        Ok(Engine {
+            clock: calendar,
+            stream: true,
+            ..Engine::new(params, truth)?
         })
     }
 
@@ -69,7 +128,7 @@ impl Engine {
     }
 
     /// Supplies an observed trace set (what controllers see). Must share
-    /// the truth's calendar.
+    /// the truth's clock.
     ///
     /// # Errors
     ///
@@ -117,10 +176,49 @@ impl Engine {
         &self.params
     }
 
-    /// The true traces.
+    /// The run's calendar.
+    #[must_use]
+    pub fn clock(&self) -> SlotClock {
+        self.clock
+    }
+
+    /// The true traces: the whole calendar's for a batch engine, the
+    /// two-frame window for a stream engine.
     #[must_use]
     pub fn truth(&self) -> &TraceSet {
         &self.truth
+    }
+
+    /// The frame of the truth (and observed) trace set holding calendar
+    /// frame `frame`.
+    fn storage_frame(&self, frame: usize) -> usize {
+        if self.stream {
+            frame % STREAM_WINDOW
+        } else {
+            frame
+        }
+    }
+
+    /// A stream engine's copy of calendar frame `next_frame − 1`, the
+    /// frame the next step's causal forecast reads, as a one-frame trace
+    /// set; `None` for a batch engine and before the first frame.
+    fn saved_frame(&self, next_frame: usize) -> Option<TraceSet> {
+        if !self.stream || next_frame == 0 {
+            return None;
+        }
+        let t = self.clock.slots_per_frame();
+        let k = self.storage_frame(next_frame - 1);
+        let slots = k * t..(k + 1) * t;
+        Some(TraceSet {
+            // Cannot fail: the calendar validated the same slot grid.
+            clock: SlotClock::new(1, t, self.clock.slot_hours()).ok()?,
+            demand_ds: self.truth.demand_ds[slots.clone()].to_vec(),
+            demand_dt: self.truth.demand_dt[slots.clone()].to_vec(),
+            renewable: self.truth.renewable[slots.clone()].to_vec(),
+            price_lt: vec![self.truth.price_lt[k]],
+            price_rt: self.truth.price_rt[slots].to_vec(),
+            arrivals: None,
+        })
     }
 
     /// Runs one controller over the whole horizon and aggregates a report:
@@ -154,7 +252,7 @@ impl Engine {
     /// Propagates battery-construction failures (invalid parameters are
     /// normally caught at [`Engine::new`]).
     pub fn begin(self: &Arc<Self>) -> Result<EngineRun, SimError> {
-        let clock = self.truth.clock;
+        let clock = self.clock;
         Ok(EngineRun {
             engine: Arc::clone(self),
             battery: Battery::new(self.params.battery)?,
@@ -180,18 +278,22 @@ impl Engine {
 
     /// Reinstates a checkpointed run on this engine. The engine must be
     /// configured exactly as the one the state was captured from (same
-    /// parameters, traces, forecast policy and slot-recording flag);
-    /// continuing the resumed run is then byte-for-byte identical to
-    /// continuing the original.
+    /// parameters, traces, forecast policy and slot-recording flag); a
+    /// stream engine gets the state's saved previous frame written into
+    /// its window (on its own copy when the engine is shared). Continuing
+    /// the resumed run is then byte-for-byte identical to continuing the
+    /// original.
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidState`] if the state's progress or recorded
-    /// outcomes disagree with this engine's calendar and recording
-    /// configuration; plus the per-component validation of
-    /// [`Battery::from_state`] and [`DemandQueue::from_state`].
+    /// [`SimError::InvalidState`] if the state's progress, recorded
+    /// outcomes or saved frame disagree with this engine's calendar,
+    /// recording configuration and kind; the [`TraceSet::write_frame`]
+    /// rejections of a misshapen or non-finite saved frame; plus the
+    /// per-component validation of [`Battery::from_state`] and
+    /// [`DemandQueue::from_state`].
     pub fn resume(self: &Arc<Self>, state: crate::EngineRunState) -> Result<EngineRun, SimError> {
-        let clock = self.truth.clock;
+        let clock = self.clock;
         if state.next_frame > clock.frames() {
             return Err(SimError::InvalidState {
                 what: "resume frame is beyond the calendar",
@@ -229,8 +331,26 @@ impl Engine {
                 what: "last-frame totals must be finite",
             });
         }
+        let mut engine = Arc::clone(self);
+        match (self.stream && state.next_frame > 0, &state.prev_traces) {
+            (true, Some(prev)) => {
+                let k = self.storage_frame(state.next_frame - 1);
+                Arc::make_mut(&mut engine).truth.write_frame(k, prev)?;
+            }
+            (false, None) => {}
+            (true, None) => {
+                return Err(SimError::InvalidState {
+                    what: "a stream run past frame 0 must carry its previous frame",
+                })
+            }
+            (false, Some(_)) => {
+                return Err(SimError::InvalidState {
+                    what: "only a stream run past frame 0 carries a previous frame",
+                })
+            }
+        }
         Ok(EngineRun {
-            engine: Arc::clone(self),
+            engine,
             battery: Battery::from_state(self.params.battery, &state.battery)?,
             queue: DemandQueue::from_state(&state.queue)?,
             lt_alloc: state.lt_alloc,
@@ -284,7 +404,7 @@ impl EngineRun {
     /// Whether every coarse frame of the calendar has been stepped.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.next_frame >= self.engine.truth.clock.frames()
+        self.next_frame >= self.engine.clock.frames()
     }
 
     /// The realized totals of the most recently completed frame
@@ -334,25 +454,34 @@ impl EngineRun {
             report: self.report.clone(),
             last_frame: self.last_frame,
             recorded: self.recorded.clone(),
+            prev_traces: self.engine.saved_frame(self.next_frame),
         }
     }
 
     /// Writes coarse frame `frame`'s true traces in place from a one-frame
     /// trace set — the streaming path, where each frame's data arrives
-    /// just before the frame is stepped. The write needs the run's handle
-    /// to be the engine's only one: a shared engine is refused, never
-    /// copied.
+    /// just before the frame is stepped. A stream engine takes only the
+    /// next frame to step: a later one would overwrite the previous
+    /// frame, which the causal forecast still reads. The write needs the
+    /// run's handle to be the engine's only one: a shared engine is
+    /// refused, never copied.
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidState`] if the run already stepped `frame`,
-    /// another handle shares the engine, or the engine shows controllers
-    /// an observed trace set the write would leave stale; the
+    /// [`SimError::InvalidState`] if the run already stepped `frame`, a
+    /// stream engine is handed any frame but the next, another handle
+    /// shares the engine, or the engine shows controllers an observed
+    /// trace set the write would leave stale; the
     /// [`TraceSet::write_frame`] rejections otherwise.
     pub fn write_frame(&mut self, frame: usize, data: &TraceSet) -> Result<(), SimError> {
         if frame < self.next_frame {
             return Err(SimError::InvalidState {
                 what: "cannot rewrite a frame the run has already stepped",
+            });
+        }
+        if self.engine.stream && frame != self.next_frame {
+            return Err(SimError::InvalidState {
+                what: "a stream engine takes only the next frame to step",
             });
         }
         let engine = Arc::get_mut(&mut self.engine).ok_or(SimError::InvalidState {
@@ -363,7 +492,8 @@ impl EngineRun {
                 what: "cannot write truth traces under an observed trace set",
             });
         }
-        engine.truth.write_frame(frame, data)?;
+        let k = engine.storage_frame(frame);
+        engine.truth.write_frame(k, data)?;
         Ok(())
     }
 
@@ -398,7 +528,7 @@ impl EngineRun {
 
     fn step_slots(&mut self, controller: &mut dyn Controller) -> Result<(), SimError> {
         let engine = &*self.engine;
-        let clock = engine.truth.clock;
+        let clock = engine.clock;
         let obs_traces = engine.observed_traces();
         let slot_hours = clock.slot_hours();
         let t = clock.slots_per_frame();
@@ -408,6 +538,9 @@ impl EngineRun {
         }
 
         let frame = self.next_frame;
+        // Window frames holding this frame and the previous one.
+        let now = engine.storage_frame(frame);
+        let prev = engine.storage_frame(frame.saturating_sub(1));
         self.last_frame = FrameTotals::EMPTY;
         let view = |battery: &Battery, queue: &DemandQueue, lt_alloc: Energy| SystemView {
             battery_level: battery.level(),
@@ -419,8 +552,10 @@ impl EngineRun {
             rt_purchase_cap: (grid_slot_cap - lt_alloc).positive_part(),
         };
 
-        for index in frame * t..(frame + 1) * t {
-            let id = clock.slot_id(index);
+        for j in 0..t {
+            let id = clock.slot_id(frame * t + j);
+            // Where this slot's traces live.
+            let at = now * t + j;
 
             // ---- Long-term-ahead planning at frame starts. ----------------
             if id.is_frame_start() {
@@ -433,15 +568,15 @@ impl EngineRun {
                     match engine.forecast {
                         crate::ForecastPolicy::PrevFrameAverage => {
                             if id.frame == 0 {
-                                series[id.index]
+                                series[at]
                             } else {
-                                let start = (id.frame - 1) * t;
+                                let start = prev * t;
                                 series[start..start + t].iter().sum::<Energy>() / t as f64
                             }
                         }
                         crate::ForecastPolicy::Oracle
                         | crate::ForecastPolicy::NoisyOracle { .. } => {
-                            let start = id.frame * t;
+                            let start = now * t;
                             let mean = series[start..start + t].iter().sum::<Energy>() / t as f64;
                             mean * engine.forecast.noise_factor(id.frame, component)
                         }
@@ -452,7 +587,7 @@ impl EngineRun {
                     slot: id.index,
                     slots_in_frame: t,
                     slot_hours,
-                    price_lt: obs_traces.price_lt[id.frame],
+                    price_lt: obs_traces.price_lt[now],
                     demand_ds: avg(&obs_traces.demand_ds, 0),
                     demand_dt: avg(&obs_traces.demand_dt, 1),
                     renewable: avg(&obs_traces.renewable, 2),
@@ -473,11 +608,11 @@ impl EngineRun {
             let sobs = SlotObservation {
                 slot: id,
                 slot_hours,
-                price_rt: obs_traces.price_rt[id.index],
-                price_lt: obs_traces.price_lt[id.frame],
-                demand_ds: obs_traces.demand_ds[id.index],
-                demand_dt: obs_traces.demand_dt[id.index],
-                renewable: obs_traces.renewable[id.index],
+                price_rt: obs_traces.price_rt[at],
+                price_lt: obs_traces.price_lt[now],
+                demand_ds: obs_traces.demand_ds[at],
+                demand_dt: obs_traces.demand_dt[at],
+                renewable: obs_traces.renewable[at],
             };
             let v = view(&self.battery, &self.queue, self.lt_alloc);
             let decision = controller.plan_slot(&sobs, &v);
@@ -485,11 +620,11 @@ impl EngineRun {
             let inputs = SlotInputs {
                 slot: id,
                 slot_hours,
-                demand_ds: engine.truth.demand_ds[id.index],
-                demand_dt: engine.truth.demand_dt[id.index],
-                renewable: engine.truth.renewable[id.index],
-                price_rt: engine.truth.price_rt[id.index],
-                price_lt: engine.truth.price_lt[id.frame],
+                demand_ds: engine.truth.demand_ds[at],
+                demand_dt: engine.truth.demand_dt[at],
+                renewable: engine.truth.renewable[at],
+                price_rt: engine.truth.price_rt[at],
+                price_lt: engine.truth.price_lt[now],
                 lt_alloc: self.lt_alloc,
             };
             let outcome = plant::step(
@@ -537,7 +672,7 @@ impl EngineRun {
     /// [`SimError::RunIncomplete`] unless every coarse frame has been
     /// stepped — a partial run has no meaningful horizon statistics.
     pub fn finish(mut self) -> Result<RunReport, SimError> {
-        let clock = self.engine.truth.clock;
+        let clock = self.engine.clock;
         if !self.is_done() {
             return Err(SimError::RunIncomplete {
                 frames_done: self.next_frame,
@@ -641,6 +776,47 @@ mod tests {
                 serve_fraction: 1.0,
             }
         }
+    }
+
+    /// Buys the observed frame's net demand ahead, and logs every
+    /// observation it is shown.
+    #[derive(Default)]
+    struct BuyObserved {
+        seen: Vec<String>,
+    }
+    impl Controller for BuyObserved {
+        fn name(&self) -> &str {
+            "buy-observed"
+        }
+        fn plan_frame(&mut self, obs: &FrameObservation, _: &SystemView) -> FrameDecision {
+            self.seen.push(format!("{obs:?}"));
+            FrameDecision {
+                purchase_lt: (obs.demand_ds + obs.demand_dt - obs.renewable).positive_part()
+                    * obs.slots_in_frame as f64,
+            }
+        }
+        fn plan_slot(&mut self, obs: &SlotObservation, _: &SystemView) -> SlotDecision {
+            self.seen.push(format!("{obs:?}"));
+            SlotDecision {
+                purchase_rt: Energy::ZERO,
+                serve_fraction: 1.0,
+            }
+        }
+    }
+
+    /// Coarse frame `k` of `traces` as a one-frame trace set (a tick).
+    fn frame_of(traces: &TraceSet, k: usize) -> TraceSet {
+        let t = traces.clock.slots_per_frame();
+        let slots = k * t..(k + 1) * t;
+        TraceSet::new(
+            SlotClock::new(1, t, traces.clock.slot_hours()).unwrap(),
+            traces.demand_ds[slots.clone()].to_vec(),
+            traces.demand_dt[slots.clone()].to_vec(),
+            traces.renewable[slots.clone()].to_vec(),
+            vec![traces.price_lt[k]],
+            traces.price_rt[slots].to_vec(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -817,26 +993,8 @@ mod tests {
 
         // Eager uses frame observations? No — it ignores them too; use a
         // controller that buys the observed frame demand ahead.
-        struct BuyObserved;
-        impl Controller for BuyObserved {
-            fn name(&self) -> &str {
-                "buy-observed"
-            }
-            fn plan_frame(&mut self, obs: &FrameObservation, _: &SystemView) -> FrameDecision {
-                FrameDecision {
-                    purchase_lt: (obs.demand_ds + obs.demand_dt - obs.renewable).positive_part()
-                        * obs.slots_in_frame as f64,
-                }
-            }
-            fn plan_slot(&mut self, _: &SlotObservation, _: &SystemView) -> SlotDecision {
-                SlotDecision {
-                    purchase_rt: Energy::ZERO,
-                    serve_fraction: 1.0,
-                }
-            }
-        }
-        let r_base = base.run(&mut BuyObserved).unwrap();
-        let r_oracle = oracle.run(&mut BuyObserved).unwrap();
+        let r_base = base.run(&mut BuyObserved::default()).unwrap();
+        let r_oracle = oracle.run(&mut BuyObserved::default()).unwrap();
         assert_ne!(
             r_base.total_cost(),
             r_oracle.total_cost(),
@@ -890,7 +1048,7 @@ mod tests {
                 .with_slot_recording(true),
         );
         let full = engine.run(&mut Eager).unwrap();
-        let frames = engine.truth().clock.frames();
+        let frames = engine.clock().frames();
         for cut in [1usize, frames / 2, frames - 1] {
             let mut run = engine.begin().unwrap();
             for _ in 0..cut {
@@ -917,13 +1075,13 @@ mod tests {
     #[test]
     fn resume_rejects_inconsistent_state() {
         let traces = paper_month_traces(42).unwrap();
-        let engine = Arc::new(Engine::new(SimParams::icdcs13(), traces).unwrap());
+        let engine = Arc::new(Engine::new(SimParams::icdcs13(), traces.clone()).unwrap());
         let mut run = engine.begin().unwrap();
         run.step_frame(&mut Eager).unwrap();
         let good = run.state();
 
         let mut bad = good.clone();
-        bad.next_frame = engine.truth().clock.frames() + 1;
+        bad.next_frame = engine.clock().frames() + 1;
         assert!(matches!(
             engine.resume(bad),
             Err(SimError::InvalidState { .. })
@@ -952,8 +1110,13 @@ mod tests {
         bad.queue.backlog += Energy::from_mwh(1.0);
         assert!(engine.resume(bad).is_err());
 
-        let mut bad = good;
+        let mut bad = good.clone();
         bad.report.slots = 3;
+        assert!(engine.resume(bad).is_err());
+
+        // Only a stream engine's state carries a saved frame.
+        let mut bad = good;
+        bad.prev_traces = Some(frame_of(&traces, 0));
         assert!(engine.resume(bad).is_err());
     }
 
@@ -998,6 +1161,100 @@ mod tests {
         assert!(run.step_frame(&mut NanLt).is_err());
         let poisoned = run.step_frame(&mut Eager);
         assert!(matches!(poisoned, Err(SimError::InvalidState { .. })));
+    }
+
+    #[test]
+    fn stream_engine_month_matches_the_batch_month() {
+        // Fed one frame per step, the two-frame window reproduces the
+        // batch month, including across a checkpoint at every frame.
+        let traces = paper_month_traces(42).unwrap();
+        let params = SimParams::icdcs13();
+        let batch = Engine::new(params, traces.clone()).unwrap();
+        let golden = serde_json::to_string(&batch.run(&mut BuyObserved::default()).unwrap());
+        let stream = Engine::stream(params, traces.clock).unwrap();
+        assert_eq!(stream.clock(), traces.clock);
+        assert_eq!(stream.truth().clock.frames(), STREAM_WINDOW);
+        let mut ctl = BuyObserved::default();
+        let mut run = Arc::new(stream.clone()).begin().unwrap();
+        for k in 0..traces.clock.frames() {
+            let state = run.state();
+            assert_eq!(state.prev_traces.is_some(), k > 0);
+            let json = serde_json::to_string(&state).unwrap();
+            let state = serde_json::from_str(&json).unwrap();
+            run = Arc::new(stream.clone()).resume(state).unwrap();
+            run.write_frame(k, &frame_of(&traces, k)).unwrap();
+            run.step_frame(&mut ctl).unwrap();
+        }
+        assert_eq!(serde_json::to_string(&run.finish().unwrap()), golden);
+    }
+
+    #[test]
+    fn stream_engines_take_only_the_next_frame() {
+        let traces = paper_month_traces(3).unwrap();
+        let engine = Engine::stream(SimParams::icdcs13(), traces.clock).unwrap();
+        let mut run = Arc::new(engine).begin().unwrap();
+        assert!(matches!(
+            run.write_frame(1, &frame_of(&traces, 1)),
+            Err(SimError::InvalidState { .. })
+        ));
+        run.write_frame(0, &frame_of(&traces, 0)).unwrap();
+        run.step_frame(&mut Eager).unwrap();
+        assert!(run.write_frame(0, &frame_of(&traces, 0)).is_err());
+        assert!(run.write_frame(2, &frame_of(&traces, 2)).is_err());
+        run.write_frame(1, &frame_of(&traces, 1)).unwrap();
+    }
+
+    #[test]
+    fn stepping_frame_k_reads_only_frames_k_minus_1_and_k() {
+        // Two calendars that agree only on frames k − 1 and k: from the
+        // same state, frame k must step identically under every forecast
+        // policy — the window a stream engine keeps is all a step reads.
+        let a = paper_month_traces(42).unwrap();
+        let b = paper_month_traces(7).unwrap();
+        let t = a.clock.slots_per_frame();
+        let policies = [
+            crate::ForecastPolicy::PrevFrameAverage,
+            crate::ForecastPolicy::Oracle,
+            crate::ForecastPolicy::NoisyOracle {
+                rel_std: 0.3,
+                seed: 5,
+            },
+        ];
+        for k in [0, 1, 15, a.clock.frames() - 1] {
+            let mut mixed = b.clone();
+            for f in k.saturating_sub(1)..=k {
+                mixed.write_frame(f, &frame_of(&a, f)).unwrap();
+            }
+            assert_ne!(mixed, a, "the calendars must differ outside the window");
+            for policy in policies {
+                let engine = |traces: &TraceSet| {
+                    let e = Engine::new(SimParams::icdcs13(), traces.clone()).unwrap();
+                    Arc::new(e.with_forecast(policy).unwrap())
+                };
+                let (on_a, on_mixed) = (engine(&a), engine(&mixed));
+                let mut run = on_a.begin().unwrap();
+                for _ in 0..k {
+                    run.step_frame(&mut BuyObserved::default()).unwrap();
+                }
+                let step_k = |engine: &Arc<Engine>| {
+                    let mut run = engine.resume(run.state()).unwrap();
+                    let mut ctl = BuyObserved::default();
+                    run.step_frame(&mut ctl).unwrap();
+                    (ctl.seen, run.state())
+                };
+                let (seen_a, state_a) = step_k(&on_a);
+                let (seen_mixed, state_mixed) = step_k(&on_mixed);
+                assert_eq!(seen_a.len(), t + 1);
+                assert_eq!(
+                    seen_a, seen_mixed,
+                    "frame {k} under {policy:?} saw other frames"
+                );
+                assert_eq!(
+                    state_a, state_mixed,
+                    "frame {k} under {policy:?} stepped differently"
+                );
+            }
+        }
     }
 
     #[test]

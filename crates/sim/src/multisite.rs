@@ -90,18 +90,21 @@ impl MultiSiteEngine {
     /// # Errors
     ///
     /// [`SimError::SiteMismatch`] if `sites` is empty or a site's
-    /// calendar differs from site 0's.
+    /// calendar differs from site 0's, or a site is a
+    /// [stream](Engine::stream) engine (the fleet outlook and workload
+    /// ledger read the whole calendar's traces).
     pub fn new(sites: Vec<Engine>) -> Result<Self, SimError> {
         let first = sites.first().ok_or(SimError::SiteMismatch {
             site: 0,
             what: "fleet needs at least one site",
         })?;
-        let clock = first.truth().clock;
+        let clock = first.clock();
         for (i, site) in sites.iter().enumerate() {
+            // A stream site's truth is a window, not the calendar.
             if site.truth().clock != clock {
                 return Err(SimError::SiteMismatch {
                     site: i,
-                    what: "calendar differs from site 0",
+                    what: "calendar differs from site 0's or is held only as a stream window",
                 });
             }
         }
@@ -357,7 +360,7 @@ impl MultiSiteEngine {
     ///
     /// Propagates [`RoutingConfig::validate`] errors.
     pub fn workload_ledger(&self, config: RoutingConfig) -> Result<FleetWorkload, SimError> {
-        let clock = self.sites[0].truth().clock;
+        let clock = self.sites[0].clock();
         let t = clock.slots_per_frame();
         let arrivals: Vec<Vec<Energy>> = self
             .sites
@@ -406,7 +409,7 @@ impl MultiSiteEngine {
     #[must_use]
     pub fn outlook_at(&self, frame: usize, runs: &[EngineRun]) -> FrameOutlook {
         assert_eq!(runs.len(), self.sites.len(), "run roster mismatch");
-        let clock = self.sites[0].truth().clock;
+        let clock = self.sites[0].clock();
         let t = clock.slots_per_frame();
         let sites = self
             .sites
@@ -515,7 +518,7 @@ impl FleetRun {
     /// Whether every coarse frame of the calendar has been stepped.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.next_frame >= self.fleet.sites[0].truth().clock.frames()
+        self.next_frame >= self.fleet.sites[0].clock().frames()
     }
 
     /// The per-site runs, in site-index order.
@@ -661,7 +664,7 @@ impl FleetRun {
             .into_iter()
             .map(EngineRun::finish)
             .collect::<Result<Vec<_>, _>>()?;
-        let clock = self.fleet.sites[0].truth().clock;
+        let clock = self.fleet.sites[0].clock();
         Ok(MultiSiteReport {
             frames: clock.frames(),
             slots: clock.total_slots(),

@@ -11,9 +11,16 @@
 //! (`crates/serve/tests/resume_equivalence.rs` pins this for every
 //! builtin scenario pack).
 //!
+//! Every record is O(state): none grows with the frames stepped or the
+//! calendar's length. A batch engine rebuilds its traces from the
+//! session's recipe, so its state carries none; a stream engine's state
+//! carries the one previous frame its next step's causal forecast reads
+//! ([`EngineRunState::prev_traces`]), never the calendar.
+//!
 //! All records have public fields and serde derives; they are *data*, not
 //! handles — validation happens at restore time, never at construction.
 
+use dpss_traces::TraceSet;
 use dpss_units::Energy;
 use serde::{Deserialize, Serialize};
 
@@ -65,12 +72,13 @@ pub struct QueueState {
 }
 
 /// Everything an [`EngineRun`](crate::EngineRun) accumulates between
-/// frames: plant state plus the partial report. Captured with
+/// frames: plant state, the partial report and — for a stream engine —
+/// the previous frame's traces. Captured with
 /// [`EngineRun::state`](crate::EngineRun::state), reinstated with
 /// [`Engine::resume`](crate::Engine::resume) on an engine built from the
-/// *same* parameters and traces (the engine itself is immutable
-/// configuration and is deliberately not part of this record — the
-/// checkpoint layer serializes it separately).
+/// *same* parameters and traces (the engine itself is configuration and
+/// is deliberately not part of this record — the checkpoint layer
+/// rebuilds it from its recipe).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineRunState {
     /// Coarse frames completed (also the next frame to step).
@@ -89,6 +97,10 @@ pub struct EngineRunState {
     /// Per-slot outcomes recorded so far; present iff the engine has slot
     /// recording enabled.
     pub recorded: Option<Vec<SlotOutcome>>,
+    /// The previous coarse frame's true traces as a one-frame trace set;
+    /// present iff the engine is a [stream](crate::Engine::stream) engine
+    /// past frame 0.
+    pub prev_traces: Option<TraceSet>,
 }
 
 /// A controller's internal state as a generic property bag: named scalars,

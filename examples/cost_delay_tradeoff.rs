@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let traces = smartdpss::traces::paper_month_traces(42)?;
     let params = SimParams::icdcs13();
     let engine = Engine::new(params, traces)?;
-    let clock = engine.truth().clock;
+    let clock = engine.clock();
 
     println!("V sweep (ε = 0.5, T = 24, Bmax = 15 min)\n");
     println!("{:>6}  {:>8}  {:>8}  cost / delay", "V", "$/slot", "delay");

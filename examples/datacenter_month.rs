@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let traces = smartdpss::traces::paper_month_traces(42)?;
     let params = SimParams::icdcs13();
     let engine = Engine::new(params, traces.clone())?;
-    let clock = engine.truth().clock;
+    let clock = engine.clock();
 
     println!("one-month DPSS comparison (seed 42, Pgrid 2 MW, 15-min UPS)\n");
     println!(

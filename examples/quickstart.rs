@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // default controller tuning (V = 1, ε = 0.5, two markets).
     let params = SimParams::icdcs13();
     let engine = Engine::new(params, traces)?;
-    let mut controller = SmartDpss::new(SmartDpssConfig::icdcs13(), params, engine.truth().clock)?;
+    let mut controller = SmartDpss::new(SmartDpssConfig::icdcs13(), params, engine.clock())?;
 
     let report = engine.run(&mut controller)?;
     println!("result : {}", report.summary());

@@ -40,7 +40,7 @@
 //! let engine = Engine::new(params, traces)?;
 //!
 //! let mut smart = SmartDpss::new(SmartDpssConfig::icdcs13(), params,
-//!                                engine.truth().clock)?;
+//!                                engine.clock())?;
 //! let report = engine.run(&mut smart)?;
 //! println!("{}", report.summary());
 //! assert!(report.unserved_ds.mwh() == 0.0); // datacenter stayed up

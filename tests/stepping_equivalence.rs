@@ -23,7 +23,7 @@ fn controller_roster(
     params: SimParams,
     engine: &Engine,
 ) -> Vec<(&'static str, Box<dyn Controller>)> {
-    let clock = engine.truth().clock;
+    let clock = engine.clock();
     vec![
         (
             "smart",
@@ -44,7 +44,7 @@ fn controller_roster(
 }
 
 fn assert_stepping_matches_run(engine: &Arc<Engine>, params: SimParams, what: &str) {
-    let frames = engine.truth().clock.frames();
+    let frames = engine.clock().frames();
     // Two fresh controller rosters: one per execution path, so neither
     // sees the other's internal state.
     let run_roster = controller_roster(params, engine);
