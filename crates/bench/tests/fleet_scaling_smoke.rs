@@ -6,7 +6,10 @@
 //! the fleet-scale path — factorized network simplex, eta-file warm
 //! re-solves, threaded stepping — honest: a regression to dense-tableau
 //! cost, quadratic rebuild work, or per-solve allocation churn blows a
-//! budget long before it blows anyone's laptop.
+//! budget long before it blows anyone's laptop. The 512-site ring also
+//! pins its exact simplex path (pivots, refactorizations, warm and cold
+//! solves, warm rejects), so a kernel change shows whether it moved the
+//! pivot sequence, not only whether it stayed inside the budget.
 //!
 //! The budgets are deliberately loose (a shared CI runner is not a
 //! bench rig): each release run takes a small fraction of its budget on
@@ -20,13 +23,20 @@ use std::time::Instant;
 
 use dpss_bench::PAPER_SEED;
 use dpss_core::{FleetPlanner, SmartDpss, SmartDpssConfig};
+use dpss_lp::SolverStats;
 use dpss_sim::{Controller, Interconnect, MultiSiteEngine, SimParams};
 use dpss_traces::ScenarioPack;
 use dpss_units::{Energy, Price, SlotClock};
 
 /// Runs one coordinated month of the price-spike stressed variant over
-/// `topology` and asserts it fits `budget_secs`.
-fn assert_month_fits(sites: usize, topology: Interconnect, budget_secs: f64, label: &str) {
+/// `topology`, asserts it fits `budget_secs` and returns the planner's
+/// solver telemetry.
+fn assert_month_fits(
+    sites: usize,
+    topology: Interconnect,
+    budget_secs: f64,
+    label: &str,
+) -> SolverStats {
     let clock = SlotClock::icdcs13_month();
     let params = SimParams::icdcs13();
     let pack = ScenarioPack::builtin("price-spike").unwrap();
@@ -52,6 +62,7 @@ fn assert_month_fits(sites: usize, topology: Interconnect, budget_secs: f64, lab
         "{label} coordinated month took {elapsed:.1}s (budget {budget_secs}s): \
          the fleet-scale path has regressed"
     );
+    dispatcher.solver_stats()
 }
 
 fn lossy_wheeled(base: Interconnect) -> Interconnect {
@@ -92,5 +103,15 @@ fn ring_512_coordinated_month_fits_the_wall_clock_budget() {
     // 1024 links but a 1024-row basis: the row-count stress axis — the
     // eta file and refactorization cadence carry this one.
     let ring = lossy_wheeled(Interconnect::ring(512, Energy::from_mwh(2.0)).unwrap());
-    assert_month_fits(512, ring, 300.0, "512-site ring");
+    let stats = assert_month_fits(512, ring, 300.0, "512-site ring");
+    // The month's simplex path, pinned exactly: a kernel change that
+    // claims to keep the pivot sequence keeps every one of these.
+    let path = (
+        stats.pivots,
+        stats.refactorizations,
+        stats.warm_solves,
+        stats.cold_solves,
+        stats.warm_rejects,
+    );
+    assert_eq!(path, (48_145, 363, 1, 61, 59), "{stats:?}");
 }

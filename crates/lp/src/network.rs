@@ -15,16 +15,29 @@
 //! Instead of an explicit dense `m × m` basis inverse with `O(m²)`
 //! rank-one pivot updates, the kernel holds `B⁻¹` in **product form**
 //! (an eta file, [`crate::factor::Factorization`]): each pivot appends
-//! one elementary eta matrix built from the entering direction —
-//! `O(nnz)` work — and the two solves per pivot become sparse
-//! FTRAN/BTRAN passes over the file. The file is rebuilt from the basis
-//! columns (*refactorization*) whenever it grows past the workspace's
-//! eta cap ([`LpWorkspace::set_network_refactor_cap`], default
+//! one elementary eta matrix built from the entering direction, and the
+//! two solves per pivot become FTRAN/BTRAN passes over the file. The
+//! file is rebuilt from the basis columns (*refactorization*) whenever
+//! it grows past the workspace's eta cap
+//! ([`LpWorkspace::set_network_refactor_cap`], default
 //! [`DEFAULT_REFACTOR_ETA_CAP`]) or a pivot element falls below
 //! [`SMALL_PIVOT_TOL`] — the drift trigger. Refactorization processes
 //! slack columns first (free identity etas) and structural columns in
 //! ascending-sparsity order with largest-pivot row selection, so it is
-//! deterministic and near-linear on the fleet bases.
+//! deterministic.
+//!
+//! # Work that follows the nonzeros
+//!
+//! The entering direction `w` is a [`crate::factor::SparseWork`]: it
+//! records its nonzero pattern and stays zero between uses. Scattering a
+//! column, the pattern FTRAN, refactorization's pivot-row choice, the
+//! primal ratio test, the `x_B` update and the eta append all walk that
+//! pattern rather than `0..m`, so each costs `O(nnz)` (FTRAN adds one
+//! zero test per eta). The pattern is ascending, so rows are visited in
+//! the order the full scans used: the same floating-point operations in
+//! the same order, the same lowest-row tie-breaks, the same eta entry
+//! order — and therefore the same pivot sequence, bit for bit. BTRAN
+//! ([`NetState::multipliers`]) is still a dense pass per pivot.
 //!
 //! # Allocation-free warm re-solves
 //!
@@ -90,7 +103,7 @@
 
 use std::time::Instant;
 
-use crate::factor::Factorization;
+use crate::factor::{Factorization, SparseWork};
 use crate::model::{Problem, Relation, Sense};
 use crate::simplex::DEGENERATE_STREAK_LIMIT;
 use crate::solution::Solution;
@@ -198,8 +211,10 @@ pub(crate) struct NetState {
     factor: Factorization,
     /// BTRAN scratch: the simplex multipliers.
     y: Vec<f64>,
-    /// FTRAN scratch: the entering direction.
-    w: Vec<f64>,
+    /// FTRAN scratch: the entering direction (or, while refactorizing,
+    /// the column being pivoted in) with its nonzero pattern. All zero
+    /// between uses; each use clears only the previous pattern.
+    w: SparseWork,
     /// Right-hand-side work vector for `compute_xb`.
     rhs_work: Vec<f64>,
     /// Partial-pricing candidate list (column indices).
@@ -281,6 +296,7 @@ impl NetState {
 
         self.xb.clear();
         self.xb.resize(m, 0.0);
+        self.w.reset(m);
         self.candidates.clear();
         self.cursor = 0;
         self.solve_pivots = 0;
@@ -404,16 +420,11 @@ impl NetState {
         order.sort_unstable_by_key(|&j| (col_off[j as usize + 1] - col_off[j as usize], j));
         for k in 0..self.order.len() {
             let j = self.order[k] as usize;
-            self.w.clear();
-            self.w.resize(m, 0.0);
-            let (s, e) = (self.col_off[j] as usize, self.col_off[j + 1] as usize);
-            for t in s..e {
-                self.w[self.col_row[t] as usize] += self.col_val[t];
-            }
-            self.factor.ftran(&mut self.w);
+            self.direction(j);
             let mut r_best = usize::MAX;
             let mut v_best = SINGULAR_TOL;
-            for (r, &wr) in self.w.iter().enumerate() {
+            for &r in self.w.pattern() {
+                let (r, wr) = (r as usize, self.w.get(r as usize));
                 if !self.row_pivoted[r] && wr.abs() > v_best {
                     v_best = wr.abs();
                     r_best = r;
@@ -433,6 +444,7 @@ impl NetState {
         }
         std::mem::swap(&mut self.basis, &mut self.new_basis);
         self.base_etas = self.factor.eta_count();
+        self.eta_entry_peak = self.eta_entry_peak.max(self.factor.entry_count());
         true
     }
 
@@ -494,19 +506,19 @@ impl NetState {
         }
     }
 
-    /// `w = B⁻¹ Aⱼ`, the entering column in the basis frame, via FTRAN.
+    /// `w = B⁻¹ Aⱼ`, the entering column in the basis frame, via the
+    /// pattern FTRAN: `O(nnz)` to clear and scatter, never `O(m)`.
     fn direction(&mut self, j: usize) {
         self.w.clear();
-        self.w.resize(self.m, 0.0);
         if j < self.n {
             let (s, e) = (self.col_off[j] as usize, self.col_off[j + 1] as usize);
             for t in s..e {
-                self.w[self.col_row[t] as usize] += self.col_val[t];
+                self.w.add(self.col_row[t] as usize, self.col_val[t]);
             }
         } else {
-            self.w[j - self.n] = 1.0;
+            self.w.add(j - self.n, 1.0);
         }
-        self.factor.ftran(&mut self.w);
+        self.factor.ftran_sparse(&mut self.w);
     }
 
     /// Bland's rule: the lowest-index attractive column, by a full scan.
@@ -613,8 +625,11 @@ impl NetState {
             let sigma = if self.at_upper[j] { -1.0 } else { 1.0 };
             let mut t = self.col_upper(j); // bound-flip limit: box width
             let mut leave: Option<(usize, bool)> = None;
-            for (r, &wr0) in self.w.iter().enumerate() {
-                let wr = sigma * wr0;
+            // Rows off the pattern hold exactly zero and can neither block
+            // nor move; walking it ascending keeps the lowest-row tie-break.
+            for &r in self.w.pattern() {
+                let r = r as usize;
+                let wr = sigma * self.w.get(r);
                 if wr > TOLERANCE {
                     let ratio = (self.xb[r] / wr).max(0.0);
                     if ratio < t {
@@ -647,8 +662,8 @@ impl NetState {
                 bland = false;
             }
 
-            for (xb, &wr) in self.xb.iter_mut().zip(&self.w) {
-                *xb -= sigma * t * wr;
+            for &r in self.w.pattern() {
+                self.xb[r as usize] -= sigma * t * self.w.get(r as usize);
             }
             match leave {
                 None => {
@@ -675,7 +690,7 @@ impl NetState {
                     // per structural column) or the small-pivot (drift)
                     // trigger, or if the pivot was too small to divide
                     // by at all.
-                    let small = self.w[r].abs() < SMALL_PIVOT_TOL;
+                    let small = self.w.get(r).abs() < SMALL_PIVOT_TOL;
                     let pushed = self.factor.push_eta(r, &self.w);
                     self.eta_entry_peak = self.eta_entry_peak.max(self.factor.entry_count());
                     let updates = self.factor.eta_count().saturating_sub(self.base_etas);
@@ -742,7 +757,6 @@ impl NetState {
             + self.rhs.capacity()
             + self.xb.capacity()
             + self.y.capacity()
-            + self.w.capacity()
             + self.rhs_work.capacity();
         let usizes = self.basis.capacity() + self.new_basis.capacity();
         let bools =
@@ -751,6 +765,7 @@ impl NetState {
             + f64s * size_of::<f64>()
             + usizes * size_of::<usize>()
             + bools
+            + self.w.capacity_bytes()
             + self.factor.capacity_bytes()
     }
 }
@@ -986,6 +1001,26 @@ mod tests {
         p.set_objective(y, 9.0).unwrap();
         let warm = p.solve_network_with(&mut ws).unwrap();
         assert_close(warm.objective(), p.solve().unwrap().objective());
+    }
+
+    #[test]
+    fn a_zero_pivot_warm_solve_reports_its_refactorized_file() {
+        // max x  s.t.  x ≤ 4, 2x ≤ 6: the optimum x = 3 keeps x basic on
+        // row 1 with a two-row column, so the warm install's rebuilt file
+        // holds an off-pivot entry even though the re-solve pivots zero
+        // times.
+        let mut p = Problem::maximize();
+        let x = p.add_var("x", 0.0, 10.0, 1.0).unwrap();
+        p.add_constraint(&[(x, 1.0)], Relation::Le, 4.0).unwrap();
+        p.add_constraint(&[(x, 2.0)], Relation::Le, 6.0).unwrap();
+        let mut ws = LpWorkspace::new();
+        p.solve_network_with(&mut ws).unwrap();
+        let sol = p.solve_network_with(&mut ws).unwrap();
+        assert_close(sol.value(x), 3.0);
+        assert!(ws.last_was_warm());
+        // The per-solve figures `solve` drains into `SolverStats`.
+        assert_eq!(ws.net.solve_pivots, 0);
+        assert_eq!(ws.net.eta_entry_peak, 1);
     }
 
     #[test]

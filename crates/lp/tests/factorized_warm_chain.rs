@@ -18,7 +18,7 @@
 //! factorization shows up as an objective drift here long before it
 //! would surface in a fleet table.
 
-use dpss_lp::{ConstraintId, LpWorkspace, Problem, Relation, Sense, Variable};
+use dpss_lp::{ConstraintId, LpWorkspace, Problem, Relation, Sense, SolverStats, Variable};
 use proptest::prelude::*;
 
 /// The settlement flow shape (`FleetPlanner::plan`): one variable per
@@ -177,7 +177,8 @@ fn assert_agrees(p: &Problem, ws: &mut LpWorkspace, step: usize, tag: &str) {
     );
 }
 
-fn run_chain(seed: u64, edits: usize) {
+/// Runs one chain and returns the `(natural, forced)` workspaces' stats.
+fn run_chain(seed: u64, edits: usize) -> (SolverStats, SolverStats) {
     let mut s = Stream(seed | 1);
     let mut data = ChainData::draw(&mut s);
     let (mut p, template) = build_flow(4, &data.caps, &data.donors, &data.needs, &data.prices);
@@ -226,6 +227,7 @@ fn run_chain(seed: u64, edits: usize) {
         f.refactorizations,
         nat.refactorizations
     );
+    (nat, f)
 }
 
 proptest! {
@@ -242,10 +244,52 @@ proptest! {
     }
 }
 
+/// A workspace's simplex path, exactly: `(pivots, refactorizations,
+/// warm solves, cold solves, warm rejects)` — the counters that move
+/// whenever a pivot, tie-break or refactorization decision moves.
+type Path = (u64, u64, u64, u64, u64);
+
+fn path(s: SolverStats) -> Path {
+    (
+        s.pivots,
+        s.refactorizations,
+        s.warm_solves,
+        s.cold_solves,
+        s.warm_rejects,
+    )
+}
+
+/// Runs one chain and asserts the exact simplex paths of its natural
+/// and forced (cap = 1) workspaces.
+fn assert_paths(seed: u64, edits: usize, natural: Path, forced: Path) {
+    let (nat, f) = run_chain(seed, edits);
+    assert_eq!(path(nat), natural, "seed {seed:#x}, natural cap");
+    assert_eq!(path(f), forced, "seed {seed:#x}, cap = 1");
+}
+
 /// A pinned instance of the chain so the 200-edit contract runs even
 /// under `--test-threads` setups that filter proptest suites, and fails
-/// reproducibly without shrinking.
+/// reproducibly without shrinking. Its simplex path is pinned exactly.
 #[test]
 fn pinned_two_hundred_forty_edit_chain() {
-    run_chain(0x1CDC_5201_3DEF_ACED, 240);
+    assert_paths(
+        0x1CDC_5201_3DEF_ACED,
+        240,
+        (1131, 0, 119, 122, 121),
+        (1131, 642, 119, 122, 121),
+    );
+}
+
+/// More seeded chains with their exact simplex paths pinned. A kernel
+/// change that claims to keep the pivot sequence keeps these counters
+/// equal; one that moves them updates the pins on purpose.
+#[test]
+fn seeded_chains_keep_their_simplex_path() {
+    assert_paths(7, 200, (977, 0, 94, 107, 106), (977, 635, 94, 107, 106));
+    assert_paths(
+        0xDEAD_BEEF,
+        224,
+        (1083, 0, 107, 118, 117),
+        (1083, 688, 107, 118, 117),
+    );
 }
