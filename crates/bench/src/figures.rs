@@ -16,7 +16,7 @@
 // audit:allow-file(panic-unwrap): bench treats misconfiguration of built-in worlds as a programming error; every expect states its invariant
 // audit:allow-file(slice-index): figure tables and sweep grids are built rectangular in the same function that indexes them
 
-use dpss_core::{MarketMode, OfflineConfig, SmartDpssConfig};
+use dpss_core::{MarketMode, SmartDpssConfig};
 use dpss_sim::{Engine, SimParams};
 use dpss_traces::{scaling, UniformError};
 use dpss_units::SlotClock;
@@ -235,8 +235,9 @@ pub fn fig6_v_with(
 /// its own calendar. The offline benchmark is included up to
 /// `offline_max_t` (its frame LP grows with `T²`; the published table
 /// stops at `T = 48`, and the paper's trend statements concern
-/// SmartDPSS). Offline cells solve cold for bit-reproducibility of the
-/// published table.
+/// SmartDPSS). Offline cells solve every frame cold, as [`run_offline`]
+/// does; the `T = 144` column is reachable the same way
+/// (`offline_max_t = 144`), one ~1k-row cold LP per frame.
 ///
 /// Expected shape: cost roughly flat in `T` (paper band −3.65%..+6.23%);
 /// delay decreases as `T` grows.
@@ -246,22 +247,6 @@ pub fn fig6_t_with(
     seed: u64,
     ts: &[usize],
     offline_max_t: usize,
-) -> FigureTable {
-    fig6_t_offline_with(runner, seed, ts, offline_max_t, OfflineConfig::default())
-}
-
-/// [`fig6_t_with`] with an explicit [`OfflineConfig`] for the offline
-/// cells. This is how the `T = 144` column gets populated at all:
-/// `warm_start: true` lets frames 2…K reuse the previous optimal basis of
-/// the ~1k-row frame LP, and a revised `frame_pivot_budget` bounds the
-/// worst case (the `sweep_determinism` suite pins the resulting cost).
-#[must_use]
-pub fn fig6_t_offline_with(
-    runner: &ExperimentRunner,
-    seed: u64,
-    ts: &[usize],
-    offline_max_t: usize,
-    offline: OfflineConfig,
 ) -> FigureTable {
     let params = SimParams::icdcs13();
     let labels: Vec<String> = ts.iter().map(|t| t.to_string()).collect();
@@ -284,7 +269,7 @@ pub fn fig6_t_offline_with(
             let engine = Engine::new(params, traces_on(&clock, seed)).expect("valid engine");
             let r = run_smart(&engine, params, SmartDpssConfig::icdcs13());
             let (oc, od) = if t <= offline_max_t {
-                let o = crate::run_offline_with(&engine, params, offline);
+                let o = run_offline(&engine, params);
                 (
                     format!("{:.3}", o.time_average_cost().dollars()),
                     format!("{:.2}", o.average_delay_slots),

@@ -32,7 +32,7 @@ pub use runner::ExperimentRunner;
 pub use spec::{Axis, Cell, SweepSpec};
 pub use table::FigureTable;
 
-use dpss_core::{Impatient, OfflineConfig, OfflineOptimal, SmartDpss, SmartDpssConfig};
+use dpss_core::{Impatient, OfflineOptimal, SmartDpss, SmartDpssConfig};
 use dpss_sim::{Controller, Engine, RunReport, SimParams};
 use dpss_traces::{Scenario, TraceSet};
 use dpss_units::SlotClock;
@@ -120,28 +120,16 @@ pub fn smart_controllers(
         .collect()
 }
 
-/// Runs the offline benchmark on `engine`.
+/// Runs the offline benchmark on `engine`: the paper's `K` independent
+/// `P2` frame solves, each solved cold, so the published offline columns
+/// never depend on which frames ran before.
 ///
 /// # Panics
 ///
 /// Panics if the run fails.
 #[must_use]
 pub fn run_offline(engine: &Engine, params: SimParams) -> RunReport {
-    run_offline_with(engine, params, OfflineConfig::default())
-}
-
-/// [`run_offline`] with an explicit [`OfflineConfig`] — the long-frame
-/// entry point: `T = 144` is only tractable with `warm_start: true` (and
-/// a pivot budget), which the default config keeps off for
-/// bit-reproducibility of the published tables.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or the run fails.
-#[must_use]
-pub fn run_offline_with(engine: &Engine, params: SimParams, config: OfflineConfig) -> RunReport {
-    let mut ctl = OfflineOptimal::with_config(params, engine.truth().clone(), config)
-        .expect("valid configuration");
+    let mut ctl = OfflineOptimal::new(params, engine.truth().clone()).expect("valid configuration");
     engine.run(&mut ctl).expect("run succeeds")
 }
 

@@ -84,10 +84,6 @@ pub struct SmartDpssConfig {
     /// `Umax`/`X(t)` shift (Eq. (14)) and the Theorem 2 bounds. Must match
     /// the demand model feeding the simulation.
     pub ddt_max: Energy,
-    /// Route P4/P5 through the `dpss-lp` simplex instead of the exact
-    /// closed-form solver. Produces identical decisions (asserted in
-    /// tests); mainly useful for cross-validation and benchmarks.
-    pub use_lp_solver: bool,
 }
 
 impl SmartDpssConfig {
@@ -102,7 +98,6 @@ impl SmartDpssConfig {
             p5_objective: P5Objective::default(),
             p4_variant: P4Variant::default(),
             ddt_max: dpss_traces::paper_ddt_max(),
-            use_lp_solver: false,
         }
     }
 
@@ -145,13 +140,6 @@ impl SmartDpssConfig {
     #[must_use]
     pub fn with_ddt_max(mut self, ddt_max: Energy) -> Self {
         self.ddt_max = ddt_max;
-        self
-    }
-
-    /// Enables or disables the LP-backed subproblem solver.
-    #[must_use]
-    pub fn with_lp_solver(mut self, use_lp: bool) -> Self {
-        self.use_lp_solver = use_lp;
         self
     }
 
@@ -201,7 +189,6 @@ mod tests {
         assert_eq!(c.market, MarketMode::TwoMarkets);
         assert_eq!(c.p5_objective, P5Objective::Derived);
         assert_eq!(c.p4_variant, P4Variant::WasteAware);
-        assert!(!c.use_lp_solver);
         c.validate().unwrap();
         assert_eq!(SmartDpssConfig::default(), c);
     }
@@ -214,15 +201,13 @@ mod tests {
             .with_market(MarketMode::RealTimeOnly)
             .with_p5_objective(P5Objective::PaperLiteral)
             .with_p4_variant(P4Variant::WasteAware)
-            .with_ddt_max(Energy::from_mwh(1.0))
-            .with_lp_solver(true);
+            .with_ddt_max(Energy::from_mwh(1.0));
         assert_eq!(c.v, 0.05);
         assert_eq!(c.epsilon, 2.0);
         assert_eq!(c.market, MarketMode::RealTimeOnly);
         assert_eq!(c.p5_objective, P5Objective::PaperLiteral);
         assert_eq!(c.p4_variant, P4Variant::WasteAware);
         assert_eq!(c.ddt_max, Energy::from_mwh(1.0));
-        assert!(c.use_lp_solver);
         c.validate().unwrap();
     }
 

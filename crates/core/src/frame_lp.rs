@@ -45,12 +45,6 @@ pub(crate) struct FrameLpInputs<'a> {
     pub q0: f64,
     /// Service deadline in slots; `None` disables deadline rows.
     pub deadline: Option<usize>,
-    /// Whether real-time purchasing is permitted.
-    pub allow_rt: bool,
-    /// Explicit simplex pivot budget; `None` uses the solver default
-    /// (`200·(rows + cols) + 2000`). Long frames (`T = 144` is ~1k rows)
-    /// set this to fail fast instead of grinding on pathological bases.
-    pub max_pivots: Option<usize>,
 }
 
 /// The solved plan: long-term per-slot rate, and per-slot real-time
@@ -62,16 +56,50 @@ pub(crate) struct FramePlan {
     pub sdt: Vec<f64>,
 }
 
-/// Solves one frame LP through `ws`. Consecutive frames share the
-/// constraint structure, so the workspace's warm-start basis (when the
-/// caller keeps one — see `OfflineConfig::warm_start`) usually skips
-/// phase 1 entirely and its buffers absorb the tableau allocation (see
-/// [`LpWorkspace`]). The objective and feasibility verdict are always
-/// identical to a cold solve; the returned *plan* may be a different,
-/// equally optimal vertex on degenerate frames (service timing is
-/// cost-free inside a frame), which is why the controllers default to
-/// cold solves for bit-reproducible published artifacts.
+/// One built frame LP: the problem plus the variable handles the plan
+/// is read back from.
+#[derive(Debug)]
+pub(crate) struct FrameLp {
+    pub problem: Problem,
+    g_slot: Variable,
+    grt: Vec<Variable>,
+    sdt: Vec<Variable>,
+}
+
+impl FrameLp {
+    /// Solves the LP through `ws` (see `frame_lp::solve` for the warm/cold
+    /// policy).
+    pub fn solve(&self, ws: &mut LpWorkspace) -> Result<FramePlan, CoreError> {
+        let sol = self.problem.solve_with(ws)?;
+        Ok(FramePlan {
+            g_slot: sol.value(self.g_slot),
+            grt: self.grt.iter().map(|&v| sol.value(v)).collect(),
+            sdt: self.sdt.iter().map(|&v| sol.value(v)).collect(),
+        })
+    }
+}
+
+/// Solves one frame LP through `ws`, reusing its buffers (see
+/// [`LpWorkspace`]). Whether the solve starts from the previous frame's
+/// basis is the caller's fixed policy:
+///
+/// * [`RecedingHorizon`](crate::RecedingHorizon) keeps the basis, so
+///   consecutive frames (same constraint structure, new right-hand sides
+///   and prices) usually skip phase 1 — the controller `dpss-serve`
+///   serves and checkpoints;
+/// * [`OfflineOptimal`](crate::OfflineOptimal) clears it before every
+///   frame: the paper's `K` independent `P2` solves, cold.
+///
+/// The objective and feasibility verdict never depend on the basis; on
+/// degenerate frames (service timing is cost-free inside a frame) a warm
+/// solve may return a different, equally optimal vertex, which is why
+/// the offline benchmark's published columns stay on the cold path.
 pub(crate) fn solve(inp: &FrameLpInputs<'_>, ws: &mut LpWorkspace) -> Result<FramePlan, CoreError> {
+    build(inp)?.solve(ws)
+}
+
+/// Builds the frame LP for `inp` without solving it.
+pub(crate) fn build(inp: &FrameLpInputs<'_>) -> Result<FrameLp, CoreError> {
     let t = inp.t;
     debug_assert!(
         inp.p_rt.len() == t
@@ -97,9 +125,6 @@ pub(crate) fn solve(inp: &FrameLpInputs<'_>, ws: &mut LpWorkspace) -> Result<Fra
     };
 
     let mut p = Problem::new(Sense::Minimize);
-    if let Some(budget) = inp.max_pivots {
-        p.set_max_pivots(budget);
-    }
     let g_slot = p.add_var("g_slot", 0.0, inp.slot_cap, inp.p_lt * t as f64)?;
     let mut grt: Vec<Variable> = Vec::with_capacity(t);
     let mut sdt: Vec<Variable> = Vec::with_capacity(t);
@@ -109,8 +134,7 @@ pub(crate) fn solve(inp: &FrameLpInputs<'_>, ws: &mut LpWorkspace) -> Result<Fra
     let mut level: Vec<Variable> = Vec::with_capacity(t);
     let mut backlog: Vec<Variable> = Vec::with_capacity(t);
     for i in 0..t {
-        let rt_ub = if inp.allow_rt { inp.slot_cap } else { 0.0 };
-        grt.push(p.add_var(format!("grt{i}"), 0.0, rt_ub, inp.p_rt[i])?);
+        grt.push(p.add_var(format!("grt{i}"), 0.0, inp.slot_cap, inp.p_rt[i])?);
         let sdt_ub = inp.params.sdt_max.map_or(f64::INFINITY, |s| s.mwh());
         sdt.push(p.add_var(format!("sdt{i}"), 0.0, sdt_ub, 0.0)?);
         brc.push(p.add_var(format!("brc{i}"), 0.0, bat.max_charge.mwh(), wear_c)?);
@@ -200,11 +224,11 @@ pub(crate) fn solve(inp: &FrameLpInputs<'_>, ws: &mut LpWorkspace) -> Result<Fra
         }
     }
 
-    let sol = p.solve_with(ws)?;
-    Ok(FramePlan {
-        g_slot: sol.value(g_slot),
-        grt: grt.iter().map(|&v| sol.value(v)).collect(),
-        sdt: sdt.iter().map(|&v| sol.value(v)).collect(),
+    Ok(FrameLp {
+        problem: p,
+        g_slot,
+        grt,
+        sdt,
     })
 }
 
@@ -231,8 +255,6 @@ mod tests {
             b0: 0.25,
             q0: 0.5,
             deadline: Some(4),
-            allow_rt: true,
-            max_pivots: None,
         }
     }
 
@@ -277,22 +299,6 @@ mod tests {
             "cheapest slot buys the most: {:?}",
             plan.grt
         );
-    }
-
-    #[test]
-    fn no_rt_mode_disables_purchases() {
-        let params = SimParams::icdcs13();
-        let p_rt = [45.0; 3];
-        let d_ds = [0.5; 3];
-        let d_dt = [0.1; 3];
-        let r = [0.1; 3];
-        let mut inp = inputs(&params, &p_rt, &d_ds, &d_dt, &r);
-        inp.allow_rt = false;
-        inp.deadline = Some(3);
-        let plan = solve(&inp, &mut LpWorkspace::new()).unwrap();
-        assert!(plan.grt.iter().all(|&g| g.abs() < 1e-9));
-        // Long-term covers everything instead.
-        assert!(plan.g_slot > 0.4);
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub use fleet::{
 pub use greedy::GreedyBattery;
 pub use impatient::Impatient;
 pub use lower_bound::cheapest_window_bound;
-pub use offline::{OfflineConfig, OfflineOptimal};
+pub use offline::OfflineOptimal;
 pub use receding::RecedingHorizon;
 pub use routing::RoutingPlanner;
 pub use smart_dpss::SmartDpss;

@@ -13,51 +13,6 @@ use dpss_units::Energy;
 use crate::frame_lp::{self, FrameLpInputs};
 use crate::CoreError;
 
-/// Configuration of the [`OfflineOptimal`] benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OfflineConfig {
-    /// Service deadline `λ` for delay-tolerant demand, in fine slots:
-    /// backlog standing at a frame start and arrivals inside the frame
-    /// must be served within `λ` slots (worst-case realized delay is
-    /// therefore ≈ `2λ` across a frame boundary). `None` uses the frame
-    /// length `T`.
-    pub deadline_slots: Option<usize>,
-    /// Whether the benchmark may also buy real-time energy. Lemma 1 shows
-    /// the offline optimum never needs it when `p_rt > p_lt`; keeping it
-    /// on preserves feasibility under tight interconnects.
-    pub allow_real_time: bool,
-    /// Whether consecutive frame LPs may warm-start from the previous
-    /// frame's optimal basis (faster frame planning: frames 2…K resume
-    /// from a basis instead of running phase 1 from scratch).
-    ///
-    /// **Off by default**: a warm solve reaches a vertex of the *same
-    /// optimal objective*, but on degenerate frame LPs (service timing
-    /// is cost-free inside a frame) it can be a *different* vertex than
-    /// the cold path's, which perturbs the realized delay/battery-ops
-    /// columns of the published figure tables. The default keeps the
-    /// benchmark bit-reproducible against the cold solver; flip it on
-    /// when throughput matters more than bit-stability.
-    pub warm_start: bool,
-    /// Explicit simplex pivot budget per frame LP; `None` keeps the
-    /// solver default. The `T = 144` offline benchmark (frame LPs of
-    /// ~1k rows) pairs this with `warm_start` so a pathological frame
-    /// fails fast into the controller's fallback instead of burning the
-    /// full default budget (`dpss-bench`'s `sweep_determinism` suite pins
-    /// the cost this configuration produces).
-    pub frame_pivot_budget: Option<usize>,
-}
-
-impl Default for OfflineConfig {
-    fn default() -> Self {
-        OfflineConfig {
-            deadline_slots: None,
-            allow_real_time: true,
-            warm_start: false,
-            frame_pivot_budget: None,
-        }
-    }
-}
-
 /// The paper's offline benchmark (§II-D): per coarse frame, solve the
 /// cost-minimizing linear program over that frame's `T` fine slots with
 /// *full knowledge* of demand, renewables and prices, carrying battery and
@@ -69,6 +24,15 @@ impl Default for OfflineConfig {
 /// per-operation cost), and frame-coupled battery strategy beyond one
 /// frame is out of scope exactly as in the paper's "solve K times P2"
 /// formulation.
+///
+/// Each frame LP is solved **cold** (the workspace basis is cleared
+/// before every frame): `K` independent `P2` solves, exactly as the paper
+/// defines the benchmark. Delay-tolerant demand standing at a frame start
+/// or arriving inside it must be served within `T` slots; a frame where
+/// that deadline is infeasible (a tight interconnect) is re-solved
+/// without it. Real-time purchases stay allowed: Lemma 1 shows the
+/// optimum never needs them when `p_rt > p_lt`, and keeping them keeps
+/// every frame feasible.
 ///
 /// # Examples
 ///
@@ -91,47 +55,25 @@ impl Default for OfflineConfig {
 pub struct OfflineOptimal {
     params: SimParams,
     truth: TraceSet,
-    config: OfflineConfig,
     plan_grt: Vec<f64>,
     plan_sdt: Vec<f64>,
-    /// Reused across the per-frame LPs: consecutive frames share the
-    /// constraint structure, so the previous optimal basis warm-starts
-    /// the next solve and the tableau allocation is paid once per run.
+    /// Reused across the per-frame LPs so the tableau allocation is paid
+    /// once per run; its basis is cleared before every frame.
     workspace: dpss_lp::LpWorkspace,
 }
 
 impl OfflineOptimal {
-    /// Creates the benchmark with default configuration.
+    /// Creates the benchmark over the `truth` traces.
     ///
     /// # Errors
     ///
     /// Propagates parameter/trace validation.
     pub fn new(params: SimParams, truth: TraceSet) -> Result<Self, CoreError> {
-        Self::with_config(params, truth, OfflineConfig::default())
-    }
-
-    /// Creates the benchmark with an explicit configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter/trace validation; rejects a zero deadline.
-    pub fn with_config(
-        params: SimParams,
-        truth: TraceSet,
-        config: OfflineConfig,
-    ) -> Result<Self, CoreError> {
         params.validate()?;
         truth.validate().map_err(dpss_sim::SimError::from)?;
-        if config.deadline_slots == Some(0) {
-            return Err(CoreError::InvalidConfig {
-                what: "deadline_slots",
-                requirement: "must be at least 1 when set",
-            });
-        }
         Ok(OfflineOptimal {
             params,
             truth,
-            config,
             plan_grt: Vec::new(),
             plan_sdt: Vec::new(),
             workspace: dpss_lp::LpWorkspace::new(),
@@ -147,9 +89,7 @@ impl OfflineOptimal {
         q0: f64,
         deadline: Option<usize>,
     ) -> Result<frame_lp::FramePlan, CoreError> {
-        if !self.config.warm_start {
-            self.workspace.clear_basis();
-        }
+        self.workspace.clear_basis();
         let start = frame * t;
         let to_f64 = |xs: &[Energy]| xs.iter().map(|e| e.mwh()).collect::<Vec<_>>();
         let p_rt: Vec<f64> = self.truth.price_rt[start..start + t]
@@ -172,8 +112,6 @@ impl OfflineOptimal {
                 b0,
                 q0,
                 deadline,
-                allow_rt: self.config.allow_real_time,
-                max_pivots: self.config.frame_pivot_budget,
             },
             &mut self.workspace,
         )
@@ -189,9 +127,8 @@ impl Controller for OfflineOptimal {
         let t = obs.slots_in_frame;
         let b0 = view.battery_level.mwh();
         let q0 = view.queue_backlog.mwh();
-        let deadline = Some(self.config.deadline_slots.unwrap_or(t));
         let solved = self
-            .solve_frame(obs.frame, t, obs.slot_hours, b0, q0, deadline)
+            .solve_frame(obs.frame, t, obs.slot_hours, b0, q0, Some(t))
             .or_else(|_| {
                 // Deadline infeasible under a tight interconnect: relax it
                 // and let delays grow rather than fail the run.
@@ -248,16 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_zero_deadline() {
-        let truth = short_traces(1);
-        let cfg = OfflineConfig {
-            deadline_slots: Some(0),
-            ..OfflineConfig::default()
-        };
-        assert!(OfflineOptimal::with_config(SimParams::icdcs13(), truth, cfg).is_err());
-    }
-
-    #[test]
     fn runs_cleanly_and_serves_demand() {
         let truth = short_traces(2);
         let params = SimParams::icdcs13();
@@ -302,77 +229,18 @@ mod tests {
     }
 
     #[test]
-    fn tighter_deadline_serves_sooner() {
-        let truth = short_traces(4);
-        let params = SimParams::icdcs13();
-        let engine = Engine::new(params, truth.clone()).unwrap();
-        let tight = OfflineConfig {
-            deadline_slots: Some(2),
-            ..OfflineConfig::default()
-        };
-        let mut fast = OfflineOptimal::with_config(params, truth.clone(), tight).unwrap();
-        let mut slow = OfflineOptimal::new(params, truth).unwrap();
-        let r_fast = engine.run(&mut fast).unwrap();
-        let r_slow = engine.run(&mut slow).unwrap();
-        assert!(
-            r_fast.average_delay_slots <= r_slow.average_delay_slots + 1e-9,
-            "fast {} vs slow {}",
-            r_fast.average_delay_slots,
-            r_slow.average_delay_slots
-        );
-        // And pays for the privilege (weakly).
-        assert!(r_fast.total_cost() >= r_slow.total_cost() - dpss_units::Money::from_dollars(1e-6));
-    }
-
-    #[test]
-    fn frame_lp_workspace_is_exercised_across_frames() {
+    fn every_frame_lp_solves_cold() {
+        // The paper's benchmark is K independent P2 solves: no frame may
+        // start from the previous frame's basis.
         let truth = short_traces(6);
         let params = SimParams::icdcs13();
         let engine = Engine::new(params, truth.clone()).unwrap();
-        let config = OfflineConfig {
-            warm_start: true,
-            ..OfflineConfig::default()
-        };
-        let mut offline = OfflineOptimal::with_config(params, truth, config).unwrap();
+        let mut offline = OfflineOptimal::new(params, truth).unwrap();
         engine.run(&mut offline).unwrap();
         let ws = &offline.workspace;
         // One LP per frame (the deadline variant stayed feasible).
-        assert_eq!(ws.warm_solves() + ws.cold_solves(), 3);
-        // Frames 1 and 2 share a standard-form shape; with the dual
-        // feasibility restore the warm path must actually succeed there,
-        // not just be attempted and rejected.
-        assert!(
-            ws.warm_solves() >= 1,
-            "repeat frame shapes must warm-start: {} warm / {} cold / {} rejects",
-            ws.warm_solves(),
-            ws.cold_solves(),
-            ws.warm_rejects()
-        );
-    }
-
-    #[test]
-    fn warm_and_cold_offline_agree_on_cost_quality() {
-        // Warm starts may pick a different optimal vertex (degenerate
-        // service timing), but the realized time-average cost must stay
-        // within the LP's optimality quality: tiny relative difference.
-        let truth = short_traces(7);
-        let params = SimParams::icdcs13();
-        let engine = Engine::new(params, truth.clone()).unwrap();
-        let warm_cfg = OfflineConfig {
-            warm_start: true,
-            ..OfflineConfig::default()
-        };
-        let mut cold = OfflineOptimal::new(params, truth.clone()).unwrap();
-        let mut warm = OfflineOptimal::with_config(params, truth, warm_cfg).unwrap();
-        let r_cold = engine.run(&mut cold).unwrap();
-        let r_warm = engine.run(&mut warm).unwrap();
-        let c = r_cold.time_average_cost().dollars();
-        let w = r_warm.time_average_cost().dollars();
-        assert!(
-            ((c - w) / c).abs() < 1e-3,
-            "cold {c} vs warm {w}: alternate optima must stay equivalent"
-        );
-        assert_eq!(r_warm.unserved_ds, Energy::ZERO);
+        assert_eq!(ws.cold_solves(), 3);
+        assert_eq!(ws.warm_solves() + ws.warm_rejects(), 0);
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //!
 //! A one-variable LP with a trivial closed form: buy the feasibility
 //! minimum when the weight is positive, buy up to the cap when it is
-//! negative. Both an exact closed-form solver and a `dpss-lp` simplex
-//! route are provided; tests assert they agree.
+//! negative. The controller uses the exact closed form; a `dpss-lp`
+//! simplex route is kept as a test oracle, and tests assert they agree.
 
+#[cfg(test)]
 use dpss_lp::{Problem, Relation, Sense};
 
+#[cfg(test)]
 use crate::CoreError;
 
 /// Inputs to P4, all in MWh / raw scalars (see module docs).
@@ -52,8 +54,9 @@ pub(crate) fn solve_closed_form(inp: &P4Inputs) -> f64 {
     }
 }
 
-/// LP-backed minimizer of P4 via the `dpss-lp` simplex (cross-validation
-/// path).
+/// LP-backed minimizer of P4 via the `dpss-lp` simplex (the test oracle
+/// for [`solve_closed_form`]).
+#[cfg(test)]
 pub(crate) fn solve_lp(inp: &P4Inputs) -> Result<f64, CoreError> {
     let mut p = Problem::new(Sense::Minimize);
     let g = p.add_var("g_bef", 0.0, inp.g_max(), inp.weight)?;

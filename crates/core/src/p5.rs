@@ -16,12 +16,15 @@
 //! closed region attains its minimum at a region vertex, and the fixed
 //! cost only jumps *up* away from the `net = 0` boundary, so enumerating
 //! box corners and kink-line/edge intersections — evaluated exactly — is
-//! an exact solver. A `dpss-lp` route (three per-battery-mode LPs) is
-//! provided for cross-validation.
+//! an exact solver, and the one the controller uses. A `dpss-lp` route
+//! (one LP per battery mode) is kept as its test oracle.
 
+#[cfg(test)]
 use dpss_lp::{Problem, Relation, Sense};
 
-use crate::{CoreError, P5Objective};
+#[cfg(test)]
+use crate::CoreError;
+use crate::P5Objective;
 
 const TOL: f64 = 1e-9;
 
@@ -166,7 +169,9 @@ pub(crate) fn solve_closed_form(inp: &P5Inputs) -> P5Solution {
 /// LP-backed minimizer: solves one LP per battery mode (charge with wear,
 /// discharge with wear, idle) and takes the best. Only supports the
 /// [`P5Objective::Derived`] objective (the paper-literal γ-term is handled
-/// identically since it is also linear in `s_dt`).
+/// identically since it is also linear in `s_dt`). The test oracle for
+/// [`solve_closed_form`].
+#[cfg(test)]
 pub(crate) fn solve_lp(inp: &P5Inputs) -> Result<P5Solution, CoreError> {
     let g_cap = inp.g_cap.max(0.0);
     let y_cap = inp.y_cap.max(0.0);

@@ -22,6 +22,13 @@ use crate::CoreError;
 /// `p_lt · rt_markup`. Within the frame it replays the plan; the plant's
 /// feasibility guard covers forecast misses.
 ///
+/// Each frame LP warm-starts from the previous frame's optimal basis:
+/// consecutive frames share the constraint structure and change only
+/// right-hand sides and prices, so most solves skip phase 1. The basis
+/// is part of the checkpointed state (see [`Controller::save_state`]), so
+/// a batch run, a stepped run and a `dpss-serve` session resumed from a
+/// snapshot all plan from the same vertices.
+///
 /// Comparing this controller under `PrevFrameAverage`, `NoisyOracle` and
 /// `Oracle` forecasts against SmartDPSS quantifies exactly how much of
 /// MPC's advantage depends on forecast quality — the trade the paper's
@@ -50,11 +57,9 @@ pub struct RecedingHorizon {
     plan_grt: Vec<f64>,
     plan_sdt: Vec<f64>,
     /// Workspace shared by the per-frame LPs (see
-    /// [`LpWorkspace`](dpss_lp::LpWorkspace)): always reuses the tableau
-    /// buffers; reuses the previous frame's basis only when
-    /// [`with_warm_start`](Self::with_warm_start) enabled it.
+    /// [`LpWorkspace`](dpss_lp::LpWorkspace)): reuses the tableau buffers
+    /// and the previous frame's basis.
     workspace: dpss_lp::LpWorkspace,
-    warm_start: bool,
     /// Fleet dispatch directive for the coming frame, if a coordinated
     /// [`MultiSiteEngine`](dpss_sim::MultiSiteEngine) run delivered one.
     directive: Option<FrameDirective>,
@@ -79,24 +84,38 @@ impl RecedingHorizon {
             plan_grt: Vec::new(),
             plan_sdt: Vec::new(),
             workspace: dpss_lp::LpWorkspace::new(),
-            warm_start: false,
             directive: None,
         })
     }
 
-    /// Enables (or disables) warm-starting consecutive frame LPs from
-    /// the previous frame's optimal basis.
-    ///
-    /// Off by default for the same reason as
-    /// [`OfflineConfig::warm_start`](crate::OfflineConfig): a warm solve
-    /// reaches the same optimal *objective* but, on degenerate frames,
-    /// possibly a different optimal *vertex*, which perturbs the
-    /// realized plan relative to the cold path. Turn it on when
-    /// replanning throughput matters more than bit-stability.
-    #[must_use]
-    pub fn with_warm_start(mut self, warm_start: bool) -> Self {
-        self.warm_start = warm_start;
-        self
+    /// The frame LP over this frame's flat forecasts, with service
+    /// deadline `deadline`.
+    fn frame_lp(
+        &self,
+        obs: &FrameObservation,
+        view: &SystemView,
+        deadline: Option<usize>,
+    ) -> Result<frame_lp::FrameLp, CoreError> {
+        let t = obs.slots_in_frame;
+        // Flat forecast: the frame observation extended across the frame.
+        let d_ds = vec![obs.demand_ds.mwh().max(0.0); t];
+        let d_dt = vec![obs.demand_dt.mwh().max(0.0); t];
+        let renewable = vec![obs.renewable.mwh().max(0.0); t];
+        let p_lt = obs.price_lt.dollars_per_mwh();
+        let p_rt = vec![p_lt * RT_MARKUP; t];
+        frame_lp::build(&FrameLpInputs {
+            params: &self.params,
+            t,
+            slot_cap: self.params.grid_slot_cap(obs.slot_hours).mwh(),
+            p_lt,
+            p_rt: &p_rt,
+            d_ds: &d_ds,
+            d_dt: &d_dt,
+            renewable: &renewable,
+            b0: view.battery_level.mwh(),
+            q0: view.queue_backlog.mwh(),
+            deadline,
+        })
     }
 }
 
@@ -168,39 +187,17 @@ impl Controller for RecedingHorizon {
 
     fn plan_frame(&mut self, obs: &FrameObservation, view: &SystemView) -> FrameDecision {
         let t = obs.slots_in_frame;
-        // Flat forecast: the frame observation extended across the frame.
-        let d_ds = vec![obs.demand_ds.mwh().max(0.0); t];
-        let d_dt = vec![obs.demand_dt.mwh().max(0.0); t];
-        let renewable = vec![obs.renewable.mwh().max(0.0); t];
-        let p_lt = obs.price_lt.dollars_per_mwh();
-        let p_rt = vec![p_lt * RT_MARKUP; t];
-        if !self.warm_start {
-            self.workspace.clear_basis();
-        }
-        let inputs = FrameLpInputs {
-            params: &self.params,
-            t,
-            slot_cap: self.params.grid_slot_cap(obs.slot_hours).mwh(),
-            p_lt,
-            p_rt: &p_rt,
-            d_ds: &d_ds,
-            d_dt: &d_dt,
-            renewable: &renewable,
-            b0: view.battery_level.mwh(),
-            q0: view.queue_backlog.mwh(),
-            deadline: Some(t),
-            allow_rt: true,
-            max_pivots: None,
+        let solved = match self
+            .frame_lp(obs, view, Some(t))
+            .and_then(|lp| lp.solve(&mut self.workspace))
+        {
+            Ok(plan) => Ok(plan),
+            // Deadline infeasible under a tight interconnect: relax it
+            // and let delays grow rather than fail the frame.
+            Err(_) => self
+                .frame_lp(obs, view, None)
+                .and_then(|lp| lp.solve(&mut self.workspace)),
         };
-        let solved = frame_lp::solve(&inputs, &mut self.workspace).or_else(|_| {
-            frame_lp::solve(
-                &FrameLpInputs {
-                    deadline: None,
-                    ..inputs.clone()
-                },
-                &mut self.workspace,
-            )
-        });
         // Buy-to-export: a coordinated fleet directive tops the hedge off
         // with energy destined for a neighbour (re-checked against the
         // actual quoted p_lt by `economic_top_off`; the engine clamps
@@ -295,33 +292,76 @@ mod tests {
         );
     }
 
-    #[test]
-    fn warm_replanning_matches_cold_cost_quality() {
-        let (engine, params) = world(14);
-        let cold = engine
-            .run(&mut RecedingHorizon::new(params).unwrap())
-            .unwrap();
-        let warm = engine
-            .run(&mut RecedingHorizon::new(params).unwrap().with_warm_start(true))
-            .unwrap();
-        let c = cold.total_cost().dollars();
-        let w = warm.total_cost().dollars();
-        assert!(
-            ((c - w) / c).abs() < 1e-3,
-            "cold {c} vs warm {w}: alternate optima must stay equivalent"
-        );
-        assert_eq!(warm.availability_violations, 0);
+    /// Replays a controller's frame LPs from the basis it held before
+    /// each warm frame, and re-solves the same LP cold.
+    struct ColdReSolve {
+        inner: RecedingHorizon,
+        warm_frames: usize,
+    }
+
+    impl Controller for ColdReSolve {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn plan_frame(&mut self, obs: &FrameObservation, view: &SystemView) -> FrameDecision {
+            let before = self.inner.workspace.clone();
+            let decision = self.inner.plan_frame(obs, view);
+            if self.inner.workspace.last_was_warm() {
+                let lp = self
+                    .inner
+                    .frame_lp(obs, view, Some(obs.slots_in_frame))
+                    .unwrap();
+                let warm = lp.problem.solve_with(&mut before.clone()).unwrap();
+                let cold = lp.problem.solve().unwrap();
+                let tol = 1e-9 * (1.0 + cold.objective().abs());
+                assert!(
+                    (warm.objective() - cold.objective()).abs() <= tol,
+                    "frame {}: warm {} vs cold {}",
+                    obs.frame,
+                    warm.objective(),
+                    cold.objective()
+                );
+                self.warm_frames += 1;
+            }
+            decision
+        }
+
+        fn plan_slot(&mut self, obs: &SlotObservation, view: &SystemView) -> SlotDecision {
+            self.inner.plan_slot(obs, view)
+        }
     }
 
     #[test]
-    fn save_load_state_resumes_byte_identically_with_warm_starts() {
+    fn warm_chain_on_the_paper_month_matches_cold_objectives() {
+        // A frame whose LP keeps the previous frame's shape starts from
+        // its basis; the counts pin that path at the canonical seed, and
+        // each warm frame's objective must equal a cold solve of the same
+        // LP.
+        let truth = dpss_traces::paper_month_traces(42).unwrap();
+        let params = SimParams::icdcs13();
+        let engine = Engine::new(params, truth).unwrap();
+        let mut audit = ColdReSolve {
+            inner: RecedingHorizon::new(params).unwrap(),
+            warm_frames: 0,
+        };
+        let r = engine.run(&mut audit).unwrap();
+        assert_eq!(r.availability_violations, 0);
+        let ws = &audit.inner.workspace;
+        let counts = (ws.warm_solves(), ws.cold_solves(), ws.warm_rejects());
+        assert_eq!(counts, (29, 2, 0), "warm/cold/reject frame solves");
+        assert_eq!(audit.warm_frames as u64, ws.warm_solves());
+    }
+
+    #[test]
+    fn save_load_state_resumes_byte_identically_from_the_warm_basis() {
         // Warm starts make the basis load-bearing: on degenerate frames a
         // cold re-solve after restore could pick a different optimal
         // vertex. Byte-identical resume therefore proves the basis
         // snapshot round-trips faithfully.
         let (engine, params) = world(42);
         let engine = std::sync::Arc::new(engine);
-        let fresh = || RecedingHorizon::new(params).unwrap().with_warm_start(true);
+        let fresh = || RecedingHorizon::new(params).unwrap();
         let full = engine.run(&mut fresh()).unwrap();
 
         let mut ctl = fresh();

@@ -168,6 +168,89 @@ impl SmartDpss {
             objective: self.config.p5_objective,
         }
     }
+
+    /// Algorithm 1, step 1: the frame decision, with P4 solved by `p4`.
+    fn decide_frame(
+        &self,
+        obs: &FrameObservation,
+        view: &SystemView,
+        p4: impl FnOnce(&p4::P4Inputs) -> f64,
+    ) -> FrameDecision {
+        if self.config.market == MarketMode::RealTimeOnly {
+            return FrameDecision {
+                purchase_lt: Energy::ZERO,
+            };
+        }
+        let slot_cap = self.params.grid_slot_cap(obs.slot_hours).mwh();
+        // How much the battery offsets the per-slot demand cover. The
+        // printed P4 uses the level `b(t)` as a per-slot resource; the
+        // waste-aware variant spreads the battery's deliverable *energy*
+        // over the frame (it cannot discharge its capacity every slot).
+        let battery_offset = match self.config.p4_variant {
+            P4Variant::PaperLiteral => view.battery_available,
+            P4Variant::WasteAware => {
+                (view.battery_level - self.params.battery.min_level).positive_part()
+                    / (self.params.battery.discharge_efficiency * obs.slots_in_frame as f64)
+            }
+        };
+        let need_per_slot = (obs.demand_ds - obs.renewable - battery_offset).mwh();
+        let total_cap = match self.config.p4_variant {
+            P4Variant::PaperLiteral => f64::INFINITY,
+            P4Variant::WasteAware => {
+                // Frame absorption: projected net demand of both classes
+                // plus the standing backlog. Deliberately buying extra to
+                // fill the battery is excluded — round-tripping purchased
+                // energy through ηc·ηd < 1 loses more than time-shifting
+                // gains; the battery fills from incidental surplus instead.
+                let per_slot_net = (obs.demand_ds + obs.demand_dt - obs.renewable).positive_part();
+                // audit:allow(unit-cast): slot count scales an Energy, it is not a unit conversion
+                (per_slot_net * obs.slots_in_frame as f64 + view.queue_backlog).mwh()
+            }
+        };
+        let inputs = p4::P4Inputs {
+            weight: self.config.v * obs.price_lt.dollars_per_mwh()
+                - (view.queue_backlog.mwh() + self.y),
+            need_per_slot,
+            slots: obs.slots_in_frame as f64,
+            slot_cap,
+            total_cap,
+        };
+        let total = p4(&inputs);
+        // Buy-to-export: a coordinated fleet directive can top the frame
+        // purchase off with energy destined for a neighbour (re-checked
+        // against the actual quoted p_lt by `economic_top_off`); the
+        // engine clamps the sum to the *grid* frame cap `T·Pgrid·Δh` —
+        // link caps only bound it indirectly, through the planner's
+        // export-headroom input.
+        let top_off = self.directive.map_or(Energy::ZERO, |d| {
+            d.economic_top_off(obs.frame, obs.price_lt, self.params.waste_price)
+        });
+        FrameDecision {
+            purchase_lt: Energy::from_mwh(total.max(0.0)) + top_off,
+        }
+    }
+
+    /// Algorithm 1, step 2: the slot decision, with P5 solved by `p5`.
+    fn decide_slot(
+        &mut self,
+        obs: &SlotObservation,
+        view: &SystemView,
+        p5: impl FnOnce(&p5::P5Inputs) -> p5::P5Solution,
+    ) -> SlotDecision {
+        self.planned_backlog = view.queue_backlog.mwh();
+        let inputs = self.p5_inputs(obs, view);
+        let sol = p5(&inputs);
+        let backlog = view.queue_backlog.mwh();
+        let serve_fraction = if backlog > 1e-12 {
+            (sol.s_dt / backlog).clamp(0.0, 1.0)
+        } else {
+            0.0
+        };
+        SlotDecision {
+            purchase_rt: Energy::from_mwh(sol.g_rt.max(0.0)),
+            serve_fraction,
+        }
+    }
 }
 
 /// The checkpointable internals of [`SmartDpss`], carried as the
@@ -226,82 +309,11 @@ impl Controller for SmartDpss {
     }
 
     fn plan_frame(&mut self, obs: &FrameObservation, view: &SystemView) -> FrameDecision {
-        if self.config.market == MarketMode::RealTimeOnly {
-            return FrameDecision {
-                purchase_lt: Energy::ZERO,
-            };
-        }
-        let slot_cap = self.params.grid_slot_cap(obs.slot_hours).mwh();
-        // How much the battery offsets the per-slot demand cover. The
-        // printed P4 uses the level `b(t)` as a per-slot resource; the
-        // waste-aware variant spreads the battery's deliverable *energy*
-        // over the frame (it cannot discharge its capacity every slot).
-        let battery_offset = match self.config.p4_variant {
-            P4Variant::PaperLiteral => view.battery_available,
-            P4Variant::WasteAware => {
-                (view.battery_level - self.params.battery.min_level).positive_part()
-                    / (self.params.battery.discharge_efficiency * obs.slots_in_frame as f64)
-            }
-        };
-        let need_per_slot = (obs.demand_ds - obs.renewable - battery_offset).mwh();
-        let total_cap = match self.config.p4_variant {
-            P4Variant::PaperLiteral => f64::INFINITY,
-            P4Variant::WasteAware => {
-                // Frame absorption: projected net demand of both classes
-                // plus the standing backlog. Deliberately buying extra to
-                // fill the battery is excluded — round-tripping purchased
-                // energy through ηc·ηd < 1 loses more than time-shifting
-                // gains; the battery fills from incidental surplus instead.
-                let per_slot_net = (obs.demand_ds + obs.demand_dt - obs.renewable).positive_part();
-                // audit:allow(unit-cast): slot count scales an Energy, it is not a unit conversion
-                (per_slot_net * obs.slots_in_frame as f64 + view.queue_backlog).mwh()
-            }
-        };
-        let inputs = p4::P4Inputs {
-            weight: self.config.v * obs.price_lt.dollars_per_mwh()
-                - (view.queue_backlog.mwh() + self.y),
-            need_per_slot,
-            slots: obs.slots_in_frame as f64,
-            slot_cap,
-            total_cap,
-        };
-        let total = if self.config.use_lp_solver {
-            p4::solve_lp(&inputs).unwrap_or_else(|_| p4::solve_closed_form(&inputs))
-        } else {
-            p4::solve_closed_form(&inputs)
-        };
-        // Buy-to-export: a coordinated fleet directive can top the frame
-        // purchase off with energy destined for a neighbour (re-checked
-        // against the actual quoted p_lt by `economic_top_off`); the
-        // engine clamps the sum to the *grid* frame cap `T·Pgrid·Δh` —
-        // link caps only bound it indirectly, through the planner's
-        // export-headroom input.
-        let top_off = self.directive.map_or(Energy::ZERO, |d| {
-            d.economic_top_off(obs.frame, obs.price_lt, self.params.waste_price)
-        });
-        FrameDecision {
-            purchase_lt: Energy::from_mwh(total.max(0.0)) + top_off,
-        }
+        self.decide_frame(obs, view, p4::solve_closed_form)
     }
 
     fn plan_slot(&mut self, obs: &SlotObservation, view: &SystemView) -> SlotDecision {
-        self.planned_backlog = view.queue_backlog.mwh();
-        let inputs = self.p5_inputs(obs, view);
-        let sol = if self.config.use_lp_solver {
-            p5::solve_lp(&inputs).unwrap_or_else(|_| p5::solve_closed_form(&inputs))
-        } else {
-            p5::solve_closed_form(&inputs)
-        };
-        let backlog = view.queue_backlog.mwh();
-        let serve_fraction = if backlog > 1e-12 {
-            (sol.s_dt / backlog).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        SlotDecision {
-            purchase_rt: Energy::from_mwh(sol.g_rt.max(0.0)),
-            serve_fraction,
-        }
+        self.decide_slot(obs, view, p5::solve_closed_form)
     }
 
     fn end_slot(&mut self, outcome: &SlotOutcome, _view: &SystemView) {
@@ -322,6 +334,8 @@ mod tests {
     use super::*;
     use dpss_sim::Engine;
     use dpss_traces::Scenario;
+    use dpss_units::Price;
+    use proptest::prelude::*;
 
     fn run_frames(config: SmartDpssConfig, seed: u64, frames: usize) -> dpss_sim::RunReport {
         let clock = SlotClock::new(frames, 24, 1.0).unwrap();
@@ -388,10 +402,49 @@ mod tests {
         );
     }
 
+    /// SmartDPSS with P4 and P5 solved by the `dpss-lp` oracles instead
+    /// of the closed forms.
+    struct LpOracle(SmartDpss);
+
+    impl Controller for LpOracle {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn plan_frame(&mut self, obs: &FrameObservation, view: &SystemView) -> FrameDecision {
+            self.0
+                .decide_frame(obs, view, |inp| p4::solve_lp(inp).expect("P4 LP solves"))
+        }
+
+        fn plan_slot(&mut self, obs: &SlotObservation, view: &SystemView) -> SlotDecision {
+            self.0
+                .decide_slot(obs, view, |inp| p5::solve_lp(inp).expect("P5 LP solves"))
+        }
+
+        fn end_slot(&mut self, outcome: &SlotOutcome, view: &SystemView) {
+            self.0.end_slot(outcome, view);
+        }
+    }
+
+    /// Runs the closed-form controller and its LP oracle on `engine`.
+    fn closed_form_and_lp(
+        engine: &Engine,
+        params: SimParams,
+        clock: SlotClock,
+    ) -> (dpss_sim::RunReport, dpss_sim::RunReport) {
+        let new = || SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).unwrap();
+        let cf = engine.run(&mut new()).unwrap();
+        let lp = engine.run(&mut LpOracle(new())).unwrap();
+        (cf, lp)
+    }
+
     #[test]
     fn lp_and_closed_form_paths_agree_end_to_end() {
-        let cf = run_with(SmartDpssConfig::icdcs13(), 7);
-        let lp = run_with(SmartDpssConfig::icdcs13().with_lp_solver(true), 7);
+        let clock = SlotClock::new(6, 24, 1.0).unwrap();
+        let traces = Scenario::icdcs13().generate(&clock, 7).unwrap();
+        let params = SimParams::icdcs13();
+        let engine = Engine::new(params, traces).unwrap();
+        let (cf, lp) = closed_form_and_lp(&engine, params, clock);
         assert!(
             (cf.total_cost().dollars() - lp.total_cost().dollars()).abs()
                 < 1e-6 * cf.total_cost().dollars().abs().max(1.0),
@@ -400,6 +453,89 @@ mod tests {
             lp.total_cost()
         );
         assert!((cf.average_delay_slots - lp.average_delay_slots).abs() < 1e-6);
+    }
+
+    #[test]
+    fn lp_backed_controller_matches_closed_form_on_the_full_month() {
+        let truth = dpss_traces::paper_month_traces(9).unwrap();
+        let params = SimParams::icdcs13();
+        let clock = truth.clock;
+        let engine = Engine::new(params, truth).unwrap();
+        let (r_cf, r_lp) = closed_form_and_lp(&engine, params, clock);
+        let rel = (r_cf.total_cost().dollars() - r_lp.total_cost().dollars()).abs()
+            / r_cf.total_cost().dollars();
+        assert!(
+            rel < 1e-6,
+            "cf {} vs lp {}",
+            r_cf.total_cost(),
+            r_lp.total_cost()
+        );
+        assert!((r_cf.average_delay_slots - r_lp.average_delay_slots).abs() < 1e-6);
+        assert_eq!(r_cf.availability_violations, r_lp.availability_violations);
+    }
+
+    fn slot_strategy() -> impl Strategy<Value = (SlotObservation, SystemView)> {
+        (
+            0.0..2.0f64,   // demand_ds
+            0.0..0.8f64,   // demand_dt
+            0.0..3.0f64,   // renewable
+            0.0..100.0f64, // price_rt
+            0.0..0.5f64,   // battery level
+            0.0..10.0f64,  // backlog
+            0.0..2.0f64,   // lt allocation
+        )
+            .prop_map(|(ds, dt, r, prt, level, backlog, lt)| {
+                let obs = SlotObservation {
+                    slot: dpss_units::SlotId {
+                        index: 30,
+                        frame: 1,
+                        offset: 6,
+                    },
+                    slot_hours: 1.0,
+                    price_rt: Price::from_dollars_per_mwh(prt),
+                    price_lt: Price::from_dollars_per_mwh(36.0),
+                    demand_ds: Energy::from_mwh(ds),
+                    demand_dt: Energy::from_mwh(dt),
+                    renewable: Energy::from_mwh(r),
+                };
+                let view = SystemView {
+                    battery_level: Energy::from_mwh(level.max(0.034)),
+                    battery_headroom: Energy::from_mwh(((0.5 - level) / 0.8).clamp(0.0, 0.5)),
+                    battery_available: Energy::from_mwh(((level - 0.033) / 1.25).clamp(0.0, 0.5)),
+                    battery_ops_remaining: None,
+                    queue_backlog: Energy::from_mwh(backlog),
+                    lt_allocation: Energy::from_mwh(lt.min(2.0)),
+                    rt_purchase_cap: Energy::from_mwh((2.0 - lt).max(0.0)),
+                };
+                (obs, view)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn lp_and_closed_form_agree_per_slot(
+            (obs, view) in slot_strategy(),
+            v in 0.05..5.0f64,
+        ) {
+            let params = SimParams::icdcs13();
+            let clock = SlotClock::icdcs13_month();
+            let new = || SmartDpss::new(SmartDpssConfig::icdcs13().with_v(v), params, clock).unwrap();
+            let d_cf = new().plan_slot(&obs, &view);
+            let d_lp = LpOracle(new()).plan_slot(&obs, &view);
+            // The argmin may differ on exact ties; realized (g_rt, s_dt) costs
+            // must agree. Compare the decisions' physical effect:
+            let served_cf = view.queue_backlog.mwh() * d_cf.serve_fraction;
+            let served_lp = view.queue_backlog.mwh() * d_lp.serve_fraction;
+            let net_cf = d_cf.purchase_rt.mwh() - served_cf;
+            let net_lp = d_lp.purchase_rt.mwh() - served_lp;
+            prop_assert!(
+                (net_cf - net_lp).abs() < 1e-6
+                    || (d_cf.purchase_rt.mwh() - d_lp.purchase_rt.mwh()).abs() < 1e-6,
+                "cf {d_cf:?} vs lp {d_lp:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property-based checks of the SmartDPSS controller's decision sanity:
-//! for arbitrary observations and plant states, decisions must be finite,
-//! respect their caps, and the LP and closed-form subproblem paths must
-//! agree on realized behaviour.
+//! for arbitrary observations and plant states, decisions must be finite
+//! and respect their caps. (The LP oracles that cross-check the
+//! closed-form P4/P5 are crate-private; those checks live in the
+//! `smart_dpss` unit tests.)
 
 use dpss_core::{MarketMode, P5Objective, SmartDpss, SmartDpssConfig};
 use dpss_sim::{Controller, FrameObservation, SlotObservation, SystemView};
@@ -64,35 +65,6 @@ proptest! {
         prop_assert!(d.purchase_rt <= view.rt_purchase_cap + Energy::from_mwh(1e-9));
         prop_assert!(d.serve_fraction.is_finite());
         prop_assert!((0.0..=1.0).contains(&d.serve_fraction));
-    }
-
-    #[test]
-    fn lp_and_closed_form_agree_per_slot(
-        (obs, view) in obs_strategy(),
-        v in 0.05..5.0f64,
-    ) {
-        let params = dpss_sim::SimParams::icdcs13();
-        let clock = SlotClock::icdcs13_month();
-        let mut cf = SmartDpss::new(SmartDpssConfig::icdcs13().with_v(v), params, clock).unwrap();
-        let mut lp = SmartDpss::new(
-            SmartDpssConfig::icdcs13().with_v(v).with_lp_solver(true),
-            params,
-            clock,
-        )
-        .unwrap();
-        let d_cf = cf.plan_slot(&obs, &view);
-        let d_lp = lp.plan_slot(&obs, &view);
-        // The argmin may differ on exact ties; realized (g_rt, s_dt) costs
-        // must agree. Compare the decisions' physical effect:
-        let served_cf = view.queue_backlog.mwh() * d_cf.serve_fraction;
-        let served_lp = view.queue_backlog.mwh() * d_lp.serve_fraction;
-        let net_cf = d_cf.purchase_rt.mwh() - served_cf;
-        let net_lp = d_lp.purchase_rt.mwh() - served_lp;
-        prop_assert!(
-            (net_cf - net_lp).abs() < 1e-6
-                || (d_cf.purchase_rt.mwh() - d_lp.purchase_rt.mwh()).abs() < 1e-6,
-            "cf {d_cf:?} vs lp {d_lp:?}"
-        );
     }
 
     #[test]

@@ -12,14 +12,17 @@
 //!   `≤ / ≥ / =` linear constraints in either optimization [`Sense`];
 //! * a **two-phase dense simplex** solver (Dantzig pricing with an automatic
 //!   fallback to Bland's rule to guarantee termination on degenerate
-//!   problems);
+//!   problems) for general-form LPs such as the per-frame `P2` plan
+//!   ([`Problem::solve_with`]);
+//! * a **factorized sparse revised simplex** for packing-form network LPs
+//!   (the fleet settlement, dispatch and routing flows), whose basis lives
+//!   in a product-form eta file and whose per-pivot work follows the
+//!   nonzeros ([`Problem::solve_network_with`]);
 //! * [`Solution`] — optimal variable values and objective, mapped back to
 //!   the original model space.
 //!
-//! The solver targets the *small-to-medium dense* LPs that arise in DPSS
-//! control: a handful of variables per fine slot and a few hundred rows for
-//! a whole coarse frame. It is exact up to floating-point tolerance and
-//! deterministic.
+//! Both kernels warm-start from an [`LpWorkspace`]'s saved basis and are
+//! exact up to floating-point tolerance and deterministic.
 //!
 //! # Examples
 //!

@@ -97,7 +97,6 @@ pub struct Problem {
     pub(crate) sense: Sense,
     pub(crate) vars: Vec<VarData>,
     pub(crate) constraints: Vec<ConstraintData>,
-    max_pivots: Option<usize>,
 }
 
 impl Problem {
@@ -108,7 +107,6 @@ impl Problem {
             sense,
             vars: Vec::new(),
             constraints: Vec::new(),
-            max_pivots: None,
         }
     }
 
@@ -276,13 +274,6 @@ impl Problem {
         Ok(())
     }
 
-    /// Caps the number of simplex pivots (both phases combined). The default
-    /// budget is `200·(rows + columns) + 2000`, far above what well-posed
-    /// DPSS problems need.
-    pub fn set_max_pivots(&mut self, max_pivots: usize) {
-        self.max_pivots = Some(max_pivots);
-    }
-
     /// Number of variables added so far.
     #[must_use]
     pub fn num_vars(&self) -> usize {
@@ -309,8 +300,11 @@ impl Problem {
         self.sense
     }
 
+    /// The simplex pivot budget (both phases combined):
+    /// `200·(rows + columns) + 2000`, far above what well-posed DPSS
+    /// problems need.
     pub(crate) fn pivot_budget(&self, rows: usize, cols: usize) -> usize {
-        self.max_pivots.unwrap_or(200 * (rows + cols) + 2_000)
+        200 * (rows + cols) + 2_000
     }
 
     /// Solves the problem with the two-phase simplex method.

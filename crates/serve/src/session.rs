@@ -224,8 +224,7 @@ fn build_controller(
         }
         "receding" => {
             let ctl = RecedingHorizon::new(params)
-                .map_err(|e| Fault::new("protocol", format!("controller rejected: {e}")))?
-                .with_warm_start(true);
+                .map_err(|e| Fault::new("protocol", format!("controller rejected: {e}")))?;
             Ok(Box::new(ctl))
         }
         other => Err(Fault::new(

@@ -46,11 +46,7 @@ fn build_controller(kind: &str) -> Box<dyn Controller> {
             SmartDpss::new(SmartDpssConfig::icdcs13(), params(), clock())
                 .expect("valid configuration"),
         ),
-        "receding" => Box::new(
-            RecedingHorizon::new(params())
-                .expect("valid parameters")
-                .with_warm_start(true),
-        ),
+        "receding" => Box::new(RecedingHorizon::new(params()).expect("valid parameters")),
         other => panic!("unknown controller kind {other}"),
     }
 }

@@ -152,7 +152,13 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
                     other => return Err(format!("--market must be tm|rtm, got {other}")),
                 };
             }
-            "--error" => cli.error = parse_f64(&value("--error")?, "--error")?,
+            "--error" => {
+                let e = parse_f64(&value("--error")?, "--error")?;
+                if !(0.0..=1.0).contains(&e) {
+                    return Err("--error must be within [0, 1]".into());
+                }
+                cli.error = e;
+            }
             "--t" => {
                 cli.t = value("--t")?.parse().map_err(|e| format!("--t: {e}"))?;
             }
@@ -297,7 +303,7 @@ fn usage() -> String {
 USAGE:
   dpss run     [--controller smart|offline|impatient|greedy] [--v F]
                [--epsilon F] [--seed N] [--days N] [--battery-min F]
-               [--market tm|rtm] [--error F (obs. error, e.g. 0.5)] [--json]
+               [--market tm|rtm] [--error F in [0,1] (obs. error, e.g. 0.5)] [--json]
   dpss traces  [--seed N] [--days N] [--out FILE]   export the input CSV
   dpss sweep-v [--grid F,F,...] [--seed N] [--days N] [--threads N] [--json]
   dpss sweep   --figure NAME [--seed N] [--threads N] [--json]
@@ -550,6 +556,7 @@ fn execute(cli: &Cli) -> Result<String, String> {
         }
         Command::Bounds => {
             let params = SimParams::icdcs13_with_battery(cli.battery_min);
+            params.validate().map_err(|e| e.to_string())?;
             let clock = SlotClock::new(cli.days, cli.t, 1.0).map_err(|e| e.to_string())?;
             let config = smart_config(cli);
             config.validate().map_err(|e| e.to_string())?;
@@ -716,6 +723,42 @@ mod tests {
         assert!(parse_args(args("run --market sideways")).is_err());
         assert!(parse_args(args("run --days 0")).is_err());
         assert!(parse_args(args("run --bogus 1")).is_err());
+    }
+
+    #[test]
+    fn error_fraction_outside_the_unit_interval_is_a_usage_error() {
+        // A negative fraction used to disable error injection silently
+        // and a fraction above one failed only at run time.
+        for bad in ["-3", "3"] {
+            let err = run_cli(args(&format!("run --days 1 --error {bad}"))).unwrap_err();
+            assert!(err.usage_error, "--error {bad}: range check at parse time");
+            assert_eq!(err.exit_code(), ExitCode::from(2));
+            assert!(
+                err.render()
+                    .starts_with("dpss: error: --error must be within [0, 1]"),
+                "{}",
+                err.render()
+            );
+        }
+        for ok in ["0", "1"] {
+            let cli = parse_args(args(&format!("run --error {ok}"))).unwrap();
+            assert_eq!(cli.error, ok.parse::<f64>().unwrap());
+        }
+    }
+
+    #[test]
+    fn bounds_validates_the_plant_parameters_like_run() {
+        // A negative battery used to print an inverted X window and exit 0.
+        for command in ["bounds", "run --days 1"] {
+            let err = run_cli(args(&format!("{command} --battery-min -5"))).unwrap_err();
+            assert!(!err.usage_error, "{command}: execution error, exit 1");
+            assert_eq!(err.exit_code(), ExitCode::from(1));
+            assert!(
+                err.render().contains("must be finite and non-negative"),
+                "{command}: {}",
+                err.render()
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! * [`units`] (`dpss-units`) — physical-unit newtypes ([`Energy`],
 //!   [`Power`], [`Price`], [`Money`]) and the two-timescale calendar
 //!   ([`SlotClock`]);
-//! * [`lp`] (`dpss-lp`) — the two-phase simplex LP substrate;
+//! * [`lp`] (`dpss-lp`) — the LP substrate: a dense two-phase simplex for
+//!   the frame LPs and a factorized sparse revised simplex for the fleet
+//!   network LPs;
 //! * [`traces`] (`dpss-traces`) — synthetic solar/wind/price/demand trace
 //!   generators with error injection, scaling transforms and the
 //!   [`ScenarioPack`] registry of named input regimes;
@@ -65,8 +67,8 @@ pub use dpss_lp::LpWorkspace;
 
 pub use dpss_core::{
     cheapest_window_bound, DispatchMode, FleetPlanner, GreedyBattery, Impatient, MarketMode,
-    OfflineConfig, OfflineOptimal, P4Variant, P5Objective, RecedingHorizon, RoutingPlanner,
-    SmartDpss, SmartDpssConfig, TheoremBounds,
+    OfflineOptimal, P4Variant, P5Objective, RecedingHorizon, RoutingPlanner, SmartDpss,
+    SmartDpssConfig, TheoremBounds,
 };
 pub use dpss_serve::{ServeError, ServeOptions, ServeOutcome, SessionConfig, SessionServer};
 pub use dpss_sim::{

@@ -1,6 +1,6 @@
 //! Cross-crate pipeline properties: deterministic reproduction, CSV
-//! round-trips feeding the engine, LP-vs-closed-form controller
-//! equivalence, and per-slot energy conservation audits.
+//! round-trips feeding the engine, and per-slot energy conservation
+//! audits.
 
 use smartdpss::{Engine, SimParams, SlotClock, SmartDpss, SmartDpssConfig, TraceSet};
 
@@ -37,33 +37,6 @@ fn csv_round_trip_preserves_simulation_results() {
         engine.run(&mut ctl).unwrap()
     };
     assert_eq!(a, b, "csv round-trip changed the physics");
-}
-
-#[test]
-fn lp_backed_controller_matches_closed_form_on_the_full_month() {
-    let truth = smartdpss::traces::paper_month_traces(9).unwrap();
-    let params = SimParams::icdcs13();
-    let clock = truth.clock;
-    let engine = Engine::new(params, truth).unwrap();
-    let mut cf = SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).unwrap();
-    let mut lp = SmartDpss::new(
-        SmartDpssConfig::icdcs13().with_lp_solver(true),
-        params,
-        clock,
-    )
-    .unwrap();
-    let r_cf = engine.run(&mut cf).unwrap();
-    let r_lp = engine.run(&mut lp).unwrap();
-    let rel = (r_cf.total_cost().dollars() - r_lp.total_cost().dollars()).abs()
-        / r_cf.total_cost().dollars();
-    assert!(
-        rel < 1e-6,
-        "cf {} vs lp {}",
-        r_cf.total_cost(),
-        r_lp.total_cost()
-    );
-    assert!((r_cf.average_delay_slots - r_lp.average_delay_slots).abs() < 1e-6);
-    assert_eq!(r_cf.availability_violations, r_lp.availability_violations);
 }
 
 #[test]
