@@ -21,7 +21,7 @@ use dpss_core::{default_interconnect, DispatchMode, FleetPlanner, SmartDpss, Sma
 use dpss_lp::SolverStats;
 use dpss_sim::{
     Controller, Engine, FleetDispatcher, FrameSettlement, Interconnect, MultiSiteEngine,
-    MultiSiteReport, RunReport, SimParams,
+    MultiSiteReport, RunReport, SimParams, SlotOutcome, SlotRecorder,
 };
 use dpss_traces::ScenarioPack;
 use dpss_units::{Energy, Price, SlotClock};
@@ -148,9 +148,7 @@ fn seasonal_calendar_fleet_rows_match_golden_bytes() {
 }
 
 /// The stressed price-spike fleet over a lossy wheeled ring — the
-/// acceptance scenario, where directives demonstrably fire. Every site
-/// records its slot outcomes, so comparing two reports compares every
-/// slot, not just the totals.
+/// acceptance scenario, where directives demonstrably fire.
 fn stressed_ring_fleet(sites: usize) -> MultiSiteEngine {
     let ring = Interconnect::ring(sites, Energy::from_mwh(2.0))
         .unwrap()
@@ -164,9 +162,7 @@ fn stressed_ring_fleet(sites: usize) -> MultiSiteEngine {
     let engines = (0..sites)
         .map(|s| {
             let traces = pack.generate_site(&clock, PAPER_SEED, stressed, s).unwrap();
-            Engine::new(SimParams::icdcs13(), traces)
-                .unwrap()
-                .with_slot_recording(true)
+            Engine::new(SimParams::icdcs13(), traces).unwrap()
         })
         .collect();
     MultiSiteEngine::new(engines)
@@ -175,13 +171,33 @@ fn stressed_ring_fleet(sites: usize) -> MultiSiteEngine {
         .unwrap()
 }
 
-/// Asserts every site report of `report` carries its slot outcomes —
-/// the premise of the slot-by-slot comparisons below.
-fn assert_recorded(report: &MultiSiteReport) {
+/// Every site's slot outcomes, in site order.
+type SiteSlots = Vec<Vec<SlotOutcome>>;
+
+/// Runs `run` on a fresh SmartDPSS roster whose every controller sits
+/// inside a [`SlotRecorder`], so comparing two results compares every
+/// slot, not just the totals.
+fn recorded_run(
+    sites: usize,
+    run: impl FnOnce(&mut [Box<dyn Controller>]) -> MultiSiteReport,
+) -> (MultiSiteReport, SiteSlots) {
+    let (params, clock) = (SimParams::icdcs13(), SlotClock::icdcs13_month());
+    let recorders: Vec<SlotRecorder> = smart_controllers(sites, params, clock)
+        .into_iter()
+        .map(SlotRecorder::new)
+        .collect();
+    let logs: Vec<_> = recorders.iter().map(SlotRecorder::log).collect();
+    let mut ctls: Vec<Box<dyn Controller>> = recorders
+        .into_iter()
+        .map(|r| Box::new(r) as Box<dyn Controller>)
+        .collect();
+    let report = run(&mut ctls);
+    let slots: SiteSlots = logs.iter().map(|l| l.lock().unwrap().clone()).collect();
     assert!(
-        report.sites.iter().all(|r| r.slot_outcomes.is_some()),
+        slots.iter().all(|s| s.len() == clock.total_slots()),
         "test premise: every site records its slot outcomes"
     );
+    (report, slots)
 }
 
 /// Drives the lockstep loop by hand through the public stepping API
@@ -192,13 +208,16 @@ fn assert_scrambled_order_matches(
     multi: &MultiSiteEngine,
     order: &[usize],
     dispatcher: &mut dyn FleetDispatcher,
-    canonical: &MultiSiteReport,
+    (canonical, canonical_slots): &(MultiSiteReport, SiteSlots),
 ) {
     let clock = SlotClock::icdcs13_month();
     let params = SimParams::icdcs13();
-    let mut ctls: Vec<SmartDpss> = order
+    let mut ctls: Vec<SlotRecorder> = order
         .iter()
-        .map(|_| SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).unwrap())
+        .map(|_| {
+            let smart = SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).unwrap();
+            SlotRecorder::new(Box::new(smart))
+        })
         .collect();
     let mut runs: Vec<_> = multi.sites().iter().map(|s| s.begin().unwrap()).collect();
     let mut total = FrameSettlement::default();
@@ -219,8 +238,12 @@ fn assert_scrambled_order_matches(
         total.wheeling += settled.wheeling;
     }
     let manual: Vec<RunReport> = runs.into_iter().map(|r| r.finish().unwrap()).collect();
-    assert_recorded(canonical);
     assert_eq!(manual, canonical.sites);
+    let manual_slots: SiteSlots = ctls
+        .iter()
+        .map(|c| c.log().lock().unwrap().clone())
+        .collect();
+    assert_eq!(&manual_slots, canonical_slots);
     assert_eq!(total.sent, canonical.energy_transferred);
     assert_eq!(total.delivered, canonical.energy_delivered);
     assert_eq!(total.savings, canonical.transfer_savings);
@@ -236,20 +259,18 @@ fn assert_scrambled_order_matches(
 #[test]
 fn coordinated_run_is_invariant_to_within_frame_site_order() {
     let multi = stressed_ring_fleet(3);
-    let (params, clock) = (SimParams::icdcs13(), SlotClock::icdcs13_month());
     for mode in [
         DispatchMode::PostHoc,
         DispatchMode::Planned,
         DispatchMode::Coordinated,
     ] {
-        let canonical = multi
-            .run_with(
-                &mut smart_controllers(3, params, clock),
-                &mut mode.dispatcher(multi.interconnect()),
-            )
-            .unwrap();
+        let canonical = recorded_run(3, |ctls| {
+            multi
+                .run_with(ctls, &mut mode.dispatcher(multi.interconnect()))
+                .unwrap()
+        });
         assert!(
-            canonical.energy_transferred > Energy::ZERO,
+            canonical.0.energy_transferred > Energy::ZERO,
             "test premise: the acceptance scenario settles energy ({mode})"
         );
         assert_scrambled_order_matches(
@@ -276,30 +297,24 @@ fn coordinated_run_is_invariant_to_within_frame_site_order() {
 /// pins that path end to end at the scale it was built for.
 #[test]
 fn fleet_scale_100_site_ring_is_deterministic_across_threads_and_order() {
-    let (params, clock) = (SimParams::icdcs13(), SlotClock::icdcs13_month());
     let sites = 100usize;
     let multi = stressed_ring_fleet(sites);
     let coordinated =
         |multi: &MultiSiteEngine| FleetPlanner::for_engine(multi).with_coordination(true);
-    let serial = multi
-        .run_with(
-            &mut smart_controllers(sites, params, clock),
-            &mut coordinated(&multi),
-        )
-        .unwrap();
+    let serial = recorded_run(sites, |ctls| {
+        multi.run_with(ctls, &mut coordinated(&multi)).unwrap()
+    });
     assert!(
-        serial.energy_transferred > Energy::ZERO,
+        serial.0.energy_transferred > Energy::ZERO,
         "test premise: the stressed ring settles energy at scale"
     );
 
     let threaded_engine = multi.clone().with_threads(8);
-    let threaded = threaded_engine
-        .run_with(
-            &mut smart_controllers(sites, params, clock),
-            &mut coordinated(&threaded_engine),
-        )
-        .unwrap();
-    assert_recorded(&serial);
+    let threaded = recorded_run(sites, |ctls| {
+        threaded_engine
+            .run_with(ctls, &mut coordinated(&threaded_engine))
+            .unwrap()
+    });
     assert_eq!(serial, threaded, "threads = 8 must not move a byte");
 
     // Scrambled within-frame order: site k steps in position (k·37 + 11)

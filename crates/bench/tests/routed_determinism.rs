@@ -8,14 +8,17 @@
 //!   through the public API (`frame_load` → annotated `outlook_at` →
 //!   `direct` → `step_frame` → `exchange_at` → `settle_routed` →
 //!   `settle`) reproduces [`MultiSiteEngine::run_routed`] exactly —
-//!   per-site reports, settlement aggregates and the workload ledger.
+//!   per-site reports, every slot outcome, settlement aggregates and the
+//!   workload ledger.
+
+use std::sync::{Arc, Mutex};
 
 use dpss_bench::{routing, ExperimentRunner, PAPER_SEED};
 use dpss_core::{FleetPlanner, RoutingPlanner, SmartDpss, SmartDpssConfig};
 use dpss_lp::SolverStats;
 use dpss_sim::{
     Controller, Engine, FrameSettlement, MultiSiteEngine, RoutedDispatcher, RoutingConfig,
-    RunReport, SimParams,
+    RunReport, SimParams, SlotOutcome, SlotRecorder,
 };
 use dpss_traces::ScenarioPack;
 use dpss_units::{Energy, SlotClock};
@@ -52,8 +55,6 @@ fn routed_sweep_threads_1_and_8_are_identical() {
 
 /// The acceptance fleet: 3 sites on the flash-crowd variant of the
 /// traffic-wave pack over the lossy wheeled ring, full paper month.
-/// Every site records its slot outcomes, so comparing two reports
-/// compares every slot, not just the totals.
 fn flash_crowd_fleet(clock: &SlotClock) -> MultiSiteEngine {
     let params = SimParams::icdcs13();
     let pack = ScenarioPack::builtin("traffic-wave").unwrap();
@@ -61,9 +62,7 @@ fn flash_crowd_fleet(clock: &SlotClock) -> MultiSiteEngine {
     let engines = (0..3)
         .map(|s| {
             let traces = pack.generate_site(clock, PAPER_SEED, flash, s).unwrap();
-            Engine::new(params, traces)
-                .unwrap()
-                .with_slot_recording(true)
+            Engine::new(params, traces).unwrap()
         })
         .collect();
     MultiSiteEngine::new(engines)
@@ -79,12 +78,22 @@ fn routed_run_is_invariant_to_within_frame_site_order() {
     let config = RoutingConfig::icdcs13();
     let multi = flash_crowd_fleet(&clock);
 
+    // Every controller sits inside a slot recorder, so the two runs are
+    // compared slot by slot, not just by their totals.
+    let recorder = || {
+        let smart = SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).unwrap();
+        SlotRecorder::new(Box::new(smart))
+    };
+    let read = |logs: &[Arc<Mutex<Vec<SlotOutcome>>>]| -> Vec<Vec<SlotOutcome>> {
+        logs.iter().map(|l| l.lock().unwrap().clone()).collect()
+    };
+
     // Canonical: the engine's own routed loop (site order 0, 1, 2).
-    let mut canonical_ctls: Vec<Box<dyn Controller>> = (0..3)
-        .map(|_| {
-            Box::new(SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).unwrap())
-                as Box<dyn Controller>
-        })
+    let canonical_recorders: Vec<SlotRecorder> = (0..3).map(|_| recorder()).collect();
+    let canonical_logs: Vec<_> = canonical_recorders.iter().map(SlotRecorder::log).collect();
+    let mut canonical_ctls: Vec<Box<dyn Controller>> = canonical_recorders
+        .into_iter()
+        .map(|r| Box::new(r) as Box<dyn Controller>)
         .collect();
     let mut canonical_dispatcher = RoutingPlanner::new(
         FleetPlanner::for_engine(&multi).with_coordination(true),
@@ -111,9 +120,7 @@ fn routed_run_is_invariant_to_within_frame_site_order() {
         config,
     )
     .unwrap();
-    let mut ctls: Vec<SmartDpss> = (0..3)
-        .map(|_| SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).unwrap())
-        .collect();
+    let mut ctls: Vec<SlotRecorder> = (0..3).map(|_| recorder()).collect();
     let mut runs: Vec<_> = multi.sites().iter().map(|s| s.begin().unwrap()).collect();
     let mut total = FrameSettlement::default();
     for frame in 0..clock.frames() {
@@ -144,11 +151,16 @@ fn routed_run_is_invariant_to_within_frame_site_order() {
     }
     let manual: Vec<RunReport> = runs.into_iter().map(|r| r.finish().unwrap()).collect();
     let manual_load = workload.finish();
+    let canonical_slots = read(&canonical_logs);
     assert!(
-        canonical.sites.iter().all(|r| r.slot_outcomes.is_some()),
+        canonical_slots
+            .iter()
+            .all(|s| s.len() == clock.total_slots()),
         "test premise: every site records its slot outcomes"
     );
     assert_eq!(manual, canonical.sites);
+    let manual_logs: Vec<_> = ctls.iter().map(SlotRecorder::log).collect();
+    assert_eq!(read(&manual_logs), canonical_slots);
     assert_eq!(manual_load, canonical.load);
     assert_eq!(total.sent, canonical.energy_transferred);
     assert_eq!(total.delivered, canonical.energy_delivered);

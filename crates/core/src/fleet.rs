@@ -349,8 +349,8 @@ impl FleetPlanner {
                 .expect("template variables stay valid");
             // The frame-to-frame cap update: a pair can never carry more
             // than its donor curtailed this frame, nor more than the
-            // link's cap *for this frame* (cap schedules bind here).
-            let ub = self.ic.cap_at(i, j, ex.frame).min(ex.curtailed[i]).mwh();
+            // link's cap.
+            let ub = self.ic.cap(i, j).min(ex.curtailed[i]).mwh();
             self.problem
                 .set_bounds(var, 0.0, ub.max(0.0))
                 .expect("caps and curtailment are non-negative");
@@ -400,8 +400,8 @@ impl FleetPlanner {
     /// energy (buy-to-export: costed at the donor's observed long-term
     /// price plus waste penalty, padded by the safety margin, and bounded
     /// by the donor's remaining grid budget after the battery top-off).
-    /// Flows are bounded by the per-frame link cap (schedules bind), the
-    /// recipient's forecast real-time need and the pool cap. Like the
+    /// Flows are bounded by the link cap, the recipient's forecast
+    /// real-time need and the pool cap. Like the
     /// settlement LP, the template is built once and re-solved through
     /// one warm-started workspace via `set_objective`/`set_bounds`/
     /// `set_rhs` edits. Directives fold from the link totals and the
@@ -435,7 +435,7 @@ impl FleetPlanner {
             let loss = self.ic.loss(i, j);
             let wheel = self.ic.wheeling(i, j).dollars_per_mwh();
             let value = outlook.sites[j].expected_price * (1.0 - loss) - wheel;
-            let cap = self.ic.cap_at(i, j, outlook.frame).mwh();
+            let cap = self.ic.cap(i, j).mwh();
             lp.problem
                 .set_objective(total, -value)
                 .expect("template variables stay valid");
@@ -531,7 +531,7 @@ impl ProspectiveNetLp {
             .open_links()
             .map(|(i, j)| {
                 let t = problem
-                    .add_var(format!("t{i}_{j}"), 0.0, ic.cap_ceiling(i, j).mwh(), 0.0)
+                    .add_var(format!("t{i}_{j}"), 0.0, ic.cap(i, j).mwh(), 0.0)
                     .expect("caps are validated finite");
                 (i, j, t)
             })

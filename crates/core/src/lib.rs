@@ -34,8 +34,6 @@
 //! * [`TheoremBounds`] — the closed-form bounds of Theorem 2 (`Qmax`,
 //!   `Ymax`, `Umax`, `λmax`, `Vmax`, the `X(t)` window and the `H1`/`H2`
 //!   constants), which the integration tests verify empirically.
-//! * [`cheapest_window_bound`] — a relaxation-based lower bound on any
-//!   policy's cost (sanity floor for the benchmark ordering).
 //!
 //! # Examples
 //!
@@ -76,7 +74,6 @@ mod fleet;
 mod frame_lp;
 mod greedy;
 mod impatient;
-mod lower_bound;
 mod offline;
 mod p4;
 mod p5;
@@ -93,7 +90,6 @@ pub use fleet::{
 };
 pub use greedy::GreedyBattery;
 pub use impatient::Impatient;
-pub use lower_bound::cheapest_window_bound;
 pub use offline::OfflineOptimal;
 pub use receding::RecedingHorizon;
 pub use routing::RoutingPlanner;

@@ -146,7 +146,6 @@ impl Controller for RecedingHorizon {
         };
         ControllerState {
             payload: serde_json::to_string(&payload).ok(),
-            ..ControllerState::empty()
         }
     }
 
@@ -388,7 +387,6 @@ mod tests {
         assert!(ctl.load_state(&dpss_sim::ControllerState::empty()).is_err());
         let bad = dpss_sim::ControllerState {
             payload: Some("{".to_owned()),
-            ..dpss_sim::ControllerState::empty()
         };
         assert!(ctl.load_state(&bad).is_err());
     }

@@ -114,10 +114,11 @@ impl RoutingPlanner {
                 (i, i, var)
             })
             .collect();
+        let cap = RoutingConfig::MIGRATION_CAP.mwh();
         for (i, j) in ic.open_links() {
             let var = problem
-                .add_var(format!("a{i}_{j}"), 0.0, config.migration_cap.mwh(), 0.0)
-                .expect("migration caps are validated finite");
+                .add_var(format!("a{i}_{j}"), 0.0, cap, 0.0)
+                .expect("the migration cap is finite");
             vars.push((i, j, var));
         }
         let mut supply_rows = Vec::with_capacity(n);
@@ -178,7 +179,7 @@ impl RoutingPlanner {
         if work <= NEGLIGIBLE_MWH || slack <= NEGLIGIBLE_MWH {
             return LoadPlan::default();
         }
-        let cap = self.config.migration_cap.mwh();
+        let cap = RoutingConfig::MIGRATION_CAP.mwh();
         for &(i, j, var) in &self.vars {
             // Absorbing one MWh of donor i's queued work avoids billing
             // it at i's frame-mean spot price.
@@ -342,7 +343,7 @@ mod tests {
             .filter(|f| f.from == 0 && f.to == 1)
             .map(|f| f.amount.mwh())
             .sum();
-        let cap = RoutingConfig::icdcs13().migration_cap.mwh();
+        let cap = RoutingConfig::MIGRATION_CAP.mwh();
         assert!((migrated - cap).abs() < 1e-9, "migrates exactly the cap");
     }
 

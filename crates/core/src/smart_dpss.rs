@@ -277,7 +277,6 @@ impl Controller for SmartDpss {
         };
         ControllerState {
             payload: serde_json::to_string(&payload).ok(),
-            ..ControllerState::empty()
         }
     }
 
@@ -728,7 +727,6 @@ mod tests {
         // Unparseable payload.
         let bad = dpss_sim::ControllerState {
             payload: Some("not json".to_owned()),
-            ..dpss_sim::ControllerState::empty()
         };
         assert!(ctl.load_state(&bad).is_err());
         // Negative virtual queue.
@@ -737,7 +735,6 @@ mod tests {
                 "{\"y\":-1.0,\"planned_backlog\":0.0,\"y_max_seen\":0.0,\"directive\":null}"
                     .to_owned(),
             ),
-            ..dpss_sim::ControllerState::empty()
         };
         assert!(ctl.load_state(&bad).is_err());
     }

@@ -544,7 +544,7 @@ mod tests {
     }
 
     #[test]
-    fn shifted_negative_lower_bound() {
+    fn shifted_negative_variable_bounds() {
         // min x, x ∈ [−2, 7] → −2; max → 7.
         let mut p = Problem::minimize();
         let x = p.add_var("x", -2.0, 7.0, 1.0).unwrap();

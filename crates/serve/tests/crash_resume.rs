@@ -183,11 +183,13 @@ fn pinned_stale_snapshots_are_rejected_not_reinterpreted() {
 /// Every older snapshot shape must be refused, not reinterpreted:
 /// schema 2 dropped the dense prospective basis from the fleet planner
 /// state, schema 3 replaced each site's slot history with its
-/// last-frame totals, and schema 4 replaced a stream session's
-/// whole-horizon traces with its previous frame. The payload decoder
-/// ignores unknown fields, so an older coordinated fleet snapshot could
-/// otherwise load silently and resume on a different state; the
-/// envelope's schema check must refuse all three.
+/// last-frame totals, schema 4 replaced a stream session's
+/// whole-horizon traces with its previous frame, and schema 5 dropped
+/// the engine's slot record and the controller state's scalar and
+/// vector maps. The payload decoder ignores unknown fields, so an older
+/// coordinated fleet snapshot could otherwise load silently and resume
+/// on a different state; the envelope's schema check must refuse all
+/// four.
 #[test]
 fn schema_1_fleet_snapshots_are_refused_as_stale() {
     use dpss_serve::snapshot::{hex64, payload_checksum};
@@ -209,7 +211,7 @@ fn schema_1_fleet_snapshots_are_refused_as_stale() {
     let current: dpss_serve::SnapshotFile =
         serde_json::from_str(&fs::read_to_string(&path).expect("snapshot reads")).unwrap();
     assert!(current.payload.contains("\"prospective_net\":"));
-    for schema in [1, 2, 3] {
+    for schema in [1, 2, 3, 4] {
         let mut file = current.clone();
         if schema == 1 {
             // What the schema-1 writer produced: the dense prospective

@@ -39,7 +39,7 @@ fn hello_and_started_lines_are_golden_bytes() {
     assert_eq!(
         lines[0],
         format!(
-            "{{\"Hello\":{{\"service\":\"dpss-serve\",\"version\":\"{}\",\"schema\":4}}}}",
+            "{{\"Hello\":{{\"service\":\"dpss-serve\",\"version\":\"{}\",\"schema\":5}}}}",
             env!("CARGO_PKG_VERSION")
         )
     );
@@ -287,6 +287,34 @@ fn hostile_lines_earn_parse_errors_and_the_session_survives() {
         parse(&lines[7]),
         Response::Stepped { frame: 0, .. }
     ));
+}
+
+#[test]
+fn slot_lengths_off_the_millihour_grid_are_protocol_errors() {
+    // 0.0001 h used to become a zero-hour slot (a month of zero costs),
+    // and 1e20 h saturated the milli-hour count (the same calendar as
+    // 1e300 h). Neither may start a session.
+    let (lines, outcome) = run_log(
+        "{\"cmd\":\"init\",\"days\":2,\"slot_hours\":0.0001}\n\
+         {\"cmd\":\"init\",\"days\":2,\"slot_hours\":1e20}\n\
+         {\"cmd\":\"status\"}\n",
+    );
+    assert_eq!((outcome.requests, outcome.errors), (3, 3));
+    for (line, want_kind) in [
+        (&lines[1], "protocol"),
+        (&lines[2], "protocol"),
+        (&lines[3], "session"),
+    ] {
+        match parse(line) {
+            Response::Error { kind, message } => {
+                assert_eq!(kind, want_kind, "{message}");
+                if want_kind == "protocol" {
+                    assert!(message.contains("slot_hours"), "{message}");
+                }
+            }
+            other => panic!("expected Error, got {other:?}"),
+        }
+    }
 }
 
 // ---- Spawned binary: the 0/1/2 exit contract ----------------------------

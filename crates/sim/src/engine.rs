@@ -27,7 +27,7 @@ use dpss_units::{Energy, Price, SlotClock};
 use crate::plant::{self, SlotInputs};
 use crate::{
     Battery, Controller, DemandQueue, FrameObservation, FrameTotals, RunReport, SimError,
-    SimParams, SlotObservation, SlotOutcome, SystemView,
+    SimParams, SlotObservation, SystemView,
 };
 
 /// Coarse frames a stream engine's trace window holds: the frame being
@@ -59,7 +59,6 @@ pub struct Engine {
     stream: bool,
     truth: TraceSet,
     observed: Option<TraceSet>,
-    record_slots: bool,
     forecast: crate::ForecastPolicy,
 }
 
@@ -78,7 +77,6 @@ impl Engine {
             stream: false,
             truth,
             observed: None,
-            record_slots: false,
             forecast: crate::ForecastPolicy::default(),
         })
     }
@@ -141,14 +139,6 @@ impl Engine {
         }
         self.observed = Some(observed);
         Ok(self)
-    }
-
-    /// Enables per-slot outcome recording in the report (memory: one record
-    /// per fine slot).
-    #[must_use]
-    pub fn with_slot_recording(mut self, record: bool) -> Self {
-        self.record_slots = record;
-        self
     }
 
     /// Derives a sweep-cell engine: identical traces, observations and
@@ -260,11 +250,6 @@ impl Engine {
             lt_alloc: Energy::ZERO,
             report: empty_report("", clock.total_slots()),
             last_frame: FrameTotals::EMPTY,
-            recorded: if self.record_slots {
-                Some(Vec::with_capacity(clock.total_slots()))
-            } else {
-                None
-            },
             next_frame: 0,
             failed: false,
         })
@@ -278,18 +263,17 @@ impl Engine {
 
     /// Reinstates a checkpointed run on this engine. The engine must be
     /// configured exactly as the one the state was captured from (same
-    /// parameters, traces, forecast policy and slot-recording flag); a
-    /// stream engine gets the state's saved previous frame written into
-    /// its window (on its own copy when the engine is shared). Continuing
-    /// the resumed run is then byte-for-byte identical to continuing the
-    /// original.
+    /// parameters, traces and forecast policy); a stream engine gets the
+    /// state's saved previous frame written into its window (on its own
+    /// copy when the engine is shared). Continuing the resumed run is
+    /// then byte-for-byte identical to continuing the original.
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidState`] if the state's progress, recorded
-    /// outcomes or saved frame disagree with this engine's calendar,
-    /// recording configuration and kind; the [`TraceSet::write_frame`]
-    /// rejections of a misshapen or non-finite saved frame; plus the
+    /// [`SimError::InvalidState`] if the state's progress or saved frame
+    /// disagree with this engine's calendar and kind; the
+    /// [`TraceSet::write_frame`] rejections of a misshapen or non-finite
+    /// saved frame; plus the
     /// per-component validation of [`Battery::from_state`] and
     /// [`DemandQueue::from_state`].
     pub fn resume(self: &Arc<Self>, state: crate::EngineRunState) -> Result<EngineRun, SimError> {
@@ -298,18 +282,6 @@ impl Engine {
             return Err(SimError::InvalidState {
                 what: "resume frame is beyond the calendar",
             });
-        }
-        if state.recorded.is_some() != self.record_slots {
-            return Err(SimError::InvalidState {
-                what: "recorded outcomes do not match the engine's slot-recording flag",
-            });
-        }
-        if let Some(rec) = &state.recorded {
-            if rec.len() != state.next_frame * clock.slots_per_frame() {
-                return Err(SimError::InvalidState {
-                    what: "recorded outcome count disagrees with the resume frame",
-                });
-            }
         }
         if state.report.slots != clock.total_slots() {
             return Err(SimError::InvalidState {
@@ -356,7 +328,6 @@ impl Engine {
             lt_alloc: state.lt_alloc,
             report: state.report,
             last_frame: state.last_frame,
-            recorded: state.recorded,
             next_frame: state.next_frame,
             failed: false,
         })
@@ -380,7 +351,6 @@ pub struct EngineRun {
     lt_alloc: Energy,
     report: RunReport,
     last_frame: FrameTotals,
-    recorded: Option<Vec<SlotOutcome>>,
     next_frame: usize,
     /// Set when a frame step failed part-way: the plant is mid-frame and
     /// must not be stepped again.
@@ -453,7 +423,6 @@ impl EngineRun {
             queue: self.queue.state(),
             report: self.report.clone(),
             last_frame: self.last_frame,
-            recorded: self.recorded.clone(),
             prev_traces: self.engine.saved_frame(self.next_frame),
         }
     }
@@ -657,15 +626,12 @@ impl EngineRun {
 
             let v_after = view(&self.battery, &self.queue, self.lt_alloc);
             controller.end_slot(&outcome, &v_after);
-            if let Some(rec) = self.recorded.as_mut() {
-                rec.push(outcome);
-            }
         }
         Ok(())
     }
 
     /// Seals the run and produces the final [`RunReport`] (peak demand
-    /// charge, queue/battery statistics, recorded outcomes).
+    /// charge, queue/battery statistics).
     ///
     /// # Errors
     ///
@@ -698,7 +664,6 @@ impl EngineRun {
         self.report.battery_ops = self.battery.operations();
         self.report.battery_min = self.battery.min_level_seen();
         self.report.battery_max = self.battery.max_level_seen();
-        self.report.slot_outcomes = self.recorded;
         Ok(self.report)
     }
 }
@@ -730,7 +695,6 @@ fn empty_report(controller: &str, slots: usize) -> RunReport {
         battery_min: Energy::ZERO,
         battery_max: Energy::ZERO,
         peak_grid_draw: Energy::ZERO,
-        slot_outcomes: None,
     }
 }
 
@@ -839,12 +803,14 @@ mod tests {
     #[test]
     fn energy_conservation_across_run() {
         let traces = paper_month_traces(7).unwrap();
-        let engine = Engine::new(SimParams::icdcs13(), traces)
-            .unwrap()
-            .with_slot_recording(true);
-        let r = engine.run(&mut Eager).unwrap();
+        let engine = Engine::new(SimParams::icdcs13(), traces).unwrap();
+        let mut recorder = crate::SlotRecorder::new(Box::new(Eager));
+        let log = recorder.log();
+        engine.run(&mut recorder).unwrap();
+        let log = log.lock().unwrap();
+        assert_eq!(log.len(), engine.clock().total_slots());
         // Per-slot balance: supply + discharge = served + charge + waste.
-        for o in r.slot_outcomes.as_ref().unwrap() {
+        for o in log.iter() {
             let lhs = o.supply_lt + o.purchase_rt + o.renewable + o.discharge;
             let rhs = o.served_ds + o.served_dt + o.charge + o.waste + o.unserved_ds;
             assert!(
@@ -1042,17 +1008,17 @@ mod tests {
     #[test]
     fn state_resume_matches_uninterrupted_run() {
         let traces = paper_month_traces(42).unwrap();
-        let engine = Arc::new(
-            Engine::new(SimParams::icdcs13(), traces)
-                .unwrap()
-                .with_slot_recording(true),
-        );
-        let full = engine.run(&mut Eager).unwrap();
+        let engine = Arc::new(Engine::new(SimParams::icdcs13(), traces).unwrap());
+        let mut recorder = crate::SlotRecorder::new(Box::new(Eager));
+        let full_log = recorder.log();
+        let full = engine.run(&mut recorder).unwrap();
         let frames = engine.clock().frames();
         for cut in [1usize, frames / 2, frames - 1] {
+            let mut recorder = crate::SlotRecorder::new(Box::new(Eager));
+            let log = recorder.log();
             let mut run = engine.begin().unwrap();
             for _ in 0..cut {
-                run.step_frame(&mut Eager).unwrap();
+                run.step_frame(&mut recorder).unwrap();
             }
             // Serialize the state across a simulated process boundary.
             let json = serde_json::to_string(&run.state()).unwrap();
@@ -1061,13 +1027,18 @@ mod tests {
             let mut resumed = engine.resume(state).unwrap();
             assert_eq!(resumed.frames_completed(), cut);
             while !resumed.is_done() {
-                resumed.step_frame(&mut Eager).unwrap();
+                resumed.step_frame(&mut recorder).unwrap();
             }
             let report = resumed.finish().unwrap();
             assert_eq!(
                 serde_json::to_string(&report).unwrap(),
                 serde_json::to_string(&full).unwrap(),
                 "resume at frame {cut} must be byte-identical"
+            );
+            assert_eq!(
+                *log.lock().unwrap(),
+                *full_log.lock().unwrap(),
+                "resume at frame {cut} must replay every slot"
             );
         }
     }
@@ -1084,13 +1055,6 @@ mod tests {
         bad.next_frame = engine.clock().frames() + 1;
         assert!(matches!(
             engine.resume(bad),
-            Err(SimError::InvalidState { .. })
-        ));
-
-        // Recording flag mismatch: state has no outcomes, engine wants them.
-        let recording = Arc::new((*engine).clone().with_slot_recording(true));
-        assert!(matches!(
-            recording.resume(good.clone()),
             Err(SimError::InvalidState { .. })
         ));
 

@@ -79,10 +79,6 @@ pub struct Interconnect {
     loss: Vec<f64>,
     /// Wheeling price per MWh *sent*, same layout.
     wheel: Vec<Price>,
-    /// Optional per-frame cap schedules, same layout: when set for a
-    /// link, frame `k` uses `schedule[k % len]` instead of the static
-    /// cap (maintenance windows, congestion pricing).
-    schedule: Vec<Option<Vec<Energy>>>,
     /// Optional fleet-pooled cap on total energy sent per frame.
     pool_cap: Option<Energy>,
 }
@@ -101,7 +97,6 @@ impl Interconnect {
             cap: vec![cap; sites * sites],
             loss: vec![0.0; sites * sites],
             wheel: vec![Price::from_dollars_per_mwh(0.0); sites * sites],
-            schedule: vec![None; sites * sites],
             pool_cap,
         };
         for s in 0..sites {
@@ -245,46 +240,14 @@ impl Interconnect {
         Ok(self)
     }
 
-    /// Gives the `from → to` line a per-frame cap schedule: frame `k`
-    /// is capped at `caps[k % caps.len()]` (the schedule cycles), which
-    /// overrides the static cap — maintenance windows and congestion
-    /// pricing as cheap per-frame bound edits. An all-equal schedule
-    /// settles bit-identically to the equivalent static cap.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidParameter`] for an empty schedule, a
-    /// non-finite or negative entry, or a diagonal / out-of-range pair.
-    pub fn with_cap_schedule(
-        mut self,
-        from: usize,
-        to: usize,
-        caps: Vec<Energy>,
-    ) -> Result<Self, SimError> {
-        if caps.is_empty() {
-            return Err(SimError::InvalidParameter {
-                what: "interconnect cap schedule",
-                requirement: "must contain at least one frame cap",
-            });
-        }
-        for &c in &caps {
-            validate_cap(c)?;
-        }
-        let k = self.pair_index(from, to)?;
-        self.schedule[k] = Some(caps);
-        Ok(self)
-    }
-
     /// Number of sites the topology spans.
     #[must_use]
     pub fn sites(&self) -> usize {
         self.sites
     }
 
-    /// Static directed cap of the `from → to` line (zero for the
-    /// diagonal). When the link carries a cap schedule this is only the
-    /// template value — use [`cap_at`](Self::cap_at) for the cap that
-    /// actually binds a given frame.
+    /// Directed cap of the `from → to` line per frame (zero for the
+    /// diagonal).
     ///
     /// # Panics
     ///
@@ -293,44 +256,6 @@ impl Interconnect {
     pub fn cap(&self, from: usize, to: usize) -> Energy {
         assert!(from < self.sites && to < self.sites, "site out of range");
         self.cap[from * self.sites + to]
-    }
-
-    /// Directed cap of the `from → to` line *for frame `frame`*: the
-    /// schedule entry `frame % len` when the link is scheduled, the
-    /// static cap otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a site index is out of range.
-    #[must_use]
-    pub fn cap_at(&self, from: usize, to: usize, frame: usize) -> Energy {
-        assert!(from < self.sites && to < self.sites, "site out of range");
-        let k = from * self.sites + to;
-        match &self.schedule[k] {
-            Some(caps) => caps[frame % caps.len()],
-            None => self.cap[k],
-        }
-    }
-
-    /// The largest cap the `from → to` line can ever carry: the
-    /// schedule's maximum when scheduled, the static cap otherwise.
-    /// This is what decides whether a link belongs to
-    /// [`open_links`](Self::open_links).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a site index is out of range.
-    #[must_use]
-    pub fn cap_ceiling(&self, from: usize, to: usize) -> Energy {
-        assert!(from < self.sites && to < self.sites, "site out of range");
-        self.ceiling_of(from * self.sites + to)
-    }
-
-    fn ceiling_of(&self, k: usize) -> Energy {
-        match &self.schedule[k] {
-            Some(caps) => caps.iter().fold(Energy::ZERO, |a, &c| a.max(c)),
-            None => self.cap[k],
-        }
     }
 
     /// Multiplicative loss of the `from → to` line.
@@ -361,47 +286,42 @@ impl Interconnect {
         self.pool_cap
     }
 
-    /// Whether no energy can ever move: every pair cap (including every
-    /// schedule entry) is zero, or the pool cap is zero, or there is
-    /// only one site.
+    /// Whether no energy can ever move: every pair cap is zero, or the
+    /// pool cap is zero, or there is only one site.
     #[must_use]
     pub fn is_silent(&self) -> bool {
         self.sites < 2
             || self.pool_cap == Some(Energy::ZERO)
-            || (0..self.cap.len()).all(|k| self.ceiling_of(k) <= Energy::ZERO)
+            || self.cap.iter().all(|&c| c <= Energy::ZERO)
     }
 
-    /// The ordered pairs with a usable line (cap ceiling `> 0`, i.e. the
-    /// static cap, or any schedule entry, is positive), in row-major
+    /// The ordered pairs with a usable line (cap `> 0`), in row-major
     /// (donor-major) order — the deterministic link roster both
     /// settlement modes iterate.
     pub fn open_links(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         let n = self.sites;
         (0..n * n).filter_map(move |k| {
             let (i, j) = (k / n, k % n);
-            (i != j && self.ceiling_of(k) > Energy::ZERO).then_some((i, j))
+            (i != j && self.cap[k] > Energy::ZERO).then_some((i, j))
         })
     }
 
     /// One-line human description, used in table titles. A pooled legacy
     /// topology renders exactly as the old knob did; a uniform mesh gets
-    /// one compact line; anything mixed (per-link caps, losses, wheeling
-    /// or schedules) is spelled out link by link in sorted (row-major)
+    /// one compact line; anything mixed (per-link caps, losses or
+    /// wheeling) is spelled out link by link in sorted (row-major)
     /// order, so sweep table titles are deterministic and reviewable.
     #[must_use]
     pub fn describe(&self) -> String {
-        let no_schedules = self.schedule.iter().all(Option::is_none);
         let lossless = self.loss.iter().all(|&l| l == 0.0);
         let free = self.wheel.iter().all(|&w| w.dollars_per_mwh() == 0.0);
-        if no_schedules {
-            if let Some(pool) = self.pool_cap {
-                let pooled_caps = (0..self.sites * self.sites).all(|k| {
-                    let (i, j) = (k / self.sites, k % self.sites);
-                    self.cap[k] == if i == j { Energy::ZERO } else { pool }
-                });
-                if lossless && free && pooled_caps {
-                    return format!("cap {} MWh/frame", pool.mwh());
-                }
+        if let Some(pool) = self.pool_cap {
+            let pooled_caps = (0..self.sites * self.sites).all(|k| {
+                let (i, j) = (k / self.sites, k % self.sites);
+                self.cap[k] == if i == j { Energy::ZERO } else { pool }
+            });
+            if lossless && free && pooled_caps {
+                return format!("cap {} MWh/frame", pool.mwh());
             }
         }
         let links: Vec<(usize, usize)> = self.open_links().collect();
@@ -413,15 +333,14 @@ impl Interconnect {
             None => String::new(),
         };
         // Uniform mesh: every ordered pair open with one shared
-        // (cap, loss, wheeling) triple and no schedule.
+        // (cap, loss, wheeling) triple.
         let (i0, j0) = links[0];
         let full_mesh = links.len() == self.sites * (self.sites - 1);
-        let shared = no_schedules
-            && links.iter().all(|&(i, j)| {
-                self.cap(i, j) == self.cap(i0, j0)
-                    && self.loss(i, j) == self.loss(i0, j0)
-                    && self.wheeling(i, j) == self.wheeling(i0, j0)
-            });
+        let shared = links.iter().all(|&(i, j)| {
+            self.cap(i, j) == self.cap(i0, j0)
+                && self.loss(i, j) == self.loss(i0, j0)
+                && self.wheeling(i, j) == self.wheeling(i0, j0)
+        });
         if full_mesh && shared {
             return format!(
                 "mesh cap {} MWh/frame{}{}{}",
@@ -443,23 +362,9 @@ impl Interconnect {
             .iter()
             .map(|&(i, j)| {
                 let k = i * self.sites + j;
-                let cap = match &self.schedule[k] {
-                    Some(caps) => {
-                        let lo = caps
-                            .iter()
-                            .fold(Energy::from_mwh(f64::MAX), |a, &c| a.min(c));
-                        let hi = self.ceiling_of(k);
-                        format!(
-                            "cap {}..{} MWh/frame ({}-frame sched)",
-                            lo.mwh(),
-                            hi.mwh(),
-                            caps.len()
-                        )
-                    }
-                    None => format!("cap {} MWh/frame", self.cap[k].mwh()),
-                };
                 format!(
-                    "{i}->{j} {cap}{}{}",
+                    "{i}->{j} cap {} MWh/frame{}{}",
+                    self.cap[k].mwh(),
                     describe_loss(self.loss[k]),
                     describe_wheel(self.wheel[k]),
                 )
@@ -490,17 +395,7 @@ impl Interconnect {
             }
         };
         let k_of = |&(i, j): &(usize, usize)| i * self.sites + j;
-        let caps = fmt_range(range(
-            &mut links.iter().map(|l| self.ceiling_of(k_of(l)).mwh()),
-        ));
-        let scheduled = links
-            .iter()
-            .filter(|l| self.schedule[k_of(l)].is_some())
-            .count();
-        let sched_note = match scheduled {
-            0 => String::new(),
-            s => format!(" ({s} scheduled)"),
-        };
+        let caps = fmt_range(range(&mut links.iter().map(|l| self.cap[k_of(l)].mwh())));
         let (loss_lo, loss_hi) = range(&mut links.iter().map(|l| self.loss[k_of(l)]));
         let loss = if loss_hi == 0.0 {
             String::new()
@@ -515,7 +410,7 @@ impl Interconnect {
             format!(" wheel ${}/MWh", fmt_range((wheel_lo, wheel_hi)))
         };
         format!(
-            "{} sites, {} links, cap {caps} MWh/frame{sched_note}{loss}{wheel}{pool_suffix}",
+            "{} sites, {} links, cap {caps} MWh/frame{loss}{wheel}{pool_suffix}",
             self.sites,
             links.len(),
         )
@@ -543,14 +438,7 @@ impl Interconnect {
             return out;
         }
         let mut donors = ex.curtailed.clone();
-        // Per-frame caps: a scheduled link binds at its entry for this
-        // exchange's frame, everything else at the static cap.
-        let mut pair_left: Vec<Energy> = (0..n * n)
-            .map(|k| match &self.schedule[k] {
-                Some(caps) => caps[ex.frame % caps.len()],
-                None => self.cap[k],
-            })
-            .collect();
+        let mut pair_left = self.cap.clone();
         let mut pool_left = self.pool_cap.unwrap_or(Energy::from_mwh(f64::INFINITY));
         // (site, displaceable rt energy, frame-average rt price $/MWh),
         // most expensive first, ties by site index.
@@ -771,18 +659,6 @@ mod tests {
             Interconnect::decoupled(4).unwrap().describe(),
             "severed (no open links)"
         );
-        let sched = Interconnect::decoupled(2)
-            .unwrap()
-            .with_cap_schedule(
-                0,
-                1,
-                vec![Energy::from_mwh(1.0), Energy::ZERO, Energy::from_mwh(3.0)],
-            )
-            .unwrap();
-        assert_eq!(
-            sched.describe(),
-            "links 0->1 cap 0..3 MWh/frame (3-frame sched)"
-        );
         // The uniform compact form still names the mesh in one line.
         let mesh = Interconnect::uniform(3, Energy::from_mwh(1.0))
             .unwrap()
@@ -805,19 +681,18 @@ mod tests {
             ring.describe(),
             "100 sites, 200 links, cap 1 MWh/frame loss 0.05 wheel $2/MWh"
         );
-        // Mixed caps, schedules and losses render as min..max ranges and
-        // a scheduled-link count.
+        // Mixed caps and losses render as min..max ranges.
         let mixed = Interconnect::ring(7, Energy::from_mwh(1.0))
             .unwrap()
             .with_link(0, 1, Energy::from_mwh(2.5))
             .unwrap()
             .with_loss(1, 2, 0.1)
             .unwrap()
-            .with_cap_schedule(2, 3, vec![Energy::from_mwh(0.5), Energy::from_mwh(4.0)])
+            .with_link(2, 3, Energy::from_mwh(0.5))
             .unwrap();
         assert_eq!(
             mixed.describe(),
-            "7 sites, 14 links, cap 1..4 MWh/frame (1 scheduled) loss 0..0.1"
+            "7 sites, 14 links, cap 0.5..2.5 MWh/frame loss 0..0.1"
         );
     }
 
@@ -868,43 +743,6 @@ mod tests {
         );
         assert!(Interconnect::ring(0, Energy::from_mwh(1.0)).is_err());
         assert!(Interconnect::ring(3, Energy::from_mwh(-1.0)).is_err());
-    }
-
-    #[test]
-    fn cap_schedules_cycle_and_validate() {
-        let ic = Interconnect::decoupled(2)
-            .unwrap()
-            .with_cap_schedule(0, 1, vec![Energy::from_mwh(2.0), Energy::ZERO])
-            .unwrap();
-        assert_eq!(ic.cap_at(0, 1, 0), Energy::from_mwh(2.0));
-        assert_eq!(ic.cap_at(0, 1, 1), Energy::ZERO);
-        assert_eq!(ic.cap_at(0, 1, 2), Energy::from_mwh(2.0), "cycles");
-        assert_eq!(ic.cap_ceiling(0, 1), Energy::from_mwh(2.0));
-        // The schedule overrides the static cap, which stays the
-        // template value.
-        assert_eq!(ic.cap(0, 1), Energy::ZERO);
-        assert!(
-            !ic.is_silent(),
-            "a schedule with a positive entry opens the link"
-        );
-        assert_eq!(ic.open_links().collect::<Vec<_>>(), vec![(0, 1)]);
-        // Frame 1 is a maintenance window: the greedy settlement moves
-        // nothing there but settles frame 0 normally.
-        let mut ex = exchange(&[3.0, 0.0], &[0.0, 2.0], &[0.0, 60.0]);
-        let open = ic.settle_greedy(&ex);
-        assert!((open.sent.mwh() - 2.0).abs() < 1e-12);
-        ex.frame = 1;
-        assert_eq!(ic.settle_greedy(&ex), FrameSettlement::default());
-
-        let base = Interconnect::decoupled(2).unwrap();
-        assert!(base.clone().with_cap_schedule(0, 1, vec![]).is_err());
-        assert!(base
-            .clone()
-            .with_cap_schedule(0, 0, vec![Energy::from_mwh(1.0)])
-            .is_err());
-        assert!(base
-            .with_cap_schedule(0, 1, vec![Energy::from_mwh(-1.0)])
-            .is_err());
     }
 
     #[test]

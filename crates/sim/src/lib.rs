@@ -23,10 +23,12 @@
 //!   before any load shedding), supports a split between *true* traces
 //!   (what the plant experiences) and *observed* traces (what the
 //!   controller sees — the Fig. 9 robustness experiment), and produces a
-//!   [`RunReport`];
+//!   [`RunReport`] of horizon totals;
+//! * [`SlotRecorder`] — a controller decorator that logs every realized
+//!   [`SlotOutcome`], for callers that compare runs slot by slot;
 //! * [`MultiSiteEngine`] — N per-site engines on one calendar coupled
 //!   through an [`Interconnect`] topology (per-pair directed caps, line
-//!   losses, wheeling prices, per-frame cap schedules), run
+//!   losses, wheeling prices, an optional fleet-pooled cap), run
 //!   *frame-synchronously*: every site steps coarse frame `k` before any
 //!   site starts `k + 1`, a [`FleetDispatcher`] settles each realized
 //!   frame, and in coordinated mode it hands every site a
@@ -95,6 +97,7 @@ mod multisite;
 mod params;
 mod plant;
 mod queue;
+mod recorder;
 mod state;
 mod workload;
 
@@ -112,6 +115,7 @@ pub use metrics::{FrameTotals, RunReport, SlotCost, SlotOutcome};
 pub use multisite::{FleetRun, MultiSiteEngine, MultiSiteReport};
 pub use params::SimParams;
 pub use queue::DemandQueue;
+pub use recorder::SlotRecorder;
 pub use state::{BatteryState, ControllerState, EngineRunState, LedgerState, QueueState};
 pub use workload::{
     FleetWorkload, LoadFlow, LoadFrame, LoadFrameRecord, LoadPlan, LoadTotals, RoutedDispatcher,

@@ -183,8 +183,6 @@ pub struct RunReport {
     pub battery_max: Energy,
     /// Largest per-slot grid draw observed.
     pub peak_grid_draw: Energy,
-    /// Per-slot outcomes, when recording was enabled.
-    pub slot_outcomes: Option<Vec<SlotOutcome>>,
 }
 
 impl RunReport {
@@ -282,7 +280,6 @@ mod tests {
             battery_min: Energy::ZERO,
             battery_max: Energy::ZERO,
             peak_grid_draw: Energy::ZERO,
-            slot_outcomes: None,
         }
     }
 

@@ -24,7 +24,7 @@ use dpss_traces::TraceSet;
 use dpss_units::Energy;
 use serde::{Deserialize, Serialize};
 
-use crate::{FrameTotals, RunReport, SlotOutcome};
+use crate::{FrameTotals, RunReport};
 
 /// A [`Battery`](crate::Battery)'s full mutable state (level plus the
 /// wear/audit counters the final report needs).
@@ -94,26 +94,19 @@ pub struct EngineRunState {
     /// Realized totals of the most recently completed frame (what a
     /// fleet's next outlook reads).
     pub last_frame: FrameTotals,
-    /// Per-slot outcomes recorded so far; present iff the engine has slot
-    /// recording enabled.
-    pub recorded: Option<Vec<SlotOutcome>>,
     /// The previous coarse frame's true traces as a one-frame trace set;
     /// present iff the engine is a [stream](crate::Engine::stream) engine
     /// past frame 0.
     pub prev_traces: Option<TraceSet>,
 }
 
-/// A controller's internal state as a generic property bag: named scalars,
-/// named vectors and one opaque string payload (controllers with
-/// structured internals — e.g. a serialized warm-start basis — stash JSON
-/// there). The shape is deliberately schema-free so the `Controller`
-/// trait stays object-safe and new controllers need no wire changes.
+/// A controller's internal state: one opaque payload (conventionally
+/// JSON) that only the controller that saved it interprets — e.g. a
+/// Lyapunov queue, or a serialized warm-start basis. Keeping it opaque
+/// keeps the `Controller` trait object-safe and lets new controllers
+/// checkpoint without wire changes.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ControllerState {
-    /// Named scalar state, in insertion order.
-    pub scalars: Vec<(String, f64)>,
-    /// Named vector state, in insertion order.
-    pub vectors: Vec<(String, Vec<f64>)>,
     /// Opaque controller-defined payload (conventionally JSON).
     pub payload: Option<String>,
 }
@@ -128,43 +121,7 @@ impl ControllerState {
     /// Whether the state carries nothing at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.scalars.is_empty() && self.vectors.is_empty() && self.payload.is_none()
-    }
-
-    /// Records a named scalar (replacing any previous value of `name`).
-    pub fn set_scalar(&mut self, name: &str, value: f64) {
-        if let Some(slot) = self.scalars.iter_mut().find(|(n, _)| n == name) {
-            slot.1 = value;
-        } else {
-            self.scalars.push((name.to_owned(), value));
-        }
-    }
-
-    /// Looks up a named scalar.
-    #[must_use]
-    pub fn scalar(&self, name: &str) -> Option<f64> {
-        self.scalars
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-    }
-
-    /// Records a named vector (replacing any previous value of `name`).
-    pub fn set_vector(&mut self, name: &str, value: Vec<f64>) {
-        if let Some(slot) = self.vectors.iter_mut().find(|(n, _)| n == name) {
-            slot.1 = value;
-        } else {
-            self.vectors.push((name.to_owned(), value));
-        }
-    }
-
-    /// Looks up a named vector.
-    #[must_use]
-    pub fn vector(&self, name: &str) -> Option<&[f64]> {
-        self.vectors
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_slice())
+        self.payload.is_none()
     }
 }
 
@@ -173,25 +130,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn controller_state_bag_semantics() {
-        let mut s = ControllerState::empty();
-        assert!(s.is_empty());
-        s.set_scalar("y", 1.5);
-        s.set_scalar("y", 2.5);
-        s.set_vector("plan", vec![1.0, 2.0]);
-        assert!(!s.is_empty());
-        assert_eq!(s.scalar("y"), Some(2.5));
-        assert_eq!(s.scalar("missing"), None);
-        assert_eq!(s.vector("plan"), Some(&[1.0, 2.0][..]));
-        assert_eq!(s.scalars.len(), 1, "set_scalar replaces, not appends");
-    }
-
-    #[test]
     fn controller_state_roundtrips_through_json() {
-        let mut s = ControllerState::empty();
-        s.set_scalar("y", 0.25);
-        s.set_vector("plan_grt", vec![0.0, 1.0, 2.0]);
-        s.payload = Some("{\"basis\":[1,2]}".to_owned());
+        let s = ControllerState {
+            payload: Some("{\"basis\":[1,2]}".to_owned()),
+        };
+        assert!(!s.is_empty());
+        assert!(ControllerState::empty().is_empty());
         let json = serde_json::to_string(&s).unwrap();
         let back: ControllerState = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);

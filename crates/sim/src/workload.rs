@@ -99,21 +99,21 @@ pub struct RoutingConfig {
     /// Maximum coarse frames a deferrable request may wait before it is
     /// force-served (the queue-age bound `A`).
     pub max_queue_age: usize,
-    /// Per-open-link, per-frame cap on migrated work (IT energy).
-    pub migration_cap: Energy,
 }
 
 impl RoutingConfig {
+    /// Per-open-link, per-frame cap on migrated work (IT energy): each
+    /// link moves at most 1 MWh of work per frame.
+    pub const MIGRATION_CAP: Energy = Energy::from_mwh(1.0);
+
     /// Defaults sized against the paper's site: a little over half the
-    /// arrivals are interactive, deferrable work may wait two coarse
-    /// frames (two days on the paper calendar), and each link moves at
-    /// most 1 MWh of work per frame.
+    /// arrivals are interactive, and deferrable work may wait two coarse
+    /// frames (two days on the paper calendar).
     #[must_use]
     pub fn icdcs13() -> Self {
         RoutingConfig {
             interactive_fraction: 0.55,
             max_queue_age: 2,
-            migration_cap: Energy::from_mwh(1.0),
         }
     }
 
@@ -131,13 +131,6 @@ impl RoutingConfig {
         self
     }
 
-    /// Sets the per-link, per-frame migration cap.
-    #[must_use]
-    pub fn with_migration_cap(mut self, cap: Energy) -> Self {
-        self.migration_cap = cap;
-        self
-    }
-
     /// Validates the documented ranges.
     ///
     /// # Errors
@@ -150,12 +143,6 @@ impl RoutingConfig {
             return Err(SimError::InvalidParameter {
                 what: "interactive_fraction",
                 requirement: "must be within [0, 1]",
-            });
-        }
-        if !(self.migration_cap.is_finite() && self.migration_cap.mwh() >= 0.0) {
-            return Err(SimError::InvalidParameter {
-                what: "migration_cap",
-                requirement: "must be finite and non-negative",
             });
         }
         Ok(())
@@ -483,7 +470,7 @@ impl FleetWorkload {
         // audit:allow(slice-index): record pushed by the paired frame_load above
         let mut record = self.totals.frames[frame];
         let mut host_budget: Vec<Energy> = ex.curtailed.clone();
-        let mut link_budget: Vec<Energy> = vec![self.config.migration_cap; sites * sites];
+        let mut link_budget: Vec<Energy> = vec![RoutingConfig::MIGRATION_CAP; sites * sites];
         let mut waits = WaitStats {
             max_wait: self.totals.max_wait_frames,
             wait_frames_mwh: 0.0,
@@ -500,7 +487,7 @@ impl FleetWorkload {
             let mut amount = flow.amount;
             if i != j {
                 // Migration needs an open link and cap headroom.
-                if ic.cap_at(i, j, frame) <= Energy::ZERO {
+                if ic.cap(i, j) <= Energy::ZERO {
                     continue;
                 }
                 // audit:allow(slice-index): i, j < sites checked above
@@ -712,10 +699,6 @@ mod tests {
             .with_interactive_fraction(f64::NAN)
             .validate()
             .is_err());
-        assert!(RoutingConfig::icdcs13()
-            .with_migration_cap(Energy::from_mwh(-1.0))
-            .validate()
-            .is_err());
     }
 
     #[test]
@@ -837,9 +820,7 @@ mod tests {
             vec![Energy::ZERO, Energy::ZERO],
         ];
         let spot = vec![vec![50.0, 50.0]; 2];
-        let cfg = RoutingConfig::icdcs13()
-            .with_interactive_fraction(0.0)
-            .with_migration_cap(Energy::from_mwh(1.0));
+        let cfg = RoutingConfig::icdcs13().with_interactive_fraction(0.0);
         let plan = LoadPlan {
             absorb: vec![LoadFlow {
                 from: 0,

@@ -17,18 +17,17 @@
 //!   dispatch loop's buy-to-export directives *measurably* beat the
 //!   planned post-hoc settlement (documented dollar margin, not just
 //!   `≤ +1e-9`);
-//! * **cap-schedule identity** — an all-equal per-frame cap schedule
-//!   settles bit-identically to the equivalent static cap, in both
-//!   settlement modes;
 //! * **lockstep identity** — threaded stepping and a mid-horizon resume
-//!   reproduce the serial run, compared slot by slot on recording
-//!   engines.
+//!   reproduce the serial run, compared slot by slot through per-site
+//!   slot recorders.
+
+use std::sync::{Arc, Mutex};
 
 use dpss_core::{FleetPlanner, SmartDpss, SmartDpssConfig};
 use dpss_sim::{
     Controller, Engine, EngineRun, EngineRunState, FrameDecision, FrameObservation, Interconnect,
     MultiSiteEngine, MultiSiteReport, SimError, SimParams, SlotDecision, SlotObservation,
-    SystemView, UnroutedDispatcher,
+    SlotOutcome, SlotRecorder, SystemView, UnroutedDispatcher,
 };
 use dpss_traces::{Scenario, ScenarioPack};
 use dpss_units::{Energy, Money, Price, SlotClock};
@@ -231,45 +230,6 @@ proptest! {
         }
     }
 
-    /// An all-equal per-frame cap schedule is the static cap: the
-    /// settlement is bit-identical through every frame, in both modes.
-    #[test]
-    fn all_equal_cap_schedule_settles_bit_identically_to_static_cap(
-        sites in 2usize..4,
-        seed in 0u64..1_000,
-        cap in 0.1..3.0f64,
-        loss in 0.0..0.5f64,
-        schedule_len in 1usize..5,
-    ) {
-        let multi = small_fleet(sites, seed);
-        let static_ic = Interconnect::uniform(sites, Energy::from_mwh(cap))
-            .unwrap()
-            .with_uniform_loss(loss)
-            .unwrap();
-        let mut scheduled_ic = static_ic.clone();
-        for i in 0..sites {
-            for j in 0..sites {
-                if i != j {
-                    scheduled_ic = scheduled_ic
-                        .with_cap_schedule(i, j, vec![Energy::from_mwh(cap); schedule_len])
-                        .unwrap();
-                }
-            }
-        }
-        let a = settle(&multi, static_ic.clone());
-        let b = settle(&multi, scheduled_ic.clone());
-        prop_assert_eq!(a.energy_transferred, b.energy_transferred);
-        prop_assert_eq!(a.energy_delivered, b.energy_delivered);
-        prop_assert_eq!(a.transfer_savings, b.transfer_savings);
-        prop_assert_eq!(a.wheeling_cost, b.wheeling_cost);
-        prop_assert_eq!(a.total_cost(), b.total_cost());
-        let pa = settle_planned(&multi, static_ic);
-        let pb = settle_planned(&multi, scheduled_ic);
-        prop_assert_eq!(pa.energy_transferred, pb.energy_transferred);
-        prop_assert_eq!(pa.transfer_savings, pb.transfer_savings);
-        prop_assert_eq!(pa.total_cost(), pb.total_cost());
-    }
-
     /// The planner's LP is never worse than the greedy fold — on fully
     /// random topologies (directed caps, losses, wheeling, pool caps).
     #[test]
@@ -457,9 +417,30 @@ fn planner_matches_greedy_value_on_pooled_lossless_fleets() {
     );
 }
 
-/// A 3-site, 3-day pooled fleet whose engines record every slot, so
-/// report equality compares each slot outcome, not just the totals.
-fn recorded_fleet() -> MultiSiteEngine {
+/// One site's slot log, shared with its [`SlotRecorder`].
+type SlotLog = Arc<Mutex<Vec<SlotOutcome>>>;
+
+/// `roster` with every controller inside a [`SlotRecorder`], plus the
+/// recorders' logs in site order.
+fn recorded(roster: Vec<Box<dyn Controller>>) -> (Vec<Box<dyn Controller>>, Vec<SlotLog>) {
+    roster
+        .into_iter()
+        .map(|ctl| {
+            let recorder = SlotRecorder::new(ctl);
+            let log = recorder.log();
+            (Box::new(recorder) as Box<dyn Controller>, log)
+        })
+        .unzip()
+}
+
+/// Every site's slot outcomes so far, in site order.
+fn read(logs: &[SlotLog]) -> Vec<Vec<SlotOutcome>> {
+    logs.iter().map(|log| log.lock().unwrap().clone()).collect()
+}
+
+/// A 3-site, 3-day pooled fleet; the tests below run it through slot
+/// recorders, so they compare each slot outcome, not just the totals.
+fn lockstep_fleet() -> MultiSiteEngine {
     let clock = SlotClock::new(3, 24, 1.0).unwrap();
     let pack = ScenarioPack::builtin("seasonal-calendar").unwrap();
     let engines: Vec<Engine> = (0..3)
@@ -469,7 +450,6 @@ fn recorded_fleet() -> MultiSiteEngine {
                 pack.generate_site(&clock, 42, 0, s).unwrap(),
             )
             .unwrap()
-            .with_slot_recording(true)
         })
         .collect();
     MultiSiteEngine::new(engines)
@@ -480,24 +460,29 @@ fn recorded_fleet() -> MultiSiteEngine {
 
 #[test]
 fn threaded_stepping_is_byte_identical_to_serial() {
-    let serial = recorded_fleet().run(&mut eager_boxes(3)).unwrap();
-    assert!(serial.sites.iter().all(|r| r.slot_outcomes.is_some()));
+    let (mut ctls, logs) = recorded(eager_boxes(3));
+    let serial = lockstep_fleet().run(&mut ctls).unwrap();
+    let serial_slots = read(&logs);
+    assert!(serial_slots.iter().all(|log| log.len() == 72));
     // 2 < sites, 4 > sites, 0 = available parallelism: every budget
     // must reproduce the serial run exactly.
     for threads in [2, 4, 0] {
-        let multi = recorded_fleet().with_threads(threads);
+        let multi = lockstep_fleet().with_threads(threads);
         assert!(multi.threads() >= 1);
-        let threaded = multi.run(&mut eager_boxes(3)).unwrap();
+        let (mut ctls, logs) = recorded(eager_boxes(3));
+        let threaded = multi.run(&mut ctls).unwrap();
         assert_eq!(threaded, serial, "threads = {threads}");
+        assert_eq!(read(&logs), serial_slots, "threads = {threads}");
     }
 }
 
 #[test]
 fn fleet_run_resumes_mid_horizon_byte_identically() {
-    let multi = recorded_fleet();
-    let full = multi.run(&mut eager_boxes(3)).unwrap();
+    let multi = lockstep_fleet();
+    let (mut full_ctls, full_logs) = recorded(eager_boxes(3));
+    let full = multi.run(&mut full_ctls).unwrap();
     let mut greedy = UnroutedDispatcher(multi.interconnect().clone());
-    let mut ctls = eager_boxes(3);
+    let (mut ctls, logs) = recorded(eager_boxes(3));
     let mut run = multi.begin().unwrap();
     run.step_frame(&mut ctls, &mut greedy).unwrap();
     assert!(matches!(
@@ -515,4 +500,5 @@ fn fleet_run_resumes_mid_horizon_byte_identically() {
         resumed.step_frame(&mut ctls, &mut greedy).unwrap();
     }
     assert_eq!(resumed.finish().unwrap(), full);
+    assert_eq!(read(&logs), read(&full_logs));
 }

@@ -26,7 +26,7 @@
 use dpss_core::{FleetPlanner, RoutingPlanner, SmartDpss, SmartDpssConfig};
 use dpss_sim::{
     Controller, Engine, Interconnect, LoadTotals, MultiSiteEngine, MultiSiteReport, RoutingConfig,
-    SimParams,
+    SimParams, SlotOutcome, SlotRecorder,
 };
 use dpss_traces::ScenarioPack;
 use dpss_units::{Energy, Price, SlotClock};
@@ -44,17 +44,13 @@ fn lossy_ring(sites: usize) -> Interconnect {
         .unwrap()
 }
 
-/// The variant's fleet over the lossy ring. Every site records its slot
-/// outcomes, so comparing two reports compares every slot, not just the
-/// totals.
+/// The variant's fleet over the lossy ring.
 fn fleet(pack: &ScenarioPack, variant: usize, sites: usize, clock: &SlotClock) -> MultiSiteEngine {
     let params = SimParams::icdcs13();
     let engines = (0..sites)
         .map(|s| {
             let traces = pack.generate_site(clock, SEED, variant, s).unwrap();
-            Engine::new(params, traces)
-                .unwrap()
-                .with_slot_recording(true)
+            Engine::new(params, traces).unwrap()
         })
         .collect();
     MultiSiteEngine::new(engines)
@@ -73,24 +69,50 @@ fn smart_boxes(sites: usize, clock: SlotClock) -> Vec<Box<dyn Controller>> {
         .collect()
 }
 
-fn run_off(multi: &MultiSiteEngine, clock: SlotClock) -> MultiSiteReport {
-    let sites = multi.sites().len();
-    let mut planner = FleetPlanner::for_engine(multi).with_coordination(true);
-    multi
-        .run_with(&mut smart_boxes(sites, clock), &mut planner)
-        .unwrap()
+/// Every site's slot outcomes, in site order.
+type SiteSlots = Vec<Vec<SlotOutcome>>;
+
+/// Runs `run` on a SmartDPSS roster whose every controller sits inside a
+/// [`SlotRecorder`], so comparing two results compares every slot, not
+/// just the totals.
+fn recorded_run(
+    sites: usize,
+    clock: SlotClock,
+    run: impl FnOnce(&mut [Box<dyn Controller>]) -> MultiSiteReport,
+) -> (MultiSiteReport, SiteSlots) {
+    let (mut ctls, logs): (Vec<_>, Vec<_>) = smart_boxes(sites, clock)
+        .into_iter()
+        .map(|ctl| {
+            let recorder = SlotRecorder::new(ctl);
+            let log = recorder.log();
+            (Box::new(recorder) as Box<dyn Controller>, log)
+        })
+        .unzip();
+    let report = run(&mut ctls);
+    let slots = logs.iter().map(|l| l.lock().unwrap().clone()).collect();
+    (report, slots)
 }
 
-fn run_coopt(multi: &MultiSiteEngine, clock: SlotClock, config: RoutingConfig) -> MultiSiteReport {
-    let sites = multi.sites().len();
+fn run_off(multi: &MultiSiteEngine, clock: SlotClock) -> (MultiSiteReport, SiteSlots) {
+    let mut planner = FleetPlanner::for_engine(multi).with_coordination(true);
+    recorded_run(multi.sites().len(), clock, |ctls| {
+        multi.run_with(ctls, &mut planner).unwrap()
+    })
+}
+
+fn run_coopt(
+    multi: &MultiSiteEngine,
+    clock: SlotClock,
+    config: RoutingConfig,
+) -> (MultiSiteReport, SiteSlots) {
     let mut routed = RoutingPlanner::new(
         FleetPlanner::for_engine(multi).with_coordination(true),
         config,
     )
     .unwrap();
-    multi
-        .run_routed(&mut smart_boxes(sites, clock), &mut routed, config)
-        .unwrap()
+    recorded_run(multi.sites().len(), clock, |ctls| {
+        multi.run_routed(ctls, &mut routed, config).unwrap()
+    })
 }
 
 /// Asserts the full conservation law on a routed run's ledger: every
@@ -150,7 +172,7 @@ fn conservation_holds_per_frame_and_cumulatively_on_every_builtin_variant() {
         for v in 0..pack.len() {
             let label = format!("{name}/{}", pack.variant(v).unwrap().0);
             let multi = fleet(&pack, v, 3, &clock);
-            let report = run_coopt(&multi, clock, config);
+            let (report, _) = run_coopt(&multi, clock, config);
             assert_eq!(report.load.frames.len(), clock.frames(), "{label}");
             assert_conserved(&report.load, config, &label);
             total_arrived += report.load.arrived;
@@ -180,7 +202,7 @@ fn routing_off_is_byte_inert_on_the_pre_existing_roster() {
         for v in 0..pack.len() {
             let label = format!("{name}/{}", pack.variant(v).unwrap().0);
             let multi = fleet(&pack, v, 3, &clock);
-            let off = run_off(&multi, clock);
+            let (off, off_slots) = run_off(&multi, clock);
             // 1. The plain path carries a byte-inert ledger …
             assert!(off.load.is_inert(), "{label}: run_with must not route");
             // 2. … so the fleet total has no load term.
@@ -191,12 +213,16 @@ fn routing_off_is_byte_inert_on_the_pre_existing_roster() {
             );
             // 3. The routed run's energy side is byte-identical: zero the
             // ledger and the whole report must compare equal.
-            let routed = run_coopt(&multi, clock, config);
+            let (routed, routed_slots) = run_coopt(&multi, clock, config);
             let mut energy_only = routed.clone();
             energy_only.load = LoadTotals::default();
             assert_eq!(
                 energy_only, off,
                 "{label}: the request layer perturbed the energy settlement"
+            );
+            assert_eq!(
+                routed_slots, off_slots,
+                "{label}: the request layer perturbed a slot outcome"
             );
             // These traces carry no arrival stream, so the routed ledger
             // is all zeros too (records exist, but nothing flows).
@@ -218,13 +244,13 @@ fn co_optimized_total_never_exceeds_routing_off_on_any_variant() {
         for v in 0..pack.len() {
             let label = format!("{name}/{}", pack.variant(v).unwrap().0);
             let multi = fleet(&pack, v, 3, &clock);
-            let off_cost = run_off(&multi, clock).total_cost()
+            let off_cost = run_off(&multi, clock).0.total_cost()
                 + multi
                     .workload_ledger(config)
                     .unwrap()
                     .serve_on_arrival()
                     .cost;
-            let coopt_cost = run_coopt(&multi, clock, config).total_cost();
+            let coopt_cost = run_coopt(&multi, clock, config).0.total_cost();
             assert!(
                 coopt_cost.dollars() <= off_cost.dollars() + 1e-9,
                 "{label}: co-optimized ${} vs off ${}",
@@ -247,15 +273,16 @@ fn conservation_scales_to_a_hundred_site_ring() {
     let pack = ScenarioPack::builtin("traffic-wave").unwrap();
     let flash = 2usize;
     let multi = fleet(&pack, flash, 100, &clock);
-    let serial = run_coopt(&multi, clock, config);
+    let (serial, serial_slots) = run_coopt(&multi, clock, config);
     assert!(serial.load.arrived > Energy::ZERO, "flash crowd arrives");
     assert_conserved(&serial.load, config, "traffic-wave/flash-crowd@100");
-    // Thread scheduling must not move a byte — ledger included.
+    // Thread scheduling must not move a byte — ledger and slots included.
     let threaded_engine = multi.clone().with_threads(8);
-    let threaded = run_coopt(&threaded_engine, clock, config);
+    let (threaded, threaded_slots) = run_coopt(&threaded_engine, clock, config);
     assert!(
-        serial.sites.iter().all(|r| r.slot_outcomes.is_some()),
+        serial_slots.iter().all(|s| s.len() == clock.total_slots()),
         "test premise: every site records its slot outcomes"
     );
     assert_eq!(serial, threaded, "threads = 8 must not move a byte");
+    assert_eq!(serial_slots, threaded_slots, "threads = 8 moved a slot");
 }

@@ -5,7 +5,7 @@
 
 use dpss_sim::{
     Controller, Engine, FrameDecision, FrameObservation, SimParams, SlotDecision, SlotObservation,
-    SystemView,
+    SlotRecorder, SystemView,
 };
 use dpss_traces::Scenario;
 use dpss_units::{Energy, SlotClock};
@@ -55,18 +55,19 @@ proptest! {
         let clock = SlotClock::new(3, 24, 1.0).unwrap();
         let truth = Scenario::icdcs13().generate(&clock, seed).unwrap();
         let params = SimParams::icdcs13_with_battery(battery_minutes);
-        let engine = Engine::new(params, truth.clone())
-            .unwrap()
-            .with_slot_recording(true);
-        let mut ctl = Fuzzed { lt, rt, gamma, frame: 0, slot: 0 };
-        let report = engine.run(&mut ctl).unwrap();
+        let engine = Engine::new(params, truth.clone()).unwrap();
+        let mut recorder = SlotRecorder::new(Box::new(Fuzzed { lt, rt, gamma, frame: 0, slot: 0 }));
+        let log = recorder.log();
+        let report = engine.run(&mut recorder).unwrap();
+        let outcomes = log.lock().unwrap();
+        prop_assert_eq!(outcomes.len(), clock.total_slots());
 
         // Battery window (Thm 2(2)).
         prop_assert!(report.battery_min >= params.battery.min_level - Energy::from_mwh(1e-9));
         prop_assert!(report.battery_max <= params.battery.capacity + Energy::from_mwh(1e-9));
 
         let mut arrivals = 0.0;
-        for o in report.slot_outcomes.as_ref().unwrap() {
+        for o in outcomes.iter() {
             // Energy balance (Eq. 4 + unserved slack).
             let lhs = o.supply_lt + o.purchase_rt + o.renewable + o.discharge;
             let rhs = o.served_ds + o.served_dt + o.charge + o.waste + o.unserved_ds;

@@ -43,7 +43,10 @@ impl SlotClock {
     ///
     /// Returns [`UnitsError::ZeroCount`] if either count is zero, and
     /// [`UnitsError::NotFinite`] / [`UnitsError::Negative`] if `slot_hours`
-    /// is not a finite positive number.
+    /// is not a finite positive number. The calendar holds `slot_hours` in
+    /// whole milli-hours, so a length that rounds to zero of them is a
+    /// [`UnitsError::ZeroCount`] and one whose count does not fit in a
+    /// `u64` is [`UnitsError::NotFinite`].
     pub fn new(frames: usize, slots_per_frame: usize, slot_hours: f64) -> Result<Self, UnitsError> {
         if frames == 0 {
             return Err(UnitsError::ZeroCount { what: "frames" });
@@ -59,10 +62,22 @@ impl SlotClock {
         if slot_hours <= 0.0 {
             return Err(UnitsError::Negative { what: "slot_hours" });
         }
+        let milli = (slot_hours * 1_000.0).round();
+        if milli < 1.0 {
+            return Err(UnitsError::ZeroCount {
+                what: "slot_hours in milli-hours",
+            });
+        }
+        // `u64::MAX as f64` is 2^64, the first value that does not fit.
+        if milli >= u64::MAX as f64 {
+            return Err(UnitsError::NotFinite {
+                what: "slot_hours in milli-hours as a u64",
+            });
+        }
         Ok(SlotClock {
             frames,
             slots_per_frame,
-            slot_hours_milli: (slot_hours * 1_000.0).round() as u64,
+            slot_hours_milli: milli as u64,
         })
     }
 
@@ -268,6 +283,29 @@ mod tests {
         assert!(SlotClock::new(31, 24, 0.0).is_err());
         assert!(SlotClock::new(31, 24, -1.0).is_err());
         assert!(SlotClock::new(31, 24, f64::NAN).is_err());
+    }
+
+    #[test]
+    fn slot_hours_must_fit_the_millihour_grid() {
+        // Below half a milli-hour the grid would hold a zero-hour slot.
+        for tiny in [0.0001, 0.000_499] {
+            assert_eq!(
+                SlotClock::new(2, 24, tiny),
+                Err(UnitsError::ZeroCount {
+                    what: "slot_hours in milli-hours"
+                })
+            );
+        }
+        assert_eq!(SlotClock::new(2, 24, 0.0005).unwrap().slot_hours(), 0.001);
+        // Past u64 milli-hours the count would saturate, so 1e20 and
+        // 1e300 would be the same calendar.
+        for huge in [1.9e16, 1e20, 1e300] {
+            assert!(matches!(
+                SlotClock::new(2, 24, huge),
+                Err(UnitsError::NotFinite { .. })
+            ));
+        }
+        assert!(SlotClock::new(2, 24, 1e16).is_ok());
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! ```
 
 use smartdpss::{
-    cheapest_window_bound, Engine, Impatient, OfflineOptimal, RunReport, SimParams, SmartDpss,
-    SmartDpssConfig,
+    Engine, Impatient, OfflineOptimal, RunReport, SimParams, SmartDpss, SmartDpssConfig,
 };
 
 fn row(r: &RunReport) -> String {
@@ -46,10 +45,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut impatient = Impatient::two_markets();
     println!("{}", row(&engine.run(&mut impatient)?));
 
-    println!(
-        "\nrelaxation lower bound on any policy: ${:.2} total",
-        cheapest_window_bound(&traces, &params).dollars()
-    );
-    println!("(delay in fine slots = hours; lt/rt/waste in MWh over the month)");
+    println!("\n(delay in fine slots = hours; lt/rt/waste in MWh over the month)");
     Ok(())
 }

@@ -66,9 +66,8 @@ pub use dpss_bench::{Axis, ExperimentRunner, FigureTable, SweepSpec};
 pub use dpss_lp::LpWorkspace;
 
 pub use dpss_core::{
-    cheapest_window_bound, DispatchMode, FleetPlanner, GreedyBattery, Impatient, MarketMode,
-    OfflineOptimal, P4Variant, P5Objective, RecedingHorizon, RoutingPlanner, SmartDpss,
-    SmartDpssConfig, TheoremBounds,
+    DispatchMode, FleetPlanner, GreedyBattery, Impatient, MarketMode, OfflineOptimal, P4Variant,
+    P5Objective, RecedingHorizon, RoutingPlanner, SmartDpss, SmartDpssConfig, TheoremBounds,
 };
 pub use dpss_serve::{ServeError, ServeOptions, ServeOutcome, SessionConfig, SessionServer};
 pub use dpss_sim::{
@@ -76,7 +75,7 @@ pub use dpss_sim::{
     FleetDispatcher, FleetRun, FleetWorkload, ForecastPolicy, FrameDecision, FrameDirective,
     FrameObservation, FrameOutlook, Interconnect, LoadTotals, MultiSiteEngine, MultiSiteReport,
     RoutedDispatcher, RoutingConfig, RoutingMode, RunReport, SimParams, SiteOutlook, SlotDecision,
-    SlotObservation, SystemView, UnroutedDispatcher,
+    SlotObservation, SlotRecorder, SystemView, UnroutedDispatcher,
 };
 pub use dpss_traces::{Scenario, ScenarioPack, TraceSet, UniformError};
 pub use dpss_units::{Energy, Money, Power, Price, SlotClock};

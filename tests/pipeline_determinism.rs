@@ -2,7 +2,21 @@
 //! round-trips feeding the engine, and per-slot energy conservation
 //! audits.
 
-use smartdpss::{Engine, SimParams, SlotClock, SmartDpss, SmartDpssConfig, TraceSet};
+use smartdpss::sim::SlotOutcome;
+use smartdpss::{
+    Controller, Energy, Engine, RunReport, SimParams, SlotClock, SlotRecorder, SmartDpss,
+    SmartDpssConfig, TraceSet,
+};
+
+/// Runs `ctl` on `engine` through a [`SlotRecorder`], returning the
+/// report and every slot outcome in slot order.
+fn run_recorded(engine: &Engine, ctl: impl Controller + 'static) -> (RunReport, Vec<SlotOutcome>) {
+    let mut recorder = SlotRecorder::new(Box::new(ctl));
+    let log = recorder.log();
+    let report = engine.run(&mut recorder).unwrap();
+    let outcomes = log.lock().unwrap().clone();
+    (report, outcomes)
+}
 
 #[test]
 fn identical_seeds_reproduce_identical_reports() {
@@ -44,14 +58,11 @@ fn per_slot_energy_balance_holds_over_the_month() {
     let truth = smartdpss::traces::paper_month_traces(13).unwrap();
     let params = SimParams::icdcs13();
     let clock = truth.clock;
-    let engine = Engine::new(params, truth.clone())
-        .unwrap()
-        .with_slot_recording(true);
-    let mut ctl = SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).unwrap();
-    let r = engine.run(&mut ctl).unwrap();
-    let outcomes = r.slot_outcomes.as_ref().unwrap();
+    let engine = Engine::new(params, truth.clone()).unwrap();
+    let ctl = SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).unwrap();
+    let (r, outcomes) = run_recorded(&engine, ctl);
     assert_eq!(outcomes.len(), clock.total_slots());
-    for o in outcomes {
+    for o in &outcomes {
         // Eq. (4): s(τ) + bdc − brc = d_ds + s_dt + W (+ unserved slack).
         let lhs = o.supply_lt + o.purchase_rt + o.renewable + o.discharge;
         let rhs = o.served_ds + o.served_dt + o.charge + o.waste + o.unserved_ds;
@@ -87,16 +98,15 @@ fn fifteen_minute_slots_run_end_to_end() {
     let clock = SlotClock::new(7, 96, 0.25).unwrap();
     let truth = smartdpss::Scenario::icdcs13().generate(&clock, 21).unwrap();
     let params = SimParams::icdcs13();
-    let engine = Engine::new(params, truth)
-        .unwrap()
-        .with_slot_recording(true);
-    let mut ctl = SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).unwrap();
-    let r = engine.run(&mut ctl).unwrap();
+    let engine = Engine::new(params, truth).unwrap();
+    let ctl = SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).unwrap();
+    let (r, outcomes) = run_recorded(&engine, ctl);
     assert_eq!(r.slots, 672);
+    assert_eq!(outcomes.len(), 672);
     assert_eq!(r.availability_violations, 0);
     assert_eq!(r.unserved_ds.mwh(), 0.0);
     assert!((r.availability() - 1.0).abs() < 1e-12);
-    for o in r.slot_outcomes.as_ref().unwrap() {
+    for o in &outcomes {
         // Interconnect cap scales with the slot length: 2 MW × 0.25 h.
         assert!(o.grid_draw().mwh() <= 0.5 + 1e-9, "Pgrid over 15 minutes");
         let lhs = o.supply_lt + o.purchase_rt + o.renewable + o.discharge;
@@ -122,4 +132,34 @@ fn different_seeds_produce_different_but_valid_worlds() {
         costs[0] != costs[1] && costs[1] != costs[2],
         "seeds must matter"
     );
+}
+
+#[test]
+fn slot_recorder_is_transparent() {
+    // Recording never feeds back into a decision: the report of a run
+    // through the recorder is byte-identical to the bare controller's,
+    // and the log sums, in slot order, to the report's energy totals.
+    let truth = smartdpss::traces::paper_month_traces(42).unwrap();
+    let params = SimParams::icdcs13();
+    let clock = truth.clock;
+    let engine = Engine::new(params, truth).unwrap();
+    let smart = || SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).unwrap();
+    let bare = engine.run(&mut smart()).unwrap();
+    let (recorded, outcomes) = run_recorded(&engine, smart());
+    assert_eq!(
+        serde_json::to_string(&recorded).unwrap(),
+        serde_json::to_string(&bare).unwrap()
+    );
+    assert_eq!(outcomes.len(), clock.total_slots());
+    for (k, o) in outcomes.iter().enumerate() {
+        assert_eq!(o.slot.index, k, "outcomes arrive in slot order");
+    }
+    let sum = |field: fn(&SlotOutcome) -> Energy| {
+        outcomes.iter().fold(Energy::ZERO, |acc, o| acc + field(o))
+    };
+    assert_eq!(sum(|o| o.supply_lt), bare.energy_lt);
+    assert_eq!(sum(|o| o.purchase_rt), bare.energy_rt);
+    assert_eq!(sum(|o| o.waste), bare.energy_wasted);
+    assert_eq!(sum(|o| o.served_ds), bare.served_ds);
+    assert_eq!(sum(|o| o.served_dt), bare.served_dt);
 }

@@ -1,12 +1,27 @@
-//! Cross-crate benchmark ordering: on paper-shaped traces, the relaxation
-//! lower bound must sit below the offline benchmark, which must sit below
+//! Cross-crate benchmark ordering: on paper-shaped traces, a relaxation
+//! floor must sit below the offline benchmark, which must sit below
 //! (or equal to) SmartDPSS, which must beat the Impatient baseline — the
 //! ordering behind Fig. 6(a).
 
 use smartdpss::{
-    cheapest_window_bound, Engine, Impatient, MarketMode, OfflineOptimal, SimParams, SlotClock,
-    SmartDpss, SmartDpssConfig,
+    Engine, Impatient, MarketMode, Money, OfflineOptimal, Price, SimParams, SlotClock, SmartDpss,
+    SmartDpssConfig, TraceSet,
 };
+
+/// A floor under any feasible policy's cost: with a lossless, unbounded,
+/// wear-free battery and no interconnect or deadline constraints, all
+/// net demand `(Σd − Σr)⁺` could be bought at the single cheapest price
+/// anywhere in the horizon.
+fn relaxation_floor(truth: &TraceSet) -> Money {
+    let net_demand = (truth.total_demand() - truth.total_renewable()).positive_part();
+    let cheapest = truth
+        .price_lt
+        .iter()
+        .chain(&truth.price_rt)
+        .copied()
+        .fold(Price::from_dollars_per_mwh(f64::INFINITY), Price::min);
+    net_demand * cheapest
+}
 
 fn setup(seed: u64) -> (Engine, SimParams, SlotClock) {
     let clock = SlotClock::icdcs13_month();
@@ -18,7 +33,7 @@ fn setup(seed: u64) -> (Engine, SimParams, SlotClock) {
 #[test]
 fn full_ordering_holds_on_the_paper_month() {
     let (engine, params, clock) = setup(42);
-    let bound = cheapest_window_bound(engine.truth(), &params);
+    let bound = relaxation_floor(engine.truth());
 
     let mut offline = OfflineOptimal::new(params, engine.truth().clone()).unwrap();
     let r_off = engine.run(&mut offline).unwrap();

@@ -2,7 +2,8 @@
 //! `step_frame × K` + `finish` must reproduce `Engine::run` **byte for
 //! byte** (compared as serialized report JSON) — across every built-in
 //! scenario-pack variant, the paper's base scenario, and every built-in
-//! controller family, at seed 42.
+//! controller family, at seed 42 — and, through a `SlotRecorder`, the
+//! slot outcome stream too.
 //!
 //! `Engine::run` steps the same frame body as the stepping API, so this
 //! pins two things at once: that the legacy entry point stays intact,
@@ -15,7 +16,7 @@ use std::sync::Arc;
 use smartdpss::core::RecedingHorizon;
 use smartdpss::{
     Controller, Engine, GreedyBattery, Impatient, OfflineOptimal, Price, Scenario, ScenarioPack,
-    SimParams, SlotClock, SmartDpss, SmartDpssConfig,
+    SimParams, SlotClock, SlotRecorder, SmartDpss, SmartDpssConfig,
 };
 
 /// A fresh instance of every built-in controller family.
@@ -43,19 +44,23 @@ fn controller_roster(
     ]
 }
 
+/// Checks stepping against `Engine::run` for every controller family.
+/// Each controller runs inside a [`SlotRecorder`], so the two slot
+/// outcome streams must match as well as the reports.
 fn assert_stepping_matches_run(engine: &Arc<Engine>, params: SimParams, what: &str) {
     let frames = engine.clock().frames();
     // Two fresh controller rosters: one per execution path, so neither
     // sees the other's internal state.
     let run_roster = controller_roster(params, engine);
     let step_roster = controller_roster(params, engine);
-    for ((name, mut run_ctl), (_, mut step_ctl)) in run_roster.into_iter().zip(step_roster) {
-        let via_run = engine.run(run_ctl.as_mut()).unwrap();
+    for ((name, run_ctl), (_, step_ctl)) in run_roster.into_iter().zip(step_roster) {
+        let (mut run_ctl, mut step_ctl) = (SlotRecorder::new(run_ctl), SlotRecorder::new(step_ctl));
+        let via_run = engine.run(&mut run_ctl).unwrap();
         let mut stepping = engine.begin().unwrap();
         for k in 0..frames {
             assert_eq!(stepping.frames_completed(), k);
             assert!(!stepping.is_done());
-            stepping.step_frame(step_ctl.as_mut()).unwrap();
+            stepping.step_frame(&mut step_ctl).unwrap();
         }
         assert!(stepping.is_done());
         let via_steps = stepping.finish().unwrap();
@@ -64,6 +69,13 @@ fn assert_stepping_matches_run(engine: &Arc<Engine>, params: SimParams, what: &s
         assert_eq!(
             run_json, steps_json,
             "{what}/{name}: stepped run diverged from Engine::run"
+        );
+        let (run_log, step_log) = (run_ctl.log(), step_ctl.log());
+        let (run_log, step_log) = (run_log.lock().unwrap(), step_log.lock().unwrap());
+        assert_eq!(run_log.len(), engine.clock().total_slots());
+        assert_eq!(
+            *run_log, *step_log,
+            "{what}/{name}: stepped slot outcomes diverged from Engine::run"
         );
     }
 }
@@ -85,17 +97,12 @@ fn stepping_reproduces_run_on_every_builtin_pack_variant() {
 
 #[test]
 fn stepping_reproduces_run_on_the_paper_scenario_with_recording() {
-    // The base scenario, with slot recording on — the configuration the
-    // multi-site fleet loop actually drives — so the recorded outcome
-    // stream is pinned too.
+    // The base scenario: the slot outcome stream is pinned too, not
+    // just the totals.
     let clock = SlotClock::new(4, 24, 1.0).unwrap();
     let params = SimParams::icdcs13();
     let traces = Scenario::icdcs13().generate(&clock, 42).unwrap();
-    let engine = Arc::new(
-        Engine::new(params, traces)
-            .unwrap()
-            .with_slot_recording(true),
-    );
+    let engine = Arc::new(Engine::new(params, traces).unwrap());
     assert_stepping_matches_run(&engine, params, "icdcs13/recorded");
 }
 

@@ -12,8 +12,8 @@
 //! exact scaling direction.
 
 use smartdpss::{
-    BatteryParams, Engine, P5Objective, SimParams, SlotClock, SmartDpss, SmartDpssConfig,
-    TheoremBounds,
+    BatteryParams, Engine, P5Objective, SimParams, SlotClock, SlotRecorder, SmartDpss,
+    SmartDpssConfig, TheoremBounds,
 };
 
 /// Loose empirical multiples: regressions that break the mechanism blow
@@ -68,13 +68,17 @@ fn battery_window_holds_for_every_configuration() {
 #[test]
 fn x_queue_stays_in_theorem_window() {
     let params = big_battery_params();
-    let engine = month_engine(params).with_slot_recording(true);
+    let engine = month_engine(params);
     let config = SmartDpssConfig::icdcs13().with_v(0.3);
-    let mut ctl = SmartDpss::new(config, params, SlotClock::icdcs13_month()).unwrap();
+    let ctl = SmartDpss::new(config, params, SlotClock::icdcs13_month()).unwrap();
     let bounds = *ctl.bounds();
     assert!(bounds.v_max >= 0.3, "test must run inside the premise");
-    let r = engine.run(&mut ctl).unwrap();
-    for o in r.slot_outcomes.as_ref().unwrap() {
+    let mut recorder = SlotRecorder::new(Box::new(ctl));
+    let log = recorder.log();
+    engine.run(&mut recorder).unwrap();
+    let outcomes = log.lock().unwrap();
+    assert_eq!(outcomes.len(), engine.clock().total_slots());
+    for o in outcomes.iter() {
         let x = bounds.x_of_level(&params, o.battery_level_after.mwh());
         assert!(
             x >= bounds.x_lower - 1e-9 && x <= bounds.x_upper + 1e-9,
