@@ -241,6 +241,7 @@ mod tests {
         // One LP per frame (the deadline variant stayed feasible).
         assert_eq!(ws.cold_solves(), 3);
         assert_eq!(ws.warm_solves() + ws.warm_rejects(), 0);
+        assert_eq!(ws.replayed_rebuilds(), 0);
     }
 
     #[test]

@@ -349,6 +349,8 @@ mod tests {
         let ws = &audit.inner.workspace;
         let counts = (ws.warm_solves(), ws.cold_solves(), ws.warm_rejects());
         assert_eq!(counts, (29, 2, 0), "warm/cold/reject frame solves");
+        // 23 of the warm frames replay the previous frame's rebuild.
+        assert_eq!(ws.replayed_rebuilds(), 23, "replayed rebuilds");
         assert_eq!(audit.warm_frames as u64, ws.warm_solves());
     }
 

@@ -105,7 +105,9 @@ impl LpWorkspace {
     /// Replaces the workspace's saved bases with the snapshot's, after
     /// validating internal consistency. An absent side clears that
     /// side's basis, so `import_basis(&other.export_basis())` always
-    /// leaves this workspace warm-starting exactly like `other`.
+    /// leaves this workspace warm-starting exactly like `other`. The
+    /// workspace's log of its last rebuild is dropped, so its first warm
+    /// solve rebuilds the tableau (to the same bits a replay gives).
     ///
     /// # Errors
     ///
@@ -119,6 +121,7 @@ impl LpWorkspace {
         if let Some(n) = &snapshot.network {
             validate_network(n)?;
         }
+        self.rebuild.live = false;
         self.saved = snapshot.dense.as_ref().map(|d| SavedBasis {
             rows: d.rows,
             cols: d.cols,

@@ -34,6 +34,11 @@ pub(crate) struct Tableau {
     pub(crate) b: Vec<f64>,
     /// Basic column per row.
     pub(crate) basis: Vec<usize>,
+    /// The last pivot's `(row, column)`.
+    pivot_at: (usize, usize),
+    /// Nonzero `(column, value)` entries of the last pivot's normalized
+    /// row, ascending by column — the only columns that pivot touches.
+    pattern: Vec<(usize, f64)>,
 }
 
 impl Tableau {
@@ -68,62 +73,68 @@ impl Tableau {
     }
 
     /// Gauss-Jordan pivot on `(prow, pcol)`: normalizes the pivot row and
-    /// eliminates `pcol` from every other row and from `cost`. Also used
-    /// by the warm-start rebuild in `standard`, which re-reduces a fresh
-    /// tableau onto a saved basis one pivot per basic column.
+    /// eliminates `pcol` from every other row and from `cost`.
+    ///
+    /// The normalized row's nonzero columns are recorded in
+    /// [`pattern`](Self::pattern), and the row and cost eliminations walk
+    /// that pattern instead of all `cols` columns. A skipped column would
+    /// only have had `0 · factor` subtracted, so every entry keeps the
+    /// bits a full-row sweep gives it, up to the sign of an exact zero —
+    /// which no comparison, ratio or extracted value reads.
     pub(crate) fn pivot(&mut self, prow: usize, pcol: usize, cost: &mut CostRow) {
         let cols = self.cols;
         let pivot_val = self.at(prow, pcol);
         debug_assert!(pivot_val.abs() > TOLERANCE, "pivot element too small");
 
         let inv = 1.0 / pivot_val;
-        for j in 0..cols {
-            self.a[prow * cols + j] *= inv;
+        self.pattern.clear();
+        for (j, v) in self.a[prow * cols..(prow + 1) * cols]
+            .iter_mut()
+            .enumerate()
+        {
+            if *v != 0.0 {
+                // Clean the pivot column entry to exactly 1 to limit drift.
+                *v = if j == pcol { 1.0 } else { *v * inv };
+                if *v != 0.0 {
+                    self.pattern.push((j, *v));
+                }
+            }
         }
         self.b[prow] *= inv;
-        // Clean the pivot column entry to exactly 1 to limit drift.
-        self.set(prow, pcol, 1.0);
+        self.pivot_at = (prow, pcol);
 
+        let b_pivot = self.b[prow];
         for r in 0..self.rows {
             if r == prow {
                 continue;
             }
-            let factor = self.at(r, pcol);
+            let row = &mut self.a[r * cols..(r + 1) * cols];
+            let factor = row[pcol];
             if factor == 0.0 {
                 continue;
             }
-            for j in 0..cols {
-                let upd = self.a[prow * cols + j] * factor;
-                self.a[r * cols + j] -= upd;
+            for &(j, v) in &self.pattern {
+                row[j] -= v * factor;
             }
-            self.b[r] -= self.b[prow] * factor;
-            self.set(r, pcol, 0.0);
+            row[pcol] = 0.0;
+            self.b[r] -= b_pivot * factor;
             if self.b[r].abs() < TOLERANCE {
                 self.b[r] = self.b[r].max(0.0);
             }
         }
 
-        self.eliminate_cost(prow, pcol, cost);
+        self.eliminate_cost(cost);
         self.basis[prow] = pcol;
     }
 
-    /// Eliminates `pcol` from a cost row against the (already pivoted)
-    /// row `prow`. Factored out of [`pivot`](Self::pivot) so warm starts
-    /// can keep a *second* cost row (the saved solve's objective, which
-    /// guides the dual feasibility-restore phase) in sync with the same
-    /// pivots.
-    pub(crate) fn eliminate_cost(&self, prow: usize, pcol: usize, cost: &mut CostRow) {
-        let cols = self.cols;
-        let factor = cost.reduced[pcol];
-        if factor != 0.0 {
-            for j in 0..cols {
-                cost.reduced[j] -= self.a[prow * cols + j] * factor;
-            }
-            // Entering variable rises to θ = b̄[prow]; objective moves by
-            // its reduced cost times θ.
-            cost.objective += self.b[prow] * factor;
-            cost.reduced[pcol] = 0.0;
-        }
+    /// Eliminates the last pivot's column from a cost row against its
+    /// (already normalized) pivot row. Factored out of
+    /// [`pivot`](Self::pivot) so warm starts can keep a *second* cost row
+    /// (the saved solve's objective, which guides the dual
+    /// feasibility-restore phase) in sync with the same pivots.
+    pub(crate) fn eliminate_cost(&self, cost: &mut CostRow) {
+        let (prow, pcol) = self.pivot_at;
+        cost.eliminate(&self.pattern, self.b[prow], pcol);
     }
 
     /// Extracts the current basic solution as a dense vector over all
@@ -167,6 +178,107 @@ impl CostRow {
             reduced[bc] = 0.0;
         }
         CostRow { reduced, objective }
+    }
+
+    /// Eliminates `pcol` against a normalized pivot row given by its
+    /// nonzero `entries` and right-hand side `b_pivot`.
+    fn eliminate(&mut self, entries: &[(usize, f64)], b_pivot: f64, pcol: usize) {
+        let factor = self.reduced[pcol];
+        if factor != 0.0 {
+            for &(j, v) in entries {
+                self.reduced[j] -= v * factor;
+            }
+            // Entering variable rises to θ = b_pivot; objective moves by
+            // its reduced cost times θ.
+            self.objective += b_pivot * factor;
+            self.reduced[pcol] = 0.0;
+        }
+    }
+}
+
+/// A replayable record of pivots made on one tableau: for each pivot, its
+/// position, the reciprocal of its pivot element, the `(row, factor)`
+/// pairs it eliminated and its normalized row's nonzero entries.
+///
+/// None of that depends on the right-hand side or the costs, so
+/// [`replay`](Self::replay) can repeat on a new `b` and new cost rows
+/// exactly the operations [`Tableau::pivot`] made, without touching the
+/// matrix — which must still hold the state those pivots left behind.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PivotLog {
+    steps: Vec<LoggedPivot>,
+    factors: Vec<(usize, f64)>,
+    entries: Vec<(usize, f64)>,
+}
+
+/// One logged pivot; its factors and entries end at the given offsets
+/// of the log's flat buffers.
+#[derive(Debug, Clone, Copy)]
+struct LoggedPivot {
+    row: usize,
+    col: usize,
+    inv: f64,
+    factors_end: usize,
+    entries_end: usize,
+}
+
+impl PivotLog {
+    pub(crate) fn clear(&mut self) {
+        self.steps.clear();
+        self.factors.clear();
+        self.entries.clear();
+    }
+
+    /// Number of logged pivots.
+    pub(crate) fn len(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// [`Tableau::pivot`] on `(prow, pcol)`, logged.
+    pub(crate) fn pivot(
+        &mut self,
+        tab: &mut Tableau,
+        prow: usize,
+        pcol: usize,
+        cost: &mut CostRow,
+    ) {
+        let inv = 1.0 / tab.at(prow, pcol);
+        for r in 0..tab.rows {
+            let factor = tab.at(r, pcol);
+            if r != prow && factor != 0.0 {
+                self.factors.push((r, factor));
+            }
+        }
+        tab.pivot(prow, pcol, cost);
+        self.entries.extend_from_slice(&tab.pattern);
+        self.steps.push(LoggedPivot {
+            row: prow,
+            col: pcol,
+            inv,
+            factors_end: self.factors.len(),
+            entries_end: self.entries.len(),
+        });
+    }
+
+    /// Repeats the logged pivots on `b` and on `cost`, each followed by
+    /// the [`Tableau::eliminate_cost`] of `extra`, in the order and with
+    /// the near-zero clamp of [`Tableau::pivot`].
+    pub(crate) fn replay(&self, b: &mut [f64], cost: &mut CostRow, extra: &mut CostRow) {
+        let (mut factors_start, mut entries_start) = (0, 0);
+        for step in &self.steps {
+            b[step.row] *= step.inv;
+            let b_pivot = b[step.row];
+            for &(r, factor) in &self.factors[factors_start..step.factors_end] {
+                b[r] -= b_pivot * factor;
+                if b[r].abs() < TOLERANCE {
+                    b[r] = b[r].max(0.0);
+                }
+            }
+            let entries = &self.entries[entries_start..step.entries_end];
+            cost.eliminate(entries, b_pivot, step.col);
+            extra.eliminate(entries, b_pivot, step.col);
+            (factors_start, entries_start) = (step.factors_end, step.entries_end);
+        }
     }
 }
 
@@ -277,7 +389,7 @@ pub(crate) fn run_dual_phase(
         *budget -= 1;
         pivots_done += 1;
         tab.pivot(prow, pcol, guide);
-        tab.eliminate_cost(prow, pcol, extra);
+        tab.eliminate_cost(extra);
     }
 }
 
@@ -327,38 +439,172 @@ fn choose_leaving(tab: &Tableau, pcol: usize) -> Option<usize> {
 /// Drives basic artificial variables out of the basis after phase 1.
 ///
 /// Rows where an artificial remains basic at level ~0 are either pivoted
-/// onto a structural column or marked redundant (returned as `true` in the
-/// mask) when the whole structural part of the row has been eliminated.
-#[allow(clippy::needless_range_loop)] // row/col index loops mirror the tableau layout
+/// onto a structural column or marked redundant (`true` in `redundant`,
+/// which is resized to one flag per row) when the whole structural part
+/// of the row has been eliminated.
 pub(crate) fn expel_artificials(
     tab: &mut Tableau,
     cost: &mut CostRow,
     n_structural: usize,
-) -> Vec<bool> {
-    let mut redundant = vec![false; tab.rows];
-    for r in 0..tab.rows {
+    redundant: &mut Vec<bool>,
+) {
+    redundant.clear();
+    redundant.resize(tab.rows, false);
+    for (r, dropped) in redundant.iter_mut().enumerate() {
         if tab.basis[r] < n_structural {
             continue;
         }
         // Find any structural column with a usable pivot in this row.
-        let mut pivot_col = None;
-        for j in 0..n_structural {
-            if tab.at(r, j).abs() > 1e-7 {
-                pivot_col = Some(j);
-                break;
-            }
-        }
-        match pivot_col {
+        match (0..n_structural).find(|&j| tab.at(r, j).abs() > 1e-7) {
             Some(j) => tab.pivot(r, j, cost),
-            None => redundant[r] = true,
+            None => *dropped = true,
         }
     }
-    redundant
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The full-row Gauss-Jordan pivot `Tableau::pivot` replaced: every
+    /// column of every row with a nonzero factor, and of the cost row.
+    fn pivot_full_row(tab: &mut Tableau, prow: usize, pcol: usize, cost: &mut CostRow) {
+        let cols = tab.cols;
+        let inv = 1.0 / tab.at(prow, pcol);
+        for j in 0..cols {
+            tab.a[prow * cols + j] *= inv;
+        }
+        tab.b[prow] *= inv;
+        tab.set(prow, pcol, 1.0);
+        for r in 0..tab.rows {
+            if r == prow {
+                continue;
+            }
+            let factor = tab.at(r, pcol);
+            if factor == 0.0 {
+                continue;
+            }
+            for j in 0..cols {
+                let upd = tab.a[prow * cols + j] * factor;
+                tab.a[r * cols + j] -= upd;
+            }
+            tab.b[r] -= tab.b[prow] * factor;
+            tab.set(r, pcol, 0.0);
+            if tab.b[r].abs() < TOLERANCE {
+                tab.b[r] = tab.b[r].max(0.0);
+            }
+        }
+        eliminate_cost_full_row(tab, prow, pcol, cost);
+        tab.basis[prow] = pcol;
+    }
+
+    fn eliminate_cost_full_row(tab: &Tableau, prow: usize, pcol: usize, cost: &mut CostRow) {
+        let factor = cost.reduced[pcol];
+        if factor != 0.0 {
+            for j in 0..tab.cols {
+                cost.reduced[j] -= tab.at(prow, j) * factor;
+            }
+            cost.objective += tab.b[prow] * factor;
+            cost.reduced[pcol] = 0.0;
+        }
+    }
+
+    /// Equal bits, except that `+0.0` and `-0.0` count as equal.
+    fn same_bits(x: &[f64], y: &[f64]) -> bool {
+        x.len() == y.len()
+            && x.iter()
+                .zip(y)
+                .all(|(a, b)| a.to_bits() == b.to_bits() || (*a == 0.0 && *b == 0.0))
+    }
+
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// About one entry in `1/density` nonzero; half the nonzeros
+        /// dyadic (so eliminations cancel to exact zeros), half not (so
+        /// they round).
+        fn sparse(&mut self, n: usize, density: usize) -> Vec<f64> {
+            const VALUES: [f64; 8] = [-2.0, -1.0, 0.5, 1.0, 0.3, -1.7, 2.9, 1e-3];
+            (0..n)
+                .map(|_| {
+                    if self.below(density) == 0 {
+                        VALUES[self.below(VALUES.len())]
+                    } else {
+                        0.0
+                    }
+                })
+                .collect()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random sparse tableaux and pivot sequences: the pattern pivot
+        /// (and the `eliminate_cost` of a second cost row after it) gives
+        /// every entry of `a`, `b` and both cost rows the bits of the
+        /// full-row reference; a logged sequence replayed onto the
+        /// starting `b` and cost rows reproduces them too.
+        #[test]
+        fn pattern_pivot_and_replay_match_the_full_row_reference(seed in 0u64..u64::MAX) {
+            let mut rng = SplitMix(seed);
+            let rows = 1 + rng.below(12);
+            let cols = rows + rng.below(24);
+            let density = 1 + rng.below(4);
+            let mut tab = Tableau::new(rows, cols);
+            tab.a = rng.sparse(rows * cols, density);
+            tab.b = rng.sparse(rows, 1);
+            tab.basis = (0..rows).collect();
+            let cost = CostRow { reduced: rng.sparse(cols, density), objective: 0.0 };
+            let extra = CostRow { reduced: rng.sparse(cols, density), objective: 0.0 };
+            let (b0, cost0, extra0) = (tab.b.clone(), cost.clone(), extra.clone());
+
+            let mut reference = (tab.clone(), cost.clone(), extra.clone());
+            let mut log = PivotLog::default();
+            let (mut cost, mut extra) = (cost, extra);
+            for _ in 0..rng.below(3 * rows + 1) {
+                let prow = rng.below(rows);
+                let usable: Vec<usize> =
+                    (0..cols).filter(|&j| tab.at(prow, j).abs() > 1e-7).collect();
+                if usable.is_empty() {
+                    continue;
+                }
+                let pcol = usable[rng.below(usable.len())];
+                log.pivot(&mut tab, prow, pcol, &mut cost);
+                tab.eliminate_cost(&mut extra);
+                let (rt, rc, re) = &mut reference;
+                pivot_full_row(rt, prow, pcol, rc);
+                eliminate_cost_full_row(rt, prow, pcol, re);
+
+                prop_assert!(same_bits(&tab.a, &rt.a));
+                prop_assert!(same_bits(&tab.b, &rt.b));
+                prop_assert_eq!(&tab.basis, &rt.basis);
+                prop_assert!(same_bits(&cost.reduced, &rc.reduced));
+                prop_assert!(same_bits(&extra.reduced, &re.reduced));
+                prop_assert!(same_bits(&[cost.objective, extra.objective], &[rc.objective, re.objective]));
+            }
+
+            let (mut b, mut c, mut e) = (b0, cost0, extra0);
+            log.replay(&mut b, &mut c, &mut e);
+            prop_assert!(same_bits(&b, &tab.b));
+            prop_assert!(same_bits(&c.reduced, &cost.reduced));
+            prop_assert!(same_bits(&e.reduced, &extra.reduced));
+            prop_assert!(same_bits(&[c.objective, e.objective], &[cost.objective, extra.objective]));
+        }
+    }
 
     /// Builds a tableau for `x + y ≤ 4`, `x + 3y ≤ 6` with slack columns 2,3
     /// already basic.
@@ -484,7 +730,8 @@ mod tests {
         )
         .unwrap();
         assert!(cost.objective.abs() < 1e-9);
-        let redundant = expel_artificials(&mut t, &mut cost, 1);
+        let mut redundant = Vec::new();
+        expel_artificials(&mut t, &mut cost, 1, &mut redundant);
         // Exactly one row ends up redundant, the other has col 0 basic.
         assert_eq!(redundant.iter().filter(|&&r| r).count(), 1);
         assert!(t.basis.contains(&0));

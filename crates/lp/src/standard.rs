@@ -8,10 +8,10 @@
 //! All solves run through a caller-supplied [`LpWorkspace`], which owns the
 //! tableau buffers and, when the previous solve had the same standard-form
 //! shape, supplies a warm-start basis that skips phase 1 entirely (see the
-//! `workspace` module docs). A warm start that turns out singular or
-//! primal-infeasible for the new data silently falls back to the cold
-//! two-phase path below, so callers observe identical objectives and
-//! feasibility verdicts either way.
+//! `workspace` module docs). A warm start whose basis is singular for the
+//! new rows, or whose dual feasibility restore cannot run, silently falls
+//! back to the cold two-phase path below, so callers observe identical
+//! objectives and feasibility verdicts either way.
 
 // Dense kernel: the standard-form mapping allocates `phase2_costs`,
 // `placed`, `redundant` and the tableau buffers to the exact
@@ -23,8 +23,8 @@
 
 use crate::model::{Problem, Relation, Sense};
 use crate::simplex::{
-    expel_artificials, run_dual_phase, run_phase, CostRow, DualOutcome, PhaseOutcome, Tableau,
-    DEGENERATE_STREAK_LIMIT,
+    expel_artificials, run_dual_phase, run_phase, CostRow, DualOutcome, PhaseOutcome, PivotLog,
+    Tableau, DEGENERATE_STREAK_LIMIT,
 };
 use crate::solution::Solution;
 use crate::workspace::{LpWorkspace, SavedBasis};
@@ -173,6 +173,7 @@ pub(crate) fn solve(p: &Problem, ws: &mut LpWorkspace) -> Result<Solution, LpErr
     ws.note_cold();
 
     // ---- 5. Cold path: fill the two-phase tableau. ----------------------
+    ws.rebuild.live = false;
     fill_tableau(&mut ws.tab, &rows, m, n_struct, n_total, true);
     let tab = &mut ws.tab;
     let mut budget = p.pivot_budget(m, n_total);
@@ -204,9 +205,8 @@ pub(crate) fn solve(p: &Problem, ws: &mut LpWorkspace) -> Result<Solution, LpErr
         if cost.objective > 1e-7 {
             return Err(LpError::Infeasible);
         }
-        let redundant = expel_artificials(tab, &mut cost, n_nonart);
-        drop_rows_and_artificials(tab, &mut ws.aux, &redundant, n_nonart);
-        std::mem::swap(&mut ws.tab, &mut ws.aux);
+        expel_artificials(tab, &mut cost, n_nonart, &mut ws.allowed);
+        drop_rows_and_artificials(tab, &ws.allowed, n_nonart);
     }
     let tab = &mut ws.tab;
 
@@ -242,15 +242,55 @@ pub(crate) fn solve(p: &Problem, ws: &mut LpWorkspace) -> Result<Solution, LpErr
 enum WarmOutcome {
     Solved(Solution),
     Unbounded,
-    /// Saved basis unusable (singular / primal-infeasible / budget burn):
+    /// Saved basis unusable (singular / dual restore failed / budget burn):
     /// redo the solve on the cold path.
     Fallback,
 }
 
-/// Attempts a phase-1-free solve from `saved`: rebuilds the artificial-free
-/// tableau, pivots it onto the saved basis (rows whose saved basic column
+/// What a warm rebuild did, and what it depended on.
+///
+/// The rebuild pivots a freshly filled tableau onto the saved basis.
+/// Which rows pivot, in what order and with which factors depends only on
+/// the standard-form rows (terms and relation after rhs-sign
+/// normalization), the shape and the saved basis — never on `b` or the
+/// costs. So while the tableau still holds what the last rebuild left
+/// (`live`: that solve took no dual or primal pivot, and no cold solve,
+/// import or clear ran since), a warm solve with the same key replays
+/// the logged pivots onto its right-hand side and cost rows instead of
+/// refilling and re-pivoting the matrix.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RebuildRecord {
+    /// The tableau still holds the state the logged rebuild left.
+    pub(crate) live: bool,
+    /// The rebuild's rows (their `rhs` is not part of the key).
+    rows: Vec<Row>,
+    cols: usize,
+    basis: Vec<usize>,
+    log: PivotLog,
+}
+
+impl RebuildRecord {
+    /// Equal terms fill equal tableau entries: a zero term fills `+0.0`
+    /// whatever its sign, and coefficients are finite.
+    fn matches(&self, rows: &[Row], cols: usize, basis: &[usize]) -> bool {
+        self.live
+            && self.cols == cols
+            && self.basis == basis
+            && self.rows.len() == rows.len()
+            && self
+                .rows
+                .iter()
+                .zip(rows)
+                .all(|(a, b)| a.relation == b.relation && a.terms == b.terms)
+    }
+}
+
+/// Attempts a phase-1-free solve from `saved`: puts the tableau on the
+/// saved basis — by replaying the last rebuild when its
+/// [`RebuildRecord`] matches, else by refilling the artificial-free
+/// tableau and pivoting it onto the basis (rows whose saved basic column
 /// is their own untouched `+1` slack need no pivot at all; the rest use
-/// partial pivoting over the not-yet-assigned rows), then:
+/// partial pivoting over the not-yet-assigned rows) — then:
 ///
 /// * **primal-feasible** basis → phase 2 directly;
 /// * **primal-infeasible** basis (the usual case after a right-hand-side
@@ -270,8 +310,6 @@ fn try_warm(
 ) -> WarmOutcome {
     let m = rows.len();
     let n_nonart = saved.cols;
-    fill_tableau(&mut ws.tab, rows, m, n_struct, n_nonart, false);
-    let tab = &mut ws.tab;
 
     // Raw costs are the correct reduced costs for the empty basis; the
     // rebuild pivots then maintain them incrementally, so after the last
@@ -286,49 +324,72 @@ fn try_warm(
         objective: 0.0,
     };
     let mut budget = p.pivot_budget(m, n_nonart);
-    ws.allowed.clear();
-    ws.allowed.resize(m, false); // reused here as a "row placed" mask
-    let placed = &mut ws.allowed;
+    let replay = ws.rebuild.matches(rows, n_nonart, &saved.basis);
+    // The record stays live only if nothing below pivots.
+    ws.rebuild.live = false;
+    if replay {
+        debug_assert_eq!((ws.tab.rows, ws.tab.cols), (m, n_nonart));
+        for (b, row) in ws.tab.b.iter_mut().zip(rows) {
+            *b = row.rhs;
+        }
+        ws.rebuild.log.replay(&mut ws.tab.b, &mut cost, &mut guide);
+        budget -= ws.rebuild.log.len();
+        ws.note_replayed_rebuild();
+    } else {
+        fill_tableau(&mut ws.tab, rows, m, n_struct, n_nonart, false);
+        let tab = &mut ws.tab;
+        let log = &mut ws.rebuild.log;
+        log.clear();
+        ws.allowed.clear();
+        ws.allowed.resize(m, false); // reused here as a "row placed" mask
+        let placed = &mut ws.allowed;
 
-    // Pass 1 — identity skips: a row whose saved basic column is its own
-    // `+1` slack is already reduced in the fresh tableau, and (because
-    // such a column has its only nonzero entry in that row, and the row
-    // is never used as a pivot row) stays reduced through the remaining
-    // rebuild pivots. On the Le-heavy DPSS frame LPs this skips most of
-    // the rebuild work.
-    for (r, &col) in saved.basis.iter().enumerate() {
-        if col >= n_struct && tab.basis[r] == col {
-            debug_assert_eq!(tab.at(r, col), 1.0);
-            placed[r] = true;
+        // Pass 1 — identity skips: a row whose saved basic column is its
+        // own `+1` slack is already reduced in the fresh tableau, and
+        // (because such a column has its only nonzero entry in that row,
+        // and the row is never used as a pivot row) stays reduced through
+        // the remaining rebuild pivots. On the Le-heavy DPSS frame LPs
+        // this skips most of the rebuild work.
+        for (r, &col) in saved.basis.iter().enumerate() {
+            if col >= n_struct && tab.basis[r] == col {
+                debug_assert_eq!(tab.at(r, col), 1.0);
+                placed[r] = true;
+            }
         }
-    }
-    // Pass 2 — pivot the remaining saved columns onto unplaced rows.
-    for (r_old, &col) in saved.basis.iter().enumerate() {
-        if placed[r_old] && tab.basis[r_old] == col {
-            continue;
-        }
-        let mut best: Option<(usize, f64)> = None;
-        for (r, &done) in placed.iter().enumerate().take(m) {
-            if done {
+        // Pass 2 — pivot the remaining saved columns onto unplaced rows.
+        for (r_old, &col) in saved.basis.iter().enumerate() {
+            if placed[r_old] && tab.basis[r_old] == col {
                 continue;
             }
-            let mag = tab.at(r, col).abs();
-            if best.is_none_or(|(_, b)| mag > b) {
-                best = Some((r, mag));
+            let mut best: Option<(usize, f64)> = None;
+            for (r, &done) in placed.iter().enumerate().take(m) {
+                if done {
+                    continue;
+                }
+                let mag = tab.at(r, col).abs();
+                if best.is_none_or(|(_, b)| mag > b) {
+                    best = Some((r, mag));
+                }
             }
+            let Some((r, mag)) = best else {
+                return WarmOutcome::Fallback;
+            };
+            if mag < 1e-7 || budget == 0 {
+                // Singular for the new coefficients (or pathological budget).
+                return WarmOutcome::Fallback;
+            }
+            budget -= 1;
+            log.pivot(tab, r, col, &mut cost);
+            tab.eliminate_cost(&mut guide);
+            placed[r] = true;
         }
-        let Some((r, mag)) = best else {
-            return WarmOutcome::Fallback;
-        };
-        if mag < 1e-7 || budget == 0 {
-            // Singular for the new coefficients (or pathological budget).
-            return WarmOutcome::Fallback;
-        }
-        budget -= 1;
-        tab.pivot(r, col, &mut cost);
-        tab.eliminate_cost(r, col, &mut guide);
-        placed[r] = true;
+        let record = &mut ws.rebuild;
+        record.rows = rows.to_vec();
+        record.cols = n_nonart;
+        record.basis.clone_from(&saved.basis);
     }
+    let budget_after_rebuild = budget;
+    let tab = &mut ws.tab;
 
     // Feasibility restore: dual simplex when the new right-hand side
     // turned the saved basis primal-infeasible.
@@ -371,6 +432,7 @@ fn try_warm(
         Ok(PhaseOutcome::Unbounded) => return WarmOutcome::Unbounded,
         Err(_) => return WarmOutcome::Fallback,
     }
+    ws.rebuild.live = budget == budget_after_rebuild;
 
     // Rebuild and dual pivots count toward the total: real tableau work.
     let pivots_used = p.pivot_budget(m, n_nonart) - budget;
@@ -468,27 +530,32 @@ fn push_term(terms: &mut Vec<(usize, f64)>, col: usize, coeff: f64) {
     }
 }
 
-/// Rebuilds the tableau without redundant rows and without artificial
-/// columns (which are all non-basic or belong to dropped rows by now).
-fn drop_rows_and_artificials(
-    tab: &Tableau,
-    out: &mut Tableau,
-    redundant: &[bool],
-    n_nonart: usize,
-) {
-    let keep_rows: Vec<usize> = (0..tab.rows).filter(|&r| !redundant[r]).collect();
-    out.reset(keep_rows.len(), n_nonart);
-    for (nr, &r) in keep_rows.iter().enumerate() {
-        for j in 0..n_nonart {
-            out.set(nr, j, tab.at(r, j));
+/// Compacts the tableau in place to its non-redundant rows and its first
+/// `n_nonart` (non-artificial) columns; the artificials are all nonbasic
+/// or belong to dropped rows by now. Kept rows ascend and kept columns
+/// are a prefix, so every write lands at or before its read.
+fn drop_rows_and_artificials(tab: &mut Tableau, redundant: &[bool], n_nonart: usize) {
+    let cols = tab.cols;
+    let mut kept = 0;
+    for (r, &dropped) in redundant.iter().enumerate() {
+        if dropped {
+            continue;
         }
-        out.b[nr] = tab.b[r];
         debug_assert!(
             tab.basis[r] < n_nonart,
             "kept row must not have an artificial basic"
         );
-        out.basis[nr] = tab.basis[r];
+        tab.a
+            .copy_within(r * cols..r * cols + n_nonart, kept * n_nonart);
+        tab.b[kept] = tab.b[r];
+        tab.basis[kept] = tab.basis[r];
+        kept += 1;
     }
+    tab.rows = kept;
+    tab.cols = n_nonart;
+    tab.a.truncate(kept * n_nonart);
+    tab.b.truncate(kept);
+    tab.basis.truncate(kept);
 }
 #[cfg(test)]
 mod tests {

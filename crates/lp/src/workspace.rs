@@ -7,14 +7,32 @@
 //!
 //! * **allocation reuse** — the dense tableau (the dominant allocation:
 //!   `rows × cols` of `f64`, hundreds of kilobytes for a day-long frame)
-//!   and the auxiliary masks are owned by the workspace and recycled;
+//!   and the auxiliary masks are owned by the workspace and recycled. A
+//!   workspace holds one tableau: the cold path compacts the phase-1
+//!   tableau to its phase-2 rows and columns in place;
 //! * **warm starts** — the optimal basis of the previous solve is saved
 //!   and, when the next problem has the same standard-form shape, phase 1
-//!   is skipped entirely: the tableau is re-reduced onto the saved basis
-//!   and phase 2 starts from there. If the saved basis is singular or
-//!   primal-infeasible for the new data, the solver falls back to the
-//!   cold two-phase path — results are always identical in objective and
-//!   feasibility status to a cold solve.
+//!   is skipped entirely: the tableau is put on the saved basis, a dual
+//!   simplex phase restores primal feasibility if the new right-hand
+//!   side broke it, and phase 2 starts from there. Only a saved basis
+//!   that is singular for the new rows, a changed matrix that breaks its
+//!   dual feasibility, or a failed dual phase makes the solver fall back
+//!   to the cold two-phase path — results are always identical in
+//!   objective and feasibility status to a cold solve.
+//!
+//! Each frame's work is done once. Every dense pivot walks only the
+//! nonzero columns of its normalized pivot row. And putting the tableau
+//! on the saved basis — a rebuild of `B⁻¹A` from the standard-form rows —
+//! depends only on those rows and the basis, not on `b` or the costs: the
+//! workspace logs each rebuild's pivots, and while the tableau still
+//! holds what that rebuild left (the solve took no further pivot), a
+//! warm solve with the same rows and basis replays the log onto its new
+//! right-hand side and cost rows instead of rebuilding
+//! ([`replayed_rebuilds`](LpWorkspace::replayed_rebuilds) counts these).
+//! Either way every value keeps its bits. The log is not part of a
+//! [`BasisSnapshot`](crate::BasisSnapshot): the first warm solve after
+//! [`import_basis`](LpWorkspace::import_basis) rebuilds, and reaches the
+//! same bits.
 //!
 //! # Examples
 //!
@@ -41,6 +59,7 @@ use serde::Serialize;
 use crate::network::{NetState, NetworkBasis};
 use crate::simplex::Tableau;
 use crate::solution::Solution;
+use crate::standard::RebuildRecord;
 
 /// Cumulative solver telemetry for one workspace (one solve template).
 ///
@@ -123,10 +142,10 @@ pub(crate) struct SavedBasis {
 /// [`Problem::solve_with`]: crate::Problem::solve_with
 #[derive(Debug, Clone, Default)]
 pub struct LpWorkspace {
-    /// Primary tableau storage, recycled across solves.
+    /// Tableau storage, recycled across solves.
     pub(crate) tab: Tableau,
-    /// Secondary tableau used when redundant rows are compacted away.
-    pub(crate) aux: Tableau,
+    /// The last warm rebuild's pivots, replayable onto `tab`.
+    pub(crate) rebuild: RebuildRecord,
     /// Scratch cost vector (phase-1 and phase-2 objective rows).
     pub(crate) costs: Vec<f64>,
     /// Scratch entering-column mask.
@@ -148,6 +167,7 @@ pub struct LpWorkspace {
     warm_solves: u64,
     cold_solves: u64,
     warm_rejects: u64,
+    replayed_rebuilds: u64,
     last_was_warm: bool,
     kernel_solves: u64,
     kernel_pivots: u64,
@@ -177,11 +197,21 @@ impl LpWorkspace {
     }
 
     /// Number of warm attempts abandoned because the saved basis was
-    /// singular or primal-infeasible for the new data (each such solve is
-    /// also counted in [`cold_solves`](Self::cold_solves)).
+    /// unusable for the new data — singular, or on the dense path beyond
+    /// its dual feasibility restore, or on the network path
+    /// primal-infeasible (each such solve is also counted in
+    /// [`cold_solves`](Self::cold_solves)).
     #[must_use]
     pub fn warm_rejects(&self) -> u64 {
         self.warm_rejects
+    }
+
+    /// Number of warm solves that replayed the previous rebuild of the
+    /// tableau onto the saved basis instead of redoing it (see the module
+    /// docs). Each is also counted in [`warm_solves`](Self::warm_solves).
+    #[must_use]
+    pub fn replayed_rebuilds(&self) -> u64 {
+        self.replayed_rebuilds
     }
 
     /// Whether the most recent solve completed on the warm path.
@@ -234,6 +264,7 @@ impl LpWorkspace {
     pub fn clear_basis(&mut self) {
         self.saved = None;
         self.net_saved.live = false;
+        self.rebuild.live = false;
     }
 
     /// Takes the saved basis if it matches the given phase-2 shape.
@@ -296,6 +327,10 @@ impl LpWorkspace {
         self.last_was_warm = false;
     }
 
+    pub(crate) fn note_replayed_rebuild(&mut self) {
+        self.replayed_rebuilds += 1;
+    }
+
     pub(crate) fn note_warm_reject(&mut self) {
         self.warm_rejects += 1;
     }
@@ -342,6 +377,37 @@ mod tests {
         assert!((sol.objective() - (0.4 + 2.0 * 0.6)).abs() < 1e-9);
         assert_eq!(ws.cold_solves(), 2);
         assert!(!ws.last_was_warm());
+    }
+
+    #[test]
+    fn only_a_solve_without_pivots_past_its_rebuild_keeps_the_record_live() {
+        // min 40g + 90h s.t. g + h ≥ d, g ≤ 5: below d = 5 the basis is
+        // {g, slack of g ≤ 5}; above it h must enter.
+        let lp = |d: f64| {
+            let mut p = Problem::new(Sense::Minimize);
+            let g = p.add_var("g", 0.0, 5.0, 40.0).unwrap();
+            let h = p.add_var("h", 0.0, f64::INFINITY, 90.0).unwrap();
+            p.add_constraint(&[(g, 1.0), (h, 1.0)], Relation::Ge, d)
+                .unwrap();
+            p
+        };
+        let mut ws = LpWorkspace::new();
+        lp(1.0).solve_with(&mut ws).unwrap();
+        assert!(!ws.rebuild.live, "a cold solve logs no rebuild");
+        lp(1.5).solve_with(&mut ws).unwrap();
+        assert!(ws.rebuild.live);
+        let sol = lp(2.0).solve_with(&mut ws).unwrap();
+        assert_eq!(ws.replayed_rebuilds(), 1);
+        assert!((sol.objective() - 80.0).abs() < 1e-9);
+        // Replayed, then the dual phase pivots h in: the tableau no
+        // longer holds what the rebuild left.
+        let sol = lp(7.0).solve_with(&mut ws).unwrap();
+        assert!((sol.objective() - (200.0 + 180.0)).abs() < 1e-9);
+        assert_eq!(ws.replayed_rebuilds(), 2);
+        assert!(!ws.rebuild.live);
+        lp(7.5).solve_with(&mut ws).unwrap();
+        assert_eq!(ws.replayed_rebuilds(), 2);
+        assert_eq!((ws.warm_solves(), ws.cold_solves()), (4, 1));
     }
 
     #[test]

@@ -232,6 +232,177 @@ fn flow_instance(sites: usize) -> impl Strategy<Value = FlowInstance> {
         })
 }
 
+/// How the next instance of a replay chain differs from the last.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ChainStep {
+    /// Nudge the right-hand sides (demands, arrivals, `b0`, `q0`).
+    Rhs,
+    /// Nudge the prices.
+    Costs,
+    /// Make the first slot's demand negative: its balance row's
+    /// right-hand side flips sign, so the standard-form row flips too.
+    FlipSign,
+    /// Redraw every demand: the saved basis goes primal-infeasible and
+    /// the solve pivots past its rebuild.
+    Shock,
+    /// Import the basis of a workspace primed on another instance.
+    ImportOther,
+    /// `clear_basis`: the next solve runs cold.
+    Clear,
+}
+
+const CHAIN: [ChainStep; 22] = {
+    use ChainStep::*;
+    [
+        Rhs,
+        Rhs,
+        Rhs,
+        Costs,
+        Rhs,
+        Costs,
+        FlipSign,
+        Rhs,
+        Rhs,
+        Rhs,
+        Shock,
+        Rhs,
+        Rhs,
+        Rhs,
+        ImportOther,
+        Rhs,
+        Rhs,
+        Rhs,
+        Clear,
+        Rhs,
+        Rhs,
+        Rhs,
+    ]
+};
+
+/// `x · (1 + δ)` with `δ ∈ [−1e-3, 1e-3)` drawn from `state`.
+fn nudge(x: &mut f64, state: &mut u64) {
+    *state = state
+        .wrapping_mul(6_364_136_223_846_793_005)
+        .wrapping_add(1_442_695_040_888_963_407);
+    let unit = (*state >> 11) as f64 / (1u64 << 53) as f64;
+    *x *= 1.0 + 2e-3 * (unit - 0.5);
+}
+
+/// Solves `p` through `ws` and through a clone of `ws` whose rebuild
+/// record was dropped (by re-importing its own basis), and asserts the
+/// two solves agree bit for bit: status, values, objective, pivot count
+/// and the saved basis. Returns whether `ws` replayed its rebuild.
+fn assert_replay_matches_rebuild(p: &Problem, ws: &mut LpWorkspace) -> bool {
+    let mut rebuilt = ws.clone();
+    rebuilt.import_basis(&ws.export_basis()).unwrap();
+    let replays = ws.replayed_rebuilds();
+    let via_record = p.solve_with(ws);
+    let via_rebuild = p.solve_with(&mut rebuilt);
+    assert_eq!(
+        rebuilt.replayed_rebuilds(),
+        replays,
+        "a dropped record replayed"
+    );
+    match (&via_record, &via_rebuild) {
+        (Ok(a), Ok(b)) => {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a.values()), bits(b.values()));
+            assert_eq!(a.objective().to_bits(), b.objective().to_bits());
+            assert_eq!(a.pivots(), b.pivots());
+        }
+        (Err(a), Err(b)) => assert_eq!(std::mem::discriminant(a), std::mem::discriminant(b)),
+        _ => panic!("status mismatch: {via_record:?} vs {via_rebuild:?}"),
+    }
+    assert_eq!(ws.export_basis(), rebuilt.export_basis());
+    assert_eq!(ws.last_was_warm(), rebuilt.last_was_warm());
+    ws.replayed_rebuilds() > replays
+}
+
+/// The sorted basic columns of the dense saved basis.
+fn basic_columns(ws: &LpWorkspace) -> Option<Vec<usize>> {
+    ws.export_basis().dense.map(|d| {
+        let mut cols = d.basis;
+        cols.sort_unstable();
+        cols
+    })
+}
+
+/// A warm solve that replays the previous rebuild must equal, bit for
+/// bit, the same solve through a workspace that rebuilds — along chains
+/// of right-hand-side and cost edits, a sign flip (which must miss), a
+/// shock that pivots past the rebuild (after which the next solve must
+/// miss), an import of another basis and a `clear_basis` (after either
+/// of which the next solve must miss). Whether a chain's rebuilds settle
+/// on a basis order that replays depends on the instance, so the cases
+/// run in one loop and the replay path's coverage is asserted over all
+/// of them.
+#[test]
+fn replayed_rebuilds_match_full_rebuilds_along_a_chain() {
+    const CASES: usize = 48;
+    let mut rng = TestRng::deterministic("replayed_rebuilds_match_full_rebuilds_along_a_chain");
+    let (mut replays, mut pivoting_solves) = (0, 0);
+    for _ in 0..CASES {
+        let mut inst = frame_instance(6).generate(&mut rng);
+        let other = frame_instance(6).generate(&mut rng);
+        let shock = proptest::collection::vec(0.0..1.8f64, 6).generate(&mut rng);
+        let mut state = rng.next_u64();
+        let mut ws = LpWorkspace::new();
+        inst.build()
+            .solve_with(&mut ws)
+            .expect("frame LPs are feasible by construction");
+        let mut other_ws = LpWorkspace::new();
+        other
+            .build()
+            .solve_with(&mut other_ws)
+            .expect("frame LPs are feasible by construction");
+
+        let mut pivoted_past_rebuild = false;
+        for step in CHAIN {
+            match step {
+                ChainStep::Rhs => {
+                    for x in inst.demands.iter_mut().chain(&mut inst.arrivals) {
+                        nudge(x, &mut state);
+                    }
+                    nudge(&mut inst.b0, &mut state);
+                    nudge(&mut inst.q0, &mut state);
+                }
+                ChainStep::Costs => {
+                    for x in &mut inst.prices {
+                        nudge(x, &mut state);
+                    }
+                    nudge(&mut inst.p_lt, &mut state);
+                }
+                ChainStep::FlipSign => inst.demands[0] = -0.25 - inst.demands[0],
+                ChainStep::Shock => inst.demands.clone_from(&shock),
+                ChainStep::ImportOther => ws.import_basis(&other_ws.export_basis()).unwrap(),
+                ChainStep::Clear => ws.clear_basis(),
+            }
+            let columns_before = basic_columns(&ws);
+            let replayed = assert_replay_matches_rebuild(&inst.build(), &mut ws);
+            if matches!(
+                step,
+                ChainStep::FlipSign | ChainStep::ImportOther | ChainStep::Clear
+            ) {
+                assert!(!replayed, "{step:?} must miss the record");
+            }
+            if pivoted_past_rebuild {
+                assert!(!replayed, "a solve after pivots replayed a stale record");
+            }
+            pivoted_past_rebuild = columns_before != basic_columns(&ws);
+            replays += usize::from(replayed);
+            pivoting_solves += usize::from(pivoted_past_rebuild);
+        }
+    }
+    assert!(
+        replays >= CASES,
+        "only {replays} replays over {CASES} chains"
+    );
+    assert!(
+        pivoting_solves >= CASES,
+        "only {pivoting_solves} pivoting solves"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
