@@ -6,10 +6,11 @@
 //! the fleet-scale path — factorized network simplex, eta-file warm
 //! re-solves, threaded stepping — honest: a regression to dense-tableau
 //! cost, quadratic rebuild work, or per-solve allocation churn blows a
-//! budget long before it blows anyone's laptop. The 512-site ring also
-//! pins its exact simplex path (pivots, refactorizations, warm and cold
-//! solves, warm rejects), so a kernel change shows whether it moved the
-//! pivot sequence, not only whether it stayed inside the budget.
+//! budget long before it blows anyone's laptop. The 64-site mesh and the
+//! 512-site ring also pin their exact simplex paths (pivots,
+//! refactorizations, warm and cold solves, warm rejects), so a kernel
+//! change shows whether it moved the pivot sequence, not only whether it
+//! stayed inside the budget.
 //!
 //! The budgets are deliberately loose (a shared CI runner is not a
 //! bench rig): each release run takes a small fraction of its budget on
@@ -65,6 +66,19 @@ fn assert_month_fits(
     dispatcher.solver_stats()
 }
 
+/// A month's simplex path — pivots, refactorizations, warm and cold
+/// solves, warm rejects — pinned exactly: a kernel change that claims to
+/// keep the pivot sequence keeps every one of these.
+fn path(stats: &SolverStats) -> (u64, u64, u64, u64, u64) {
+    (
+        stats.pivots,
+        stats.refactorizations,
+        stats.warm_solves,
+        stats.cold_solves,
+        stats.warm_rejects,
+    )
+}
+
 fn lossy_wheeled(base: Interconnect) -> Interconnect {
     base.with_uniform_loss(0.05)
         .unwrap()
@@ -79,7 +93,11 @@ fn lossy_wheeled(base: Interconnect) -> Interconnect {
 )]
 fn mesh_64_coordinated_month_fits_the_wall_clock_budget() {
     let mesh = lossy_wheeled(Interconnect::uniform(64, Energy::from_mwh(2.0)).unwrap());
-    assert_month_fits(64, mesh, 120.0, "64-site mesh");
+    let stats = assert_month_fits(64, mesh, 120.0, "64-site mesh");
+    // The mesh's simplex path, pinned like the ring's: every row carries
+    // 63 columns, so long reader chains and wide reduced-cost fan-outs
+    // drive this one.
+    assert_eq!(path(&stats), (60_504, 185, 1, 61, 59), "{stats:?}");
 }
 
 #[test]
@@ -104,14 +122,5 @@ fn ring_512_coordinated_month_fits_the_wall_clock_budget() {
     // eta file and refactorization cadence carry this one.
     let ring = lossy_wheeled(Interconnect::ring(512, Energy::from_mwh(2.0)).unwrap());
     let stats = assert_month_fits(512, ring, 300.0, "512-site ring");
-    // The month's simplex path, pinned exactly: a kernel change that
-    // claims to keep the pivot sequence keeps every one of these.
-    let path = (
-        stats.pivots,
-        stats.refactorizations,
-        stats.warm_solves,
-        stats.cold_solves,
-        stats.warm_rejects,
-    );
-    assert_eq!(path, (48_145, 363, 1, 61, 59), "{stats:?}");
+    assert_eq!(path(&stats), (48_145, 363, 1, 61, 59), "{stats:?}");
 }

@@ -1091,6 +1091,20 @@ mod tests {
                 .import_state(&bad),
             Err(SimError::InvalidState { .. })
         ));
+
+        // So is a slack flagged at an upper bound it does not have.
+        let mut bad = back;
+        let net = bad
+            .settlement
+            .network
+            .as_mut()
+            .expect("the settlement solves on the network path");
+        net.at_upper[net.n] = true;
+        assert!(matches!(
+            FleetPlanner::new(Interconnect::uniform(3, Energy::from_mwh(2.0)).unwrap())
+                .import_state(&bad),
+            Err(SimError::InvalidState { .. })
+        ));
     }
 
     #[test]

@@ -112,8 +112,9 @@ impl LpWorkspace {
     /// # Errors
     ///
     /// [`LpError::InvalidBasis`] if a snapshot's lengths disagree with
-    /// its declared shape, an index is out of range, or a float is not
-    /// finite. The workspace is left unchanged on error.
+    /// its declared shape, an index is out of range, a float is not
+    /// finite, or a network slack is flagged at its (nonexistent) upper
+    /// bound. The workspace is left unchanged on error.
     pub fn import_basis(&mut self, snapshot: &BasisSnapshot) -> Result<(), LpError> {
         if let Some(d) = &snapshot.dense {
             validate_dense(d)?;
@@ -184,6 +185,11 @@ fn validate_network(n: &NetworkBasisSnapshot) -> Result<(), LpError> {
     if n.basis.iter().any(|&b| b >= cols) {
         return Err(LpError::InvalidBasis {
             what: "network basis entry out of column range",
+        });
+    }
+    if n.at_upper.iter().skip(n.n).any(|&up| up) {
+        return Err(LpError::InvalidBasis {
+            what: "network slack columns have no upper bound to sit at",
         });
     }
     Ok(())
@@ -323,5 +329,38 @@ mod tests {
             n.basis[0] = n.n + n.m;
         }
         assert!(ws.import_basis(&bad).is_err());
+    }
+
+    #[test]
+    fn a_network_slack_flagged_at_upper_is_rejected() {
+        // max x + y  s.t.  x + y ≤ 4, x ≤ 5, x, y ∈ [0, 5]. Slacks are
+        // unbounded above; installed, a slack "at upper" misleads pricing
+        // into x = y = 5 (objective 10), past the first row.
+        let mut p = Problem::new(Sense::Maximize);
+        let x = p.add_var("x", 0.0, 5.0, 1.0).unwrap();
+        let y = p.add_var("y", 0.0, 5.0, 1.0).unwrap();
+        p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 4.0)
+            .unwrap();
+        p.add_constraint(&[(x, 1.0)], Relation::Le, 5.0).unwrap();
+        let mut ws = LpWorkspace::new();
+        let cold = p.solve_network_with(&mut ws).unwrap();
+        assert!((cold.objective() - 4.0).abs() < 1e-9);
+        let bad = BasisSnapshot {
+            dense: None,
+            network: Some(NetworkBasisSnapshot {
+                n: 2,
+                m: 2,
+                basis: vec![0, 3],
+                at_upper: vec![false, false, true, false],
+            }),
+        };
+        assert!(matches!(
+            ws.import_basis(&bad),
+            Err(LpError::InvalidBasis { .. })
+        ));
+        // The workspace kept its own basis and still solves warm to 4.
+        let warm = p.solve_network_with(&mut ws).unwrap();
+        assert_eq!(warm.objective().to_bits(), cold.objective().to_bits());
+        assert_eq!((ws.cold_solves(), ws.warm_solves()), (1, 1));
     }
 }

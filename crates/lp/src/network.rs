@@ -26,18 +26,29 @@
 //! ascending-sparsity order with largest-pivot row selection, so it is
 //! deterministic.
 //!
-//! # Work that follows the nonzeros
+//! # Work that follows what a pivot changed
 //!
 //! The entering direction `w` is a [`crate::factor::SparseWork`]: it
 //! records its nonzero pattern and stays zero between uses. Scattering a
-//! column, the pattern FTRAN, refactorization's pivot-row choice, the
-//! primal ratio test, the `x_B` update and the eta append all walk that
-//! pattern rather than `0..m`, so each costs `O(nnz)` (FTRAN adds one
-//! zero test per eta). The pattern is ascending, so rows are visited in
-//! the order the full scans used: the same floating-point operations in
-//! the same order, the same lowest-row tie-breaks, the same eta entry
-//! order — and therefore the same pivot sequence, bit for bit. BTRAN
-//! ([`NetState::multipliers`]) is still a dense pass per pivot.
+//! column, the indexed FTRAN (which visits only the etas that act on the
+//! result, found through the file's row index), refactorization's
+//! pivot-row choice, the primal ratio test, the `x_B` update and the eta
+//! append all walk that pattern rather than `0..m`. The pattern is
+//! ascending, so rows are visited in the order the full scans used: the
+//! same floating-point operations in the same order, the same lowest-row
+//! tie-breaks, the same eta entry order — and therefore the same pivot
+//! sequence, bit for bit.
+//!
+//! Pricing works the same way. A bound flip changes neither the basis,
+//! the file nor `c_B`, so the multipliers `y` and the reduced costs `d`
+//! stand. An exchange changes `c_B` at the pivot row only, and the cone
+//! BTRAN ([`crate::factor::Factorization::btran_update`]) re-applies
+//! just the etas whose inputs changed. `d` is cached for every column:
+//! after a cone update only the columns on the rows whose multiplier
+//! bits moved are recomputed (through a row-wise copy of the matrix, in
+//! the same column-order dot product), and a full BTRAN after an install
+//! or a refactorization recomputes all of it. Debug builds check every
+//! incremental update against a from-scratch pass, bit for bit.
 //!
 //! # Allocation-free warm re-solves
 //!
@@ -195,6 +206,11 @@ pub(crate) struct NetState {
     col_off: Vec<u32>,
     col_row: Vec<u32>,
     col_val: Vec<f64>,
+    /// Row-wise copy of the structural pattern: row `i` holds columns
+    /// `row_col[row_off[i]..row_off[i + 1]]` — the reduced costs a change
+    /// of `y[i]` reaches.
+    row_off: Vec<u32>,
+    row_col: Vec<u32>,
     /// Cursor scratch for the CSC fill pass.
     col_cursor: Vec<u32>,
     /// Minimization-sense costs of the structural columns.
@@ -209,8 +225,16 @@ pub(crate) struct NetState {
     xb: Vec<f64>,
     /// The basis inverse in product (eta-file) form.
     factor: Factorization,
-    /// BTRAN scratch: the simplex multipliers.
+    /// Costs of the basic columns, row-aligned with `basis`.
+    cb: Vec<f64>,
+    /// The simplex multipliers `y = c_Bᵀ·B⁻¹`, kept current across
+    /// exchanges by the cone BTRAN.
     y: Vec<f64>,
+    /// Reduced cost of every column under `y` (slacks included), kept
+    /// current for the rows whose multiplier moved.
+    d: Vec<f64>,
+    /// Rows whose multiplier bits the last cone BTRAN changed.
+    changed_rows: Vec<u32>,
     /// FTRAN scratch: the entering direction (or, while refactorizing,
     /// the column being pivoted in) with its nonzero pattern. All zero
     /// between uses; each use clears only the previous pattern.
@@ -263,6 +287,16 @@ impl NetState {
         self.rhs.clear();
         self.rhs.extend(p.constraints.iter().map(|c| c.rhs));
 
+        // CSR pattern: the constraint rows as given.
+        self.row_off.clear();
+        self.row_off.push(0);
+        self.row_col.clear();
+        for c in &p.constraints {
+            self.row_col
+                .extend(c.terms.iter().filter(|t| t.1 != 0.0).map(|t| t.0 as u32));
+            self.row_off.push(self.row_col.len() as u32);
+        }
+
         // CSC fill: count per column, prefix-sum, scatter.
         self.col_off.clear();
         self.col_off.resize(n + 1, 0);
@@ -297,6 +331,9 @@ impl NetState {
         self.xb.clear();
         self.xb.resize(m, 0.0);
         self.w.reset(m);
+        // A cone BTRAN reports each row at most once.
+        self.changed_rows.clear();
+        self.changed_rows.reserve(m);
         self.candidates.clear();
         self.cursor = 0;
         self.solve_pivots = 0;
@@ -471,17 +508,75 @@ impl NetState {
         self.xb.extend_from_slice(&self.rhs_work);
     }
 
-    /// `y = c_Bᵀ B⁻¹`, the simplex multipliers, via BTRAN.
-    fn multipliers(&mut self) {
-        self.y.clear();
-        self.y.resize(self.m, 0.0);
-        for (i, &j) in self.basis.iter().enumerate() {
-            self.y[i] = self.col_cost(j);
+    /// Prices from scratch after the basis or its file was rebuilt:
+    /// `c_B` from the basis, `y = c_Bᵀ B⁻¹` by a full BTRAN (which
+    /// records every eta's output for the cone updates), and every
+    /// reduced cost.
+    fn reprice(&mut self) {
+        let (n, m) = (self.n, self.m);
+        self.cb.clear();
+        for r in 0..m {
+            let c = self.col_cost(self.basis[r]);
+            self.cb.push(c);
         }
-        self.factor.btran(&mut self.y);
+        self.y.clear();
+        self.y.resize(m, 0.0);
+        self.factor.btran(&self.cb, &mut self.y);
+        self.d.clear();
+        for j in 0..n + m {
+            let dj = self.reduced_cost(j);
+            self.d.push(dj);
+        }
     }
 
-    /// Reduced cost of column `j` under the current multipliers.
+    /// Prices after the exchange at row `r` appended one eta: `c_B`
+    /// changes at `r` only, the cone BTRAN re-applies the etas whose
+    /// inputs changed, and the reduced costs of the columns on every row
+    /// whose multiplier moved are recomputed — the same bits
+    /// [`reprice`](Self::reprice) would give.
+    fn reprice_exchange(&mut self, r: usize) {
+        self.cb[r] = self.col_cost(self.basis[r]);
+        self.changed_rows.clear();
+        self.factor
+            .btran_update(&self.cb, &mut self.y, &mut self.changed_rows);
+        for c in 0..self.changed_rows.len() {
+            let q = self.changed_rows[c] as usize;
+            for t in self.row_off[q] as usize..self.row_off[q + 1] as usize {
+                let j = self.row_col[t] as usize;
+                self.d[j] = self.reduced_cost(j);
+            }
+            self.d[self.n + q] = -self.y[q];
+        }
+        #[cfg(debug_assertions)]
+        self.assert_pricing_is_fresh();
+    }
+
+    /// Debug self-check of [`reprice_exchange`](Self::reprice_exchange):
+    /// `c_B`, `y`, the recorded eta outputs and every reduced cost equal
+    /// a from-scratch pass, bit for bit. Allocation-free, so the warm
+    /// re-solve allocation gate holds in debug builds too: the fresh
+    /// pass borrows `compute_xb`'s scratch, which every use rewrites.
+    #[cfg(debug_assertions)]
+    fn assert_pricing_is_fresh(&mut self) {
+        let (n, m) = (self.n, self.m);
+        for r in 0..m {
+            assert_eq!(self.cb[r].to_bits(), self.col_cost(self.basis[r]).to_bits());
+        }
+        self.rhs_work.clear();
+        self.rhs_work.resize(m, 0.0);
+        assert!(
+            self.factor
+                .btran_is_fresh(&self.cb, &self.y, &mut self.rhs_work),
+            "the cone BTRAN drifted from a full pass"
+        );
+        for j in 0..n + m {
+            let fresh = self.reduced_cost(j);
+            assert_eq!(self.d[j].to_bits(), fresh.to_bits(), "stale d[{j}]");
+        }
+    }
+
+    /// Reduced cost of column `j` under the current multipliers, from
+    /// scratch (the cached copy lives in `d`).
     fn reduced_cost(&self, j: usize) -> f64 {
         if j < self.n {
             let (s, e) = (self.col_off[j] as usize, self.col_off[j + 1] as usize);
@@ -498,16 +593,15 @@ impl NetState {
     /// How much the objective improves per unit move of nonbasic column
     /// `j` off its current bound (positive = attractive).
     fn violation(&self, j: usize) -> f64 {
-        let d = self.reduced_cost(j);
         if self.at_upper[j] {
-            d
+            self.d[j]
         } else {
-            -d
+            -self.d[j]
         }
     }
 
     /// `w = B⁻¹ Aⱼ`, the entering column in the basis frame, via the
-    /// pattern FTRAN: `O(nnz)` to clear and scatter, never `O(m)`.
+    /// indexed FTRAN: `O(nnz)` to clear and scatter, never `O(m)`.
     fn direction(&mut self, j: usize) {
         self.w.clear();
         if j < self.n {
@@ -518,7 +612,7 @@ impl NetState {
         } else {
             self.w.add(j - self.n, 1.0);
         }
-        self.factor.ftran_sparse(&mut self.w);
+        self.factor.ftran_indexed(&mut self.w);
     }
 
     /// Bland's rule: the lowest-index attractive column, by a full scan.
@@ -528,7 +622,7 @@ impl NetState {
     }
 
     /// Candidate-list partial pricing: re-price the standing list under
-    /// the fresh multipliers and return its best column; when the list
+    /// the current reduced costs and return its best column; when the list
     /// runs dry, refill it with a cyclic sweep. Returns `None` — the
     /// optimality verdict — only after a full sweep finds nothing
     /// attractive.
@@ -601,8 +695,8 @@ impl NetState {
         let mut pivots = 0usize;
         let mut bland = false;
         let mut degenerate_streak = 0usize;
+        self.reprice();
         loop {
-            self.multipliers();
             let enter = if bland {
                 self.price_bland()
             } else {
@@ -668,8 +762,8 @@ impl NetState {
             match leave {
                 None => {
                     // The entering variable crossed its box without any
-                    // basic variable blocking: a bound flip, no basis
-                    // change and no factorization update.
+                    // basic variable blocking: a bound flip, no basis,
+                    // factorization or `c_B` change, so `y` and `d` stand.
                     self.at_upper[j] = !self.at_upper[j];
                 }
                 Some((r, leaves_at_upper)) => {
@@ -706,6 +800,9 @@ impl NetState {
                             // drifted file.
                             self.install_slack_basis();
                         }
+                        self.reprice();
+                    } else {
+                        self.reprice_exchange(r);
                     }
                 }
             }
@@ -750,13 +847,18 @@ impl NetState {
             + self.col_row.capacity()
             + self.col_cursor.capacity()
             + self.candidates.capacity()
-            + self.order.capacity();
+            + self.order.capacity()
+            + self.row_off.capacity()
+            + self.row_col.capacity()
+            + self.changed_rows.capacity();
         let f64s = self.col_val.capacity()
             + self.cost.capacity()
             + self.upper.capacity()
             + self.rhs.capacity()
             + self.xb.capacity()
+            + self.cb.capacity()
             + self.y.capacity()
+            + self.d.capacity()
             + self.rhs_work.capacity();
         let usizes = self.basis.capacity() + self.new_basis.capacity();
         let bools =
