@@ -66,9 +66,7 @@ fn flow_lp() -> (Problem, Vec<Variable>, Vec<ConstraintId>) {
             if i == j {
                 continue;
             }
-            let f = p
-                .add_var(format!("f{i}_{j}"), 0.0, 2.0, -40.0 - (i * n + j) as f64)
-                .unwrap();
+            let f = p.add_var(0.0, 2.0, -40.0 - (i * n + j) as f64).unwrap();
             flows.push(f);
         }
     }

@@ -183,7 +183,7 @@ impl FleetPlanner {
             .open_links()
             .map(|(i, j)| {
                 let var = problem
-                    .add_var(format!("f{i}_{j}"), 0.0, ic.cap(i, j).mwh(), 0.0)
+                    .add_var(0.0, ic.cap(i, j).mwh(), 0.0)
                     .expect("caps are validated finite");
                 (i, j, var)
             })
@@ -531,7 +531,7 @@ impl ProspectiveNetLp {
             .open_links()
             .map(|(i, j)| {
                 let t = problem
-                    .add_var(format!("t{i}_{j}"), 0.0, ic.cap(i, j).mwh(), 0.0)
+                    .add_var(0.0, ic.cap(i, j).mwh(), 0.0)
                     .expect("caps are validated finite");
                 (i, j, t)
             })
@@ -548,7 +548,7 @@ impl ProspectiveNetLp {
                 .collect();
             if !outgoing.is_empty() {
                 let z = problem
-                    .add_var(format!("z{s}"), 0.0, 0.0, 0.0)
+                    .add_var(0.0, 0.0, 0.0)
                     .expect("placeholder bounds are valid");
                 bought[s] = Some(z);
                 let mut free: Vec<(Variable, f64)> = outgoing.clone();

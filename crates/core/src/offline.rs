@@ -10,7 +10,7 @@ use dpss_sim::{
 use dpss_traces::TraceSet;
 use dpss_units::Energy;
 
-use crate::frame_lp::{self, FrameLpInputs};
+use crate::frame_lp::{FrameData, FrameLp, FramePlan};
 use crate::CoreError;
 
 /// The paper's offline benchmark (§II-D): per coarse frame, solve the
@@ -28,11 +28,12 @@ use crate::CoreError;
 /// Each frame LP is solved **cold** (the workspace basis is cleared
 /// before every frame): `K` independent `P2` solves, exactly as the paper
 /// defines the benchmark. Delay-tolerant demand standing at a frame start
-/// or arriving inside it must be served within `T` slots; a frame where
-/// that deadline is infeasible (a tight interconnect) is re-solved
-/// without it. Real-time purchases stay allowed: Lemma 1 shows the
-/// optimum never needs them when `p_rt > p_lt`, and keeping them keeps
-/// every frame feasible.
+/// must be served within that frame's `T` slots; demand arriving inside
+/// the frame may wait into the next one, so a job may wait about two
+/// frames. A frame where that deadline is infeasible (a backlog beyond
+/// the frame's grid headroom) is planned without it. Real-time purchases
+/// stay allowed: Lemma 1 shows the optimum never needs them when
+/// `p_rt > p_lt`, and keeping them keeps every frame feasible.
 ///
 /// # Examples
 ///
@@ -60,6 +61,8 @@ pub struct OfflineOptimal {
     /// Reused across the per-frame LPs so the tableau allocation is paid
     /// once per run; its basis is cleared before every frame.
     workspace: dpss_lp::LpWorkspace,
+    /// The frame LP template, built on the first frame.
+    lp: Option<FrameLp>,
 }
 
 impl OfflineOptimal {
@@ -77,6 +80,7 @@ impl OfflineOptimal {
             plan_grt: Vec::new(),
             plan_sdt: Vec::new(),
             workspace: dpss_lp::LpWorkspace::new(),
+            lp: None,
         })
     }
 
@@ -87,8 +91,7 @@ impl OfflineOptimal {
         slot_hours: f64,
         b0: f64,
         q0: f64,
-        deadline: Option<usize>,
-    ) -> Result<frame_lp::FramePlan, CoreError> {
+    ) -> Result<FramePlan, CoreError> {
         self.workspace.clear_basis();
         let start = frame * t;
         let to_f64 = |xs: &[Energy]| xs.iter().map(|e| e.mwh()).collect::<Vec<_>>();
@@ -99,11 +102,9 @@ impl OfflineOptimal {
         let d_ds = to_f64(&self.truth.demand_ds[start..start + t]);
         let d_dt = to_f64(&self.truth.demand_dt[start..start + t]);
         let renewable = to_f64(&self.truth.renewable[start..start + t]);
-        frame_lp::solve(
-            &FrameLpInputs {
-                params: &self.params,
-                t,
-                slot_cap: self.params.grid_slot_cap(slot_hours).mwh(),
+        let slot_cap = self.params.grid_slot_cap(slot_hours).mwh();
+        FrameLp::reuse(&mut self.lp, &self.params, t, slot_cap)?.plan(
+            &FrameData {
                 p_lt: self.truth.price_lt[frame].dollars_per_mwh(),
                 p_rt: &p_rt,
                 d_ds: &d_ds,
@@ -111,7 +112,6 @@ impl OfflineOptimal {
                 renewable: &renewable,
                 b0,
                 q0,
-                deadline,
             },
             &mut self.workspace,
         )
@@ -127,13 +127,7 @@ impl Controller for OfflineOptimal {
         let t = obs.slots_in_frame;
         let b0 = view.battery_level.mwh();
         let q0 = view.queue_backlog.mwh();
-        let solved = self
-            .solve_frame(obs.frame, t, obs.slot_hours, b0, q0, Some(t))
-            .or_else(|_| {
-                // Deadline infeasible under a tight interconnect: relax it
-                // and let delays grow rather than fail the run.
-                self.solve_frame(obs.frame, t, obs.slot_hours, b0, q0, None)
-            });
+        let solved = self.solve_frame(obs.frame, t, obs.slot_hours, b0, q0);
         match solved {
             Ok(plan) => {
                 let total = plan.g_slot * t as f64;

@@ -59,7 +59,7 @@ pub(crate) fn solve_closed_form(inp: &P4Inputs) -> f64 {
 #[cfg(test)]
 pub(crate) fn solve_lp(inp: &P4Inputs) -> Result<f64, CoreError> {
     let mut p = Problem::new(Sense::Minimize);
-    let g = p.add_var("g_bef", 0.0, inp.g_max(), inp.weight)?;
+    let g = p.add_var(0.0, inp.g_max(), inp.weight)?;
     // Demand-cover constraint, expressed on the total purchase.
     p.add_constraint(&[(g, 1.0)], Relation::Ge, inp.g_min())?;
     let sol = p.solve()?;

@@ -228,15 +228,15 @@ pub(crate) fn solve_lp(inp: &P5Inputs) -> Result<P5Solution, CoreError> {
     // battery has headroom; with zero headroom all surplus becomes waste.
     {
         let mut p = Problem::new(Sense::Minimize);
-        let g = p.add_var("g", 0.0, g_cap, cg)?;
-        let y = p.add_var("y", 0.0, y_cap, cy)?;
+        let g = p.add_var(0.0, g_cap, cg)?;
+        let y = p.add_var(0.0, y_cap, cy)?;
         if inp.headroom > TOL {
             p.add_constraint(&[(g, 1.0), (y, -1.0)], Relation::Eq, -inp.base)?;
             if let Ok(sol) = p.solve() {
                 consider(Some((sol.objective(), sol.value(g), sol.value(y))));
             }
         } else {
-            let w = p.add_var("w", 0.0, f64::INFINITY, c_w)?;
+            let w = p.add_var(0.0, f64::INFINITY, c_w)?;
             p.add_constraint(&[(g, 1.0), (y, -1.0), (w, -1.0)], Relation::Eq, -inp.base)?;
             if let Ok(sol) = p.solve() {
                 consider(Some((sol.objective(), sol.value(g), sol.value(y))));
@@ -246,9 +246,9 @@ pub(crate) fn solve_lp(inp: &P5Inputs) -> Result<P5Solution, CoreError> {
     // Mode: charging below saturation — brc = net ∈ [0, headroom], w = 0.
     if inp.headroom > TOL {
         let mut p = Problem::new(Sense::Minimize);
-        let g = p.add_var("g", 0.0, g_cap, cg)?;
-        let y = p.add_var("y", 0.0, y_cap, cy)?;
-        let brc = p.add_var("brc", 0.0, inp.headroom, c_brc)?;
+        let g = p.add_var(0.0, g_cap, cg)?;
+        let y = p.add_var(0.0, y_cap, cy)?;
+        let brc = p.add_var(0.0, inp.headroom, c_brc)?;
         p.add_constraint(&[(g, 1.0), (y, -1.0), (brc, -1.0)], Relation::Eq, -inp.base)?;
         if let Ok(sol) = p.solve() {
             let op = if sol.value(brc) > TOL { fixed_chg } else { 0.0 };
@@ -258,9 +258,9 @@ pub(crate) fn solve_lp(inp: &P5Inputs) -> Result<P5Solution, CoreError> {
     // Mode: charging saturated — brc = headroom pinned, w = net − headroom.
     if inp.headroom > TOL {
         let mut p = Problem::new(Sense::Minimize);
-        let g = p.add_var("g", 0.0, g_cap, cg)?;
-        let y = p.add_var("y", 0.0, y_cap, cy)?;
-        let w = p.add_var("w", 0.0, f64::INFINITY, c_w)?;
+        let g = p.add_var(0.0, g_cap, cg)?;
+        let y = p.add_var(0.0, y_cap, cy)?;
+        let w = p.add_var(0.0, f64::INFINITY, c_w)?;
         p.add_constraint(
             &[(g, 1.0), (y, -1.0), (w, -1.0)],
             Relation::Eq,
@@ -274,9 +274,9 @@ pub(crate) fn solve_lp(inp: &P5Inputs) -> Result<P5Solution, CoreError> {
     // Mode: discharge. y − g − base = bdc ∈ (0, available].
     if inp.available > TOL {
         let mut p = Problem::new(Sense::Minimize);
-        let g = p.add_var("g", 0.0, g_cap, cg)?;
-        let y = p.add_var("y", 0.0, y_cap, cy)?;
-        let bdc = p.add_var("bdc", 0.0, inp.available, c_bdc)?;
+        let g = p.add_var(0.0, g_cap, cg)?;
+        let y = p.add_var(0.0, y_cap, cy)?;
+        let bdc = p.add_var(0.0, inp.available, c_bdc)?;
         p.add_constraint(&[(y, 1.0), (g, -1.0), (bdc, -1.0)], Relation::Eq, inp.base)?;
         if let Ok(sol) = p.solve() {
             let op = if sol.value(bdc) > TOL { fixed_dis } else { 0.0 };

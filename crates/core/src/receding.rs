@@ -5,7 +5,7 @@ use dpss_sim::{
 use dpss_units::Energy;
 use serde::{Deserialize, Serialize};
 
-use crate::frame_lp::{self, FrameLpInputs};
+use crate::frame_lp::{FrameData, FrameLp};
 use crate::CoreError;
 
 /// A receding-horizon (model-predictive) controller — the
@@ -60,6 +60,9 @@ pub struct RecedingHorizon {
     /// [`LpWorkspace`](dpss_lp::LpWorkspace)): reuses the tableau buffers
     /// and the previous frame's basis.
     workspace: dpss_lp::LpWorkspace,
+    /// The frame LP template, built on the first frame. Not checkpointed:
+    /// it is a pure function of the parameters and the frame shape.
+    lp: Option<FrameLp>,
     /// Fleet dispatch directive for the coming frame, if a coordinated
     /// [`MultiSiteEngine`](dpss_sim::MultiSiteEngine) run delivered one.
     directive: Option<FrameDirective>,
@@ -72,7 +75,7 @@ const RT_MARKUP: f64 = 1.35;
 impl RecedingHorizon {
     /// Creates the controller. It prices real-time energy at 1.35× the
     /// observed long-term price (the trace model's mean markup) and asks
-    /// the frame LP to serve delay-tolerant demand within the frame.
+    /// the frame LP to serve the standing backlog within the frame.
     ///
     /// # Errors
     ///
@@ -84,37 +87,8 @@ impl RecedingHorizon {
             plan_grt: Vec::new(),
             plan_sdt: Vec::new(),
             workspace: dpss_lp::LpWorkspace::new(),
+            lp: None,
             directive: None,
-        })
-    }
-
-    /// The frame LP over this frame's flat forecasts, with service
-    /// deadline `deadline`.
-    fn frame_lp(
-        &self,
-        obs: &FrameObservation,
-        view: &SystemView,
-        deadline: Option<usize>,
-    ) -> Result<frame_lp::FrameLp, CoreError> {
-        let t = obs.slots_in_frame;
-        // Flat forecast: the frame observation extended across the frame.
-        let d_ds = vec![obs.demand_ds.mwh().max(0.0); t];
-        let d_dt = vec![obs.demand_dt.mwh().max(0.0); t];
-        let renewable = vec![obs.renewable.mwh().max(0.0); t];
-        let p_lt = obs.price_lt.dollars_per_mwh();
-        let p_rt = vec![p_lt * RT_MARKUP; t];
-        frame_lp::build(&FrameLpInputs {
-            params: &self.params,
-            t,
-            slot_cap: self.params.grid_slot_cap(obs.slot_hours).mwh(),
-            p_lt,
-            p_rt: &p_rt,
-            d_ds: &d_ds,
-            d_dt: &d_dt,
-            renewable: &renewable,
-            b0: view.battery_level.mwh(),
-            q0: view.queue_backlog.mwh(),
-            deadline,
         })
     }
 }
@@ -186,17 +160,24 @@ impl Controller for RecedingHorizon {
 
     fn plan_frame(&mut self, obs: &FrameObservation, view: &SystemView) -> FrameDecision {
         let t = obs.slots_in_frame;
-        let solved = match self
-            .frame_lp(obs, view, Some(t))
-            .and_then(|lp| lp.solve(&mut self.workspace))
-        {
-            Ok(plan) => Ok(plan),
-            // Deadline infeasible under a tight interconnect: relax it
-            // and let delays grow rather than fail the frame.
-            Err(_) => self
-                .frame_lp(obs, view, None)
-                .and_then(|lp| lp.solve(&mut self.workspace)),
+        // Flat forecast: the frame observation extended across the frame.
+        let d_ds = vec![obs.demand_ds.mwh().max(0.0); t];
+        let d_dt = vec![obs.demand_dt.mwh().max(0.0); t];
+        let renewable = vec![obs.renewable.mwh().max(0.0); t];
+        let p_lt = obs.price_lt.dollars_per_mwh();
+        let p_rt = vec![p_lt * RT_MARKUP; t];
+        let frame = FrameData {
+            p_lt,
+            p_rt: &p_rt,
+            d_ds: &d_ds,
+            d_dt: &d_dt,
+            renewable: &renewable,
+            b0: view.battery_level.mwh(),
+            q0: view.queue_backlog.mwh(),
         };
+        let slot_cap = self.params.grid_slot_cap(obs.slot_hours).mwh();
+        let solved = FrameLp::reuse(&mut self.lp, &self.params, t, slot_cap)
+            .and_then(|lp| lp.plan(&frame, &mut self.workspace));
         // Buy-to-export: a coordinated fleet directive tops the hedge off
         // with energy destined for a neighbour (re-checked against the
         // actual quoted p_lt by `economic_top_off`; the engine clamps
@@ -248,8 +229,8 @@ impl Controller for RecedingHorizon {
 mod tests {
     use super::*;
     use dpss_sim::{Engine, ForecastPolicy};
-    use dpss_traces::Scenario;
-    use dpss_units::SlotClock;
+    use dpss_traces::{Scenario, TraceSet};
+    use dpss_units::{Price, SlotClock};
 
     fn world(seed: u64) -> (Engine, SimParams) {
         let clock = SlotClock::new(6, 24, 1.0).unwrap();
@@ -307,12 +288,9 @@ mod tests {
             let before = self.inner.workspace.clone();
             let decision = self.inner.plan_frame(obs, view);
             if self.inner.workspace.last_was_warm() {
-                let lp = self
-                    .inner
-                    .frame_lp(obs, view, Some(obs.slots_in_frame))
-                    .unwrap();
-                let warm = lp.problem.solve_with(&mut before.clone()).unwrap();
-                let cold = lp.problem.solve().unwrap();
+                let lp = &self.inner.lp.as_ref().unwrap().problem;
+                let warm = lp.solve_with(&mut before.clone()).unwrap();
+                let cold = lp.solve().unwrap();
                 let tol = 1e-9 * (1.0 + cold.objective().abs());
                 assert!(
                     (warm.objective() - cold.objective()).abs() <= tol,
@@ -333,10 +311,10 @@ mod tests {
 
     #[test]
     fn warm_chain_on_the_paper_month_matches_cold_objectives() {
-        // A frame whose LP keeps the previous frame's shape starts from
-        // its basis; the counts pin that path at the canonical seed, and
-        // each warm frame's objective must equal a cold solve of the same
-        // LP.
+        // Every frame edits one fixed-shape template, so only the first
+        // solve is cold; the counts pin that path at the canonical seed,
+        // and each warm frame's objective must equal a cold solve of the
+        // same LP.
         let truth = dpss_traces::paper_month_traces(42).unwrap();
         let params = SimParams::icdcs13();
         let engine = Engine::new(params, truth).unwrap();
@@ -348,9 +326,9 @@ mod tests {
         assert_eq!(r.availability_violations, 0);
         let ws = &audit.inner.workspace;
         let counts = (ws.warm_solves(), ws.cold_solves(), ws.warm_rejects());
-        assert_eq!(counts, (29, 2, 0), "warm/cold/reject frame solves");
-        // 23 of the warm frames replay the previous frame's rebuild.
-        assert_eq!(ws.replayed_rebuilds(), 23, "replayed rebuilds");
+        assert_eq!(counts, (30, 1, 0), "warm/cold/reject frame solves");
+        // 22 of the warm frames replay the previous frame's rebuild.
+        assert_eq!(ws.replayed_rebuilds(), 22, "replayed rebuilds");
         assert_eq!(audit.warm_frames as u64, ws.warm_solves());
     }
 
@@ -376,6 +354,95 @@ mod tests {
         let mut restored = fresh();
         restored.load_state(&ctl_state).unwrap();
         let mut resumed = engine.resume(engine_state).unwrap();
+        while !resumed.is_done() {
+            resumed.step_frame(&mut restored).unwrap();
+        }
+        assert_eq!(resumed.finish().unwrap(), full);
+    }
+
+    /// Four one-day frames; a burst of delay-tolerant work at the end of
+    /// frame 0 leaves more backlog than frame 1's grid can serve, and
+    /// frame 2's renewables make room for it again.
+    fn backlog_burst() -> Engine {
+        let clock = SlotClock::new(4, 24, 1.0).unwrap();
+        let n = clock.total_slots();
+        let mut demand_dt = vec![Energy::from_mwh(0.1); n];
+        demand_dt[23] = Energy::from_mwh(60.0);
+        let renewable = (0..n)
+            .map(|i| Energy::from_mwh(if i / 24 == 2 { 3.0 } else { 0.0 }))
+            .collect();
+        let truth = TraceSet::new(
+            clock,
+            vec![Energy::from_mwh(0.5); n],
+            demand_dt,
+            renewable,
+            vec![Price::from_dollars_per_mwh(40.0); 4],
+            vec![Price::from_dollars_per_mwh(55.0); n],
+        )
+        .unwrap();
+        Engine::new(SimParams::icdcs13(), truth)
+            .unwrap()
+            .with_forecast(ForecastPolicy::Oracle)
+            .unwrap()
+    }
+
+    /// Records, per frame, the standing backlog, the planned service and
+    /// the long-term purchase.
+    struct FrameLog {
+        inner: RecedingHorizon,
+        frames: Vec<(f64, f64, f64)>,
+    }
+
+    impl Controller for FrameLog {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn plan_frame(&mut self, obs: &FrameObservation, view: &SystemView) -> FrameDecision {
+            let decision = self.inner.plan_frame(obs, view);
+            self.frames.push((
+                view.queue_backlog.mwh(),
+                self.inner.plan_sdt.iter().sum(),
+                decision.purchase_lt.mwh(),
+            ));
+            decision
+        }
+
+        fn plan_slot(&mut self, obs: &SlotObservation, view: &SystemView) -> SlotDecision {
+            self.inner.plan_slot(obs, view)
+        }
+    }
+
+    #[test]
+    fn a_backlog_beyond_the_grid_is_planned_relaxed_then_the_deadline_returns() {
+        let engine = backlog_burst();
+        let params = SimParams::icdcs13();
+        let mut log = FrameLog {
+            inner: RecedingHorizon::new(params).unwrap(),
+            frames: Vec::new(),
+        };
+        let full = engine.run(&mut log).unwrap();
+        let (q1, served1, bought1) = log.frames[1];
+        // Frame 1 cannot serve its backlog within 24 slots of a 2 MW
+        // grid: it is planned without the deadline, not as the zero plan.
+        assert!(q1 > 48.0, "frame 1 backlog {q1}");
+        assert!(served1 < q1, "relaxed frame served {served1} of {q1}");
+        assert!(bought1 > 0.0, "a relaxed frame still hedges");
+        // Frame 2's renewables make the deadline feasible again.
+        let (q2, served2, _) = log.frames[2];
+        assert!(served2 >= q2 - 1e-6, "frame 2 served {served2} of {q2}");
+
+        // A checkpoint taken just after the relaxed frame resumes to the
+        // same bytes.
+        let engine = std::sync::Arc::new(engine);
+        let mut ctl = RecedingHorizon::new(params).unwrap();
+        let mut run = engine.begin().unwrap();
+        for _ in 0..2 {
+            run.step_frame(&mut ctl).unwrap();
+        }
+        let mut restored = RecedingHorizon::new(params).unwrap();
+        restored.load_state(&ctl.save_state()).unwrap();
+        let mut resumed = engine.resume(run.state()).unwrap();
         while !resumed.is_done() {
             resumed.step_frame(&mut restored).unwrap();
         }

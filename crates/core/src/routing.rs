@@ -109,7 +109,7 @@ impl RoutingPlanner {
         let mut vars: Vec<(usize, usize, Variable)> = (0..n)
             .map(|i| {
                 let var = problem
-                    .add_var(format!("a{i}_{i}"), 0.0, 0.0, 0.0)
+                    .add_var(0.0, 0.0, 0.0)
                     .expect("template variables are well-formed");
                 (i, i, var)
             })
@@ -117,7 +117,7 @@ impl RoutingPlanner {
         let cap = RoutingConfig::MIGRATION_CAP.mwh();
         for (i, j) in ic.open_links() {
             let var = problem
-                .add_var(format!("a{i}_{j}"), 0.0, cap, 0.0)
+                .add_var(0.0, cap, 0.0)
                 .expect("the migration cap is finite");
             vars.push((i, j, var));
         }
@@ -172,8 +172,7 @@ impl RoutingPlanner {
 
     /// Plans this frame's absorption/migration flows over the residual
     /// curtailment. Pure given the planner's warm-start history.
-    fn plan_load(&mut self, frame: usize, residual: &[Energy], load: &LoadFrame) -> LoadPlan {
-        let _ = frame;
+    fn plan_load(&mut self, residual: &[Energy], load: &LoadFrame) -> LoadPlan {
         let work: f64 = load.available.iter().map(|e| e.mwh()).sum();
         let slack: f64 = residual.iter().map(|e| e.mwh()).sum();
         if work <= NEGLIGIBLE_MWH || slack <= NEGLIGIBLE_MWH {
@@ -267,7 +266,7 @@ impl RoutedDispatcher for RoutingPlanner {
             .zip(&sent)
             .map(|(c, s)| (*c - *s).positive_part())
             .collect();
-        let plan = self.plan_load(ex.frame, &residual, load);
+        let plan = self.plan_load(&residual, load);
         (settlement, plan)
     }
 }
@@ -310,7 +309,6 @@ mod tests {
         let mut p = planner(Interconnect::decoupled(2).unwrap());
         // Site 0: 3 MWh queued, 1 MWh residual. Site 1: 0.5 queued, 9 residual.
         let plan = p.plan_load(
-            0,
             &[Energy::from_mwh(1.0), Energy::from_mwh(9.0)],
             &load(0, &[3.0, 0.5], &[40.0, 40.0]),
         );
@@ -333,7 +331,6 @@ mod tests {
         // and nothing queued. The plan migrates up to the link cap.
         let mut p = planner(Interconnect::uniform(2, Energy::from_mwh(5.0)).unwrap());
         let plan = p.plan_load(
-            0,
             &[Energy::ZERO, Energy::from_mwh(4.0)],
             &load(0, &[3.0, 0.0], &[80.0, 20.0]),
         );
@@ -353,7 +350,6 @@ mod tests {
         // tie-break keeps it home instead of burning migration cap.
         let mut p = planner(Interconnect::uniform(2, Energy::from_mwh(5.0)).unwrap());
         let plan = p.plan_load(
-            0,
             &[Energy::from_mwh(5.0), Energy::from_mwh(5.0)],
             &load(0, &[2.0, 0.0], &[50.0, 50.0]),
         );
@@ -372,7 +368,6 @@ mod tests {
         // No queued work.
         assert!(p
             .plan_load(
-                0,
                 &[Energy::from_mwh(3.0); 2],
                 &load(0, &[0.0, 0.0], &[50.0; 2])
             )
@@ -380,7 +375,7 @@ mod tests {
             .is_empty());
         // No residual curtailment.
         assert!(p
-            .plan_load(1, &[Energy::ZERO; 2], &load(1, &[3.0, 0.0], &[50.0; 2]))
+            .plan_load(&[Energy::ZERO; 2], &load(1, &[3.0, 0.0], &[50.0; 2]))
             .absorb
             .is_empty());
     }

@@ -20,7 +20,7 @@
 //! # fn main() -> Result<(), dpss_lp::LpError> {
 //! let mut ws = LpWorkspace::new();
 //! let mut p = Problem::new(Sense::Minimize);
-//! let g = p.add_var("g", 0.0, 2.0, 40.0)?;
+//! let g = p.add_var(0.0, 2.0, 40.0)?;
 //! p.add_constraint(&[(g, 1.0)], Relation::Ge, 1.0)?;
 //! p.solve_with(&mut ws)?;
 //!
@@ -202,8 +202,8 @@ mod tests {
 
     fn cover_lp(demand: f64, price: f64) -> Problem {
         let mut p = Problem::new(Sense::Minimize);
-        let g = p.add_var("g", 0.0, 5.0, price).unwrap();
-        let w = p.add_var("w", 0.0, f64::INFINITY, 1.0).unwrap();
+        let g = p.add_var(0.0, 5.0, price).unwrap();
+        let w = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
         p.add_constraint(&[(g, 1.0), (w, -1.0)], Relation::Ge, demand)
             .unwrap();
         p
@@ -211,8 +211,8 @@ mod tests {
 
     fn packing_lp(cap: f64) -> Problem {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 0.0, 3.0, -2.0).unwrap();
-        let y = p.add_var("y", 0.0, 3.0, -1.0).unwrap();
+        let x = p.add_var(0.0, 3.0, -2.0).unwrap();
+        let y = p.add_var(0.0, 3.0, -1.0).unwrap();
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, cap)
             .unwrap();
         p
@@ -337,8 +337,8 @@ mod tests {
         // unbounded above; installed, a slack "at upper" misleads pricing
         // into x = y = 5 (objective 10), past the first row.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, 5.0, 1.0).unwrap();
-        let y = p.add_var("y", 0.0, 5.0, 1.0).unwrap();
+        let x = p.add_var(0.0, 5.0, 1.0).unwrap();
+        let y = p.add_var(0.0, 5.0, 1.0).unwrap();
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 4.0)
             .unwrap();
         p.add_constraint(&[(x, 1.0)], Relation::Le, 5.0).unwrap();

@@ -34,8 +34,8 @@
 //!
 //! # fn main() -> Result<(), dpss_lp::LpError> {
 //! let mut p = Problem::new(Sense::Maximize);
-//! let x = p.add_var("x", 0.0, f64::INFINITY, 3.0)?;
-//! let y = p.add_var("y", 0.0, f64::INFINITY, 2.0)?;
+//! let x = p.add_var(0.0, f64::INFINITY, 3.0)?;
+//! let y = p.add_var(0.0, f64::INFINITY, 2.0)?;
 //! p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 4.0)?;
 //! p.add_constraint(&[(x, 1.0), (y, 3.0)], Relation::Le, 6.0)?;
 //! let sol = p.solve()?;
@@ -77,8 +77,8 @@ mod tests {
     fn crate_level_smoke_minimize() {
         // min x + y  s.t.  x + y >= 2, x,y >= 0 → objective 2.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0).unwrap();
-        let y = p.add_var("y", 0.0, f64::INFINITY, 1.0).unwrap();
+        let x = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
+        let y = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 2.0)
             .unwrap();
         let sol = p.solve().unwrap();

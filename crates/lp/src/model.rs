@@ -52,7 +52,6 @@ impl ConstraintId {
 
 #[derive(Debug, Clone)]
 pub(crate) struct VarData {
-    pub(crate) name: String,
     pub(crate) lo: f64,
     pub(crate) up: f64,
     pub(crate) obj: f64,
@@ -84,7 +83,7 @@ pub(crate) struct ConstraintData {
 /// # fn main() -> Result<(), dpss_lp::LpError> {
 /// let (w, need, cap) = (-3.0, 1.2, 2.0);
 /// let mut p = Problem::new(Sense::Minimize);
-/// let g = p.add_var("g_bef", 0.0, cap, w)?;
+/// let g = p.add_var(0.0, cap, w)?;
 /// p.add_constraint(&[(g, 1.0)], Relation::Ge, need)?;
 /// let sol = p.solve()?;
 /// // Negative weight → buy as much as the cap allows.
@@ -132,13 +131,7 @@ impl Problem {
     ///
     /// * [`LpError::NotFinite`] if `obj` is not finite or a bound is NaN;
     /// * [`LpError::EmptyBounds`] if `lo > up`.
-    pub fn add_var(
-        &mut self,
-        name: impl Into<String>,
-        lo: f64,
-        up: f64,
-        obj: f64,
-    ) -> Result<Variable, LpError> {
+    pub fn add_var(&mut self, lo: f64, up: f64, obj: f64) -> Result<Variable, LpError> {
         if !obj.is_finite() {
             return Err(LpError::NotFinite {
                 what: "objective coefficient",
@@ -153,12 +146,7 @@ impl Problem {
             });
         }
         let idx = self.vars.len();
-        self.vars.push(VarData {
-            name: name.into(),
-            lo,
-            up,
-            obj,
-        });
+        self.vars.push(VarData { lo, up, obj });
         Ok(Variable(idx))
     }
 
@@ -284,14 +272,6 @@ impl Problem {
     #[must_use]
     pub fn num_constraints(&self) -> usize {
         self.constraints.len()
-    }
-
-    /// Name of a variable (for diagnostics).
-    ///
-    /// Returns `None` for foreign handles.
-    #[must_use]
-    pub fn var_name(&self, var: Variable) -> Option<&str> {
-        self.vars.get(var.0).map(|v| v.name.as_str())
     }
 
     /// Optimization sense of this problem.
@@ -422,25 +402,25 @@ mod tests {
     fn add_var_validates_input() {
         let mut p = Problem::minimize();
         assert!(matches!(
-            p.add_var("x", 0.0, 1.0, f64::NAN),
+            p.add_var(0.0, 1.0, f64::NAN),
             Err(LpError::NotFinite { .. })
         ));
         assert!(matches!(
-            p.add_var("x", f64::NAN, 1.0, 0.0),
+            p.add_var(f64::NAN, 1.0, 0.0),
             Err(LpError::NotFinite { .. })
         ));
         assert!(matches!(
-            p.add_var("x", 2.0, 1.0, 0.0),
+            p.add_var(2.0, 1.0, 0.0),
             Err(LpError::EmptyBounds { var: 0 })
         ));
-        assert!(p.add_var("x", 0.0, f64::INFINITY, 1.0).is_ok());
+        assert!(p.add_var(0.0, f64::INFINITY, 1.0).is_ok());
         assert_eq!(p.num_vars(), 1);
     }
 
     #[test]
     fn add_constraint_validates_input() {
         let mut p = Problem::minimize();
-        let x = p.add_var("x", 0.0, 1.0, 1.0).unwrap();
+        let x = p.add_var(0.0, 1.0, 1.0).unwrap();
         assert!(matches!(
             p.add_constraint(&[(Variable(7), 1.0)], Relation::Le, 1.0),
             Err(LpError::UnknownVariable { var: 7 })
@@ -461,7 +441,7 @@ mod tests {
     #[test]
     fn duplicate_terms_are_summed() {
         let mut p = Problem::minimize();
-        let x = p.add_var("x", 0.0, 10.0, 1.0).unwrap();
+        let x = p.add_var(0.0, 10.0, 1.0).unwrap();
         p.add_constraint(&[(x, 1.0), (x, 2.0)], Relation::Ge, 6.0)
             .unwrap();
         // 3x >= 6 → x >= 2.
@@ -472,7 +452,7 @@ mod tests {
     #[test]
     fn set_objective_replaces_coefficient() {
         let mut p = Problem::minimize();
-        let x = p.add_var("x", 1.0, 2.0, 1.0).unwrap();
+        let x = p.add_var(1.0, 2.0, 1.0).unwrap();
         p.set_objective(x, -1.0).unwrap();
         let sol = p.solve().unwrap();
         // Minimizing −x drives x to its upper bound.
@@ -484,7 +464,7 @@ mod tests {
     #[test]
     fn set_bounds_replaces_and_validates() {
         let mut p = Problem::minimize();
-        let x = p.add_var("x", 0.0, 5.0, 1.0).unwrap();
+        let x = p.add_var(0.0, 5.0, 1.0).unwrap();
         p.set_bounds(x, 2.0, 3.0).unwrap();
         let sol = p.solve().unwrap();
         // Minimizing x within the tightened box lands on the new floor.
@@ -506,7 +486,7 @@ mod tests {
     #[test]
     fn set_rhs_replaces_and_validates() {
         let mut p = Problem::minimize();
-        let x = p.add_var("x", 0.0, 10.0, 1.0).unwrap();
+        let x = p.add_var(0.0, 10.0, 1.0).unwrap();
         let c = p.add_constraint(&[(x, 1.0)], Relation::Ge, 1.0).unwrap();
         p.set_rhs(c, 4.0).unwrap();
         let sol = p.solve().unwrap();
@@ -524,9 +504,7 @@ mod tests {
     #[test]
     fn introspection_helpers() {
         let mut p = Problem::maximize();
-        let x = p.add_var("mwh", 0.0, 1.0, 2.0).unwrap();
-        assert_eq!(p.var_name(x), Some("mwh"));
-        assert_eq!(p.var_name(Variable(4)), None);
+        p.add_var(0.0, 1.0, 2.0).unwrap();
         assert_eq!(p.sense(), Sense::Maximize);
         assert_eq!(p.objective_at(&[3.0]), 6.0);
         assert!(p.is_feasible(&[0.5], 1e-9));
@@ -536,9 +514,7 @@ mod tests {
     #[test]
     fn feasibility_checks_all_relations() {
         let mut p = Problem::minimize();
-        let x = p
-            .add_var("x", f64::NEG_INFINITY, f64::INFINITY, 0.0)
-            .unwrap();
+        let x = p.add_var(f64::NEG_INFINITY, f64::INFINITY, 0.0).unwrap();
         p.add_constraint(&[(x, 1.0)], Relation::Le, 2.0).unwrap();
         p.add_constraint(&[(x, 1.0)], Relation::Ge, -2.0).unwrap();
         p.add_constraint(&[(x, 2.0)], Relation::Eq, 2.0).unwrap();

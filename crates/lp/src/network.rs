@@ -938,7 +938,7 @@ mod tests {
     #[test]
     fn detects_packing_form() {
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 0.0, 2.0, 3.0).unwrap();
+        let x = p.add_var(0.0, 2.0, 3.0).unwrap();
         p.add_constraint(&[(x, 1.0)], Relation::Le, 1.5).unwrap();
         assert!(p.is_network_form());
         // A Ge row breaks the form.
@@ -951,10 +951,10 @@ mod tests {
         assert!(!r.is_network_form());
         // An unbounded or shifted variable breaks the form.
         let mut s = p.clone();
-        s.add_var("free", 0.0, f64::INFINITY, 1.0).unwrap();
+        s.add_var(0.0, f64::INFINITY, 1.0).unwrap();
         assert!(!s.is_network_form());
         let mut t = p.clone();
-        t.add_var("lo", 1.0, 2.0, 1.0).unwrap();
+        t.add_var(1.0, 2.0, 1.0).unwrap();
         assert!(!t.is_network_form());
     }
 
@@ -963,8 +963,8 @@ mod tests {
         // max 3x + 2y  s.t.  x + y ≤ 4, x + 3y ≤ 6, x ≤ 3, y ≤ 5.
         // Optimum at x = 3, y = 1: objective 11.
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 0.0, 3.0, 3.0).unwrap();
-        let y = p.add_var("y", 0.0, 5.0, 2.0).unwrap();
+        let x = p.add_var(0.0, 3.0, 3.0).unwrap();
+        let y = p.add_var(0.0, 5.0, 2.0).unwrap();
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 4.0)
             .unwrap();
         p.add_constraint(&[(x, 1.0), (y, 3.0)], Relation::Le, 6.0)
@@ -984,8 +984,8 @@ mod tests {
         // No rows at all: profitable variables flip straight to their
         // upper bound, costly ones stay at zero.
         let mut p = Problem::minimize();
-        let x = p.add_var("x", 0.0, 2.0, -1.5).unwrap();
-        let y = p.add_var("y", 0.0, 3.0, 2.0).unwrap();
+        let x = p.add_var(0.0, 2.0, -1.5).unwrap();
+        let y = p.add_var(0.0, 3.0, 2.0).unwrap();
         let sol = p.solve_network_with(&mut LpWorkspace::new()).unwrap();
         assert_close(sol.value(x), 2.0);
         assert_close(sol.value(y), 0.0);
@@ -995,8 +995,8 @@ mod tests {
     #[test]
     fn warm_resolve_reuses_the_basis() {
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 0.0, 3.0, 3.0).unwrap();
-        let y = p.add_var("y", 0.0, 5.0, 2.0).unwrap();
+        let x = p.add_var(0.0, 3.0, 3.0).unwrap();
+        let y = p.add_var(0.0, 5.0, 2.0).unwrap();
         let cap = p
             .add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 4.0)
             .unwrap();
@@ -1028,7 +1028,7 @@ mod tests {
     fn falls_back_to_dense_outside_packing_form() {
         // A Ge row forces the dense path; the answer still comes back.
         let mut p = Problem::minimize();
-        let x = p.add_var("x", 0.0, 10.0, 2.0).unwrap();
+        let x = p.add_var(0.0, 10.0, 2.0).unwrap();
         p.add_constraint(&[(x, 1.0)], Relation::Ge, 4.0).unwrap();
         let mut ws = LpWorkspace::new();
         let sol = p.solve_network_with(&mut ws).unwrap();
@@ -1041,9 +1041,9 @@ mod tests {
         // Several zero-rhs rows force degenerate pivots; the Bland
         // fallback guarantees termination.
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 0.0, 1.0, 1.0).unwrap();
-        let y = p.add_var("y", 0.0, 1.0, 1.0).unwrap();
-        let z = p.add_var("z", 0.0, 1.0, 1.0).unwrap();
+        let x = p.add_var(0.0, 1.0, 1.0).unwrap();
+        let y = p.add_var(0.0, 1.0, 1.0).unwrap();
+        let z = p.add_var(0.0, 1.0, 1.0).unwrap();
         p.add_constraint(&[(x, 1.0), (y, -1.0)], Relation::Le, 0.0)
             .unwrap();
         p.add_constraint(&[(y, 1.0), (z, -1.0)], Relation::Le, 0.0)
@@ -1057,8 +1057,8 @@ mod tests {
     #[test]
     fn zero_width_boxes_stay_pinned() {
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 0.0, 0.0, 5.0).unwrap();
-        let y = p.add_var("y", 0.0, 2.0, 1.0).unwrap();
+        let x = p.add_var(0.0, 0.0, 5.0).unwrap();
+        let y = p.add_var(0.0, 2.0, 1.0).unwrap();
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 3.0)
             .unwrap();
         let sol = p.solve_network_with(&mut LpWorkspace::new()).unwrap();
@@ -1071,7 +1071,7 @@ mod tests {
         // Packing form is always feasible (x = 0); a malformed box is
         // caught at model build time, not here.
         let mut p = Problem::minimize();
-        assert!(p.add_var("x", 2.0, 1.0, 0.0).is_err());
+        assert!(p.add_var(2.0, 1.0, 0.0).is_err());
     }
 
     #[test]
@@ -1080,9 +1080,9 @@ mod tests {
         // kernel must refactorize after (almost) every pivot and still
         // land on the dense optimum.
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 0.0, 3.0, 3.0).unwrap();
-        let y = p.add_var("y", 0.0, 5.0, 2.0).unwrap();
-        let z = p.add_var("z", 0.0, 2.0, 4.0).unwrap();
+        let x = p.add_var(0.0, 3.0, 3.0).unwrap();
+        let y = p.add_var(0.0, 5.0, 2.0).unwrap();
+        let z = p.add_var(0.0, 2.0, 4.0).unwrap();
         p.add_constraint(&[(x, 1.0), (y, 1.0), (z, 1.0)], Relation::Le, 4.0)
             .unwrap();
         p.add_constraint(&[(x, 1.0), (y, 3.0), (z, 0.5)], Relation::Le, 6.0)
@@ -1112,7 +1112,7 @@ mod tests {
         // holds an off-pivot entry even though the re-solve pivots zero
         // times.
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 0.0, 10.0, 1.0).unwrap();
+        let x = p.add_var(0.0, 10.0, 1.0).unwrap();
         p.add_constraint(&[(x, 1.0)], Relation::Le, 4.0).unwrap();
         p.add_constraint(&[(x, 2.0)], Relation::Le, 6.0).unwrap();
         let mut ws = LpWorkspace::new();
@@ -1128,8 +1128,8 @@ mod tests {
     #[test]
     fn kernel_stats_accumulate() {
         let mut p = Problem::maximize();
-        let x = p.add_var("x", 0.0, 3.0, 3.0).unwrap();
-        let y = p.add_var("y", 0.0, 5.0, 2.0).unwrap();
+        let x = p.add_var(0.0, 3.0, 3.0).unwrap();
+        let y = p.add_var(0.0, 5.0, 2.0).unwrap();
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 4.0)
             .unwrap();
         let mut ws = LpWorkspace::new();

@@ -14,7 +14,7 @@ use crate::model::Variable;
 ///
 /// # fn main() -> Result<(), dpss_lp::LpError> {
 /// let mut p = Problem::new(Sense::Minimize);
-/// let x = p.add_var("x", 1.0, 5.0, 2.0)?;
+/// let x = p.add_var(1.0, 5.0, 2.0)?;
 /// let sol = p.solve()?;
 /// assert_eq!(sol.value(x), 1.0);
 /// assert_eq!(sol.objective(), 2.0);
@@ -92,7 +92,7 @@ mod tests {
     #[test]
     fn accessors_and_display() {
         let mut p = Problem::minimize();
-        let x = p.add_var("x", 0.0, 10.0, 1.0).unwrap();
+        let x = p.add_var(0.0, 10.0, 1.0).unwrap();
         p.add_constraint(&[(x, 1.0)], Relation::Ge, 4.0).unwrap();
         let sol = p.solve().unwrap();
         assert_eq!(sol.value(x), 4.0);
@@ -106,11 +106,11 @@ mod tests {
     #[should_panic]
     fn foreign_variable_panics() {
         let mut p = Problem::minimize();
-        p.add_var("x", 0.0, 1.0, 1.0).unwrap();
+        p.add_var(0.0, 1.0, 1.0).unwrap();
         let sol = p.solve().unwrap();
         let mut other = Problem::minimize();
-        other.add_var("a", 0.0, 1.0, 0.0).unwrap();
-        let foreign = other.add_var("b", 0.0, 1.0, 0.0).unwrap();
+        other.add_var(0.0, 1.0, 0.0).unwrap();
+        let foreign = other.add_var(0.0, 1.0, 0.0).unwrap();
         let _ = sol.value(foreign);
     }
 }

@@ -570,8 +570,8 @@ mod tests {
     fn equality_constraints_via_artificials() {
         // min 2x + 3y s.t. x + y = 10, x − y = 2 → x=6, y=4, obj 24.
         let mut p = Problem::minimize();
-        let x = p.add_var("x", 0.0, f64::INFINITY, 2.0).unwrap();
-        let y = p.add_var("y", 0.0, f64::INFINITY, 3.0).unwrap();
+        let x = p.add_var(0.0, f64::INFINITY, 2.0).unwrap();
+        let y = p.add_var(0.0, f64::INFINITY, 3.0).unwrap();
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Eq, 10.0)
             .unwrap();
         p.add_constraint(&[(x, 1.0), (y, -1.0)], Relation::Eq, 2.0)
@@ -586,9 +586,7 @@ mod tests {
     fn free_variable_can_go_negative() {
         // min x s.t. x ≥ −5 via constraint (variable itself free).
         let mut p = Problem::minimize();
-        let x = p
-            .add_var("x", f64::NEG_INFINITY, f64::INFINITY, 1.0)
-            .unwrap();
+        let x = p.add_var(f64::NEG_INFINITY, f64::INFINITY, 1.0).unwrap();
         p.add_constraint(&[(x, 1.0)], Relation::Ge, -5.0).unwrap();
         let sol = p.solve().unwrap();
         assert_close(sol.value(x), -5.0);
@@ -599,12 +597,12 @@ mod tests {
     fn negated_variable_upper_bound_only() {
         // max x with x ≤ 3 (no lower bound) → 3.
         let mut p = Problem::maximize();
-        let x = p.add_var("x", f64::NEG_INFINITY, 3.0, 1.0).unwrap();
+        let x = p.add_var(f64::NEG_INFINITY, 3.0, 1.0).unwrap();
         let sol = p.solve().unwrap();
         assert_close(sol.value(x), 3.0);
         // And min x with an extra floor constraint.
         let mut p = Problem::minimize();
-        let x = p.add_var("x", f64::NEG_INFINITY, 3.0, 1.0).unwrap();
+        let x = p.add_var(f64::NEG_INFINITY, 3.0, 1.0).unwrap();
         p.add_constraint(&[(x, 1.0)], Relation::Ge, 1.5).unwrap();
         let sol = p.solve().unwrap();
         assert_close(sol.value(x), 1.5);
@@ -614,17 +612,17 @@ mod tests {
     fn shifted_negative_variable_bounds() {
         // min x, x ∈ [−2, 7] → −2; max → 7.
         let mut p = Problem::minimize();
-        let x = p.add_var("x", -2.0, 7.0, 1.0).unwrap();
+        let x = p.add_var(-2.0, 7.0, 1.0).unwrap();
         assert_close(p.solve().unwrap().value(x), -2.0);
         let mut p = Problem::maximize();
-        let x = p.add_var("x", -2.0, 7.0, 1.0).unwrap();
+        let x = p.add_var(-2.0, 7.0, 1.0).unwrap();
         assert_close(p.solve().unwrap().value(x), 7.0);
     }
 
     #[test]
     fn infeasible_is_detected() {
         let mut p = Problem::minimize();
-        let x = p.add_var("x", 0.0, 1.0, 1.0).unwrap();
+        let x = p.add_var(0.0, 1.0, 1.0).unwrap();
         p.add_constraint(&[(x, 1.0)], Relation::Ge, 2.0).unwrap();
         assert!(matches!(p.solve(), Err(LpError::Infeasible)));
     }
@@ -632,7 +630,7 @@ mod tests {
     #[test]
     fn contradictory_equalities_are_infeasible() {
         let mut p = Problem::minimize();
-        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0).unwrap();
+        let x = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
         p.add_constraint(&[(x, 1.0)], Relation::Eq, 1.0).unwrap();
         p.add_constraint(&[(x, 1.0)], Relation::Eq, 2.0).unwrap();
         assert!(matches!(p.solve(), Err(LpError::Infeasible)));
@@ -641,7 +639,7 @@ mod tests {
     #[test]
     fn unbounded_is_detected() {
         let mut p = Problem::minimize();
-        let _x = p.add_var("x", 0.0, f64::INFINITY, -1.0).unwrap();
+        let _x = p.add_var(0.0, f64::INFINITY, -1.0).unwrap();
         assert!(matches!(p.solve(), Err(LpError::Unbounded)));
     }
 
@@ -649,8 +647,8 @@ mod tests {
     fn redundant_equalities_are_dropped() {
         // x + y = 4 stated twice; min x + 2y → x=4, y=0.
         let mut p = Problem::minimize();
-        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0).unwrap();
-        let y = p.add_var("y", 0.0, f64::INFINITY, 2.0).unwrap();
+        let x = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
+        let y = p.add_var(0.0, f64::INFINITY, 2.0).unwrap();
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Eq, 4.0)
             .unwrap();
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Eq, 4.0)
@@ -664,7 +662,7 @@ mod tests {
     fn negative_rhs_rows_are_normalized() {
         // −x ≤ −3 ⇔ x ≥ 3.
         let mut p = Problem::minimize();
-        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0).unwrap();
+        let x = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
         p.add_constraint(&[(x, -1.0)], Relation::Le, -3.0).unwrap();
         assert_close(p.solve().unwrap().value(x), 3.0);
     }
@@ -674,8 +672,8 @@ mod tests {
         // Classic diet: minimize cost of two foods meeting two nutrients.
         // min 0.6a + b s.t. 10a + 4b ≥ 20, 5a + 10b ≥ 30, a,b ≥ 0.
         let mut p = Problem::minimize();
-        let a = p.add_var("a", 0.0, f64::INFINITY, 0.6).unwrap();
-        let b = p.add_var("b", 0.0, f64::INFINITY, 1.0).unwrap();
+        let a = p.add_var(0.0, f64::INFINITY, 0.6).unwrap();
+        let b = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
         p.add_constraint(&[(a, 10.0), (b, 4.0)], Relation::Ge, 20.0)
             .unwrap();
         p.add_constraint(&[(a, 5.0), (b, 10.0)], Relation::Ge, 30.0)
@@ -691,10 +689,10 @@ mod tests {
         // A classic cycling-prone LP (Beale's example). Bland fallback must
         // terminate and find the optimum −0.05.
         let mut p = Problem::minimize();
-        let x1 = p.add_var("x1", 0.0, f64::INFINITY, -0.75).unwrap();
-        let x2 = p.add_var("x2", 0.0, f64::INFINITY, 150.0).unwrap();
-        let x3 = p.add_var("x3", 0.0, f64::INFINITY, -0.02).unwrap();
-        let x4 = p.add_var("x4", 0.0, f64::INFINITY, 6.0).unwrap();
+        let x1 = p.add_var(0.0, f64::INFINITY, -0.75).unwrap();
+        let x2 = p.add_var(0.0, f64::INFINITY, 150.0).unwrap();
+        let x3 = p.add_var(0.0, f64::INFINITY, -0.02).unwrap();
+        let x4 = p.add_var(0.0, f64::INFINITY, 6.0).unwrap();
         p.add_constraint(
             &[(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
             Relation::Le,
@@ -715,7 +713,7 @@ mod tests {
     #[test]
     fn fixed_variable_lo_equals_up() {
         let mut p = Problem::minimize();
-        let x = p.add_var("x", 2.5, 2.5, -10.0).unwrap();
+        let x = p.add_var(2.5, 2.5, -10.0).unwrap();
         let sol = p.solve().unwrap();
         assert_close(sol.value(x), 2.5);
         assert_close(sol.objective(), -25.0);
@@ -734,9 +732,9 @@ mod tests {
         // min 3x + 2y + z
         //  s.t. x + y + z = 10, x − y ≥ 1, z ≤ 4, x,y,z ≥ 0.
         let mut p = Problem::minimize();
-        let x = p.add_var("x", 0.0, f64::INFINITY, 3.0).unwrap();
-        let y = p.add_var("y", 0.0, f64::INFINITY, 2.0).unwrap();
-        let z = p.add_var("z", 0.0, 4.0, 1.0).unwrap();
+        let x = p.add_var(0.0, f64::INFINITY, 3.0).unwrap();
+        let y = p.add_var(0.0, f64::INFINITY, 2.0).unwrap();
+        let z = p.add_var(0.0, 4.0, 1.0).unwrap();
         p.add_constraint(&[(x, 1.0), (y, 1.0), (z, 1.0)], Relation::Eq, 10.0)
             .unwrap();
         p.add_constraint(&[(x, 1.0), (y, -1.0)], Relation::Ge, 1.0)

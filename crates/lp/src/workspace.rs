@@ -43,7 +43,7 @@
 //! let mut ws = LpWorkspace::new();
 //! for demand in [1.0, 1.2, 0.9] {
 //!     let mut p = Problem::new(Sense::Minimize);
-//!     let g = p.add_var("g", 0.0, 2.0, 40.0)?;
+//!     let g = p.add_var(0.0, 2.0, 40.0)?;
 //!     p.add_constraint(&[(g, 1.0)], Relation::Ge, demand)?;
 //!     let sol = p.solve_with(&mut ws)?;
 //!     assert!((sol.value(g) - demand).abs() < 1e-9);
@@ -343,8 +343,8 @@ mod tests {
 
     fn cover_lp(demand: f64, price: f64) -> Problem {
         let mut p = Problem::new(Sense::Minimize);
-        let g = p.add_var("g", 0.0, 5.0, price).unwrap();
-        let w = p.add_var("w", 0.0, f64::INFINITY, 1.0).unwrap();
+        let g = p.add_var(0.0, 5.0, price).unwrap();
+        let w = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
         p.add_constraint(&[(g, 1.0), (w, -1.0)], Relation::Ge, demand)
             .unwrap();
         p
@@ -368,8 +368,8 @@ mod tests {
         cover_lp(1.0, 40.0).solve_with(&mut ws).unwrap();
         // Different shape: one more variable and row.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 0.0, 1.0, 1.0).unwrap();
-        let y = p.add_var("y", 0.0, 1.0, 2.0).unwrap();
+        let x = p.add_var(0.0, 1.0, 1.0).unwrap();
+        let y = p.add_var(0.0, 1.0, 2.0).unwrap();
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 1.0)
             .unwrap();
         p.add_constraint(&[(x, 1.0)], Relation::Le, 0.4).unwrap();
@@ -385,8 +385,8 @@ mod tests {
         // {g, slack of g ≤ 5}; above it h must enter.
         let lp = |d: f64| {
             let mut p = Problem::new(Sense::Minimize);
-            let g = p.add_var("g", 0.0, 5.0, 40.0).unwrap();
-            let h = p.add_var("h", 0.0, f64::INFINITY, 90.0).unwrap();
+            let g = p.add_var(0.0, 5.0, 40.0).unwrap();
+            let h = p.add_var(0.0, f64::INFINITY, 90.0).unwrap();
             p.add_constraint(&[(g, 1.0), (h, 1.0)], Relation::Ge, d)
                 .unwrap();
             p

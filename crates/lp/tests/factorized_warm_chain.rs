@@ -45,9 +45,7 @@ fn build_flow(
                 continue;
             }
             let k = flows.len();
-            let f = p
-                .add_var(format!("f{i}_{j}"), 0.0, caps[k], -prices[k])
-                .unwrap();
+            let f = p.add_var(0.0, caps[k], -prices[k]).unwrap();
             flows.push(f);
         }
     }

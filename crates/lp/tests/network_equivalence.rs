@@ -52,7 +52,6 @@ impl FlowInstance {
                 }
                 let f = p
                     .add_var(
-                        format!("f{i}_{j}"),
                         0.0,
                         self.caps[i * n + j],
                         -self.prices[j] * (1.0 - self.losses[i * n + j]),
@@ -137,19 +136,14 @@ impl ProspectiveInstance {
                     continue;
                 }
                 let t = p
-                    .add_var(
-                        format!("t{i}_{j}"),
-                        0.0,
-                        self.caps[i * n + j],
-                        -self.values[i * n + j],
-                    )
+                    .add_var(0.0, self.caps[i * n + j], -self.values[i * n + j])
                     .unwrap();
                 out.push((j, t));
             }
         }
         for (i, out) in links.iter().enumerate() {
             let z = p
-                .add_var(format!("z{i}"), 0.0, self.procurable[i], self.buy_costs[i])
+                .add_var(0.0, self.procurable[i], self.buy_costs[i])
                 .unwrap();
             let mut free: Vec<(Variable, f64)> = out.iter().map(|&(_, t)| (t, 1.0)).collect();
             free.push((z, -1.0));
@@ -312,8 +306,8 @@ fn network_entry_point_accepts_non_packing_problems() {
     // The fallback keeps `solve_network_with` a drop-in `solve_with`:
     // an equality-constrained LP routes to the dense path and solves.
     let mut p = Problem::new(Sense::Minimize);
-    let x = p.add_var("x", 0.0, 5.0, 2.0).unwrap();
-    let y = p.add_var("y", 0.0, 5.0, 3.0).unwrap();
+    let x = p.add_var(0.0, 5.0, 2.0).unwrap();
+    let y = p.add_var(0.0, 5.0, 3.0).unwrap();
     p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Eq, 4.0)
         .unwrap();
     assert!(!p.is_network_form());

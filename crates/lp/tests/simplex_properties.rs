@@ -26,8 +26,7 @@ impl FeasibleLp {
             .objective
             .iter()
             .zip(&self.bounds)
-            .enumerate()
-            .map(|(i, (&c, &(lo, up)))| p.add_var(format!("x{i}"), lo, up, c).unwrap())
+            .map(|(&c, &(lo, up))| p.add_var(lo, up, c).unwrap())
             .collect();
         for (coeffs, rhs) in &self.rows {
             let terms: Vec<_> = vars.iter().copied().zip(coeffs.iter().copied()).collect();
@@ -148,8 +147,8 @@ proptest! {
 #[test]
 fn infeasible_box_and_constraint_combination() {
     let mut p = Problem::new(Sense::Minimize);
-    let x = p.add_var("x", 0.0, 1.0, 1.0).unwrap();
-    let y = p.add_var("y", 0.0, 1.0, 1.0).unwrap();
+    let x = p.add_var(0.0, 1.0, 1.0).unwrap();
+    let y = p.add_var(0.0, 1.0, 1.0).unwrap();
     p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 3.0)
         .unwrap();
     assert!(matches!(p.solve(), Err(LpError::Infeasible)));
@@ -161,10 +160,7 @@ fn large_chain_lp_solves_quickly() {
     // shape of the offline per-frame benchmark problem.
     let mut p = Problem::new(Sense::Minimize);
     let vars: Vec<_> = (0..200)
-        .map(|i| {
-            p.add_var(format!("v{i}"), 0.0, 10.0, 1.0 + (i % 7) as f64)
-                .unwrap()
-        })
+        .map(|i| p.add_var(0.0, 10.0, 1.0 + (i % 7) as f64).unwrap())
         .collect();
     for w in vars.windows(2) {
         p.add_constraint(&[(w[0], 1.0), (w[1], 1.0)], Relation::Ge, 1.0)

@@ -28,21 +28,17 @@ impl FrameInstance {
     fn build(&self) -> Problem {
         let t = self.demands.len();
         let mut p = Problem::new(Sense::Minimize);
-        let g = p.add_var("g", 0.0, 2.0, self.p_lt * t as f64).unwrap();
+        let g = p.add_var(0.0, 2.0, self.p_lt * t as f64).unwrap();
         let mut prev_b: Option<Variable> = None;
         let mut prev_q: Option<Variable> = None;
         for i in 0..t {
-            let grt = p
-                .add_var(format!("grt{i}"), 0.0, 2.0, self.prices[i])
-                .unwrap();
-            let sdt = p
-                .add_var(format!("sdt{i}"), 0.0, f64::INFINITY, 0.0)
-                .unwrap();
-            let brc = p.add_var(format!("brc{i}"), 0.0, 0.5, 0.2).unwrap();
-            let bdc = p.add_var(format!("bdc{i}"), 0.0, 0.5, 0.2).unwrap();
-            let w = p.add_var(format!("w{i}"), 0.0, f64::INFINITY, 1.0).unwrap();
-            let b = p.add_var(format!("b{i}"), 0.0, 0.5, 0.0).unwrap();
-            let q = p.add_var(format!("q{i}"), 0.0, f64::INFINITY, 0.0).unwrap();
+            let grt = p.add_var(0.0, 2.0, self.prices[i]).unwrap();
+            let sdt = p.add_var(0.0, f64::INFINITY, 0.0).unwrap();
+            let brc = p.add_var(0.0, 0.5, 0.2).unwrap();
+            let bdc = p.add_var(0.0, 0.5, 0.2).unwrap();
+            let w = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
+            let b = p.add_var(0.0, 0.5, 0.0).unwrap();
+            let q = p.add_var(0.0, f64::INFINITY, 0.0).unwrap();
             p.add_constraint(
                 &[
                     (g, 1.0),
@@ -181,12 +177,7 @@ impl FlowInstance {
                     continue;
                 }
                 let f = p
-                    .add_var(
-                        format!("f{i}_{j}"),
-                        0.0,
-                        self.caps[i * n + j],
-                        -self.prices[j],
-                    )
+                    .add_var(0.0, self.caps[i * n + j], -self.prices[j])
                     .unwrap();
                 flows.push(f);
             }
@@ -582,10 +573,10 @@ fn infeasible_instances_report_infeasible_on_both_paths() {
 #[test]
 fn kuhn_cycling_lp_terminates_at_optimum() {
     let mut p = Problem::new(Sense::Minimize);
-    let x1 = p.add_var("x1", 0.0, f64::INFINITY, -2.0).unwrap();
-    let x2 = p.add_var("x2", 0.0, f64::INFINITY, -3.0).unwrap();
-    let x3 = p.add_var("x3", 0.0, f64::INFINITY, 1.0).unwrap();
-    let x4 = p.add_var("x4", 0.0, f64::INFINITY, 12.0).unwrap();
+    let x1 = p.add_var(0.0, f64::INFINITY, -2.0).unwrap();
+    let x2 = p.add_var(0.0, f64::INFINITY, -3.0).unwrap();
+    let x3 = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
+    let x4 = p.add_var(0.0, f64::INFINITY, 12.0).unwrap();
     p.add_constraint(
         &[(x1, -2.0), (x2, -9.0), (x3, 1.0), (x4, 9.0)],
         Relation::Le,
@@ -622,10 +613,7 @@ fn massively_degenerate_vertex_terminates() {
     let mut p = Problem::new(Sense::Minimize);
     let n = 6;
     let vars: Vec<_> = (0..n)
-        .map(|i| {
-            p.add_var(format!("x{i}"), 0.0, 10.0, 1.0 + i as f64 * 0.1)
-                .unwrap()
-        })
+        .map(|i| p.add_var(0.0, 10.0, 1.0 + i as f64 * 0.1).unwrap())
         .collect();
     // The same covering row stated many times (all active at the optimum)…
     for _ in 0..8 {
@@ -653,10 +641,10 @@ fn massively_degenerate_vertex_terminates() {
 fn warm_restart_from_degenerate_basis_is_stable() {
     let build = |rhs: f64| {
         let mut p = Problem::new(Sense::Minimize);
-        let x1 = p.add_var("x1", 0.0, f64::INFINITY, -2.0).unwrap();
-        let x2 = p.add_var("x2", 0.0, f64::INFINITY, -3.0).unwrap();
-        let x3 = p.add_var("x3", 0.0, f64::INFINITY, 1.0).unwrap();
-        let x4 = p.add_var("x4", 0.0, f64::INFINITY, 12.0).unwrap();
+        let x1 = p.add_var(0.0, f64::INFINITY, -2.0).unwrap();
+        let x2 = p.add_var(0.0, f64::INFINITY, -3.0).unwrap();
+        let x3 = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
+        let x4 = p.add_var(0.0, f64::INFINITY, 12.0).unwrap();
         p.add_constraint(
             &[(x1, -2.0), (x2, -9.0), (x3, 1.0), (x4, 9.0)],
             Relation::Le,

@@ -184,12 +184,13 @@ fn pinned_stale_snapshots_are_rejected_not_reinterpreted() {
 /// schema 2 dropped the dense prospective basis from the fleet planner
 /// state, schema 3 replaced each site's slot history with its
 /// last-frame totals, schema 4 replaced a stream session's
-/// whole-horizon traces with its previous frame, and schema 5 dropped
+/// whole-horizon traces with its previous frame, schema 5 dropped
 /// the engine's slot record and the controller state's scalar and
-/// vector maps. The payload decoder ignores unknown fields, so an older
-/// coordinated fleet snapshot could otherwise load silently and resume
-/// on a different state; the envelope's schema check must refuse all
-/// four.
+/// vector maps, and schema 6 reordered the receding-horizon frame LP's
+/// standard-form columns that its warm-start basis indexes. The payload
+/// decoder ignores unknown fields, so an older coordinated fleet
+/// snapshot could otherwise load silently and resume on a different
+/// state; the envelope's schema check must refuse all five.
 #[test]
 fn schema_1_fleet_snapshots_are_refused_as_stale() {
     use dpss_serve::snapshot::{hex64, payload_checksum};
@@ -211,7 +212,7 @@ fn schema_1_fleet_snapshots_are_refused_as_stale() {
     let current: dpss_serve::SnapshotFile =
         serde_json::from_str(&fs::read_to_string(&path).expect("snapshot reads")).unwrap();
     assert!(current.payload.contains("\"prospective_net\":"));
-    for schema in [1, 2, 3, 4] {
+    for schema in [1, 2, 3, 4, 5] {
         let mut file = current.clone();
         if schema == 1 {
             // What the schema-1 writer produced: the dense prospective
