@@ -1,16 +1,18 @@
 //! The warm re-solve zero-allocation gate.
 //!
-//! The factorized network kernel's contract (`dpss-lp/src/network.rs`)
-//! is that after the first solve through a workspace, warm re-solves
-//! run entirely out of preallocated arenas: the eta file, the FTRAN/
-//! BTRAN scratch, the pricing candidate list and the solution buffer
-//! are all reused, so a fleet month's thousands of frame solves pin a
-//! constant working set. This test makes that contract mechanical: a
-//! counting `#[global_allocator]` is armed around a 64-edit warm chain
-//! (solve → read → recycle) and must observe **zero** heap allocations.
+//! The factorized LP kernel's contract (`dpss-lp/src/network.rs`) is
+//! that after the first solve through a workspace, warm re-solves run
+//! entirely out of preallocated arenas: the eta file, the FTRAN/BTRAN
+//! scratch, the pricing candidate list, the dual restore's pivot row and
+//! the solution buffer are all reused, so a month's thousands of frame
+//! solves pin a constant working set. This test makes that contract
+//! mechanical: a counting `#[global_allocator]` is armed around two
+//! 64-edit warm chains (solve → read → recycle) — a packing-form fleet
+//! flow LP and a general-form frame LP whose edits force dual restores —
+//! and must observe **zero** heap allocations.
 //!
 //! The file holds exactly one `#[test]` so no sibling test thread can
-//! allocate inside the armed window.
+//! allocate inside the armed windows.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -97,12 +99,81 @@ fn unit(state: &mut u64) -> f64 {
     (*state >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// A frame-LP-shaped general-form problem over `T = 6` slots: per slot a
+/// balance equality `g + dch − ch − w − s = demand`, a battery recursion
+/// equality, a backlog recursion equality and a `≥` cover row
+/// `g + dch ≥ floor`; the battery level sits on `[0.5, 3]` (a shifted
+/// lower bound), and waste, service and backlog are unbounded above.
+/// Returns the problem, the purchase variables and the balance rows.
+fn frame_lp() -> (Problem, Vec<Variable>, Vec<ConstraintId>) {
+    let mut p = Problem::new(Sense::Minimize);
+    let (mut buys, mut balances) = (Vec::new(), Vec::new());
+    let mut prev: Option<(Variable, Variable)> = None;
+    for i in 0..6 {
+        let g = p.add_var(0.0, 2.0, 40.0 + i as f64).unwrap();
+        let ch = p.add_var(0.0, 1.0, 0.1).unwrap();
+        let dch = p.add_var(0.0, 1.0, 0.1).unwrap();
+        let w = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
+        let serve = p.add_var(0.0, f64::INFINITY, 0.0).unwrap();
+        let level = p.add_var(0.5, 3.0, 0.0).unwrap();
+        let backlog = p.add_var(0.0, f64::INFINITY, 0.5).unwrap();
+        let balance = [(g, 1.0), (dch, 1.0), (ch, -1.0), (w, -1.0), (serve, -1.0)];
+        balances.push(p.add_constraint(&balance, Relation::Eq, 0.8).unwrap());
+        let mut battery = vec![(level, 1.0), (ch, -0.9), (dch, 1.1)];
+        let mut queue = vec![(backlog, 1.0), (serve, 1.0)];
+        if let Some((l, q)) = prev {
+            battery.push((l, -1.0));
+            queue.push((q, -1.0));
+        }
+        let start = if prev.is_none() { 1.0 } else { 0.0 };
+        p.add_constraint(&battery, Relation::Eq, start).unwrap();
+        p.add_constraint(&queue, Relation::Eq, 0.2).unwrap();
+        p.add_constraint(&[(g, 1.0), (dch, 1.0)], Relation::Ge, 1.0)
+            .unwrap();
+        buys.push(g);
+        prev = Some((level, backlog));
+    }
+    (p, buys, balances)
+}
+
+/// Counts the heap allocations `laps` runs of `lap` make.
+fn allocations_in(laps: usize, mut lap: impl FnMut(usize)) -> u64 {
+    ALLOCATIONS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    for k in 0..laps {
+        lap(k);
+    }
+    ARMED.store(false, Ordering::SeqCst);
+    ALLOCATIONS.load(Ordering::SeqCst)
+}
+
 #[test]
 fn warm_resolves_perform_zero_heap_allocations() {
+    // ---- Packing form: the fleet settlement flow. ----------------------
     let (mut p, flows, rows) = flow_lp();
-    assert!(p.is_network_form());
     let mut ws = LpWorkspace::new();
     let mut state = 0x5EED_CAFE_F00Du64;
+    // Even laps edit objectives only — a packing optimum sits tight
+    // against its bounds, so cost-only edits are the laps guaranteed to
+    // ride the warm path (the basis stays primal-feasible). Odd laps
+    // rewrite the full surface (bounds, rhs, costs); those may
+    // warm-reject and restart from the slack basis, which must be
+    // equally allocation-free.
+    let edit = |p: &mut Problem, state: &mut u64, lap: usize| {
+        for &f in &flows {
+            if lap % 2 == 1 {
+                p.set_bounds(f, 0.0, 1.5 + 0.2 * unit(state))
+                    .expect("valid bounds");
+            }
+            p.set_objective(f, -50.0 - 8.0 * unit(state))
+                .expect("known variable");
+        }
+        if lap % 2 == 1 {
+            for &row in &rows {
+                p.set_rhs(row, 2.0 + 0.3 * unit(state)).expect("known row");
+            }
+        }
+    };
 
     // Priming pass: the cold solve sizes every arena, the recycle hands
     // the solution buffer back, and 96 unarmed laps of the same edit
@@ -110,65 +181,29 @@ fn warm_resolves_perform_zero_heap_allocations() {
     // refactorization scratch) to its steady-state high-water capacity.
     // The armed window below draws from the same deterministic stream,
     // so a capacity high never first appears while the counter is live.
-    let sol = p.solve_network_with(&mut ws).expect("feasible packing LP");
+    let sol = p.solve_with(&mut ws).expect("feasible packing LP");
     assert!(sol.objective().is_finite());
     ws.recycle(sol);
     for lap in 0..96 {
-        for &f in &flows {
-            if lap % 2 == 1 {
-                p.set_bounds(f, 0.0, 1.5 + 0.2 * unit(&mut state))
-                    .expect("valid bounds");
-            }
-            p.set_objective(f, -50.0 - 8.0 * unit(&mut state))
-                .expect("known variable");
-        }
-        if lap % 2 == 1 {
-            for &row in &rows {
-                p.set_rhs(row, 2.0 + 0.3 * unit(&mut state))
-                    .expect("known row");
-            }
-        }
-        let sol = p.solve_network_with(&mut ws).expect("feasible packing LP");
+        edit(&mut p, &mut state, lap);
+        let sol = p.solve_with(&mut ws).expect("feasible packing LP");
         ws.recycle(sol);
     }
     let primed_warm = ws.warm_solves();
 
     // The measured window: 64 edit→solve→read→recycle laps, zero
-    // allocation events allowed. Even laps edit objectives only — a
-    // packing optimum sits tight against its bounds, so cost-only edits
-    // are the laps guaranteed to ride the warm path (the basis stays
-    // primal-feasible). Odd laps rewrite the full surface (bounds, rhs,
-    // costs); those may warm-reject and restart from the slack basis,
-    // which must be equally allocation-free.
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    let mut checksum = 0.0;
-    for lap in 0..64 {
-        for &f in &flows {
-            if lap % 2 == 1 {
-                p.set_bounds(f, 0.0, 1.5 + 0.2 * unit(&mut state))
-                    .expect("valid bounds");
-            }
-            p.set_objective(f, -50.0 - 8.0 * unit(&mut state))
-                .expect("known variable");
-        }
-        if lap % 2 == 1 {
-            for &row in &rows {
-                p.set_rhs(row, 2.0 + 0.3 * unit(&mut state))
-                    .expect("known row");
-            }
-        }
-        let sol = p.solve_network_with(&mut ws).expect("feasible packing LP");
+    // allocation events allowed.
+    let mut checksum = 0.0f64;
+    let allocs = allocations_in(64, |lap| {
+        edit(&mut p, &mut state, lap);
+        let sol = p.solve_with(&mut ws).expect("feasible packing LP");
         checksum += sol.objective();
         ws.recycle(sol);
-    }
-    ARMED.store(false, Ordering::SeqCst);
-
-    let allocs = ALLOCATIONS.load(Ordering::SeqCst);
+    });
     assert_eq!(
         allocs, 0,
-        "warm re-solves must be allocation-free: {allocs} heap allocations \
-         across 64 solve→read→recycle laps (checksum {checksum})"
+        "packing-form warm re-solves must be allocation-free: {allocs} heap \
+         allocations across 64 solve→read→recycle laps (checksum {checksum})"
     );
     assert!(checksum.is_finite());
     assert!(
@@ -177,5 +212,56 @@ fn warm_resolves_perform_zero_heap_allocations() {
         ws.warm_solves(),
         ws.cold_solves(),
         ws.warm_rejects()
+    );
+
+    // ---- General form: the frame LP, with dual restores. ---------------
+    // Demand alternates between a surplus regime (below the cover floor:
+    // the surplus is charged or wasted) and a deficit regime (above it).
+    // Each switch leaves the saved basis primal-infeasible — the variable
+    // that absorbed the surplus would go negative — so every warm solve
+    // across a switch runs the dual restore.
+    let (mut p, buys, balances) = frame_lp();
+    let mut ws = LpWorkspace::new();
+    let edit = |p: &mut Problem, state: &mut u64, lap: usize| {
+        let base = if lap.is_multiple_of(2) { 0.3 } else { 1.6 };
+        for &row in &balances {
+            p.set_rhs(row, base + 0.2 * unit(state)).expect("known row");
+        }
+        for &g in &buys {
+            p.set_objective(g, 40.0 + 10.0 * unit(state))
+                .expect("known variable");
+        }
+    };
+    let sol = p.solve_with(&mut ws).expect("feasible frame LP");
+    ws.recycle(sol);
+    for lap in 0..96 {
+        edit(&mut p, &mut state, lap);
+        let sol = p.solve_with(&mut ws).expect("feasible frame LP");
+        ws.recycle(sol);
+    }
+    let (primed_warm, primed_pivots) = (ws.warm_solves(), ws.stats().pivots);
+    let mut checksum = 0.0f64;
+    let allocs = allocations_in(64, |lap| {
+        edit(&mut p, &mut state, lap);
+        let sol = p.solve_with(&mut ws).expect("feasible frame LP");
+        checksum += sol.objective();
+        ws.recycle(sol);
+    });
+    assert_eq!(
+        allocs, 0,
+        "general-form warm re-solves must be allocation-free: {allocs} heap \
+         allocations across 64 solve→read→recycle laps (checksum {checksum})"
+    );
+    assert!(checksum.is_finite());
+    assert_eq!(
+        (ws.warm_solves() - primed_warm, ws.warm_rejects()),
+        (64, 0),
+        "every armed frame solve must restore warm"
+    );
+    assert!(
+        ws.stats().pivots >= primed_pivots + 64,
+        "regime switches must take pivots: {} → {}",
+        primed_pivots,
+        ws.stats().pivots
     );
 }

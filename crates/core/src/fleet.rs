@@ -42,17 +42,17 @@
 //!
 //! Both planner LPs are *packing form* (every row `≤` with non-negative
 //! rhs, every variable in `[0, u]`), so every fleet LP — settlement,
-//! prospective and the routing planner's migration LP — solves on
-//! `dpss-lp`'s sparse revised-simplex network path
-//! ([`Problem::solve_network_with`]). The prospective template is
+//! prospective and the routing planner's migration LP — starts from a
+//! feasible all-slack basis on `dpss-lp`'s factorized revised simplex
+//! ([`Problem::solve_with`]), with no phase 1. The prospective template is
 //! **aggregated**: the buy penalty depends only on the donor, so instead
 //! of splitting every link into free and bought flow it carries one
 //! total-flow variable per link and one bought-energy variable per donor
 //! — `O(sites)` rows instead of `O(links)`, which on an `n`-site mesh is
 //! the difference between a `3n+1`-row and an `n² + 3n`-row system, with
 //! the same optimum as the split form (`dpss-lp`'s
-//! `tests/network_equivalence.rs` pins both shapes against the dense
-//! tableau).
+//! `tests/network_equivalence.rs` pins both shapes against its dense
+//! test oracle).
 
 // The fleet planner mints every LP variable/constraint id it later edits
 // or reads, in the same template build pass; site/pair vectors are sized
@@ -82,10 +82,9 @@ use serde::{Deserialize, Serialize};
 /// would have reached — must survive a restart.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FleetPlannerState {
-    /// Settlement-LP workspace basis.
-    pub settlement: BasisSnapshot,
-    /// Prospective workspace basis (present iff the template had been
-    /// built).
+    /// Settlement-LP workspace basis, once a settlement has solved.
+    pub settlement: Option<BasisSnapshot>,
+    /// Prospective workspace basis, once a prospective plan has solved.
     pub prospective_net: Option<BasisSnapshot>,
 }
 
@@ -149,7 +148,7 @@ pub struct FleetPlanner {
 /// * objective `min Σ −value_l·t_l + Σ procure_cost_s·(1+margin)·z_s`.
 ///
 /// Per-frame link caps bind through the `t_l` bounds (no per-link rows
-/// at all). Solved via [`Problem::solve_network_with`].
+/// at all). Solved via [`Problem::solve_with`].
 #[derive(Debug, Clone)]
 struct ProspectiveNetLp {
     problem: Problem,
@@ -244,7 +243,7 @@ impl FleetPlanner {
             prospective_net: self
                 .prospective_net
                 .as_ref()
-                .map(|lp| lp.workspace.export_basis()),
+                .and_then(|lp| lp.workspace.export_basis()),
         }
     }
 
@@ -263,13 +262,13 @@ impl FleetPlanner {
             what: "fleet planner basis snapshot failed validation",
         };
         self.workspace
-            .import_basis(&state.settlement)
+            .import_basis(state.settlement.as_ref())
             .map_err(invalid)?;
         if let Some(basis) = &state.prospective_net {
             self.prospective_net
                 .get_or_insert_with(|| ProspectiveNetLp::for_topology(&self.ic))
                 .workspace
-                .import_basis(basis)
+                .import_basis(Some(basis))
                 .map_err(invalid)?;
         }
         Ok(())
@@ -369,7 +368,7 @@ impl FleetPlanner {
         }
         let sol = self
             .problem
-            .solve_network_with(&mut self.workspace)
+            .solve_with(&mut self.workspace)
             .expect("the flow LP is feasible (zero flow) and box-bounded");
         for &(i, j, var) in &self.flows {
             let sent = sol.value(var).max(0.0);
@@ -474,7 +473,7 @@ impl FleetPlanner {
         }
         let sol = lp
             .problem
-            .solve_network_with(&mut lp.workspace)
+            .solve_with(&mut lp.workspace)
             .expect("the prospective flow LP is feasible (zero flow) and box-bounded");
         const TOL: f64 = 1e-9;
         let mut sent_totals = vec![0.0f64; directives.len()];
@@ -1081,9 +1080,8 @@ mod tests {
         // A corrupted basis is rejected with a typed error.
         let mut bad = state;
         bad.settlement
-            .network
             .as_mut()
-            .expect("the settlement solves on the network path")
+            .expect("the settlement has solved")
             .basis
             .push(0);
         assert!(matches!(
@@ -1094,11 +1092,7 @@ mod tests {
 
         // So is a slack flagged at an upper bound it does not have.
         let mut bad = back;
-        let net = bad
-            .settlement
-            .network
-            .as_mut()
-            .expect("the settlement solves on the network path");
+        let net = bad.settlement.as_mut().expect("the settlement has solved");
         net.at_upper[net.n] = true;
         assert!(matches!(
             FleetPlanner::new(Interconnect::uniform(3, Energy::from_mwh(2.0)).unwrap())

@@ -422,21 +422,6 @@ mod tests {
         }
     }
 
-    fn agree(a: &Result<dpss_lp::Solution, dpss_lp::LpError>, b: &Problem) -> Result<(), String> {
-        match (a, &b.solve()) {
-            (Ok(x), Ok(y)) => {
-                let tol = 1e-9 * (1.0 + y.objective().abs());
-                if (x.objective() - y.objective()).abs() <= tol {
-                    Ok(())
-                } else {
-                    Err(format!("objective {} vs {}", x.objective(), y.objective()))
-                }
-            }
-            (Err(_), Err(_)) => Ok(()),
-            (x, y) => Err(format!("feasibility differs: {x:?} vs {y:?}")),
-        }
-    }
-
     #[test]
     fn serves_standing_backlog_within_the_frame() {
         let params = SimParams::icdcs13();
@@ -499,6 +484,7 @@ mod tests {
         let mut lp = FrameLp::new(&params, 2, 2.0).unwrap();
         lp.set_frame(&f.data()).unwrap();
         assert!(lp.problem.solve().is_err(), "deadline must be infeasible");
+        assert!(dpss_lp_oracle::solve(&lp.problem).is_err());
         let relaxed = lp.plan(&f.data(), &mut LpWorkspace::new()).unwrap();
         let served: f64 = relaxed.sdt.iter().sum();
         assert!(served < f.q0, "served {served} of {}", f.q0);
@@ -511,8 +497,9 @@ mod tests {
 
     #[test]
     fn the_backlog_bound_is_the_cumulative_service_row() {
-        // Same feasibility and optimal objective as the row formulation,
-        // with and without the deadline, across every case shape.
+        // Same feasibility and optimal objective as the row formulation
+        // solved by the dense oracle, with and without the deadline,
+        // across every case shape.
         let mut rng = TestRng::deterministic("frame_lp::reformulation");
         let mut infeasible = 0;
         for k in 0..96 {
@@ -525,7 +512,8 @@ mod tests {
             lp.set_frame(&f.data()).unwrap();
             let bounded = lp.problem.solve();
             let expected = reference(&params, slot_cap, &f, true);
-            agree(&bounded, &expected).unwrap_or_else(|e| panic!("case {k} {case:?}: {e}"));
+            dpss_lp_oracle::agree(&expected, &bounded)
+                .unwrap_or_else(|e| panic!("case {k} {case:?}: {e}"));
             if case == Case::InfeasibleDeadline {
                 assert!(bounded.is_err(), "case {k}: deadline stayed feasible");
             }
@@ -536,9 +524,13 @@ mod tests {
             // the row formulation without its deadline row.
             let planned = lp.plan(&f.data(), &mut LpWorkspace::new());
             let relaxed = reference(&params, slot_cap, &f, bounded.is_ok());
-            agree(&lp.problem.solve(), &relaxed)
+            dpss_lp_oracle::agree(&relaxed, &lp.problem.solve())
                 .unwrap_or_else(|e| panic!("case {k} {case:?} planned: {e}"));
-            assert_eq!(planned.is_ok(), relaxed.solve().is_ok(), "case {k}");
+            assert_eq!(
+                planned.is_ok(),
+                dpss_lp_oracle::solve(&relaxed).is_ok(),
+                "case {k}"
+            );
         }
         assert!(
             infeasible >= 96 / CASES.len(),

@@ -30,8 +30,8 @@
 //!
 //! Like the fleet planner, the migration LP is a template (built once
 //! per topology) re-solved through one warm-started [`LpWorkspace`] with
-//! per-frame objective/bound/rhs edits, on the sparse network path every
-//! fleet LP solves on.
+//! per-frame objective/bound/rhs edits; like every fleet LP it is in
+//! packing form, so its cold start needs no phase 1.
 
 // The routing planner mints every LP variable/row it later edits in its
 // own template build pass, and all per-site vectors are sized from the
@@ -211,7 +211,7 @@ impl RoutingPlanner {
         }
         let sol = self
             .problem
-            .solve_network_with(&mut self.workspace)
+            .solve_with(&mut self.workspace)
             .expect("the migration LP is feasible (zero flow) and box-bounded");
         let absorb: Vec<LoadFlow> = self
             .vars

@@ -1,14 +1,12 @@
-//! Portable images of a workspace's warm-start bases.
+//! The portable image of a workspace's warm-start basis.
 //!
-//! A [`LpWorkspace`](crate::LpWorkspace) carries up to two saved bases —
-//! one for the dense two-phase path, one for the network (packing-form)
-//! path. Long-running services that checkpoint mid-stream need to carry
-//! those bases across a process restart, or the first solve after a
-//! resume runs cold and, on degenerate problems, may land on a
-//! *different optimal vertex* than the uninterrupted run would have —
-//! breaking byte-for-byte resume equivalence. [`BasisSnapshot`] is the
-//! serializable mirror: export with
-//! [`LpWorkspace::export_basis`](crate::LpWorkspace::export_basis),
+//! Long-running services that checkpoint mid-stream need to carry an
+//! [`LpWorkspace`](crate::LpWorkspace)'s saved basis across a process
+//! restart, or the first solve after a resume runs cold and, on
+//! degenerate problems, may land on a *different optimal vertex* than
+//! the uninterrupted run would have — breaking byte-for-byte resume
+//! equivalence. [`BasisSnapshot`] is the serializable mirror: export
+//! with [`LpWorkspace::export_basis`](crate::LpWorkspace::export_basis),
 //! re-install with
 //! [`LpWorkspace::import_basis`](crate::LpWorkspace::import_basis).
 //!
@@ -27,7 +25,9 @@
 //! // Checkpoint, "restart", restore: the next solve starts warm.
 //! let snapshot = ws.export_basis();
 //! let mut fresh = LpWorkspace::new();
-//! fresh.import_basis(&snapshot)?;
+//! fresh.import_basis(snapshot.as_ref())?;
+//! p.solve_with(&mut fresh)?;
+//! assert_eq!(fresh.warm_solves(), 1);
 //! # Ok(())
 //! # }
 //! ```
@@ -35,32 +35,20 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::LpError;
-use crate::workspace::{LpWorkspace, SavedBasis};
+use crate::workspace::LpWorkspace;
 
-/// Serializable image of the dense-path saved basis (see
-/// [`LpWorkspace`]'s module docs for the warm-start story).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DenseBasisSnapshot {
-    /// Constraint rows of the phase-2 system the basis belongs to.
-    pub rows: usize,
-    /// Non-artificial columns (structural + slack) of that system.
-    pub cols: usize,
-    /// Basic column per row, all `< cols`.
-    pub basis: Vec<usize>,
-    /// The phase-2 objective the basis is optimal for.
-    pub costs: Vec<f64>,
-}
-
-/// Serializable image of the network-path saved basis.
+/// Serializable image of a workspace's saved basis.
 ///
 /// Only the combinatorial state travels — the basis columns and the
-/// nonbasic bound statuses. The factorization is deliberately absent:
-/// the kernel rebuilds it deterministically from the problem columns on
-/// the next warm install, so snapshots stay small and a restored
-/// workspace continues bit-identically to its donor.
+/// nonbasic bound statuses, over the kernel's internal columns
+/// (structural columns first, then one slack per row). The
+/// factorization is deliberately absent: the kernel rebuilds it
+/// deterministically from the problem columns on the next warm install,
+/// so snapshots stay small and a restored workspace continues
+/// bit-identically to its donor.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NetworkBasisSnapshot {
-    /// Structural variable count the basis was built for.
+pub struct BasisSnapshot {
+    /// Structural column count the basis was built for.
     pub n: usize,
     /// Constraint row count the basis was built for.
     pub m: usize,
@@ -70,126 +58,74 @@ pub struct NetworkBasisSnapshot {
     pub at_upper: Vec<bool>,
 }
 
-/// Both saved bases of one workspace, either of which may be absent
-/// (a fresh workspace exports an all-`None` snapshot; importing one is
-/// a no-op that leaves the next solve cold).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct BasisSnapshot {
-    /// Dense-path basis, if a dense solve has succeeded.
-    pub dense: Option<DenseBasisSnapshot>,
-    /// Network-path basis, if a packing-form solve has succeeded.
-    pub network: Option<NetworkBasisSnapshot>,
-}
-
 impl LpWorkspace {
-    /// Exports the saved bases (dense and network paths) as a
-    /// serializable snapshot. The workspace is unchanged.
+    /// Exports the saved basis as a serializable snapshot (`None` when
+    /// no solve has succeeded since the workspace was created or
+    /// cleared). The workspace is unchanged.
     #[must_use]
-    pub fn export_basis(&self) -> BasisSnapshot {
-        BasisSnapshot {
-            dense: self.saved.as_ref().map(|s| DenseBasisSnapshot {
-                rows: s.rows,
-                cols: s.cols,
-                basis: s.basis.clone(),
-                costs: s.costs.clone(),
-            }),
-            network: self.net_saved.live.then(|| NetworkBasisSnapshot {
-                n: self.net_saved.n,
-                m: self.net_saved.m,
-                basis: self.net_saved.basis.clone(),
-                at_upper: self.net_saved.at_upper.clone(),
-            }),
-        }
+    pub fn export_basis(&self) -> Option<BasisSnapshot> {
+        self.saved.live.then(|| BasisSnapshot {
+            n: self.saved.n,
+            m: self.saved.m,
+            basis: self.saved.basis.clone(),
+            at_upper: self.saved.at_upper.clone(),
+        })
     }
 
-    /// Replaces the workspace's saved bases with the snapshot's, after
-    /// validating internal consistency. An absent side clears that
-    /// side's basis, so `import_basis(&other.export_basis())` always
-    /// leaves this workspace warm-starting exactly like `other`. The
-    /// workspace's log of its last rebuild is dropped, so its first warm
-    /// solve rebuilds the tableau (to the same bits a replay gives).
+    /// Replaces the workspace's saved basis with the snapshot's, after
+    /// validating its internal consistency; `None` clears it. So
+    /// `import_basis(other.export_basis().as_ref())` always leaves this
+    /// workspace warm-starting exactly like `other`.
+    ///
+    /// A snapshot is untrusted input: one that passes these checks but
+    /// does not fit the next problem (a singular basis, or a column held
+    /// at an upper bound the problem does not have) is rejected by that
+    /// solve, which then runs cold.
     ///
     /// # Errors
     ///
-    /// [`LpError::InvalidBasis`] if a snapshot's lengths disagree with
-    /// its declared shape, an index is out of range, a float is not
-    /// finite, or a network slack is flagged at its (nonexistent) upper
-    /// bound. The workspace is left unchanged on error.
-    pub fn import_basis(&mut self, snapshot: &BasisSnapshot) -> Result<(), LpError> {
-        if let Some(d) = &snapshot.dense {
-            validate_dense(d)?;
-        }
-        if let Some(n) = &snapshot.network {
-            validate_network(n)?;
-        }
-        self.rebuild.live = false;
-        self.saved = snapshot.dense.as_ref().map(|d| SavedBasis {
-            rows: d.rows,
-            cols: d.cols,
-            basis: d.basis.clone(),
-            costs: d.costs.clone(),
-        });
-        match &snapshot.network {
-            Some(n) => {
-                let saved = &mut self.net_saved;
-                saved.live = true;
-                saved.n = n.n;
-                saved.m = n.m;
-                saved.basis.clear();
-                saved.basis.extend_from_slice(&n.basis);
-                saved.at_upper.clear();
-                saved.at_upper.extend_from_slice(&n.at_upper);
-            }
-            None => self.net_saved.live = false,
-        }
+    /// [`LpError::InvalidBasis`] if the snapshot's lengths disagree with
+    /// its declared shape, an index is out of range, or a slack is
+    /// flagged at its upper bound. The workspace is left unchanged on
+    /// error.
+    pub fn import_basis(&mut self, snapshot: Option<&BasisSnapshot>) -> Result<(), LpError> {
+        let Some(snapshot) = snapshot else {
+            self.clear_basis();
+            return Ok(());
+        };
+        validate(snapshot)?;
+        let saved = &mut self.saved;
+        saved.live = true;
+        saved.n = snapshot.n;
+        saved.m = snapshot.m;
+        saved.basis.clear();
+        saved.basis.extend_from_slice(&snapshot.basis);
+        saved.at_upper.clear();
+        saved.at_upper.extend_from_slice(&snapshot.at_upper);
         Ok(())
     }
 }
 
-fn validate_dense(d: &DenseBasisSnapshot) -> Result<(), LpError> {
-    if d.basis.len() != d.rows {
+fn validate(s: &BasisSnapshot) -> Result<(), LpError> {
+    let cols = s.n + s.m;
+    if s.basis.len() != s.m {
         return Err(LpError::InvalidBasis {
-            what: "dense basis length must equal the declared row count",
+            what: "basis length must equal the declared row count",
         });
     }
-    if d.costs.len() != d.cols {
+    if s.at_upper.len() != cols {
         return Err(LpError::InvalidBasis {
-            what: "dense cost length must equal the declared column count",
+            what: "at-upper flags must cover every column",
         });
     }
-    if d.basis.iter().any(|&b| b >= d.cols) {
+    if s.basis.iter().any(|&b| b >= cols) {
         return Err(LpError::InvalidBasis {
-            what: "dense basis entry out of column range",
+            what: "basis entry out of column range",
         });
     }
-    if d.costs.iter().any(|c| !c.is_finite()) {
+    if s.at_upper.iter().skip(s.n).any(|&up| up) {
         return Err(LpError::InvalidBasis {
-            what: "dense basis costs must be finite",
-        });
-    }
-    Ok(())
-}
-
-fn validate_network(n: &NetworkBasisSnapshot) -> Result<(), LpError> {
-    let cols = n.n + n.m;
-    if n.basis.len() != n.m {
-        return Err(LpError::InvalidBasis {
-            what: "network basis length must equal the declared row count",
-        });
-    }
-    if n.at_upper.len() != cols {
-        return Err(LpError::InvalidBasis {
-            what: "network at-upper flags must cover every column",
-        });
-    }
-    if n.basis.iter().any(|&b| b >= cols) {
-        return Err(LpError::InvalidBasis {
-            what: "network basis entry out of column range",
-        });
-    }
-    if n.at_upper.iter().skip(n.n).any(|&up| up) {
-        return Err(LpError::InvalidBasis {
-            what: "network slack columns have no upper bound to sit at",
+            what: "slack columns never rest at an upper bound",
         });
     }
     Ok(())
@@ -219,50 +155,38 @@ mod tests {
     }
 
     #[test]
-    fn fresh_workspace_exports_empty_snapshot() {
-        let snap = LpWorkspace::new().export_basis();
-        assert_eq!(snap, BasisSnapshot::default());
+    fn fresh_workspace_exports_no_snapshot() {
+        assert_eq!(LpWorkspace::new().export_basis(), None);
     }
 
     #[test]
-    fn dense_roundtrip_restores_the_warm_path() {
+    fn roundtrip_restores_the_warm_path() {
+        for (first, second) in [
+            (cover_lp(1.0, 40.0), cover_lp(2.0, 45.0)),
+            (packing_lp(2.0), packing_lp(2.5)),
+        ] {
+            let mut ws = LpWorkspace::new();
+            first.solve_with(&mut ws).unwrap();
+            let snap = ws.export_basis();
+            assert!(snap.is_some());
+
+            // A fresh workspace with the imported basis solves warm, and
+            // the solution matches the donor workspace's continuation
+            // exactly.
+            let mut fresh = LpWorkspace::new();
+            fresh.import_basis(snap.as_ref()).unwrap();
+            let a = second.solve_with(&mut ws).unwrap();
+            let b = second.solve_with(&mut fresh).unwrap();
+            assert_eq!(a.objective().to_bits(), b.objective().to_bits());
+            assert_eq!((fresh.warm_solves(), fresh.cold_solves()), (1, 0));
+        }
+    }
+
+    #[test]
+    fn importing_no_snapshot_clears_the_saved_basis() {
         let mut ws = LpWorkspace::new();
         cover_lp(1.0, 40.0).solve_with(&mut ws).unwrap();
-        let snap = ws.export_basis();
-        assert!(snap.dense.is_some());
-        assert!(snap.network.is_none());
-
-        // A fresh workspace with the imported basis solves warm, and the
-        // solution matches the donor workspace's continuation exactly.
-        let mut fresh = LpWorkspace::new();
-        fresh.import_basis(&snap).unwrap();
-        let a = cover_lp(2.0, 45.0).solve_with(&mut ws).unwrap();
-        let b = cover_lp(2.0, 45.0).solve_with(&mut fresh).unwrap();
-        assert_eq!(a.objective().to_bits(), b.objective().to_bits());
-        assert_eq!(fresh.warm_solves(), 1);
-        assert_eq!(fresh.cold_solves(), 0);
-    }
-
-    #[test]
-    fn network_roundtrip_restores_the_warm_path() {
-        let mut ws = LpWorkspace::new();
-        packing_lp(2.0).solve_network_with(&mut ws).unwrap();
-        let snap = ws.export_basis();
-        assert!(snap.network.is_some());
-
-        let mut fresh = LpWorkspace::new();
-        fresh.import_basis(&snap).unwrap();
-        let a = packing_lp(2.5).solve_network_with(&mut ws).unwrap();
-        let b = packing_lp(2.5).solve_network_with(&mut fresh).unwrap();
-        assert_eq!(a.objective().to_bits(), b.objective().to_bits());
-        assert_eq!(fresh.warm_solves(), 1);
-    }
-
-    #[test]
-    fn importing_an_empty_snapshot_clears_saved_bases() {
-        let mut ws = LpWorkspace::new();
-        cover_lp(1.0, 40.0).solve_with(&mut ws).unwrap();
-        ws.import_basis(&BasisSnapshot::default()).unwrap();
+        ws.import_basis(None).unwrap();
         cover_lp(1.5, 40.0).solve_with(&mut ws).unwrap();
         assert_eq!(ws.cold_solves(), 2);
         assert_eq!(ws.warm_solves(), 0);
@@ -271,68 +195,31 @@ mod tests {
     #[test]
     fn malformed_snapshots_are_rejected_and_leave_the_workspace_alone() {
         let mut ws = LpWorkspace::new();
-        cover_lp(1.0, 40.0).solve_with(&mut ws).unwrap();
-        let good = ws.export_basis();
+        packing_lp(2.0).solve_with(&mut ws).unwrap();
+        let good = ws.export_basis().unwrap();
 
         let mut bad = good.clone();
-        if let Some(d) = bad.dense.as_mut() {
-            d.basis.push(0);
-        }
-        assert!(matches!(
-            ws.import_basis(&bad),
-            Err(LpError::InvalidBasis { .. })
-        ));
+        bad.at_upper.pop();
+        assert!(ws.import_basis(Some(&bad)).is_err());
 
         let mut bad = good.clone();
-        if let Some(d) = bad.dense.as_mut() {
-            d.basis[0] = d.cols;
-        }
-        assert!(matches!(
-            ws.import_basis(&bad),
-            Err(LpError::InvalidBasis { .. })
-        ));
+        bad.basis.push(0);
+        assert!(ws.import_basis(Some(&bad)).is_err());
 
-        let mut bad = good.clone();
-        if let Some(d) = bad.dense.as_mut() {
-            d.costs[0] = f64::NAN;
-        }
+        let mut bad = good;
+        bad.basis[0] = bad.n + bad.m;
         assert!(matches!(
-            ws.import_basis(&bad),
+            ws.import_basis(Some(&bad)),
             Err(LpError::InvalidBasis { .. })
         ));
 
         // The failed imports above must not have clobbered the basis.
-        cover_lp(2.0, 41.0).solve_with(&mut ws).unwrap();
+        packing_lp(2.5).solve_with(&mut ws).unwrap();
         assert_eq!(ws.warm_solves(), 1);
     }
 
     #[test]
-    fn malformed_network_snapshots_are_rejected() {
-        let mut ws = LpWorkspace::new();
-        packing_lp(2.0).solve_network_with(&mut ws).unwrap();
-        let good = ws.export_basis();
-
-        let mut bad = good.clone();
-        if let Some(n) = bad.network.as_mut() {
-            n.at_upper.pop();
-        }
-        assert!(ws.import_basis(&bad).is_err());
-
-        let mut bad = good.clone();
-        if let Some(n) = bad.network.as_mut() {
-            n.basis.push(0);
-        }
-        assert!(ws.import_basis(&bad).is_err());
-
-        let mut bad = good;
-        if let Some(n) = bad.network.as_mut() {
-            n.basis[0] = n.n + n.m;
-        }
-        assert!(ws.import_basis(&bad).is_err());
-    }
-
-    #[test]
-    fn a_network_slack_flagged_at_upper_is_rejected() {
+    fn a_slack_flagged_at_upper_is_rejected() {
         // max x + y  s.t.  x + y ≤ 4, x ≤ 5, x, y ∈ [0, 5]. Slacks are
         // unbounded above; installed, a slack "at upper" misleads pricing
         // into x = y = 5 (objective 10), past the first row.
@@ -343,23 +230,20 @@ mod tests {
             .unwrap();
         p.add_constraint(&[(x, 1.0)], Relation::Le, 5.0).unwrap();
         let mut ws = LpWorkspace::new();
-        let cold = p.solve_network_with(&mut ws).unwrap();
+        let cold = p.solve_with(&mut ws).unwrap();
         assert!((cold.objective() - 4.0).abs() < 1e-9);
         let bad = BasisSnapshot {
-            dense: None,
-            network: Some(NetworkBasisSnapshot {
-                n: 2,
-                m: 2,
-                basis: vec![0, 3],
-                at_upper: vec![false, false, true, false],
-            }),
+            n: 2,
+            m: 2,
+            basis: vec![0, 3],
+            at_upper: vec![false, false, true, false],
         };
         assert!(matches!(
-            ws.import_basis(&bad),
+            ws.import_basis(Some(&bad)),
             Err(LpError::InvalidBasis { .. })
         ));
         // The workspace kept its own basis and still solves warm to 4.
-        let warm = p.solve_network_with(&mut ws).unwrap();
+        let warm = p.solve_with(&mut ws).unwrap();
         assert_eq!(warm.objective().to_bits(), cold.objective().to_bits());
         assert_eq!((ws.cold_solves(), ws.warm_solves()), (1, 1));
     }

@@ -10,19 +10,22 @@
 //!
 //! * [`Problem`] — a model builder with named, box-bounded variables and
 //!   `≤ / ≥ / =` linear constraints in either optimization [`Sense`];
-//! * a **two-phase dense simplex** solver (Dantzig pricing with an automatic
-//!   fallback to Bland's rule to guarantee termination on degenerate
-//!   problems) for general-form LPs such as the per-frame `P2` plan
-//!   ([`Problem::solve_with`]);
-//! * a **factorized sparse revised simplex** for packing-form network LPs
-//!   (the fleet settlement, dispatch and routing flows), whose basis lives
-//!   in a product-form eta file and whose per-pivot work follows the
-//!   nonzeros ([`Problem::solve_network_with`]);
+//! * one kernel for every problem shape: a **factorized sparse revised
+//!   simplex** whose basis lives in a product-form eta file and whose
+//!   per-pivot work follows the nonzeros ([`Problem::solve_with`]). It
+//!   runs general-form LPs such as the per-frame `P2` plan (a composite
+//!   phase 1 from the all-slack basis, then phase 2) and the packing-form
+//!   fleet flows (settlement, dispatch and routing, whose all-slack basis
+//!   is already feasible), with Dantzig partial pricing and a fallback to
+//!   Bland's rule that guarantees termination on degenerate problems;
 //! * [`Solution`] — optimal variable values and objective, mapped back to
 //!   the original model space.
 //!
-//! Both kernels warm-start from an [`LpWorkspace`]'s saved basis and are
-//! exact up to floating-point tolerance and deterministic.
+//! The kernel warm-starts from an [`LpWorkspace`]'s saved basis, restoring
+//! primal feasibility of a general-form basis by a bounded dual simplex,
+//! and is exact up to floating-point tolerance and deterministic. Its
+//! results are checked against a separate cold dense two-phase tableau
+//! solver, which exists only as a test oracle.
 //!
 //! # Examples
 //!
@@ -55,12 +58,10 @@ mod error;
 mod factor;
 mod model;
 mod network;
-mod simplex;
 mod solution;
-mod standard;
 mod workspace;
 
-pub use basis::{BasisSnapshot, DenseBasisSnapshot, NetworkBasisSnapshot};
+pub use basis::BasisSnapshot;
 pub use error::LpError;
 pub use model::{ConstraintId, Problem, Relation, Sense, Variable};
 pub use solution::Solution;

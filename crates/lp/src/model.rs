@@ -280,14 +280,34 @@ impl Problem {
         self.sense
     }
 
-    /// The simplex pivot budget (both phases combined):
+    /// The pivot budget of one simplex run (phases 1 and 2 together; a
+    /// warm start's dual restore gets its own):
     /// `200·(rows + columns) + 2000`, far above what well-posed DPSS
     /// problems need.
     pub(crate) fn pivot_budget(&self, rows: usize, cols: usize) -> usize {
         200 * (rows + cols) + 2_000
     }
 
-    /// Solves the problem with the two-phase simplex method.
+    /// The variables' `(lo, up, obj)` in insertion order — the data a
+    /// checker outside this crate needs to solve or verify the problem
+    /// independently.
+    pub fn variables(&self) -> impl ExactSizeIterator<Item = (f64, f64, f64)> + '_ {
+        self.vars.iter().map(|v| (v.lo, v.up, v.obj))
+    }
+
+    /// The constraints' `(terms, relation, rhs)` in insertion order, each
+    /// term a `(variable index, coefficient)` pair with repeated
+    /// variables summed.
+    pub fn constraints(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (&[(usize, f64)], Relation, f64)> + '_ {
+        self.constraints
+            .iter()
+            .map(|c| (c.terms.as_slice(), c.relation, c.rhs))
+    }
+
+    /// Solves the problem on the factorized revised simplex (see the
+    /// crate docs).
     ///
     /// Allocates a fresh [`LpWorkspace`](crate::LpWorkspace) per call; hot
     /// loops that solve many structurally similar problems should hold one
@@ -308,47 +328,20 @@ impl Problem {
     /// Solves the problem reusing `ws`'s buffers and warm-start basis.
     ///
     /// Semantically identical to [`solve`](Self::solve): the returned
-    /// objective and the feasibility verdict never depend on the
-    /// workspace's history (a stale basis is detected and the solver falls
-    /// back to the cold path). Only the work done to get there changes.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`solve`](Self::solve).
-    pub fn solve_with(&self, ws: &mut crate::LpWorkspace) -> Result<Solution, LpError> {
-        crate::standard::solve(self, ws)
-    }
-
-    /// Solves the problem on the sparse revised-simplex **network path**
-    /// when it is in packing form (every constraint `≤` with
-    /// non-negative rhs, every variable bounded `[0, u]` with `u`
-    /// finite — see [`is_network_form`](Self::is_network_form)), and
-    /// transparently falls back to the dense path
-    /// ([`solve_with`](Self::solve_with)) otherwise.
-    ///
-    /// Semantically identical to [`solve`](Self::solve) on the problems
-    /// it accepts: the optimal objective agrees with the dense solver to
-    /// [`TOLERANCE`](crate::TOLERANCE) (the optimal *vertex* may differ
-    /// on degenerate problems, exactly as warm and cold dense solves
-    /// may). The workspace caches the final basis and its inverse, so
-    /// re-solves after [`set_objective`](Self::set_objective) /
+    /// objective agrees to [`TOLERANCE`](crate::TOLERANCE) and the
+    /// feasibility verdict is the same whatever the workspace's history
+    /// (a stale basis is restored or rejected, see the kernel docs). The
+    /// optimal *vertex* may differ on degenerate problems; only the work
+    /// done to get there changes. The workspace caches the final basis,
+    /// so re-solves after [`set_objective`](Self::set_objective) /
     /// [`set_bounds`](Self::set_bounds) / [`set_rhs`](Self::set_rhs)
     /// edits resume from the previous optimum.
     ///
     /// # Errors
     ///
     /// Same conditions as [`solve`](Self::solve).
-    pub fn solve_network_with(&self, ws: &mut crate::LpWorkspace) -> Result<Solution, LpError> {
+    pub fn solve_with(&self, ws: &mut crate::LpWorkspace) -> Result<Solution, LpError> {
         crate::network::solve(self, ws)
-    }
-
-    /// Whether this problem is in the packing form the network path
-    /// ([`solve_network_with`](Self::solve_network_with)) handles
-    /// natively: every constraint `≤` with non-negative right-hand side
-    /// and every variable bounded `[0, u]` with `u` finite.
-    #[must_use]
-    pub fn is_network_form(&self) -> bool {
-        crate::network::is_network_form(self)
     }
 
     /// Evaluates the objective at an arbitrary assignment (useful in tests

@@ -1,14 +1,33 @@
-//! Sparse revised simplex for network-structured ("packing-form") LPs,
-//! on a **factorized basis** with allocation-free warm re-solves.
+//! The LP kernel: a sparse revised simplex on a **factorized basis**,
+//! with allocation-free warm re-solves.
+//!
+//! # General form
+//!
+//! Every [`Problem`] is mapped onto internal columns bounded `[0, u]`
+//! (`u` possibly infinite) and rows `Σ aᵢⱼ·xⱼ + sᵢ = bᵢ` with one slack
+//! column per row:
+//!
+//! * a variable with a finite lower bound is shifted onto `[0, up − lo]`;
+//!   one with only an upper bound is negated (`x = up − y`); a free one
+//!   is split into two non-negative columns;
+//! * a `≤` row's slack lives on `[0, ∞)`; a `≥` row is negated and gets
+//!   the same slack; an `=` row's slack is fixed at `[0, 0]` and never
+//!   enters the basis.
 //!
 //! The fleet flow problems — per-frame export settlement, the
-//! prospective directive LP, and the routing transportation LP — share
-//! one shape: every constraint is `Σ aᵢⱼ·xⱼ ≤ bᵢ` with `bᵢ ≥ 0`, and
-//! every variable is box-bounded `0 ≤ xⱼ ≤ uⱼ` with `uⱼ` finite. That
-//! shape has two consequences the dense two-phase tableau cannot
-//! exploit: **the all-slack basis is feasible** (`x = 0`, `s = b ≥ 0`),
-//! so phase 1 never runs, and **columns are sparse** (a flow variable
-//! touches its donor row, its need row and maybe a pool row).
+//! prospective directive LP and the routing transportation LP — are in
+//! **packing form**: every row `≤` with `bᵢ ≥ 0` and every variable on
+//! `[0, u]` with `u` finite. For them the map is the identity and **the
+//! all-slack basis is feasible** (`x = 0`, `s = b ≥ 0`), so no phase 1
+//! runs. Any other problem (the per-frame planning LP, with its balance
+//! and recursion equalities and its unbounded waste and backlog columns)
+//! starts cold from the all-slack basis, made feasible by the same
+//! cost-shifted **dual simplex** a warm start uses (below), then runs
+//! phase 2. When the dual cannot finish — the problem is infeasible, or
+//! numerically awkward — a **composite primal phase 1** from the
+//! all-slack basis, minimizing the sum of the basic variables' bound
+//! violations, decides: it reaches a feasible basis or proves there is
+//! none.
 //!
 //! # The factorized basis
 //!
@@ -24,7 +43,10 @@
 //! [`SMALL_PIVOT_TOL`] — the drift trigger. Refactorization processes
 //! slack columns first (free identity etas) and structural columns in
 //! ascending-sparsity order with largest-pivot row selection, so it is
-//! deterministic.
+//! deterministic. A general-form basis first places its triangular part
+//! (row singletons), which keeps the frame LP's recursion chains free
+//! of fill; packing-form bases keep the plain order, and with it their
+//! pinned pivot paths.
 //!
 //! # Work that follows what a pivot changed
 //!
@@ -39,16 +61,18 @@
 //! tie-breaks, the same eta entry order — and therefore the same pivot
 //! sequence, bit for bit.
 //!
-//! Pricing works the same way. A bound flip changes neither the basis,
-//! the file nor `c_B`, so the multipliers `y` and the reduced costs `d`
-//! stand. An exchange changes `c_B` at the pivot row only, and the cone
-//! BTRAN ([`crate::factor::Factorization::btran_update`]) re-applies
-//! just the etas whose inputs changed. `d` is cached for every column:
-//! after a cone update only the columns on the rows whose multiplier
-//! bits moved are recomputed (through a row-wise copy of the matrix, in
-//! the same column-order dot product), and a full BTRAN after an install
-//! or a refactorization recomputes all of it. Debug builds check every
-//! incremental update against a from-scratch pass, bit for bit.
+//! Phase-2 pricing works the same way. A bound flip changes neither the
+//! basis, the file nor `c_B`, so the multipliers `y` and the reduced
+//! costs `d` stand. An exchange changes `c_B` at the pivot row only, and
+//! the cone BTRAN ([`crate::factor::Factorization::btran_update`])
+//! re-applies just the etas whose inputs changed. `d` is cached for every
+//! column: after a cone update only the columns on the rows whose
+//! multiplier bits moved are recomputed (through a row-wise copy of the
+//! matrix, in the same column-order dot product), and a full BTRAN after
+//! an install or a refactorization recomputes all of it. Debug builds
+//! check every incremental update against a from-scratch pass, bit for
+//! bit. Phase 1's costs follow the basic values, so it prices from
+//! scratch after every pivot.
 //!
 //! # Allocation-free warm re-solves
 //!
@@ -67,9 +91,9 @@
 //! Dantzig pricing is upgraded to a **candidate-list partial-pricing**
 //! scheme: a cyclic sweep refills a bounded list of attractive columns,
 //! later iterations re-price only that list, and optimality is declared
-//! only after a full sweep finds nothing attractive. The same
-//! degenerate-streak fallback to Bland's rule (full lowest-index scans)
-//! as the dense kernel guarantees termination.
+//! only after a full sweep finds nothing attractive. After a streak of
+//! [`DEGENERATE_STREAK_LIMIT`] degenerate pivots the kernel falls back to
+//! Bland's rule (full lowest-index scans), which guarantees termination.
 //!
 //! # Warm re-solves
 //!
@@ -77,34 +101,42 @@
 //! coefficient matrix untouched, so the previous optimal basis is still
 //! meaningful. A re-solve refactorizes that basis from the current
 //! columns (deterministic, so a checkpoint-restored workspace continues
-//! bit-identically), checks it for primal feasibility under the new
-//! data and, when it holds (the common frame-to-frame case), resumes
-//! pricing from there — typically zero or a handful of pivots. A basis
-//! that went primal-infeasible or singular is discarded for the cold
-//! all-slack start, so the objective and feasibility verdict never
-//! depend on workspace history.
+//! bit-identically) and then:
 //!
-//! Entry point: [`Problem::solve_network_with`], which transparently
-//! falls back to the dense path ([`Problem::solve_with`]) for problems
-//! outside packing form. Results agree with the dense solver's
-//! objective to [`TOLERANCE`] — property-tested over randomized flow
-//! instances and ≥200-edit warm chains in `tests/network_equivalence.rs`
-//! and `tests/factorized_warm_chain.rs`. Kernel telemetry (pivots, eta
+//! * a **packing-form** problem checks the basis for primal feasibility
+//!   under the new data and, when it holds, resumes pricing from there;
+//!   a basis that went primal-infeasible is discarded for the feasible
+//!   all-slack start;
+//! * a **general-form** problem restores primal feasibility with a
+//!   bounded **dual simplex**. Its guide is the current reduced costs of
+//!   the saved basis, each moved onto the side its column's bound status
+//!   allows (a cost shift, so the guide is dual-feasible by
+//!   construction). Primal phase 2 on the true costs then finishes. A
+//!   restore that finds no entering column (the new data is infeasible)
+//!   or exhausts its budget goes cold, so the cold path alone classifies
+//!   errors.
+//!
+//! A saved basis that is singular for the current columns, or that
+//! holds a column at an upper bound the current problem no longer has,
+//! is rejected for the cold start. The objective and feasibility verdict
+//! never depend on workspace history. Results agree with a dense
+//! two-phase oracle to [`TOLERANCE`] on randomized flow, frame and
+//! general instances and on ≥200-edit warm chains
+//! (`tests/network_equivalence.rs`, `tests/warm_start_properties.rs`,
+//! `tests/factorized_warm_chain.rs`). Kernel telemetry (pivots, eta
 //! length, refactorizations, peak scratch bytes, ns per solve) is
 //! recorded on the workspace ([`LpWorkspace::stats`]).
 //!
 //! [`Problem::set_objective`]: crate::Problem::set_objective
 //! [`set_bounds`]: crate::Problem::set_bounds
 //! [`set_rhs`]: crate::Problem::set_rhs
-//! [`Problem::solve_network_with`]: crate::Problem::solve_network_with
-//! [`Problem::solve_with`]: crate::Problem::solve_with
 //! [`Solution`]: crate::Solution
 
 // Revised-simplex kernel: every index is a row below `m` or a column
 // below `n + m`, minted in one construction pass (columns from the
 // problem's validated terms, rows from its constraint count) and
 // preserved by every pivot. Runtime bound checks in the sparse inner
-// loops would be pure overhead, exactly as in the dense kernel.
+// loops would be pure overhead.
 // audit:allow-file(slice-index): kernel indices are bounded by the n/m the buffers were sized with; see module note
 #![allow(clippy::indexing_slicing)]
 // Timing here is telemetry only: the measured nanoseconds land in
@@ -116,16 +148,26 @@ use std::time::Instant;
 
 use crate::factor::{Factorization, SparseWork};
 use crate::model::{Problem, Relation, Sense};
-use crate::simplex::DEGENERATE_STREAK_LIMIT;
 use crate::solution::Solution;
 use crate::workspace::LpWorkspace;
 use crate::{LpError, TOLERANCE};
 
 /// Feasibility slack allowed when deciding whether a saved basis is
-/// still primal-feasible for re-solved data (looser than the pricing
-/// tolerance: a basic value overshooting its bound by rounding noise is
-/// repaired by the ratio test, not worth a cold restart).
+/// still primal-feasible for re-solved packing data (looser than the
+/// pricing tolerance: a basic value overshooting its bound by rounding
+/// noise is repaired by the ratio test, not worth a cold restart).
 const WARM_FEAS_TOL: f64 = 1e-7;
+
+/// Total bound violation above which a phase 1 that can no longer
+/// improve declares the problem infeasible.
+const PHASE1_INFEASIBLE_TOL: f64 = 1e-7;
+
+/// How many consecutive degenerate pivots trigger the Bland's-rule
+/// fallback. Dantzig pricing can cycle forever on degenerate vertices
+/// (Beale's example); Bland's rule provably terminates, so after this
+/// many zero-progress pivots the kernel switches pricing rules until the
+/// objective moves again.
+const DEGENERATE_STREAK_LIMIT: usize = 24;
 
 /// Eta-file length at which the kernel refactorizes by default. Long
 /// files slow FTRAN/BTRAN and accumulate rounding drift; rebuilding
@@ -148,28 +190,78 @@ const SINGULAR_TOL: f64 = 1e-9;
 
 /// Whether `p` is in packing form: every constraint `≤` with a
 /// non-negative right-hand side and every variable bounded `[0, u]`
-/// with `u` finite. Exactly the problems [`solve`] handles natively.
-pub(crate) fn is_network_form(p: &Problem) -> bool {
+/// with `u` finite. Its all-slack basis is feasible.
+fn is_packing_form(p: &Problem) -> bool {
     p.vars.iter().all(|v| v.lo == 0.0 && v.up.is_finite())
         && p.constraints
             .iter()
             .all(|c| c.relation == Relation::Le && c.rhs >= 0.0)
 }
 
-/// The saved state of a successful network solve: the optimal basis and
-/// the nonbasic bound statuses. The factorization is *not* saved — it
-/// is rebuilt deterministically from the current problem's columns on
-/// the next warm install, which keeps checkpoints small and makes a
-/// restored workspace continue bit-identically to the donor.
+/// How a model variable maps onto internal columns bounded `[0, u]`.
+#[derive(Debug, Clone, Copy)]
+enum VarMap {
+    /// `x = lo + y` (finite lower bound).
+    Shifted { col: usize, lo: f64 },
+    /// `x = up − y` (only the upper bound is finite).
+    Negated { col: usize, up: f64 },
+    /// `x = y⁺ − y⁻` (free): `y⁺` is column `pos`, `y⁻` column `pos + 1`.
+    Split { pos: usize },
+}
+
+impl VarMap {
+    /// The constant the map moves into the right-hand side per unit of
+    /// the variable's coefficient.
+    fn offset(self) -> f64 {
+        match self {
+            VarMap::Shifted { lo, .. } => lo,
+            VarMap::Negated { up, .. } => up,
+            VarMap::Split { .. } => 0.0,
+        }
+    }
+}
+
+/// Visits a row's nonzero terms as internal `(column, coefficient)`
+/// pairs, scaled by the row's sign (`−1` for a negated `≥` row). An
+/// empty `maps` is the identity (packing form).
+fn for_each_term(
+    maps: &[VarMap],
+    relation: Relation,
+    terms: &[(usize, f64)],
+    mut visit: impl FnMut(usize, f64),
+) {
+    let sign = if relation == Relation::Ge { -1.0 } else { 1.0 };
+    for &(j, a) in terms {
+        if a == 0.0 {
+            continue;
+        }
+        let a = sign * a;
+        match maps.get(j) {
+            None => visit(j, a),
+            Some(&VarMap::Shifted { col, .. }) => visit(col, a),
+            Some(&VarMap::Negated { col, .. }) => visit(col, -a),
+            Some(&VarMap::Split { pos }) => {
+                visit(pos, a);
+                visit(pos + 1, -a);
+            }
+        }
+    }
+}
+
+/// The saved state of a successful solve: the optimal basis and the
+/// nonbasic bound statuses. The factorization is *not* saved — it is
+/// rebuilt deterministically from the current problem's columns on the
+/// next warm install, which keeps checkpoints small and makes a restored
+/// workspace continue bit-identically to the donor.
 ///
 /// Lives in-place inside the workspace (the `live` flag plays the role
-/// an `Option` used to) so warm chains never reallocate it.
+/// an `Option` would) so warm chains never reallocate it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NetworkBasis {
     /// Whether the stored basis is valid for reuse. Cleared when the
     /// basis is consumed by a solve attempt and re-set on success.
     pub(crate) live: bool,
-    /// Structural variable count the basis was built for.
+    /// Internal structural column count the basis was built for.
     pub(crate) n: usize,
     /// Constraint row count the basis was built for.
     pub(crate) m: usize,
@@ -193,13 +285,21 @@ impl NetworkBasis {
     }
 }
 
-/// Persistent solver state for the packing-form kernel: the column-major
-/// problem image, basis, factorization and every scratch vector, all
-/// owned by the [`LpWorkspace`] and recycled across solves.
+/// Persistent solver state: the column-major problem image, basis,
+/// factorization and every scratch vector, all owned by the
+/// [`LpWorkspace`] and recycled across solves.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NetState {
+    /// Internal structural columns (a split free variable takes two).
     n: usize,
     m: usize,
+    /// Whether the loaded problem is in packing form.
+    packing: bool,
+    /// Whether the simplex is in phase 1, pricing bound violations.
+    phase1: bool,
+    /// Model variable → internal columns; empty in packing form, where
+    /// the map is the identity.
+    maps: Vec<VarMap>,
     /// Column-major sparse structural matrix in CSC form: column `j`
     /// owns `col_row/col_val[col_off[j]..col_off[j + 1]]`, rows
     /// ascending. Slack columns (`n + i`) are the implicit identity.
@@ -215,7 +315,9 @@ pub(crate) struct NetState {
     col_cursor: Vec<u32>,
     /// Minimization-sense costs of the structural columns.
     cost: Vec<f64>,
-    /// Upper bounds of the structural columns (slacks are unbounded).
+    /// Upper bounds of the structural columns, followed by the slacks'
+    /// (`0` for an equality row, `∞` otherwise) when some row is an
+    /// equality; slacks past the end are unbounded.
     upper: Vec<f64>,
     rhs: Vec<f64>,
     basis: Vec<usize>,
@@ -225,14 +327,19 @@ pub(crate) struct NetState {
     xb: Vec<f64>,
     /// The basis inverse in product (eta-file) form.
     factor: Factorization,
-    /// Costs of the basic columns, row-aligned with `basis`.
+    /// Costs of the basic columns, row-aligned with `basis` (phase 1:
+    /// the signs of their bound violations).
     cb: Vec<f64>,
     /// The simplex multipliers `y = c_Bᵀ·B⁻¹`, kept current across
-    /// exchanges by the cone BTRAN.
+    /// exchanges by the cone BTRAN (the dual restore borrows it for the
+    /// pivot row `e_rᵀ·B⁻¹`).
     y: Vec<f64>,
     /// Reduced cost of every column under `y` (slacks included), kept
-    /// current for the rows whose multiplier moved.
+    /// current for the rows whose multiplier moved (the dual restore's
+    /// guide while it runs).
     d: Vec<f64>,
+    /// The dual restore's pivot row `e_rᵀ·B⁻¹·A`, per column.
+    alpha: Vec<f64>,
     /// Rows whose multiplier bits the last cone BTRAN changed.
     changed_rows: Vec<u32>,
     /// FTRAN scratch: the entering direction (or, while refactorizing,
@@ -251,6 +358,10 @@ pub(crate) struct NetState {
     order: Vec<u32>,
     row_pivoted: Vec<bool>,
     new_basis: Vec<usize>,
+    /// General-form refactorization scratch: unplaced basic columns per
+    /// unpivoted row, and the rows down to one.
+    row_count: Vec<u32>,
+    singletons: Vec<u32>,
     /// Eta cap before a refactorization is forced; `0` means
     /// [`DEFAULT_REFACTOR_ETA_CAP`]. Set via
     /// [`LpWorkspace::set_network_refactor_cap`].
@@ -267,13 +378,33 @@ pub(crate) struct NetState {
     eta_entry_peak: usize,
 }
 
+/// Where a primal ratio test stopped the entering column.
+type Leave = Option<(usize, bool)>;
+
 impl NetState {
     /// Rebuilds the problem image in place (no allocation once the
     /// arenas have grown to the template's working set) and resets the
     /// per-solve scratch so results never depend on workspace history.
     fn load(&mut self, p: &Problem) {
-        let n = p.vars.len();
         let m = p.constraints.len();
+        self.packing = is_packing_form(p);
+        self.maps.clear();
+        let mut n = p.vars.len();
+        if !self.packing {
+            n = 0;
+            for v in &p.vars {
+                let map = if v.lo.is_finite() {
+                    VarMap::Shifted { col: n, lo: v.lo }
+                } else if v.up.is_finite() {
+                    VarMap::Negated { col: n, up: v.up }
+                } else {
+                    n += 1;
+                    VarMap::Split { pos: n - 1 }
+                };
+                n += 1;
+                self.maps.push(map);
+            }
+        }
         self.n = n;
         self.m = m;
         let sign = match p.sense {
@@ -281,51 +412,91 @@ impl NetState {
             Sense::Maximize => -1.0,
         };
         self.cost.clear();
-        self.cost.extend(p.vars.iter().map(|v| sign * v.obj));
         self.upper.clear();
-        self.upper.extend(p.vars.iter().map(|v| v.up));
+        if self.packing {
+            self.cost.extend(p.vars.iter().map(|v| sign * v.obj));
+            self.upper.extend(p.vars.iter().map(|v| v.up));
+        } else {
+            for (v, map) in p.vars.iter().zip(&self.maps) {
+                let c = sign * v.obj;
+                match *map {
+                    VarMap::Shifted { lo, .. } => {
+                        self.cost.push(c);
+                        self.upper.push(v.up - lo);
+                    }
+                    VarMap::Negated { .. } => {
+                        self.cost.push(-c);
+                        self.upper.push(f64::INFINITY);
+                    }
+                    VarMap::Split { .. } => {
+                        self.cost.extend([c, -c]);
+                        self.upper.extend([f64::INFINITY; 2]);
+                    }
+                }
+            }
+            if p.constraints.iter().any(|c| c.relation == Relation::Eq) {
+                self.upper
+                    .extend(p.constraints.iter().map(|c| match c.relation {
+                        Relation::Eq => 0.0,
+                        Relation::Le | Relation::Ge => f64::INFINITY,
+                    }));
+            }
+        }
+        let maps = &self.maps;
         self.rhs.clear();
-        self.rhs.extend(p.constraints.iter().map(|c| c.rhs));
+        self.rhs.extend(p.constraints.iter().map(|c| {
+            let mut b = c.rhs;
+            if !maps.is_empty() {
+                for &(j, a) in &c.terms {
+                    let offset = maps[j].offset();
+                    if offset != 0.0 {
+                        b -= a * offset;
+                    }
+                }
+            }
+            if c.relation == Relation::Ge {
+                -b
+            } else {
+                b
+            }
+        }));
 
-        // CSR pattern: the constraint rows as given.
-        self.row_off.clear();
-        self.row_off.push(0);
-        self.row_col.clear();
+        // CSR pattern: the constraint rows in internal columns.
+        let (row_off, row_col) = (&mut self.row_off, &mut self.row_col);
+        row_off.clear();
+        row_off.push(0);
+        row_col.clear();
         for c in &p.constraints {
-            self.row_col
-                .extend(c.terms.iter().filter(|t| t.1 != 0.0).map(|t| t.0 as u32));
-            self.row_off.push(self.row_col.len() as u32);
+            for_each_term(maps, c.relation, &c.terms, |j, _| row_col.push(j as u32));
+            row_off.push(row_col.len() as u32);
         }
 
         // CSC fill: count per column, prefix-sum, scatter.
-        self.col_off.clear();
-        self.col_off.resize(n + 1, 0);
+        let col_off = &mut self.col_off;
+        col_off.clear();
+        col_off.resize(n + 1, 0);
         for c in &p.constraints {
-            for &(j, a) in &c.terms {
-                if a != 0.0 {
-                    self.col_off[j + 1] += 1;
-                }
-            }
+            for_each_term(maps, c.relation, &c.terms, |j, _| col_off[j + 1] += 1);
         }
         for j in 0..n {
-            self.col_off[j + 1] += self.col_off[j];
+            col_off[j + 1] += col_off[j];
         }
-        let nnz = self.col_off[n] as usize;
-        self.col_row.clear();
-        self.col_row.resize(nnz, 0);
-        self.col_val.clear();
-        self.col_val.resize(nnz, 0.0);
-        self.col_cursor.clear();
-        self.col_cursor.extend_from_slice(&self.col_off[..n]);
+        let nnz = col_off[n] as usize;
+        let (col_row, col_val, cursor) =
+            (&mut self.col_row, &mut self.col_val, &mut self.col_cursor);
+        col_row.clear();
+        col_row.resize(nnz, 0);
+        col_val.clear();
+        col_val.resize(nnz, 0.0);
+        cursor.clear();
+        cursor.extend_from_slice(&col_off[..n]);
         for (i, c) in p.constraints.iter().enumerate() {
-            for &(j, a) in &c.terms {
-                if a != 0.0 {
-                    let k = self.col_cursor[j] as usize;
-                    self.col_row[k] = i as u32;
-                    self.col_val[k] = a;
-                    self.col_cursor[j] += 1;
-                }
-            }
+            for_each_term(maps, c.relation, &c.terms, |j, a| {
+                let k = cursor[j] as usize;
+                col_row[k] = i as u32;
+                col_val[k] = a;
+                cursor[j] += 1;
+            });
         }
 
         self.xb.clear();
@@ -342,11 +513,7 @@ impl NetState {
     }
 
     fn col_upper(&self, j: usize) -> f64 {
-        if j < self.n {
-            self.upper[j]
-        } else {
-            f64::INFINITY
-        }
+        self.upper.get(j).copied().unwrap_or(f64::INFINITY)
     }
 
     fn col_cost(&self, j: usize) -> f64 {
@@ -357,6 +524,12 @@ impl NetState {
         }
     }
 
+    /// Whether column `j` may enter the basis: nonbasic, and not the
+    /// fixed slack of an equality row.
+    fn can_enter(&self, j: usize) -> bool {
+        !self.in_basis[j] && (j < self.n || self.col_upper(j) != 0.0)
+    }
+
     fn eta_cap(&self) -> usize {
         if self.refactor_eta_cap == 0 {
             DEFAULT_REFACTOR_ETA_CAP
@@ -365,7 +538,7 @@ impl NetState {
         }
     }
 
-    /// Installs the cold all-slack basis (`x = 0`, `s = b`), feasible by
+    /// Installs the cold all-slack basis (`x = 0`, `s = b`), feasible in
     /// packing form (`b ≥ 0`). The factorization is the identity.
     fn install_slack_basis(&mut self) {
         let (n, m) = (self.n, self.m);
@@ -383,9 +556,11 @@ impl NetState {
         self.compute_xb();
     }
 
-    /// Installs a saved basis: copies it in, refactorizes it against the
-    /// *current* columns, and returns whether it is both nonsingular and
-    /// primal-feasible for the current bounds and right-hand sides.
+    /// Installs a saved basis: copies it in, refuses a column held at an
+    /// upper bound the current problem does not have (before any `x_B`
+    /// is computed from it), refactorizes the basis against the
+    /// *current* columns and computes `x_B`. Returns whether the basis
+    /// was usable — nonsingular, statuses consistent.
     fn install_saved(&mut self, basis: &[usize], at_upper: &[bool]) -> bool {
         let (n, m) = (self.n, self.m);
         debug_assert_eq!(basis.len(), m);
@@ -407,14 +582,24 @@ impl NetState {
                 self.at_upper[j] = false;
             }
         }
+        for j in 0..n + m {
+            if self.at_upper[j] && !self.col_upper(j).is_finite() {
+                return false;
+            }
+        }
         if !self.refactorize() {
             return false;
         }
         self.compute_xb();
+        true
+    }
+
+    /// Whether every basic value lies within its box, up to `tol`.
+    fn primal_feasible(&self, tol: f64) -> bool {
         self.basis
             .iter()
             .zip(&self.xb)
-            .all(|(&j, &x)| x >= -WARM_FEAS_TOL && x <= self.col_upper(j) + WARM_FEAS_TOL)
+            .all(|(&j, &x)| x >= -tol && x <= self.col_upper(j) + tol)
     }
 
     /// Rebuilds the eta file from the basis columns: slack columns first
@@ -442,6 +627,9 @@ impl NetState {
                 self.row_pivoted[r] = true;
                 self.new_basis[r] = j;
             }
+        }
+        if !self.packing && !self.pivot_row_singletons() {
+            return false;
         }
         // Structural columns, sparsest first (sort_unstable is in-place;
         // the (nnz, column) key is a total order, so the result is
@@ -485,10 +673,87 @@ impl NetState {
         true
     }
 
+    /// The triangular part of a general-form refactorization: while some
+    /// unpivoted row meets exactly one unplaced basic column, that column
+    /// pivots on that row. No later column touches the row, so no later
+    /// FTRAN passes through the eta, and a triangular basis — the frame
+    /// LP's recursion chains — factors with no fill at all; the columns
+    /// left over (the bump) take the sparsest-first rule. Placed columns
+    /// leave `basis` (their slot becomes `usize::MAX`) until the swap at
+    /// the end. Returns `false` if an eta cannot be appended.
+    fn pivot_row_singletons(&mut self) -> bool {
+        let (n, m) = (self.n, self.m);
+        self.row_count.clear();
+        self.row_count.resize(m, 0);
+        for r in 0..m {
+            if !self.row_pivoted[r] {
+                let cols = &self.row_col[self.row_off[r] as usize..self.row_off[r + 1] as usize];
+                self.row_count[r] =
+                    cols.iter().filter(|&&j| self.in_basis[j as usize]).count() as u32;
+            }
+        }
+        self.singletons.clear();
+        self.singletons.extend(
+            (0..m as u32)
+                .rev()
+                .filter(|&r| self.row_count[r as usize] == 1),
+        );
+        let mut placed = 0;
+        while let Some(r) = self.singletons.pop() {
+            let r = r as usize;
+            if self.row_pivoted[r] || self.row_count[r] != 1 {
+                continue;
+            }
+            let (s, e) = (self.row_off[r] as usize, self.row_off[r + 1] as usize);
+            let Some(j) = self.row_col[s..e]
+                .iter()
+                .map(|&j| j as usize)
+                .find(|&j| self.in_basis[j])
+            else {
+                continue;
+            };
+            self.direction(j);
+            if self.w.get(r).abs() <= SINGULAR_TOL {
+                continue; // left for the bump's largest-pivot rule
+            }
+            if !self.factor.push_eta(r, &self.w) {
+                return false;
+            }
+            self.row_pivoted[r] = true;
+            self.new_basis[r] = j;
+            self.in_basis[j] = false;
+            placed += 1;
+            for t in self.col_off[j] as usize..self.col_off[j + 1] as usize {
+                let i = self.col_row[t] as usize;
+                if !self.row_pivoted[i] {
+                    self.row_count[i] -= 1;
+                    if self.row_count[i] == 1 {
+                        self.singletons.push(i as u32);
+                    }
+                }
+            }
+        }
+        if placed > 0 {
+            for pos in 0..m {
+                let j = self.basis[pos];
+                if j < n && !self.in_basis[j] {
+                    self.basis[pos] = usize::MAX;
+                }
+            }
+            for r in 0..m {
+                let j = self.new_basis[r];
+                if j < n {
+                    self.in_basis[j] = true;
+                }
+            }
+        }
+        true
+    }
+
     /// Recomputes the basic values `x_B = B⁻¹·(b − Σ_{j at upper} Aⱼuⱼ)`
     /// through a fresh FTRAN (not the incremental pivot updates — also
     /// the accuracy refresh after each refactorization and before
-    /// extraction).
+    /// extraction). Slacks are never at an upper bound.
     fn compute_xb(&mut self) {
         self.rhs_work.clear();
         self.rhs_work.extend_from_slice(&self.rhs);
@@ -516,7 +781,7 @@ impl NetState {
         let (n, m) = (self.n, self.m);
         self.cb.clear();
         for r in 0..m {
-            let c = self.col_cost(self.basis[r]);
+            let c = self.basic_cost(r);
             self.cb.push(c);
         }
         self.y.clear();
@@ -529,13 +794,44 @@ impl NetState {
         }
     }
 
+    /// The cost of the basic variable at row `r`: its objective
+    /// coefficient in phase 2; in phase 1 `−1` below its lower bound,
+    /// `+1` above its upper bound and `0` inside its box.
+    fn basic_cost(&self, r: usize) -> f64 {
+        let j = self.basis[r];
+        if !self.phase1 {
+            return self.col_cost(j);
+        }
+        let x = self.xb[r];
+        if x < -TOLERANCE {
+            -1.0
+        } else if x > self.col_upper(j) + TOLERANCE {
+            1.0
+        } else {
+            0.0
+        }
+    }
+
+    /// The total bound violation of the basic variables (phase 1's
+    /// objective), counting only violations beyond [`TOLERANCE`].
+    fn infeasibility(&self) -> f64 {
+        let mut total = 0.0;
+        for (&j, &x) in self.basis.iter().zip(&self.xb) {
+            let violation = (-x).max(x - self.col_upper(j));
+            if violation > TOLERANCE {
+                total += violation;
+            }
+        }
+        total
+    }
+
     /// Prices after the exchange at row `r` appended one eta: `c_B`
     /// changes at `r` only, the cone BTRAN re-applies the etas whose
     /// inputs changed, and the reduced costs of the columns on every row
     /// whose multiplier moved are recomputed — the same bits
     /// [`reprice`](Self::reprice) would give.
     fn reprice_exchange(&mut self, r: usize) {
-        self.cb[r] = self.col_cost(self.basis[r]);
+        self.cb[r] = self.basic_cost(r);
         self.changed_rows.clear();
         self.factor
             .btran_update(&self.cb, &mut self.y, &mut self.changed_rows);
@@ -560,7 +856,7 @@ impl NetState {
     fn assert_pricing_is_fresh(&mut self) {
         let (n, m) = (self.n, self.m);
         for r in 0..m {
-            assert_eq!(self.cb[r].to_bits(), self.col_cost(self.basis[r]).to_bits());
+            assert_eq!(self.cb[r].to_bits(), self.basic_cost(r).to_bits());
         }
         self.rhs_work.clear();
         self.rhs_work.resize(m, 0.0);
@@ -575,16 +871,27 @@ impl NetState {
         }
     }
 
-    /// Reduced cost of column `j` under the current multipliers, from
-    /// scratch (the cached copy lives in `d`).
-    fn reduced_cost(&self, j: usize) -> f64 {
+    /// `vᵀ·Aⱼ` for column `j` (a slack's column is `e_i`).
+    fn col_dot(&self, j: usize, v: &[f64]) -> f64 {
         if j < self.n {
             let (s, e) = (self.col_off[j] as usize, self.col_off[j + 1] as usize);
             let mut dot = 0.0;
             for t in s..e {
-                dot += self.y[self.col_row[t] as usize] * self.col_val[t];
+                dot += v[self.col_row[t] as usize] * self.col_val[t];
             }
-            self.cost[j] - dot
+            dot
+        } else {
+            v[j - self.n]
+        }
+    }
+
+    /// Reduced cost of column `j` under the current multipliers, from
+    /// scratch (the cached copy lives in `d`). Phase 1 prices nonbasic
+    /// columns at zero cost.
+    fn reduced_cost(&self, j: usize) -> f64 {
+        if j < self.n {
+            let c = if self.phase1 { 0.0 } else { self.cost[j] };
+            c - self.col_dot(j, &self.y)
         } else {
             -self.y[j - self.n]
         }
@@ -618,7 +925,7 @@ impl NetState {
     /// Bland's rule: the lowest-index attractive column, by a full scan.
     /// Used only on degenerate streaks — it guarantees termination.
     fn price_bland(&self) -> Option<usize> {
-        (0..self.n + self.m).find(|&j| !self.in_basis[j] && self.violation(j) > TOLERANCE)
+        (0..self.n + self.m).find(|&j| self.can_enter(j) && self.violation(j) > TOLERANCE)
     }
 
     /// Candidate-list partial pricing: re-price the standing list under
@@ -667,7 +974,7 @@ impl NetState {
         let mut best_v = TOLERANCE;
         let mut j = self.cursor % total;
         for _ in 0..total {
-            if !self.in_basis[j] {
+            if self.can_enter(j) {
                 let v = self.violation(j);
                 if v > TOLERANCE {
                     cands.push(j as u32);
@@ -688,27 +995,172 @@ impl NetState {
         best
     }
 
-    /// Runs primal simplex from the installed feasible basis to
-    /// optimality. Returns the pivot count.
-    fn optimize(&mut self, budget: usize) -> Result<usize, LpError> {
+    /// The phase-2 ratio test for the direction in `w`: the entering
+    /// column moves off its bound by `t ≥ 0` (`sigma = −1` from upper)
+    /// until a basic variable reaches a bound or the column crosses its
+    /// box. Returns the step and the blocking row with the bound it
+    /// leaves at (`None`: a bound flip).
+    fn ratio_test(&self, j: usize, sigma: f64) -> (f64, Leave) {
+        let mut t = self.col_upper(j); // bound-flip limit: box width
+        let mut leave: Leave = None;
+        // Rows off the pattern hold exactly zero and can neither block
+        // nor move; walking it ascending keeps the lowest-row tie-break.
+        for &r in self.w.pattern() {
+            let r = r as usize;
+            let wr = sigma * self.w.get(r);
+            if wr > TOLERANCE {
+                let ratio = (self.xb[r] / wr).max(0.0);
+                if ratio < t {
+                    t = ratio;
+                    leave = Some((r, false));
+                }
+            } else if wr < -TOLERANCE {
+                let ub = self.col_upper(self.basis[r]);
+                if ub.is_finite() {
+                    let ratio = ((ub - self.xb[r]) / -wr).max(0.0);
+                    if ratio < t {
+                        t = ratio;
+                        leave = Some((r, true));
+                    }
+                }
+            }
+        }
+        (t, leave)
+    }
+
+    /// The phase-1 ratio test: feasible basic variables block at their
+    /// bounds as in phase 2, and an infeasible one blocks where it
+    /// reaches the bound it violates — the first breakpoint of the
+    /// piecewise-linear phase-1 objective, so every step reduces it.
+    fn ratio_test_phase1(&self, j: usize, sigma: f64) -> (f64, Leave) {
+        let mut t = self.col_upper(j);
+        let mut leave: Leave = None;
+        for &r in self.w.pattern() {
+            let r = r as usize;
+            let wr = sigma * self.w.get(r);
+            let (x, ub) = (self.xb[r], self.col_upper(self.basis[r]));
+            // `x` falls when `wr > 0` and rises when `wr < 0`.
+            let stop = if wr > TOLERANCE {
+                if x > ub + TOLERANCE {
+                    Some(((x - ub) / wr, true))
+                } else if x >= -TOLERANCE {
+                    Some(((x / wr).max(0.0), false))
+                } else {
+                    None
+                }
+            } else if wr < -TOLERANCE {
+                if x < -TOLERANCE {
+                    Some((x / wr, false))
+                } else if x <= ub + TOLERANCE && ub.is_finite() {
+                    Some((((ub - x) / -wr).max(0.0), true))
+                } else {
+                    None
+                }
+            } else {
+                None
+            };
+            if let Some((ratio, at_upper)) = stop {
+                if ratio < t {
+                    t = ratio;
+                    leave = Some((r, at_upper));
+                }
+            }
+        }
+        (t, leave)
+    }
+
+    /// Moves the entering column `j` by `t` in direction `sigma` along
+    /// `w` and, when a basic variable blocks, exchanges it out and
+    /// appends the exchange's eta. A slack always leaves at its lower
+    /// bound: a fixed slack's bounds are both `0`.
+    fn step(&mut self, j: usize, sigma: f64, t: f64, leave: Leave, eta_cap: usize) -> StepOutcome {
+        for &r in self.w.pattern() {
+            self.xb[r as usize] -= sigma * t * self.w.get(r as usize);
+        }
+        let Some((r, leaves_at_upper)) = leave else {
+            // The entering variable crossed its box without any basic
+            // variable blocking: a bound flip, no basis, factorization or
+            // `c_B` change, so `y` and `d` stand.
+            self.at_upper[j] = !self.at_upper[j];
+            return StepOutcome::Flipped;
+        };
+        let out = self.basis[r];
+        self.in_basis[out] = false;
+        self.at_upper[out] = leaves_at_upper && out < self.n;
+        self.basis[r] = j;
+        self.in_basis[j] = true;
+        self.at_upper[j] = false;
+        self.xb[r] = if sigma > 0.0 {
+            t
+        } else {
+            self.col_upper(j) - t
+        };
+        self.append_eta(r, eta_cap)
+    }
+
+    /// Appends the eta of the exchange at row `r` (the entering direction
+    /// is in `w`); refactorizes on the update-eta cap (appends since the
+    /// last rebuild — the base factorization itself may hold one eta per
+    /// structural column) or the small-pivot (drift) trigger, or if the
+    /// pivot was too small to divide by at all.
+    fn append_eta(&mut self, r: usize, eta_cap: usize) -> StepOutcome {
+        let small = self.w.get(r).abs() < SMALL_PIVOT_TOL;
+        let pushed = self.factor.push_eta(r, &self.w);
+        self.eta_entry_peak = self.eta_entry_peak.max(self.factor.entry_count());
+        let updates = self.factor.eta_count().saturating_sub(self.base_etas);
+        if !pushed || small || updates >= eta_cap {
+            if self.refactorize() {
+                self.solve_refactorizations += 1;
+                self.compute_xb();
+                StepOutcome::Refactorized
+            } else {
+                StepOutcome::Wedged
+            }
+        } else {
+            StepOutcome::Exchanged(r)
+        }
+    }
+
+    /// Runs primal simplex from the installed basis to optimality:
+    /// phase 1 first unless the basis is `feasible`, then phase 2.
+    /// Returns the pivot count.
+    fn optimize(&mut self, budget: usize, feasible: bool) -> Result<usize, LpError> {
         let eta_cap = self.eta_cap();
         let mut pivots = 0usize;
         let mut bland = false;
         let mut degenerate_streak = 0usize;
+        self.phase1 = !feasible;
         self.reprice();
-        loop {
+        let mut infeasibility = if self.phase1 {
+            self.infeasibility()
+        } else {
+            0.0
+        };
+        let result = loop {
+            if self.phase1 && infeasibility == 0.0 {
+                self.phase1 = false;
+                (bland, degenerate_streak) = (false, 0);
+                self.reprice();
+            }
             let enter = if bland {
                 self.price_bland()
             } else {
                 self.price()
             };
             let Some(j) = enter else {
-                self.solve_pivots = pivots as u64;
-                return Ok(pivots);
+                if !self.phase1 {
+                    break Ok(pivots);
+                }
+                if infeasibility > PHASE1_INFEASIBLE_TOL {
+                    break Err(LpError::Infeasible);
+                }
+                // Phase 1 stalled within rounding of its optimum: the
+                // basis is feasible to tolerance.
+                infeasibility = 0.0;
+                continue;
             };
             if pivots >= budget {
-                self.solve_pivots = pivots as u64;
-                return Err(LpError::IterationLimit { pivots });
+                break Err(LpError::IterationLimit { pivots });
             }
             pivots += 1;
 
@@ -717,33 +1169,19 @@ impl NetState {
             // `t ≥ 0`: up from lower (σ = +1) or down from upper (σ = −1);
             // basic values respond as `x_B −= σ·t·w`.
             let sigma = if self.at_upper[j] { -1.0 } else { 1.0 };
-            let mut t = self.col_upper(j); // bound-flip limit: box width
-            let mut leave: Option<(usize, bool)> = None;
-            // Rows off the pattern hold exactly zero and can neither block
-            // nor move; walking it ascending keeps the lowest-row tie-break.
-            for &r in self.w.pattern() {
-                let r = r as usize;
-                let wr = sigma * self.w.get(r);
-                if wr > TOLERANCE {
-                    let ratio = (self.xb[r] / wr).max(0.0);
-                    if ratio < t {
-                        t = ratio;
-                        leave = Some((r, false));
-                    }
-                } else if wr < -TOLERANCE {
-                    let ub = self.col_upper(self.basis[r]);
-                    if ub.is_finite() {
-                        let ratio = ((ub - self.xb[r]) / -wr).max(0.0);
-                        if ratio < t {
-                            t = ratio;
-                            leave = Some((r, true));
-                        }
-                    }
-                }
-            }
+            let (t, leave) = if self.phase1 {
+                self.ratio_test_phase1(j, sigma)
+            } else {
+                self.ratio_test(j, sigma)
+            };
             if t.is_infinite() {
-                self.solve_pivots = pivots as u64;
-                return Err(LpError::Unbounded);
+                // Phase 1 is bounded below by zero, so an unblocked
+                // improving ray there is numerical trouble.
+                break Err(if self.phase1 {
+                    LpError::IterationLimit { pivots }
+                } else {
+                    LpError::Unbounded
+                });
             }
 
             if t <= TOLERANCE {
@@ -756,57 +1194,151 @@ impl NetState {
                 bland = false;
             }
 
-            for &r in self.w.pattern() {
-                self.xb[r as usize] -= sigma * t * self.w.get(r as usize);
-            }
-            match leave {
-                None => {
-                    // The entering variable crossed its box without any
-                    // basic variable blocking: a bound flip, no basis,
-                    // factorization or `c_B` change, so `y` and `d` stand.
-                    self.at_upper[j] = !self.at_upper[j];
+            match self.step(j, sigma, t, leave, eta_cap) {
+                StepOutcome::Flipped if !self.phase1 => {}
+                StepOutcome::Exchanged(r) if !self.phase1 => self.reprice_exchange(r),
+                StepOutcome::Wedged => {
+                    // Numerically wedged basis: restart cold from the
+                    // all-slack basis within the same pivot budget —
+                    // feasible in packing form, phase 1 otherwise — never
+                    // wrong answers from a drifted file.
+                    self.install_slack_basis();
+                    self.phase1 = !self.packing;
+                    self.reprice();
                 }
-                Some((r, leaves_at_upper)) => {
-                    let out = self.basis[r];
-                    self.in_basis[out] = false;
-                    self.at_upper[out] = leaves_at_upper;
-                    self.basis[r] = j;
-                    self.in_basis[j] = true;
-                    self.at_upper[j] = false;
-                    self.xb[r] = if sigma > 0.0 {
-                        t
-                    } else {
-                        self.col_upper(j) - t
-                    };
-                    // Append the eta for this exchange; refactorize on
-                    // the update-eta cap (appends since the last rebuild
-                    // — the base factorization itself may hold one eta
-                    // per structural column) or the small-pivot (drift)
-                    // trigger, or if the pivot was too small to divide
-                    // by at all.
-                    let small = self.w.get(r).abs() < SMALL_PIVOT_TOL;
-                    let pushed = self.factor.push_eta(r, &self.w);
-                    self.eta_entry_peak = self.eta_entry_peak.max(self.factor.entry_count());
-                    let updates = self.factor.eta_count().saturating_sub(self.base_etas);
-                    if !pushed || small || updates >= eta_cap {
-                        if self.refactorize() {
-                            self.solve_refactorizations += 1;
-                            self.compute_xb();
+                // Phase 1's costs follow `x_B`: it prices from scratch.
+                _ => self.reprice(),
+            }
+            if self.phase1 {
+                infeasibility = self.infeasibility();
+            }
+        };
+        self.phase1 = false;
+        self.solve_pivots += pivots as u64;
+        result
+    }
+
+    /// Restores primal feasibility of an installed general-form basis —
+    /// a saved one, or the all-slack basis of a cold start — by a bounded
+    /// dual simplex (see the module docs). The guide is the current
+    /// reduced costs, each moved onto the side its column's bound status
+    /// allows; every dual pivot keeps it dual-feasible. Returns `false`
+    /// when a violated row has no entering column (the data is
+    /// infeasible), the budget runs out or the basis wedges.
+    fn restore_feasibility(&mut self, budget: usize) -> bool {
+        let eta_cap = self.eta_cap();
+        let (n, m) = (self.n, self.m);
+        let mut pivots = 0usize;
+        let restored = loop {
+            // Leaving row: the largest bound violation (ties → lowest row).
+            let mut leaving: Option<(usize, f64)> = None;
+            for r in 0..m {
+                let (x, ub) = (self.xb[r], self.col_upper(self.basis[r]));
+                let violation = (-x).max(x - ub);
+                if violation > TOLERANCE && leaving.is_none_or(|(_, v)| violation > v) {
+                    leaving = Some((r, violation));
+                }
+            }
+            let Some((r, _)) = leaving else {
+                break true;
+            };
+            if pivots >= budget {
+                break false;
+            }
+            if pivots == 0 {
+                // The guide, priced only when the basis needs a pivot.
+                self.reprice();
+                for j in 0..n + m {
+                    if !self.in_basis[j] {
+                        self.d[j] = if self.at_upper[j] {
+                            self.d[j].min(0.0)
                         } else {
-                            // Numerically wedged basis: restart cold
-                            // from the all-slack basis within the same
-                            // pivot budget — always feasible, always
-                            // correct, never wrong answers from a
-                            // drifted file.
-                            self.install_slack_basis();
-                        }
-                        self.reprice();
-                    } else {
-                        self.reprice_exchange(r);
+                            self.d[j].max(0.0)
+                        };
                     }
                 }
             }
-        }
+            pivots += 1;
+            let below = self.xb[r] < 0.0;
+            // The pivot row ρ_r = e_rᵀ·B⁻¹ (in `y`) and α = ρ_r·A.
+            self.rhs_work.clear();
+            self.rhs_work.resize(m, 0.0);
+            self.rhs_work[r] = 1.0;
+            self.y.clear();
+            self.y.resize(m, 0.0);
+            self.factor.btran(&self.rhs_work, &mut self.y);
+            self.alpha.clear();
+            self.alpha.resize(n + m, 0.0);
+            // Dual ratio test: among the columns whose move off their
+            // bound pushes `x_r` toward the violated bound, the smallest
+            // |d_j / α_j| (ties → lowest column).
+            let mut entering: Option<(usize, f64)> = None;
+            for j in 0..n + m {
+                if !self.can_enter(j) {
+                    continue;
+                }
+                let a = self.col_dot(j, &self.y);
+                self.alpha[j] = a;
+                // x_r moves by −α_j per unit of x_j; `s > 0` means
+                // raising x_j helps.
+                let s = if below { -a } else { a };
+                let helps = if self.at_upper[j] {
+                    s < -TOLERANCE
+                } else {
+                    s > TOLERANCE
+                };
+                if helps {
+                    let ratio = (self.d[j] / s).max(0.0);
+                    if entering.is_none_or(|(_, best)| ratio < best - TOLERANCE) {
+                        entering = Some((j, ratio));
+                    }
+                }
+            }
+            let Some((q, _)) = entering else {
+                break false;
+            };
+            // Primal side: x_q moves until x_r sits on its violated bound.
+            self.direction(q);
+            let wr = self.w.get(r);
+            if wr.abs() <= TOLERANCE {
+                break false;
+            }
+            let target = if below {
+                0.0
+            } else {
+                self.col_upper(self.basis[r])
+            };
+            let delta = (self.xb[r] - target) / wr;
+            for &i in self.w.pattern() {
+                self.xb[i as usize] -= delta * self.w.get(i as usize);
+            }
+            let from = if self.at_upper[q] {
+                self.col_upper(q)
+            } else {
+                0.0
+            };
+            // Dual side: d_j −= θ·α_j, the leaving column takes −θ.
+            let theta = self.d[q] / self.alpha[q];
+            for j in 0..n + m {
+                if !self.in_basis[j] {
+                    self.d[j] -= theta * self.alpha[j];
+                }
+            }
+            let out = self.basis[r];
+            self.d[q] = 0.0;
+            self.d[out] = -theta;
+            self.in_basis[out] = false;
+            self.at_upper[out] = !below && out < n;
+            self.basis[r] = q;
+            self.in_basis[q] = true;
+            self.at_upper[q] = false;
+            self.xb[r] = from + delta;
+            if let StepOutcome::Wedged = self.append_eta(r, eta_cap) {
+                break false;
+            }
+        };
+        self.solve_pivots += pivots as u64;
+        restored
     }
 
     /// Maps the optimal basis back to model space, snapping values onto
@@ -835,6 +1367,20 @@ impl NetState {
                 *v = self.upper[j];
             }
         }
+        if !self.maps.is_empty() {
+            // Each variable's columns sit at or after its own index, so
+            // mapping in ascending order reads before it overwrites.
+            for (k, (map, var)) in self.maps.iter().zip(&p.vars).enumerate() {
+                let v = match *map {
+                    VarMap::Shifted { col, lo } => lo + x[col],
+                    VarMap::Negated { col, up } => up - x[col],
+                    VarMap::Split { pos } => x[pos] - x[pos + 1],
+                };
+                let v = if v.abs() < TOLERANCE { 0.0 } else { v };
+                x[k] = v.clamp(var.lo, var.up);
+            }
+            x.truncate(p.vars.len());
+        }
         let objective = p.objective_at(&x);
         Solution::new(x, objective, pivots)
     }
@@ -848,6 +1394,8 @@ impl NetState {
             + self.col_cursor.capacity()
             + self.candidates.capacity()
             + self.order.capacity()
+            + self.row_count.capacity()
+            + self.singletons.capacity()
             + self.row_off.capacity()
             + self.row_col.capacity()
             + self.changed_rows.capacity();
@@ -859,6 +1407,7 @@ impl NetState {
             + self.cb.capacity()
             + self.y.capacity()
             + self.d.capacity()
+            + self.alpha.capacity()
             + self.rhs_work.capacity();
         let usizes = self.basis.capacity() + self.new_basis.capacity();
         let bools =
@@ -867,51 +1416,73 @@ impl NetState {
             + f64s * size_of::<f64>()
             + usizes * size_of::<usize>()
             + bools
+            + self.maps.capacity() * size_of::<VarMap>()
             + self.w.capacity_bytes()
             + self.factor.capacity_bytes()
     }
 }
 
-/// Solves `p` on the sparse revised-simplex path when it is in packing
-/// form, otherwise via the dense two-phase solver. See the module docs.
+/// What one primal step did to the basis.
+#[derive(Debug, Clone, Copy)]
+enum StepOutcome {
+    /// The entering column crossed its box: no exchange.
+    Flipped,
+    /// An exchange at this row, with its eta appended.
+    Exchanged(usize),
+    /// An exchange followed by a refactorization (and fresh `x_B`).
+    Refactorized,
+    /// An exchange whose refactorization found the basis singular.
+    Wedged,
+}
+
+/// Solves `p` through `ws`: warm from the saved basis when it fits (see
+/// the module docs), else cold from the all-slack basis.
 pub(crate) fn solve(p: &Problem, ws: &mut LpWorkspace) -> Result<Solution, LpError> {
-    if !is_network_form(p) {
-        return crate::standard::solve(p, ws);
-    }
     let clock = Instant::now();
-    let n = p.vars.len();
-    let m = p.constraints.len();
     ws.net.load(p);
+    let (n, m) = (ws.net.n, ws.net.m);
+    let budget = p.pivot_budget(m, n + m);
     let mut warm = false;
-    if ws.net_saved.live && ws.net_saved.n == n && ws.net_saved.m == m {
+    if ws.saved.live && ws.saved.n == n && ws.saved.m == m {
         // Consume the saved basis; it is revalidated on success below,
-        // so a failed solve leaves the next one cold, exactly as before.
-        ws.net_saved.live = false;
-        if ws
-            .net
-            .install_saved(&ws.net_saved.basis, &ws.net_saved.at_upper)
-        {
-            warm = true;
-        } else {
+        // so a failed solve leaves the next one cold.
+        ws.saved.live = false;
+        warm = ws.net.install_saved(&ws.saved.basis, &ws.saved.at_upper)
+            && if ws.net.packing {
+                ws.net.primal_feasible(WARM_FEAS_TOL)
+            } else {
+                ws.net.restore_feasibility(budget)
+            };
+        if !warm {
             ws.note_warm_reject();
         }
     } else {
-        ws.net_saved.live = false;
+        ws.saved.live = false;
     }
+    let mut feasible = warm || ws.net.packing;
     if !warm {
         ws.net.install_slack_basis();
+        if !feasible {
+            // The same cost-shifted dual simplex makes the all-slack
+            // basis feasible; the composite primal phase 1 is the
+            // fallback that classifies what it cannot.
+            feasible = ws.net.restore_feasibility(budget);
+            if !feasible {
+                ws.net.install_slack_basis();
+            }
+        }
     }
-    let budget = p.pivot_budget(m, n + m);
-    let outcome = ws.net.optimize(budget);
+    let outcome = ws.net.optimize(budget, feasible);
     if warm {
         ws.note_warm();
     } else {
         ws.note_cold();
     }
     let result = match outcome {
-        Ok(pivots) => {
+        Ok(_) => {
+            let pivots = ws.net.solve_pivots as usize;
             let sol = ws.net.extract(p, pivots, &mut ws.sol_pool);
-            ws.net_saved.store_from(&ws.net);
+            ws.saved.store_from(&ws.net);
             Ok(sol)
         }
         Err(e) => Err(e),
@@ -929,7 +1500,7 @@ pub(crate) fn solve(p: &Problem, ws: &mut LpWorkspace) -> Result<Solution, LpErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Problem, Relation};
+    use crate::{Problem, Relation, Variable};
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-9, "{a} vs {b}");
@@ -940,22 +1511,22 @@ mod tests {
         let mut p = Problem::maximize();
         let x = p.add_var(0.0, 2.0, 3.0).unwrap();
         p.add_constraint(&[(x, 1.0)], Relation::Le, 1.5).unwrap();
-        assert!(p.is_network_form());
+        assert!(is_packing_form(&p));
         // A Ge row breaks the form.
         let mut q = p.clone();
         q.add_constraint(&[(x, 1.0)], Relation::Ge, 0.5).unwrap();
-        assert!(!q.is_network_form());
+        assert!(!is_packing_form(&q));
         // A negative rhs breaks the form.
         let mut r = p.clone();
         r.add_constraint(&[(x, -1.0)], Relation::Le, -0.5).unwrap();
-        assert!(!r.is_network_form());
+        assert!(!is_packing_form(&r));
         // An unbounded or shifted variable breaks the form.
         let mut s = p.clone();
         s.add_var(0.0, f64::INFINITY, 1.0).unwrap();
-        assert!(!s.is_network_form());
+        assert!(!is_packing_form(&s));
         let mut t = p.clone();
         t.add_var(1.0, 2.0, 1.0).unwrap();
-        assert!(!t.is_network_form());
+        assert!(!is_packing_form(&t));
     }
 
     #[test]
@@ -970,13 +1541,11 @@ mod tests {
         p.add_constraint(&[(x, 1.0), (y, 3.0)], Relation::Le, 6.0)
             .unwrap();
         let mut ws = LpWorkspace::new();
-        let sol = p.solve_network_with(&mut ws).unwrap();
+        let sol = p.solve_with(&mut ws).unwrap();
         assert_close(sol.objective(), 11.0);
         assert_close(sol.value(x), 3.0);
         assert_close(sol.value(y), 1.0);
         assert_eq!(ws.cold_solves(), 1);
-        // The dense path agrees.
-        assert_close(p.solve().unwrap().objective(), 11.0);
     }
 
     #[test]
@@ -986,7 +1555,7 @@ mod tests {
         let mut p = Problem::minimize();
         let x = p.add_var(0.0, 2.0, -1.5).unwrap();
         let y = p.add_var(0.0, 3.0, 2.0).unwrap();
-        let sol = p.solve_network_with(&mut LpWorkspace::new()).unwrap();
+        let sol = p.solve().unwrap();
         assert_close(sol.value(x), 2.0);
         assert_close(sol.value(y), 0.0);
         assert_close(sol.objective(), -3.0);
@@ -1003,37 +1572,25 @@ mod tests {
         p.add_constraint(&[(x, 1.0), (y, 3.0)], Relation::Le, 6.0)
             .unwrap();
         let mut ws = LpWorkspace::new();
-        let first = p.solve_network_with(&mut ws).unwrap();
+        let first = p.solve_with(&mut ws).unwrap();
         assert_close(first.objective(), 11.0);
         // Re-price: the old vertex stays feasible, the warm path resumes
         // from it and pivots to the new optimum (y = 2 now dominates).
         p.set_objective(y, 10.0).unwrap();
-        let second = p.solve_network_with(&mut ws).unwrap();
+        let second = p.solve_with(&mut ws).unwrap();
         assert_close(second.objective(), 20.0);
         assert_eq!(ws.cold_solves(), 1);
         assert_eq!(ws.warm_solves(), 1);
         assert!(ws.last_was_warm());
-        // Tighten it below the warm vertex: the saved basis goes primal-
-        // infeasible and the solver falls back cold, same answer as a
-        // fresh workspace.
+        // Tighten it below the warm vertex: a packing-form basis that
+        // went primal-infeasible falls back cold, same answer as a fresh
+        // workspace.
         p.set_rhs(cap, 1.0).unwrap();
-        let third = p.solve_network_with(&mut ws).unwrap();
-        let cold = p.solve_network_with(&mut LpWorkspace::new()).unwrap();
+        let third = p.solve_with(&mut ws).unwrap();
+        let cold = p.solve().unwrap();
         assert_close(third.objective(), cold.objective());
         assert_eq!(ws.warm_rejects(), 1);
         assert_eq!(ws.cold_solves(), 2);
-    }
-
-    #[test]
-    fn falls_back_to_dense_outside_packing_form() {
-        // A Ge row forces the dense path; the answer still comes back.
-        let mut p = Problem::minimize();
-        let x = p.add_var(0.0, 10.0, 2.0).unwrap();
-        p.add_constraint(&[(x, 1.0)], Relation::Ge, 4.0).unwrap();
-        let mut ws = LpWorkspace::new();
-        let sol = p.solve_network_with(&mut ws).unwrap();
-        assert_close(sol.value(x), 4.0);
-        assert_eq!(ws.cold_solves(), 1);
     }
 
     #[test]
@@ -1050,8 +1607,7 @@ mod tests {
             .unwrap();
         p.add_constraint(&[(x, 1.0), (y, 1.0), (z, 1.0)], Relation::Le, 2.0)
             .unwrap();
-        let sol = p.solve_network_with(&mut LpWorkspace::new()).unwrap();
-        assert_close(sol.objective(), p.solve().unwrap().objective());
+        assert_close(p.solve().unwrap().objective(), 2.0);
     }
 
     #[test]
@@ -1061,24 +1617,16 @@ mod tests {
         let y = p.add_var(0.0, 2.0, 1.0).unwrap();
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 3.0)
             .unwrap();
-        let sol = p.solve_network_with(&mut LpWorkspace::new()).unwrap();
+        let sol = p.solve().unwrap();
         assert_close(sol.value(x), 0.0);
         assert_close(sol.value(y), 2.0);
-    }
-
-    #[test]
-    fn infeasibility_is_impossible_but_bounds_still_validate() {
-        // Packing form is always feasible (x = 0); a malformed box is
-        // caught at model build time, not here.
-        let mut p = Problem::minimize();
-        assert!(p.add_var(2.0, 1.0, 0.0).is_err());
     }
 
     #[test]
     fn eta_cap_one_forces_a_refactorization_per_pivot() {
         // With the cap at 1, every exchange crosses the trigger: the
         // kernel must refactorize after (almost) every pivot and still
-        // land on the dense optimum.
+        // land on the default cadence's optimum.
         let mut p = Problem::maximize();
         let x = p.add_var(0.0, 3.0, 3.0).unwrap();
         let y = p.add_var(0.0, 5.0, 2.0).unwrap();
@@ -1091,7 +1639,7 @@ mod tests {
             .unwrap();
         let mut ws = LpWorkspace::new();
         ws.set_network_refactor_cap(1);
-        let sol = p.solve_network_with(&mut ws).unwrap();
+        let sol = p.solve_with(&mut ws).unwrap();
         assert_close(sol.objective(), p.solve().unwrap().objective());
         let stats = ws.stats();
         assert!(stats.pivots > 0, "the LP needs pivots: {stats:?}");
@@ -1101,7 +1649,7 @@ mod tests {
         );
         // Edits keep re-solving correctly across forced refactorizations.
         p.set_objective(y, 9.0).unwrap();
-        let warm = p.solve_network_with(&mut ws).unwrap();
+        let warm = p.solve_with(&mut ws).unwrap();
         assert_close(warm.objective(), p.solve().unwrap().objective());
     }
 
@@ -1116,8 +1664,8 @@ mod tests {
         p.add_constraint(&[(x, 1.0)], Relation::Le, 4.0).unwrap();
         p.add_constraint(&[(x, 2.0)], Relation::Le, 6.0).unwrap();
         let mut ws = LpWorkspace::new();
-        p.solve_network_with(&mut ws).unwrap();
-        let sol = p.solve_network_with(&mut ws).unwrap();
+        p.solve_with(&mut ws).unwrap();
+        let sol = p.solve_with(&mut ws).unwrap();
         assert_close(sol.value(x), 3.0);
         assert!(ws.last_was_warm());
         // The per-solve figures `solve` drains into `SolverStats`.
@@ -1134,9 +1682,9 @@ mod tests {
             .unwrap();
         let mut ws = LpWorkspace::new();
         assert_eq!(ws.stats(), crate::SolverStats::default());
-        p.solve_network_with(&mut ws).unwrap();
+        p.solve_with(&mut ws).unwrap();
         p.set_objective(x, 1.0).unwrap();
-        p.solve_network_with(&mut ws).unwrap();
+        p.solve_with(&mut ws).unwrap();
         let stats = ws.stats();
         assert_eq!(stats.kernel_solves, 2);
         assert_eq!(stats.solves, 2);
@@ -1145,5 +1693,231 @@ mod tests {
         assert!(stats.pivots >= 1);
         assert!(stats.peak_scratch_bytes > 0);
         assert!(stats.solve_ns > 0);
+    }
+
+    // ---- General form: phase 1 from the all-slack basis ---------------
+
+    #[test]
+    fn equality_constraints_need_phase_1() {
+        // min 2x + 3y s.t. x + y = 10, x − y = 2 → x=6, y=4, obj 24.
+        let mut p = Problem::minimize();
+        let x = p.add_var(0.0, f64::INFINITY, 2.0).unwrap();
+        let y = p.add_var(0.0, f64::INFINITY, 3.0).unwrap();
+        p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Eq, 10.0)
+            .unwrap();
+        p.add_constraint(&[(x, 1.0), (y, -1.0)], Relation::Eq, 2.0)
+            .unwrap();
+        let sol = p.solve().unwrap();
+        assert_close(sol.value(x), 6.0);
+        assert_close(sol.value(y), 4.0);
+        assert_close(sol.objective(), 24.0);
+    }
+
+    #[test]
+    fn free_upper_only_and_shifted_variables_map_back() {
+        // min x with x free and x ≥ −5 by a row.
+        let mut p = Problem::minimize();
+        let x = p.add_var(f64::NEG_INFINITY, f64::INFINITY, 1.0).unwrap();
+        p.add_constraint(&[(x, 1.0)], Relation::Ge, -5.0).unwrap();
+        assert_close(p.solve().unwrap().value(x), -5.0);
+        // max x with x ≤ 3 only; min x with a floor row.
+        let mut p = Problem::maximize();
+        let x = p.add_var(f64::NEG_INFINITY, 3.0, 1.0).unwrap();
+        assert_close(p.solve().unwrap().value(x), 3.0);
+        let mut p = Problem::minimize();
+        let x = p.add_var(f64::NEG_INFINITY, 3.0, 1.0).unwrap();
+        p.add_constraint(&[(x, 1.0)], Relation::Ge, 1.5).unwrap();
+        assert_close(p.solve().unwrap().value(x), 1.5);
+        // x ∈ [−2, 7], both senses; a fixed variable.
+        let mut p = Problem::minimize();
+        let x = p.add_var(-2.0, 7.0, 1.0).unwrap();
+        assert_close(p.solve().unwrap().value(x), -2.0);
+        let mut p = Problem::maximize();
+        let x = p.add_var(-2.0, 7.0, 1.0).unwrap();
+        assert_close(p.solve().unwrap().value(x), 7.0);
+        let mut p = Problem::minimize();
+        let x = p.add_var(2.5, 2.5, -10.0).unwrap();
+        let sol = p.solve().unwrap();
+        assert_close(sol.value(x), 2.5);
+        assert_close(sol.objective(), -25.0);
+    }
+
+    #[test]
+    fn infeasible_and_unbounded_are_told_apart() {
+        let mut p = Problem::minimize();
+        let x = p.add_var(0.0, 1.0, 1.0).unwrap();
+        p.add_constraint(&[(x, 1.0)], Relation::Ge, 2.0).unwrap();
+        assert!(matches!(p.solve(), Err(LpError::Infeasible)));
+        let mut p = Problem::minimize();
+        let x = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
+        p.add_constraint(&[(x, 1.0)], Relation::Eq, 1.0).unwrap();
+        p.add_constraint(&[(x, 1.0)], Relation::Eq, 2.0).unwrap();
+        assert!(matches!(p.solve(), Err(LpError::Infeasible)));
+        let mut p = Problem::minimize();
+        p.add_var(0.0, f64::INFINITY, -1.0).unwrap();
+        assert!(matches!(p.solve(), Err(LpError::Unbounded)));
+    }
+
+    #[test]
+    fn redundant_equalities_and_negative_rhs_rows() {
+        // x + y = 4 stated twice; min x + 2y → x=4, y=0.
+        let mut p = Problem::minimize();
+        let x = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
+        let y = p.add_var(0.0, f64::INFINITY, 2.0).unwrap();
+        for _ in 0..2 {
+            p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Eq, 4.0)
+                .unwrap();
+        }
+        let sol = p.solve().unwrap();
+        assert_close(sol.value(x), 4.0);
+        assert_close(sol.value(y), 0.0);
+        // −x ≤ −3 ⇔ x ≥ 3.
+        let mut p = Problem::minimize();
+        let x = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
+        p.add_constraint(&[(x, -1.0)], Relation::Le, -3.0).unwrap();
+        assert_close(p.solve().unwrap().value(x), 3.0);
+    }
+
+    #[test]
+    fn the_diet_problem_lands_on_its_vertex() {
+        // min 0.6a + b s.t. 10a + 4b ≥ 20, 5a + 10b ≥ 30: a = 1, b = 2.5.
+        let mut p = Problem::minimize();
+        let a = p.add_var(0.0, f64::INFINITY, 0.6).unwrap();
+        let b = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
+        p.add_constraint(&[(a, 10.0), (b, 4.0)], Relation::Ge, 20.0)
+            .unwrap();
+        p.add_constraint(&[(a, 5.0), (b, 10.0)], Relation::Ge, 30.0)
+            .unwrap();
+        let sol = p.solve().unwrap();
+        assert_close(sol.value(a), 1.0);
+        assert_close(sol.value(b), 2.5);
+        assert_close(sol.objective(), 3.1);
+    }
+
+    #[test]
+    fn mixed_relations_and_the_empty_problem() {
+        // min 3x + 2y + z s.t. x + y + z = 10, x − y ≥ 1, z ≤ 4:
+        // z = 4, x = 3.5, y = 2.5 → 19.5.
+        let mut p = Problem::minimize();
+        let x = p.add_var(0.0, f64::INFINITY, 3.0).unwrap();
+        let y = p.add_var(0.0, f64::INFINITY, 2.0).unwrap();
+        let z = p.add_var(0.0, 4.0, 1.0).unwrap();
+        p.add_constraint(&[(x, 1.0), (y, 1.0), (z, 1.0)], Relation::Eq, 10.0)
+            .unwrap();
+        p.add_constraint(&[(x, 1.0), (y, -1.0)], Relation::Ge, 1.0)
+            .unwrap();
+        let sol = p.solve().unwrap();
+        assert!(p.is_feasible(sol.values(), 1e-9));
+        assert_close(sol.objective(), 19.5);
+        let sol = Problem::minimize().solve().unwrap();
+        assert!(sol.values().is_empty());
+        assert_eq!(sol.objective(), 0.0);
+    }
+
+    #[test]
+    fn the_composite_phase_1_reaches_the_optimum_on_its_own() {
+        // Cold solves reach feasibility by the dual simplex first; run
+        // the fallback primal phase 1 directly from the all-slack basis
+        // and check it lands on the same optimum.
+        let mut p = Problem::minimize();
+        let x = p.add_var(0.0, f64::INFINITY, 3.0).unwrap();
+        let y = p.add_var(-1.0, f64::INFINITY, 2.0).unwrap();
+        let z = p.add_var(f64::NEG_INFINITY, 4.0, -1.0).unwrap();
+        p.add_constraint(&[(x, 1.0), (y, 1.0), (z, 1.0)], Relation::Eq, 10.0)
+            .unwrap();
+        p.add_constraint(&[(x, 1.0), (y, -1.0)], Relation::Ge, 1.0)
+            .unwrap();
+        p.add_constraint(&[(y, 1.0), (z, 2.0)], Relation::Le, 9.0)
+            .unwrap();
+        let mut ws = LpWorkspace::new();
+        ws.net.load(&p);
+        ws.net.install_slack_basis();
+        let budget = p.pivot_budget(ws.net.m, ws.net.n + ws.net.m);
+        let pivots = ws.net.optimize(budget, false).unwrap();
+        let mut pool = Vec::new();
+        let sol = ws.net.extract(&p, pivots, &mut pool);
+        assert!(p.is_feasible(sol.values(), 1e-9), "{sol}");
+        assert_close(sol.objective(), p.solve().unwrap().objective());
+        // And it proves infeasibility where there is no feasible point.
+        p.add_constraint(&[(x, 1.0)], Relation::Le, -1.0).unwrap();
+        ws.net.load(&p);
+        ws.net.install_slack_basis();
+        assert!(matches!(
+            ws.net.optimize(budget, false),
+            Err(LpError::Infeasible)
+        ));
+    }
+
+    // ---- General form: warm starts ------------------------------------
+
+    /// min 40g + 90h s.t. g + h ≥ d, g − w = 0.5 with g ∈ [0, 5], h, w
+    /// unbounded above: below d = 5 the basis holds g; past it h enters.
+    fn cover(d: f64) -> Problem {
+        let mut p = Problem::minimize();
+        let g = p.add_var(0.0, 5.0, 40.0).unwrap();
+        let h = p.add_var(0.0, f64::INFINITY, 90.0).unwrap();
+        let w = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
+        p.add_constraint(&[(g, 1.0), (h, 1.0)], Relation::Ge, d)
+            .unwrap();
+        p.add_constraint(&[(g, 1.0), (w, -1.0)], Relation::Eq, 0.5)
+            .unwrap();
+        p
+    }
+
+    #[test]
+    fn a_dual_restore_keeps_a_general_form_chain_warm() {
+        let mut ws = LpWorkspace::new();
+        for d in [1.0, 1.5, 7.0, 2.0, 0.2, 9.0] {
+            let p = cover(d);
+            let sol = p.solve_with(&mut ws).unwrap();
+            let want =
+                40.0 * d.clamp(0.5, 5.0) + 90.0 * (d - 5.0).max(0.0) + (d.min(5.0) - 0.5).max(0.0);
+            assert_close(sol.objective(), want);
+            assert!(p.is_feasible(sol.values(), 1e-9), "d = {d}");
+        }
+        // Every re-solve stays warm: the rhs edits that leave the saved
+        // basis primal-infeasible are repaired by dual pivots.
+        assert_eq!(
+            (ws.warm_solves(), ws.cold_solves(), ws.warm_rejects()),
+            (5, 1, 0)
+        );
+    }
+
+    #[test]
+    fn an_infeasible_warm_restore_goes_cold_and_reports_infeasible() {
+        let mut p = cover(1.0);
+        let mut ws = LpWorkspace::new();
+        p.solve_with(&mut ws).unwrap();
+        // g ≤ 0.2 contradicts g − w = 0.5 with w ≥ 0.
+        p.set_bounds(Variable(0), 0.0, 0.2).unwrap();
+        assert!(matches!(p.solve_with(&mut ws), Err(LpError::Infeasible)));
+        assert_eq!((ws.warm_rejects(), ws.cold_solves()), (1, 2));
+    }
+
+    #[test]
+    fn a_basis_at_a_bound_the_problem_lost_is_rejected_before_x_b() {
+        // max x + y  s.t.  x + y ≤ 3 with x ∈ [0, 2] at its upper bound at
+        // the optimum; lifting x's bound to ∞ leaves the saved status
+        // pointing at no bound.
+        let mut p = Problem::maximize();
+        let x = p.add_var(0.0, 2.0, 2.0).unwrap();
+        let y = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
+        p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 3.0)
+            .unwrap();
+        let mut ws = LpWorkspace::new();
+        p.solve_with(&mut ws).unwrap();
+        let snap = ws.export_basis().unwrap();
+        assert!(snap.at_upper[0], "x rests at its upper bound: {snap:?}");
+        p.set_bounds(x, 0.0, f64::INFINITY).unwrap();
+        let sol = p.solve_with(&mut ws).unwrap();
+        assert!(sol.values().iter().all(|v| v.is_finite()));
+        assert_close(sol.objective(), p.solve().unwrap().objective());
+        assert_eq!((ws.warm_rejects(), ws.cold_solves()), (1, 2));
+        // The same basis through an import is refused the same way.
+        let mut fresh = LpWorkspace::new();
+        fresh.import_basis(Some(&snap)).unwrap();
+        let sol = p.solve_with(&mut fresh).unwrap();
+        assert_close(sol.objective(), 6.0);
+        assert_eq!(fresh.warm_rejects(), 1);
     }
 }

@@ -1,38 +1,22 @@
 //! Reusable solver state for repeated, structurally similar solves.
 //!
-//! The DPSS controllers solve one frame LP per coarse frame; consecutive
-//! frames share the constraint structure and differ only in right-hand
-//! sides (demands, battery/queue state) and objective coefficients
+//! The DPSS controllers solve one frame LP per coarse frame, and the
+//! fleet planners one flow LP per frame; consecutive solves share the
+//! constraint structure and differ only in right-hand sides (demands,
+//! battery/queue state), bounds (caps) and objective coefficients
 //! (prices). A [`LpWorkspace`] makes that loop cheap twice over:
 //!
-//! * **allocation reuse** — the dense tableau (the dominant allocation:
-//!   `rows × cols` of `f64`, hundreds of kilobytes for a day-long frame)
-//!   and the auxiliary masks are owned by the workspace and recycled. A
-//!   workspace holds one tableau: the cold path compacts the phase-1
-//!   tableau to its phase-2 rows and columns in place;
+//! * **allocation reuse** — the kernel's problem image, eta file and
+//!   scratch vectors are owned by the workspace and recycled, so a warm
+//!   re-solve chain allocates nothing once primed;
 //! * **warm starts** — the optimal basis of the previous solve is saved
-//!   and, when the next problem has the same standard-form shape, phase 1
-//!   is skipped entirely: the tableau is put on the saved basis, a dual
-//!   simplex phase restores primal feasibility if the new right-hand
-//!   side broke it, and phase 2 starts from there. Only a saved basis
-//!   that is singular for the new rows, a changed matrix that breaks its
-//!   dual feasibility, or a failed dual phase makes the solver fall back
-//!   to the cold two-phase path — results are always identical in
-//!   objective and feasibility status to a cold solve.
+//!   and, when the next problem has the same shape, the solve starts
+//!   from it (see the kernel module docs for how a basis the new data
+//!   made primal-infeasible is restored or rejected). Results are always
+//!   identical in objective and feasibility status to a cold solve.
 //!
-//! Each frame's work is done once. Every dense pivot walks only the
-//! nonzero columns of its normalized pivot row. And putting the tableau
-//! on the saved basis — a rebuild of `B⁻¹A` from the standard-form rows —
-//! depends only on those rows and the basis, not on `b` or the costs: the
-//! workspace logs each rebuild's pivots, and while the tableau still
-//! holds what that rebuild left (the solve took no further pivot), a
-//! warm solve with the same rows and basis replays the log onto its new
-//! right-hand side and cost rows instead of rebuilding
-//! ([`replayed_rebuilds`](LpWorkspace::replayed_rebuilds) counts these).
-//! Either way every value keeps its bits. The log is not part of a
-//! [`BasisSnapshot`](crate::BasisSnapshot): the first warm solve after
-//! [`import_basis`](LpWorkspace::import_basis) rebuilds, and reaches the
-//! same bits.
+//! The saved basis travels across process restarts as a
+//! [`BasisSnapshot`](crate::BasisSnapshot).
 //!
 //! # Examples
 //!
@@ -57,19 +41,16 @@
 use serde::Serialize;
 
 use crate::network::{NetState, NetworkBasis};
-use crate::simplex::Tableau;
 use crate::solution::Solution;
-use crate::standard::RebuildRecord;
 
 /// Cumulative solver telemetry for one workspace (one solve template).
 ///
-/// The warm/cold/reject counters cover every solve through the
-/// workspace, dense or network path; the kernel counters (`pivots`,
-/// `refactorizations`, eta length, scratch bytes, nanoseconds) cover the
-/// factorized network kernel only — `kernel_solves` says how many solves
-/// they aggregate over. Obtained from [`LpWorkspace::stats`], merged
-/// across a fleet's workspaces by the planner layers, and rendered by
-/// `dpss sweep --solver-stats`.
+/// Every solve runs on the factorized kernel, so the warm/cold/reject
+/// counters and the kernel counters (`pivots`, `refactorizations`, eta
+/// length, scratch bytes, nanoseconds) cover the same solves, failed
+/// ones included. Obtained from
+/// [`LpWorkspace::stats`], merged across a fleet's workspaces by the
+/// planner layers, and rendered by `dpss sweep --solver-stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct SolverStats {
     /// Total solves through the workspace (warm + cold).
@@ -80,9 +61,10 @@ pub struct SolverStats {
     pub cold_solves: u64,
     /// Warm attempts abandoned (each also counted in `cold_solves`).
     pub warm_rejects: u64,
-    /// Solves that went through the factorized network kernel.
+    /// Solves the kernel ran — every solve, so equal to `solves`.
     pub kernel_solves: u64,
-    /// Simplex pivots performed by the network kernel.
+    /// Simplex pivots performed by the kernel (dual restore, phase 1
+    /// and phase 2).
     pub pivots: u64,
     /// Eta-file rebuilds triggered by the cap or drift guard.
     pub refactorizations: u64,
@@ -90,7 +72,7 @@ pub struct SolverStats {
     pub eta_len_peak: usize,
     /// Peak bytes of heap capacity pinned by the kernel arenas.
     pub peak_scratch_bytes: usize,
-    /// Wall-clock nanoseconds spent inside the network kernel.
+    /// Wall-clock nanoseconds spent inside the kernel.
     pub solve_ns: u64,
 }
 
@@ -122,52 +104,23 @@ impl SolverStats {
     }
 }
 
-/// The basis of the last successful solve, keyed by standard-form shape.
-#[derive(Debug, Clone)]
-pub(crate) struct SavedBasis {
-    /// Constraint rows of the phase-2 system the basis belongs to.
-    pub(crate) rows: usize,
-    /// Non-artificial columns (structural + slack) of that system.
-    pub(crate) cols: usize,
-    /// Basic column per row, all `< cols`.
-    pub(crate) basis: Vec<usize>,
-    /// The phase-2 objective the basis is optimal (hence dual-feasible)
-    /// for — the guide row of the warm start's dual feasibility restore.
-    pub(crate) costs: Vec<f64>,
-}
-
 /// Reusable buffers and warm-start state for [`Problem::solve_with`]
 /// (see the module docs for the full story).
 ///
 /// [`Problem::solve_with`]: crate::Problem::solve_with
 #[derive(Debug, Clone, Default)]
 pub struct LpWorkspace {
-    /// Tableau storage, recycled across solves.
-    pub(crate) tab: Tableau,
-    /// The last warm rebuild's pivots, replayable onto `tab`.
-    pub(crate) rebuild: RebuildRecord,
-    /// Scratch cost vector (phase-1 and phase-2 objective rows).
-    pub(crate) costs: Vec<f64>,
-    /// Scratch entering-column mask.
-    pub(crate) allowed: Vec<bool>,
-    /// Basis of the previous successful solve, if any.
-    pub(crate) saved: Option<SavedBasis>,
-    /// Basis of the previous successful *network-path* solve
-    /// ([`Problem::solve_network_with`]) — `live` when reusable. Kept
-    /// separately from `saved` because the two paths key on different
-    /// shapes, and in place (not an `Option`) so warm chains rewrite it
-    /// without allocating.
-    ///
-    /// [`Problem::solve_network_with`]: crate::Problem::solve_network_with
-    pub(crate) net_saved: NetworkBasis,
-    /// Arenas and persistent state of the factorized network kernel.
+    /// Basis of the previous successful solve — `live` when reusable.
+    /// Kept in place (not an `Option`) so warm chains rewrite it without
+    /// allocating.
+    pub(crate) saved: NetworkBasis,
+    /// Arenas and persistent state of the factorized kernel.
     pub(crate) net: NetState,
     /// Recycled [`Solution`] value buffer (see [`recycle`](Self::recycle)).
     pub(crate) sol_pool: Vec<f64>,
     warm_solves: u64,
     cold_solves: u64,
     warm_rejects: u64,
-    replayed_rebuilds: u64,
     last_was_warm: bool,
     kernel_solves: u64,
     kernel_pivots: u64,
@@ -190,28 +143,21 @@ impl LpWorkspace {
         self.warm_solves
     }
 
-    /// Number of solves that went through the cold two-phase path.
+    /// Number of solves that started cold from the all-slack basis.
     #[must_use]
     pub fn cold_solves(&self) -> u64 {
         self.cold_solves
     }
 
     /// Number of warm attempts abandoned because the saved basis was
-    /// unusable for the new data — singular, or on the dense path beyond
-    /// its dual feasibility restore, or on the network path
-    /// primal-infeasible (each such solve is also counted in
+    /// unusable for the new data — singular, holding a column at an upper
+    /// bound it no longer has, beyond the dual feasibility restore of a
+    /// general-form problem, or primal-infeasible for a packing-form one
+    /// (each such solve is also counted in
     /// [`cold_solves`](Self::cold_solves)).
     #[must_use]
     pub fn warm_rejects(&self) -> u64 {
         self.warm_rejects
-    }
-
-    /// Number of warm solves that replayed the previous rebuild of the
-    /// tableau onto the saved basis instead of redoing it (see the module
-    /// docs). Each is also counted in [`warm_solves`](Self::warm_solves).
-    #[must_use]
-    pub fn replayed_rebuilds(&self) -> u64 {
-        self.replayed_rebuilds
     }
 
     /// Whether the most recent solve completed on the warm path.
@@ -221,7 +167,7 @@ impl LpWorkspace {
     }
 
     /// Cumulative solver telemetry for this workspace — warm/cold
-    /// counters plus the factorized network kernel's pivot,
+    /// counters plus the factorized kernel's pivot,
     /// refactorization, eta-length, scratch and timing counters.
     #[must_use]
     pub fn stats(&self) -> SolverStats {
@@ -239,7 +185,7 @@ impl LpWorkspace {
         }
     }
 
-    /// Sets the network kernel's eta-file cap: the file is refactorized
+    /// Sets the kernel's eta-file cap: the file is refactorized
     /// once it holds `cap` etas (clamped to ≥ 1; the default is
     /// restored by passing `0`). `cap = 1` forces a refactorization
     /// after every basis exchange — useful for stress tests; production
@@ -249,7 +195,7 @@ impl LpWorkspace {
     }
 
     /// Returns a finished [`Solution`]'s value buffer to the workspace
-    /// pool. The next network-path solve reuses it for its own values,
+    /// pool. The next solve reuses it for its own values,
     /// which makes steady-state warm re-solve chains allocation-free
     /// (asserted by a counting-allocator gate in the bench harness).
     pub fn recycle(&mut self, sol: Solution) {
@@ -259,48 +205,13 @@ impl LpWorkspace {
         }
     }
 
-    /// Drops the saved bases (dense and network path) so the next solve
-    /// is forced cold (the buffers remain allocated).
+    /// Drops the saved basis so the next solve is forced cold (the
+    /// buffers remain allocated).
     pub fn clear_basis(&mut self) {
-        self.saved = None;
-        self.net_saved.live = false;
-        self.rebuild.live = false;
+        self.saved.live = false;
     }
 
-    /// Takes the saved basis if it matches the given phase-2 shape.
-    pub(crate) fn take_matching_basis(&mut self, rows: usize, cols: usize) -> Option<SavedBasis> {
-        match &self.saved {
-            Some(s) if s.rows == rows && s.cols == cols => self.saved.take(),
-            _ => None,
-        }
-    }
-
-    /// Records the basis (and the objective it is optimal for) of a
-    /// successful solve, for the next warm start.
-    pub(crate) fn save_basis(&mut self, rows: usize, cols: usize, basis: &[usize], costs: &[f64]) {
-        debug_assert_eq!(basis.len(), rows);
-        debug_assert_eq!(costs.len(), cols);
-        match &mut self.saved {
-            Some(s) => {
-                s.rows = rows;
-                s.cols = cols;
-                s.basis.clear();
-                s.basis.extend_from_slice(basis);
-                s.costs.clear();
-                s.costs.extend_from_slice(costs);
-            }
-            None => {
-                self.saved = Some(SavedBasis {
-                    rows,
-                    cols,
-                    basis: basis.to_vec(),
-                    costs: costs.to_vec(),
-                });
-            }
-        }
-    }
-
-    /// Accumulates one network-kernel solve's telemetry.
+    /// Accumulates one kernel solve's telemetry.
     pub(crate) fn note_kernel_solve(
         &mut self,
         pivots: u64,
@@ -325,10 +236,6 @@ impl LpWorkspace {
     pub(crate) fn note_cold(&mut self) {
         self.cold_solves += 1;
         self.last_was_warm = false;
-    }
-
-    pub(crate) fn note_replayed_rebuild(&mut self) {
-        self.replayed_rebuilds += 1;
     }
 
     pub(crate) fn note_warm_reject(&mut self) {
@@ -377,37 +284,6 @@ mod tests {
         assert!((sol.objective() - (0.4 + 2.0 * 0.6)).abs() < 1e-9);
         assert_eq!(ws.cold_solves(), 2);
         assert!(!ws.last_was_warm());
-    }
-
-    #[test]
-    fn only_a_solve_without_pivots_past_its_rebuild_keeps_the_record_live() {
-        // min 40g + 90h s.t. g + h ≥ d, g ≤ 5: below d = 5 the basis is
-        // {g, slack of g ≤ 5}; above it h must enter.
-        let lp = |d: f64| {
-            let mut p = Problem::new(Sense::Minimize);
-            let g = p.add_var(0.0, 5.0, 40.0).unwrap();
-            let h = p.add_var(0.0, f64::INFINITY, 90.0).unwrap();
-            p.add_constraint(&[(g, 1.0), (h, 1.0)], Relation::Ge, d)
-                .unwrap();
-            p
-        };
-        let mut ws = LpWorkspace::new();
-        lp(1.0).solve_with(&mut ws).unwrap();
-        assert!(!ws.rebuild.live, "a cold solve logs no rebuild");
-        lp(1.5).solve_with(&mut ws).unwrap();
-        assert!(ws.rebuild.live);
-        let sol = lp(2.0).solve_with(&mut ws).unwrap();
-        assert_eq!(ws.replayed_rebuilds(), 1);
-        assert!((sol.objective() - 80.0).abs() < 1e-9);
-        // Replayed, then the dual phase pivots h in: the tableau no
-        // longer holds what the rebuild left.
-        let sol = lp(7.0).solve_with(&mut ws).unwrap();
-        assert!((sol.objective() - (200.0 + 180.0)).abs() < 1e-9);
-        assert_eq!(ws.replayed_rebuilds(), 2);
-        assert!(!ws.rebuild.live);
-        lp(7.5).solve_with(&mut ws).unwrap();
-        assert_eq!(ws.replayed_rebuilds(), 2);
-        assert_eq!((ws.warm_solves(), ws.cold_solves()), (4, 1));
     }
 
     #[test]

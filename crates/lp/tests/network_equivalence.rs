@@ -1,17 +1,19 @@
-//! Network-path ↔ dense-simplex equivalence properties.
+//! Factorized kernel ↔ dense oracle equivalence properties.
 //!
-//! The contract of [`Problem::solve_network_with`] is that the sparse
-//! revised-simplex path only changes *how* a packing-form LP is solved,
-//! never *what* it returns: the objective must match the dense two-phase
-//! solver to 1e-9 and the returned point must be feasible. The property
+//! The contract of [`Problem::solve_with`] is that the factorized
+//! revised simplex returns what a cold dense two-phase tableau solver
+//! (`dpss-lp-oracle`) returns: the same feasibility verdict and, on
+//! success, the objective to 1e-9 with a feasible point. The property
 //! tests below randomize the two fleet flow shapes `dpss-core` solves
 //! every coarse frame — per-link settlement flows and the aggregated
-//! prospective (total + bought per donor) form — plus warm re-solve
-//! chains through one workspace with the full edit surface
-//! (`set_objective` / `set_bounds` / `set_rhs`).
+//! prospective (total + bought per donor) form — general-form LPs with
+//! every row relation and bound kind, feasible or not, bounded or not,
+//! and warm re-solve chains through one workspace with the full edit
+//! surface (`set_objective` / `set_bounds` / `set_rhs`).
 
-use dpss_lp::{LpWorkspace, Problem, Relation, Sense, Variable};
+use dpss_lp::{LpError, LpWorkspace, Problem, Relation, Sense, Variable};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 /// A fleet-flow settlement LP: one variable per directed site pair
 /// (bounded by the pair cap), donor-budget and recipient-need rows, a
@@ -189,34 +191,90 @@ fn prospective_instance(sites: usize) -> impl Strategy<Value = ProspectiveInstan
 }
 
 fn assert_objectives_agree(p: &Problem, ws: &mut LpWorkspace) {
-    let dense = p.solve().expect("packing LPs are always feasible");
-    let net = p
-        .solve_network_with(ws)
-        .expect("packing LPs are always feasible");
-    let tol = 1e-9 * (1.0 + dense.objective().abs());
-    assert!(
-        (dense.objective() - net.objective()).abs() <= tol,
-        "dense {} vs network {} (warm: {})",
-        dense.objective(),
-        net.objective(),
-        ws.last_was_warm()
-    );
-    assert!(
-        p.is_feasible(net.values(), 1e-6),
-        "network solution infeasible: {:?}",
-        net.values()
-    );
+    let net = p.solve_with(ws);
+    if let Err(e) = dpss_lp_oracle::agree(p, &net) {
+        panic!("{e} (warm: {})", ws.last_was_warm());
+    }
+}
+
+/// A general-form LP: variables with every bound kind (shifted boxes,
+/// one-sided, upper-only, free, fixed) and rows of every relation, with
+/// dense integer-ish coefficients so that infeasible and unbounded
+/// instances come up as often as optimal ones.
+#[derive(Debug, Clone)]
+struct GeneralInstance {
+    /// `(lo, up, obj)` per variable.
+    vars: Vec<(f64, f64, f64)>,
+    /// `(coefficients, relation, rhs)` per row.
+    rows: Vec<(Vec<f64>, Relation, f64)>,
+}
+
+impl GeneralInstance {
+    fn build(&self, sense: Sense) -> (Problem, Vec<Variable>, Vec<dpss_lp::ConstraintId>) {
+        let mut p = Problem::new(sense);
+        let vars: Vec<Variable> = self
+            .vars
+            .iter()
+            .map(|&(lo, up, obj)| p.add_var(lo, up, obj).unwrap())
+            .collect();
+        let rows = self
+            .rows
+            .iter()
+            .map(|(coeffs, rel, rhs)| {
+                let terms: Vec<(Variable, f64)> =
+                    vars.iter().copied().zip(coeffs.iter().copied()).collect();
+                p.add_constraint(&terms, *rel, *rhs).unwrap()
+            })
+            .collect();
+        (p, vars, rows)
+    }
+}
+
+fn bounds(kind: u8, a: f64, w: f64) -> (f64, f64) {
+    match kind % 6 {
+        0 => (a, a + w),
+        1 => (a, f64::INFINITY),
+        2 => (f64::NEG_INFINITY, a),
+        3 => (f64::NEG_INFINITY, f64::INFINITY),
+        4 => (a, a),
+        _ => (0.0, w),
+    }
+}
+
+fn general_instance(max_vars: usize, max_rows: usize) -> impl Strategy<Value = GeneralInstance> {
+    (1..=max_vars, 0..=max_rows).prop_flat_map(|(n, m)| {
+        let vars = proptest::collection::vec((0u8..6, -3.0..3.0f64, 0.0..4.0f64, -5i32..6), n);
+        let rows = proptest::collection::vec(
+            (proptest::collection::vec(-2i32..3, n), 0u8..3, -4.0..6.0f64),
+            m,
+        );
+        (vars, rows).prop_map(|(vars, rows)| GeneralInstance {
+            vars: vars
+                .into_iter()
+                .map(|(kind, a, w, c)| {
+                    let (lo, up) = bounds(kind, a, w);
+                    (lo, up, f64::from(c))
+                })
+                .collect(),
+            rows: rows
+                .into_iter()
+                .map(|(coeffs, rel, rhs)| {
+                    let rel = [Relation::Le, Relation::Ge, Relation::Eq][usize::from(rel)];
+                    (coeffs.into_iter().map(f64::from).collect(), rel, rhs)
+                })
+                .collect(),
+        })
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// On randomized settlement-shaped flow LPs, the network path and
-    /// dense simplex agree on the objective to 1e-9.
+    /// On randomized settlement-shaped flow LPs, the kernel and the
+    /// dense oracle agree on the objective to 1e-9.
     #[test]
     fn network_matches_dense_on_flow_instances(inst in flow_instance(4)) {
         let (p, _) = inst.build();
-        prop_assert!(p.is_network_form());
         assert_objectives_agree(&p, &mut LpWorkspace::new());
     }
 
@@ -227,13 +285,12 @@ proptest! {
         inst in prospective_instance(4),
     ) {
         let p = inst.build();
-        prop_assert!(p.is_network_form());
         assert_objectives_agree(&p, &mut LpWorkspace::new());
     }
 
     /// A frame-to-frame re-solve chain through one workspace — the
     /// FleetPlanner loop: edit every bound, rhs and objective, re-solve
-    /// warm, and never drift from a cold dense solve.
+    /// warm, and never drift from the cold oracle.
     #[test]
     fn warm_network_chain_never_drifts(
         inst in flow_instance(3),
@@ -266,6 +323,88 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A warm chain over one general-form template: each step rewrites
+    /// every right-hand side (which often leaves the saved basis
+    /// primal-infeasible, for the dual restore to repair), one bound and
+    /// one cost, and every solve matches the cold oracle.
+    #[test]
+    fn general_warm_chains_match_the_oracle(
+        inst in general_instance(5, 5),
+        edits in proptest::collection::vec(
+            (proptest::collection::vec(-4.0..6.0f64, 5), 0usize..5, 0u8..6, -3.0..3.0f64, -5i32..6),
+            1..6,
+        ),
+    ) {
+        let (mut p, vars, rows) = inst.build(Sense::Minimize);
+        let mut ws = LpWorkspace::new();
+        assert_objectives_agree(&p, &mut ws);
+        for (rhs, k, kind, a, c) in &edits {
+            for (row, &b) in rows.iter().zip(rhs) {
+                p.set_rhs(*row, b).unwrap();
+            }
+            let var = vars[k % vars.len()];
+            let (lo, up) = bounds(*kind, *a, 1.5);
+            p.set_bounds(var, lo, up).unwrap();
+            p.set_objective(var, f64::from(*c)).unwrap();
+            assert_objectives_agree(&p, &mut ws);
+        }
+    }
+}
+
+/// General-form LPs, both senses: the cold kernel (phase 1 from the
+/// all-slack basis, then phase 2) gives the oracle's verdict and
+/// objective, and the instances cover every verdict.
+#[test]
+fn kernel_matches_the_oracle_on_general_instances() {
+    const CASES: usize = 512;
+    let mut rng = TestRng::deterministic("kernel_matches_the_oracle_on_general_instances");
+    let mut verdicts = [0usize; 3];
+    for k in 0..CASES {
+        let sense = [Sense::Minimize, Sense::Maximize][k % 2];
+        let (p, _, _) = general_instance(5, 5).generate(&mut rng).build(sense);
+        let got = p.solve();
+        if let Err(e) = dpss_lp_oracle::agree(&p, &got) {
+            panic!("case {k}: {e}\n{p:?}");
+        }
+        verdicts[match got {
+            Ok(_) => 0,
+            Err(LpError::Infeasible) => 1,
+            Err(_) => 2,
+        }] += 1;
+    }
+    let [optimal, infeasible, unbounded] = verdicts;
+    assert!(
+        optimal >= CASES / 8 && infeasible >= CASES / 8 && unbounded >= CASES / 8,
+        "{optimal} optimal, {infeasible} infeasible, {unbounded} unbounded"
+    );
+}
+
+/// Redundant and contradictory equalities over free and upper-only
+/// variables: the kernel's verdict and objective are the oracle's.
+#[test]
+fn redundant_equalities_match_the_oracle() {
+    for rhs2 in [4.0, 5.0] {
+        let mut p = Problem::new(Sense::Minimize);
+        let x = p.add_var(f64::NEG_INFINITY, f64::INFINITY, 1.0).unwrap();
+        let y = p.add_var(f64::NEG_INFINITY, 3.0, 2.0).unwrap();
+        let z = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
+        p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Eq, 4.0)
+            .unwrap();
+        p.add_constraint(&[(x, 2.0), (y, 2.0)], Relation::Eq, 2.0 * rhs2)
+            .unwrap();
+        p.add_constraint(&[(x, 1.0), (z, -1.0)], Relation::Ge, -1.0)
+            .unwrap();
+        p.add_constraint(&[(y, 1.0), (z, 1.0)], Relation::Ge, 0.5)
+            .unwrap();
+        let got = p.solve();
+        assert_eq!(got.is_ok(), rhs2 == 4.0, "{got:?}");
+        dpss_lp_oracle::agree(&p, &got).unwrap();
+    }
+}
+
 #[test]
 fn warm_path_engages_on_resolve_chains() {
     // Deterministic check that the chain property actually exercises the
@@ -280,38 +419,16 @@ fn warm_path_engages_on_resolve_chains() {
     };
     let (mut p, flows) = inst.build();
     let mut ws = LpWorkspace::new();
-    p.solve_network_with(&mut ws).unwrap();
+    p.solve_with(&mut ws).unwrap();
     for (k, cap) in [(0usize, 0.5), (3, 2.0), (5, 0.0), (0, 2.0)] {
         p.set_bounds(flows[k], 0.0, cap).unwrap();
-        let net = p.solve_network_with(&mut ws).unwrap();
-        let dense = p.solve().unwrap();
-        assert!(
-            (net.objective() - dense.objective()).abs() <= 1e-9 * (1.0 + dense.objective().abs()),
-            "cap edit {k}->{cap}: network {} vs dense {}",
-            net.objective(),
-            dense.objective()
-        );
+        assert_objectives_agree(&p, &mut ws);
     }
     assert!(
         ws.warm_solves() >= 2,
-        "bound edits must keep the network warm path eligible: {} warm / {} cold / {} rejects",
+        "bound edits must keep the warm path eligible: {} warm / {} cold / {} rejects",
         ws.warm_solves(),
         ws.cold_solves(),
         ws.warm_rejects()
     );
-}
-
-#[test]
-fn network_entry_point_accepts_non_packing_problems() {
-    // The fallback keeps `solve_network_with` a drop-in `solve_with`:
-    // an equality-constrained LP routes to the dense path and solves.
-    let mut p = Problem::new(Sense::Minimize);
-    let x = p.add_var(0.0, 5.0, 2.0).unwrap();
-    let y = p.add_var(0.0, 5.0, 3.0).unwrap();
-    p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Eq, 4.0)
-        .unwrap();
-    assert!(!p.is_network_form());
-    let sol = p.solve_network_with(&mut LpWorkspace::new()).unwrap();
-    assert!((sol.objective() - 8.0).abs() < 1e-9, "{}", sol.objective());
-    assert!((sol.value(x) - 4.0).abs() < 1e-9);
 }

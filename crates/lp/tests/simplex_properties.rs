@@ -3,7 +3,8 @@
 //! Strategy: generate LPs with a *known feasible point* by construction, so
 //! the solver must return `Ok`, and then check the two defining properties
 //! of an optimum — feasibility of the returned point and dominance over
-//! every feasible point we can sample.
+//! every feasible point we can sample — and agreement with the dense
+//! two-phase oracle (`dpss-lp-oracle`).
 
 use dpss_lp::{LpError, Problem, Relation, Sense};
 use proptest::prelude::*;
@@ -85,6 +86,7 @@ proptest! {
     fn solver_finds_feasible_dominating_point(lp in feasible_lp(5, 5)) {
         let (p, _) = lp.build(Sense::Minimize);
         let sol = p.solve().expect("bounded feasible LP must solve");
+        prop_assert!(dpss_lp_oracle::agree(&p, &Ok(sol.clone())).is_ok());
         prop_assert!(p.is_feasible(sol.values(), 1e-6),
             "solution {:?} infeasible", sol.values());
         let witness_obj = p.objective_at(&lp.witness);
@@ -101,6 +103,7 @@ proptest! {
         let (pmin, _) = neg.build(Sense::Minimize);
         let smax = pmax.solve().expect("max LP must solve");
         let smin = pmin.solve().expect("min LP must solve");
+        prop_assert!(dpss_lp_oracle::agree(&pmax, &Ok(smax.clone())).is_ok());
         prop_assert!((smax.objective() + smin.objective()).abs() < 1e-6,
             "max {} vs min {}", smax.objective(), smin.objective());
     }
@@ -152,6 +155,7 @@ fn infeasible_box_and_constraint_combination() {
     p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Ge, 3.0)
         .unwrap();
     assert!(matches!(p.solve(), Err(LpError::Infeasible)));
+    dpss_lp_oracle::agree(&p, &p.solve()).unwrap();
 }
 
 #[test]
@@ -168,6 +172,7 @@ fn large_chain_lp_solves_quickly() {
     }
     let sol = p.solve().unwrap();
     assert!(p.is_feasible(sol.values(), 1e-6));
+    dpss_lp_oracle::agree(&p, &Ok(sol.clone())).unwrap();
     // Optimal: alternate 1/0 patterns; objective must be at most naive
     // all-halves assignment.
     let naive = vec![0.5; 200];

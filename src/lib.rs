@@ -10,9 +10,8 @@
 //! * [`units`] (`dpss-units`) — physical-unit newtypes ([`Energy`],
 //!   [`Power`], [`Price`], [`Money`]) and the two-timescale calendar
 //!   ([`SlotClock`]);
-//! * [`lp`] (`dpss-lp`) — the LP substrate: a dense two-phase simplex for
-//!   the frame LPs and a factorized sparse revised simplex for the fleet
-//!   network LPs;
+//! * [`lp`] (`dpss-lp`) — the LP substrate: one factorized sparse revised
+//!   simplex, warm-started, for the frame LPs and the fleet network LPs;
 //! * [`traces`] (`dpss-traces`) — synthetic solar/wind/price/demand trace
 //!   generators with error injection, scaling transforms and the
 //!   [`ScenarioPack`] registry of named input regimes;
