@@ -44,11 +44,12 @@
 //! rhs, every variable in `[0, u]`), so every fleet LP — settlement,
 //! prospective and the routing planner's migration LP — starts from a
 //! feasible all-slack basis on `dpss-lp`'s factorized revised simplex
-//! ([`Problem::solve_with`]), with no phase 1. The prospective template is
-//! **aggregated**: the buy penalty depends only on the donor, so instead
-//! of splitting every link into free and bought flow it carries one
-//! total-flow variable per link and one bought-energy variable per donor
-//! — `O(sites)` rows instead of `O(links)`, which on an `n`-site mesh is
+//! ([`Problem::solve_with`]), with no dual restore. The prospective
+//! template is **aggregated**: the buy penalty depends only on the donor,
+//! so instead of splitting every link into free and bought flow it
+//! carries one total-flow variable per link and one bought-energy
+//! variable per donor — `O(sites)` rows instead of `O(links)`, which on
+//! an `n`-site mesh is
 //! the difference between a `3n+1`-row and an `n² + 3n`-row system, with
 //! the same optimum as the split form (`dpss-lp`'s
 //! `tests/network_equivalence.rs` pins both shapes against its dense

@@ -22,7 +22,7 @@
 // them back, and slot vectors are sized by the template's `T`.
 // audit:allow-file(slice-index): variable ids and slot vectors are minted/sized in the same frame-LP template build
 
-use dpss_lp::{ConstraintId, LpWorkspace, Problem, Relation, Sense, Variable};
+use dpss_lp::{ConstraintId, LpError, LpWorkspace, Problem, Relation, Sense, Variable};
 use dpss_sim::SimParams;
 
 use crate::CoreError;
@@ -206,9 +206,10 @@ impl FrameLp {
     /// Plans `frame` through `ws`. Whether the solve starts from the
     /// previous frame's basis is the caller's policy: `RecedingHorizon`
     /// keeps the basis, `OfflineOptimal` clears it (see their docs). A
-    /// frame whose deadline is infeasible (a backlog beyond the frame's
-    /// grid headroom) is re-solved with the bound lifted, letting delays
-    /// grow rather than failing the frame; the next frame sets it again.
+    /// frame the solver proves infeasible (a backlog beyond the frame's
+    /// grid headroom) is re-solved with the deadline's bound lifted,
+    /// letting delays grow rather than failing the frame; the next frame
+    /// sets it again. Any other solver error reaches the caller.
     pub fn plan(
         &mut self,
         frame: &FrameData<'_>,
@@ -216,12 +217,12 @@ impl FrameLp {
     ) -> Result<FramePlan, CoreError> {
         self.set_frame(frame)?;
         let sol = match self.problem.solve_with(ws) {
-            Ok(sol) => sol,
-            Err(_) => {
+            Err(LpError::Infeasible) => {
                 self.problem
                     .set_bounds(self.last_backlog, 0.0, f64::INFINITY)?;
                 self.problem.solve_with(ws)?
             }
+            solved => solved?,
         };
         Ok(FramePlan {
             g_slot: sol.value(self.g_slot),

@@ -31,7 +31,7 @@
 //! Like the fleet planner, the migration LP is a template (built once
 //! per topology) re-solved through one warm-started [`LpWorkspace`] with
 //! per-frame objective/bound/rhs edits; like every fleet LP it is in
-//! packing form, so its cold start needs no phase 1.
+//! packing form, so its cold start needs no dual restore.
 
 // The routing planner mints every LP variable/row it later edits in its
 // own template build pass, and all per-site vectors are sized from the

@@ -8,16 +8,18 @@
 //! LP crate suitable for this workspace's offline build, so this crate
 //! implements the substrate from scratch:
 //!
-//! * [`Problem`] — a model builder with named, box-bounded variables and
+//! * [`Problem`] — a model builder with box-bounded variables and
 //!   `≤ / ≥ / =` linear constraints in either optimization [`Sense`];
 //! * one kernel for every problem shape: a **factorized sparse revised
 //!   simplex** whose basis lives in a product-form eta file and whose
 //!   per-pivot work follows the nonzeros ([`Problem::solve_with`]). It
-//!   runs general-form LPs such as the per-frame `P2` plan (a composite
-//!   phase 1 from the all-slack basis, then phase 2) and the packing-form
-//!   fleet flows (settlement, dispatch and routing, whose all-slack basis
-//!   is already feasible), with Dantzig partial pricing and a fallback to
-//!   Bland's rule that guarantees termination on degenerate problems;
+//!   runs general-form LPs such as the per-frame `P2` plan (a dual
+//!   simplex makes the all-slack basis feasible or proves there is no
+//!   feasible point, then the primal simplex optimizes) and the
+//!   packing-form fleet flows (settlement, dispatch and routing, whose
+//!   all-slack basis is already feasible), with Dantzig partial pricing
+//!   and a fallback to Bland's rule that guarantees termination on
+//!   degenerate problems;
 //! * [`Solution`] — optimal variable values and objective, mapped back to
 //!   the original model space.
 //!

@@ -280,14 +280,6 @@ impl Problem {
         self.sense
     }
 
-    /// The pivot budget of one simplex run (phases 1 and 2 together; a
-    /// warm start's dual restore gets its own):
-    /// `200·(rows + columns) + 2000`, far above what well-posed DPSS
-    /// problems need.
-    pub(crate) fn pivot_budget(&self, rows: usize, cols: usize) -> usize {
-        200 * (rows + cols) + 2_000
-    }
-
     /// The variables' `(lo, up, obj)` in insertion order — the data a
     /// checker outside this crate needs to solve or verify the problem
     /// independently.

@@ -18,16 +18,16 @@
 //! prospective directive LP and the routing transportation LP — are in
 //! **packing form**: every row `≤` with `bᵢ ≥ 0` and every variable on
 //! `[0, u]` with `u` finite. For them the map is the identity and **the
-//! all-slack basis is feasible** (`x = 0`, `s = b ≥ 0`), so no phase 1
-//! runs. Any other problem (the per-frame planning LP, with its balance
-//! and recursion equalities and its unbounded waste and backlog columns)
-//! starts cold from the all-slack basis, made feasible by the same
-//! cost-shifted **dual simplex** a warm start uses (below), then runs
-//! phase 2. When the dual cannot finish — the problem is infeasible, or
-//! numerically awkward — a **composite primal phase 1** from the
-//! all-slack basis, minimizing the sum of the basic variables' bound
-//! violations, decides: it reaches a feasible basis or proves there is
-//! none.
+//! all-slack basis is feasible** (`x = 0`, `s = b ≥ 0`), and the primal
+//! simplex starts from it. Any other problem (the per-frame planning LP,
+//! with its balance and recursion equalities and its unbounded waste and
+//! backlog columns) starts cold from the all-slack basis, made feasible
+//! by the same cost-shifted **dual simplex** a warm start uses (below),
+//! then runs the primal simplex. The dual restore is the kernel's only
+//! route to a feasible basis, and its verdict is final: a violated row
+//! that no column can repair is a Farkas certificate, so the problem is
+//! [`LpError::Infeasible`]; a spent budget, a pivot too small to divide
+//! by or a wedged basis is [`LpError::IterationLimit`].
 //!
 //! # The factorized basis
 //!
@@ -61,7 +61,7 @@
 //! tie-breaks, the same eta entry order — and therefore the same pivot
 //! sequence, bit for bit.
 //!
-//! Phase-2 pricing works the same way. A bound flip changes neither the
+//! Primal pricing works the same way. A bound flip changes neither the
 //! basis, the file nor `c_B`, so the multipliers `y` and the reduced
 //! costs `d` stand. An exchange changes `c_B` at the pivot row only, and
 //! the cone BTRAN ([`crate::factor::Factorization::btran_update`])
@@ -71,8 +71,7 @@
 //! matrix, in the same column-order dot product), and a full BTRAN after
 //! an install or a refactorization recomputes all of it. Debug builds
 //! check every incremental update against a from-scratch pass, bit for
-//! bit. Phase 1's costs follow the basic values, so it prices from
-//! scratch after every pivot.
+//! bit.
 //!
 //! # Allocation-free warm re-solves
 //!
@@ -111,9 +110,9 @@
 //!   bounded **dual simplex**. Its guide is the current reduced costs of
 //!   the saved basis, each moved onto the side its column's bound status
 //!   allows (a cost shift, so the guide is dual-feasible by
-//!   construction). Primal phase 2 on the true costs then finishes. A
-//!   restore that finds no entering column (the new data is infeasible)
-//!   or exhausts its budget goes cold, so the cold path alone classifies
+//!   construction). The primal simplex on the true costs then finishes.
+//!   A restore that fails for any reason goes cold, and the cold start's
+//!   own restore gives the verdict, so the cold path alone classifies
 //!   errors.
 //!
 //! A saved basis that is singular for the current columns, or that
@@ -157,10 +156,6 @@ use crate::{LpError, TOLERANCE};
 /// pricing tolerance: a basic value overshooting its bound by rounding
 /// noise is repaired by the ratio test, not worth a cold restart).
 const WARM_FEAS_TOL: f64 = 1e-7;
-
-/// Total bound violation above which a phase 1 that can no longer
-/// improve declares the problem infeasible.
-const PHASE1_INFEASIBLE_TOL: f64 = 1e-7;
 
 /// How many consecutive degenerate pivots trigger the Bland's-rule
 /// fallback. Dantzig pricing can cycle forever on degenerate vertices
@@ -295,8 +290,6 @@ pub(crate) struct NetState {
     m: usize,
     /// Whether the loaded problem is in packing form.
     packing: bool,
-    /// Whether the simplex is in phase 1, pricing bound violations.
-    phase1: bool,
     /// Model variable → internal columns; empty in packing form, where
     /// the map is the identity.
     maps: Vec<VarMap>,
@@ -327,8 +320,7 @@ pub(crate) struct NetState {
     xb: Vec<f64>,
     /// The basis inverse in product (eta-file) form.
     factor: Factorization,
-    /// Costs of the basic columns, row-aligned with `basis` (phase 1:
-    /// the signs of their bound violations).
+    /// Costs of the basic columns, row-aligned with `basis`.
     cb: Vec<f64>,
     /// The simplex multipliers `y = c_Bᵀ·B⁻¹`, kept current across
     /// exchanges by the cone BTRAN (the dual restore borrows it for the
@@ -538,9 +530,10 @@ impl NetState {
         }
     }
 
-    /// Installs the cold all-slack basis (`x = 0`, `s = b`), feasible in
-    /// packing form (`b ≥ 0`). The factorization is the identity.
-    fn install_slack_basis(&mut self) {
+    /// The cold start: installs the all-slack basis (`x = 0`, `s = b`,
+    /// the factorization the identity), feasible in packing form
+    /// (`b ≥ 0`) and otherwise made feasible by the dual restore.
+    fn start_cold(&mut self, budget: usize) -> Result<(), LpError> {
         let (n, m) = (self.n, self.m);
         self.basis.clear();
         self.basis.extend(n..n + m);
@@ -554,6 +547,11 @@ impl NetState {
         self.factor.reset(m);
         self.base_etas = 0;
         self.compute_xb();
+        if self.packing {
+            Ok(())
+        } else {
+            self.restore_feasibility(budget)
+        }
     }
 
     /// Installs a saved basis: copies it in, refuses a column held at an
@@ -781,7 +779,7 @@ impl NetState {
         let (n, m) = (self.n, self.m);
         self.cb.clear();
         for r in 0..m {
-            let c = self.basic_cost(r);
+            let c = self.col_cost(self.basis[r]);
             self.cb.push(c);
         }
         self.y.clear();
@@ -794,44 +792,13 @@ impl NetState {
         }
     }
 
-    /// The cost of the basic variable at row `r`: its objective
-    /// coefficient in phase 2; in phase 1 `−1` below its lower bound,
-    /// `+1` above its upper bound and `0` inside its box.
-    fn basic_cost(&self, r: usize) -> f64 {
-        let j = self.basis[r];
-        if !self.phase1 {
-            return self.col_cost(j);
-        }
-        let x = self.xb[r];
-        if x < -TOLERANCE {
-            -1.0
-        } else if x > self.col_upper(j) + TOLERANCE {
-            1.0
-        } else {
-            0.0
-        }
-    }
-
-    /// The total bound violation of the basic variables (phase 1's
-    /// objective), counting only violations beyond [`TOLERANCE`].
-    fn infeasibility(&self) -> f64 {
-        let mut total = 0.0;
-        for (&j, &x) in self.basis.iter().zip(&self.xb) {
-            let violation = (-x).max(x - self.col_upper(j));
-            if violation > TOLERANCE {
-                total += violation;
-            }
-        }
-        total
-    }
-
     /// Prices after the exchange at row `r` appended one eta: `c_B`
     /// changes at `r` only, the cone BTRAN re-applies the etas whose
     /// inputs changed, and the reduced costs of the columns on every row
     /// whose multiplier moved are recomputed — the same bits
     /// [`reprice`](Self::reprice) would give.
     fn reprice_exchange(&mut self, r: usize) {
-        self.cb[r] = self.basic_cost(r);
+        self.cb[r] = self.col_cost(self.basis[r]);
         self.changed_rows.clear();
         self.factor
             .btran_update(&self.cb, &mut self.y, &mut self.changed_rows);
@@ -856,7 +823,7 @@ impl NetState {
     fn assert_pricing_is_fresh(&mut self) {
         let (n, m) = (self.n, self.m);
         for r in 0..m {
-            assert_eq!(self.cb[r].to_bits(), self.basic_cost(r).to_bits());
+            assert_eq!(self.cb[r].to_bits(), self.col_cost(self.basis[r]).to_bits());
         }
         self.rhs_work.clear();
         self.rhs_work.resize(m, 0.0);
@@ -886,12 +853,10 @@ impl NetState {
     }
 
     /// Reduced cost of column `j` under the current multipliers, from
-    /// scratch (the cached copy lives in `d`). Phase 1 prices nonbasic
-    /// columns at zero cost.
+    /// scratch (the cached copy lives in `d`).
     fn reduced_cost(&self, j: usize) -> f64 {
         if j < self.n {
-            let c = if self.phase1 { 0.0 } else { self.cost[j] };
-            c - self.col_dot(j, &self.y)
+            self.cost[j] - self.col_dot(j, &self.y)
         } else {
             -self.y[j - self.n]
         }
@@ -995,7 +960,7 @@ impl NetState {
         best
     }
 
-    /// The phase-2 ratio test for the direction in `w`: the entering
+    /// The primal ratio test for the direction in `w`: the entering
     /// column moves off its bound by `t ≥ 0` (`sigma = −1` from upper)
     /// until a basic variable reaches a bound or the column crosses its
     /// box. Returns the step and the blocking row with the bound it
@@ -1022,47 +987,6 @@ impl NetState {
                         t = ratio;
                         leave = Some((r, true));
                     }
-                }
-            }
-        }
-        (t, leave)
-    }
-
-    /// The phase-1 ratio test: feasible basic variables block at their
-    /// bounds as in phase 2, and an infeasible one blocks where it
-    /// reaches the bound it violates — the first breakpoint of the
-    /// piecewise-linear phase-1 objective, so every step reduces it.
-    fn ratio_test_phase1(&self, j: usize, sigma: f64) -> (f64, Leave) {
-        let mut t = self.col_upper(j);
-        let mut leave: Leave = None;
-        for &r in self.w.pattern() {
-            let r = r as usize;
-            let wr = sigma * self.w.get(r);
-            let (x, ub) = (self.xb[r], self.col_upper(self.basis[r]));
-            // `x` falls when `wr > 0` and rises when `wr < 0`.
-            let stop = if wr > TOLERANCE {
-                if x > ub + TOLERANCE {
-                    Some(((x - ub) / wr, true))
-                } else if x >= -TOLERANCE {
-                    Some(((x / wr).max(0.0), false))
-                } else {
-                    None
-                }
-            } else if wr < -TOLERANCE {
-                if x < -TOLERANCE {
-                    Some((x / wr, false))
-                } else if x <= ub + TOLERANCE && ub.is_finite() {
-                    Some((((ub - x) / -wr).max(0.0), true))
-                } else {
-                    None
-                }
-            } else {
-                None
-            };
-            if let Some((ratio, at_upper)) = stop {
-                if ratio < t {
-                    t = ratio;
-                    leave = Some((r, at_upper));
                 }
             }
         }
@@ -1121,43 +1045,22 @@ impl NetState {
         }
     }
 
-    /// Runs primal simplex from the installed basis to optimality:
-    /// phase 1 first unless the basis is `feasible`, then phase 2.
-    /// Returns the pivot count.
-    fn optimize(&mut self, budget: usize, feasible: bool) -> Result<usize, LpError> {
+    /// Runs the primal simplex from the installed, primal-feasible basis
+    /// to optimality.
+    fn optimize(&mut self, budget: usize) -> Result<(), LpError> {
         let eta_cap = self.eta_cap();
         let mut pivots = 0usize;
         let mut bland = false;
         let mut degenerate_streak = 0usize;
-        self.phase1 = !feasible;
         self.reprice();
-        let mut infeasibility = if self.phase1 {
-            self.infeasibility()
-        } else {
-            0.0
-        };
         let result = loop {
-            if self.phase1 && infeasibility == 0.0 {
-                self.phase1 = false;
-                (bland, degenerate_streak) = (false, 0);
-                self.reprice();
-            }
             let enter = if bland {
                 self.price_bland()
             } else {
                 self.price()
             };
             let Some(j) = enter else {
-                if !self.phase1 {
-                    break Ok(pivots);
-                }
-                if infeasibility > PHASE1_INFEASIBLE_TOL {
-                    break Err(LpError::Infeasible);
-                }
-                // Phase 1 stalled within rounding of its optimum: the
-                // basis is feasible to tolerance.
-                infeasibility = 0.0;
-                continue;
+                break Ok(());
             };
             if pivots >= budget {
                 break Err(LpError::IterationLimit { pivots });
@@ -1169,19 +1072,9 @@ impl NetState {
             // `t ≥ 0`: up from lower (σ = +1) or down from upper (σ = −1);
             // basic values respond as `x_B −= σ·t·w`.
             let sigma = if self.at_upper[j] { -1.0 } else { 1.0 };
-            let (t, leave) = if self.phase1 {
-                self.ratio_test_phase1(j, sigma)
-            } else {
-                self.ratio_test(j, sigma)
-            };
+            let (t, leave) = self.ratio_test(j, sigma);
             if t.is_infinite() {
-                // Phase 1 is bounded below by zero, so an unblocked
-                // improving ray there is numerical trouble.
-                break Err(if self.phase1 {
-                    LpError::IterationLimit { pivots }
-                } else {
-                    LpError::Unbounded
-                });
+                break Err(LpError::Unbounded);
             }
 
             if t <= TOLERANCE {
@@ -1195,25 +1088,19 @@ impl NetState {
             }
 
             match self.step(j, sigma, t, leave, eta_cap) {
-                StepOutcome::Flipped if !self.phase1 => {}
-                StepOutcome::Exchanged(r) if !self.phase1 => self.reprice_exchange(r),
+                StepOutcome::Flipped => {}
+                StepOutcome::Exchanged(r) => self.reprice_exchange(r),
+                StepOutcome::Refactorized => self.reprice(),
                 StepOutcome::Wedged => {
-                    // Numerically wedged basis: restart cold from the
-                    // all-slack basis within the same pivot budget —
-                    // feasible in packing form, phase 1 otherwise — never
-                    // wrong answers from a drifted file.
-                    self.install_slack_basis();
-                    self.phase1 = !self.packing;
+                    // Numerically wedged basis: start cold again rather
+                    // than return wrong answers from a drifted file.
+                    if let Err(e) = self.start_cold(budget) {
+                        break Err(e);
+                    }
                     self.reprice();
                 }
-                // Phase 1's costs follow `x_B`: it prices from scratch.
-                _ => self.reprice(),
-            }
-            if self.phase1 {
-                infeasibility = self.infeasibility();
             }
         };
-        self.phase1 = false;
         self.solve_pivots += pivots as u64;
         result
     }
@@ -1222,10 +1109,11 @@ impl NetState {
     /// a saved one, or the all-slack basis of a cold start — by a bounded
     /// dual simplex (see the module docs). The guide is the current
     /// reduced costs, each moved onto the side its column's bound status
-    /// allows; every dual pivot keeps it dual-feasible. Returns `false`
-    /// when a violated row has no entering column (the data is
-    /// infeasible), the budget runs out or the basis wedges.
-    fn restore_feasibility(&mut self, budget: usize) -> bool {
+    /// allows; every dual pivot keeps it dual-feasible. A violated row
+    /// with no entering column is a Farkas certificate:
+    /// [`LpError::Infeasible`]. A spent budget, a pivot below
+    /// [`TOLERANCE`] or a wedged basis is [`LpError::IterationLimit`].
+    fn restore_feasibility(&mut self, budget: usize) -> Result<(), LpError> {
         let eta_cap = self.eta_cap();
         let (n, m) = (self.n, self.m);
         let mut pivots = 0usize;
@@ -1240,10 +1128,10 @@ impl NetState {
                 }
             }
             let Some((r, _)) = leaving else {
-                break true;
+                break Ok(());
             };
             if pivots >= budget {
-                break false;
+                break Err(LpError::IterationLimit { pivots });
             }
             if pivots == 0 {
                 // The guide, priced only when the basis needs a pivot.
@@ -1295,13 +1183,13 @@ impl NetState {
                 }
             }
             let Some((q, _)) = entering else {
-                break false;
+                break Err(LpError::Infeasible);
             };
             // Primal side: x_q moves until x_r sits on its violated bound.
             self.direction(q);
             let wr = self.w.get(r);
             if wr.abs() <= TOLERANCE {
-                break false;
+                break Err(LpError::IterationLimit { pivots });
             }
             let target = if below {
                 0.0
@@ -1334,7 +1222,7 @@ impl NetState {
             self.at_upper[q] = false;
             self.xb[r] = from + delta;
             if let StepOutcome::Wedged = self.append_eta(r, eta_cap) {
-                break false;
+                break Err(LpError::IterationLimit { pivots });
             }
         };
         self.solve_pivots += pivots as u64;
@@ -1435,13 +1323,20 @@ enum StepOutcome {
     Wedged,
 }
 
+/// The pivot budget of one dual restore and, separately, of one primal
+/// simplex run: `200·(rows + columns) + 2000`, far above what well-posed
+/// DPSS problems need.
+fn pivot_budget(rows: usize, cols: usize) -> usize {
+    200 * (rows + cols) + 2_000
+}
+
 /// Solves `p` through `ws`: warm from the saved basis when it fits (see
 /// the module docs), else cold from the all-slack basis.
 pub(crate) fn solve(p: &Problem, ws: &mut LpWorkspace) -> Result<Solution, LpError> {
     let clock = Instant::now();
     ws.net.load(p);
     let (n, m) = (ws.net.n, ws.net.m);
-    let budget = p.pivot_budget(m, n + m);
+    let budget = pivot_budget(m, n + m);
     let mut warm = false;
     if ws.saved.live && ws.saved.n == n && ws.saved.m == m {
         // Consume the saved basis; it is revalidated on success below,
@@ -1451,7 +1346,7 @@ pub(crate) fn solve(p: &Problem, ws: &mut LpWorkspace) -> Result<Solution, LpErr
             && if ws.net.packing {
                 ws.net.primal_feasible(WARM_FEAS_TOL)
             } else {
-                ws.net.restore_feasibility(budget)
+                ws.net.restore_feasibility(budget).is_ok()
             };
         if !warm {
             ws.note_warm_reject();
@@ -1459,34 +1354,23 @@ pub(crate) fn solve(p: &Problem, ws: &mut LpWorkspace) -> Result<Solution, LpErr
     } else {
         ws.saved.live = false;
     }
-    let mut feasible = warm || ws.net.packing;
-    if !warm {
-        ws.net.install_slack_basis();
-        if !feasible {
-            // The same cost-shifted dual simplex makes the all-slack
-            // basis feasible; the composite primal phase 1 is the
-            // fallback that classifies what it cannot.
-            feasible = ws.net.restore_feasibility(budget);
-            if !feasible {
-                ws.net.install_slack_basis();
-            }
-        }
-    }
-    let outcome = ws.net.optimize(budget, feasible);
+    let started = if warm {
+        Ok(())
+    } else {
+        ws.net.start_cold(budget)
+    };
+    let outcome = started.and_then(|()| ws.net.optimize(budget));
     if warm {
         ws.note_warm();
     } else {
         ws.note_cold();
     }
-    let result = match outcome {
-        Ok(_) => {
-            let pivots = ws.net.solve_pivots as usize;
-            let sol = ws.net.extract(p, pivots, &mut ws.sol_pool);
-            ws.saved.store_from(&ws.net);
-            Ok(sol)
-        }
-        Err(e) => Err(e),
-    };
+    let result = outcome.map(|()| {
+        let pivots = ws.net.solve_pivots as usize;
+        let sol = ws.net.extract(p, pivots, &mut ws.sol_pool);
+        ws.saved.store_from(&ws.net);
+        sol
+    });
     ws.note_kernel_solve(
         ws.net.solve_pivots,
         ws.net.solve_refactorizations,
@@ -1695,10 +1579,10 @@ mod tests {
         assert!(stats.solve_ns > 0);
     }
 
-    // ---- General form: phase 1 from the all-slack basis ---------------
+    // ---- General form: cold starts from the all-slack basis -----------
 
     #[test]
-    fn equality_constraints_need_phase_1() {
+    fn equality_constraints_start_from_an_infeasible_slack_basis() {
         // min 2x + 3y s.t. x + y = 10, x − y = 2 → x=6, y=4, obj 24.
         let mut p = Problem::minimize();
         let x = p.add_var(0.0, f64::INFINITY, 2.0).unwrap();
@@ -1812,40 +1696,6 @@ mod tests {
         let sol = Problem::minimize().solve().unwrap();
         assert!(sol.values().is_empty());
         assert_eq!(sol.objective(), 0.0);
-    }
-
-    #[test]
-    fn the_composite_phase_1_reaches_the_optimum_on_its_own() {
-        // Cold solves reach feasibility by the dual simplex first; run
-        // the fallback primal phase 1 directly from the all-slack basis
-        // and check it lands on the same optimum.
-        let mut p = Problem::minimize();
-        let x = p.add_var(0.0, f64::INFINITY, 3.0).unwrap();
-        let y = p.add_var(-1.0, f64::INFINITY, 2.0).unwrap();
-        let z = p.add_var(f64::NEG_INFINITY, 4.0, -1.0).unwrap();
-        p.add_constraint(&[(x, 1.0), (y, 1.0), (z, 1.0)], Relation::Eq, 10.0)
-            .unwrap();
-        p.add_constraint(&[(x, 1.0), (y, -1.0)], Relation::Ge, 1.0)
-            .unwrap();
-        p.add_constraint(&[(y, 1.0), (z, 2.0)], Relation::Le, 9.0)
-            .unwrap();
-        let mut ws = LpWorkspace::new();
-        ws.net.load(&p);
-        ws.net.install_slack_basis();
-        let budget = p.pivot_budget(ws.net.m, ws.net.n + ws.net.m);
-        let pivots = ws.net.optimize(budget, false).unwrap();
-        let mut pool = Vec::new();
-        let sol = ws.net.extract(&p, pivots, &mut pool);
-        assert!(p.is_feasible(sol.values(), 1e-9), "{sol}");
-        assert_close(sol.objective(), p.solve().unwrap().objective());
-        // And it proves infeasibility where there is no feasible point.
-        p.add_constraint(&[(x, 1.0)], Relation::Le, -1.0).unwrap();
-        ws.net.load(&p);
-        ws.net.install_slack_basis();
-        assert!(matches!(
-            ws.net.optimize(budget, false),
-            Err(LpError::Infeasible)
-        ));
     }
 
     // ---- General form: warm starts ------------------------------------

@@ -71,8 +71,8 @@ impl Solution {
         self.objective
     }
 
-    /// Number of simplex pivots spent across both phases (diagnostic;
-    /// useful for performance regressions).
+    /// Number of simplex pivots spent by the dual restore and the primal
+    /// simplex together (diagnostic; useful for performance regressions).
     #[must_use]
     pub fn pivots(&self) -> usize {
         self.pivots

@@ -63,8 +63,8 @@ pub struct SolverStats {
     pub warm_rejects: u64,
     /// Solves the kernel ran — every solve, so equal to `solves`.
     pub kernel_solves: u64,
-    /// Simplex pivots performed by the kernel (dual restore, phase 1
-    /// and phase 2).
+    /// Simplex pivots performed by the kernel (dual restore and primal
+    /// simplex).
     pub pivots: u64,
     /// Eta-file rebuilds triggered by the cap or drift guard.
     pub refactorizations: u64,

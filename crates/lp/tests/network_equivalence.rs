@@ -354,9 +354,9 @@ proptest! {
     }
 }
 
-/// General-form LPs, both senses: the cold kernel (phase 1 from the
-/// all-slack basis, then phase 2) gives the oracle's verdict and
-/// objective, and the instances cover every verdict.
+/// General-form LPs, both senses: the cold kernel (the dual restore from
+/// the all-slack basis, then the primal simplex) gives the oracle's
+/// verdict and objective, and the instances cover every verdict.
 #[test]
 fn kernel_matches_the_oracle_on_general_instances() {
     const CASES: usize = 512;

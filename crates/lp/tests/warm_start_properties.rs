@@ -546,35 +546,48 @@ fn infeasible_instances_report_infeasible_on_both_paths() {
 
 // ---- Degenerate-pivoting regressions (Bland's-rule fallback) -----------
 
-/// Kuhn's classic cycling LP: under naive Dantzig pricing with
-/// first-index tie-breaking the simplex method cycles forever at the
-/// origin. The solver's degenerate-streak fallback to Bland's rule must
-/// terminate and certify unboundedness-free optimality.
+/// Kuhn's classic cycling LP, `min −2x₁ − 3x₂ + x₃ + 12x₄` over two
+/// degenerate rows through the origin and the cap `Σx ≤ cap`.
+fn kuhn(cap: f64) -> (Problem, Vec<Variable>) {
+    let mut p = Problem::new(Sense::Minimize);
+    let x: Vec<_> = [-2.0, -3.0, 1.0, 12.0]
+        .iter()
+        .map(|&c| p.add_var(0.0, f64::INFINITY, c).unwrap())
+        .collect();
+    for (row, rhs) in [
+        ([-2.0, -9.0, 1.0, 9.0], 0.0),
+        ([1.0 / 3.0, 1.0, -1.0 / 3.0, -2.0], 0.0),
+        ([1.0; 4], cap),
+    ] {
+        let terms: Vec<_> = x.iter().copied().zip(row).collect();
+        p.add_constraint(&terms, Relation::Le, rhs).unwrap();
+    }
+    (p, x)
+}
+
+/// Beale's cycling LP, `min −0.75x₁ + 150x₂ − 0.02x₃ + 6x₄` over two
+/// degenerate rows through the origin and `x₃ ≤ 1`.
+fn beale() -> (Problem, Vec<Variable>) {
+    let mut p = Problem::new(Sense::Minimize);
+    let x: Vec<_> = [-0.75, 150.0, -0.02, 6.0]
+        .iter()
+        .map(|&c| p.add_var(0.0, f64::INFINITY, c).unwrap())
+        .collect();
+    for row in [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0]] {
+        let terms: Vec<_> = x.iter().copied().zip(row).collect();
+        p.add_constraint(&terms, Relation::Le, 0.0).unwrap();
+    }
+    p.add_constraint(&[(x[2], 1.0)], Relation::Le, 1.0).unwrap();
+    (p, x)
+}
+
+/// Under naive Dantzig pricing with first-index tie-breaking the simplex
+/// method cycles forever at the origin of Kuhn's LP. The solver's
+/// degenerate-streak fallback to Bland's rule must terminate and certify
+/// unboundedness-free optimality.
 #[test]
 fn kuhn_cycling_lp_terminates_at_optimum() {
-    let mut p = Problem::new(Sense::Minimize);
-    let x1 = p.add_var(0.0, f64::INFINITY, -2.0).unwrap();
-    let x2 = p.add_var(0.0, f64::INFINITY, -3.0).unwrap();
-    let x3 = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
-    let x4 = p.add_var(0.0, f64::INFINITY, 12.0).unwrap();
-    p.add_constraint(
-        &[(x1, -2.0), (x2, -9.0), (x3, 1.0), (x4, 9.0)],
-        Relation::Le,
-        0.0,
-    )
-    .unwrap();
-    p.add_constraint(
-        &[(x1, 1.0 / 3.0), (x2, 1.0), (x3, -1.0 / 3.0), (x4, -2.0)],
-        Relation::Le,
-        0.0,
-    )
-    .unwrap();
-    p.add_constraint(
-        &[(x1, 1.0), (x2, 1.0), (x3, 1.0), (x4, 1.0)],
-        Relation::Le,
-        1.0,
-    )
-    .unwrap();
+    let (p, _) = kuhn(1.0);
     let sol = p.solve().expect("degenerate LP must terminate");
     assert!(p.is_feasible(sol.values(), 1e-7));
     dpss_lp_oracle::agree(&p, &Ok(sol.clone())).unwrap();
@@ -586,29 +599,12 @@ fn kuhn_cycling_lp_terminates_at_optimum() {
     );
 }
 
-/// Beale's cycling LP: Dantzig pricing with lowest-index ties cycles at
-/// the origin; the Bland fallback must reach the optimum −0.05, and so
+/// Dantzig pricing with lowest-index ties cycles at the origin of
+/// Beale's LP; the Bland fallback must reach the optimum −0.05, and so
 /// must the oracle.
 #[test]
 fn beale_cycling_lp_terminates_at_optimum() {
-    let mut p = Problem::new(Sense::Minimize);
-    let x1 = p.add_var(0.0, f64::INFINITY, -0.75).unwrap();
-    let x2 = p.add_var(0.0, f64::INFINITY, 150.0).unwrap();
-    let x3 = p.add_var(0.0, f64::INFINITY, -0.02).unwrap();
-    let x4 = p.add_var(0.0, f64::INFINITY, 6.0).unwrap();
-    p.add_constraint(
-        &[(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
-        Relation::Le,
-        0.0,
-    )
-    .unwrap();
-    p.add_constraint(
-        &[(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)],
-        Relation::Le,
-        0.0,
-    )
-    .unwrap();
-    p.add_constraint(&[(x3, 1.0)], Relation::Le, 1.0).unwrap();
+    let (p, _) = beale();
     let sol = p.solve().expect("degenerate LP must terminate");
     dpss_lp_oracle::agree(&p, &Ok(sol.clone())).unwrap();
     assert!(
@@ -616,6 +612,55 @@ fn beale_cycling_lp_terminates_at_optimum() {
         "{}",
         sol.objective()
     );
+}
+
+/// The dual restore's Farkas verdict on dual-degenerate LPs: from the
+/// all-slack basis the cost-shifted guide prices most of Kuhn's and
+/// Beale's columns at zero, and a contradictory `≥` row must still come
+/// back `Infeasible` cold, as the oracle says.
+#[test]
+fn contradictory_rows_on_degenerate_lps_are_infeasible() {
+    let (mut kuhn, x) = kuhn(1.0);
+    let sum: Vec<_> = x.iter().map(|&v| (v, 1.0)).collect();
+    kuhn.add_constraint(&sum, Relation::Ge, 2.0).unwrap();
+    let (mut beale, x) = beale();
+    beale
+        .add_constraint(&[(x[2], 1.0)], Relation::Ge, 2.0)
+        .unwrap();
+    for p in [kuhn, beale] {
+        let got = p.solve();
+        assert!(matches!(got, Err(LpError::Infeasible)), "{got:?}");
+        dpss_lp_oracle::agree(&p, &got).unwrap();
+    }
+}
+
+/// A warm Kuhn chain through an infeasible edit: the floor `Σx ≥ f`
+/// rises past the cap `Σx ≤ 1` and comes back. The warm restore rejects
+/// the saved basis, the cold retry proves infeasibility, and the next
+/// solves return the oracle's optimum, cold and then warm again.
+#[test]
+fn a_warm_kuhn_chain_survives_an_infeasible_edit() {
+    let (mut p, x) = kuhn(1.0);
+    let sum: Vec<_> = x.iter().map(|&v| (v, 1.0)).collect();
+    let floor = p.add_constraint(&sum, Relation::Ge, 0.5).unwrap();
+    let mut ws = LpWorkspace::new();
+    let counters = |ws: &LpWorkspace| (ws.warm_solves(), ws.cold_solves(), ws.warm_rejects());
+    for (f, want) in [
+        (0.5, (0, 1, 0)),
+        (0.8, (1, 1, 0)),
+        (2.0, (1, 2, 1)),
+        (0.5, (1, 3, 1)),
+        (0.8, (2, 3, 1)),
+    ] {
+        p.set_rhs(floor, f).unwrap();
+        let got = p.solve_with(&mut ws);
+        dpss_lp_oracle::agree(&p, &got).unwrap();
+        match got {
+            Ok(sol) => assert!((sol.objective() + 0.5).abs() < 1e-7, "f = {f}: {sol}"),
+            Err(e) => assert!(f > 1.0 && e == LpError::Infeasible, "f = {f}: {e:?}"),
+        }
+        assert_eq!(counters(&ws), want, "f = {f}");
+    }
 }
 
 /// A maximally degenerate vertex: many redundant active constraints at
@@ -653,41 +698,15 @@ fn massively_degenerate_vertex_terminates() {
 /// rebuild: resolve Kuhn's LP repeatedly through one workspace.
 #[test]
 fn warm_restart_from_degenerate_basis_is_stable() {
-    let build = |rhs: f64| {
-        let mut p = Problem::new(Sense::Minimize);
-        let x1 = p.add_var(0.0, f64::INFINITY, -2.0).unwrap();
-        let x2 = p.add_var(0.0, f64::INFINITY, -3.0).unwrap();
-        let x3 = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
-        let x4 = p.add_var(0.0, f64::INFINITY, 12.0).unwrap();
-        p.add_constraint(
-            &[(x1, -2.0), (x2, -9.0), (x3, 1.0), (x4, 9.0)],
-            Relation::Le,
-            0.0,
-        )
-        .unwrap();
-        p.add_constraint(
-            &[(x1, 1.0 / 3.0), (x2, 1.0), (x3, -1.0 / 3.0), (x4, -2.0)],
-            Relation::Le,
-            0.0,
-        )
-        .unwrap();
-        p.add_constraint(
-            &[(x1, 1.0), (x2, 1.0), (x3, 1.0), (x4, 1.0)],
-            Relation::Le,
-            rhs,
-        )
-        .unwrap();
-        p
-    };
     let mut ws = LpWorkspace::new();
-    for rhs in [1.0, 2.0, 0.5, 1.0, 3.0] {
-        let p = build(rhs);
+    for cap in [1.0, 2.0, 0.5, 1.0, 3.0] {
+        let (p, _) = kuhn(cap);
         let warm = p.solve_with(&mut ws).unwrap();
         let cold = p.solve().unwrap();
         dpss_lp_oracle::agree(&p, &Ok(warm.clone())).unwrap();
         assert!(
             (warm.objective() - cold.objective()).abs() < 1e-9,
-            "rhs {rhs}: warm {} vs cold {}",
+            "cap {cap}: warm {} vs cold {}",
             warm.objective(),
             cold.objective()
         );
