@@ -10,7 +10,7 @@ use dpss_sim::{
 use dpss_traces::TraceSet;
 use dpss_units::Energy;
 
-use crate::frame_lp::{FrameData, FrameLp, FramePlan};
+use crate::frame_lp::{FrameData, FramePlanner};
 use crate::CoreError;
 
 /// The paper's offline benchmark (§II-D): per coarse frame, solve the
@@ -31,10 +31,10 @@ use crate::CoreError;
 /// benchmark. Delay-tolerant demand standing at a frame start
 /// must be served within that frame's `T` slots; demand arriving inside
 /// the frame may wait into the next one, so a job may wait about two
-/// frames. A frame where that deadline is infeasible (a backlog beyond
-/// the frame's grid headroom) is planned without it. Real-time purchases
-/// stay allowed: Lemma 1 shows the optimum never needs them when
-/// `p_rt > p_lt`, and keeping them keeps every frame feasible.
+/// frames. A backlog beyond the frame's grid headroom is served as far
+/// as the headroom goes, and only the rest waits (the frame LP's elastic
+/// deadline). Real-time purchases stay allowed: Lemma 1 shows the optimum
+/// never needs them when `p_rt > p_lt`.
 ///
 /// # Examples
 ///
@@ -55,15 +55,8 @@ use crate::CoreError;
 /// ```
 #[derive(Debug, Clone)]
 pub struct OfflineOptimal {
-    params: SimParams,
     truth: TraceSet,
-    plan_grt: Vec<f64>,
-    plan_sdt: Vec<f64>,
-    /// Reused across the per-frame LPs so the kernel's buffers are
-    /// allocated once per run; its basis is cleared before every frame.
-    workspace: dpss_lp::LpWorkspace,
-    /// The frame LP template, built on the first frame.
-    lp: Option<FrameLp>,
+    planner: FramePlanner,
 }
 
 impl OfflineOptimal {
@@ -76,46 +69,9 @@ impl OfflineOptimal {
         params.validate()?;
         truth.validate().map_err(dpss_sim::SimError::from)?;
         Ok(OfflineOptimal {
-            params,
             truth,
-            plan_grt: Vec::new(),
-            plan_sdt: Vec::new(),
-            workspace: dpss_lp::LpWorkspace::new(),
-            lp: None,
+            planner: FramePlanner::new(params),
         })
-    }
-
-    fn solve_frame(
-        &mut self,
-        frame: usize,
-        t: usize,
-        slot_hours: f64,
-        b0: f64,
-        q0: f64,
-    ) -> Result<FramePlan, CoreError> {
-        self.workspace.clear_basis();
-        let start = frame * t;
-        let to_f64 = |xs: &[Energy]| xs.iter().map(|e| e.mwh()).collect::<Vec<_>>();
-        let p_rt: Vec<f64> = self.truth.price_rt[start..start + t]
-            .iter()
-            .map(|p| p.dollars_per_mwh())
-            .collect();
-        let d_ds = to_f64(&self.truth.demand_ds[start..start + t]);
-        let d_dt = to_f64(&self.truth.demand_dt[start..start + t]);
-        let renewable = to_f64(&self.truth.renewable[start..start + t]);
-        let slot_cap = self.params.grid_slot_cap(slot_hours).mwh();
-        FrameLp::reuse(&mut self.lp, &self.params, t, slot_cap)?.plan(
-            &FrameData {
-                p_lt: self.truth.price_lt[frame].dollars_per_mwh(),
-                p_rt: &p_rt,
-                d_ds: &d_ds,
-                d_dt: &d_dt,
-                renewable: &renewable,
-                b0,
-                q0,
-            },
-            &mut self.workspace,
-        )
     }
 }
 
@@ -126,40 +82,34 @@ impl Controller for OfflineOptimal {
 
     fn plan_frame(&mut self, obs: &FrameObservation, view: &SystemView) -> FrameDecision {
         let t = obs.slots_in_frame;
-        let b0 = view.battery_level.mwh();
-        let q0 = view.queue_backlog.mwh();
-        let solved = self.solve_frame(obs.frame, t, obs.slot_hours, b0, q0);
-        match solved {
-            Ok(plan) => {
-                let total = plan.g_slot * t as f64;
-                self.plan_grt = plan.grt;
-                self.plan_sdt = plan.sdt;
-                FrameDecision {
-                    purchase_lt: Energy::from_mwh(total.max(0.0)),
-                }
-            }
-            Err(_) => {
-                // Pathological frame: fall back to pure real-time operation
-                // (the plant's guard keeps the lights on).
-                self.plan_grt = vec![0.0; t];
-                self.plan_sdt = vec![0.0; t];
-                FrameDecision {
-                    purchase_lt: Energy::ZERO,
-                }
-            }
+        let start = obs.frame * t;
+        let to_f64 = |xs: &[Energy]| {
+            xs[start..start + t]
+                .iter()
+                .map(|e| e.mwh())
+                .collect::<Vec<_>>()
+        };
+        let p_rt: Vec<f64> = self.truth.price_rt[start..start + t]
+            .iter()
+            .map(|p| p.dollars_per_mwh())
+            .collect();
+        self.planner.workspace.clear_basis();
+        let frame = FrameData {
+            p_lt: self.truth.price_lt[obs.frame].dollars_per_mwh(),
+            p_rt: &p_rt,
+            d_ds: &to_f64(&self.truth.demand_ds),
+            d_dt: &to_f64(&self.truth.demand_dt),
+            renewable: &to_f64(&self.truth.renewable),
+            b0: view.battery_level.mwh(),
+            q0: view.queue_backlog.mwh(),
+        };
+        FrameDecision {
+            purchase_lt: self.planner.plan(obs.slot_hours, &frame),
         }
     }
 
     fn plan_slot(&mut self, obs: &SlotObservation, view: &SystemView) -> SlotDecision {
-        let i = obs.slot.offset;
-        let g_rt = self.plan_grt.get(i).copied().unwrap_or(0.0);
-        let target = self.plan_sdt.get(i).copied().unwrap_or(0.0);
-        let backlog = view.queue_backlog.mwh();
-        let serve_fraction = if backlog > 1e-12 {
-            (target / backlog).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
+        let (g_rt, serve_fraction) = self.planner.slot(obs.slot.offset, view.queue_backlog.mwh());
         SlotDecision {
             purchase_rt: Energy::from_mwh(g_rt.max(0.0)),
             serve_fraction,
@@ -232,8 +182,8 @@ mod tests {
         let engine = Engine::new(params, truth.clone()).unwrap();
         let mut offline = OfflineOptimal::new(params, truth).unwrap();
         engine.run(&mut offline).unwrap();
-        let ws = &offline.workspace;
-        // One LP per frame (the deadline variant stayed feasible).
+        let ws = &offline.planner.workspace;
+        // One LP per frame, whatever the backlog.
         assert_eq!(ws.cold_solves(), 3);
         assert_eq!(ws.warm_solves() + ws.warm_rejects(), 0);
     }

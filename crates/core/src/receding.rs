@@ -5,7 +5,7 @@ use dpss_sim::{
 use dpss_units::Energy;
 use serde::{Deserialize, Serialize};
 
-use crate::frame_lp::{FrameData, FrameLp};
+use crate::frame_lp::{FrameData, FramePlanner};
 use crate::CoreError;
 
 /// A receding-horizon (model-predictive) controller — the
@@ -20,7 +20,8 @@ use crate::CoreError;
 /// [`ForecastPolicy`](dpss_sim::ForecastPolicy)) extended flat across the
 /// frame, the observed long-term price, and a real-time price proxy
 /// `p_lt · rt_markup`. Within the frame it replays the plan; the plant's
-/// feasibility guard covers forecast misses.
+/// feasibility guard covers forecast misses. A backlog beyond the grid
+/// headroom is served as far as it goes (the frame LP's elastic deadline).
 ///
 /// Each frame LP warm-starts from the previous frame's optimal basis:
 /// consecutive frames share the constraint structure and change only
@@ -56,16 +57,8 @@ use crate::CoreError;
 /// ```
 #[derive(Debug, Clone)]
 pub struct RecedingHorizon {
-    params: SimParams,
-    plan_grt: Vec<f64>,
-    plan_sdt: Vec<f64>,
-    /// Workspace shared by the per-frame LPs (see
-    /// [`LpWorkspace`](dpss_lp::LpWorkspace)): reuses the kernel's
-    /// buffers and the previous frame's basis.
-    workspace: dpss_lp::LpWorkspace,
-    /// The frame LP template, built on the first frame. Not checkpointed:
-    /// it is a pure function of the parameters and the frame shape.
-    lp: Option<FrameLp>,
+    /// Keeps the previous frame's basis; its template is not checkpointed.
+    planner: FramePlanner,
     /// Fleet dispatch directive for the coming frame, if a coordinated
     /// [`MultiSiteEngine`](dpss_sim::MultiSiteEngine) run delivered one.
     directive: Option<FrameDirective>,
@@ -86,11 +79,7 @@ impl RecedingHorizon {
     pub fn new(params: SimParams) -> Result<Self, CoreError> {
         params.validate()?;
         Ok(RecedingHorizon {
-            params,
-            plan_grt: Vec::new(),
-            plan_sdt: Vec::new(),
-            workspace: dpss_lp::LpWorkspace::new(),
-            lp: None,
+            planner: FramePlanner::new(params),
             directive: None,
         })
     }
@@ -116,10 +105,10 @@ impl Controller for RecedingHorizon {
 
     fn save_state(&self) -> ControllerState {
         let payload = RecedingPayload {
-            plan_grt: self.plan_grt.clone(),
-            plan_sdt: self.plan_sdt.clone(),
+            plan_grt: self.planner.grt.clone(),
+            plan_sdt: self.planner.sdt.clone(),
             directive: self.directive,
-            basis: self.workspace.export_basis(),
+            basis: self.planner.workspace.export_basis(),
         };
         ControllerState {
             payload: serde_json::to_string(&payload).ok(),
@@ -146,13 +135,14 @@ impl Controller for RecedingHorizon {
                 what: "receding-horizon plan values must be finite",
             });
         }
-        self.workspace
+        self.planner
+            .workspace
             .import_basis(payload.basis.as_ref())
             .map_err(|_| SimError::InvalidState {
                 what: "receding-horizon warm-start basis failed validation",
             })?;
-        self.plan_grt = payload.plan_grt;
-        self.plan_sdt = payload.plan_sdt;
+        self.planner.grt = payload.plan_grt;
+        self.planner.sdt = payload.plan_sdt;
         self.directive = payload.directive;
         Ok(())
     }
@@ -178,49 +168,26 @@ impl Controller for RecedingHorizon {
             b0: view.battery_level.mwh(),
             q0: view.queue_backlog.mwh(),
         };
-        let slot_cap = self.params.grid_slot_cap(obs.slot_hours).mwh();
-        let solved = FrameLp::reuse(&mut self.lp, &self.params, t, slot_cap)
-            .and_then(|lp| lp.plan(&frame, &mut self.workspace));
+        let planned = self.planner.plan(obs.slot_hours, &frame);
         // Buy-to-export: a coordinated fleet directive tops the hedge off
         // with energy destined for a neighbour (re-checked against the
         // actual quoted p_lt by `economic_top_off`; the engine clamps
         // the sum to the *grid* frame cap `T·Pgrid·Δh`).
         let top_off = self.directive.map_or(Energy::ZERO, |d| {
-            d.economic_top_off(obs.frame, obs.price_lt, self.params.waste_price)
+            d.economic_top_off(obs.frame, obs.price_lt, self.planner.params.waste_price)
         });
-        match solved {
-            Ok(plan) => {
-                let total = plan.g_slot * t as f64;
-                self.plan_grt = plan.grt;
-                self.plan_sdt = plan.sdt;
-                FrameDecision {
-                    purchase_lt: Energy::from_mwh(total.max(0.0)) + top_off,
-                }
-            }
-            Err(_) => {
-                self.plan_grt = vec![0.0; t];
-                self.plan_sdt = vec![0.0; t];
-                FrameDecision {
-                    purchase_lt: top_off,
-                }
-            }
+        FrameDecision {
+            purchase_lt: planned + top_off,
         }
     }
 
     fn plan_slot(&mut self, obs: &SlotObservation, view: &SystemView) -> SlotDecision {
-        let i = obs.slot.offset;
         // Planned purchase, corrected in real time for the *observed*
         // forecast miss on this slot's delay-sensitive demand.
-        let planned = self.plan_grt.get(i).copied().unwrap_or(0.0);
+        let (planned, serve_fraction) =
+            self.planner.slot(obs.slot.offset, view.queue_backlog.mwh());
         let planned_supply = view.lt_allocation.mwh() + planned + obs.renewable.mwh();
         let miss = (obs.demand_ds.mwh() - planned_supply).max(0.0);
-        let target = self.plan_sdt.get(i).copied().unwrap_or(0.0);
-        let backlog = view.queue_backlog.mwh();
-        let serve_fraction = if backlog > 1e-12 {
-            (target / backlog).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
         SlotDecision {
             purchase_rt: Energy::from_mwh((planned + miss).max(0.0)).min(view.rt_purchase_cap),
             serve_fraction,
@@ -288,10 +255,10 @@ mod tests {
         }
 
         fn plan_frame(&mut self, obs: &FrameObservation, view: &SystemView) -> FrameDecision {
-            let before = self.inner.workspace.clone();
+            let before = self.inner.planner.workspace.clone();
             let decision = self.inner.plan_frame(obs, view);
-            if self.inner.workspace.last_was_warm() {
-                let lp = &self.inner.lp.as_ref().unwrap().problem;
+            if self.inner.planner.workspace.last_was_warm() {
+                let lp = &self.inner.planner.lp.as_ref().unwrap().problem;
                 let warm = lp.solve_with(&mut before.clone()).unwrap();
                 let cold = lp.solve().unwrap();
                 dpss_lp_oracle::agree(lp, &Ok(cold.clone())).unwrap();
@@ -328,7 +295,7 @@ mod tests {
         };
         let r = engine.run(&mut audit).unwrap();
         assert_eq!(r.availability_violations, 0);
-        let ws = &audit.inner.workspace;
+        let ws = &audit.inner.planner.workspace;
         let counts = (ws.warm_solves(), ws.cold_solves(), ws.warm_rejects());
         assert_eq!(counts, (30, 1, 0), "warm/cold/reject frame solves");
         assert_eq!(audit.warm_frames as u64, ws.warm_solves());
@@ -404,9 +371,9 @@ mod tests {
             let decision = self.inner.plan_frame(obs, view);
             self.frames.push((
                 view.queue_backlog.mwh(),
-                self.inner.plan_sdt.iter().sum(),
+                self.inner.planner.sdt.iter().sum(),
                 decision.purchase_lt.mwh(),
-                self.inner.workspace.last_was_warm(),
+                self.inner.planner.workspace.last_was_warm(),
             ));
             decision
         }
@@ -417,7 +384,7 @@ mod tests {
     }
 
     #[test]
-    fn a_backlog_beyond_the_grid_is_planned_relaxed_then_the_deadline_returns() {
+    fn a_backlog_beyond_the_grid_is_served_as_far_as_the_grid_goes() {
         let engine = backlog_burst();
         let params = SimParams::icdcs13();
         let mut log = FrameLog {
@@ -427,19 +394,21 @@ mod tests {
         let full = engine.run(&mut log).unwrap();
         let (q1, served1, bought1, _) = log.frames[1];
         // Frame 1 cannot serve its backlog within 24 slots of a 2 MW
-        // grid: it is planned without the deadline, not as the zero plan.
+        // grid. It serves what the 1.5 MWh of headroom per slot allows
+        // (36 MWh), and only the rest waits past the deadline.
         assert!(q1 > 48.0, "frame 1 backlog {q1}");
-        assert!(served1 < q1, "relaxed frame served {served1} of {q1}");
-        assert!(bought1 > 0.0, "a relaxed frame still hedges");
+        assert!(served1 >= 36.0 - 1e-6, "frame 1 served {served1} of {q1}");
+        assert!(served1 < q1, "frame 1 served {served1} of {q1}");
+        assert!(bought1 > 0.0, "an overflowing frame still hedges");
         // Frame 2's renewables make the deadline feasible again, and it
-        // solves warm from the relaxed frame's basis: lifting a bound
+        // solves warm from the overflowing frame's basis: the overflow
         // leaves the problem's shape alone.
         let (q2, served2, _, warm2) = log.frames[2];
         assert!(served2 >= q2 - 1e-6, "frame 2 served {served2} of {q2}");
-        assert!(warm2, "frame 2 must start from the relaxed frame's basis");
+        assert!(warm2, "frame 2 must start from the previous frame's basis");
 
-        // A checkpoint taken just after the relaxed frame resumes to the
-        // same bytes.
+        // A checkpoint taken just after the overflowing frame resumes to
+        // the same bytes.
         let engine = std::sync::Arc::new(engine);
         let mut ctl = RecedingHorizon::new(params).unwrap();
         let mut run = engine.begin().unwrap();
@@ -482,20 +451,21 @@ mod tests {
         restored.load_state(&forged).unwrap();
         let mut cold = RecedingHorizon::new(params).unwrap();
         cold.load_state(&ctl.save_state()).unwrap();
-        cold.workspace.clear_basis();
+        cold.planner.workspace.clear_basis();
         let mut a = engine.resume(run.state()).unwrap();
         let mut b = engine.resume(run.state()).unwrap();
         a.step_frame(&mut restored).unwrap();
         b.step_frame(&mut cold).unwrap();
-        assert_eq!(restored.workspace.warm_rejects(), 1);
-        assert!(!restored.workspace.last_was_warm());
+        assert_eq!(restored.planner.workspace.warm_rejects(), 1);
+        assert!(!restored.planner.workspace.last_was_warm());
         assert!(restored
-            .plan_grt
+            .planner
+            .grt
             .iter()
-            .chain(&restored.plan_sdt)
+            .chain(&restored.planner.sdt)
             .all(|x| x.is_finite()));
-        assert_eq!(restored.plan_grt, cold.plan_grt);
-        assert_eq!(restored.plan_sdt, cold.plan_sdt);
+        assert_eq!(restored.planner.grt, cold.planner.grt);
+        assert_eq!(restored.planner.sdt, cold.planner.sdt);
     }
 
     #[test]

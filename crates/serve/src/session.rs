@@ -48,6 +48,12 @@ use crate::protocol::{Fault, RawRequest};
 /// so every mode accepts the same calendars.
 const MAX_SITE_SLOTS: usize = 1 << 22;
 
+/// Longest frame a `receding` session may plan, in slots: a month of
+/// hourly slots. Each of its frames solves one frame LP over every slot
+/// of the frame, and that solve grows faster than the frame, so the cap
+/// keeps one `init` from pinning the daemon for minutes.
+const MAX_RECEDING_FRAME_SLOTS: usize = 744;
+
 /// Everything needed to rebuild a session's engines from scratch:
 /// the deterministic trace recipe, the plant, and the control roster.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -187,6 +193,16 @@ impl SessionConfig {
                     "calendar of {} sites x {} days x {} slots exceeds the protocol cap of \
                      {MAX_SITE_SLOTS} site-slots",
                     self.sites, self.days, self.slots_per_frame
+                ),
+            ));
+        }
+        if self.controller == "receding" && self.slots_per_frame > MAX_RECEDING_FRAME_SLOTS {
+            return Err(Fault::new(
+                "protocol",
+                format!(
+                    "receding frames of {} slots exceed the protocol cap of \
+                     {MAX_RECEDING_FRAME_SLOTS} slots per frame",
+                    self.slots_per_frame
                 ),
             ));
         }

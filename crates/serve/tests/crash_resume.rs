@@ -187,13 +187,15 @@ fn pinned_stale_snapshots_are_rejected_not_reinterpreted() {
 /// whole-horizon traces with its previous frame, schema 5 dropped
 /// the engine's slot record and the controller state's scalar and
 /// vector maps, schema 6 reordered the receding-horizon frame LP's
-/// standard-form columns that its warm-start basis indexes, and schema 7
+/// standard-form columns that its warm-start basis indexes, schema 7
 /// replaced every basis's dense/network pair with the one factorized
 /// kernel basis, over internal columns the frame LP's dense basis never
-/// indexed. The payload decoder ignores unknown fields, so an older
-/// coordinated fleet snapshot could otherwise load silently and resume
-/// on a different state; the envelope's schema check must refuse all
-/// six.
+/// indexed, and schema 8 gave the frame LP an overflow column after its
+/// slot columns, so a receding-horizon basis spans one more structural
+/// column and every slack index moves up by one. The payload decoder
+/// ignores unknown fields, so an older coordinated fleet snapshot could
+/// otherwise load silently and resume on a different state; the
+/// envelope's schema check must refuse all seven.
 #[test]
 fn schema_1_fleet_snapshots_are_refused_as_stale() {
     use dpss_serve::snapshot::{hex64, payload_checksum};
@@ -215,7 +217,7 @@ fn schema_1_fleet_snapshots_are_refused_as_stale() {
     let current: dpss_serve::SnapshotFile =
         serde_json::from_str(&fs::read_to_string(&path).expect("snapshot reads")).unwrap();
     assert!(current.payload.contains("\"prospective_net\":"));
-    for schema in [1, 2, 3, 4, 5, 6] {
+    for schema in [1, 2, 3, 4, 5, 6, 7] {
         let mut file = current.clone();
         if schema == 1 {
             // What the schema-1 writer produced: the dense prospective

@@ -39,7 +39,7 @@ fn hello_and_started_lines_are_golden_bytes() {
     assert_eq!(
         lines[0],
         format!(
-            "{{\"Hello\":{{\"service\":\"dpss-serve\",\"version\":\"{}\",\"schema\":7}}}}",
+            "{{\"Hello\":{{\"service\":\"dpss-serve\",\"version\":\"{}\",\"schema\":8}}}}",
             env!("CARGO_PKG_VERSION")
         )
     );
@@ -315,6 +315,38 @@ fn slot_lengths_off_the_millihour_grid_are_protocol_errors() {
             other => panic!("expected Error, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn a_receding_frame_longer_than_a_month_of_slots_is_refused() {
+    // A receding session solves one LP over each frame's slots, and that
+    // solve grows faster than the frame: three steps of 3,000-slot frames
+    // pinned the daemon for about half a minute. The refusal leaves the
+    // connection able to start a session that fits.
+    let (lines, outcome) = run_log(
+        "{\"cmd\":\"init\",\"controller\":\"receding\",\"days\":3,\"slots_per_frame\":745}\n\
+         {\"cmd\":\"init\",\"controller\":\"receding\",\"days\":3,\"slots_per_frame\":744}\n\
+         {\"cmd\":\"status\"}\n",
+    );
+    assert_eq!((outcome.requests, outcome.errors), (3, 1));
+    match parse(&lines[1]) {
+        Response::Error { kind, message } => {
+            assert_eq!(kind, "protocol");
+            assert!(
+                message.contains("745") && message.contains("744"),
+                "{message}"
+            );
+        }
+        other => panic!("expected Error, got {other:?}"),
+    }
+    assert!(matches!(
+        parse(&lines[2]),
+        Response::Started {
+            slots_per_frame: 744,
+            ..
+        }
+    ));
+    assert!(matches!(parse(&lines[3]), Response::Status { .. }));
 }
 
 // ---- Spawned binary: the 0/1/2 exit contract ----------------------------

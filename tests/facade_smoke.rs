@@ -20,11 +20,12 @@ use smartdpss::{
 ///   pre-arrival semantics, which makes even eager service one slot
 ///   late);
 /// * the *offline benchmark* is the documented exception: its frame LP
-///   enforces an intra-frame service deadline but may relax it (or have
-///   its plan clipped by the plant), so it can defer up to one coarse
-///   frame of arrivals past the edge — never more. This slack is cost it
-///   never pays, which is why the ordering below is checked on a horizon
-///   long enough (6 days) for it to be strict anyway.
+///   enforces an intra-frame service deadline that a backlog beyond the
+///   grid headroom overflows (and the plant may clip its plan), so it
+///   can defer up to one coarse frame of arrivals past the edge — never
+///   more. This slack is cost it never pays, which is why the ordering
+///   below is checked on a horizon long enough (6 days) for it to be
+///   strict anyway.
 fn assert_horizon_edge_invariant(name: &str, r: &RunReport, slots_per_frame: usize) {
     let ddt_max = smartdpss::traces::paper_ddt_max().mwh();
     let age_slots = r.oldest_pending_age.map_or(0, |a| a + 1);
