@@ -7,9 +7,11 @@
 //! the solution buffer are all reused, so a month's thousands of frame
 //! solves pin a constant working set. This test makes that contract
 //! mechanical: a counting `#[global_allocator]` is armed around two
-//! 64-edit warm chains (solve → read → recycle) — a packing-form fleet
-//! flow LP and a general-form frame LP whose edits force dual restores —
-//! and must observe **zero** heap allocations.
+//! warm chains (solve → read → recycle) — 64 edits of a packing-form
+//! fleet flow LP, and 64 regime switches of a general-form frame LP that
+//! force dual restores, each followed by a three-solve zero-pivot stretch
+//! that keeps its factorization — and must observe **zero** heap
+//! allocations.
 //!
 //! The file holds exactly one `#[test]` so no sibling test thread can
 //! allocate inside the armed windows.
@@ -215,15 +217,25 @@ fn warm_resolves_perform_zero_heap_allocations() {
     );
 
     // ---- General form: the frame LP, with dual restores. ---------------
-    // Demand alternates between a surplus regime (below the cover floor:
-    // the surplus is charged or wasted) and a deficit regime (above it).
-    // Each switch leaves the saved basis primal-infeasible — the variable
-    // that absorbed the surplus would go negative — so every warm solve
-    // across a switch runs the dual restore.
+    // Laps come in fours. The first switches demand between a surplus
+    // regime (below the cover floor: the surplus is charged or wasted)
+    // and a deficit regime (above it). Each switch leaves the saved basis
+    // primal-infeasible — the variable that absorbed the surplus would go
+    // negative — so every warm solve across a switch runs the dual
+    // restore. The other three raise every demand by a hair, which keeps
+    // the basis optimal: a zero-pivot stretch, whose later solves keep
+    // the factorization the first one rebuilt.
     let (mut p, buys, balances) = frame_lp();
     let mut ws = LpWorkspace::new();
     let edit = |p: &mut Problem, state: &mut u64, lap: usize| {
-        let base = if lap.is_multiple_of(2) { 0.3 } else { 1.6 };
+        if !lap.is_multiple_of(4) {
+            for &row in &balances {
+                let (_, _, rhs) = p.constraints().nth(row.index()).expect("known row");
+                p.set_rhs(row, rhs + 1e-4).expect("known row");
+            }
+            return;
+        }
+        let base = if lap.is_multiple_of(8) { 0.3 } else { 1.6 };
         for &row in &balances {
             p.set_rhs(row, base + 0.2 * unit(state)).expect("known row");
         }
@@ -232,30 +244,38 @@ fn warm_resolves_perform_zero_heap_allocations() {
                 .expect("known variable");
         }
     };
+    // Priming: 96 regime switches, each with its stretch, as in the
+    // packing chain above.
     let sol = p.solve_with(&mut ws).expect("feasible frame LP");
     ws.recycle(sol);
-    for lap in 0..96 {
+    for lap in 0..4 * 96 {
         edit(&mut p, &mut state, lap);
         let sol = p.solve_with(&mut ws).expect("feasible frame LP");
         ws.recycle(sol);
     }
     let (primed_warm, primed_pivots) = (ws.warm_solves(), ws.stats().pivots);
+    // The measured window: 64 regime switches, each followed by its
+    // three-lap stretch.
     let mut checksum = 0.0f64;
-    let allocs = allocations_in(64, |lap| {
+    let mut stretch_pivots = 0;
+    let allocs = allocations_in(4 * 64, |lap| {
         edit(&mut p, &mut state, lap);
         let sol = p.solve_with(&mut ws).expect("feasible frame LP");
         checksum += sol.objective();
+        if !lap.is_multiple_of(4) {
+            stretch_pivots += sol.pivots();
+        }
         ws.recycle(sol);
     });
     assert_eq!(
         allocs, 0,
         "general-form warm re-solves must be allocation-free: {allocs} heap \
-         allocations across 64 solve→read→recycle laps (checksum {checksum})"
+         allocations across 256 solve→read→recycle laps (checksum {checksum})"
     );
     assert!(checksum.is_finite());
     assert_eq!(
         (ws.warm_solves() - primed_warm, ws.warm_rejects()),
-        (64, 0),
+        (4 * 64, 0),
         "every armed frame solve must restore warm"
     );
     assert!(
@@ -263,5 +283,9 @@ fn warm_resolves_perform_zero_heap_allocations() {
         "regime switches must take pivots: {} → {}",
         primed_pivots,
         ws.stats().pivots
+    );
+    assert_eq!(
+        stretch_pivots, 0,
+        "the zero-pivot stretches must pivot nowhere"
     );
 }

@@ -249,11 +249,13 @@ impl FrameLp {
     ) -> Result<FramePlan, CoreError> {
         self.set_frame(frame)?;
         let sol = self.problem.solve_with(ws)?;
-        Ok(FramePlan {
+        let plan = FramePlan {
             g_slot: sol.value(self.g_slot),
             grt: self.grt.iter().map(|&v| sol.value(v)).collect(),
             sdt: self.sdt.iter().map(|&v| sol.value(v)).collect(),
-        })
+        };
+        ws.recycle(sol);
+        Ok(plan)
     }
 }
 

@@ -366,6 +366,42 @@ impl Factorization {
         }
         v
     }
+
+    /// Grows every buffer to at least `other`'s capacity, so rebuilding
+    /// here any file `other` has held allocates nothing.
+    #[cfg(debug_assertions)]
+    pub(crate) fn reserve_like(&mut self, other: &Factorization) {
+        fn grow<T>(v: &mut Vec<T>, capacity: usize) {
+            v.reserve(capacity.saturating_sub(v.len()));
+        }
+        grow(&mut self.heads, other.heads.capacity());
+        grow(&mut self.rows, other.rows.capacity());
+        grow(&mut self.vals, other.vals.capacity());
+        grow(&mut self.row_writer, other.row_writer.capacity());
+        grow(&mut self.older_writer, other.older_writer.capacity());
+        grow(&mut self.row_reader, other.row_reader.capacity());
+        grow(&mut self.reader_eta, other.reader_eta.capacity());
+        grow(&mut self.reader_next, other.reader_next.capacity());
+        grow(&mut self.out, other.out.capacity());
+        grow(&mut self.queued, other.queued.capacity());
+        self.heap
+            .reserve(other.heap.capacity().saturating_sub(self.heap.len()));
+    }
+
+    /// Whether `other` holds the same etas, entry for entry, bit for bit
+    /// (the row index follows from them).
+    #[cfg(debug_assertions)]
+    pub(crate) fn same_file(&self, other: &Factorization) -> bool {
+        let head = |h: &EtaHead| (h.pivot_row, h.pivot_val.to_bits(), h.start, h.end);
+        self.m == other.m
+            && self.heads.iter().map(head).eq(other.heads.iter().map(head))
+            && self.rows == other.rows
+            && self
+                .vals
+                .iter()
+                .map(|x| x.to_bits())
+                .eq(other.vals.iter().map(|x| x.to_bits()))
+    }
 }
 
 /// A length-`m` work vector that records its nonzero pattern: every row

@@ -1,4 +1,17 @@
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::{LpError, Solution};
+
+/// The last structure id handed out. Process-wide, so no two problems
+/// that differ in structure ever share an id, whichever workspace they
+/// meet.
+static LAST_STRUCTURE: AtomicU64 = AtomicU64::new(0);
+
+/// A structure id no problem has held before. `Relaxed` suffices: the
+/// id publishes no other data, and `fetch_add` alone makes it unique.
+fn next_structure() -> u64 {
+    LAST_STRUCTURE.fetch_add(1, Ordering::Relaxed) + 1
+}
 
 /// Optimization direction of a [`Problem`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -96,6 +109,13 @@ pub struct Problem {
     pub(crate) sense: Sense,
     pub(crate) vars: Vec<VarData>,
     pub(crate) constraints: Vec<ConstraintData>,
+    /// Names the variable and constraint structure: redrawn by every
+    /// [`add_var`](Self::add_var) and [`add_constraint`](Self::add_constraint),
+    /// kept by the value edits and by a clone, so two problems with the
+    /// same id have the same rows, terms and relations (`0`: empty). The
+    /// kernel reuses its matrix image while the id holds; it never
+    /// decides what a solve returns.
+    pub(crate) structure: u64,
 }
 
 impl Problem {
@@ -104,8 +124,7 @@ impl Problem {
     pub fn new(sense: Sense) -> Self {
         Problem {
             sense,
-            vars: Vec::new(),
-            constraints: Vec::new(),
+            ..Problem::default()
         }
     }
 
@@ -147,6 +166,7 @@ impl Problem {
         }
         let idx = self.vars.len();
         self.vars.push(VarData { lo, up, obj });
+        self.structure = next_structure();
         Ok(Variable(idx))
     }
 
@@ -189,6 +209,7 @@ impl Problem {
             relation,
             rhs,
         });
+        self.structure = next_structure();
         Ok(ConstraintId(idx))
     }
 
@@ -484,6 +505,26 @@ mod tests {
             p.set_rhs(c, f64::INFINITY),
             Err(LpError::NotFinite { .. })
         ));
+    }
+
+    #[test]
+    fn structure_ids_follow_adds_not_edits() {
+        let mut p = Problem::minimize();
+        assert_eq!(p.structure, 0);
+        let x = p.add_var(0.0, 5.0, 1.0).unwrap();
+        let c = p.add_constraint(&[(x, 1.0)], Relation::Ge, 1.0).unwrap();
+        let id = p.structure;
+        assert_ne!(id, 0);
+        p.set_objective(x, 2.0).unwrap();
+        p.set_bounds(x, f64::NEG_INFINITY, 3.0).unwrap();
+        p.set_rhs(c, -1.0).unwrap();
+        assert_eq!(p.structure, id);
+        // A clone shares the id until it grows a row of its own.
+        let mut q = p.clone();
+        assert_eq!(q.structure, id);
+        q.add_constraint(&[(x, 1.0)], Relation::Le, 4.0).unwrap();
+        assert_ne!(q.structure, id);
+        assert_eq!(p.structure, id);
     }
 
     #[test]

@@ -83,7 +83,14 @@
 //! along a [`Problem::set_objective`] / [`set_bounds`] / [`set_rhs`]
 //! edit chain perform **zero heap allocations** when the caller returns
 //! the previous [`Solution`]'s buffer via [`LpWorkspace::recycle`]
-//! (gated by a counting-allocator test in the bench harness).
+//! (gated by a counting-allocator test in the bench harness, whose
+//! frame chain holds zero-pivot stretches that keep their file). Such
+//! a chain also keeps the matrix image: the column- and row-wise copies
+//! are rebuilt only when the problem's structure id (redrawn by every
+//! `add_var` and `add_constraint`, process-wide, so two problems of one
+//! shape never share it), its packing form or some variable's map kind
+//! changes; otherwise a load refreshes the map offsets, costs, uppers
+//! and right-hand sides in `O(n + m)`.
 //!
 //! # Pricing
 //!
@@ -100,7 +107,15 @@
 //! coefficient matrix untouched, so the previous optimal basis is still
 //! meaningful. A re-solve refactorizes that basis from the current
 //! columns (deterministic, so a checkpoint-restored workspace continues
-//! bit-identically) and then:
+//! bit-identically). The refactorization depends only on the basis set
+//! and the columns, so it is skipped when the image was kept and the
+//! file already factorizes exactly the saved basis — the last solve
+//! ended on a refactorization or the all-slack start, with no exchange
+//! since, as after a re-solve that pivots nowhere. The kept file is the
+//! one the refactorization would rebuild, bit for bit (debug builds
+//! rebuild it beside the kept one and compare), and it reports the same
+//! eta-entry peak and scratch bytes. `x_B` and the full reprice run on
+//! every solve. Then:
 //!
 //! * a **packing-form** problem checks the basis for primal feasibility
 //!   under the new data and, when it holds, resumes pricing from there;
@@ -146,7 +161,7 @@
 use std::time::Instant;
 
 use crate::factor::{Factorization, SparseWork};
-use crate::model::{Problem, Relation, Sense};
+use crate::model::{Problem, Relation, Sense, VarData};
 use crate::solution::Solution;
 use crate::workspace::LpWorkspace;
 use crate::{LpError, TOLERANCE};
@@ -205,6 +220,25 @@ enum VarMap {
 }
 
 impl VarMap {
+    /// The map of variable `v` onto internal columns from `col` on.
+    fn new(v: &VarData, col: usize) -> VarMap {
+        if v.lo.is_finite() {
+            VarMap::Shifted { col, lo: v.lo }
+        } else if v.up.is_finite() {
+            VarMap::Negated { col, up: v.up }
+        } else {
+            VarMap::Split { pos: col }
+        }
+    }
+
+    /// The first internal column the map uses.
+    fn col(self) -> usize {
+        match self {
+            VarMap::Shifted { col, .. } | VarMap::Negated { col, .. } => col,
+            VarMap::Split { pos } => pos,
+        }
+    }
+
     /// The constant the map moves into the right-hand side per unit of
     /// the variable's coefficient.
     fn offset(self) -> f64 {
@@ -244,10 +278,12 @@ fn for_each_term(
 }
 
 /// The saved state of a successful solve: the optimal basis and the
-/// nonbasic bound statuses. The factorization is *not* saved — it is
-/// rebuilt deterministically from the current problem's columns on the
-/// next warm install, which keeps checkpoints small and makes a restored
-/// workspace continue bit-identically to the donor.
+/// nonbasic bound statuses. The factorization is *not* saved — the next
+/// warm install rebuilds it deterministically from the current
+/// problem's columns, or keeps the workspace's file when that is
+/// exactly the rebuild (see the module docs), which keeps checkpoints
+/// small and makes a restored workspace continue bit-identically to the
+/// donor.
 ///
 /// Lives in-place inside the workspace (the `live` flag plays the role
 /// an `Option` would) so warm chains never reallocate it.
@@ -285,6 +321,11 @@ impl NetworkBasis {
 /// [`LpWorkspace`] and recycled across solves.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NetState {
+    /// The [`Problem`] structure id the matrix image was built from
+    /// (`None`: no image yet).
+    image: Option<u64>,
+    /// Whether the current solve's load kept the image.
+    reused_image: bool,
     /// Internal structural columns (a split free variable takes two).
     n: usize,
     m: usize,
@@ -320,6 +361,14 @@ pub(crate) struct NetState {
     xb: Vec<f64>,
     /// The basis inverse in product (eta-file) form.
     factor: Factorization,
+    /// Whether `factor`'s first `base_etas` etas are what refactorizing
+    /// `basis` against the image's columns gives: set by a successful
+    /// refactorization and by the all-slack start, cleared when a
+    /// refactorization fails or an install gives up.
+    file_fresh: bool,
+    /// The debug self-check's refactorization of a kept basis.
+    #[cfg(debug_assertions)]
+    fresh_file: Factorization,
     /// Costs of the basic columns, row-aligned with `basis`.
     cb: Vec<f64>,
     /// The simplex multipliers `y = c_Bᵀ·B⁻¹`, kept current across
@@ -368,37 +417,35 @@ pub(crate) struct NetState {
     solve_pivots: u64,
     solve_refactorizations: u64,
     eta_entry_peak: usize,
+    /// Whether the warm install kept the file instead of refactorizing;
+    /// only the unit tests observe it.
+    #[cfg(test)]
+    kept_file: bool,
 }
 
 /// Where a primal ratio test stopped the entering column.
 type Leave = Option<(usize, bool)>;
 
 impl NetState {
-    /// Rebuilds the problem image in place (no allocation once the
-    /// arenas have grown to the template's working set) and resets the
-    /// per-solve scratch so results never depend on workspace history.
+    /// Loads `p` (no allocation once the arenas have grown to the
+    /// template's working set) and resets the per-solve scratch so
+    /// results never depend on workspace history. The matrix image —
+    /// the maps' kinds, the CSC and CSR copies — is rebuilt only when
+    /// `p`'s structure, its packing form or a map's kind differs from the
+    /// image's; otherwise only the map offsets, costs, uppers and
+    /// right-hand sides are refreshed.
     fn load(&mut self, p: &Problem) {
         let m = p.constraints.len();
-        self.packing = is_packing_form(p);
-        self.maps.clear();
-        let mut n = p.vars.len();
-        if !self.packing {
-            n = 0;
-            for v in &p.vars {
-                let map = if v.lo.is_finite() {
-                    VarMap::Shifted { col: n, lo: v.lo }
-                } else if v.up.is_finite() {
-                    VarMap::Negated { col: n, up: v.up }
-                } else {
-                    n += 1;
-                    VarMap::Split { pos: n - 1 }
-                };
-                n += 1;
-                self.maps.push(map);
-            }
+        let packing = is_packing_form(p);
+        self.reused_image = self.image == Some(p.structure)
+            && self.m == m
+            && self.packing == packing
+            && (packing || self.refit_maps(p));
+        self.packing = packing;
+        if !self.reused_image {
+            self.build_image(p);
+            self.image = Some(p.structure);
         }
-        self.n = n;
-        self.m = m;
         let sign = match p.sense {
             Sense::Minimize => 1.0,
             Sense::Maximize => -1.0,
@@ -453,6 +500,53 @@ impl NetState {
             }
         }));
 
+        self.xb.clear();
+        self.xb.resize(m, 0.0);
+        self.w.reset(m);
+        // A cone BTRAN reports each row at most once.
+        self.changed_rows.clear();
+        self.changed_rows.reserve(m);
+        self.candidates.clear();
+        self.cursor = 0;
+        self.solve_pivots = 0;
+        self.solve_refactorizations = 0;
+        self.eta_entry_peak = 0;
+        #[cfg(test)]
+        {
+            self.kept_file = false;
+        }
+    }
+
+    /// Moves each variable's map onto its current bounds; `false` if one
+    /// changes kind (the maps are then rebuilt with the image).
+    fn refit_maps(&mut self, p: &Problem) -> bool {
+        self.maps.len() == p.vars.len()
+            && self.maps.iter_mut().zip(&p.vars).all(|(map, v)| {
+                let next = VarMap::new(v, map.col());
+                let fits = std::mem::discriminant(map) == std::mem::discriminant(&next);
+                *map = next;
+                fits
+            })
+    }
+
+    /// Rebuilds the matrix image of `p`: the variable maps (empty in
+    /// packing form), the internal column count and the CSR and CSC
+    /// copies of the constraint rows.
+    fn build_image(&mut self, p: &Problem) {
+        self.maps.clear();
+        let mut n = p.vars.len();
+        if !self.packing {
+            n = 0;
+            for v in &p.vars {
+                let map = VarMap::new(v, n);
+                n += if let VarMap::Split { .. } = map { 2 } else { 1 };
+                self.maps.push(map);
+            }
+        }
+        self.n = n;
+        self.m = p.constraints.len();
+        let maps = &self.maps;
+
         // CSR pattern: the constraint rows in internal columns.
         let (row_off, row_col) = (&mut self.row_off, &mut self.row_col);
         row_off.clear();
@@ -490,18 +584,6 @@ impl NetState {
                 cursor[j] += 1;
             });
         }
-
-        self.xb.clear();
-        self.xb.resize(m, 0.0);
-        self.w.reset(m);
-        // A cone BTRAN reports each row at most once.
-        self.changed_rows.clear();
-        self.changed_rows.reserve(m);
-        self.candidates.clear();
-        self.cursor = 0;
-        self.solve_pivots = 0;
-        self.solve_refactorizations = 0;
-        self.eta_entry_peak = 0;
     }
 
     fn col_upper(&self, j: usize) -> f64 {
@@ -546,6 +628,7 @@ impl NetState {
         }
         self.factor.reset(m);
         self.base_etas = 0;
+        self.file_fresh = true;
         self.compute_xb();
         if self.packing {
             Ok(())
@@ -559,10 +642,20 @@ impl NetState {
     /// is computed from it), refactorizes the basis against the
     /// *current* columns and computes `x_B`. Returns whether the basis
     /// was usable — nonsingular, statuses consistent.
+    ///
+    /// The refactorization is skipped when the file already factorizes
+    /// this very basis against an unchanged image, with no exchange since
+    /// it was built: refactorizing depends only on the basis set and the
+    /// columns, so it would rebuild the same file bit for bit.
     fn install_saved(&mut self, basis: &[usize], at_upper: &[bool]) -> bool {
         let (n, m) = (self.n, self.m);
         debug_assert_eq!(basis.len(), m);
         debug_assert_eq!(at_upper.len(), n + m);
+        let keep = self.reused_image
+            && self.file_fresh
+            && self.factor.eta_count() == self.base_etas
+            && self.basis == basis;
+        self.file_fresh = false;
         self.basis.clear();
         self.basis.extend_from_slice(basis);
         self.at_upper.clear();
@@ -585,11 +678,40 @@ impl NetState {
                 return false;
             }
         }
-        if !self.refactorize() {
+        if keep {
+            // Report what the skipped refactorization would have: its
+            // eta-entry peak and the capacity of the marks it sizes.
+            self.reset_refactor_marks();
+            self.eta_entry_peak = self.eta_entry_peak.max(self.factor.entry_count());
+            self.file_fresh = true;
+            #[cfg(test)]
+            {
+                self.kept_file = true;
+            }
+            #[cfg(debug_assertions)]
+            self.assert_kept_file_is_fresh(basis);
+        } else if !self.refactorize() {
             return false;
         }
         self.compute_xb();
         true
+    }
+
+    /// Debug self-check of a kept file: refactorizing the kept basis into
+    /// the workspace-held spare file gives the same basis order and the
+    /// kept file, eta for eta, bit for bit. The spare grows with the live
+    /// file, so once a chain is primed the check allocates nothing.
+    #[cfg(debug_assertions)]
+    fn assert_kept_file_is_fresh(&mut self, kept: &[usize]) {
+        self.fresh_file.reserve_like(&self.factor);
+        std::mem::swap(&mut self.factor, &mut self.fresh_file);
+        assert!(self.refactorize(), "a kept basis no longer factorizes");
+        std::mem::swap(&mut self.factor, &mut self.fresh_file);
+        assert_eq!(self.basis, kept, "a kept basis was reordered");
+        assert!(
+            self.factor.same_file(&self.fresh_file),
+            "a kept file differs from its refactorization"
+        );
     }
 
     /// Whether every basic value lies within its box, up to `tol`.
@@ -609,11 +731,9 @@ impl NetState {
     /// the caller must fall back to the slack basis.
     fn refactorize(&mut self) -> bool {
         let (n, m) = (self.n, self.m);
+        self.file_fresh = false;
         self.factor.reset(m);
-        self.row_pivoted.clear();
-        self.row_pivoted.resize(m, false);
-        self.new_basis.clear();
-        self.new_basis.resize(m, usize::MAX);
+        self.reset_refactor_marks();
         // Slack columns: e_r pivots on its own row for free.
         for pos in 0..m {
             let j = self.basis[pos];
@@ -668,7 +788,23 @@ impl NetState {
         std::mem::swap(&mut self.basis, &mut self.new_basis);
         self.base_etas = self.factor.eta_count();
         self.eta_entry_peak = self.eta_entry_peak.max(self.factor.entry_count());
+        self.file_fresh = true;
         true
+    }
+
+    /// Clears the per-row marks a refactorization starts from: pivoted
+    /// rows, the reordered basis and, in general form, the row counts of
+    /// the triangular pass.
+    fn reset_refactor_marks(&mut self) {
+        let m = self.m;
+        self.row_pivoted.clear();
+        self.row_pivoted.resize(m, false);
+        self.new_basis.clear();
+        self.new_basis.resize(m, usize::MAX);
+        if !self.packing {
+            self.row_count.clear();
+            self.row_count.resize(m, 0);
+        }
     }
 
     /// The triangular part of a general-form refactorization: while some
@@ -681,8 +817,6 @@ impl NetState {
     /// the end. Returns `false` if an eta cannot be appended.
     fn pivot_row_singletons(&mut self) -> bool {
         let (n, m) = (self.n, self.m);
-        self.row_count.clear();
-        self.row_count.resize(m, 0);
         for r in 0..m {
             if !self.row_pivoted[r] {
                 let cols = &self.row_col[self.row_off[r] as usize..self.row_off[r + 1] as usize];
@@ -1384,7 +1518,7 @@ pub(crate) fn solve(p: &Problem, ws: &mut LpWorkspace) -> Result<Solution, LpErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Problem, Relation, Variable};
+    use crate::{ConstraintId, Problem, Relation, Variable};
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-9, "{a} vs {b}");
@@ -1555,6 +1689,10 @@ mod tests {
         // The per-solve figures `solve` drains into `SolverStats`.
         assert_eq!(ws.net.solve_pivots, 0);
         assert_eq!(ws.net.eta_entry_peak, 1);
+        // The next re-solve keeps that file and reports it the same way.
+        p.solve_with(&mut ws).unwrap();
+        assert!(ws.net.kept_file);
+        assert_eq!((ws.net.solve_pivots, ws.net.eta_entry_peak), (0, 1));
     }
 
     #[test]
@@ -1731,6 +1869,70 @@ mod tests {
             (ws.warm_solves(), ws.cold_solves(), ws.warm_rejects()),
             (5, 1, 0)
         );
+    }
+
+    #[test]
+    fn a_zero_pivot_re_solve_keeps_its_file_until_the_structure_changes() {
+        let mut p = cover(1.0);
+        let mut ws = LpWorkspace::new();
+        p.solve_with(&mut ws).unwrap();
+        // (rhs, kept): the first warm solve refactorizes the cold solve's
+        // updated file; later ones that pivot nowhere keep what it built.
+        for (d, kept) in [(1.2, false), (1.4, true), (1.1, true)] {
+            p.set_rhs(ConstraintId(0), d).unwrap();
+            let sol = p.solve_with(&mut ws).unwrap();
+            assert_eq!(sol.pivots(), 0, "d = {d}");
+            assert!(ws.last_was_warm() && ws.net.reused_image);
+            assert_eq!(ws.net.kept_file, kept, "d = {d}");
+        }
+        // A cost edit keeps the image and, pivoting nowhere, the file.
+        p.set_objective(Variable(0), 41.0).unwrap();
+        assert_eq!(p.solve_with(&mut ws).unwrap().pivots(), 0);
+        assert!(ws.net.kept_file);
+        // A lower bound that goes infinite changes `h`'s map kind: the
+        // image is rebuilt and the same basis refactorized against it.
+        p.set_bounds(Variable(1), f64::NEG_INFINITY, 100.0).unwrap();
+        let sol = p.solve_with(&mut ws).unwrap();
+        assert!(ws.last_was_warm() && !ws.net.reused_image && !ws.net.kept_file);
+        assert_close(sol.objective(), p.solve().unwrap().objective());
+        // A new row is a new structure: the image is rebuilt and, with
+        // the shape changed, the solve runs cold.
+        let mut q = p.clone();
+        q.add_constraint(&[(Variable(2), 1.0)], Relation::Le, 50.0)
+            .unwrap();
+        q.solve_with(&mut ws).unwrap();
+        assert!(!ws.last_was_warm() && !ws.net.reused_image);
+    }
+
+    #[test]
+    fn a_kept_file_reports_what_its_refactorization_would() {
+        // The all-slack optimum keeps the cold start's identity file; the
+        // cover LPs keep a refactorized one, before and past the kink.
+        let mut slack_optimal = Problem::minimize();
+        let x = slack_optimal.add_var(0.0, 2.0, 1.0).unwrap();
+        slack_optimal
+            .add_constraint(&[(x, 1.0)], Relation::Le, 1.0)
+            .unwrap();
+        let no_clock = |s: crate::SolverStats| crate::SolverStats { solve_ns: 0, ..s };
+        for p in [slack_optimal, cover(1.0), cover(7.0)] {
+            // The twin runs the same chain, told before each re-solve that
+            // its file is stale, so it refactorizes every time.
+            let (mut ws, mut twin) = (LpWorkspace::new(), LpWorkspace::new());
+            p.solve_with(&mut ws).unwrap();
+            p.solve_with(&mut twin).unwrap();
+            for _ in 0..2 {
+                twin.net.file_fresh = false;
+                let kept = p.solve_with(&mut ws).unwrap();
+                let rebuilt = p.solve_with(&mut twin).unwrap();
+                assert!(!twin.net.kept_file);
+                assert_eq!(kept.objective().to_bits(), rebuilt.objective().to_bits());
+                assert_eq!(ws.export_basis(), twin.export_basis());
+                assert_eq!(ws.net.eta_entry_peak, twin.net.eta_entry_peak);
+                assert_eq!(ws.net.scratch_bytes(), twin.net.scratch_bytes());
+                assert_eq!(no_clock(ws.stats()), no_clock(twin.stats()));
+            }
+            assert!(ws.net.kept_file);
+        }
     }
 
     #[test]

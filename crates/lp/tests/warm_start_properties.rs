@@ -9,7 +9,7 @@
 //! of the same shape against a cold kernel solve and the dense oracle
 //! (`dpss-lp-oracle`).
 
-use dpss_lp::{LpError, LpWorkspace, Problem, Relation, Sense, Variable};
+use dpss_lp::{ConstraintId, LpError, LpWorkspace, Problem, Relation, Sense, Variable};
 use proptest::prelude::*;
 
 /// A parameterized frame LP: per-slot balance + battery & queue
@@ -25,47 +25,73 @@ struct FrameInstance {
     q0: f64,
 }
 
+/// The handles an in-place edit of a built [`FrameInstance`] needs.
+#[derive(Debug, Clone)]
+struct FrameHandles {
+    g: Variable,
+    grt: Vec<Variable>,
+    /// Battery levels, one per slot.
+    levels: Vec<Variable>,
+    /// Balance rows (right-hand side: the slot's demand).
+    balances: Vec<ConstraintId>,
+    /// Queue recursion rows (right-hand side: arrivals, plus `q0` first).
+    queues: Vec<ConstraintId>,
+    /// The first battery recursion row (right-hand side: `b0`).
+    battery0: ConstraintId,
+    /// The end-of-frame backlog row.
+    deadline: ConstraintId,
+}
+
 impl FrameInstance {
     fn build(&self) -> Problem {
+        self.build_with(0.8, 1.25).0
+    }
+
+    /// Builds the frame LP with battery coefficients `charge` (per MWh
+    /// charged) and `discharge` (per MWh discharged).
+    fn build_with(&self, charge: f64, discharge: f64) -> (Problem, FrameHandles) {
         let t = self.demands.len();
         let mut p = Problem::new(Sense::Minimize);
         let g = p.add_var(0.0, 2.0, self.p_lt * t as f64).unwrap();
+        let (mut grt, mut levels, mut balances, mut queues) = (vec![], vec![], vec![], vec![]);
+        let mut battery0 = None;
         let mut prev_b: Option<Variable> = None;
         let mut prev_q: Option<Variable> = None;
         for i in 0..t {
-            let grt = p.add_var(0.0, 2.0, self.prices[i]).unwrap();
+            let grt_i = p.add_var(0.0, 2.0, self.prices[i]).unwrap();
             let sdt = p.add_var(0.0, f64::INFINITY, 0.0).unwrap();
             let brc = p.add_var(0.0, 0.5, 0.2).unwrap();
             let bdc = p.add_var(0.0, 0.5, 0.2).unwrap();
             let w = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
             let b = p.add_var(0.0, 0.5, 0.0).unwrap();
             let q = p.add_var(0.0, f64::INFINITY, 0.0).unwrap();
-            p.add_constraint(
-                &[
-                    (g, 1.0),
-                    (grt, 1.0),
-                    (bdc, 1.0),
-                    (brc, -1.0),
-                    (sdt, -1.0),
-                    (w, -1.0),
-                ],
-                Relation::Eq,
-                self.demands[i],
-            )
-            .unwrap();
+            balances.push(
+                p.add_constraint(
+                    &[
+                        (g, 1.0),
+                        (grt_i, 1.0),
+                        (bdc, 1.0),
+                        (brc, -1.0),
+                        (sdt, -1.0),
+                        (w, -1.0),
+                    ],
+                    Relation::Eq,
+                    self.demands[i],
+                )
+                .unwrap(),
+            );
+            let battery = [(b, 1.0), (brc, -charge), (bdc, discharge)];
             match prev_b {
-                None => p
-                    .add_constraint(&[(b, 1.0), (brc, -0.8), (bdc, 1.25)], Relation::Eq, self.b0)
-                    .unwrap(),
-                Some(pb) => p
-                    .add_constraint(
-                        &[(b, 1.0), (pb, -1.0), (brc, -0.8), (bdc, 1.25)],
-                        Relation::Eq,
-                        0.0,
-                    )
-                    .unwrap(),
-            };
-            match prev_q {
+                None => {
+                    battery0 = Some(p.add_constraint(&battery, Relation::Eq, self.b0).unwrap());
+                }
+                Some(pb) => {
+                    let mut terms = battery.to_vec();
+                    terms.insert(1, (pb, -1.0));
+                    p.add_constraint(&terms, Relation::Eq, 0.0).unwrap();
+                }
+            }
+            queues.push(match prev_q {
                 None => p
                     .add_constraint(
                         &[(q, 1.0), (sdt, 1.0)],
@@ -80,17 +106,49 @@ impl FrameInstance {
                         self.arrivals[i],
                     )
                     .unwrap(),
-            };
+            });
+            grt.push(grt_i);
+            levels.push(b);
             prev_b = Some(b);
             prev_q = Some(q);
         }
         // Serve at least the initial backlog by the frame end.
-        if let Some(q) = prev_q {
-            let slack: f64 = self.arrivals.iter().sum();
-            p.add_constraint(&[(q, 1.0)], Relation::Le, slack.max(0.1))
-                .unwrap();
+        let q = prev_q.expect("a frame has at least one slot");
+        let deadline = p
+            .add_constraint(&[(q, 1.0)], Relation::Le, self.deadline_slack())
+            .unwrap();
+        let handles = FrameHandles {
+            g,
+            grt,
+            levels,
+            balances,
+            queues,
+            battery0: battery0.expect("a frame has at least one slot"),
+            deadline,
+        };
+        (p, handles)
+    }
+
+    fn deadline_slack(&self) -> f64 {
+        self.arrivals.iter().sum::<f64>().max(0.1)
+    }
+
+    /// Writes this instance's data into a problem built by
+    /// [`build_with`](Self::build_with) of the same length, by value
+    /// edits only.
+    fn write(&self, p: &mut Problem, h: &FrameHandles) {
+        p.set_objective(h.g, self.p_lt * self.demands.len() as f64)
+            .unwrap();
+        for (i, (&grt, &row)) in h.grt.iter().zip(&h.balances).enumerate() {
+            p.set_objective(grt, self.prices[i]).unwrap();
+            p.set_rhs(row, self.demands[i]).unwrap();
         }
-        p
+        for (i, &row) in h.queues.iter().enumerate() {
+            let q0 = if i == 0 { self.q0 } else { 0.0 };
+            p.set_rhs(row, q0 + self.arrivals[i]).unwrap();
+        }
+        p.set_rhs(h.battery0, self.b0).unwrap();
+        p.set_rhs(h.deadline, self.deadline_slack()).unwrap();
     }
 }
 
@@ -170,7 +228,9 @@ struct FlowInstance {
 }
 
 impl FlowInstance {
-    fn build(&self) -> (Problem, Vec<Variable>) {
+    /// The problem, its flow variables and its rows (donor budgets, then
+    /// recipient needs).
+    fn build(&self) -> (Problem, Vec<Variable>, Vec<ConstraintId>) {
         let n = self.sites;
         let mut p = Problem::new(Sense::Minimize);
         let mut flows = Vec::new();
@@ -189,23 +249,28 @@ impl FlowInstance {
             let k = i * (n - 1) + if j > i { j - 1 } else { j };
             flows[k]
         };
+        let mut rows = Vec::new();
         for i in 0..n {
             let terms: Vec<(Variable, f64)> = (0..n)
                 .filter(|&j| j != i)
                 .map(|j| (var(i, j), 1.0))
                 .collect();
-            p.add_constraint(&terms, Relation::Le, self.donors[i])
-                .unwrap();
+            rows.push(
+                p.add_constraint(&terms, Relation::Le, self.donors[i])
+                    .unwrap(),
+            );
         }
         for j in 0..n {
             let terms: Vec<(Variable, f64)> = (0..n)
                 .filter(|&i| i != j)
                 .map(|i| (var(i, j), 1.0))
                 .collect();
-            p.add_constraint(&terms, Relation::Le, self.needs[j])
-                .unwrap();
+            rows.push(
+                p.add_constraint(&terms, Relation::Le, self.needs[j])
+                    .unwrap(),
+            );
         }
-        (p, flows)
+        (p, flows, rows)
     }
 }
 
@@ -285,8 +350,9 @@ fn nudge(x: &mut f64, state: &mut u64) {
 /// Solves `p` through `ws` and through a fresh workspace that imported
 /// `ws`'s exported basis — a checkpoint restore — and asserts the two
 /// solves agree bit for bit (status, values, objective, pivot count and
-/// the saved basis) and with the oracle.
-fn assert_restore_matches_donor(p: &Problem, ws: &mut LpWorkspace) {
+/// the saved basis) and with the oracle. Returns the donor's pivots, if
+/// it solved.
+fn assert_restore_matches_donor(p: &Problem, ws: &mut LpWorkspace) -> Option<usize> {
     let mut restored = LpWorkspace::new();
     restored.import_basis(ws.export_basis().as_ref()).unwrap();
     let donor = p.solve_with(ws);
@@ -304,6 +370,7 @@ fn assert_restore_matches_donor(p: &Problem, ws: &mut LpWorkspace) {
     assert_eq!(ws.export_basis(), restored.export_basis());
     assert_eq!(ws.last_was_warm(), restored.last_was_warm());
     dpss_lp_oracle::agree(p, &donor).unwrap();
+    donor.ok().map(|s| s.pivots())
 }
 
 /// Along chains of right-hand-side and cost edits, a sign flip, a shock
@@ -368,6 +435,184 @@ fn restored_workspaces_match_their_donors_along_a_chain() {
     );
 }
 
+/// How an in-place edit chain changes its long-lived problem.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum EditStep {
+    /// Nudge the right-hand sides; most such solves pivot nowhere.
+    Rhs,
+    /// Nudge the prices.
+    Costs,
+    /// Frame: a battery level's and a purchase's lower bounds go
+    /// infinite, map-kind changes. Flow: the pair caps are redrawn.
+    Loosen,
+    /// Frame: both are boxed again. Flow: the caps are restored.
+    Tighten,
+    /// Import the basis a workspace saved on another instance of the
+    /// same shape: the image stays, the basis it must factorize changes.
+    Import,
+    /// Frame: demands no supply can meet. Flow: a donor budget below
+    /// zero, which also leaves packing form. Either is infeasible.
+    Overload,
+}
+
+const EDITS: [EditStep; 27] = {
+    use EditStep::*;
+    [
+        Rhs, Rhs, Rhs, Costs, Costs, Rhs, Rhs, Loosen, Rhs, Rhs, Costs, Tighten, Rhs, Rhs, Import,
+        Rhs, Rhs, Overload, Rhs, Rhs, Rhs, Costs, Rhs, Overload, Costs, Costs, Rhs,
+    ]
+};
+
+/// [`assert_restore_matches_donor`], returning whether the solve was
+/// warm and pivoted nowhere.
+fn solve_and_compare(p: &Problem, ws: &mut LpWorkspace) -> bool {
+    let pivots = assert_restore_matches_donor(p, ws);
+    ws.last_was_warm() && pivots == Some(0)
+}
+
+/// Long-lived problems edited in place through one workspace: every
+/// solve equals, bit for bit, the same solve through a fresh workspace
+/// primed with the previous basis (which always builds the matrix image
+/// and refactorizes) — values, objective, pivots, the saved basis and
+/// the warm flag. The chains hold zero-pivot stretches, whose solves keep
+/// the factorization, lower bounds that go infinite, an imported basis,
+/// an rhs that crosses zero (a packing-form flip) and re-solves after
+/// infeasible edits.
+#[test]
+fn kept_factorizations_match_fresh_workspaces_along_edit_chains() {
+    const CASES: usize = 32;
+    let mut rng = TestRng::deterministic("kept_factorizations_match_fresh_workspaces");
+    let (mut zero_pivot_runs, mut infeasible) = (0, 0);
+    for _ in 0..CASES {
+        let mut inst = frame_instance(6).generate(&mut rng);
+        let (mut p, h) = inst.build_with(0.8, 1.25);
+        let mut state = rng.next_u64();
+        let mut other = LpWorkspace::new();
+        let _ = frame_instance(6)
+            .generate(&mut rng)
+            .build()
+            .solve_with(&mut other);
+        let mut ws = LpWorkspace::new();
+        let mut prev_zero = solve_and_compare(&p, &mut ws);
+        for step in EDITS {
+            match step {
+                EditStep::Rhs => {
+                    for x in inst.demands.iter_mut().chain(&mut inst.arrivals) {
+                        nudge(x, &mut state);
+                    }
+                    nudge(&mut inst.b0, &mut state);
+                    inst.write(&mut p, &h);
+                }
+                EditStep::Costs => {
+                    for x in &mut inst.prices {
+                        nudge(x, &mut state);
+                    }
+                    inst.write(&mut p, &h);
+                }
+                EditStep::Loosen => {
+                    p.set_bounds(h.levels[2], f64::NEG_INFINITY, 0.5).unwrap();
+                    p.set_bounds(h.grt[2], f64::NEG_INFINITY, 2.0).unwrap();
+                }
+                EditStep::Tighten => {
+                    p.set_bounds(h.levels[2], 0.0, 0.5).unwrap();
+                    p.set_bounds(h.grt[2], 0.0, 2.0).unwrap();
+                }
+                EditStep::Import => ws.import_basis(other.export_basis().as_ref()).unwrap(),
+                EditStep::Overload => {
+                    let mut over = inst.clone();
+                    over.demands.fill(9.0);
+                    over.write(&mut p, &h);
+                }
+            }
+            let zero = solve_and_compare(&p, &mut ws);
+            zero_pivot_runs += usize::from(prev_zero && zero);
+            infeasible += usize::from(step == EditStep::Overload && ws.export_basis().is_none());
+            prev_zero = zero;
+        }
+
+        let flow = flow_instance(3).generate(&mut rng);
+        let (mut p, flows, rows) = flow.build();
+        let mut other = LpWorkspace::new();
+        let _ = flow_instance(3)
+            .generate(&mut rng)
+            .build()
+            .0
+            .solve_with(&mut other);
+        let mut ws = LpWorkspace::new();
+        let mut prices = flow.prices.clone();
+        let mut prev_zero = solve_and_compare(&p, &mut ws);
+        for step in EDITS {
+            match step {
+                EditStep::Rhs => {
+                    for (&row, &b) in rows.iter().zip(flow.donors.iter().chain(&flow.needs)) {
+                        let mut b = b;
+                        nudge(&mut b, &mut state);
+                        p.set_rhs(row, b).unwrap();
+                    }
+                }
+                EditStep::Costs => {
+                    for x in &mut prices {
+                        nudge(x, &mut state);
+                    }
+                    for (k, &f) in flows.iter().enumerate() {
+                        // Flow k goes to site j = the k-th off-diagonal column.
+                        let (i, r) = (k / 2, k % 2);
+                        let j = if r < i { r } else { r + 1 };
+                        p.set_objective(f, -prices[j]).unwrap();
+                    }
+                }
+                EditStep::Loosen => {
+                    for &f in &flows {
+                        p.set_bounds(f, 0.0, 3.0).unwrap();
+                    }
+                }
+                EditStep::Tighten => {
+                    let caps = flow.caps.iter().enumerate().filter(|(k, _)| k % 4 != 0);
+                    for (&f, (_, &cap)) in flows.iter().zip(caps) {
+                        p.set_bounds(f, 0.0, cap).unwrap();
+                    }
+                }
+                EditStep::Import => ws.import_basis(other.export_basis().as_ref()).unwrap(),
+                EditStep::Overload => p.set_rhs(rows[0], -0.5).unwrap(),
+            }
+            let zero = solve_and_compare(&p, &mut ws);
+            zero_pivot_runs += usize::from(prev_zero && zero);
+            infeasible += usize::from(step == EditStep::Overload && ws.export_basis().is_none());
+            prev_zero = zero;
+        }
+    }
+    assert!(
+        zero_pivot_runs >= 16 * CASES,
+        "only {zero_pivot_runs} zero-pivot warm solves followed another"
+    );
+    assert_eq!(infeasible, 4 * CASES, "every overload is infeasible");
+}
+
+/// One workspace alternating between two independently built problems
+/// of the same shape but different coefficients, a clone that shares one
+/// problem's structure and a clone that gains a row: every solve equals
+/// its fresh-workspace reference bit for bit, whatever image the
+/// workspace last held.
+#[test]
+fn a_workspace_shared_between_problems_matches_fresh_workspaces() {
+    let mut rng = TestRng::deterministic("a_workspace_shared_between_problems");
+    for _ in 0..16 {
+        let inst = frame_instance(5).generate(&mut rng);
+        let (a, h) = inst.build_with(0.8, 1.25);
+        let (b, _) = inst.build_with(0.9, 1.1);
+        let mut twin = a.clone();
+        twin.set_rhs(h.balances[1], inst.demands[1] + 0.05).unwrap();
+        let mut grown = a.clone();
+        grown
+            .add_constraint(&[(h.g, 1.0)], Relation::Le, 1.5)
+            .unwrap();
+        let mut ws = LpWorkspace::new();
+        for p in [&a, &a, &b, &b, &a, &b, &twin, &a, &a, &grown, &grown, &a] {
+            assert_restore_matches_donor(p, &mut ws);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -383,7 +628,7 @@ proptest! {
         pair in 0usize..6,
         new_cap in 0.0..3.0f64,
     ) {
-        let (mut p, flows) = inst.build();
+        let (mut p, flows, _) = inst.build();
         let mut ws = LpWorkspace::new();
         p.solve_with(&mut ws).expect("flow LPs are always feasible");
 
@@ -494,7 +739,7 @@ fn warm_path_engages_after_bound_edits() {
         needs: vec![1.5, 2.5, 0.5],
         prices: vec![45.0, 60.0, 30.0],
     };
-    let (mut p, flows) = inst.build();
+    let (mut p, flows, _) = inst.build();
     let mut ws = LpWorkspace::new();
     p.solve_with(&mut ws).unwrap();
     for (k, cap) in [(0usize, 0.5), (3, 2.0), (5, 0.0), (0, 2.0)] {
