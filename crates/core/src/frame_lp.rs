@@ -92,6 +92,16 @@ pub(crate) struct FramePlan {
     pub sdt: Vec<f64>,
 }
 
+impl FramePlan {
+    /// The empty plan (nothing bought, nothing served), keeping the
+    /// buffers' allocation.
+    fn clear(&mut self) {
+        self.g_slot = 0.0;
+        self.grt.clear();
+        self.sdt.clear();
+    }
+}
+
 /// Slot `i`'s rows whose right-hand side a frame sets: balance (Eq. 4,
 /// `d_ds − r`), battery (Eq. 3, `b0` in slot 0), queue (Eq. 2, `d_dt`
 /// plus `q0` in slot 0) and the pre-arrival service limit (`q0` in slot 0).
@@ -239,23 +249,25 @@ impl FrameLp {
         Ok(())
     }
 
-    /// Plans `frame` through `ws` in one solve. Whether it starts from the
-    /// previous frame's basis is the caller's policy: `RecedingHorizon`
-    /// keeps the basis, `OfflineOptimal` clears it (see their docs).
+    /// Plans `frame` through `ws` in one solve, writing the plan into
+    /// `out` in place so its buffers keep their allocation; an error
+    /// leaves `out` empty. Whether the solve starts from the previous
+    /// frame's basis is the caller's policy: `RecedingHorizon` keeps the
+    /// basis, `OfflineOptimal` clears it (see their docs).
     pub fn plan(
         &mut self,
         frame: &FrameData<'_>,
         ws: &mut LpWorkspace,
-    ) -> Result<FramePlan, CoreError> {
+        out: &mut FramePlan,
+    ) -> Result<(), CoreError> {
+        out.clear();
         self.set_frame(frame)?;
         let sol = self.problem.solve_with(ws)?;
-        let plan = FramePlan {
-            g_slot: sol.value(self.g_slot),
-            grt: self.grt.iter().map(|&v| sol.value(v)).collect(),
-            sdt: self.sdt.iter().map(|&v| sol.value(v)).collect(),
-        };
+        out.g_slot = sol.value(self.g_slot);
+        out.grt.extend(self.grt.iter().map(|&v| sol.value(v)));
+        out.sdt.extend(self.sdt.iter().map(|&v| sol.value(v)));
         ws.recycle(sol);
-        Ok(plan)
+        Ok(())
     }
 }
 
@@ -268,8 +280,7 @@ pub(crate) struct FramePlanner {
     pub params: SimParams,
     pub lp: Option<FrameLp>,
     pub workspace: LpWorkspace,
-    pub grt: Vec<f64>,
-    pub sdt: Vec<f64>,
+    pub last: FramePlan,
 }
 
 impl FramePlanner {
@@ -279,8 +290,7 @@ impl FramePlanner {
             params,
             lp: None,
             workspace: LpWorkspace::new(),
-            grt: Vec::new(),
-            sdt: Vec::new(),
+            last: FramePlan::default(),
         }
     }
 
@@ -291,15 +301,19 @@ impl FramePlanner {
     pub fn plan(&mut self, slot_hours: f64, frame: &FrameData<'_>) -> Energy {
         let t = frame.p_rt.len();
         let slot_cap = self.params.grid_slot_cap(slot_hours).mwh();
-        let plan = match self.lp.take() {
+        let planned = match self.lp.take() {
             Some(lp) if lp.grt.len() == t && lp.slot_cap == slot_cap => Ok(lp),
             _ => FrameLp::new(&self.params, t, slot_cap),
         }
-        .and_then(|lp| self.lp.insert(lp).plan(frame, &mut self.workspace))
-        .unwrap_or_default();
-        self.grt = plan.grt;
-        self.sdt = plan.sdt;
-        Energy::from_mwh((plan.g_slot * t as f64).max(0.0))
+        .and_then(|lp| {
+            self.lp
+                .insert(lp)
+                .plan(frame, &mut self.workspace, &mut self.last)
+        });
+        if planned.is_err() {
+            self.last.clear();
+        }
+        Energy::from_mwh((self.last.g_slot * t as f64).max(0.0))
     }
 
     /// Slot `i`'s planned real-time purchase, and the share of the
@@ -307,11 +321,11 @@ impl FramePlanner {
     pub fn slot(&self, i: usize, backlog: f64) -> (f64, f64) {
         let at = |plan: &[f64]| plan.get(i).copied().unwrap_or(0.0);
         let serve_fraction = if backlog > 1e-12 {
-            (at(&self.sdt) / backlog).clamp(0.0, 1.0)
+            (at(&self.last.sdt) / backlog).clamp(0.0, 1.0)
         } else {
             0.0
         };
-        (at(&self.grt), serve_fraction)
+        (at(&self.last.grt), serve_fraction)
     }
 }
 
@@ -360,7 +374,14 @@ mod tests {
     }
 
     fn plan(params: &SimParams, f: &Frame) -> Result<FramePlan, CoreError> {
-        FrameLp::new(params, f.d_ds.len(), 2.0)?.plan(&f.data(), &mut LpWorkspace::new())
+        plan_cold(&mut FrameLp::new(params, f.d_ds.len(), 2.0)?, f)
+    }
+
+    /// `f` planned on `lp` through a fresh workspace.
+    fn plan_cold(lp: &mut FrameLp, f: &Frame) -> Result<FramePlan, CoreError> {
+        let mut out = FramePlan::default();
+        lp.plan(&f.data(), &mut LpWorkspace::new(), &mut out)?;
+        Ok(out)
     }
 
     /// The cumulative-service formulation the template replaced: the
@@ -561,15 +582,44 @@ mod tests {
         // Slot replay: the planned purchase and the planned service's
         // share of the standing backlog, capped at all of it.
         let (g_rt, serve) = planner.slot(2, 0.25);
-        assert_eq!(g_rt, planner.grt[2]);
-        assert_eq!(serve, (planner.sdt[2] / 0.25).clamp(0.0, 1.0));
+        assert_eq!(g_rt, planner.last.grt[2]);
+        assert_eq!(serve, (planner.last.sdt[2] / 0.25).clamp(0.0, 1.0));
         assert_eq!(planner.slot(2, 0.0).1, 0.0);
         assert_eq!(planner.slot(6, 1.0), (0.0, 0.0));
         // A frame the template cannot be built for leaves the empty plan.
         let empty = frame(&[], &[], &[], &[]);
         assert_eq!(planner.plan(1.0, &empty.data()), Energy::ZERO);
-        assert!(planner.grt.is_empty() && planner.sdt.is_empty());
+        assert_eq!(planner.last, FramePlan::default());
         assert!(FrameLp::new(&params, 0, 1.0).is_err());
+    }
+
+    #[test]
+    fn a_chain_of_same_length_frames_plans_into_the_same_buffers() {
+        let mut rng = TestRng::deterministic("frame_lp::plan_buffers");
+        let params = SimParams::icdcs13();
+        let mut planner = FramePlanner::new(params);
+        let buffers = |p: &FramePlanner| {
+            let (grt, sdt) = (&p.last.grt, &p.last.sdt);
+            (grt.as_ptr(), grt.capacity(), sdt.as_ptr(), sdt.capacity())
+        };
+        planner.plan(
+            1.0,
+            &random_frame(&mut rng, &params, 6, 2.0, Case::NoBacklog).data(),
+        );
+        let first = buffers(&planner);
+        assert_eq!(planner.last.grt.len(), 6);
+        let mut planned = 0;
+        for k in 0..24 {
+            let case = CASES[k % CASES.len()];
+            let f = random_frame(&mut rng, &params, 6, 2.0, case);
+            planner.plan(1.0, &f.data());
+            // A frame that fails leaves the empty plan, in the same buffers.
+            assert_eq!(buffers(&planner), first, "frame {k} {case:?}");
+            let len = planner.last.sdt.len();
+            assert!(len == 6 || len == 0, "frame {k} {case:?}");
+            planned += usize::from(len == 6);
+        }
+        assert!(planned >= 16, "{planned} frames planned");
     }
 
     #[test]
@@ -585,7 +635,7 @@ mod tests {
         let sol = lp.problem.solve();
         dpss_lp_oracle::agree(&lp.problem, &sol).unwrap();
         // Every MWh of headroom serves backlog; the rest overflows.
-        let plan = lp.plan(&f.data(), &mut LpWorkspace::new()).unwrap();
+        let plan = plan_cold(&mut lp, &f).unwrap();
         let served: f64 = plan.sdt.iter().sum();
         assert!((served - 1.0).abs() < 1e-9, "served {served} of {}", f.q0);
         assert!((sol.unwrap().value(lp.overflow) - 4.0).abs() < 1e-9);
@@ -593,7 +643,7 @@ mod tests {
         f.q0 = 0.5;
         lp.set_frame(&f.data()).unwrap();
         assert_eq!(lp.problem.solve().unwrap().value(lp.overflow), 0.0);
-        let next = lp.plan(&f.data(), &mut LpWorkspace::new()).unwrap();
+        let next = plan_cold(&mut lp, &f).unwrap();
         assert!(next.sdt.iter().sum::<f64>() >= 0.5 - 1e-7);
     }
 
@@ -647,7 +697,7 @@ mod tests {
                 // demand the grid cannot cover) fails without one too.
                 let relaxed = reference(&params, slot_cap, &f, false);
                 assert!(dpss_lp_oracle::solve(&relaxed).is_err(), "case {k}");
-                assert!(lp.plan(&f.data(), &mut LpWorkspace::new()).is_err());
+                assert!(plan_cold(&mut lp, &f).is_err());
                 continue;
             };
             let overflow = sol.value(lp.overflow);
@@ -675,7 +725,7 @@ mod tests {
                     assert!(served >= lifted - 1e-9, "case {k}: {served} < {lifted}");
                 }
             }
-            let planned = lp.plan(&f.data(), &mut LpWorkspace::new()).unwrap();
+            let planned = plan_cold(&mut lp, &f).unwrap();
             assert_eq!(planned.sdt.iter().sum::<f64>(), served, "case {k}");
         }
         assert!(
@@ -777,10 +827,8 @@ mod tests {
             // service-cap cases draw ordinary frames here.
             let case = CASES[(rng.next_u64() % CASES.len() as u64) as usize];
             let f = random_frame(&mut rng, &params, t, slot_cap, case);
-            let edited = lp.plan(&f.data(), &mut LpWorkspace::new());
-            let fresh = FrameLp::new(&params, t, slot_cap)
-                .unwrap()
-                .plan(&f.data(), &mut LpWorkspace::new());
+            let edited = plan_cold(&mut lp, &f);
+            let fresh = plan_cold(&mut FrameLp::new(&params, t, slot_cap).unwrap(), &f);
             let bits = |p: &FramePlan| {
                 let mut v = vec![p.g_slot.to_bits()];
                 v.extend(p.grt.iter().chain(&p.sdt).map(|x| x.to_bits()));

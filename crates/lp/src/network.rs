@@ -3,13 +3,12 @@
 //!
 //! # General form
 //!
-//! Every [`Problem`] is mapped onto internal columns bounded `[0, u]`
-//! (`u` possibly infinite) and rows `Σ aᵢⱼ·xⱼ + sᵢ = bᵢ` with one slack
-//! column per row:
+//! Every variable of a [`Problem`] has a finite lower bound (the model
+//! refuses any other), so column `j` is model variable `j`, shifted:
+//! `x = lo + y` with `y ∈ [0, up − lo]` (`up` possibly infinite). No
+//! variable is negated or split. Each row becomes `Σ aᵢⱼ·yⱼ + sᵢ = bᵢ −
+//! Σ aᵢⱼ·loⱼ` with one slack column:
 //!
-//! * a variable with a finite lower bound is shifted onto `[0, up − lo]`;
-//!   one with only an upper bound is negated (`x = up − y`); a free one
-//!   is split into two non-negative columns;
 //! * a `≤` row's slack lives on `[0, ∞)`; a `≥` row is negated and gets
 //!   the same slack; an `=` row's slack is fixed at `[0, 0]` and never
 //!   enters the basis.
@@ -17,7 +16,7 @@
 //! The fleet flow problems — per-frame export settlement, the
 //! prospective directive LP and the routing transportation LP — are in
 //! **packing form**: every row `≤` with `bᵢ ≥ 0` and every variable on
-//! `[0, u]` with `u` finite. For them the map is the identity and **the
+//! `[0, u]` with `u` finite. For them the shift is zero and **the
 //! all-slack basis is feasible** (`x = 0`, `s = b ≥ 0`), and the primal
 //! simplex starts from it. Any other problem (the per-frame planning LP,
 //! with its balance and recursion equalities and its unbounded waste and
@@ -45,8 +44,12 @@
 //! ascending-sparsity order with largest-pivot row selection, so it is
 //! deterministic. A general-form basis first places its triangular part
 //! (row singletons), which keeps the frame LP's recursion chains free
-//! of fill; packing-form bases keep the plain order, and with it their
-//! pinned pivot paths.
+//! of fill. Packing-form bases keep the plain order: placing their row
+//! singletons too leaves the fleet results bit-identical but only adds
+//! the per-row counting, since fleet bases have no recursion chains to
+//! keep free of fill (`fleet-512-coordinated` `pass_s` 0.0987 →
+//! 0.1025 s, medians of three alternating seed-1 `perfbench` pairs on
+//! a 2-vCPU container).
 //!
 //! # Work that follows what a pivot changed
 //!
@@ -88,9 +91,8 @@
 //! a chain also keeps the matrix image: the column- and row-wise copies
 //! are rebuilt only when the problem's structure id (redrawn by every
 //! `add_var` and `add_constraint`, process-wide, so two problems of one
-//! shape never share it), its packing form or some variable's map kind
-//! changes; otherwise a load refreshes the map offsets, costs, uppers
-//! and right-hand sides in `O(n + m)`.
+//! shape never share it) or its packing form changes; otherwise a load
+//! refreshes the costs, uppers and right-hand sides in `O(n + nnz)`.
 //!
 //! # Pricing
 //!
@@ -161,7 +163,7 @@
 use std::time::Instant;
 
 use crate::factor::{Factorization, SparseWork};
-use crate::model::{Problem, Relation, Sense, VarData};
+use crate::model::{Problem, Relation, Sense};
 use crate::solution::Solution;
 use crate::workspace::LpWorkspace;
 use crate::{LpError, TOLERANCE};
@@ -208,71 +210,13 @@ fn is_packing_form(p: &Problem) -> bool {
             .all(|c| c.relation == Relation::Le && c.rhs >= 0.0)
 }
 
-/// How a model variable maps onto internal columns bounded `[0, u]`.
-#[derive(Debug, Clone, Copy)]
-enum VarMap {
-    /// `x = lo + y` (finite lower bound).
-    Shifted { col: usize, lo: f64 },
-    /// `x = up − y` (only the upper bound is finite).
-    Negated { col: usize, up: f64 },
-    /// `x = y⁺ − y⁻` (free): `y⁺` is column `pos`, `y⁻` column `pos + 1`.
-    Split { pos: usize },
-}
-
-impl VarMap {
-    /// The map of variable `v` onto internal columns from `col` on.
-    fn new(v: &VarData, col: usize) -> VarMap {
-        if v.lo.is_finite() {
-            VarMap::Shifted { col, lo: v.lo }
-        } else if v.up.is_finite() {
-            VarMap::Negated { col, up: v.up }
-        } else {
-            VarMap::Split { pos: col }
-        }
-    }
-
-    /// The first internal column the map uses.
-    fn col(self) -> usize {
-        match self {
-            VarMap::Shifted { col, .. } | VarMap::Negated { col, .. } => col,
-            VarMap::Split { pos } => pos,
-        }
-    }
-
-    /// The constant the map moves into the right-hand side per unit of
-    /// the variable's coefficient.
-    fn offset(self) -> f64 {
-        match self {
-            VarMap::Shifted { lo, .. } => lo,
-            VarMap::Negated { up, .. } => up,
-            VarMap::Split { .. } => 0.0,
-        }
-    }
-}
-
-/// Visits a row's nonzero terms as internal `(column, coefficient)`
-/// pairs, scaled by the row's sign (`−1` for a negated `≥` row). An
-/// empty `maps` is the identity (packing form).
-fn for_each_term(
-    maps: &[VarMap],
-    relation: Relation,
-    terms: &[(usize, f64)],
-    mut visit: impl FnMut(usize, f64),
-) {
+/// Visits a row's nonzero terms as `(column, coefficient)` pairs, scaled
+/// by the row's sign (`−1` for a negated `≥` row).
+fn for_each_term(relation: Relation, terms: &[(usize, f64)], mut visit: impl FnMut(usize, f64)) {
     let sign = if relation == Relation::Ge { -1.0 } else { 1.0 };
     for &(j, a) in terms {
-        if a == 0.0 {
-            continue;
-        }
-        let a = sign * a;
-        match maps.get(j) {
-            None => visit(j, a),
-            Some(&VarMap::Shifted { col, .. }) => visit(col, a),
-            Some(&VarMap::Negated { col, .. }) => visit(col, -a),
-            Some(&VarMap::Split { pos }) => {
-                visit(pos, a);
-                visit(pos + 1, -a);
-            }
+        if a != 0.0 {
+            visit(j, sign * a);
         }
     }
 }
@@ -326,14 +270,11 @@ pub(crate) struct NetState {
     image: Option<u64>,
     /// Whether the current solve's load kept the image.
     reused_image: bool,
-    /// Internal structural columns (a split free variable takes two).
+    /// Structural columns, one per model variable.
     n: usize,
     m: usize,
     /// Whether the loaded problem is in packing form.
     packing: bool,
-    /// Model variable → internal columns; empty in packing form, where
-    /// the map is the identity.
-    maps: Vec<VarMap>,
     /// Column-major sparse structural matrix in CSC form: column `j`
     /// owns `col_row/col_val[col_off[j]..col_off[j + 1]]`, rows
     /// ascending. Slack columns (`n + i`) are the implicit identity.
@@ -429,18 +370,17 @@ type Leave = Option<(usize, bool)>;
 impl NetState {
     /// Loads `p` (no allocation once the arenas have grown to the
     /// template's working set) and resets the per-solve scratch so
-    /// results never depend on workspace history. The matrix image —
-    /// the maps' kinds, the CSC and CSR copies — is rebuilt only when
-    /// `p`'s structure, its packing form or a map's kind differs from the
-    /// image's; otherwise only the map offsets, costs, uppers and
-    /// right-hand sides are refreshed.
+    /// results never depend on workspace history. The matrix image — the
+    /// CSC and CSR copies — is rebuilt only when `p`'s structure or its
+    /// packing form differs from the image's; otherwise only the costs,
+    /// uppers and right-hand sides are refreshed. Packing form is kept
+    /// in the image's key because refactorization orders its bases by
+    /// it.
     fn load(&mut self, p: &Problem) {
         let m = p.constraints.len();
         let packing = is_packing_form(p);
-        self.reused_image = self.image == Some(p.structure)
-            && self.m == m
-            && self.packing == packing
-            && (packing || self.refit_maps(p));
+        self.reused_image =
+            self.image == Some(p.structure) && self.m == m && self.packing == packing;
         self.packing = packing;
         if !self.reused_image {
             self.build_image(p);
@@ -451,46 +391,23 @@ impl NetState {
             Sense::Maximize => -1.0,
         };
         self.cost.clear();
+        self.cost.extend(p.vars.iter().map(|v| sign * v.obj));
         self.upper.clear();
-        if self.packing {
-            self.cost.extend(p.vars.iter().map(|v| sign * v.obj));
-            self.upper.extend(p.vars.iter().map(|v| v.up));
-        } else {
-            for (v, map) in p.vars.iter().zip(&self.maps) {
-                let c = sign * v.obj;
-                match *map {
-                    VarMap::Shifted { lo, .. } => {
-                        self.cost.push(c);
-                        self.upper.push(v.up - lo);
-                    }
-                    VarMap::Negated { .. } => {
-                        self.cost.push(-c);
-                        self.upper.push(f64::INFINITY);
-                    }
-                    VarMap::Split { .. } => {
-                        self.cost.extend([c, -c]);
-                        self.upper.extend([f64::INFINITY; 2]);
-                    }
-                }
-            }
-            if p.constraints.iter().any(|c| c.relation == Relation::Eq) {
-                self.upper
-                    .extend(p.constraints.iter().map(|c| match c.relation {
-                        Relation::Eq => 0.0,
-                        Relation::Le | Relation::Ge => f64::INFINITY,
-                    }));
-            }
+        self.upper.extend(p.vars.iter().map(|v| v.up - v.lo));
+        if p.constraints.iter().any(|c| c.relation == Relation::Eq) {
+            self.upper
+                .extend(p.constraints.iter().map(|c| match c.relation {
+                    Relation::Eq => 0.0,
+                    Relation::Le | Relation::Ge => f64::INFINITY,
+                }));
         }
-        let maps = &self.maps;
         self.rhs.clear();
         self.rhs.extend(p.constraints.iter().map(|c| {
             let mut b = c.rhs;
-            if !maps.is_empty() {
-                for &(j, a) in &c.terms {
-                    let offset = maps[j].offset();
-                    if offset != 0.0 {
-                        b -= a * offset;
-                    }
+            for &(j, a) in &c.terms {
+                let lo = p.vars[j].lo;
+                if lo != 0.0 {
+                    b -= a * lo;
                 }
             }
             if c.relation == Relation::Ge {
@@ -517,43 +434,20 @@ impl NetState {
         }
     }
 
-    /// Moves each variable's map onto its current bounds; `false` if one
-    /// changes kind (the maps are then rebuilt with the image).
-    fn refit_maps(&mut self, p: &Problem) -> bool {
-        self.maps.len() == p.vars.len()
-            && self.maps.iter_mut().zip(&p.vars).all(|(map, v)| {
-                let next = VarMap::new(v, map.col());
-                let fits = std::mem::discriminant(map) == std::mem::discriminant(&next);
-                *map = next;
-                fits
-            })
-    }
-
-    /// Rebuilds the matrix image of `p`: the variable maps (empty in
-    /// packing form), the internal column count and the CSR and CSC
-    /// copies of the constraint rows.
+    /// Rebuilds the matrix image of `p`: the column count and the CSR
+    /// and CSC copies of the constraint rows.
     fn build_image(&mut self, p: &Problem) {
-        self.maps.clear();
-        let mut n = p.vars.len();
-        if !self.packing {
-            n = 0;
-            for v in &p.vars {
-                let map = VarMap::new(v, n);
-                n += if let VarMap::Split { .. } = map { 2 } else { 1 };
-                self.maps.push(map);
-            }
-        }
+        let n = p.vars.len();
         self.n = n;
         self.m = p.constraints.len();
-        let maps = &self.maps;
 
-        // CSR pattern: the constraint rows in internal columns.
+        // CSR pattern: the constraint rows.
         let (row_off, row_col) = (&mut self.row_off, &mut self.row_col);
         row_off.clear();
         row_off.push(0);
         row_col.clear();
         for c in &p.constraints {
-            for_each_term(maps, c.relation, &c.terms, |j, _| row_col.push(j as u32));
+            for_each_term(c.relation, &c.terms, |j, _| row_col.push(j as u32));
             row_off.push(row_col.len() as u32);
         }
 
@@ -562,7 +456,7 @@ impl NetState {
         col_off.clear();
         col_off.resize(n + 1, 0);
         for c in &p.constraints {
-            for_each_term(maps, c.relation, &c.terms, |j, _| col_off[j + 1] += 1);
+            for_each_term(c.relation, &c.terms, |j, _| col_off[j + 1] += 1);
         }
         for j in 0..n {
             col_off[j + 1] += col_off[j];
@@ -577,7 +471,7 @@ impl NetState {
         cursor.clear();
         cursor.extend_from_slice(&col_off[..n]);
         for (i, c) in p.constraints.iter().enumerate() {
-            for_each_term(maps, c.relation, &c.terms, |j, a| {
+            for_each_term(c.relation, &c.terms, |j, a| {
                 let k = cursor[j] as usize;
                 col_row[k] = i as u32;
                 col_val[k] = a;
@@ -1389,19 +1283,12 @@ impl NetState {
                 *v = self.upper[j];
             }
         }
-        if !self.maps.is_empty() {
-            // Each variable's columns sit at or after its own index, so
-            // mapping in ascending order reads before it overwrites.
-            for (k, (map, var)) in self.maps.iter().zip(&p.vars).enumerate() {
-                let v = match *map {
-                    VarMap::Shifted { col, lo } => lo + x[col],
-                    VarMap::Negated { col, up } => up - x[col],
-                    VarMap::Split { pos } => x[pos] - x[pos + 1],
-                };
-                let v = if v.abs() < TOLERANCE { 0.0 } else { v };
-                x[k] = v.clamp(var.lo, var.up);
+        for (v, var) in x.iter_mut().zip(&p.vars) {
+            *v += var.lo;
+            if v.abs() < TOLERANCE {
+                *v = 0.0;
             }
-            x.truncate(p.vars.len());
+            *v = v.clamp(var.lo, var.up);
         }
         let objective = p.objective_at(&x);
         Solution::new(x, objective, pivots)
@@ -1438,7 +1325,6 @@ impl NetState {
             + f64s * size_of::<f64>()
             + usizes * size_of::<usize>()
             + bools
-            + self.maps.capacity() * size_of::<VarMap>()
             + self.w.capacity_bytes()
             + self.factor.capacity_bytes()
     }
@@ -1736,18 +1622,18 @@ mod tests {
     }
 
     #[test]
-    fn free_upper_only_and_shifted_variables_map_back() {
-        // min x with x free and x ≥ −5 by a row.
+    fn shifted_variables_map_back() {
+        // min x with x ∈ [−10, ∞) and x ≥ −5 by a row.
         let mut p = Problem::minimize();
-        let x = p.add_var(f64::NEG_INFINITY, f64::INFINITY, 1.0).unwrap();
+        let x = p.add_var(-10.0, f64::INFINITY, 1.0).unwrap();
         p.add_constraint(&[(x, 1.0)], Relation::Ge, -5.0).unwrap();
         assert_close(p.solve().unwrap().value(x), -5.0);
-        // max x with x ≤ 3 only; min x with a floor row.
+        // max x with x ∈ [−8, 3]; min x with a floor row.
         let mut p = Problem::maximize();
-        let x = p.add_var(f64::NEG_INFINITY, 3.0, 1.0).unwrap();
+        let x = p.add_var(-8.0, 3.0, 1.0).unwrap();
         assert_close(p.solve().unwrap().value(x), 3.0);
         let mut p = Problem::minimize();
-        let x = p.add_var(f64::NEG_INFINITY, 3.0, 1.0).unwrap();
+        let x = p.add_var(-8.0, 3.0, 1.0).unwrap();
         p.add_constraint(&[(x, 1.0)], Relation::Ge, 1.5).unwrap();
         assert_close(p.solve().unwrap().value(x), 1.5);
         // x ∈ [−2, 7], both senses; a fixed variable.
@@ -1889,9 +1775,19 @@ mod tests {
         p.set_objective(Variable(0), 41.0).unwrap();
         assert_eq!(p.solve_with(&mut ws).unwrap().pivots(), 0);
         assert!(ws.net.kept_file);
-        // A lower bound that goes infinite changes `h`'s map kind: the
-        // image is rebuilt and the same basis refactorized against it.
-        p.set_bounds(Variable(1), f64::NEG_INFINITY, 100.0).unwrap();
+        // A lower bound below zero moves only the right-hand sides: the
+        // image and, pivoting nowhere, the file stay.
+        p.set_bounds(Variable(1), -0.5, 100.0).unwrap();
+        let sol = p.solve_with(&mut ws).unwrap();
+        assert_eq!(sol.pivots(), 0);
+        assert!(ws.last_was_warm() && ws.net.reused_image && ws.net.kept_file);
+        assert_close(sol.objective(), p.solve().unwrap().objective());
+        // The same problem built again is a new structure of the same
+        // shape: the image is rebuilt and the same basis refactorized
+        // against it.
+        p = cover(1.1);
+        p.set_objective(Variable(0), 41.0).unwrap();
+        p.set_bounds(Variable(1), -0.5, 100.0).unwrap();
         let sol = p.solve_with(&mut ws).unwrap();
         assert!(ws.last_was_warm() && !ws.net.reused_image && !ws.net.kept_file);
         assert_close(sol.objective(), p.solve().unwrap().objective());

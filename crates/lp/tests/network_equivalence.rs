@@ -7,9 +7,10 @@
 //! tests below randomize the two fleet flow shapes `dpss-core` solves
 //! every coarse frame — per-link settlement flows and the aggregated
 //! prospective (total + bought per donor) form — general-form LPs with
-//! every row relation and bound kind, feasible or not, bounded or not,
-//! and warm re-solve chains through one workspace with the full edit
-//! surface (`set_objective` / `set_bounds` / `set_rhs`).
+//! every row relation and every kind of finite lower bound, feasible
+//! or not, bounded or not, and warm re-solve chains through one
+//! workspace with the full edit surface (`set_objective` /
+//! `set_bounds` / `set_rhs`).
 
 use dpss_lp::{LpError, LpWorkspace, Problem, Relation, Sense, Variable};
 use proptest::prelude::*;
@@ -197,8 +198,9 @@ fn assert_objectives_agree(p: &Problem, ws: &mut LpWorkspace) {
     }
 }
 
-/// A general-form LP: variables with every bound kind (shifted boxes,
-/// one-sided, upper-only, free, fixed) and rows of every relation, with
+/// A general-form LP: variables with every kind of bound the model takes
+/// (shifted boxes, negative floors, half-lines, fixed) and rows of every
+/// relation, with
 /// dense integer-ish coefficients so that infeasible and unbounded
 /// instances come up as often as optimal ones.
 #[derive(Debug, Clone)]
@@ -234,8 +236,8 @@ fn bounds(kind: u8, a: f64, w: f64) -> (f64, f64) {
     match kind % 6 {
         0 => (a, a + w),
         1 => (a, f64::INFINITY),
-        2 => (f64::NEG_INFINITY, a),
-        3 => (f64::NEG_INFINITY, f64::INFINITY),
+        2 => (a - 4.0, a),
+        3 => (-4.0 - w, f64::INFINITY),
         4 => (a, a),
         _ => (0.0, w),
     }
@@ -382,14 +384,14 @@ fn kernel_matches_the_oracle_on_general_instances() {
     );
 }
 
-/// Redundant and contradictory equalities over free and upper-only
-/// variables: the kernel's verdict and objective are the oracle's.
+/// Redundant and contradictory equalities over variables with negative
+/// floors: the kernel's verdict and objective are the oracle's.
 #[test]
 fn redundant_equalities_match_the_oracle() {
     for rhs2 in [4.0, 5.0] {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var(f64::NEG_INFINITY, f64::INFINITY, 1.0).unwrap();
-        let y = p.add_var(f64::NEG_INFINITY, 3.0, 2.0).unwrap();
+        let x = p.add_var(-10.0, f64::INFINITY, 1.0).unwrap();
+        let y = p.add_var(-6.0, 3.0, 2.0).unwrap();
         let z = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
         p.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Eq, 4.0)
             .unwrap();

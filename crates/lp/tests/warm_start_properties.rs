@@ -442,8 +442,9 @@ enum EditStep {
     Rhs,
     /// Nudge the prices.
     Costs,
-    /// Frame: a battery level's and a purchase's lower bounds go
-    /// infinite, map-kind changes. Flow: the pair caps are redrawn.
+    /// Frame: a battery level's and a purchase's lower bounds drop below
+    /// zero, which moves only right-hand sides. Flow: the pair caps are
+    /// redrawn.
     Loosen,
     /// Frame: both are boxed again. Flow: the caps are restored.
     Tighten,
@@ -475,7 +476,7 @@ fn solve_and_compare(p: &Problem, ws: &mut LpWorkspace) -> bool {
 /// primed with the previous basis (which always builds the matrix image
 /// and refactorizes) — values, objective, pivots, the saved basis and
 /// the warm flag. The chains hold zero-pivot stretches, whose solves keep
-/// the factorization, lower bounds that go infinite, an imported basis,
+/// the factorization, lower bounds that drop below zero, an imported basis,
 /// an rhs that crosses zero (a packing-form flip) and re-solves after
 /// infeasible edits.
 #[test]
@@ -510,8 +511,8 @@ fn kept_factorizations_match_fresh_workspaces_along_edit_chains() {
                     inst.write(&mut p, &h);
                 }
                 EditStep::Loosen => {
-                    p.set_bounds(h.levels[2], f64::NEG_INFINITY, 0.5).unwrap();
-                    p.set_bounds(h.grt[2], f64::NEG_INFINITY, 2.0).unwrap();
+                    p.set_bounds(h.levels[2], -0.5, 0.5).unwrap();
+                    p.set_bounds(h.grt[2], -1.0, 2.0).unwrap();
                 }
                 EditStep::Tighten => {
                     p.set_bounds(h.levels[2], 0.0, 0.5).unwrap();

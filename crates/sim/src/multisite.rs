@@ -668,7 +668,6 @@ impl FleetRun {
         Ok(MultiSiteReport {
             frames: clock.frames(),
             slots: clock.total_slots(),
-            interconnect: (*self.fleet.interconnect).clone(),
             energy_transferred: self.settled.sent,
             energy_delivered: self.settled.delivered,
             transfer_savings: self.settled.savings,
@@ -743,8 +742,6 @@ pub struct MultiSiteReport {
     pub frames: usize,
     /// Fine slots in the shared calendar (per site).
     pub slots: usize,
-    /// The topology the settlement ran over.
-    pub interconnect: Interconnect,
     /// Total energy sent by donors over the horizon (before line losses).
     pub energy_transferred: Energy,
     /// Total energy delivered to recipients (after line losses).
