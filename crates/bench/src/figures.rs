@@ -1,13 +1,13 @@
 //! One computation function per paper figure.
 //!
-//! Every figure is expressed as a [`SweepSpec`] — a named roster of cells
-//! (grid points, baselines, ablation variants) — executed by an
-//! [`ExperimentRunner`]; callers pass the runner (`dpss sweep` builds one
-//! from `--threads`, tests pass `ExperimentRunner::default()`). Results
-//! are assembled in cell order, so the tables are byte-identical for
-//! every thread count. [`NAMES`] lists the figures `dpss sweep --figure`
-//! renders and [`tables`] builds one by name. Each function's doc states
-//! the shape the paper leads one to expect.
+//! Every figure maps its own grid (grid points, baselines, ablation
+//! variants) through an [`ExperimentRunner`]; callers pass the runner
+//! (`dpss sweep` builds one from `--threads`, tests pass
+//! `ExperimentRunner::default()`). Results are assembled in grid order,
+//! so the tables are byte-identical for every thread count. [`NAMES`]
+//! lists the figures `dpss sweep --figure` renders and [`tables`] builds
+//! one by name. Each function's doc states the shape the paper leads one
+//! to expect.
 
 // Bench policy: built-in scenarios, engines and LPs are valid by
 // construction, so generator/solver failure here is a programming error,
@@ -17,14 +17,14 @@
 // audit:allow-file(slice-index): figure tables and sweep grids are built rectangular in the same function that indexes them
 
 use dpss_core::{MarketMode, SmartDpssConfig};
-use dpss_sim::{Engine, SimParams};
+use dpss_sim::{Engine, RunReport, SimParams};
 use dpss_traces::{scaling, UniformError};
 use dpss_units::SlotClock;
 
 use crate::packs::{pack_overview_with, topology_sweep_with};
 use crate::{
-    paper_traces, run_impatient, run_offline, run_smart, setup, traces_on, Axis, ExperimentRunner,
-    FigureTable, SweepSpec,
+    paper_traces, run_impatient, run_offline, run_smart, setup, traces_on, ExperimentRunner,
+    FigureTable,
 };
 
 /// The `V` grid of Fig. 6(a,b).
@@ -41,6 +41,15 @@ pub const FIG8_PENETRATION_GRID: [f64; 6] = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
 pub const FIG8_VARIATION_GRID: [f64; 5] = [0.0, 0.5, 1.0, 1.5, 2.0];
 /// The expansion grid of Fig. 10.
 pub const FIG10_BETA_GRID: [f64; 4] = [1.0, 2.0, 5.0, 10.0];
+
+/// One cell of a sweep that runs baselines beside a `V` grid.
+#[derive(Clone, Copy)]
+enum Run {
+    Offline,
+    Impatient,
+    Smart(f64),
+}
+
 /// Builds one registered figure's tables on a runner for a seed.
 type Builder = fn(&ExperimentRunner, u64) -> Vec<FigureTable>;
 
@@ -107,10 +116,9 @@ pub fn tables(name: &str, runner: &ExperimentRunner, seed: u64) -> Option<Vec<Fi
 pub fn fig5_with(runner: &ExperimentRunner, seed: u64) -> FigureTable {
     let traces = paper_traces(seed);
     let t = traces.clock.slots_per_frame();
-    let days: Vec<String> = (0..traces.clock.frames()).map(|d| d.to_string()).collect();
-    let spec = SweepSpec::new("fig5-traces", seed).with_axis(Axis::new("day", days));
+    let days: Vec<usize> = (0..traces.clock.frames()).collect();
     runner.run_table(
-        &spec,
+        &days,
         "Fig. 5: one-month traces (per-day summary)",
         &[
             "day",
@@ -122,8 +130,7 @@ pub fn fig5_with(runner: &ExperimentRunner, seed: u64) -> FigureTable {
             "rt mean $/MWh",
             "rt max $/MWh",
         ],
-        |cell| {
-            let day = cell.index;
+        |&day| {
             let range = day * t..(day + 1) * t;
             let ds: f64 = traces.demand_ds[range.clone()]
                 .iter()
@@ -173,27 +180,21 @@ pub fn fig6_v_with(
     include_offline: bool,
 ) -> FigureTable {
     let (engine, params) = setup(seed);
-    let mut roster: Vec<String> = Vec::with_capacity(vs.len() + 2);
+    let mut runs = Vec::with_capacity(vs.len() + 2);
     if include_offline {
-        roster.push("offline".into());
+        runs.push(Run::Offline);
     }
-    roster.push("impatient".into());
-    roster.extend(vs.iter().map(|v| format!("V={v}")));
-    let spec = SweepSpec::new("fig6-v", seed).with_axis(Axis::new("run", roster));
+    runs.push(Run::Impatient);
+    runs.extend(vs.iter().map(|&v| Run::Smart(v)));
 
     let n_base = usize::from(include_offline) + 1;
-    let results = runner.run_cells(&spec, |cell| {
-        if include_offline && cell.index == 0 {
-            let r = run_offline(&engine, params);
-            (r.time_average_cost().dollars(), r.average_delay_slots)
-        } else if cell.index == n_base - 1 {
-            let r = run_impatient(&engine);
-            (r.time_average_cost().dollars(), r.average_delay_slots)
-        } else {
-            let v = vs[cell.index - n_base];
-            let r = run_smart(&engine, params, SmartDpssConfig::icdcs13().with_v(v));
-            (r.time_average_cost().dollars(), r.average_delay_slots)
-        }
+    let results = runner.run_cells(&runs, |run| {
+        let r = match *run {
+            Run::Offline => run_offline(&engine, params),
+            Run::Impatient => run_impatient(&engine),
+            Run::Smart(v) => run_smart(&engine, params, SmartDpssConfig::icdcs13().with_v(v)),
+        };
+        (r.time_average_cost().dollars(), r.average_delay_slots)
     });
 
     let off = if include_offline {
@@ -249,10 +250,8 @@ pub fn fig6_t_with(
     offline_max_t: usize,
 ) -> FigureTable {
     let params = SimParams::icdcs13();
-    let labels: Vec<String> = ts.iter().map(|t| t.to_string()).collect();
-    let spec = SweepSpec::new("fig6-t", seed).with_axis(Axis::new("T", labels));
     runner.run_table(
-        &spec,
+        ts,
         "Fig. 6(c,d): cost and delay vs T (SmartDPSS; offline where tractable)",
         &[
             "T",
@@ -262,8 +261,7 @@ pub fn fig6_t_with(
             "offline $/slot",
             "offline delay",
         ],
-        |cell| {
-            let t = ts[cell.index];
+        |&t| {
             let frames = (744 / t).max(1);
             let clock = SlotClock::new(frames, t, 1.0).expect("valid clock");
             let engine = Engine::new(params, traces_on(&clock, seed)).expect("valid engine");
@@ -295,13 +293,11 @@ pub fn fig6_t_with(
 #[must_use]
 pub fn fig7_epsilon_with(runner: &ExperimentRunner, seed: u64, eps: &[f64]) -> FigureTable {
     let (engine, params) = setup(seed);
-    let spec = SweepSpec::new("fig7-eps", seed).with_axis(Axis::from_f64s("eps", eps));
     runner.run_table(
-        &spec,
+        eps,
         "Fig. 7 (ε): cost and delay vs ε (V=1, T=24, Bmax=15 min, two markets)",
         &["eps", "$/slot", "delay"],
-        |cell| {
-            let e = eps[cell.index];
+        |&e| {
             let r = run_smart(&engine, params, SmartDpssConfig::icdcs13().with_epsilon(e));
             vec![vec![
                 format!("{e}"),
@@ -322,14 +318,11 @@ pub fn fig7_markets_with(runner: &ExperimentRunner, seed: u64) -> FigureTable {
         ("RTM", MarketMode::RealTimeOnly),
     ];
     let (engine, params) = setup(seed);
-    let spec = SweepSpec::new("fig7-markets", seed)
-        .with_axis(Axis::new("markets", CASES.iter().map(|(l, _)| *l)));
     runner.run_table(
-        &spec,
+        &CASES,
         "Fig. 7 (markets): two markets (TM) vs real-time only (RTM)",
         &["markets", "$/slot", "lt MWh", "rt MWh"],
-        |cell| {
-            let (label, market) = CASES[cell.index];
+        |&(label, market)| {
             let r = run_smart(
                 &engine,
                 params,
@@ -356,13 +349,11 @@ pub fn fig7_markets_with(runner: &ExperimentRunner, seed: u64) -> FigureTable {
 #[must_use]
 pub fn fig7_battery_with(runner: &ExperimentRunner, seed: u64, minutes: &[f64]) -> FigureTable {
     let (base, _) = setup(seed);
-    let spec = SweepSpec::new("fig7-battery", seed).with_axis(Axis::from_f64s("bmax", minutes));
     runner.run_table(
-        &spec,
+        minutes,
         "Fig. 7 (battery): cost vs Bmax (minutes of peak demand)",
         &["Bmax min", "$/slot", "waste MWh", "battery ops"],
-        |cell| {
-            let m = minutes[cell.index];
+        |&m| {
             let params = SimParams::icdcs13_with_battery(m);
             let engine = base.with_params(params).expect("valid params");
             let r = run_smart(&engine, params, SmartDpssConfig::icdcs13());
@@ -392,14 +383,11 @@ pub fn fig8_with(
     let params = SimParams::icdcs13();
     let truth = paper_traces(seed);
 
-    let pen_spec = SweepSpec::new("fig8-penetration", seed)
-        .with_axis(Axis::from_f64s("penetration", penetrations));
     let pen_table = runner.run_table(
-        &pen_spec,
+        penetrations,
         "Fig. 8 (penetration): cost vs renewable penetration",
         &["penetration", "$/slot", "waste MWh"],
-        |cell| {
-            let p = penetrations[cell.index];
+        |&p| {
             let t = scaling::with_renewable_penetration(&truth, p).expect("valid penetration");
             let engine = Engine::new(params, t).expect("valid engine");
             let r = run_smart(&engine, params, SmartDpssConfig::icdcs13());
@@ -411,14 +399,11 @@ pub fn fig8_with(
         },
     );
 
-    let var_spec =
-        SweepSpec::new("fig8-variation", seed).with_axis(Axis::from_f64s("stretch", variations));
     let var_table = runner.run_table(
-        &var_spec,
+        variations,
         "Fig. 8 (variation): cost vs demand variation (std-dev stretch)",
         &["stretch", "demand std MWh", "$/slot"],
-        |cell| {
-            let f = variations[cell.index];
+        |&f| {
             let t = scaling::with_demand_variation(&truth, f).expect("valid variation");
             let std = t.demand_stats().std;
             let engine = Engine::new(params, t).expect("valid engine");
@@ -459,15 +444,11 @@ pub fn fig9_with(
         .with_observed(observed)
         .expect("same calendar");
 
-    let mut roster = vec!["impatient-baseline".to_owned()];
-    roster.extend(vs.iter().map(|v| format!("V={v}")));
-    let spec = SweepSpec::new("fig9-errors", seed).with_axis(Axis::new("run", roster));
-    let results = runner.run_cells(&spec, |cell| {
-        if cell.index == 0 {
-            let b = run_impatient(&clean_engine).total_cost().dollars();
-            (b, f64::NAN)
-        } else {
-            let config = SmartDpssConfig::icdcs13().with_v(vs[cell.index - 1]);
+    let mut runs = vec![Run::Impatient];
+    runs.extend(vs.iter().map(|&v| Run::Smart(v)));
+    let results = runner.run_cells(&runs, |run| {
+        if let Run::Smart(v) = *run {
+            let config = SmartDpssConfig::icdcs13().with_v(v);
             let clean = run_smart(&clean_engine, params, config)
                 .total_cost()
                 .dollars();
@@ -475,6 +456,9 @@ pub fn fig9_with(
                 .total_cost()
                 .dollars();
             (clean, noisy)
+        } else {
+            let b = run_impatient(&clean_engine).total_cost().dollars();
+            (b, f64::NAN)
         }
     });
 
@@ -507,9 +491,7 @@ pub fn fig9_with(
 pub fn fig10_with(runner: &ExperimentRunner, seed: u64, betas: &[f64]) -> FigureTable {
     let truth = paper_traces(seed);
     let base = SimParams::icdcs13();
-    let spec = SweepSpec::new("fig10-expansion", seed).with_axis(Axis::from_f64s("beta", betas));
-    let costs = runner.run_cells(&spec, |cell| {
-        let b = betas[cell.index];
+    let costs = runner.run_cells(betas, |&b| {
         let t = scaling::expand(&truth, b).expect("valid beta");
         let mut params = base;
         params.grid_cap = base.grid_cap * b;
@@ -567,14 +549,11 @@ pub fn ablations_with(runner: &ExperimentRunner, seed: u64) -> FigureTable {
                 .with_p4_variant(P4Variant::PaperLiteral),
         ),
     ];
-    let spec = SweepSpec::new("ablations", seed)
-        .with_axis(Axis::new("variant", cases.iter().map(|(l, _)| *l)));
     runner.run_table(
-        &spec,
+        &cases,
         "Ablations: P5 objective and P4 purchase cap (V=1)",
         &["variant", "$/slot", "delay", "waste MWh"],
-        |cell| {
-            let (label, config) = cases[cell.index];
+        |&(label, config)| {
             let r = run_smart(&engine, params, config);
             vec![vec![
                 label.into(),
@@ -611,14 +590,11 @@ pub fn forecast_ablation_with(runner: &ExperimentRunner, seed: u64) -> FigureTab
             },
         ),
     ];
-    let spec = SweepSpec::new("forecast-ablation", seed)
-        .with_axis(Axis::new("forecast", policies.iter().map(|(l, _)| *l)));
     runner.run_table(
-        &spec,
+        &policies,
         "Forecast ablation: value of frame-ahead information (V=1)",
         &["frame forecast", "$/slot", "delay", "rt MWh"],
-        |cell| {
-            let (label, policy) = policies[cell.index];
+        |&(label, policy)| {
             let engine = Engine::new(params, truth.clone())
                 .expect("valid engine")
                 .with_forecast(policy)
@@ -647,48 +623,39 @@ pub fn baselines_with(runner: &ExperimentRunner, seed: u64) -> FigureTable {
     use dpss_sim::ForecastPolicy;
     use dpss_units::Price;
     let (engine, params) = setup(seed);
-    let roster = [
-        "smart-dpss",
-        "offline",
-        "mpc (causal fcst)",
-        "mpc (oracle fcst)",
-        "impatient",
-        "greedy",
+    // Each policy's run, and the label the table prints for it (`None`
+    // prints the controller's own name).
+    type Policy = (Option<&'static str>, fn(&Engine, SimParams) -> RunReport);
+    let policies: [Policy; 6] = [
+        (None, |engine, params| {
+            run_smart(engine, params, SmartDpssConfig::icdcs13())
+        }),
+        (None, run_offline),
+        (Some("mpc (causal fcst)"), |engine, params| {
+            let mut mpc = RecedingHorizon::new(params).expect("valid params");
+            engine.run(&mut mpc).expect("run succeeds")
+        }),
+        (Some("mpc (oracle fcst)"), |engine, params| {
+            let oracle_engine = engine
+                .clone()
+                .with_forecast(ForecastPolicy::Oracle)
+                .expect("valid policy");
+            let mut mpc = RecedingHorizon::new(params).expect("valid params");
+            oracle_engine.run(&mut mpc).expect("run succeeds")
+        }),
+        (None, |engine, _| run_impatient(engine)),
+        (None, |engine, _| {
+            let mut greedy =
+                GreedyBattery::around(Price::from_dollars_per_mwh(35.0)).expect("valid thresholds");
+            engine.run(&mut greedy).expect("run succeeds")
+        }),
     ];
-    let spec = SweepSpec::new("baselines", seed).with_axis(Axis::new("policy", roster));
     runner.run_table(
-        &spec,
+        &policies,
         "Baseline roster (one-month trace)",
         &["policy", "$/slot", "delay", "battery ops"],
-        |cell| {
-            let (label, r) = match cell.index {
-                0 => (None, run_smart(&engine, params, SmartDpssConfig::icdcs13())),
-                1 => (None, run_offline(&engine, params)),
-                2 => {
-                    let mut mpc = RecedingHorizon::new(params).expect("valid params");
-                    (
-                        Some("mpc (causal fcst)"),
-                        engine.run(&mut mpc).expect("run succeeds"),
-                    )
-                }
-                3 => {
-                    let oracle_engine = engine
-                        .clone()
-                        .with_forecast(ForecastPolicy::Oracle)
-                        .expect("valid policy");
-                    let mut mpc = RecedingHorizon::new(params).expect("valid params");
-                    (
-                        Some("mpc (oracle fcst)"),
-                        oracle_engine.run(&mut mpc).expect("run succeeds"),
-                    )
-                }
-                4 => (None, run_impatient(&engine)),
-                _ => {
-                    let mut greedy = GreedyBattery::around(Price::from_dollars_per_mwh(35.0))
-                        .expect("valid thresholds");
-                    (None, engine.run(&mut greedy).expect("run succeeds"))
-                }
-            };
+        |&(label, run)| {
+            let r = run(&engine, params);
             vec![vec![
                 label.map_or_else(|| r.controller.clone(), str::to_owned),
                 format!("{:.3}", r.time_average_cost().dollars()),

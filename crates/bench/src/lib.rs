@@ -6,7 +6,10 @@
 //!
 //! Every function takes a runner and a seed (all built-in artifacts use
 //! seed 42) and returns a [`FigureTable`] whose rows mirror the series the
-//! paper plots. `dpss sweep --figure NAME` renders any of them
+//! paper plots. The [`ExperimentRunner`] maps each sweep's own grid (V
+//! values, ablation variants, `(pack, variant)` pairs, …) through
+//! `dpss-sim`'s one worker pool ([`dpss_sim::ordered_map`]), so the rows
+//! come out in grid order at any thread count. `dpss sweep --figure NAME` renders any of them
 //! ([`figures::NAMES`]); `--json` prints the tables for downstream
 //! tooling to diff.
 
@@ -23,13 +26,11 @@ pub mod figures;
 pub mod packs;
 pub mod routing;
 mod runner;
-mod spec;
 mod table;
 
 pub use packs::{pack_overview_with, pack_sweep_with, topology_roster, topology_sweep_with};
 pub use routing::{routing_interconnect, routing_outcomes, routing_sweep_with, RoutingOutcome};
 pub use runner::ExperimentRunner;
-pub use spec::{Axis, Cell, SweepSpec};
 pub use table::FigureTable;
 
 use dpss_core::{Impatient, OfflineOptimal, SmartDpss, SmartDpssConfig};

@@ -1,6 +1,6 @@
-//! Scenario-pack and multi-datacenter sweeps: [`SweepSpec`] axes over
-//! packs, pack variants, site counts and transmission topologies,
-//! executed by an [`ExperimentRunner`] and dispatched over an
+//! Scenario-pack and multi-datacenter sweeps: grids of packs, pack
+//! variants, site counts and transmission topologies, mapped by an
+//! [`ExperimentRunner`] and dispatched over an
 //! [`Interconnect`] — post-hoc (greedy fold), planned (`FleetPlanner`
 //! flow LPs) or coordinated (frame-synchronous fleet dispatch with
 //! buy-to-export directives) — so every table is byte-identical for any
@@ -19,7 +19,7 @@ use dpss_sim::{Engine, Interconnect, MultiSiteEngine, SimParams};
 use dpss_traces::ScenarioPack;
 use dpss_units::{Price, SlotClock};
 
-use crate::{run_smart, smart_controllers, Axis, ExperimentRunner, FigureTable, SweepSpec};
+use crate::{run_smart, smart_controllers, ExperimentRunner, FigureTable};
 
 /// Looks `name` up in the built-in pack registry, with the canonical
 /// error message. The single source of that wording: the CLI routes
@@ -79,11 +79,10 @@ pub fn pack_sweep_with(
     );
     let clock = SlotClock::icdcs13_month();
     let params = SimParams::icdcs13();
-    let spec = SweepSpec::new(&format!("pack-{}-{mode}", pack.name()), seed)
-        .with_axis(Axis::new("variant", pack.labels()));
-    let fleet_threads = runner.threads_per_cell(&spec);
-    let cells = runner.run_cells(&spec, |cell| {
-        let fleet = MultiSiteEngine::from_pack(params, pack, clock, seed, cell.coords[0], sites)
+    let variants: Vec<usize> = (0..pack.len()).collect();
+    let fleet_threads = runner.threads_per_cell(variants.len());
+    let cells = runner.run_cells(&variants, |&v| {
+        let fleet = MultiSiteEngine::from_pack(params, pack, clock, seed, v, sites)
             .and_then(|f| f.with_interconnect(interconnect.clone()))
             .expect("built-in pack builds a fleet over the sweep's topology")
             .with_threads(fleet_threads);
@@ -215,24 +214,11 @@ pub fn topology_sweep_with(runner: &ExperimentRunner, seed: u64, sites: usize) -
         .iter()
         .map(|n| ScenarioPack::builtin(n).expect("registry is consistent"))
         .collect();
-    let widest = packs.iter().map(ScenarioPack::len).max().unwrap_or(0);
     let roster = topology_roster(sites);
-
-    let spec = SweepSpec::new("topology-sweep", seed)
-        .with_axis(Axis::new(
-            "pack",
-            packs
-                .iter()
-                .map(|p| p.name().to_owned())
-                .collect::<Vec<_>>(),
-        ))
-        .with_axis(Axis::new(
-            "variant",
-            (0..widest).map(|v| v.to_string()).collect::<Vec<_>>(),
-        ));
-    let fleet_threads = runner.threads_per_cell(&spec);
+    let cells = pack_variants(&packs);
+    let fleet_threads = runner.threads_per_cell(cells.len());
     runner.run_table(
-        &spec,
+        &cells,
         &format!(
             "Topology sweep: packs x {{pooled, mesh, ring, severed}} \
              ({sites} sites, planned settlement)"
@@ -240,12 +226,7 @@ pub fn topology_sweep_with(runner: &ExperimentRunner, seed: u64, sites: usize) -
         &[
             "pack", "variant", "topology", "$/slot", "xfer MWh", "saved $", "wheel $",
         ],
-        |cell| {
-            let (p, v) = (cell.coords[0], cell.coords[1]);
-            let pack = &packs[p];
-            if v >= pack.len() {
-                return Vec::new(); // ragged grid: this pack is narrower
-            }
+        |&(pack, v)| {
             let fleet = MultiSiteEngine::from_pack(params, pack, clock, seed, v, sites)
                 .expect("built-in pack builds a fleet")
                 .with_threads(fleet_threads);
@@ -288,30 +269,11 @@ pub fn pack_overview_with(runner: &ExperimentRunner, seed: u64) -> FigureTable {
         .collect();
     let clock = SlotClock::icdcs13_month();
     let params = SimParams::icdcs13();
-    let widest = packs.iter().map(ScenarioPack::len).max().unwrap_or(0);
-
-    let spec = SweepSpec::new("pack-overview", seed)
-        .with_axis(Axis::new(
-            "pack",
-            packs
-                .iter()
-                .map(|p| p.name().to_owned())
-                .collect::<Vec<_>>(),
-        ))
-        .with_axis(Axis::new(
-            "variant",
-            (0..widest).map(|v| v.to_string()).collect::<Vec<_>>(),
-        ));
     runner.run_table(
-        &spec,
+        &pack_variants(&packs),
         "Scenario packs: single-site cost overview",
         &["pack", "variant", "$/slot", "delay", "waste MWh"],
-        |cell| {
-            let (p, v) = (cell.coords[0], cell.coords[1]);
-            let pack = &packs[p];
-            if v >= pack.len() {
-                return Vec::new(); // ragged grid: this pack is narrower
-            }
+        |&(pack, v)| {
             let traces = pack
                 .generate(&clock, seed, v)
                 .expect("built-in pack generates valid traces");
@@ -326,6 +288,15 @@ pub fn pack_overview_with(runner: &ExperimentRunner, seed: u64) -> FigureTable {
             ]]
         },
     )
+}
+
+/// Every `(pack, variant)` pair of `packs`, pack by pack, variants in
+/// order: the grid of the sweeps that cross all built-in packs.
+fn pack_variants(packs: &[ScenarioPack]) -> Vec<(&ScenarioPack, usize)> {
+    packs
+        .iter()
+        .flat_map(|pack| (0..pack.len()).map(move |v| (pack, v)))
+        .collect()
 }
 
 /// Renders the [`SolverStats`] a sweep returned as the metric/value table

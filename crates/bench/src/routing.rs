@@ -25,7 +25,7 @@ use dpss_sim::{Interconnect, LoadTotals, MultiSiteEngine, RoutingConfig, SimPara
 use dpss_traces::ScenarioPack;
 use dpss_units::{Money, Price, SlotClock};
 
-use crate::{smart_controllers, Axis, ExperimentRunner, FigureTable, SweepSpec};
+use crate::{smart_controllers, ExperimentRunner, FigureTable};
 
 /// One variant's off vs co-optimized outcome, with the workload ledger
 /// behind the co-optimized column — the numeric form the acceptance
@@ -112,10 +112,8 @@ pub fn routing_outcomes(
     let clock = SlotClock::icdcs13_month();
     let params = SimParams::icdcs13();
 
-    let spec = SweepSpec::new(&format!("routing-{}", pack.name()), seed)
-        .with_axis(Axis::new("variant", pack.labels()));
-    runner.run_cells(&spec, |cell| {
-        let v = cell.coords[0];
+    let variants: Vec<usize> = (0..pack.len()).collect();
+    runner.run_cells(&variants, |&v| {
         let fleet = MultiSiteEngine::from_pack(params, pack, clock, seed, v, sites)
             .and_then(|f| f.with_interconnect(interconnect.clone()))
             .expect("built-in pack builds a fleet over the sweep's topology");

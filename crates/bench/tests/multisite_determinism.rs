@@ -9,6 +9,9 @@
 //!   within every frame reproduces `MultiSiteEngine::run_with` exactly,
 //!   with the greedy `Interconnect`, a planning and a coordinating
 //!   `FleetPlanner` as dispatchers;
+//! * a frame in which two sites fail surfaces the lower-index site's
+//!   error at one thread and at eight, and the run then refuses to step
+//!   on — the failure path of the worker pool the sites step through;
 //! * one fleet row of the canonical `seasonal-calendar --sites 3` sweep
 //!   is pinned byte-for-byte, and one variant of
 //!   `price-spike --sites 3 --dispatch planned` next to it, so both
@@ -20,10 +23,11 @@ use dpss_bench::{packs, smart_controllers, ExperimentRunner, FigureTable, PAPER_
 use dpss_core::{default_interconnect, DispatchMode, FleetPlanner, SmartDpss, SmartDpssConfig};
 use dpss_lp::SolverStats;
 use dpss_sim::{
-    Controller, Engine, FleetDispatcher, FrameSettlement, Interconnect, MultiSiteEngine,
-    MultiSiteReport, RunReport, SimParams, SlotOutcome, SlotRecorder,
+    Controller, Engine, FleetDispatcher, FrameDecision, FrameObservation, FrameSettlement,
+    Interconnect, MultiSiteEngine, MultiSiteReport, RunReport, SimError, SimParams, SlotDecision,
+    SlotObservation, SlotOutcome, SlotRecorder, SystemView, UnroutedDispatcher,
 };
-use dpss_traces::ScenarioPack;
+use dpss_traces::{Scenario, ScenarioPack};
 use dpss_units::{Energy, Price, SlotClock};
 
 /// A sweep's table and LP telemetry with the one wall-clock field zeroed:
@@ -387,5 +391,110 @@ fn price_spike_planned_fleet_rows_match_golden_bytes() {
     ];
     for (row, want) in table.rows.iter().take(4).zip(&golden) {
         assert_eq!(row, want, "price-spike planned golden bytes drifted");
+    }
+}
+
+/// The coarse frame in which the [`Faulty`] sites emit their invalid
+/// decisions.
+const FAULT_FRAME: usize = 2;
+
+/// Buys every slot's shortfall in real time, except in [`FAULT_FRAME`],
+/// where it emits a NaN for the decision field it names (if any).
+struct Faulty(Option<&'static str>);
+
+impl Faulty {
+    fn nan_in(&self, frame: usize, field: &str) -> bool {
+        frame == FAULT_FRAME && self.0 == Some(field)
+    }
+}
+
+impl Controller for Faulty {
+    fn name(&self) -> &str {
+        "faulty"
+    }
+
+    fn plan_frame(&mut self, obs: &FrameObservation, _: &SystemView) -> FrameDecision {
+        FrameDecision {
+            purchase_lt: if self.nan_in(obs.frame, "purchase_lt") {
+                Energy::from_mwh(f64::NAN)
+            } else {
+                Energy::ZERO
+            },
+        }
+    }
+
+    fn plan_slot(&mut self, obs: &SlotObservation, view: &SystemView) -> SlotDecision {
+        SlotDecision {
+            purchase_rt: if self.nan_in(obs.slot.frame, "purchase_rt") {
+                Energy::from_mwh(f64::NAN)
+            } else {
+                (obs.demand_ds + view.queue_backlog + obs.demand_dt - obs.renewable).positive_part()
+            },
+            serve_fraction: 1.0,
+        }
+    }
+}
+
+/// The failure path of the pool the fleet's sites step through: in an
+/// 8-site fleet, site 2 returns a NaN `purchase_rt` and site 5 a NaN
+/// `purchase_lt` in the same frame. At one thread and at eight, the run
+/// returns site 2's error — the lower site index wins, whichever worker
+/// failed first — and a hand-stepped run refuses every later frame with
+/// `InvalidState`. Which of the other sites stepped the failed frame is
+/// not pinned.
+#[test]
+fn two_failing_sites_surface_the_lower_index_error_at_any_thread_count() {
+    let sites = 8;
+    let clock = SlotClock::new(4, 24, 1.0).unwrap();
+    let engines = (0..sites)
+        .map(|s| {
+            let traces = Scenario::icdcs13()
+                .generate(&clock, 100 + s as u64)
+                .unwrap();
+            Engine::new(SimParams::icdcs13(), traces).unwrap()
+        })
+        .collect();
+    let multi = MultiSiteEngine::new(engines).unwrap();
+    let roster = || -> Vec<Box<dyn Controller>> {
+        (0..sites)
+            .map(|s| {
+                let fault = match s {
+                    2 => Some("purchase_rt"),
+                    5 => Some("purchase_lt"),
+                    _ => None,
+                };
+                Box::new(Faulty(fault)) as Box<dyn Controller>
+            })
+            .collect()
+    };
+    let expected = SimError::InvalidDecision {
+        what: "purchase_rt",
+        slot: FAULT_FRAME * clock.slots_per_frame(),
+    };
+    for threads in [1, 8] {
+        let fleet = multi.clone().with_threads(threads);
+        let err = fleet
+            .run_with(&mut roster(), &mut fleet.interconnect().clone())
+            .unwrap_err();
+        assert_eq!(err, expected, "threads = {threads}");
+
+        let mut ctls = roster();
+        let mut dispatcher = UnroutedDispatcher(fleet.interconnect().clone());
+        let mut run = fleet.begin().unwrap();
+        for _ in 0..FAULT_FRAME {
+            run.step_frame(&mut ctls, &mut dispatcher).unwrap();
+        }
+        assert_eq!(
+            run.step_frame(&mut ctls, &mut dispatcher).unwrap_err(),
+            expected,
+            "threads = {threads}"
+        );
+        assert!(
+            matches!(
+                run.step_frame(&mut ctls, &mut dispatcher),
+                Err(SimError::InvalidState { .. })
+            ),
+            "a run that failed part-way must refuse further frames (threads = {threads})"
+        );
     }
 }

@@ -1,84 +1,25 @@
-//! Seed-derivation regression suite: the "appends never shift existing
-//! cells" guarantee, tested in isolation.
+//! Pack seed-derivation regression suite: the "appends never shift
+//! existing variants" guarantee, tested in isolation.
 //!
-//! Two registries promise stable seeds under growth:
+//! [`ScenarioPack`] derives every variant's seed and every site's seed
+//! from the master seed, the pack name and the variant (and site) index,
+//! so appending *variants* must not perturb the variant or site seeds of
+//! the pre-existing variants, and two packs of different names draw
+//! disjoint streams.
 //!
-//! * [`SweepSpec`]: appending *values* to any axis must not perturb the
-//!   seed of any pre-existing coordinate combination, even though the
-//!   flat cell indices shift;
-//! * [`ScenarioPack`]: appending *variants* must not perturb the variant
-//!   or site seeds of the pre-existing variants.
-//!
-//! Every published artifact leans on these guarantees ("packs compose
-//! without perturbing existing artifacts"), so they are property-tested
-//! here rather than inferred from figure goldens.
+//! Every published pack artifact leans on these guarantees ("packs
+//! compose without perturbing existing artifacts"), so they are
+//! property-tested here rather than inferred from figure goldens.
 
-use dpss_bench::{Axis, SweepSpec};
 use dpss_traces::{Scenario, ScenarioPack};
 use proptest::prelude::*;
 
-/// Registry names exercised by the properties (the vendored proptest has
-/// no string strategies; an index into this roster stands in).
+/// Pack names exercised by the properties (the vendored proptest has no
+/// string strategies; an index into this roster stands in).
 const NAMES: [&str; 6] = ["fig6-v", "pack-x", "a", "sweep", "pack-seasonal", "z9"];
-
-/// Builds a spec from axis sizes (labels are the stringified indices).
-fn spec_from(name: &str, seed: u64, sizes: &[usize]) -> SweepSpec {
-    let mut spec = SweepSpec::new(name, seed);
-    for (k, &n) in sizes.iter().enumerate() {
-        spec = spec.with_axis(Axis::new(
-            &format!("axis{k}"),
-            (0..n).map(|i| i.to_string()).collect::<Vec<_>>(),
-        ));
-    }
-    spec
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Growing every axis by an arbitrary amount keeps every pre-existing
-    /// coordinate combination on its original seed.
-    #[test]
-    fn axis_value_appends_never_shift_existing_cell_seeds(
-        seed in 0u64..1_000_000_007,
-        name_idx in 0usize..6,
-        sizes in collection::vec(1usize..4, 1..4),
-        growth in collection::vec(0usize..3, 1..4),
-    ) {
-        let name = NAMES[name_idx];
-        let base = spec_from(name, seed, &sizes);
-        let grown_sizes: Vec<usize> = sizes
-            .iter()
-            .zip(growth.iter().chain(std::iter::repeat(&0)))
-            .map(|(&n, &g)| n + g)
-            .collect();
-        let grown = spec_from(name, seed, &grown_sizes);
-        for i in 0..base.cells() {
-            let cell = base.cell(i);
-            prop_assert_eq!(
-                cell.seed,
-                grown.coords_seed(&cell.coords),
-                "coords {:?} shifted when axes grew {:?} -> {:?}",
-                cell.coords, &sizes, &grown_sizes
-            );
-        }
-    }
-
-    /// New coordinate combinations introduced by growth get fresh,
-    /// pairwise-distinct seeds (the derivation stays collision-free).
-    #[test]
-    fn grown_cells_get_distinct_seeds(
-        seed in 0u64..1_000_000_007,
-        name_idx in 0usize..6,
-        n in 1usize..6,
-        extra in 1usize..4,
-    ) {
-        let grown = spec_from(NAMES[name_idx], seed, &[n + extra]);
-        let mut seeds: Vec<u64> = (0..grown.cells()).map(|i| grown.cell(i).seed).collect();
-        seeds.sort_unstable();
-        seeds.dedup();
-        prop_assert_eq!(seeds.len(), n + extra, "seed collision after growth");
-    }
 
     /// Extending a pack with new variants keeps every existing variant —
     /// and every site of every existing variant — on its original seeds.

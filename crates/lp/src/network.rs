@@ -17,16 +17,18 @@
 //! prospective directive LP and the routing transportation LP — are in
 //! **packing form**: every row `≤` with `bᵢ ≥ 0` and every variable on
 //! `[0, u]` with `u` finite. For them the shift is zero and **the
-//! all-slack basis is feasible** (`x = 0`, `s = b ≥ 0`), and the primal
-//! simplex starts from it. Any other problem (the per-frame planning LP,
-//! with its balance and recursion equalities and its unbounded waste and
-//! backlog columns) starts cold from the all-slack basis, made feasible
-//! by the same cost-shifted **dual simplex** a warm start uses (below),
-//! then runs the primal simplex. The dual restore is the kernel's only
-//! route to a feasible basis, and its verdict is final: a violated row
-//! that no column can repair is a Farkas certificate, so the problem is
-//! [`LpError::Infeasible`]; a spent budget, a pivot too small to divide
-//! by or a wedged basis is [`LpError::IterationLimit`].
+//! all-slack basis is feasible** (`x = 0`, `s = b ≥ 0`). Every problem
+//! starts cold from the all-slack basis, made feasible by the same
+//! cost-shifted **dual simplex** a warm start uses (below), then runs
+//! the primal simplex. In packing form the restore finds no violated row
+//! and returns at once, with no pivot and no reprice; any other problem
+//! (the per-frame planning LP, with its balance and recursion equalities
+//! and its unbounded waste and backlog columns) pivots there first. The
+//! dual restore is the kernel's only route to a feasible basis, and its
+//! verdict is final: a violated row that no column can repair is a
+//! Farkas certificate, so the problem is [`LpError::Infeasible`]; a
+//! spent budget, a pivot too small to divide by or a wedged basis is
+//! [`LpError::IterationLimit`].
 //!
 //! # The factorized basis
 //!
@@ -507,8 +509,8 @@ impl NetState {
     }
 
     /// The cold start: installs the all-slack basis (`x = 0`, `s = b`,
-    /// the factorization the identity), feasible in packing form
-    /// (`b ≥ 0`) and otherwise made feasible by the dual restore.
+    /// the factorization the identity) and makes it feasible by the dual
+    /// restore, which returns at once in packing form (`b ≥ 0`).
     fn start_cold(&mut self, budget: usize) -> Result<(), LpError> {
         let (n, m) = (self.n, self.m);
         self.basis.clear();
@@ -524,11 +526,7 @@ impl NetState {
         self.base_etas = 0;
         self.file_fresh = true;
         self.compute_xb();
-        if self.packing {
-            Ok(())
-        } else {
-            self.restore_feasibility(budget)
-        }
+        self.restore_feasibility(budget)
     }
 
     /// Installs a saved basis: copies it in, refuses a column held at an
@@ -1133,9 +1131,9 @@ impl NetState {
         result
     }
 
-    /// Restores primal feasibility of an installed general-form basis —
-    /// a saved one, or the all-slack basis of a cold start — by a bounded
-    /// dual simplex (see the module docs). The guide is the current
+    /// Restores primal feasibility of an installed basis — a saved
+    /// general-form one, or the all-slack basis of any cold start — by a
+    /// bounded dual simplex (see the module docs). The guide is the current
     /// reduced costs, each moved onto the side its column's bound status
     /// allows; every dual pivot keeps it dual-feasible. A violated row
     /// with no entering column is a Farkas certificate:

@@ -33,7 +33,9 @@
 //!   site starts `k + 1`, a [`FleetDispatcher`] settles each realized
 //!   frame, and in coordinated mode it hands every site a
 //!   [`FrameDirective`] between frames (buy-to-export); per-site plus
-//!   fleet-aggregate metrics land in a [`MultiSiteReport`];
+//!   fleet-aggregate metrics land in a [`MultiSiteReport`]; the sites of
+//!   a frame step through [`ordered_map`], the workspace's one worker
+//!   pool (the experiment runner's sweeps use it too);
 //! * [`FleetWorkload`] — the request layer (workload-routing extension):
 //!   per-site bounded-age queues of deferrable work stepped in lockstep
 //!   with the fleet loop, settled against a [`RoutedDispatcher`]'s
@@ -96,6 +98,7 @@ mod metrics;
 mod multisite;
 mod params;
 mod plant;
+mod pool;
 mod queue;
 mod recorder;
 mod state;
@@ -114,6 +117,7 @@ pub use interconnect::{FrameExchange, FrameSettlement, Interconnect, DESCRIBE_LI
 pub use metrics::{FrameTotals, RunReport, SlotCost, SlotOutcome};
 pub use multisite::{FleetRun, MultiSiteEngine, MultiSiteReport};
 pub use params::SimParams;
+pub use pool::{ordered_map, worker_budget};
 pub use queue::DemandQueue;
 pub use recorder::SlotRecorder;
 pub use state::{BatteryState, ControllerState, EngineRunState, LedgerState, QueueState};

@@ -25,13 +25,13 @@
 // slot ranges derive from that clock.
 // audit:allow-file(slice-index): roster is non-empty and calendars match by construction; slot ranges derive from the shared validated clock
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use dpss_traces::ScenarioPack;
 use dpss_units::{Energy, Money, SlotClock};
 
 use crate::metrics::average_price;
+use crate::pool::{ordered_map, worker_budget};
 use crate::{
     Controller, Engine, EngineRun, EngineRunState, FleetDispatcher, FleetWorkload, FrameDirective,
     FrameExchange, FrameOutlook, FrameSettlement, Interconnect, LoadFrame, LoadTotals,
@@ -139,8 +139,10 @@ impl MultiSiteEngine {
     }
 
     /// Sets the worker-thread budget for stepping sites within a coarse
-    /// frame. `1` (the default) steps sites inline on the caller's
-    /// thread; `0` resolves to the machine's available parallelism.
+    /// frame, through the workspace's one worker pool
+    /// ([`ordered_map`](crate::ordered_map)). `1` (the default) steps
+    /// sites inline on the caller's thread; `0` resolves to the machine's
+    /// available parallelism ([`worker_budget`](crate::worker_budget)).
     ///
     /// Thread count never changes results: sites do not interact within
     /// a frame, directives are delivered and exchanges settled serially
@@ -149,11 +151,7 @@ impl MultiSiteEngine {
     /// count (the determinism suite pins this at fleet scale).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            threads
-        };
+        self.threads = worker_budget(threads);
         self
     }
 
@@ -543,11 +541,12 @@ impl FleetRun {
     ///    workload availability and due total on routed runs) and returns
     ///    directives — one per site, or none at all — which each site's
     ///    controller receives ([`Controller::receive_directive`]);
-    /// 3. every site steps the frame ([`EngineRun::step_frame`]) — inline
-    ///    in site-index order, or over the fleet's
-    ///    [`with_threads`](MultiSiteEngine::with_threads) budget (sites do
-    ///    not interact within a frame, so the aggregates are
-    ///    byte-identical at any thread count);
+    /// 3. every site steps the frame ([`EngineRun::step_frame`]) through
+    ///    [`ordered_map`](crate::ordered_map) on the fleet's
+    ///    [`with_threads`](MultiSiteEngine::with_threads) budget — inline
+    ///    in site-index order at one thread (sites do not interact within
+    ///    a frame, so the aggregates are byte-identical at any thread
+    ///    count);
     /// 4. the realized [`FrameExchange`] is settled
     ///    ([`RoutedDispatcher::settle_routed`]) and a routed run's ledger
     ///    applies the workload plan ([`FleetWorkload::settle`]).
@@ -564,9 +563,10 @@ impl FleetRun {
     /// # Errors
     ///
     /// [`SimError::SiteMismatch`] if the controller or directive roster
-    /// length differs from the site roster; propagates per-site step
-    /// failures, after which the run refuses further steps with
-    /// [`SimError::InvalidState`].
+    /// length differs from the site roster; propagates the lowest-index
+    /// site's step failure (which other sites stepped the failed frame is
+    /// not part of the contract), after which the run refuses further
+    /// steps with [`SimError::InvalidState`].
     pub fn step_frame(
         &mut self,
         controllers: &mut [Box<dyn Controller>],
@@ -678,58 +678,21 @@ impl FleetRun {
     }
 }
 
-/// Steps every site through one coarse frame, fanning the sites out over
-/// `threads` scoped workers claiming site indices from a shared atomic
-/// counter (the `ExperimentRunner` pattern). Each `(run, controller)`
-/// pair is owned by exactly one worker at a time, sites share no mutable
-/// state, and errors are collected per site and propagated in site-index
-/// order — so the outcome (including which error surfaces) is
-/// byte-identical to the inline serial loop at any thread count.
+/// Steps every site through one coarse frame over [`ordered_map`]: each
+/// `(run, controller)` pair is one item, stepped by exactly one worker,
+/// and sites share no mutable state. Every site steps even when an
+/// earlier one fails, and the errors surface in site-index order — so
+/// the outcome (including which error surfaces) is byte-identical at any
+/// thread count.
 fn step_sites(
     runs: &mut [EngineRun],
     controllers: &mut [Box<dyn Controller>],
     threads: usize,
 ) -> Result<(), SimError> {
-    let n = runs.len();
-    let workers = threads.min(n).max(1);
-    if workers == 1 {
-        for (run, ctl) in runs.iter_mut().zip(controllers.iter_mut()) {
-            run.step_frame(ctl.as_mut())?;
-        }
-        return Ok(());
-    }
-    let next = AtomicUsize::new(0);
-    let cells: Vec<Mutex<(&mut EngineRun, &mut Box<dyn Controller>)>> = runs
-        .iter_mut()
-        .zip(controllers.iter_mut())
-        .map(Mutex::new)
-        .collect();
-    let slots: Vec<Mutex<Option<Result<(), SimError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // audit:allow(panic-unwrap): a poisoned cell means a sibling worker already panicked
-                let mut cell = cells[i].lock().expect("site cell poisoned");
-                let (run, ctl) = &mut *cell;
-                let out = run.step_frame(ctl.as_mut());
-                // audit:allow(panic-unwrap): a poisoned slot means a sibling worker already panicked
-                *slots[i].lock().expect("result slot poisoned") = Some(out);
-            });
-        }
-    });
-    for (i, slot) in slots.into_iter().enumerate() {
-        slot.into_inner()
-            // audit:allow(panic-unwrap): a poisoned slot means a worker already panicked
-            .expect("result slot poisoned")
-            // audit:allow(panic-explicit): the claim loop covers 0..n, so an empty slot is a scheduler bug
-            .unwrap_or_else(|| panic!("site {i} was not stepped"))?;
-    }
-    Ok(())
+    let sites = runs.iter_mut().zip(controllers.iter_mut());
+    ordered_map(threads, sites, |(run, ctl)| run.step_frame(ctl.as_mut()))
+        .into_iter()
+        .collect()
 }
 
 /// Aggregated result of one fleet run: per-site [`RunReport`]s plus the

@@ -441,10 +441,7 @@ fn execute(cli: &Cli) -> Result<String, String> {
         Command::SweepV => {
             let (engine, params, clock) = build_world(cli)?;
             let runner = ExperimentRunner::new(cli.threads);
-            let spec = smartdpss::SweepSpec::new("cli-sweep-v", cli.seed)
-                .with_axis(smartdpss::Axis::from_f64s("V", &cli.grid));
-            let rows: Vec<Result<Vec<String>, String>> = runner.run_cells(&spec, |cell| {
-                let v = cli.grid[cell.index];
+            let rows: Vec<Result<Vec<String>, String>> = runner.run_cells(&cli.grid, |&v| {
                 let mut c = SmartDpss::new(smart_config(cli).with_v(v), params, clock)
                     .map_err(|e| e.to_string())?;
                 let r = engine.run(&mut c).map_err(|e| e.to_string())?;

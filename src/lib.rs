@@ -25,9 +25,10 @@
 //! * [`serve`] (`dpss-serve`) — the crash-resumable streaming control
 //!   daemon: NDJSON sessions over stdio or a Unix socket, versioned
 //!   checksummed snapshots, and deterministic replay;
-//! * [`mod@bench`] (`dpss-bench`) — the experiment-runner subsystem: declarative
-//!   [`SweepSpec`]s executed across threads by an [`ExperimentRunner`], one
-//!   computation function per paper figure.
+//! * [`mod@bench`] (`dpss-bench`) — the experiment-runner subsystem: one
+//!   computation function per paper figure, each mapping its own grid
+//!   across threads with an [`ExperimentRunner`] (through `dpss-sim`'s one
+//!   worker pool, [`sim::ordered_map`]).
 //!
 //! # Quickstart
 //!
@@ -61,7 +62,7 @@ pub use dpss_sim as sim;
 pub use dpss_traces as traces;
 pub use dpss_units as units;
 
-pub use dpss_bench::{Axis, ExperimentRunner, FigureTable, SweepSpec};
+pub use dpss_bench::{ExperimentRunner, FigureTable};
 pub use dpss_lp::LpWorkspace;
 
 pub use dpss_core::{
