@@ -10,7 +10,10 @@
 //! 512-site ring also pin their exact simplex paths (pivots,
 //! refactorizations, warm and cold solves, warm rejects), so a kernel
 //! change shows whether it moved the pivot sequence, not only whether it
-//! stayed inside the budget.
+//! stayed inside the budget. The pooled 512-site gate bounds the other
+//! end of a fleet run: building the settlement, prospective and migration
+//! templates over the 261 632 links of `default_interconnect(512)`, whose
+//! pool row alone lists every link.
 //!
 //! The budgets are deliberately loose (a shared CI runner is not a
 //! bench rig): each release run takes a small fraction of its budget on
@@ -23,9 +26,12 @@
 use std::time::Instant;
 
 use dpss_bench::PAPER_SEED;
-use dpss_core::{FleetPlanner, SmartDpss, SmartDpssConfig};
+use dpss_core::{default_interconnect, FleetPlanner, RoutingPlanner, SmartDpss, SmartDpssConfig};
 use dpss_lp::SolverStats;
-use dpss_sim::{Controller, Interconnect, MultiSiteEngine, SimParams};
+use dpss_sim::{
+    Controller, FrameExchange, FrameOutlook, Interconnect, LoadFrame, MultiSiteEngine,
+    RoutedDispatcher, RoutingConfig, SimParams, SiteOutlook,
+};
 use dpss_traces::ScenarioPack;
 use dpss_units::{Energy, Price, SlotClock};
 
@@ -123,4 +129,74 @@ fn ring_512_coordinated_month_fits_the_wall_clock_budget() {
     let ring = lossy_wheeled(Interconnect::ring(512, Energy::from_mwh(2.0)).unwrap());
     let stats = assert_month_fits(512, ring, 300.0, "512-site ring");
     assert_eq!(path(&stats), (48_145, 363, 1, 61, 59), "{stats:?}");
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "wall-clock smoke gate is a release-mode contract"
+)]
+fn pooled_512_templates_build_and_plan_inside_the_wall_clock_budget() {
+    // The topology behind a 512-site serve fleet and a `--sites 512` pack
+    // sweep: every pair linked, one pool row over all 261 632 links. A
+    // template build that is quadratic in a row's length blows this
+    // budget many times over.
+    let sites = 512;
+    let mwh = |x: f64| Energy::from_mwh(x);
+    let start = Instant::now();
+    let planner = FleetPlanner::new(default_interconnect(sites).unwrap()).with_coordination(true);
+    let mut routed = RoutingPlanner::new(planner, RoutingConfig::icdcs13()).unwrap();
+    // Even sites curtail and odd sites buy in real time, at prices that
+    // differ site by site.
+    let odd = |s: usize, x: f64| if s % 2 == 1 { x } else { 0.0 };
+    let even = |s: usize, x: f64| if s.is_multiple_of(2) { x } else { 0.0 };
+    let price = |s: usize| 40.0 + (s % 7) as f64;
+    let outlook = FrameOutlook {
+        frame: 1,
+        sites: (0..sites)
+            .map(|s| SiteOutlook {
+                expected_surplus: mwh(even(s, 1.5)),
+                expected_need: mwh(odd(s, 1.0)),
+                expected_price: odd(s, price(s)),
+                export_headroom: mwh(even(s, 3.0)),
+                battery_headroom: mwh(0.5),
+                procure_cost: 31.0,
+                load_backlog: Energy::ZERO,
+                load_due: Energy::ZERO,
+            })
+            .collect(),
+    };
+    let directives = routed.direct(&outlook);
+    let ex = FrameExchange {
+        frame: 1,
+        curtailed: (0..sites).map(|s| mwh(even(s, 1.5))).collect(),
+        rt_energy: (0..sites).map(|s| mwh(odd(s, 1.0))).collect(),
+        rt_price: (0..sites).map(|s| odd(s, price(s))).collect(),
+    };
+    // No site queues work, so the migration template is built but its
+    // solve is skipped. That solve is a kernel cost this gate does not
+    // bound: on an all-pairs topology every host of a donor's work is
+    // worth the same, and a cold solve pivots through a long degenerate
+    // stretch (about 231 000 pivots at 256 sites with half the sites
+    // queueing).
+    let load = LoadFrame {
+        frame: 1,
+        available: vec![Energy::ZERO; sites],
+        due: vec![Energy::ZERO; sites],
+        spot: (0..sites).map(price).collect(),
+    };
+    let (settlement, plan) = routed.settle_routed(&ex, &load);
+    let elapsed = start.elapsed().as_secs_f64();
+    assert!(directives.iter().any(|d| d.export_quota > Energy::ZERO));
+    assert!(
+        (settlement.delivered.mwh() - 2.0).abs() < 1e-9,
+        "{settlement:?}"
+    );
+    assert!(plan.absorb.is_empty(), "{plan:?}");
+    assert_eq!(routed.solver_stats().solves, 2);
+    assert!(
+        elapsed < 2.0,
+        "pooled 512-site templates and one planned frame took {elapsed:.2}s (budget 2s): \
+         the template build has regressed"
+    );
 }

@@ -21,10 +21,9 @@
 //!   (`min Σ f·(wheel − p_rt·(1−loss))`).
 //!
 //! Consecutive frames share the constraint structure, so the planner
-//! edits objective, bounds and right-hand sides in place
-//! ([`Problem::set_objective`] / [`set_bounds`](Problem::set_bounds) /
-//! [`set_rhs`](Problem::set_rhs)) and re-solves through one
-//! [`LpWorkspace`], warm-starting from the previous frame's basis.
+//! edits objective, bounds and right-hand sides in place and re-solves
+//! through one [`LpWorkspace`](dpss_lp::LpWorkspace), warm-starting from
+//! the previous frame's basis.
 //!
 //! The greedy settlement is always a feasible point of this LP, so the
 //! planned fleet cost is never worse than the post-hoc one — the
@@ -40,40 +39,38 @@
 //!
 //! # Solver path
 //!
-//! Both planner LPs are *packing form* (every row `≤` with non-negative
-//! rhs, every variable in `[0, u]`), so every fleet LP — settlement,
-//! prospective and the routing planner's migration LP — starts from a
-//! feasible all-slack basis on `dpss-lp`'s factorized revised simplex
-//! ([`Problem::solve_with`]), with no dual restore. The prospective
-//! template is **aggregated**: the buy penalty depends only on the donor,
-//! so instead of splitting every link into free and bought flow it
-//! carries one total-flow variable per link and one bought-energy
-//! variable per donor — `O(sites)` rows instead of `O(links)`, which on
-//! an `n`-site mesh is
-//! the difference between a `3n+1`-row and an `n² + 3n`-row system, with
-//! the same optimum as the split form (`dpss-lp`'s
-//! `tests/network_equivalence.rs` pins both shapes against its dense
-//! test oracle).
+//! Both planner LPs, like the routing planner's migration LP, are one
+//! crate-private transportation template (`transport.rs`): link columns
+//! of gain `1 − loss`, donor and recipient rows built from one `O(links)`
+//! adjacency pass, and the pool row. Each is in *packing form* (every
+//! row `≤` with non-negative rhs, every variable in `[0, u]`), so it
+//! starts from a feasible all-slack basis on `dpss-lp`'s factorized
+//! revised simplex ([`Problem::solve_with`](dpss_lp::Problem::solve_with)),
+//! with no dual restore. The prospective LP is **aggregated**: the buy
+//! penalty depends only on the donor, so instead of splitting every link
+//! into free and bought flow it carries one total-flow column per link
+//! and one procurement column per donor, bound by a free-budget row
+//! `Σ out − z ≤ surplus` — `O(sites)` rows instead of `O(links)`, which
+//! on an `n`-site mesh is the difference between a `3n+1`-row and an
+//! `n² + 3n`-row system, with the same optimum as the split form
+//! (`dpss-lp`'s `tests/network_equivalence.rs` pins both shapes against
+//! its dense test oracle).
 
-// The fleet planner mints every LP variable/constraint id it later edits
-// or reads, in the same template build pass; site/pair vectors are sized
-// from the engine roster it plans for. Solver errors are propagated as
-// `CoreError` — expects here assert template invariants (finite caps,
-// well-formed rows), not runtime conditions.
-// audit:allow-file(panic-unwrap): expects assert invariants of the LP template this module itself builds; solver errors propagate as CoreError
-// audit:allow-file(slice-index): variable/constraint ids are minted by the same template build pass; rosters are sized from the engine fleet
+// Per-site vectors are sized from the topology's roster, which every
+// exchange and outlook is asserted to match.
+// audit:allow-file(slice-index): per-site vectors are sized from the topology roster the planner asserts each exchange and outlook covers
 
 use std::fmt;
 
-use dpss_lp::{
-    BasisSnapshot, ConstraintId, LpWorkspace, Problem, Relation, Sense, SolverStats, Variable,
-};
+use dpss_lp::{BasisSnapshot, SolverStats};
 use dpss_sim::{
     FleetDispatcher, FrameDirective, FrameExchange, FrameOutlook, FrameSettlement, Interconnect,
     MultiSiteEngine, SimError,
 };
 use dpss_units::{Energy, Money};
 use serde::{Deserialize, Serialize};
+
+use crate::transport::TransportLp;
 
 /// The checkpointable state of a [`FleetPlanner`]: the warm-start bases
 /// of its settlement and prospective workspaces. The LP *templates* are
@@ -116,54 +113,15 @@ pub struct FleetPlannerState {
 #[derive(Debug, Clone)]
 pub struct FleetPlanner {
     ic: Interconnect,
-    /// The flow LP template; only objective, bounds and right-hand sides
-    /// change between frames.
-    problem: Problem,
-    /// `(from, to, flow variable)` per open link, donor-major.
-    flows: Vec<(usize, usize, Variable)>,
-    /// Donor budget row per site (`None` when the site has no open
-    /// outgoing link).
-    donor_rows: Vec<Option<ConstraintId>>,
-    /// Recipient need row per site (`None` without open incoming links).
-    need_rows: Vec<Option<ConstraintId>>,
-    workspace: LpWorkspace,
+    /// The settlement LP; only costs, caps and budgets change between
+    /// frames.
+    settlement: TransportLp,
     /// Whether [`FleetDispatcher::direct`] plans prospective directives
     /// (coordinated mode) or stays silent (planned mode).
     coordinate: bool,
     /// The aggregated prospective LP, built on first use (coordinated
     /// runs only).
-    prospective_net: Option<ProspectiveNetLp>,
-}
-
-/// The prospective template of coordinated dispatch: the buy penalty depends only
-/// on the *donor*, so the per-link free/buy split is immaterial given
-/// each donor's totals. One total-flow variable per open link plus one
-/// bought-energy variable per donor reproduce the optimum of the form
-/// with free and bought flow per link exactly, with `O(sites)` rows
-/// instead of `O(links)`:
-///
-/// * free-budget rows `Σ_l t_l − z_s ≤ surplus_s` (whatever exceeds the
-///   forecast surplus must be procured);
-/// * total-budget rows `Σ_l t_l ≤ surplus_s + procurable_s`;
-/// * recipient need rows `Σ (1−loss)·t_l ≤ need_j` and the pool row;
-/// * objective `min Σ −value_l·t_l + Σ procure_cost_s·(1+margin)·z_s`.
-///
-/// Per-frame link caps bind through the `t_l` bounds (no per-link rows
-/// at all). Solved via [`Problem::solve_with`].
-#[derive(Debug, Clone)]
-struct ProspectiveNetLp {
-    problem: Problem,
-    /// `(from, to, total-flow variable)` per open link, donor-major.
-    flows: Vec<(usize, usize, Variable)>,
-    /// Bought-energy variable per site (`None` without outgoing links).
-    bought: Vec<Option<Variable>>,
-    /// Donor free-budget row per site.
-    free_rows: Vec<Option<ConstraintId>>,
-    /// Donor total-budget row per site.
-    total_rows: Vec<Option<ConstraintId>>,
-    /// Recipient forecast-need row per site.
-    need_rows: Vec<Option<ConstraintId>>,
-    workspace: LpWorkspace,
+    prospective: Option<TransportLp>,
 }
 
 /// Safety margin on the buy-to-export economics, measured as the robust
@@ -173,66 +131,28 @@ struct ProspectiveNetLp {
 /// more than the margin before a directed purchase can lose money.
 const PROCURE_MARGIN: f64 = 0.6;
 
+/// The transportation template over `ic`'s open links: gain `1 − loss`,
+/// the link cap and the pool cap, plus the per-donor procurement columns
+/// of the prospective LP when `procure` is set.
+fn link_lp(ic: &Interconnect, procure: bool) -> TransportLp {
+    TransportLp::new(
+        ic.sites(),
+        ic.open_links()
+            .map(|(i, j)| (i, j, 1.0 - ic.loss(i, j), ic.cap(i, j).mwh())),
+        procure,
+        ic.pool_cap().map(|pool| pool.mwh()),
+    )
+}
+
 impl FleetPlanner {
     /// Builds the planner (and its LP template) for a topology.
     #[must_use]
     pub fn new(ic: Interconnect) -> Self {
-        let n = ic.sites();
-        let mut problem = Problem::new(Sense::Minimize);
-        let flows: Vec<(usize, usize, Variable)> = ic
-            .open_links()
-            .map(|(i, j)| {
-                let var = problem
-                    .add_var(0.0, ic.cap(i, j).mwh(), 0.0)
-                    .expect("caps are validated finite");
-                (i, j, var)
-            })
-            .collect();
-        let mut donor_rows = vec![None; n];
-        let mut need_rows = vec![None; n];
-        if !flows.is_empty() {
-            for s in 0..n {
-                let outgoing: Vec<(Variable, f64)> = flows
-                    .iter()
-                    .filter(|&&(i, _, _)| i == s)
-                    .map(|&(_, _, v)| (v, 1.0))
-                    .collect();
-                if !outgoing.is_empty() {
-                    donor_rows[s] = Some(
-                        problem
-                            .add_constraint(&outgoing, Relation::Le, 0.0)
-                            .expect("template rows are well-formed"),
-                    );
-                }
-                let incoming: Vec<(Variable, f64)> = flows
-                    .iter()
-                    .filter(|&&(_, j, _)| j == s)
-                    .map(|&(i, _, v)| (v, 1.0 - ic.loss(i, s)))
-                    .collect();
-                if !incoming.is_empty() {
-                    need_rows[s] = Some(
-                        problem
-                            .add_constraint(&incoming, Relation::Le, 0.0)
-                            .expect("template rows are well-formed"),
-                    );
-                }
-            }
-            if let Some(pool) = ic.pool_cap() {
-                let all: Vec<(Variable, f64)> = flows.iter().map(|&(_, _, v)| (v, 1.0)).collect();
-                problem
-                    .add_constraint(&all, Relation::Le, pool.mwh())
-                    .expect("template rows are well-formed");
-            }
-        }
         FleetPlanner {
+            settlement: link_lp(&ic, false),
             ic,
-            problem,
-            flows,
-            donor_rows,
-            need_rows,
-            workspace: LpWorkspace::new(),
             coordinate: false,
-            prospective_net: None,
+            prospective: None,
         }
     }
 
@@ -240,11 +160,11 @@ impl FleetPlanner {
     #[must_use]
     pub fn export_state(&self) -> FleetPlannerState {
         FleetPlannerState {
-            settlement: self.workspace.export_basis(),
+            settlement: self.settlement.export_basis(),
             prospective_net: self
-                .prospective_net
+                .prospective
                 .as_ref()
-                .and_then(|lp| lp.workspace.export_basis()),
+                .and_then(TransportLp::export_basis),
         }
     }
 
@@ -262,13 +182,13 @@ impl FleetPlanner {
         let invalid = |_| SimError::InvalidState {
             what: "fleet planner basis snapshot failed validation",
         };
-        self.workspace
+        self.settlement
             .import_basis(state.settlement.as_ref())
             .map_err(invalid)?;
         if let Some(basis) = &state.prospective_net {
-            self.prospective_net
-                .get_or_insert_with(|| ProspectiveNetLp::for_topology(&self.ic))
-                .workspace
+            let ic = &self.ic;
+            self.prospective
+                .get_or_insert_with(|| link_lp(ic, true))
                 .import_basis(Some(basis))
                 .map_err(invalid)?;
         }
@@ -338,55 +258,35 @@ impl FleetPlanner {
         );
         let mut out = FrameSettlement::default();
         let mut exports = vec![Energy::ZERO; n];
-        if self.flows.is_empty() || self.ic.is_silent() {
+        if self.settlement.is_empty() || self.ic.is_silent() {
             return (out, exports);
         }
-        for &(i, j, var) in &self.flows {
-            let loss = self.ic.loss(i, j);
-            let value = ex.rt_price[j] * (1.0 - loss) - self.ic.wheeling(i, j).dollars_per_mwh();
-            self.problem
-                .set_objective(var, -value)
-                .expect("template variables stay valid");
+        let ic = &self.ic;
+        self.settlement.set_columns(|i, j, gain| {
+            let value = ex.rt_price[j] * gain - ic.wheeling(i, j).dollars_per_mwh();
             // The frame-to-frame cap update: a pair can never carry more
             // than its donor curtailed this frame, nor more than the
             // link's cap.
-            let ub = self.ic.cap(i, j).min(ex.curtailed[i]).mwh();
-            self.problem
-                .set_bounds(var, 0.0, ub.max(0.0))
-                .expect("caps and curtailment are non-negative");
-        }
+            let ub = ic.cap(i, j).min(ex.curtailed[i]).mwh();
+            (-value, ub.max(0.0))
+        });
         for s in 0..n {
-            if let Some(row) = self.donor_rows[s] {
-                self.problem
-                    .set_rhs(row, ex.curtailed[s].mwh().max(0.0))
-                    .expect("template rows stay valid");
-            }
-            if let Some(row) = self.need_rows[s] {
-                self.problem
-                    .set_rhs(row, ex.rt_energy[s].mwh().max(0.0))
-                    .expect("template rows stay valid");
-            }
+            self.settlement.set_donor(s, ex.curtailed[s].mwh().max(0.0));
+            self.settlement
+                .set_recipient(s, ex.rt_energy[s].mwh().max(0.0));
         }
-        let sol = self
-            .problem
-            .solve_with(&mut self.workspace)
-            .expect("the flow LP is feasible (zero flow) and box-bounded");
-        for &(i, j, var) in &self.flows {
-            let sent = sol.value(var).max(0.0);
+        self.settlement.solve(|i, j, gain, flow| {
+            let sent = flow.max(0.0);
             if sent <= 0.0 {
-                continue;
+                return;
             }
-            let loss = self.ic.loss(i, j);
-            let delivered = sent * (1.0 - loss);
+            let delivered = sent * gain;
             out.sent += Energy::from_mwh(sent);
             out.delivered += Energy::from_mwh(delivered);
             out.savings += Money::from_dollars(delivered * ex.rt_price[j]);
-            out.wheeling += Money::from_dollars(sent * self.ic.wheeling(i, j).dollars_per_mwh());
+            out.wheeling += Money::from_dollars(sent * ic.wheeling(i, j).dollars_per_mwh());
             exports[i] += Energy::from_mwh(sent);
-        }
-        // Hand the value buffer back: the next frame's solve reuses it,
-        // keeping the steady-state settlement loop allocation-free.
-        self.workspace.recycle(sol);
+        });
         (out, exports)
     }
 
@@ -403,8 +303,9 @@ impl FleetPlanner {
     /// Flows are bounded by the link cap, the recipient's forecast
     /// real-time need and the pool cap. Like the
     /// settlement LP, the template is built once and re-solved through
-    /// one warm-started workspace via `set_objective`/`set_bounds`/
-    /// `set_rhs` edits. Directives fold from the link totals and the
+    /// one warm-started workspace; each frame edits the link costs (the
+    /// link caps never change), the procurement columns and the budgets.
+    /// Directives fold from the link totals and the
     /// minimal procurement consistent with them (`(T_s − surplus_s)₊` —
     /// the free-budget row guarantees the bought variable covers it, and
     /// extracting the minimum keeps directives independent of how a
@@ -424,74 +325,37 @@ impl FleetPlanner {
             "outlook covers a different site roster than the topology"
         );
         let mut directives = vec![FrameDirective::inert(outlook.frame); n];
-        if self.flows.is_empty() || self.ic.is_silent() {
+        if self.settlement.is_empty() || self.ic.is_silent() {
             return directives;
         }
         let margin = 1.0 + PROCURE_MARGIN;
-        let lp = self
-            .prospective_net
-            .get_or_insert_with(|| ProspectiveNetLp::for_topology(&self.ic));
-        for &(i, j, total) in &lp.flows {
-            let loss = self.ic.loss(i, j);
-            let wheel = self.ic.wheeling(i, j).dollars_per_mwh();
-            let value = outlook.sites[j].expected_price * (1.0 - loss) - wheel;
-            let cap = self.ic.cap(i, j).mwh();
-            lp.problem
-                .set_objective(total, -value)
-                .expect("template variables stay valid");
-            lp.problem
-                .set_bounds(total, 0.0, cap)
-                .expect("caps are non-negative");
-        }
+        let ic = &self.ic;
+        let value = |i: usize, j: usize, gain: f64| {
+            outlook.sites[j].expected_price * gain - ic.wheeling(i, j).dollars_per_mwh()
+        };
+        let lp = self.prospective.get_or_insert_with(|| link_lp(ic, true));
+        lp.set_costs(|i, j, gain| -value(i, j, gain));
         for (s, site) in outlook.sites.iter().enumerate() {
             let surplus = site.expected_surplus.mwh().max(0.0);
             let procurable = (site.export_headroom - site.battery_headroom)
                 .positive_part()
                 .mwh();
-            if let Some(z) = lp.bought[s] {
-                lp.problem
-                    .set_bounds(z, 0.0, procurable)
-                    .expect("budgets are non-negative");
-                lp.problem
-                    .set_objective(z, site.procure_cost * margin)
-                    .expect("template variables stay valid");
-            }
-            if let Some(row) = lp.free_rows[s] {
-                lp.problem
-                    .set_rhs(row, surplus)
-                    .expect("template rows stay valid");
-            }
-            if let Some(row) = lp.total_rows[s] {
-                lp.problem
-                    .set_rhs(row, surplus + procurable)
-                    .expect("template rows stay valid");
-            }
-            if let Some(row) = lp.need_rows[s] {
-                lp.problem
-                    .set_rhs(row, site.expected_need.mwh().max(0.0))
-                    .expect("template rows stay valid");
-            }
+            lp.set_procure(s, site.procure_cost * margin, procurable, surplus);
+            lp.set_donor(s, surplus + procurable);
+            lp.set_recipient(s, site.expected_need.mwh().max(0.0));
         }
-        let sol = lp
-            .problem
-            .solve_with(&mut lp.workspace)
-            .expect("the prospective flow LP is feasible (zero flow) and box-bounded");
         const TOL: f64 = 1e-9;
-        let mut sent_totals = vec![0.0f64; directives.len()];
-        for &(i, j, total) in &lp.flows {
-            let sent = sol.value(total).max(0.0);
+        let mut sent_totals = vec![0.0f64; n];
+        lp.solve(|i, j, gain, flow| {
+            let sent = flow.max(0.0);
             if sent <= TOL {
-                continue;
+                return;
             }
-            let loss = self.ic.loss(i, j);
-            let value = outlook.sites[j].expected_price * (1.0 - loss)
-                - self.ic.wheeling(i, j).dollars_per_mwh();
             directives[i].export_quota += Energy::from_mwh(sent);
-            directives[i].export_value = directives[i].export_value.max(value);
-            directives[j].import_expectation += Energy::from_mwh(sent * (1.0 - loss));
+            directives[i].export_value = directives[i].export_value.max(value(i, j, gain));
+            directives[j].import_expectation += Energy::from_mwh(sent * gain);
             sent_totals[i] += sent;
-        }
-        lp.workspace.recycle(sol);
+        });
         // The plant charges surplus before curtailing it, so a donor
         // directed to buy must also fill its battery or the planned
         // curtailment (and hence the export) never materializes.
@@ -511,87 +375,11 @@ impl FleetPlanner {
     /// workspaces. See [`SolverStats`].
     #[must_use]
     pub fn solver_stats(&self) -> SolverStats {
-        let mut stats = self.workspace.stats();
-        if let Some(lp) = &self.prospective_net {
-            stats.merge(&lp.workspace.stats());
+        let mut stats = self.settlement.stats();
+        if let Some(lp) = &self.prospective {
+            stats.merge(&lp.stats());
         }
         stats
-    }
-}
-
-impl ProspectiveNetLp {
-    /// Builds the aggregated template for a topology. Bounds and
-    /// right-hand sides are placeholders; every
-    /// [`FleetPlanner::plan_prospective`] call edits
-    /// them to the frame's caps and budgets before re-solving.
-    fn for_topology(ic: &Interconnect) -> Self {
-        let n = ic.sites();
-        let mut problem = Problem::new(Sense::Minimize);
-        let flows: Vec<(usize, usize, Variable)> = ic
-            .open_links()
-            .map(|(i, j)| {
-                let t = problem
-                    .add_var(0.0, ic.cap(i, j).mwh(), 0.0)
-                    .expect("caps are validated finite");
-                (i, j, t)
-            })
-            .collect();
-        let mut bought = vec![None; n];
-        let mut free_rows = vec![None; n];
-        let mut total_rows = vec![None; n];
-        let mut need_rows = vec![None; n];
-        for s in 0..n {
-            let outgoing: Vec<(Variable, f64)> = flows
-                .iter()
-                .filter(|&&(i, _, _)| i == s)
-                .map(|&(_, _, t)| (t, 1.0))
-                .collect();
-            if !outgoing.is_empty() {
-                let z = problem
-                    .add_var(0.0, 0.0, 0.0)
-                    .expect("placeholder bounds are valid");
-                bought[s] = Some(z);
-                let mut free: Vec<(Variable, f64)> = outgoing.clone();
-                free.push((z, -1.0));
-                free_rows[s] = Some(
-                    problem
-                        .add_constraint(&free, Relation::Le, 0.0)
-                        .expect("template rows are well-formed"),
-                );
-                total_rows[s] = Some(
-                    problem
-                        .add_constraint(&outgoing, Relation::Le, 0.0)
-                        .expect("template rows are well-formed"),
-                );
-            }
-            let incoming: Vec<(Variable, f64)> = flows
-                .iter()
-                .filter(|&&(_, j, _)| j == s)
-                .map(|&(i, _, t)| (t, 1.0 - ic.loss(i, s)))
-                .collect();
-            if !incoming.is_empty() {
-                need_rows[s] = Some(
-                    problem
-                        .add_constraint(&incoming, Relation::Le, 0.0)
-                        .expect("template rows are well-formed"),
-                );
-            }
-        }
-        if let Some(pool) = ic.pool_cap() {
-            let all: Vec<(Variable, f64)> = flows.iter().map(|&(_, _, t)| (t, 1.0)).collect();
-            problem
-                .add_constraint(&all, Relation::Le, pool.mwh())
-                .expect("template rows are well-formed");
-        }
-        ProspectiveNetLp {
-            problem,
-            flows,
-            bought,
-            free_rows,
-            total_rows,
-            need_rows,
-            workspace: LpWorkspace::new(),
-        }
     }
 }
 

@@ -80,6 +80,7 @@ mod p5;
 mod receding;
 mod routing;
 mod smart_dpss;
+mod transport;
 
 pub use bounds::TheoremBounds;
 pub use config::{MarketMode, P4Variant, P5Objective, SmartDpssConfig};

@@ -28,24 +28,25 @@
 //! serve-on-arrival baseline — the cost-dominance half of the load
 //! conservation property suite.
 //!
-//! Like the fleet planner, the migration LP is a template (built once
-//! per topology) re-solved through one warm-started [`LpWorkspace`] with
+//! The migration LP is the fleet's one transportation template
+//! (`transport.rs`, shared with the energy planner's LPs): the self
+//! columns are ordinary `(i, i)` columns placed ahead of the links, every
+//! column has gain 1, and there is no pool row. It is built once per
+//! topology and re-solved through one warm-started workspace with
 //! per-frame objective/bound/rhs edits; like every fleet LP it is in
 //! packing form, so its cold start needs no dual restore.
 
-// The routing planner mints every LP variable/row it later edits in its
-// own template build pass, and all per-site vectors are sized from the
-// wrapped topology's roster.
-// audit:allow-file(panic-unwrap): expects assert invariants of the LP template this module itself builds
-// audit:allow-file(slice-index): variable/row ids are minted by the same template build pass; rosters sized from the topology
+// Per-site vectors are sized from the wrapped topology's roster.
+// audit:allow-file(slice-index): per-site load vectors are sized from the topology roster the fleet run steps
 
-use dpss_lp::{ConstraintId, LpWorkspace, Problem, Relation, Sense, SolverStats, Variable};
+use dpss_lp::SolverStats;
 use dpss_sim::{
     FrameDirective, FrameExchange, FrameOutlook, FrameSettlement, Interconnect, LoadFlow,
     LoadFrame, LoadPlan, RoutedDispatcher, RoutingConfig, SimError,
 };
 use dpss_units::Energy;
 
+use crate::transport::TransportLp;
 use crate::FleetPlanner;
 
 /// Cross-site flows are worth this much less than local absorption per
@@ -80,18 +81,9 @@ const NEGLIGIBLE_MWH: f64 = 1e-12;
 pub struct RoutingPlanner {
     inner: FleetPlanner,
     config: RoutingConfig,
-    /// The migration LP template; objective, bounds and right-hand sides
-    /// are edited per frame.
-    problem: Problem,
-    /// `(donor, host, variable)`: one self entry `(i, i, _)` per site —
-    /// emitted first, in site order — then one entry per open link,
-    /// donor-major.
-    vars: Vec<(usize, usize, Variable)>,
-    /// Donor availability row per site.
-    supply_rows: Vec<ConstraintId>,
-    /// Host residual-curtailment row per site.
-    host_rows: Vec<ConstraintId>,
-    workspace: LpWorkspace,
+    /// The migration LP: one self column `(i, i)` per site, in site
+    /// order, then one column per open link.
+    migration: TransportLp,
 }
 
 impl RoutingPlanner {
@@ -104,55 +96,15 @@ impl RoutingPlanner {
     pub fn new(inner: FleetPlanner, config: RoutingConfig) -> Result<Self, SimError> {
         config.validate()?;
         let ic = inner.interconnect();
-        let n = ic.sites();
-        let mut problem = Problem::new(Sense::Minimize);
-        let mut vars: Vec<(usize, usize, Variable)> = (0..n)
-            .map(|i| {
-                let var = problem
-                    .add_var(0.0, 0.0, 0.0)
-                    .expect("template variables are well-formed");
-                (i, i, var)
-            })
-            .collect();
         let cap = RoutingConfig::MIGRATION_CAP.mwh();
-        for (i, j) in ic.open_links() {
-            let var = problem
-                .add_var(0.0, cap, 0.0)
-                .expect("the migration cap is finite");
-            vars.push((i, j, var));
-        }
-        let mut supply_rows = Vec::with_capacity(n);
-        let mut host_rows = Vec::with_capacity(n);
-        for s in 0..n {
-            let outgoing: Vec<(Variable, f64)> = vars
-                .iter()
-                .filter(|&&(i, _, _)| i == s)
-                .map(|&(_, _, v)| (v, 1.0))
-                .collect();
-            supply_rows.push(
-                problem
-                    .add_constraint(&outgoing, Relation::Le, 0.0)
-                    .expect("template rows are well-formed"),
-            );
-            let incoming: Vec<(Variable, f64)> = vars
-                .iter()
-                .filter(|&&(_, j, _)| j == s)
-                .map(|&(_, _, v)| (v, 1.0))
-                .collect();
-            host_rows.push(
-                problem
-                    .add_constraint(&incoming, Relation::Le, 0.0)
-                    .expect("template rows are well-formed"),
-            );
-        }
+        let columns = (0..ic.sites())
+            .map(|i| (i, i, 1.0, 0.0))
+            .chain(ic.open_links().map(|(i, j)| (i, j, 1.0, cap)));
+        let migration = TransportLp::new(ic.sites(), columns, false, None);
         Ok(RoutingPlanner {
             inner,
             config,
-            problem,
-            vars,
-            supply_rows,
-            host_rows,
-            workspace: LpWorkspace::new(),
+            migration,
         })
     }
 
@@ -179,53 +131,30 @@ impl RoutingPlanner {
             return LoadPlan::default();
         }
         let cap = RoutingConfig::MIGRATION_CAP.mwh();
-        for &(i, j, var) in &self.vars {
+        self.migration.set_columns(|i, j, _| {
             // Absorbing one MWh of donor i's queued work avoids billing
             // it at i's frame-mean spot price.
-            let value = if i == j {
-                load.spot[i]
-            } else {
-                load.spot[i] - MIGRATION_TIE_BREAK
-            };
-            self.problem
-                .set_objective(var, -value)
-                .expect("template variables stay valid");
             let avail = load.available[i].mwh().max(0.0);
-            let ub = if i == j { avail } else { cap.min(avail) };
-            self.problem
-                .set_bounds(var, 0.0, ub)
-                .expect("availability and caps are non-negative");
+            if i == j {
+                (-load.spot[i], avail)
+            } else {
+                (-(load.spot[i] - MIGRATION_TIE_BREAK), cap.min(avail))
+            }
+        });
+        for (s, (avail, res)) in load.available.iter().zip(residual).enumerate() {
+            self.migration.set_donor(s, avail.mwh().max(0.0));
+            self.migration.set_recipient(s, res.mwh().max(0.0));
         }
-        for ((&supply, &host), (avail, res)) in self
-            .supply_rows
-            .iter()
-            .zip(&self.host_rows)
-            .zip(load.available.iter().zip(residual))
-        {
-            self.problem
-                .set_rhs(supply, avail.mwh().max(0.0))
-                .expect("template rows stay valid");
-            self.problem
-                .set_rhs(host, res.mwh().max(0.0))
-                .expect("template rows stay valid");
-        }
-        let sol = self
-            .problem
-            .solve_with(&mut self.workspace)
-            .expect("the migration LP is feasible (zero flow) and box-bounded");
-        let absorb: Vec<LoadFlow> = self
-            .vars
-            .iter()
-            .filter_map(|&(i, j, var)| {
-                let amount = sol.value(var);
-                (amount > NEGLIGIBLE_MWH).then(|| LoadFlow {
-                    from: i,
-                    to: j,
+        let mut absorb = Vec::new();
+        self.migration.solve(|from, to, _, amount| {
+            if amount > NEGLIGIBLE_MWH {
+                absorb.push(LoadFlow {
+                    from,
+                    to,
                     amount: Energy::from_mwh(amount),
-                })
-            })
-            .collect();
-        self.workspace.recycle(sol);
+                });
+            }
+        });
         LoadPlan { absorb }
     }
 
@@ -234,7 +163,7 @@ impl RoutingPlanner {
     #[must_use]
     pub fn solver_stats(&self) -> SolverStats {
         let mut stats = self.inner.solver_stats();
-        stats.merge(&self.workspace.stats());
+        stats.merge(&self.migration.stats());
         stats
     }
 }

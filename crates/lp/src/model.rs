@@ -194,11 +194,9 @@ impl Problem {
                     what: "constraint coefficient",
                 });
             }
-            match dense.iter_mut().find(|(j, _)| *j == v.0) {
-                Some((_, acc)) => *acc += c,
-                None => dense.push((v.0, c)),
-            }
+            dense.push((v.0, c));
         }
+        merge_repeats(&mut dense);
         let idx = self.constraints.len();
         self.constraints.push(ConstraintData {
             terms: dense,
@@ -395,6 +393,62 @@ impl Problem {
     }
 }
 
+/// Rows up to this many terms merge repeats by scanning the merged
+/// prefix, which beats any index on the two-to-seven-term rows of the
+/// slot and frame LPs.
+const SHORT_ROW: usize = 16;
+
+/// Sums each repeated variable of a row into its first occurrence, left
+/// to right, and drops the repeats, so the terms keep first-occurrence
+/// order. A longer row costs `O(k log k)`: one in ascending variable
+/// order (every transportation row) repeats nothing and is left as it
+/// is; any other sorts its `(variable, position)` pairs, so each group
+/// meets its terms in row order.
+#[allow(clippy::indexing_slicing)]
+fn merge_repeats(terms: &mut Vec<(usize, f64)>) {
+    if terms.len() <= SHORT_ROW {
+        let mut kept = 0;
+        for p in 0..terms.len() {
+            // audit:allow(slice-index): p < terms.len()
+            let (j, c) = terms[p];
+            // audit:allow(slice-index): kept ≤ p
+            match terms[..kept].iter_mut().find(|(i, _)| *i == j) {
+                Some((_, acc)) => *acc += c,
+                None => {
+                    // audit:allow(slice-index): kept ≤ p
+                    terms[kept] = (j, c);
+                    kept += 1;
+                }
+            }
+        }
+        terms.truncate(kept);
+        return;
+    }
+    if terms.is_sorted_by(|a, b| a.0 < b.0) {
+        return;
+    }
+    let mut order: Vec<(usize, usize)> = terms
+        .iter()
+        .enumerate()
+        .map(|(p, &(j, _))| (j, p))
+        .collect();
+    order.sort_unstable();
+    for group in order.chunk_by(|a, b| a.0 == b.0) {
+        if let [(_, first), repeats @ ..] = group {
+            for &(_, p) in repeats {
+                // audit:allow(slice-index): positions enumerate the row
+                let c = terms[p].1;
+                // audit:allow(slice-index): positions enumerate the row
+                terms[*first].1 += c;
+                // A variable index no problem reaches marks the repeat.
+                // audit:allow(slice-index): positions enumerate the row
+                terms[p].0 = usize::MAX;
+            }
+        }
+    }
+    terms.retain(|&(j, _)| j != usize::MAX);
+}
+
 /// The bound rule of [`Problem::add_var`] and [`Problem::set_bounds`]
 /// for variable `var`: a finite `lo`, an `up` that is not NaN, `lo ≤ up`.
 fn check_bounds(lo: f64, up: f64, var: usize) -> Result<(), LpError> {
@@ -494,6 +548,35 @@ mod tests {
         // 3x >= 6 → x >= 2.
         let sol = p.solve().unwrap();
         assert!((sol.value(x) - 2.0).abs() < 1e-9);
+
+        // A long row with repeats interleaved, on both sides of the
+        // short-row cut: the merged terms keep first-occurrence order and
+        // each coefficient is the left fold of its repeats, bit for bit.
+        let vars: Vec<Variable> = (0..3_000)
+            .map(|_| p.add_var(0.0, 1.0, 0.0).unwrap())
+            .collect();
+        for len in [SHORT_ROW, SHORT_ROW + 1, 5_000] {
+            let row: Vec<(Variable, f64)> = (0..len)
+                .map(|k| {
+                    let var = vars[(k * 7_919) % (len / 2 + 1)];
+                    (var, 0.1 + (k as f64).sqrt() / 3.0)
+                })
+                .collect();
+            let mut want: Vec<(usize, f64)> = Vec::new();
+            for &(v, c) in &row {
+                match want.iter_mut().find(|(j, _)| *j == v.index()) {
+                    Some((_, acc)) => *acc += c,
+                    None => want.push((v.index(), c)),
+                }
+            }
+            assert!(want.len() < len, "the row repeats variables");
+            let id = p.add_constraint(&row, Relation::Le, 1.0).unwrap();
+            let (got, _, _) = p.constraints().nth(id.index()).unwrap();
+            let bits = |t: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                t.iter().map(|&(j, c)| (j, c.to_bits())).collect()
+            };
+            assert_eq!(bits(got), bits(&want), "row of {len} terms");
+        }
     }
 
     #[test]

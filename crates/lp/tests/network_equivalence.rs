@@ -356,9 +356,33 @@ proptest! {
     }
 }
 
+impl GeneralInstance {
+    /// Makes the instance unbounded by construction: every row is moved to
+    /// hold at the variables' floors, so the instance is feasible, and an
+    /// improving `[0.5, ∞)` column that no row bounds is added.
+    fn make_unbounded(&mut self, sense: Sense) {
+        for (coeffs, rel, rhs) in &mut self.rows {
+            let at_floor: f64 = coeffs.iter().zip(&self.vars).map(|(c, v)| c * v.0).sum();
+            *rhs = match rel {
+                Relation::Le => rhs.max(at_floor),
+                Relation::Ge => rhs.min(at_floor),
+                Relation::Eq => at_floor,
+            };
+        }
+        let improving = match sense {
+            Sense::Minimize => -1.0,
+            Sense::Maximize => 1.0,
+        };
+        // The rows' coefficient lists stop short of the new column.
+        self.vars.push((0.5, f64::INFINITY, improving));
+    }
+}
+
 /// General-form LPs, both senses: the cold kernel (the dual restore from
 /// the all-slack basis, then the primal simplex) gives the oracle's
-/// verdict and objective, and the instances cover every verdict.
+/// verdict and objective, and the instances cover every verdict. Every
+/// eighth case is made unbounded by construction, so the unbounded share
+/// does not hang on the draw.
 #[test]
 fn kernel_matches_the_oracle_on_general_instances() {
     const CASES: usize = 512;
@@ -366,11 +390,20 @@ fn kernel_matches_the_oracle_on_general_instances() {
     let mut verdicts = [0usize; 3];
     for k in 0..CASES {
         let sense = [Sense::Minimize, Sense::Maximize][k % 2];
-        let (p, _, _) = general_instance(5, 5).generate(&mut rng).build(sense);
+        let mut inst = general_instance(5, 5).generate(&mut rng);
+        let forced = k % 8 == 7;
+        if forced {
+            inst.make_unbounded(sense);
+        }
+        let (p, _, _) = inst.build(sense);
         let got = p.solve();
         if let Err(e) = dpss_lp_oracle::agree(&p, &got) {
             panic!("case {k}: {e}\n{p:?}");
         }
+        assert!(
+            !forced || matches!(got, Err(LpError::Unbounded)),
+            "case {k} is unbounded by construction: {got:?}"
+        );
         verdicts[match got {
             Ok(_) => 0,
             Err(LpError::Infeasible) => 1,
