@@ -3,8 +3,9 @@
 //!
 //! It shares nothing with the kernel but the [`Problem`] it reads
 //! (through [`Problem::variables`] and [`Problem::constraints`]): its own
-//! standard form (`min cᵀy` s.t. `Ay = b`, `y ≥ 0`, `b ≥ 0`, with general
-//! bounds shifted, negated or split and finite upper bounds as rows), an
+//! standard form (`min cᵀy` s.t. `Ay = b`, `y ≥ 0`, `b ≥ 0`, with each
+//! variable shifted by its finite lower bound and finite upper bounds as
+//! rows), an
 //! explicit row-major tableau with full-row Gauss-Jordan pivots, Dantzig
 //! pricing with Bland's-rule fallback, and a phase 1 on artificial
 //! variables. It keeps no state between solves, so every answer is a
@@ -76,17 +77,6 @@ pub fn agree(p: &Problem, got: &Result<Solution, LpError>) -> Result<(), String>
     }
 }
 
-/// How a model variable maps onto non-negative standard-form columns.
-#[derive(Debug, Clone, Copy)]
-enum VarMap {
-    /// `x = lo + y`.
-    Shifted { col: usize, lo: f64 },
-    /// `x = up − y` (only the upper bound is finite).
-    Negated { col: usize, up: f64 },
-    /// `x = y⁺ − y⁻` (free).
-    Split { pos: usize, neg: usize },
-}
-
 /// A standard-form row: structural terms, relation and rhs.
 #[derive(Debug, Clone)]
 struct Row {
@@ -102,24 +92,10 @@ struct Row {
 /// [`LpError::Infeasible`], [`LpError::Unbounded`] or, past a pivot
 /// budget of `200·(rows + columns) + 2000`, [`LpError::IterationLimit`].
 pub fn solve(p: &Problem) -> Result<Optimum, LpError> {
-    // Variables onto non-negative columns.
-    let mut maps = Vec::with_capacity(p.num_vars());
-    let mut n_struct = 0;
-    for (lo, up, _) in p.variables() {
-        let map = if lo.is_finite() {
-            VarMap::Shifted { col: n_struct, lo }
-        } else if up.is_finite() {
-            VarMap::Negated { col: n_struct, up }
-        } else {
-            n_struct += 1;
-            VarMap::Split {
-                pos: n_struct - 1,
-                neg: n_struct,
-            }
-        };
-        n_struct += 1;
-        maps.push(map);
-    }
+    // Variable `j` is column `j`, shifted: `x = lo + y`. `Problem` refuses
+    // a non-finite lower bound, so every variable has one.
+    let n_struct = p.num_vars();
+    let los: Vec<f64> = p.variables().map(|(lo, _, _)| lo).collect();
 
     // Constraint rows in column space, then upper-bound rows.
     let mut rows = Vec::new();
@@ -130,29 +106,18 @@ pub fn solve(p: &Problem) -> Result<Optimum, LpError> {
             rhs,
         };
         for &(j, a) in terms {
-            match maps[j] {
-                VarMap::Shifted { col, lo } => {
-                    row.rhs -= a * lo;
-                    row.terms.push((col, a));
-                }
-                VarMap::Negated { col, up } => {
-                    row.rhs -= a * up;
-                    row.terms.push((col, -a));
-                }
-                VarMap::Split { pos, neg } => row.terms.extend([(pos, a), (neg, -a)]),
-            }
+            row.rhs -= a * los[j];
+            row.terms.push((j, a));
         }
         rows.push(row);
     }
-    for ((_, up, _), map) in p.variables().zip(&maps) {
-        if let VarMap::Shifted { col, lo } = *map {
-            if up.is_finite() {
-                rows.push(Row {
-                    terms: vec![(col, 1.0)],
-                    relation: Relation::Le,
-                    rhs: up - lo,
-                });
-            }
+    for (col, (lo, up, _)) in p.variables().enumerate() {
+        if up.is_finite() {
+            rows.push(Row {
+                terms: vec![(col, 1.0)],
+                relation: Relation::Le,
+                rhs: up - lo,
+            });
         }
     }
     // Non-negative right-hand sides.
@@ -232,15 +197,8 @@ pub fn solve(p: &Problem) -> Result<Optimum, LpError> {
         Sense::Maximize => -1.0,
     };
     let mut costs = vec![0.0; n_total];
-    for ((_, _, obj), map) in p.variables().zip(&maps) {
-        match *map {
-            VarMap::Shifted { col, .. } => costs[col] += sign * obj,
-            VarMap::Negated { col, .. } => costs[col] -= sign * obj,
-            VarMap::Split { pos, neg } => {
-                costs[pos] += sign * obj;
-                costs[neg] -= sign * obj;
-            }
-        }
+    for (col, (_, _, obj)) in p.variables().enumerate() {
+        costs[col] += sign * obj;
     }
     let mut cost = CostRow::new(&tab, &costs);
     if !tab.run(&mut cost, n_nonart, &mut budget)? {
@@ -251,17 +209,10 @@ pub fn solve(p: &Problem) -> Result<Optimum, LpError> {
     for (r, &col) in tab.basis.iter().enumerate() {
         y[col] = tab.b[r];
     }
-    let values: Vec<f64> = maps
-        .iter()
-        .zip(p.variables())
-        .map(|(map, (lo, up, _))| {
-            let x = match *map {
-                VarMap::Shifted { col, lo } => lo + y[col],
-                VarMap::Negated { col, up } => up - y[col],
-                VarMap::Split { pos, neg } => y[pos] - y[neg],
-            };
-            x.clamp(lo, up)
-        })
+    let values: Vec<f64> = p
+        .variables()
+        .enumerate()
+        .map(|(col, (lo, up, _))| (lo + y[col]).clamp(lo, up))
         .collect();
     let objective = p.objective_at(&values);
     Ok(Optimum { values, objective })

@@ -1,6 +1,7 @@
 use dpss_units::{Energy, Power, SlotClock};
 use rand::{rngs::StdRng, SeedableRng};
 
+use crate::hour::{hour_of_day, HourMemo};
 use crate::randutil::{exponential, poisson, subseed, Ar1};
 use crate::TraceError;
 
@@ -196,26 +197,24 @@ impl DemandModel {
         let mut noise = Ar1::new(0.7, 1.0);
         let slot_h = clock.slot_hours();
         let slot_cap = self.grid_cap.over_hours(slot_h);
+        let mut hourly = HourMemo::new();
 
         let mut ds = Vec::with_capacity(clock.total_slots());
         let mut dt = Vec::with_capacity(clock.total_slots());
         for id in clock.slots() {
             let hour_abs = id.index as f64 * slot_h;
-            let hour = hour_abs % 24.0;
             let day = (hour_abs / 24.0) as usize;
             let weekend = matches!(day % 7, 5 | 6);
             let day_factor = if weekend { self.weekend_factor } else { 1.0 };
+            let terms = hourly.get(hour_of_day(hour_abs), |hour| self.hour_terms(hour, slot_h));
 
             // Delay-sensitive: diurnal single peak mid-afternoon plus noise.
-            let shape = 1.0 + self.interactive_amplitude * interactive_shape(hour);
             let n = 1.0 + self.interactive_noise_std * noise.next(&mut rng);
-            let mw = self.interactive_base.mw() * shape * day_factor * n.max(0.0);
+            let mw = self.interactive_base.mw() * terms.shape * day_factor * n.max(0.0);
             let e_ds = Power::from_mw(mw.max(0.0)).over_hours(slot_h);
 
             // Delay-tolerant: compound Poisson with a night boost.
-            let night = 1.0 + self.batch_night_boost * night_shape(hour);
-            let lambda = self.batch_rate_per_hour * slot_h * night;
-            let arrivals = poisson(&mut rng, lambda);
+            let arrivals = poisson(&mut rng, terms.lambda, terms.limit);
             let mut batch = 0.0;
             for _ in 0..arrivals {
                 batch += exponential(&mut rng, self.batch_size_mean.mwh());
@@ -238,6 +237,29 @@ impl DemandModel {
             delay_sensitive: ds,
             delay_tolerant: dt,
         })
+    }
+}
+
+/// The site-independent terms of one hour of day.
+#[derive(Debug, Clone, Copy)]
+struct HourTerms {
+    /// Interactive diurnal factor `1 + amplitude·interactive_shape`.
+    shape: f64,
+    /// Batch arrival rate per slot, night boost included.
+    lambda: f64,
+    /// The Poisson limit `exp(−λ)`.
+    limit: f64,
+}
+
+impl DemandModel {
+    fn hour_terms(&self, hour: f64, slot_h: f64) -> HourTerms {
+        let night = 1.0 + self.batch_night_boost * night_shape(hour);
+        let lambda = self.batch_rate_per_hour * slot_h * night;
+        HourTerms {
+            shape: 1.0 + self.interactive_amplitude * interactive_shape(hour),
+            lambda,
+            limit: (-lambda).exp(),
+        }
     }
 }
 

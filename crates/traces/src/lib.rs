@@ -56,6 +56,7 @@
 mod demand;
 mod error;
 mod error_injection;
+mod hour;
 mod pack;
 mod price;
 mod randutil;
@@ -71,6 +72,7 @@ mod workload;
 pub use demand::{DemandModel, DemandTraces};
 pub use error::TraceError;
 pub use error_injection::UniformError;
+pub use hour::hour_of_day;
 pub use pack::ScenarioPack;
 pub use price::{PriceModel, PriceTraces};
 pub use scenario::{paper_ddt_max, paper_month_traces, Scenario};

@@ -19,11 +19,15 @@
 //! | `flat-baseline` | structure removed — flat demand and/or flat prices |
 //! | `traffic-wave` | request-arrival regimes — regional diurnal offsets, flash crowds, traffic surges |
 
+use std::fmt;
+use std::sync::{Mutex, PoisonError};
+
 use dpss_units::{Power, SlotClock};
 
 use crate::seed::{fnv1a, splitmix64};
 use crate::{
-    DemandModel, PriceModel, Scenario, SolarModel, TraceError, TraceSet, WindModel, WorkloadModel,
+    DemandModel, PriceModel, PriceTraces, Scenario, SolarModel, TraceError, TraceSet, WindModel,
+    WorkloadModel,
 };
 
 /// An ordered, named roster of labelled [`Scenario`] variants with a
@@ -52,6 +56,51 @@ use crate::{
 pub struct ScenarioPack {
     name: String,
     variants: Vec<(String, Scenario)>,
+    market: MarketMemo,
+}
+
+/// What a market is generated from: the clock, the market seed and the
+/// variant whose price model it runs.
+type MarketKey = (SlotClock, u64, usize);
+
+/// The last market [`ScenarioPack::generate_site`] generated, so the
+/// other sites of its variant clone it instead of generating it again.
+/// A cloned pack starts empty, and errors are never kept.
+#[derive(Default)]
+struct MarketMemo(Mutex<Option<(MarketKey, PriceTraces)>>);
+
+impl MarketMemo {
+    /// The market at `key`: the kept one if the key matches, else
+    /// `generate()`, which then replaces it.
+    fn get(
+        &self,
+        key: MarketKey,
+        generate: impl FnOnce() -> Result<PriceTraces, TraceError>,
+    ) -> Result<PriceTraces, TraceError> {
+        // The memo is replaced only by a finished market, so a poisoned
+        // lock still holds a consistent one.
+        let mut kept = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((k, prices)) = kept.as_ref() {
+            if *k == key {
+                return Ok(prices.clone());
+            }
+        }
+        let prices = generate()?;
+        *kept = Some((key, prices.clone()));
+        Ok(prices)
+    }
+}
+
+impl Clone for MarketMemo {
+    fn clone(&self) -> Self {
+        MarketMemo::default()
+    }
+}
+
+impl fmt::Debug for MarketMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MarketMemo").finish_non_exhaustive()
+    }
 }
 
 impl ScenarioPack {
@@ -62,6 +111,7 @@ impl ScenarioPack {
         ScenarioPack {
             name: name.to_owned(),
             variants: Vec::new(),
+            market: MarketMemo::default(),
         }
     }
 
@@ -153,6 +203,12 @@ impl ScenarioPack {
     /// seed, while the market price series runs on the *variant* seed —
     /// every site of a variant trades in the same market.
     ///
+    /// That market is generated once per variant and shared: the pack
+    /// keeps the last one it generated, keyed by clock, market seed and
+    /// variant, and clones it to every later site with the same key. The
+    /// result is bit for bit what
+    /// [`Scenario::generate_with_market_seed`] returns.
+    ///
     /// # Errors
     ///
     /// Returns [`TraceError::UnknownVariant`] if `index >= self.len()`,
@@ -171,7 +227,11 @@ impl ScenarioPack {
             index,
             len: self.variants.len(),
         })?;
-        scenario.generate_with_market_seed(clock, site_seed, market_seed)
+        scenario.generate_with_market(clock, site_seed, || {
+            self.market.get((*clock, market_seed, index), || {
+                scenario.generate_market(clock, market_seed)
+            })
+        })
     }
 
     /// The names of the built-in packs, in registry order.
@@ -496,6 +556,131 @@ mod tests {
             pack.generate_site(&clock, 5, 2, 4).unwrap(),
             pack.generate_site(&clock, 5, 2, 4).unwrap()
         );
+    }
+
+    /// `generate_site` on a pack that has never generated anything.
+    fn fresh(
+        pack: &ScenarioPack,
+        clock: &SlotClock,
+        master: u64,
+        index: usize,
+        site: usize,
+    ) -> TraceSet {
+        let mut fresh = ScenarioPack::new(pack.name());
+        for (label, scenario) in pack.variants() {
+            fresh = fresh.with_variant(label, scenario.clone());
+        }
+        fresh.generate_site(clock, master, index, site).unwrap()
+    }
+
+    #[test]
+    fn a_shared_market_matches_a_fresh_pack_through_every_key_change() {
+        let month = SlotClock::new(3, 24, 1.0).unwrap();
+        let quarter = SlotClock::new(3, 96, 0.25).unwrap();
+        let pack = ScenarioPack::price_spike();
+        // Variant, master seed and clock each change and change back.
+        let steps = [
+            (month, 7, 0, 0),
+            (month, 7, 0, 1),
+            (month, 7, 2, 0),
+            (month, 7, 0, 2),
+            (month, 8, 0, 0),
+            (month, 7, 0, 3),
+            (quarter, 7, 0, 0),
+            (quarter, 7, 0, 1),
+            (month, 7, 0, 4),
+            (month, 8, 3, 1),
+            (month, 8, 3, 1),
+        ];
+        for (step, &(clock, master, index, site)) in steps.iter().enumerate() {
+            let got = pack.generate_site(&clock, master, index, site).unwrap();
+            assert_eq!(
+                got,
+                fresh(&pack, &clock, master, index, site),
+                "step {step}"
+            );
+        }
+        // A clone starts with no market of its own and agrees too.
+        let copy = pack.clone();
+        for &(clock, master, index, site) in &steps {
+            assert_eq!(
+                copy.generate_site(&clock, master, index, site).unwrap(),
+                pack.generate_site(&clock, master, index, site).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn threads_sharing_one_pack_see_the_same_markets() {
+        let clock = SlotClock::new(2, 24, 1.0).unwrap();
+        let pack = ScenarioPack::price_spike();
+        let runs: Vec<Vec<TraceSet>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|t| {
+                    let pack = &pack;
+                    scope.spawn(move || {
+                        (0..8)
+                            .map(|k| pack.generate_site(&clock, 7, (k + t) % 2, k).unwrap())
+                            .collect()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for (t, run) in runs.iter().enumerate() {
+            for (k, got) in run.iter().enumerate() {
+                assert_eq!(
+                    *got,
+                    fresh(&pack, &clock, 7, (k + t) % 2, k),
+                    "thread {t} site {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn market_errors_are_reported_on_every_call() {
+        let clock = SlotClock::new(2, 24, 1.0).unwrap();
+        let bad_price = PriceModel::icdcs13().with_rt_markup(0.5);
+        let pack = ScenarioPack::new("broken")
+            .with_variant("ok", Scenario::icdcs13())
+            .with_variant(
+                "bad-price",
+                Scenario::icdcs13().with_price(bad_price.clone()),
+            )
+            .with_variant(
+                "bad-demand",
+                Scenario::icdcs13()
+                    .with_price(bad_price)
+                    .with_demand(DemandModel::icdcs13().with_interactive_amplitude(1.5)),
+            );
+        let markup = |e: TraceError| {
+            matches!(
+                e,
+                TraceError::InvalidParameter {
+                    what: "rt_markup",
+                    ..
+                }
+            )
+        };
+        let amplitude = |e: TraceError| {
+            matches!(
+                e,
+                TraceError::InvalidParameter {
+                    what: "interactive_amplitude",
+                    ..
+                }
+            )
+        };
+        for site in 0..3 {
+            assert!(markup(pack.generate_site(&clock, 7, 1, site).unwrap_err()));
+            // Demand is generated before the market, so its error wins.
+            assert!(amplitude(
+                pack.generate_site(&clock, 7, 2, site).unwrap_err()
+            ));
+            assert!(pack.generate_site(&clock, 7, 0, site).is_ok());
+            assert!(markup(pack.generate_site(&clock, 7, 1, site).unwrap_err()));
+        }
     }
 
     #[test]

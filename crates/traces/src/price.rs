@@ -1,6 +1,7 @@
 use dpss_units::{Price, SlotClock};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
+use crate::hour::{hour_of_day, HourMemo};
 use crate::randutil::{subseed, Ar1};
 use crate::TraceError;
 
@@ -185,11 +186,14 @@ impl PriceModel {
 
         // Real-time market: diurnal shape × noise × markup + spikes.
         let mut rt_ar = Ar1::new(0.8, 1.0);
+        let slot_h = clock.slot_hours();
+        let mut shapes = HourMemo::new();
         let real_time: Vec<Price> = clock
             .slots()
             .map(|id| {
-                let hour = (id.index as f64 * clock.slot_hours()) % 24.0;
-                let shape = 1.0 + self.daily_amplitude * diurnal_shape(hour);
+                let shape = shapes.get(hour_of_day(id.index as f64 * slot_h), |hour| {
+                    1.0 + self.daily_amplitude * diurnal_shape(hour)
+                });
                 let noise = 1.0 + self.rt_noise_std * rt_ar.next(&mut rng);
                 let mut p = base * self.rt_markup * shape * noise.max(0.1);
                 if rng.gen::<f64>() < self.spike_probability {

@@ -30,13 +30,18 @@ pub(crate) fn gaussian<R: Rng>(rng: &mut R) -> f64 {
 }
 
 /// Poisson sample via Knuth's product method; adequate for the small rates
-/// (λ ≲ 20) used by batch-arrival generation.
-pub(crate) fn poisson<R: Rng>(rng: &mut R, lambda: f64) -> u64 {
+/// (λ ≲ 20) used by batch-arrival generation. `limit` is the caller's
+/// `exp(−λ)`, so a rate that repeats pays for its `exp` once.
+pub(crate) fn poisson<R: Rng>(rng: &mut R, lambda: f64, limit: f64) -> u64 {
     debug_assert!(lambda >= 0.0, "lambda must be non-negative");
+    debug_assert_eq!(
+        limit.to_bits(),
+        (-lambda).exp().to_bits(),
+        "limit is exp(-lambda)"
+    );
     if lambda <= 0.0 {
         return 0;
     }
-    let limit = (-lambda).exp();
     let mut product: f64 = 1.0;
     let mut count = 0u64;
     loop {
@@ -67,7 +72,8 @@ pub(crate) fn exponential<R: Rng>(rng: &mut R, mean: f64) -> f64 {
 #[derive(Debug, Clone)]
 pub(crate) struct Ar1 {
     rho: f64,
-    sigma: f64,
+    /// The innovation gain `√(1−ρ²)·σ`, multiplied in that order.
+    gain: f64,
     state: f64,
 }
 
@@ -76,13 +82,13 @@ impl Ar1 {
         debug_assert!((0.0..1.0).contains(&rho), "rho must be in [0, 1)");
         Ar1 {
             rho,
-            sigma,
+            gain: (1.0 - rho * rho).sqrt() * sigma,
             state: 0.0,
         }
     }
 
     pub(crate) fn next<R: Rng>(&mut self, rng: &mut R) -> f64 {
-        let innovation = (1.0 - self.rho * self.rho).sqrt() * self.sigma * gaussian(rng);
+        let innovation = self.gain * gaussian(rng);
         self.state = self.rho * self.state + innovation;
         self.state
     }
@@ -114,16 +120,17 @@ mod tests {
     #[test]
     fn poisson_mean_matches_lambda() {
         let mut rng = StdRng::seed_from_u64(5);
-        for &lambda in &[0.3, 2.0, 8.0] {
+        for &lambda in &[0.3f64, 2.0, 8.0] {
             let n = 20_000;
-            let total: u64 = (0..n).map(|_| poisson(&mut rng, lambda)).sum();
+            let limit = (-lambda).exp();
+            let total: u64 = (0..n).map(|_| poisson(&mut rng, lambda, limit)).sum();
             let mean = total as f64 / n as f64;
             assert!(
                 (mean - lambda).abs() < 0.1 + lambda * 0.05,
                 "lambda {lambda}, mean {mean}"
             );
         }
-        assert_eq!(poisson(&mut rng, 0.0), 0);
+        assert_eq!(poisson(&mut rng, 0.0, 1.0), 0);
     }
 
     #[test]

@@ -1,7 +1,10 @@
 use dpss_units::{Energy, SlotClock};
 
 use crate::randutil::subseed;
-use crate::{DemandModel, PriceModel, SolarModel, TraceError, TraceSet, WindModel, WorkloadModel};
+use crate::{
+    DemandModel, PriceModel, PriceTraces, SolarModel, TraceError, TraceSet, WindModel,
+    WorkloadModel,
+};
 
 /// One-stop generator for a consistent [`TraceSet`]: demand, renewables and
 /// the two market price series.
@@ -155,6 +158,10 @@ impl Scenario {
     /// `generate_with_market_seed(clock, s, s)`, so single-site artifacts
     /// are untouched by this split.
     ///
+    /// Each call generates its market anew. A fleet built through
+    /// [`ScenarioPack::generate_site`](crate::ScenarioPack::generate_site)
+    /// generates a variant's market once and shares it with every site.
+    ///
     /// # Errors
     ///
     /// Propagates any model misconfiguration and trace validation errors.
@@ -164,6 +171,27 @@ impl Scenario {
         seed: u64,
         market_seed: u64,
     ) -> Result<TraceSet, TraceError> {
+        self.generate_with_market(clock, seed, || self.generate_market(clock, market_seed))
+    }
+
+    /// The market price series at `market_seed`.
+    pub(crate) fn generate_market(
+        &self,
+        clock: &SlotClock,
+        market_seed: u64,
+    ) -> Result<PriceTraces, TraceError> {
+        self.price.generate(clock, subseed(market_seed, 4))
+    }
+
+    /// [`Scenario::generate_with_market_seed`] with the market taken from
+    /// `market`, called where the prices are generated: after demand and
+    /// renewables, so their errors are reported first.
+    pub(crate) fn generate_with_market(
+        &self,
+        clock: &SlotClock,
+        seed: u64,
+        market: impl FnOnce() -> Result<PriceTraces, TraceError>,
+    ) -> Result<TraceSet, TraceError> {
         let demand = self.demand.generate(clock, subseed(seed, 1))?;
         let mut renewable = self.solar.generate(clock, subseed(seed, 2))?;
         if let Some(wind) = &self.wind {
@@ -172,7 +200,7 @@ impl Scenario {
                 *r += w;
             }
         }
-        let prices = self.price.generate(clock, subseed(market_seed, 4))?;
+        let prices = market()?;
         let ts = TraceSet::new(
             *clock,
             demand.delay_sensitive,

@@ -1,6 +1,7 @@
 use dpss_units::{Energy, Power, SlotClock};
 use rand::{rngs::StdRng, SeedableRng};
 
+use crate::hour::{hour_of_day, HourMemo};
 use crate::randutil::{gaussian, subseed, Ar1};
 use crate::TraceError;
 
@@ -155,11 +156,13 @@ impl SolarModel {
         self.validate()?;
         let mut rng = StdRng::seed_from_u64(subseed(seed, 0x501A_0001));
         let mut clouds = Ar1::new(self.cloud_persistence, 1.0);
+        let slot_h = clock.slot_hours();
+        let mut irradiance = HourMemo::new();
         let mut out = Vec::with_capacity(clock.total_slots());
         let mut day_scale = 1.0;
         let mut current_day = usize::MAX;
         for id in clock.slots() {
-            let hour_abs = id.index as f64 * clock.slot_hours();
+            let hour_abs = id.index as f64 * slot_h;
             let day = (hour_abs / 24.0) as usize;
             if day != current_day {
                 current_day = day;
@@ -168,12 +171,12 @@ impl SolarModel {
                 let s = self.day_scale_std;
                 day_scale = (s * z - 0.5 * s * s).exp().min(1.6);
             }
-            let hour = hour_abs % 24.0;
-            let irradiance = self.irradiance_fraction(hour);
+            let clear_sky =
+                irradiance.get(hour_of_day(hour_abs), |hour| self.irradiance_fraction(hour));
             let cloud = 1.0 - self.cloud_severity * clouds.next(&mut rng).abs();
             let cloud = cloud.clamp(0.05, 1.0);
-            let mw = self.capacity.mw() * irradiance * cloud * day_scale;
-            out.push(Power::from_mw(mw.max(0.0)).over_hours(clock.slot_hours()));
+            let mw = self.capacity.mw() * clear_sky * cloud * day_scale;
+            out.push(Power::from_mw(mw.max(0.0)).over_hours(slot_h));
         }
         Ok(out)
     }

@@ -191,8 +191,9 @@ impl WorkloadModel {
         if self.flash_rate_per_day > 0.0 {
             let slots_per_day = (24.0 / slot_h).max(1.0) as usize;
             let days = total.div_ceil(slots_per_day);
+            let limit = (-self.flash_rate_per_day).exp();
             for day in 0..days {
-                let events = poisson(&mut rng, self.flash_rate_per_day);
+                let events = poisson(&mut rng, self.flash_rate_per_day, limit);
                 for _ in 0..events {
                     let start =
                         day * slots_per_day + (rng.gen::<f64>() * slots_per_day as f64) as usize;
